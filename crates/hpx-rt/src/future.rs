@@ -63,23 +63,28 @@ impl<T: Send + 'static> Shared<T> {
         let cont = {
             let mut st = self.state.lock();
             match &mut *st {
-                State::Pending(cont) => {
-                    let cont = cont.take();
-                    if cont.is_none() {
+                State::Pending(cont) => match cont.take() {
+                    Some(cont) => {
+                        *st = State::Consumed;
+                        cont
+                    }
+                    None => {
                         *st = State::Ready(result);
+                        // Release `state` before notifying: a waiter in
+                        // `help_until` evaluates its readiness predicate
+                        // (which takes `state`) while holding the pool's
+                        // `sleepers` lock, and `notify` takes `sleepers`.
+                        drop(st);
                         self.cond.notify_all();
                         if let Some(sp) = &self.spawner {
                             sp.notify();
                         }
                         return;
                     }
-                    *st = State::Consumed;
-                    cont
-                }
+                },
                 _ => panic!("future completed twice"),
             }
         };
-        let cont = cont.expect("checked above");
         // Run the continuation as a pool task (HPX schedules continuations as
         // new lightweight threads); inline if the pool is gone.
         if let Some(sp) = &self.spawner {

@@ -188,6 +188,31 @@ fn promise_fulfilled_from_external_thread() {
     t.join().unwrap();
 }
 
+/// Regression: `Shared::complete` used to notify the pool (taking its
+/// `sleepers` lock) while still holding the future's `state` lock, and a
+/// non-worker `get()` evaluates its readiness predicate (taking `state`)
+/// under `sleepers` — an ABBA inversion that hung within 40–160 000 round
+/// trips. The loop runs on its own thread so a regression fails the test
+/// after 60 s instead of hanging CI.
+#[test]
+fn spawn_get_round_trips_from_non_worker_never_deadlock() {
+    const ROUND_TRIPS: usize = 300_000;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let pool = ThreadPool::new(2);
+        for _ in 0..ROUND_TRIPS {
+            async_spawn(&pool, || ()).get();
+        }
+        let _ = done_tx.send(());
+    });
+    // On a deadlock the stuck thread is deliberately leaked: it can never
+    // be joined, and the test process ends with the failure.
+    done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("spawn+get from a non-worker thread deadlocked (future state / pool sleepers lock order)");
+    caller.join().expect("round-trip thread panicked");
+}
+
 #[test]
 #[should_panic(expected = "broken promise")]
 fn dropped_promise_panics_getter() {

@@ -148,14 +148,9 @@ pub struct CheckpointStore {
 
 impl CheckpointStore {
     /// An in-memory store for `nranks` ranks over a `ncells`-cell mesh with
-    /// the Airfoil state width (4 components per cell).
-    pub fn new(nranks: usize, ncells: usize) -> CheckpointStore {
-        CheckpointStore::with_comp(nranks, ncells, 4)
-    }
-
-    /// An in-memory store with an explicit per-cell component count
-    /// (4 for Airfoil `q`, 3 for shallow-water `w`).
-    pub fn with_comp(nranks: usize, ncells: usize, ncomp: usize) -> CheckpointStore {
+    /// `ncomp` state components per cell (4 for Airfoil `q`, 3 for
+    /// shallow-water `w`).
+    pub fn new(nranks: usize, ncells: usize, ncomp: usize) -> CheckpointStore {
         assert!(ncomp > 0, "ncomp must be positive");
         CheckpointStore {
             ncells,
@@ -436,7 +431,7 @@ mod tests {
 
     #[test]
     fn consistent_only_when_all_cells_covered() {
-        let store = CheckpointStore::new(2, 4);
+        let store = CheckpointStore::new(2, 4, 4);
         assert!(store.latest_consistent().is_none());
         store.commit(0, 0, &[0, 1], &[1.0; 8]).unwrap();
         assert!(store.latest_consistent().is_none(), "half-covered");
@@ -449,7 +444,7 @@ mod tests {
 
     #[test]
     fn latest_wins_and_incomplete_newer_is_ignored() {
-        let store = CheckpointStore::new(2, 2);
+        let store = CheckpointStore::new(2, 2, 4);
         store.commit(2, 0, &[0], &[1.0; 4]).unwrap();
         store.commit(2, 1, &[1], &[2.0; 4]).unwrap();
         store.commit(4, 0, &[0], &[9.0; 4]).unwrap(); // rank 1 died before iter 4
@@ -461,7 +456,7 @@ mod tests {
 
     #[test]
     fn recommit_overwrites_rank_slot() {
-        let store = CheckpointStore::new(1, 1);
+        let store = CheckpointStore::new(1, 1, 4);
         store.commit(1, 0, &[0], &[1.0; 4]).unwrap();
         store.commit(1, 0, &[0], &[5.0; 4]).unwrap();
         let (_, q) = store.latest_consistent().expect("complete");
@@ -470,7 +465,7 @@ mod tests {
 
     #[test]
     fn truncate_after_drops_newer_entries() {
-        let store = CheckpointStore::new(1, 1);
+        let store = CheckpointStore::new(1, 1, 4);
         store.commit(2, 0, &[0], &[1.0; 4]).unwrap();
         store.commit(6, 0, &[0], &[2.0; 4]).unwrap();
         store.truncate_after(4);
@@ -481,7 +476,7 @@ mod tests {
 
     #[test]
     fn overlapping_cover_is_not_consistent() {
-        let store = CheckpointStore::new(2, 2);
+        let store = CheckpointStore::new(2, 2, 4);
         store.commit(0, 0, &[0, 1], &[1.0; 8]).unwrap();
         store.commit(0, 1, &[1], &[2.0; 4]).unwrap();
         // 3 cell entries over 2 cells: covered != ncells, rejected.
@@ -490,7 +485,7 @@ mod tests {
 
     #[test]
     fn validation_errors_are_typed_not_panics() {
-        let store = CheckpointStore::new(2, 2);
+        let store = CheckpointStore::new(2, 2, 4);
         assert!(matches!(
             store.commit(0, 0, &[0], &[1.0; 3]),
             Err(CheckpointError::SliceLength { expected: 4, found: 3 })
@@ -503,7 +498,7 @@ mod tests {
 
     #[test]
     fn three_component_store_assembles_correctly() {
-        let store = CheckpointStore::with_comp(2, 2, 3);
+        let store = CheckpointStore::new(2, 2, 3);
         store.commit(1, 0, &[1], &[1.0, 2.0, 3.0]).unwrap();
         store.commit(1, 1, &[0], &[7.0, 8.0, 9.0]).unwrap();
         let (iter, w) = store.latest_consistent().expect("complete");

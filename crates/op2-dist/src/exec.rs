@@ -1,81 +1,32 @@
-//! The distributed Airfoil time-march — bulk-synchronous or
-//! comm/compute-overlapped, bit-identical either way.
+//! The distributed Airfoil march: the public option/report/error types every
+//! distributed march shares, and Airfoil's kernel glue for the march engine.
 //!
-//! Per stage, each rank performs (in *canonical* arithmetic order):
+//! The protocol — halo exchange, overlap, reductions, checkpoints, recovery —
+//! is described once, in the engine's module docs (`march.rs`). Airfoil
+//! supplies only its hooks:
 //!
-//! 1. **forward sends** — owners push fresh `q` values to every rank that
-//!    imports them (halo update), before touching any kernel;
-//! 2. `adt_calc` over owned cells (the stage *prologue*, locally retryable);
-//! 3. interior `res_calc` (edges with no halo endpoint) and `bres_calc`,
-//!    accumulating straight into local residuals, plus one gated **halo
-//!    group** per import peer: copy the peer's payload into the halo slots,
-//!    redundant `adt_calc` over those halo cells, `res_calc` over the
-//!    group's edges into a per-group *scratch* buffer, and the **reverse
-//!    send** of the halo-side scratch back to the owner;
-//! 4. **merge** — group scratch is added into `res` in ascending-group,
-//!    first-touch order (canonical regardless of arrival order);
-//! 5. **reverse receives** — halo residual contributions are added at the
-//!    owners in ascending-rank order (deterministic);
-//! 6. `update` over owned cells; the RMS is an `allreduce`.
-//!
-//! With one rank there are no exchanges and no groups, so the execution
-//! order equals the single-node *natural* order and results match
-//! `op2_core::serial::execute_natural` bit-for-bit.
-//!
-//! ## Overlapped march ([`DistOptions::overlap`])
-//!
-//! The bulk march performs step 3 in a fixed schedule: blocking forward
-//! receives, then all interior compute, then every halo group — reverse
-//! sends go out *last*, so peers idle in their reverse receives while this
-//! rank grinds through interior work. The overlapped march runs the same
-//! step 3 as an event loop instead: interior chunks execute while forward
-//! receives are outstanding ([`Comm::try_recv`]), and each halo group fires
-//! the moment its message lands — its reverse send leaves *early*. Because
-//! group contributions route through scratch in **both** marches and are
-//! merged in canonical order, overlap changes *when* work happens but never
-//! *what* is computed: `adt`/`res`/`q`/rms are bit-identical (see
-//! `tests/overlap_det.rs`). A rank that drains all compute while halos are
-//! still outstanding records a `halo-wait` trace span
-//! ([`op2_trace::EventKind::HaloWait`]) — attributed separately from
-//! barrier-wait so the overlap win is measurable.
-//!
-//! The residual reduction is also pipelined under overlap: report-point RMS
-//! values use the fabric's non-blocking [`Comm::iallreduce_sum`], harvested
-//! one iteration later (or at the next checkpoint boundary / end of march),
-//! so step *k*'s reduction overlaps step *k+1*'s interior compute. The
-//! deferred completion performs the same ascending-rank combine, so reported
-//! values stay bit-identical to the blocking path.
-//!
-//! ## Faults and recovery
-//!
-//! Every fabric operation returns a [`CommError`] instead of panicking, so
-//! the march reports failures as [`DistError`] values. With a
-//! [`FaultPlan`] installed ([`DistOptions::plan`]) the transport injects
-//! drops/duplicates/delays/replays, which the protocol masks — results stay
-//! bit-identical to the fault-free run as long as no retry budget is
-//! exhausted. With checkpointing enabled ([`DistOptions::checkpoint_every`])
-//! each rank commits its owned `q` to a shared [`CheckpointStore`]; when a
-//! rank dies (fault-plan kill, panic, or stale heartbeat) the survivors
-//! re-form the fabric, re-partition the mesh over the survivor set
-//! ([`Partition::strips_over`]), restore the newest *consistent* checkpoint,
-//! and march on. Each such event is recorded as a [`Recovery`] in the
-//! [`DistReport`]. Pending (non-blocking) reductions are *dropped* across a
-//! recovery — the fabric's epoch guard refuses to complete them — and the
-//! re-run iterations regenerate their reports.
+//! * 4 state components (`q`), one engine-owned auxiliary component (`adt`),
+//!   two exchange stages per iteration, tags 100/200, no derived data;
+//! * `begin_iter` — `save_soln` over owned cells, no max-reduction;
+//! * `prologue` — `adt_calc` over owned cells (owned `adt` must exist before
+//!   any halo group can fire: group edges read both endpoints' `adt`);
+//! * `interior` / `boundary` — `res_calc` / `bres_calc` into `res`;
+//! * `group` — redundant `adt_calc` over the freshly installed halo cells,
+//!   then `res_calc` over the group's edges into its scratch;
+//! * `update` — `update` over owned cells, returning the RMS partial.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 use op2_airfoil::kernels;
 use op2_airfoil::mesh::MeshData;
 use op2_airfoil::FlowConstants;
 use op2_store::StoreFaultPlan;
-use op2_trace::{pack2, EventKind, NO_NAME};
 
-use crate::checkpoint::{CheckpointError, CheckpointStore, CkptStats};
-use crate::fabric::{Comm, CommConfig, CommError, Fabric, FabricError, PendingReduce};
+use crate::checkpoint::{CheckpointError, CkptStats};
+use crate::fabric::{CommConfig, CommError, FabricError};
 use crate::fault::{FaultPlan, FaultReport};
-use crate::partition::{build_local, HaloGroup, HaloPlan, LocalMesh, Partition};
+use crate::march::{march, DistApp, MarchOut};
+use crate::partition::{LocalMesh, Partition};
 
 /// One fabric re-formation performed during a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,6 +95,10 @@ pub enum DistError {
         /// The iteration at which the process died.
         iter: usize,
     },
+    /// The caller's input was rejected before any rank started: an initial
+    /// state of the wrong length, a resume without a
+    /// [`DistOptions::store_dir`], a kill plan handed to the hybrid march.
+    Config(String),
 }
 
 impl std::fmt::Display for DistError {
@@ -155,6 +110,7 @@ impl std::fmt::Display for DistError {
             DistError::Died { iter } => {
                 write!(f, "process died at iteration {iter} (simulated whole-process crash)")
             }
+            DistError::Config(msg) => write!(f, "invalid distributed run: {msg}"),
         }
     }
 }
@@ -263,121 +219,15 @@ impl Default for DistOptions {
     }
 }
 
-/// Inputs of a distributed march moved into the RCM-renumbered id space:
-/// `(mesh, partition, state, cell permutation)`. The permutation's
-/// `unpermute_rows` maps per-cell results back to the original numbering.
-pub(crate) fn renumbered_inputs(
-    data: &MeshData,
-    part: &Partition,
-    state: &[f64],
-    dim: usize,
-) -> (MeshData, Partition, Vec<f64>, op2_core::MeshPermutation) {
-    let (rdata, ren) = data.renumber_rcm();
-    let rpart = part.renumbered(&ren.cells);
-    let rstate = ren.cells.permute_rows(state, dim);
-    (rdata, rpart, rstate, ren.cells)
-}
-
-/// Tags for the two exchange directions (stage parity baked in for safety).
-const TAG_FORWARD: u64 = 100;
-const TAG_REVERSE: u64 = 200;
-
-/// Interior edges per overlap-march chunk (the granularity at which the
-/// event loop polls for arrived halo messages).
-pub(crate) const INTERIOR_CHUNK: usize = 256;
-
-/// splitmix64 finalizer — the digest/jitter hash.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Sentinel chunk id for the pre-send jitter point (distinct from every
-/// real interior chunk index). Draws from an 8× larger range than compute
-/// chunks: the skew being modelled there is message injection/network
-/// latency, which dominates per-chunk compute noise — and it is what makes
-/// halo arrival genuinely trail a fast peer's compute in the jittered
-/// overlap sweeps.
-pub(crate) const SEND_JITTER_CHUNK: usize = usize::MAX;
-
-/// The deterministic pre-chunk sleep of [`JitterSpec`].
-pub(crate) fn jitter_sleep(
-    jitter: Option<JitterSpec>,
-    rank: usize,
-    iter: usize,
-    stage: usize,
-    chunk: usize,
-) {
-    let Some(j) = jitter else { return };
-    if j.max_us == 0 {
-        return;
-    }
-    let key = mix64(
-        j.seed
-            ^ ((rank as u64) << 48)
-            ^ ((iter as u64) << 32)
-            ^ ((stage as u64) << 24)
-            ^ chunk as u64,
-    );
-    let cap = if chunk == SEND_JITTER_CHUNK {
-        u64::from(j.max_us).saturating_mul(8)
-    } else {
-        u64::from(j.max_us)
-    };
-    let us = key % (cap + 1);
-    if us > 0 {
-        std::thread::sleep(Duration::from_micros(us));
-    }
-}
-
-/// March `niter` iterations of Airfoil on `nranks` ranks.
+/// March `niter` iterations of Airfoil over `part`, with fault injection,
+/// deadline/retry tuning, checkpointed recovery and comm/compute overlap per
+/// [`DistOptions`].
 ///
 /// `q0` is the global initial state (`4 × ncells`); reports are produced
 /// every `report_every` iterations (plus the final one).
 ///
 /// # Errors
 /// See [`DistError`]; a clean network and panic-free kernels never fail.
-pub fn run_distributed(
-    data: &MeshData,
-    consts: &FlowConstants,
-    q0: &[f64],
-    nranks: usize,
-    niter: usize,
-    report_every: usize,
-) -> Result<DistReport, DistError> {
-    let ncells = data.cell_nodes.len() / 4;
-    run_distributed_with(
-        data,
-        consts,
-        q0,
-        &Partition::strips(ncells, nranks),
-        niter,
-        report_every,
-    )
-}
-
-/// [`run_distributed`] with an explicit partition (e.g. [`Partition::rcb`]).
-///
-/// # Errors
-/// See [`DistError`].
-pub fn run_distributed_with(
-    data: &MeshData,
-    consts: &FlowConstants,
-    q0: &[f64],
-    part: &Partition,
-    niter: usize,
-    report_every: usize,
-) -> Result<DistReport, DistError> {
-    run_distributed_opts(data, consts, q0, part, niter, report_every, &DistOptions::default())
-}
-
-/// [`run_distributed_with`] plus fault injection, deadline/retry tuning,
-/// checkpointed recovery and comm/compute overlap ([`DistOptions`]).
-///
-/// # Errors
-/// See [`DistError`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_distributed_opts(
     data: &MeshData,
@@ -388,21 +238,7 @@ pub fn run_distributed_opts(
     report_every: usize,
     opts: &DistOptions,
 ) -> Result<DistReport, DistError> {
-    let ncells = data.cell_nodes.len() / 4;
-    assert_eq!(q0.len(), 4 * ncells, "q0 must cover every cell");
-    if opts.renumber {
-        let (rdata, rpart, rq0, cells) = renumbered_inputs(data, part, q0, 4);
-        let inner = DistOptions {
-            renumber: false,
-            ..opts.clone()
-        };
-        let mut rep =
-            run_distributed_opts(&rdata, consts, &rq0, &rpart, niter, report_every, &inner)?;
-        rep.final_q = cells.unpermute_rows(&rep.final_q, 4);
-        return Ok(rep);
-    }
-    let checkpoints = make_store(opts, part.nranks, ncells)?;
-    run_core(data, consts, q0, part, niter, report_every, opts, &checkpoints, 0, None)
+    march(&Airfoil(consts), data, q0, part, niter, report_every, opts, false).map(DistReport::from)
 }
 
 /// Restart a march whose process died: reopen the durable store at
@@ -417,11 +253,8 @@ pub fn run_distributed_opts(
 /// bit-identical to an uninterrupted run of the same `niter` iterations.
 ///
 /// # Errors
-/// See [`DistError`]. [`DistReport::resumed_from`] carries the restored
-/// boundary.
-///
-/// # Panics
-/// Panics if `opts.store_dir` is `None` — there is nothing to resume from.
+/// See [`DistError`] ([`DistError::Config`] without a `store_dir`).
+/// [`DistReport::resumed_from`] carries the restored boundary.
 #[allow(clippy::too_many_arguments)]
 pub fn resume_distributed_opts(
     data: &MeshData,
@@ -432,805 +265,114 @@ pub fn resume_distributed_opts(
     report_every: usize,
     opts: &DistOptions,
 ) -> Result<DistReport, DistError> {
-    let ncells = data.cell_nodes.len() / 4;
-    assert_eq!(q0.len(), 4 * ncells, "q0 must cover every cell");
-    assert!(opts.store_dir.is_some(), "resume requires DistOptions::store_dir");
-    if opts.renumber {
-        // The durable log holds renumbered states; re-derive the (bit-stable)
-        // permutation, resume in the renumbered space, map the result back.
-        let (rdata, rpart, rq0, cells) = renumbered_inputs(data, part, q0, 4);
-        let inner = DistOptions {
-            renumber: false,
-            ..opts.clone()
-        };
-        let mut rep =
-            resume_distributed_opts(&rdata, consts, &rq0, &rpart, niter, report_every, &inner)?;
-        rep.final_q = cells.unpermute_rows(&rep.final_q, 4);
-        return Ok(rep);
-    }
-    let checkpoints = make_store(opts, part.nranks, ncells)?;
-    let (start, qstart) = match checkpoints.latest_consistent() {
-        Some((k, qk)) => (k, qk),
-        None => (0, q0.to_vec()),
-    };
-    // Stragglers' incomplete entries past the restore point must not shadow
-    // post-restart commits (same rule as in-process recovery).
-    checkpoints.truncate_after(start);
-    run_core(
-        data,
-        consts,
-        &qstart,
-        part,
-        niter,
-        report_every,
-        opts,
-        &checkpoints,
-        start,
-        Some(start),
-    )
+    march(&Airfoil(consts), data, q0, part, niter, report_every, opts, true).map(DistReport::from)
 }
 
-fn make_store(
-    opts: &DistOptions,
-    nranks: usize,
-    ncells: usize,
-) -> Result<CheckpointStore, DistError> {
-    match &opts.store_dir {
-        Some(dir) => {
-            CheckpointStore::open_durable(dir, nranks, ncells, 4, opts.store_faults.clone())
-                .map_err(DistError::Store)
+impl From<MarchOut> for DistReport {
+    fn from(out: MarchOut) -> DistReport {
+        DistReport {
+            rms: out.history.into_iter().map(|(iter, _, rms)| (iter, rms)).collect(),
+            final_q: out.final_state,
+            faults: out.faults,
+            recoveries: out.recoveries,
+            local_retries: out.local_retries,
+            adt_digest: out.aux_digest,
+            res_digest: out.res_digest,
+            resumed_from: out.resumed_from,
+            ckpt: out.ckpt,
         }
-        None => Ok(CheckpointStore::new(nranks, ncells)),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_core(
-    data: &MeshData,
-    consts: &FlowConstants,
-    q0: &[f64],
-    part: &Partition,
-    niter: usize,
-    report_every: usize,
-    opts: &DistOptions,
-    checkpoints: &CheckpointStore,
-    start_iter: usize,
-    resumed_from: Option<usize>,
-) -> Result<DistReport, DistError> {
-    let ncells = data.cell_nodes.len() / 4;
-    let mut builder = Fabric::builder(part.nranks).config(opts.config.clone());
-    if let Some(plan) = &opts.plan {
-        builder = builder.faults(plan.clone());
-    }
-    let run = builder
-        .launch(|comm| {
-            rank_main(
-                comm,
-                data,
-                consts,
-                q0,
-                part,
-                niter,
-                report_every,
-                checkpoints,
-                opts,
-                start_iter,
-            )
-        })
-        .map_err(DistError::Fabric)?;
+/// Airfoil on the march engine (hooks listed in the module docs).
+struct Airfoil<'a>(&'a FlowConstants);
 
-    // Scatter each surviving rank's owned state back to global cell order
-    // (post-recovery ownership covers every cell); the rms history and
-    // recovery log are identical on every survivor — take the first.
-    let kill = opts.plan.as_ref().and_then(|p| p.kill);
-    let mut final_q = vec![0.0; 4 * ncells];
-    let mut rms = Vec::new();
-    let mut recoveries = Vec::new();
-    let mut local_retries = 0;
-    let mut adt_digest = 0u64;
-    let mut res_digest = 0u64;
-    let mut first_survivor = true;
-    let mut died = false;
-    let mut errors: Vec<(usize, CommError)> = Vec::new();
-    for (r, out) in run.results.into_iter().enumerate() {
-        match out {
-            Ok(out) => {
-                died |= out.died;
-                for (i, &g) in out.owned_g.iter().enumerate() {
-                    final_q[4 * g as usize..4 * g as usize + 4]
-                        .copy_from_slice(&out.owned_q[4 * i..4 * i + 4]);
-                }
-                local_retries += out.local_retries;
-                // Per-cell digest terms are position-independent hashes, so
-                // a wrapping sum combines ranks without ordering concerns.
-                adt_digest = adt_digest.wrapping_add(out.adt_digest);
-                res_digest = res_digest.wrapping_add(out.res_digest);
-                if first_survivor {
-                    rms = out.history;
-                    recoveries = out.recoveries;
-                    first_survivor = false;
-                }
-            }
-            // The planned kill victim dying is the *expected* outcome, and
-            // so is a rank that exhausted its local kernel-retry budget and
-            // escalated to fabric-level recovery.
-            Err(CommError::Fenced { .. })
-                if kill.is_some_and(|k| k.rank == r)
-                    || opts.kernel_fault.is_some_and(|f| f.rank == r) => {}
-            Err(error) => errors.push((r, error)),
-        }
-    }
-    if let Some((rank, error)) = root_cause(errors) {
-        return Err(DistError::Rank { rank, error });
-    }
-    if died {
-        // The simulated crash: whatever the ranks computed in memory is
-        // lost; only the durable store speaks for this run.
-        return Err(DistError::Died {
-            iter: opts.die_at.expect("died flag implies die_at"),
-        });
-    }
-    Ok(DistReport {
-        rms,
-        final_q,
-        faults: run.faults,
-        recoveries,
-        local_retries,
-        adt_digest,
-        res_digest,
-        resumed_from,
-        ckpt: checkpoints.stats(),
-    })
-}
-
-/// Pick the most informative rank error to surface. Deadline timeouts and
-/// failure notifications are usually *cascades* from a root cause on some
-/// other rank (a sender exhausting its retry budget fails one rank; its
-/// peers then time out waiting on it), so any other error class wins.
-pub(crate) fn root_cause(mut errors: Vec<(usize, CommError)>) -> Option<(usize, CommError)> {
-    if errors.is_empty() {
-        return None;
-    }
-    let cascade = |e: &CommError| {
-        matches!(
-            e,
-            CommError::Timeout { .. } | CommError::RankFailed { .. } | CommError::Fenced { .. }
-        )
-    };
-    let idx = errors.iter().position(|(_, e)| !cascade(e)).unwrap_or(0);
-    Some(errors.remove(idx))
-}
-
-/// One rank's march state: its mesh slice, the interior/boundary schedule,
-/// per-group scratch, and the working arrays — rebuilt wholesale (digests
-/// included) when a recovery re-partitions the mesh.
-struct MarchState {
-    local: LocalMesh,
-    plan: HaloPlan,
-    q: Vec<f64>,
-    qold: Vec<f64>,
-    adt: Vec<f64>,
-    res: Vec<f64>,
-    /// Per halo group: `4 × nslots` residual scratch (see
-    /// [`crate::partition::HaloGroup`]).
-    scratch: Vec<Vec<f64>>,
-    /// Running digests over owned-cell `adt`/`res`, see
-    /// [`DistReport::adt_digest`].
-    adt_digest: u64,
-    res_digest: u64,
-}
-
-impl MarchState {
-    fn new(data: &MeshData, part: &Partition, rank: usize, qg: &[f64]) -> MarchState {
-        let local = build_local(data, part, rank);
-        let plan = HaloPlan::build(&local);
-        let scratch = plan.groups.iter().map(|g| vec![0.0f64; 4 * g.nslots]).collect();
-        let nlocal = local.ncells_local();
-        let mut q = vec![0.0f64; 4 * nlocal];
-        for (l, &g) in local.cell_l2g.iter().enumerate() {
-            q[4 * l..4 * l + 4].copy_from_slice(&qg[4 * g as usize..4 * g as usize + 4]);
-        }
-        MarchState {
-            q,
-            qold: vec![0.0f64; 4 * nlocal],
-            adt: vec![0.0f64; nlocal],
-            res: vec![0.0f64; 4 * nlocal],
-            scratch,
-            adt_digest: 0,
-            res_digest: 0,
-            local,
-            plan,
-        }
+impl Airfoil<'_> {
+    /// `adt_calc` for local cell `c`.
+    #[inline]
+    fn adt_cell(&self, coords: &[f64], local: &LocalMesh, c: usize, q: &[f64], adt: &mut [f64]) {
+        let n = &local.cell_nodes[4 * c..4 * c + 4];
+        kernels::adt_calc(
+            xs(coords, n[0]),
+            xs(coords, n[1]),
+            xs(coords, n[2]),
+            xs(coords, n[3]),
+            &q[4 * c..4 * c + 4],
+            &mut adt[c..c + 1],
+            self.0,
+        );
     }
 
-    fn owned_cells(&self) -> &[u32] {
-        &self.local.cell_l2g[..self.local.nowned]
-    }
-
-    fn owned_q(&self) -> &[f64] {
-        &self.q[..4 * self.local.nowned]
+    /// `res_calc` for local edge `e`, accumulating its two cells' residuals
+    /// into cells `s1`/`s2` of `into` (`res` itself, or a group's scratch).
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn res_edge(
+        &self,
+        coords: &[f64],
+        local: &LocalMesh,
+        e: u32,
+        q: &[f64],
+        adt: &[f64],
+        into: &mut [f64],
+        (s1, s2): (u32, u32),
+    ) {
+        let (c1, c2) = local.edge_cells[e as usize];
+        let (c1, c2) = (c1 as usize, c2 as usize);
+        let (n1, n2) = local.edge_nodes[e as usize];
+        let (r1, r2) = two_cells_mut::<4>(into, s1 as usize, s2 as usize);
+        kernels::res_calc(
+            xs(coords, n1),
+            xs(coords, n2),
+            &q[4 * c1..4 * c1 + 4],
+            &q[4 * c2..4 * c2 + 4],
+            adt[c1],
+            adt[c2],
+            r1,
+            r2,
+            self.0,
+        );
     }
 }
 
-/// A surviving rank's result.
-struct RankOut {
-    /// Final owned global cells (post-recovery ownership).
-    owned_g: Vec<u32>,
-    /// Their state, cell-major.
-    owned_q: Vec<f64>,
-    /// `(iteration, rms)` history.
-    history: Vec<(usize, f64)>,
-    /// Recoveries this rank participated in.
-    recoveries: Vec<Recovery>,
-    /// Compute-section rollbacks retried locally on this rank.
-    local_retries: usize,
-    /// Owned-cell digests since the last recovery.
-    adt_digest: u64,
-    res_digest: u64,
-    /// True if the rank stopped at [`DistOptions::die_at`] (simulated
-    /// whole-process death): its in-memory results are void.
-    died: bool,
-}
+impl DistApp for Airfoil<'_> {
+    const COMP: usize = 4;
+    const AUX: usize = 1;
+    const STAGES: usize = 2;
+    const TAG_FORWARD: u64 = 100;
+    const TAG_REVERSE: u64 = 200;
+    type Derived = ();
 
-/// Complete an outstanding pipelined RMS reduction, if any, and push its
-/// report. Collective: every rank holds the same pending state at the same
-/// march point, so the deferred gather/bcast pairs up.
-fn harvest_rms(
-    comm: &Comm,
-    pending: &mut Option<(usize, PendingReduce)>,
-    ncells_global: usize,
-    reports: &mut Vec<(usize, f64)>,
-) -> Result<(), CommError> {
-    if let Some((iter, p)) = pending.take() {
-        let total = comm.complete_reduce(p)?[0];
-        reports.push((iter, (total / ncells_global as f64).sqrt()));
-    }
-    Ok(())
-}
+    fn derive(&self, _data: &MeshData, _local: &LocalMesh) {}
 
-/// Per-rank state and march.
-#[allow(clippy::too_many_arguments)]
-fn rank_main(
-    comm: Comm,
-    data: &MeshData,
-    consts: &FlowConstants,
-    q0: &[f64],
-    part: &Partition,
-    niter: usize,
-    report_every: usize,
-    checkpoints: &CheckpointStore,
-    opts: &DistOptions,
-    start_iter: usize,
-) -> Result<RankOut, CommError> {
-    let me = comm.rank();
-    let ncells_global = data.cell_nodes.len() / 4;
-    let kill = comm.plan().and_then(|p| p.kill);
-    // Every rank must commit checkpoints whenever *any* rank might escalate
-    // (a consistent boundary needs every slice) — and always when the store
-    // is durable, since restartability needs the boundaries on disk.
-    let ckpt_active = opts.checkpoint_every > 0
-        || kill.is_some()
-        || opts.kernel_fault.is_some()
-        || checkpoints.is_durable();
-    let ckpt_err = |e: CheckpointError| CommError::Checkpoint {
-        rank: me,
-        detail: e.to_string(),
-    };
-    let my_fault = opts.kernel_fault.filter(|f| f.rank == me);
-    let mut faults_left = my_fault.map_or(0, |f| f.failures);
-    let mut local_retries = 0usize;
-    let mut died = false;
-
-    let mut part_cur = part.clone();
-    let mut st = MarchState::new(data, &part_cur, me, q0);
-    // On resume the restored boundary is already durable; recommitting it
-    // would be harmless but wasteful.
-    if ckpt_active && start_iter == 0 {
-        checkpoints
-            .commit(0, me, st.owned_cells(), st.owned_q())
-            .map_err(ckpt_err)?;
-    }
-
-    let mut reports: Vec<(usize, f64)> = Vec::new();
-    let mut recoveries: Vec<Recovery> = Vec::new();
-    // At most one outstanding pipelined reduction (overlap mode only).
-    let mut pending_rms: Option<(usize, PendingReduce)> = None;
-    let mut iter = start_iter + 1;
-    while iter <= niter {
-        if opts.die_at == Some(iter) {
-            // Simulated whole-process death: stop before touching iteration
-            // `iter`. No commit, no drain — the disk keeps exactly what was
-            // durable, everything in memory is void.
-            died = true;
-            break;
+    fn begin_iter(&self, local: &LocalMesh, q: &[f64], qold: &mut [f64]) -> Option<f64> {
+        for c in 0..local.nowned {
+            kernels::save_soln(&q[4 * c..4 * c + 4], &mut qold[4 * c..4 * c + 4]);
         }
-        if let Some(k) = kill {
-            if k.rank == me && k.at_iter == iter {
-                return Err(comm.kill_self());
-            }
-        }
-        comm.beat();
-        let outcome = if comm.recovery_pending() {
-            // A failure was flagged between iterations — join the
-            // re-formation without touching the fabric first.
-            Err(CommError::RankFailed { rank: me, failed: me })
-        } else {
-            march_one_iter(
-                &comm,
-                data,
-                consts,
-                &mut st,
-                iter,
-                niter,
-                report_every,
-                ncells_global,
-                &mut reports,
-                &mut pending_rms,
-                opts,
-                my_fault,
-                &mut faults_left,
-                &mut local_retries,
-            )
-            .and_then(|()| {
-                if ckpt_active && opts.checkpoint_every > 0 && iter % opts.checkpoint_every == 0 {
-                    // Drain the reduction pipeline first so every report for
-                    // an iteration at or before this boundary is already
-                    // recorded — a later restore to this boundary then never
-                    // loses a report to a dropped pending reduce.
-                    harvest_rms(&comm, &mut pending_rms, ncells_global, &mut reports)?;
-                    checkpoints
-                        .commit(iter, me, st.owned_cells(), st.owned_q())
-                        .map_err(ckpt_err)?;
-                    // Coordinated checkpoint: barrier after the commit so no
-                    // rank (in particular a planned kill victim) can race
-                    // ahead — and fail — before every peer's slice for this
-                    // boundary has landed. This pins the restore point to
-                    // the newest boundary before the failure, making
-                    // recovery deterministic rather than timing-dependent.
-                    comm.barrier()?;
-                }
-                Ok(())
-            })
-        };
-        match outcome {
-            Ok(()) => {
-                if opts.halt_after == Some(iter) {
-                    // Graceful stop: drain the pipeline, pin a durable
-                    // boundary at exactly this iteration, and leave. The
-                    // reference leg of crash-restart equivalence tests.
-                    harvest_rms(&comm, &mut pending_rms, ncells_global, &mut reports)?;
-                    checkpoints
-                        .commit(iter, me, st.owned_cells(), st.owned_q())
-                        .map_err(ckpt_err)?;
-                    comm.barrier()?;
-                    break;
-                }
-                iter += 1;
-            }
-            Err(CommError::RankFailed { .. }) => {
-                // Any outstanding reduce belongs to the failed epoch; the
-                // fabric refuses to complete it, and the restored iteration
-                // range re-runs the report it carried.
-                pending_rms = None;
-                let restored = recover_and_restore(
-                    &comm,
-                    data,
-                    checkpoints,
-                    &mut part_cur,
-                    &mut st,
-                    &mut reports,
-                    &mut recoveries,
-                )?;
-                iter = restored + 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if !died {
-        harvest_rms(&comm, &mut pending_rms, ncells_global, &mut reports)?;
+        None
     }
 
-    Ok(RankOut {
-        owned_g: st.owned_cells().to_vec(),
-        owned_q: st.owned_q().to_vec(),
-        history: reports,
-        recoveries,
-        local_retries,
-        adt_digest: st.adt_digest,
-        res_digest: st.res_digest,
-        died,
-    })
-}
-
-/// Re-form the fabric with the survivors, re-partition the mesh over them,
-/// and restore march state from the newest consistent checkpoint. Returns
-/// the restored iteration (resume at `+ 1`).
-fn recover_and_restore(
-    comm: &Comm,
-    data: &MeshData,
-    checkpoints: &CheckpointStore,
-    part_cur: &mut Partition,
-    st: &mut MarchState,
-    reports: &mut Vec<(usize, f64)>,
-    recoveries: &mut Vec<Recovery>,
-) -> Result<usize, CommError> {
-    let old_group = comm.group();
-    let survivors = comm.recover()?;
-    let failed: Vec<usize> = old_group
-        .into_iter()
-        .filter(|r| !survivors.contains(r))
-        .collect();
-    let Some((restored_iter, qg)) = checkpoints.latest_consistent() else {
-        return Err(CommError::NoCheckpoint);
-    };
-    // Stragglers may have committed incomplete entries past the restore
-    // point; drop them so they cannot shadow post-recovery checkpoints.
-    checkpoints.truncate_after(restored_iter);
-    *part_cur = Partition::strips_over(checkpoints.ncells(), &survivors, comm.nranks());
-    *st = MarchState::new(data, part_cur, comm.rank(), &qg);
-    reports.retain(|(it, _)| *it <= restored_iter);
-    recoveries.push(Recovery {
-        failed,
-        survivors,
-        restored_iter,
-    });
-    Ok(restored_iter)
-}
-
-/// One full iteration (save, two flux stages with exchanges, update, and —
-/// at report points — the RMS allreduce, blocking or pipelined).
-#[allow(clippy::too_many_arguments)]
-fn march_one_iter(
-    comm: &Comm,
-    data: &MeshData,
-    consts: &FlowConstants,
-    st: &mut MarchState,
-    iter: usize,
-    niter: usize,
-    report_every: usize,
-    ncells_global: usize,
-    reports: &mut Vec<(usize, f64)>,
-    pending_rms: &mut Option<(usize, PendingReduce)>,
-    opts: &DistOptions,
-    fault: Option<KernelFaultSpec>,
-    faults_left: &mut usize,
-    local_retries: &mut usize,
-) -> Result<(), CommError> {
-    // save_soln over owned cells.
-    for c in 0..st.local.nowned {
-        let (qs, qolds) = (&st.q[4 * c..4 * c + 4], &mut st.qold[4 * c..4 * c + 4]);
-        kernels::save_soln(qs, qolds);
-    }
-
-    let mut rms_local = 0.0;
-    for stage in 0..2 {
-        // Per-stage partial, added to the iteration total afterwards —
-        // the same association order as the per-loop reductions of the
-        // single-node driver, keeping 1-rank runs bitwise identical.
-        rms_local += run_stage(
-            comm,
-            data,
-            consts,
-            st,
-            iter,
-            stage,
-            opts,
-            fault,
-            faults_left,
-            local_retries,
-        )?;
-    }
-
-    let report_now = iter % report_every.max(1) == 0 || iter == niter;
-    if report_now {
-        if opts.overlap {
-            // Pipelined: finish the previous report's reduction, then post
-            // this one — it completes at the next harvest point, overlapping
-            // the next iteration's interior compute.
-            harvest_rms(comm, pending_rms, ncells_global, reports)?;
-            let p = comm.iallreduce_sum(&[rms_local])?;
-            *pending_rms = Some((iter, p));
-        } else {
-            let total = comm.allreduce_sum(&[rms_local])?[0];
-            reports.push((iter, (total / ncells_global as f64).sqrt()));
-        }
-    }
-    Ok(())
-}
-
-/// One flux stage in canonical order (see the module docs); returns the
-/// stage's RMS partial.
-#[allow(clippy::too_many_arguments)]
-fn run_stage(
-    comm: &Comm,
-    data: &MeshData,
-    consts: &FlowConstants,
-    st: &mut MarchState,
-    iter: usize,
-    stage: usize,
-    opts: &DistOptions,
-    fault: Option<KernelFaultSpec>,
-    faults_left: &mut usize,
-    local_retries: &mut usize,
-) -> Result<f64, CommError> {
-    let coords = &data.coords;
-    let rank = comm.rank();
-
-    // 1. Forward sends: fresh owned q to every importing peer, before any
-    //    kernel work so no peer waits on this rank's compute. The jittered
-    //    sweeps perturb the send *instant* too (sentinel chunk id), so halo
-    //    arrival can genuinely trail a fast peer's compute — the scenario
-    //    the overlapped schedule exists to hide. Identical in both marches.
-    jitter_sleep(opts.jitter, rank, iter, stage, SEND_JITTER_CHUNK);
-    for (peer, owned_locals) in &st.local.exports {
-        let mut payload = Vec::with_capacity(owned_locals.len() * 4);
-        for &l in owned_locals {
-            payload.extend_from_slice(&st.q[4 * l as usize..4 * l as usize + 4]);
-        }
-        comm.send(*peer, TAG_FORWARD, payload)?;
-    }
-
-    // 2. Stage prologue: fault injection + adt_calc over owned cells. Owned
-    //    adt must exist before any halo group can fire (group edges read
-    //    both endpoints' adt). The prologue is pure compute writing only
-    //    `adt`, so a panic is rolled back *locally* — snapshot, restore
-    //    bit-identically, retry — without involving the fabric; only when
-    //    the local budget is exhausted does the rank escalate to
-    //    fabric-level checkpoint recovery via `kill_self`.
-    let mut attempt = 0;
-    loop {
-        let snap_adt = st.adt.clone();
-        let snap_res = st.res.clone();
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if *faults_left > 0 && fault.is_some_and(|f| f.at_iter == iter) {
-                *faults_left -= 1;
-                panic!("injected kernel fault at iter {iter}");
-            }
-            for c in 0..st.local.nowned {
-                let n = &st.local.cell_nodes[4 * c..4 * c + 4];
-                let mut a = [0.0f64];
-                kernels::adt_calc(
-                    xs(coords, n[0]),
-                    xs(coords, n[1]),
-                    xs(coords, n[2]),
-                    xs(coords, n[3]),
-                    &st.q[4 * c..4 * c + 4],
-                    &mut a,
-                    consts,
-                );
-                st.adt[c] = a[0];
-            }
-        }));
-        match run {
-            Ok(()) => break,
-            Err(_) => {
-                st.adt.copy_from_slice(&snap_adt);
-                st.res.copy_from_slice(&snap_res);
-                if attempt >= opts.kernel_retries {
-                    // Local budget exhausted — escalate: peers detect the
-                    // death and restore the newest checkpoint.
-                    return Err(comm.kill_self());
-                }
-                attempt += 1;
-                *local_retries += 1;
-            }
+    fn prologue(&self, coords: &[f64], local: &LocalMesh, q: &[f64], adt: &mut [f64]) {
+        for c in 0..local.nowned {
+            self.adt_cell(coords, local, c, q, adt);
         }
     }
 
-    // 3. Interior + halo-group work. Group residuals go through per-group
-    //    scratch in BOTH schedules; interior edges write `res` directly in
-    //    plan order. The two schedules therefore perform identical
-    //    arithmetic — they differ only in when each piece runs.
-    let MarchState {
-        local,
-        plan,
-        q,
-        qold,
-        adt,
-        res,
-        scratch,
-        adt_digest,
-        res_digest,
-    } = st;
-    let ngroups = plan.groups.len();
-    let nchunks = plan.interior.len().div_ceil(INTERIOR_CHUNK);
-    let jit = opts.jitter;
-
-    if !opts.overlap {
-        // Bulk-synchronous schedule: blocking forward receives (ascending
-        // peer), all interior compute, then every group — reverse sends
-        // leave last, after the full interior phase (and its jitter).
-        let mut payloads: Vec<Vec<f64>> = Vec::with_capacity(ngroups);
-        for (peer, _halos) in &local.imports {
-            payloads.push(comm.recv(*peer, TAG_FORWARD)?);
-        }
-        for chunk in 0..=nchunks {
-            jitter_sleep(jit, rank, iter, stage, chunk);
-            run_chunk(local, plan, coords, consts, q, adt, res, chunk, nchunks);
-        }
-        for (gi, payload) in payloads.into_iter().enumerate() {
-            fire_group(
-                comm,
-                local,
-                &plan.groups[gi],
-                &local.imports[gi].1,
-                coords,
-                consts,
-                q,
-                adt,
-                &mut scratch[gi],
-                &payload,
-            )?;
-        }
-    } else {
-        // Overlapped schedule: an event loop that polls for arrived halo
-        // messages between interior chunks and fires each group — reverse
-        // send included — the moment its payload lands.
-        let mut got = vec![false; ngroups];
-        let mut ngot = 0usize;
-        let mut next_chunk = 0usize;
-        let mut last_progress = Instant::now();
-        while ngot < ngroups || next_chunk <= nchunks {
-            let mut progressed = false;
-            for gi in 0..ngroups {
-                if got[gi] {
-                    continue;
-                }
-                let (peer, halos) = &local.imports[gi];
-                if let Some(payload) = comm.try_recv(*peer, TAG_FORWARD)? {
-                    fire_group(
-                        comm,
-                        local,
-                        &plan.groups[gi],
-                        halos,
-                        coords,
-                        consts,
-                        q,
-                        adt,
-                        &mut scratch[gi],
-                        &payload,
-                    )?;
-                    got[gi] = true;
-                    ngot += 1;
-                    progressed = true;
-                }
-            }
-            if next_chunk <= nchunks {
-                jitter_sleep(jit, rank, iter, stage, next_chunk);
-                run_chunk(local, plan, coords, consts, q, adt, res, next_chunk, nchunks);
-                next_chunk += 1;
-                progressed = true;
-            }
-            if progressed {
-                last_progress = Instant::now();
-            } else {
-                // Compute is drained but halos are outstanding: attributed
-                // halo-wait, distinct from barrier-wait in the trace report.
-                let span = op2_trace::begin();
-                comm.beat();
-                std::thread::sleep(Duration::from_micros(100));
-                op2_trace::end(
-                    span,
-                    EventKind::HaloWait,
-                    NO_NAME,
-                    pack2(rank as u32, (ngroups - ngot) as u32),
-                    pack2(iter as u32, stage as u32),
-                );
-                let waited = last_progress.elapsed();
-                if waited > opts.config.recv_deadline {
-                    let from = local
-                        .imports
-                        .iter()
-                        .zip(&got)
-                        .find(|(_, g)| !**g)
-                        .map_or(0, |((p, _), _)| *p);
-                    return Err(CommError::Timeout {
-                        rank,
-                        from,
-                        tag: TAG_FORWARD,
-                        waited_ms: waited.as_millis() as u64,
-                    });
-                }
-            }
+    fn interior(
+        &self,
+        coords: &[f64],
+        local: &LocalMesh,
+        edges: &[u32],
+        q: &[f64],
+        adt: &[f64],
+        res: &mut [f64],
+    ) {
+        for &e in edges {
+            self.res_edge(coords, local, e, q, adt, res, local.edge_cells[e as usize]);
         }
     }
 
-    // 4. Merge: group scratch into owned residuals, ascending group then
-    //    first-touch order — canonical regardless of arrival order.
-    for (gi, group) in plan.groups.iter().enumerate() {
-        let sc = &scratch[gi];
-        for &(slot, c) in &group.merge {
-            let (c, s) = (4 * c as usize, 4 * slot as usize);
-            for k in 0..4 {
-                res[c + k] += sc[s + k];
-            }
-        }
-    }
-
-    // 5. Reverse receives: halo residual contributions are added at the
-    //    owners in ascending peer order (deterministic). `imports`/`exports`
-    //    are stored ascending by peer.
-    for (peer, owned_locals) in &local.exports {
-        let payload = comm.recv(*peer, TAG_REVERSE)?;
-        assert_eq!(payload.len(), owned_locals.len() * 4);
-        for (i, &l) in owned_locals.iter().enumerate() {
-            for k in 0..4 {
-                res[4 * l as usize + k] += payload[4 * i + k];
-            }
-        }
-    }
-
-    // Digest the stage's owned adt/res (res before update, which zeroes
-    // it). Keys are position-independent, so the running digest is
-    // schedule- and partition-order-free.
-    for c in 0..local.nowned {
-        let g = u64::from(local.cell_l2g[c]);
-        let key = mix64(g ^ ((iter as u64) << 32) ^ ((stage as u64) << 56));
-        *adt_digest = adt_digest.wrapping_add(mix64(key ^ adt[c].to_bits()));
-        let mut h = key;
-        for k in 0..4 {
-            h = mix64(h ^ res[4 * c + k].to_bits());
-        }
-        *res_digest = res_digest.wrapping_add(h);
-    }
-
-    // 6. update over owned cells.
-    let mut stage_rms = 0.0;
-    for c in 0..local.nowned {
-        let qold_c = &qold[4 * c..4 * c + 4];
-        let mut qc = [0.0f64; 4];
-        qc.copy_from_slice(&q[4 * c..4 * c + 4]);
-        let mut rc = [0.0f64; 4];
-        rc.copy_from_slice(&res[4 * c..4 * c + 4]);
-        kernels::update(qold_c, &mut qc, &mut rc, adt[c], &mut stage_rms);
-        q[4 * c..4 * c + 4].copy_from_slice(&qc);
-        res[4 * c..4 * c + 4].copy_from_slice(&rc);
-    }
-    Ok(stage_rms)
-}
-
-/// Node coordinate pair.
-#[inline]
-fn xs(coords: &[f64], n: u32) -> &[f64] {
-    &coords[2 * n as usize..2 * n as usize + 2]
-}
-
-/// One unit of remote-independent compute: interior-edge chunk `chunk`
-/// (`< nchunks`), or the boundary-edge pass (the `== nchunks`
-/// pseudo-chunk). Writes owned `res` only.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    local: &LocalMesh,
-    plan: &HaloPlan,
-    coords: &[f64],
-    consts: &FlowConstants,
-    q: &[f64],
-    adt: &[f64],
-    res: &mut [f64],
-    chunk: usize,
-    nchunks: usize,
-) {
-    if chunk < nchunks {
-        let lo = chunk * INTERIOR_CHUNK;
-        let hi = (lo + INTERIOR_CHUNK).min(plan.interior.len());
-        for &e in &plan.interior[lo..hi] {
-            let (c1, c2) = local.edge_cells[e as usize];
-            let (n1, n2) = local.edge_nodes[e as usize];
-            let (r1, r2) = two_cells_mut(res, c1 as usize, c2 as usize);
-            kernels::res_calc(
-                xs(coords, n1),
-                xs(coords, n2),
-                &q[4 * c1 as usize..4 * c1 as usize + 4],
-                &q[4 * c2 as usize..4 * c2 as usize + 4],
-                adt[c1 as usize],
-                adt[c2 as usize],
-                r1,
-                r2,
-                consts,
-            );
-        }
-    } else {
-        // bres_calc over assigned boundary edges (all owned cells).
+    fn boundary(&self, coords: &[f64], local: &LocalMesh, q: &[f64], adt: &[f64], res: &mut [f64]) {
         for &(n1, n2, c1, bound) in &local.bedges {
             let c1 = c1 as usize;
             kernels::bres_calc(
@@ -1240,84 +382,89 @@ fn run_chunk(
                 adt[c1],
                 &mut res[4 * c1..4 * c1 + 4],
                 bound,
-                consts,
+                self.0,
             );
         }
     }
+
+    fn group(
+        &self,
+        coords: &[f64],
+        local: &LocalMesh,
+        halos: &[u32],
+        edges: &[u32],
+        slots: &[(u32, u32)],
+        q: &[f64],
+        adt: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        for &l in halos {
+            self.adt_cell(coords, local, l as usize, q, adt);
+        }
+        for (&e, &at) in edges.iter().zip(slots) {
+            self.res_edge(coords, local, e, q, adt, scratch, at);
+        }
+    }
+
+    fn update(
+        &self,
+        _derived: &(),
+        local: &LocalMesh,
+        qold: &[f64],
+        q: &mut [f64],
+        res: &mut [f64],
+        adt: &[f64],
+        _scale: f64,
+    ) -> f64 {
+        let mut rms = 0.0;
+        for c in 0..local.nowned {
+            kernels::update(
+                &qold[4 * c..4 * c + 4],
+                &mut q[4 * c..4 * c + 4],
+                &mut res[4 * c..4 * c + 4],
+                adt[c],
+                &mut rms,
+            );
+        }
+        rms
+    }
 }
 
-/// Fire one halo group: install the peer's forward payload into the halo
-/// `q` slots, redundant `adt_calc` over those halo cells, flux the group's
-/// edges into its scratch buffer, and send the halo-side scratch back to
-/// the owner (the reverse exchange payload, in the peer's import order).
-#[allow(clippy::too_many_arguments)]
-fn fire_group(
-    comm: &Comm,
-    local: &LocalMesh,
-    group: &HaloGroup,
-    halos: &[u32],
-    coords: &[f64],
-    consts: &FlowConstants,
-    q: &mut [f64],
-    adt: &mut [f64],
-    scratch: &mut [f64],
-    payload: &[f64],
-) -> Result<(), CommError> {
-    assert_eq!(payload.len(), halos.len() * 4);
-    for (i, &l) in halos.iter().enumerate() {
-        q[4 * l as usize..4 * l as usize + 4].copy_from_slice(&payload[4 * i..4 * i + 4]);
-    }
-    for &l in halos {
-        let c = l as usize;
-        let n = &local.cell_nodes[4 * c..4 * c + 4];
-        let mut a = [0.0f64];
-        kernels::adt_calc(
-            xs(coords, n[0]),
-            xs(coords, n[1]),
-            xs(coords, n[2]),
-            xs(coords, n[3]),
-            &q[4 * c..4 * c + 4],
-            &mut a,
-            consts,
-        );
-        adt[c] = a[0];
-    }
-    scratch.fill(0.0);
-    for (i, &e) in group.edges.iter().enumerate() {
-        let (c1, c2) = local.edge_cells[e as usize];
-        let (n1, n2) = local.edge_nodes[e as usize];
-        let (s1, s2) = group.slots[i];
-        let (r1, r2) = two_cells_mut(scratch, s1 as usize, s2 as usize);
-        kernels::res_calc(
-            xs(coords, n1),
-            xs(coords, n2),
-            &q[4 * c1 as usize..4 * c1 as usize + 4],
-            &q[4 * c2 as usize..4 * c2 as usize + 4],
-            adt[c1 as usize],
-            adt[c2 as usize],
-            r1,
-            r2,
-            consts,
-        );
-    }
-    let mut rev = Vec::with_capacity(group.send_slots.len() * 4);
-    for &s in &group.send_slots {
-        rev.extend_from_slice(&scratch[4 * s as usize..4 * s as usize + 4]);
-    }
-    comm.send(group.peer, TAG_REVERSE, rev)
+/// Node coordinate pair.
+#[inline]
+pub(crate) fn xs(coords: &[f64], n: u32) -> &[f64] {
+    &coords[2 * n as usize..2 * n as usize + 2]
 }
 
-/// Two disjoint 4-wide mutable cell slices out of one residual array.
-fn two_cells_mut(res: &mut [f64], a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
+/// Two disjoint `C`-wide mutable cell slices out of one cell-major array.
+pub(crate) fn two_cells_mut<const C: usize>(
+    v: &mut [f64],
+    a: usize,
+    b: usize,
+) -> (&mut [f64], &mut [f64]) {
     assert_ne!(a, b, "edge endpoints must be distinct");
     if a < b {
-        let (lo, hi) = res.split_at_mut(4 * b);
-        (&mut lo[4 * a..4 * a + 4], &mut hi[..4])
+        let (lo, hi) = v.split_at_mut(C * b);
+        (&mut lo[C * a..C * a + C], &mut hi[..C])
     } else {
-        let (lo, hi) = res.split_at_mut(4 * a);
-        let (bpart, apart) = (&mut lo[4 * b..4 * b + 4], &mut hi[..4]);
-        (apart, bpart)
+        let (lo, hi) = v.split_at_mut(C * a);
+        (&mut hi[..C], &mut lo[C * b..C * b + C])
     }
+}
+
+/// Test shorthand: march over index strips with default options.
+#[cfg(test)]
+pub(crate) fn run_strips(
+    data: &MeshData,
+    consts: &FlowConstants,
+    q0: &[f64],
+    nranks: usize,
+    niter: usize,
+    report_every: usize,
+) -> DistReport {
+    let part = Partition::strips(data.cell_nodes.len() / 4, nranks);
+    run_distributed_opts(data, consts, q0, &part, niter, report_every, &DistOptions::default())
+        .expect("clean default march")
 }
 
 #[cfg(test)]
@@ -1363,7 +510,7 @@ mod tests {
     fn one_rank_matches_natural_serial_bitwise() {
         let (data, consts, q0) = setup(true);
         let niter = 5;
-        let dist = run_distributed(&data, &consts, &q0, 1, niter, 1).unwrap();
+        let dist = run_strips(&data, &consts, &q0, 1, niter, 1);
         let (q_ref, rms_ref) = natural_oracle(&data, &consts, &q0, niter);
         assert_eq!(
             dist.final_q.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1380,7 +527,7 @@ mod tests {
         let niter = 8;
         let (q_ref, rms_ref) = natural_oracle(&data, &consts, &q0, niter);
         for nranks in [2, 3, 5] {
-            let dist = run_distributed(&data, &consts, &q0, nranks, niter, 1).unwrap();
+            let dist = run_strips(&data, &consts, &q0, nranks, niter, 1);
             for (a, b) in dist.final_q.iter().zip(&q_ref) {
                 assert!(
                     (a - b).abs() <= 1e-11 * b.abs().max(1.0),
@@ -1396,8 +543,8 @@ mod tests {
     #[test]
     fn distributed_runs_are_deterministic() {
         let (data, consts, q0) = setup(true);
-        let a = run_distributed(&data, &consts, &q0, 4, 4, 2).unwrap();
-        let b = run_distributed(&data, &consts, &q0, 4, 4, 2).unwrap();
+        let a = run_strips(&data, &consts, &q0, 4, 4, 2);
+        let b = run_strips(&data, &consts, &q0, 4, 4, 2);
         assert_eq!(
             a.final_q.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.final_q.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -1435,7 +582,7 @@ mod tests {
     #[test]
     fn free_stream_preserved_distributed() {
         let (data, consts, q0) = setup(false);
-        let dist = run_distributed(&data, &consts, &q0, 3, 5, 1).unwrap();
+        let dist = run_strips(&data, &consts, &q0, 3, 5, 1);
         for (_, rms) in dist.rms {
             assert!(rms < 1e-12, "free stream broken: {rms:e}");
         }
@@ -1448,7 +595,7 @@ mod tests {
     fn more_ranks_than_rows_still_works() {
         let (data, consts, q0) = setup(true);
         // 24x12 mesh = 288 cells across 16 ranks (some strips tiny).
-        let dist = run_distributed(&data, &consts, &q0, 16, 3, 3).unwrap();
+        let dist = run_strips(&data, &consts, &q0, 16, 3, 3);
         assert!(dist.rms.iter().all(|(_, r)| r.is_finite()));
         assert_eq!(dist.final_q.len(), 288 * 4);
     }
@@ -1456,7 +603,7 @@ mod tests {
     #[test]
     fn clean_run_reports_no_faults() {
         let (data, consts, q0) = setup(true);
-        let dist = run_distributed(&data, &consts, &q0, 3, 2, 2).unwrap();
+        let dist = run_strips(&data, &consts, &q0, 3, 2, 2);
         assert_eq!(dist.faults.dropped, 0);
         assert_eq!(dist.faults.retries, 0);
         assert_eq!(dist.faults.rank_failures, 0);
@@ -1467,7 +614,7 @@ mod tests {
     #[test]
     fn injected_drops_below_budget_leave_results_bit_identical() {
         let (data, consts, q0) = setup(true);
-        let clean = run_distributed(&data, &consts, &q0, 3, 4, 2).unwrap();
+        let clean = run_strips(&data, &consts, &q0, 3, 4, 2);
         // Every message loses its first `k` transmissions, for every k the
         // default retry budget can absorb.
         for k in [1, 3, 7] {
@@ -1512,9 +659,37 @@ mod tests {
     }
 
     #[test]
+    fn wrong_length_initial_state_is_a_config_error_not_a_panic() {
+        let (data, consts, q0) = setup(false);
+        let part = Partition::strips(288, 2);
+        let short = &q0[..q0.len() - 1];
+        for resume in [false, true] {
+            let opts = DistOptions {
+                store_dir: resume.then(|| std::env::temp_dir().join("op2-dist-never-opened")),
+                ..DistOptions::default()
+            };
+            let run = if resume { resume_distributed_opts } else { run_distributed_opts };
+            match run(&data, &consts, short, &part, 1, 1, &opts) {
+                Err(DistError::Config(msg)) => assert!(msg.contains("1151 values"), "{msg}"),
+                other => panic!("expected DistError::Config, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn resume_without_store_dir_is_a_config_error_not_a_panic() {
+        let (data, consts, q0) = setup(false);
+        let part = Partition::strips(288, 2);
+        match resume_distributed_opts(&data, &consts, &q0, &part, 1, 1, &DistOptions::default()) {
+            Err(DistError::Config(msg)) => assert!(msg.contains("store_dir"), "{msg}"),
+            other => panic!("expected DistError::Config, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn two_cells_mut_is_disjoint_and_ordered() {
         let mut v: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        let (a, b) = two_cells_mut(&mut v, 3, 1);
+        let (a, b) = two_cells_mut::<4>(&mut v, 3, 1);
         assert_eq!(a, &[12.0, 13.0, 14.0, 15.0]);
         assert_eq!(b, &[4.0, 5.0, 6.0, 7.0]);
         a[0] = -1.0;
@@ -1539,9 +714,9 @@ mod rcb_tests {
         let q0 = mesh.p_q.to_vec();
         let data = builder.data();
 
-        let strips = run_distributed(&data, &consts, &q0, 4, 6, 6).unwrap();
+        let strips = run_strips(&data, &consts, &q0, 4, 6, 6);
         let part = Partition::rcb(&cell_centroids(&data), 4);
-        let rcb = run_distributed_with(&data, &consts, &q0, &part, 6, 6).unwrap();
+        let rcb = run_distributed_opts(&data, &consts, &q0, &part, 6, 6, &DistOptions::default()).unwrap();
         for (a, b) in rcb.final_q.iter().zip(&strips.final_q) {
             assert!((a - b).abs() <= 1e-11 * b.abs().max(1.0), "{a} vs {b}");
         }
@@ -1611,7 +786,7 @@ mod omesh_tests {
         let q_ref = mesh.p_q.to_vec();
 
         for nranks in [1, 3, 6] {
-            let dist = run_distributed(&data, &consts, &q0, nranks, niter, niter).unwrap();
+            let dist = run_strips(&data, &consts, &q0, nranks, niter, niter);
             for (i, (a, b)) in dist.final_q.iter().zip(&q_ref).enumerate() {
                 assert!(
                     (a - b).abs() <= 1e-10 * b.abs().max(1.0),

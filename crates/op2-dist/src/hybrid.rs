@@ -6,8 +6,9 @@
 //! [`op2_core`] sets/maps/dats, builds the five Airfoil loops against them,
 //! and executes each loop with any [`op2_hpx`] backend (fork-join, async,
 //! dataflow, …) on the rank's own thread pool. Between loops, the forward
-//! and reverse halo exchanges of [`crate::exec`] run on the dats' safe
-//! accessors.
+//! and reverse halo exchanges run on the dats' safe accessors, through the
+//! march engine's exchange helpers (same packing, same ascending-peer
+//! receive order; tags 300/400).
 //!
 //! Loops that must only touch *owned* cells (`save_soln`, `update`) iterate
 //! the full local set but early-return for halo ids — redundant-but-idempotent
@@ -15,95 +16,47 @@
 //! exec-halo.
 //!
 //! With [`DistOptions::overlap`] the halo exchange is futurized like the
-//! flat executor's: `adt_calc` splits into an owned-cell loop and a
-//! halo-cell loop, the owned loop is *issued* (not waited) while the rank
-//! thread polls forward receives ([`Comm::try_recv`]) and installs each
-//! peer's block the moment it lands — arrivals write halo `q` slots, the
-//! in-flight loop reads only owned `q`, so the two proceed concurrently.
-//! A drained poll pass records a `halo-wait` trace span, attributed
-//! separately from barrier-wait. The report-point RMS reduction is
-//! pipelined through [`Comm::iallreduce_sum`], harvested at the next
-//! report point or the end of the march. Every per-cell value is computed
-//! once from the same inputs in both schedules, so overlap is bit-identical
-//! to bulk for a fixed backend.
+//! flat march's: `adt_calc` splits into an owned-cell loop and a halo-cell
+//! loop, the owned loop is *issued* (not waited) while the rank thread runs
+//! the engine's poll loop and installs each peer's block the moment it
+//! lands — arrivals write halo `q` slots, the in-flight loop reads only
+//! owned `q`, so the two proceed concurrently. The report-point RMS
+//! reduction is pipelined through [`Comm::iallreduce_sum`], harvested at the
+//! next report point or the end of the march. Every per-cell value is
+//! computed once from the same inputs in both schedules, so overlap is
+//! bit-identical to bulk for a fixed backend.
 //!
 //! Fault handling: all fabric errors surface as [`DistError`] values, and
-//! [`run_hybrid_opts`] accepts the same [`DistOptions`] as the flat
-//! executor for fault injection and deadline/retry tuning. Kill directives
-//! (and therefore checkpointed recovery) are **not** supported here — the
-//! per-rank OP2 runtime state cannot be re-partitioned mid-run; use
+//! [`run_hybrid_opts`] accepts the same [`DistOptions`] as the flat march
+//! for fault injection and deadline/retry tuning. Kill directives (and
+//! therefore checkpointed recovery) are **not** supported here — the
+//! per-rank OP2 runtime state cannot be re-partitioned mid-run; such a plan
+//! is rejected with [`DistError::Config`]. Use
 //! [`crate::exec::run_distributed_opts`] for the recovery path.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use op2_airfoil::kernels;
 use op2_airfoil::mesh::MeshData;
 use op2_airfoil::FlowConstants;
 use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
 use op2_hpx::{make_executor, BackendKind, Op2Runtime};
-use op2_trace::{pack2, EventKind, NO_NAME};
 
 use crate::exec::{DistError, DistOptions, DistReport};
-use crate::fabric::{Comm, CommError, Fabric, PendingReduce};
+use crate::fabric::{Comm, CommError};
+use crate::march::{
+    forward_send, gather, install_halo, launch, poll_halos, recv_halos, reverse_receive,
+    scatter_owned, validate, HaloSink, Report, Reports,
+};
 use crate::partition::{build_local, LocalMesh, Partition};
 
-/// March `niter` iterations on `nranks` ranks, each executing its loops with
-/// `backend` on `threads_per_rank` workers.
+/// March `niter` iterations over `part`, each rank executing its loops with
+/// `backend` on `threads_per_rank` workers, with fault injection and
+/// deadline/retry tuning per [`DistOptions`].
 ///
 /// # Errors
-/// See [`DistError`]; a clean network never fails.
-#[allow(clippy::too_many_arguments)]
-pub fn run_hybrid(
-    data: &MeshData,
-    consts: &FlowConstants,
-    q0: &[f64],
-    nranks: usize,
-    threads_per_rank: usize,
-    backend: BackendKind,
-    niter: usize,
-    report_every: usize,
-) -> Result<DistReport, DistError> {
-    let ncells = data.cell_nodes.len() / 4;
-    let part = Partition::strips(ncells, nranks);
-    run_hybrid_with(data, consts, q0, &part, threads_per_rank, backend, niter, report_every)
-}
-
-/// [`run_hybrid`] with an explicit partition (e.g. [`Partition::rcb`]).
-///
-/// # Errors
-/// See [`DistError`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_hybrid_with(
-    data: &MeshData,
-    consts: &FlowConstants,
-    q0: &[f64],
-    part: &Partition,
-    threads_per_rank: usize,
-    backend: BackendKind,
-    niter: usize,
-    report_every: usize,
-) -> Result<DistReport, DistError> {
-    run_hybrid_opts(
-        data,
-        consts,
-        q0,
-        part,
-        threads_per_rank,
-        backend,
-        niter,
-        report_every,
-        &DistOptions::default(),
-    )
-}
-
-/// [`run_hybrid_with`] plus fault injection and deadline/retry tuning.
-///
-/// # Errors
-/// See [`DistError`].
-///
-/// # Panics
-/// Panics if the plan contains a kill directive (no recovery path here —
+/// See [`DistError`]; a clean network never fails. A plan with a kill
+/// directive is rejected with [`DistError::Config`] (no recovery path here —
 /// see the module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn run_hybrid_opts(
@@ -118,55 +71,30 @@ pub fn run_hybrid_opts(
     opts: &DistOptions,
 ) -> Result<DistReport, DistError> {
     let ncells = data.cell_nodes.len() / 4;
-    assert_eq!(q0.len(), 4 * ncells);
-    assert!(
-        opts.plan.as_ref().is_none_or(|p| p.kill.is_none()),
-        "kill directives require the flat executor's recovery path"
-    );
-
-    let mut builder = Fabric::builder(part.nranks).config(opts.config.clone());
-    if let Some(plan) = &opts.plan {
-        builder = builder.faults(plan.clone());
-    }
-    let run = builder
-        .launch(|comm| {
-            rank_main(
-                comm,
-                data,
-                consts,
-                q0,
-                part,
-                threads_per_rank,
-                backend,
-                niter,
-                report_every,
-                opts,
-            )
-        })
-        .map_err(DistError::Fabric)?;
+    validate(q0.len(), ncells, 4, opts, false, false)?;
+    let run = launch(part.nranks, opts, |comm| {
+        rank_main(
+            comm,
+            data,
+            consts,
+            q0,
+            part,
+            threads_per_rank,
+            backend,
+            niter,
+            report_every,
+            opts,
+        )
+    })?;
 
     let mut final_q = vec![0.0; 4 * ncells];
     let mut rms = Vec::new();
-    let mut errors: Vec<(usize, CommError)> = Vec::new();
-    for (r, out) in run.results.into_iter().enumerate() {
-        let (owned_q, history) = match out {
-            Ok(v) => v,
-            Err(error) => {
-                errors.push((r, error));
-                continue;
-            }
-        };
-        for (i, &g) in part.owned_cells(r).iter().enumerate() {
-            final_q[4 * g as usize..4 * g as usize + 4]
-                .copy_from_slice(&owned_q[4 * i..4 * i + 4]);
+    gather(run.results, |_| false, |rank, (owned_q, history): (Vec<f64>, Vec<Report>)| {
+        scatter_owned(&mut final_q, 4, part.owned_cells(rank), &owned_q);
+        if rank == 0 {
+            rms = history.into_iter().map(|(iter, _, rms)| (iter, rms)).collect();
         }
-        if r == 0 {
-            rms = history;
-        }
-    }
-    if let Some((rank, error)) = crate::exec::root_cause(errors) {
-        return Err(DistError::Rank { rank, error });
-    }
+    })?;
     Ok(DistReport {
         rms,
         final_q,
@@ -387,14 +315,13 @@ fn rank_main(
     niter: usize,
     report_every: usize,
     opts: &DistOptions,
-) -> Result<(Vec<f64>, Vec<(usize, f64)>), CommError> {
+) -> Result<(Vec<f64>, Vec<Report>), CommError> {
     let app = build_rank_app(data, consts, q0, part, comm.rank());
     let rt = Arc::new(Op2Runtime::new(threads, 64));
     let exec = make_executor(backend, rt);
-    let ncells_global = data.cell_nodes.len() / 4;
+    let exports = &app.local.exports;
 
-    let mut reports = Vec::new();
-    let mut pending_rms: Option<(usize, PendingReduce)> = None;
+    let mut reports = Reports::new(data.cell_nodes.len() / 4);
     for iter in 1..=niter {
         comm.beat();
         // Exchanges touch the dats directly, so every issued loop must have
@@ -405,162 +332,59 @@ fn rank_main(
         exec.execute(&app.save_soln).wait();
         let mut rms_local = 0.0;
         for stage in 0..2 {
+            forward_send(&comm, exports, TAG_HYB_FORWARD, 4, &app.q.data())?;
+            let mut install = InstallHalos(&app);
             if opts.overlap {
-                hybrid_forward_send(&comm, &app.local, &app.q)?;
+                // Runs on the rank thread while the owned-adt loop executes
+                // on the pool: installs write only halo `q` slots, the loop
+                // reads only owned `q`, so the overlap is race-free.
                 let owned = exec.execute(&app.adt_calc_owned);
-                hybrid_forward_poll(&comm, &app.local, &app.q, iter, stage, opts)?;
+                poll_halos(&comm, &app.local.imports, TAG_HYB_FORWARD, iter, stage, 0, &mut install)?;
                 owned.wait();
                 exec.execute(&app.adt_calc_halo).wait();
             } else {
-                hybrid_forward_exchange(&comm, &app.local, &app.q)?;
+                let payloads = recv_halos(&comm, &app.local.imports, TAG_HYB_FORWARD)?;
+                for (gi, payload) in payloads.into_iter().enumerate() {
+                    install.arrived(gi, payload)?;
+                }
                 exec.execute(&app.adt_calc).wait();
             }
             exec.execute(&app.res_calc).wait();
             exec.execute(&app.bres_calc).wait();
-            hybrid_reverse_exchange(&comm, &app.local, &app.res)?;
+            reverse_send(&comm, &app.local, &app.res)?;
+            reverse_receive(&comm, exports, TAG_HYB_REVERSE, 4, &mut app.res.data_mut())?;
             let gbl = exec.execute(&app.update).get();
             rms_local += gbl[0];
         }
         if iter % report_every.max(1) == 0 || iter == niter {
-            if opts.overlap {
-                // Pipelined: harvest the previous report's reduction, post
-                // this one non-blocking. Completion order must follow post
-                // order (the collective channel is FIFO), and here the rms
-                // sum is the only collective in flight.
-                harvest_rms(&comm, &mut pending_rms, ncells_global, &mut reports)?;
-                let p = comm.iallreduce_sum(&[rms_local])?;
-                pending_rms = Some((iter, p));
-            } else {
-                let total = comm.allreduce_sum(&[rms_local])?[0];
-                reports.push((iter, (total / ncells_global as f64).sqrt()));
-            }
+            // Under overlap the rms sum is the only collective in flight, so
+            // completion order trivially follows post order.
+            reports.post(&comm, opts.overlap, iter, 0.0, rms_local)?;
         }
     }
-    harvest_rms(&comm, &mut pending_rms, ncells_global, &mut reports)?;
+    reports.harvest(&comm)?;
     exec.fence();
 
     let q = app.q.to_vec();
-    Ok((q[..4 * app.local.nowned].to_vec(), reports))
-}
-
-fn harvest_rms(
-    comm: &Comm,
-    pending: &mut Option<(usize, PendingReduce)>,
-    ncells_global: usize,
-    reports: &mut Vec<(usize, f64)>,
-) -> Result<(), CommError> {
-    if let Some((iter, p)) = pending.take() {
-        let total = comm.complete_reduce(p)?[0];
-        reports.push((iter, (total / ncells_global as f64).sqrt()));
-    }
-    Ok(())
+    Ok((q[..4 * app.local.nowned].to_vec(), reports.done))
 }
 
 const TAG_HYB_FORWARD: u64 = 300;
+const TAG_HYB_REVERSE: u64 = 400;
 
-fn hybrid_forward_exchange(
-    comm: &Comm,
-    local: &LocalMesh,
-    q: &Dat<f64>,
-) -> Result<(), CommError> {
-    hybrid_forward_send(comm, local, q)?;
-    let mut qd = q.data_mut();
-    for (peer, halo_locals) in &local.imports {
-        let payload = comm.recv(*peer, TAG_HYB_FORWARD)?;
-        install_halo(&mut qd, halo_locals, &payload);
-    }
-    Ok(())
-}
+/// Installs each peer's forward payload into the halo `q` slots — the
+/// hybrid march's whole reaction to a halo arrival (its loops run whole).
+struct InstallHalos<'a>(&'a RankApp);
 
-fn hybrid_forward_send(comm: &Comm, local: &LocalMesh, q: &Dat<f64>) -> Result<(), CommError> {
-    let qd = q.data();
-    for (peer, owned_locals) in &local.exports {
-        let mut payload = Vec::with_capacity(owned_locals.len() * 4);
-        for &l in owned_locals {
-            payload.extend_from_slice(&qd[4 * l as usize..4 * l as usize + 4]);
-        }
-        comm.send(*peer, TAG_HYB_FORWARD, payload)?;
-    }
-    Ok(())
-}
-
-fn install_halo(qd: &mut [f64], halo_locals: &[u32], payload: &[f64]) {
-    for (i, &l) in halo_locals.iter().enumerate() {
-        qd[4 * l as usize..4 * l as usize + 4].copy_from_slice(&payload[4 * i..4 * i + 4]);
+impl HaloSink for InstallHalos<'_> {
+    fn arrived(&mut self, gi: usize, payload: Vec<f64>) -> Result<(), CommError> {
+        install_halo(&mut self.0.q.data_mut(), 4, &self.0.local.imports[gi].1, &payload);
+        Ok(())
     }
 }
 
-/// Poll forward receives, installing each peer's halo block on arrival.
-///
-/// Runs on the rank thread while the owned-adt loop executes on the pool:
-/// installs write only halo `q` slots, the loop reads only owned `q`, so
-/// the overlap is race-free. A pass with no arrivals records a `halo-wait`
-/// span; a quiet period longer than the receive deadline synthesizes the
-/// same [`CommError::Timeout`] a blocking `recv` would have produced.
-fn hybrid_forward_poll(
-    comm: &Comm,
-    local: &LocalMesh,
-    q: &Dat<f64>,
-    iter: usize,
-    stage: usize,
-    opts: &DistOptions,
-) -> Result<(), CommError> {
-    let npeers = local.imports.len();
-    let mut got = vec![false; npeers];
-    let mut ngot = 0usize;
-    let mut last_progress = Instant::now();
-    while ngot < npeers {
-        let mut progressed = false;
-        for (gi, (peer, halo_locals)) in local.imports.iter().enumerate() {
-            if got[gi] {
-                continue;
-            }
-            if let Some(payload) = comm.try_recv(*peer, TAG_HYB_FORWARD)? {
-                install_halo(&mut q.data_mut(), halo_locals, &payload);
-                got[gi] = true;
-                ngot += 1;
-                progressed = true;
-            }
-        }
-        if progressed {
-            last_progress = Instant::now();
-        } else {
-            let span = op2_trace::begin();
-            comm.beat();
-            std::thread::sleep(Duration::from_micros(100));
-            op2_trace::end(
-                span,
-                EventKind::HaloWait,
-                NO_NAME,
-                pack2(comm.rank() as u32, (npeers - ngot) as u32),
-                pack2(iter as u32, stage as u32),
-            );
-            let waited = last_progress.elapsed();
-            if waited > opts.config.recv_deadline {
-                let from = local
-                    .imports
-                    .iter()
-                    .zip(&got)
-                    .find(|(_, g)| !**g)
-                    .map_or(0, |((p, _), _)| *p);
-                return Err(CommError::Timeout {
-                    rank: comm.rank(),
-                    from,
-                    tag: TAG_HYB_FORWARD,
-                    waited_ms: waited.as_millis() as u64,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-fn hybrid_reverse_exchange(
-    comm: &Comm,
-    local: &LocalMesh,
-    res: &Dat<f64>,
-) -> Result<(), CommError> {
-    const TAG: u64 = 400;
+/// Send (and zero) the halo-side residuals back to their owners.
+fn reverse_send(comm: &Comm, local: &LocalMesh, res: &Dat<f64>) -> Result<(), CommError> {
     let mut rd = res.data_mut();
     for (peer, halo_locals) in &local.imports {
         let mut payload = Vec::with_capacity(halo_locals.len() * 4);
@@ -568,15 +392,7 @@ fn hybrid_reverse_exchange(
             payload.extend_from_slice(&rd[4 * l as usize..4 * l as usize + 4]);
             rd[4 * l as usize..4 * l as usize + 4].fill(0.0);
         }
-        comm.send(*peer, TAG, payload)?;
-    }
-    for (peer, owned_locals) in &local.exports {
-        let payload = comm.recv(*peer, TAG)?;
-        for (i, &l) in owned_locals.iter().enumerate() {
-            for k in 0..4 {
-                rd[4 * l as usize + k] += payload[4 * i + k];
-            }
-        }
+        comm.send(*peer, TAG_HYB_REVERSE, payload)?;
     }
     Ok(())
 }
@@ -584,11 +400,29 @@ fn hybrid_reverse_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_distributed;
+    use crate::exec::run_strips;
+    use crate::fabric::Fabric;
     use crate::fabric::CommConfig;
     use crate::fault::FaultPlan;
     use op2_airfoil::MeshBuilder;
     use std::time::Duration;
+
+    /// `run_hybrid_opts` over index strips with default options.
+    #[allow(clippy::too_many_arguments)]
+    fn run_hybrid(
+        data: &MeshData,
+        consts: &FlowConstants,
+        q0: &[f64],
+        nranks: usize,
+        threads: usize,
+        backend: BackendKind,
+        niter: usize,
+        report_every: usize,
+    ) -> Result<DistReport, DistError> {
+        let part = Partition::strips(data.cell_nodes.len() / 4, nranks);
+        let opts = DistOptions::default();
+        run_hybrid_opts(data, consts, q0, &part, threads, backend, niter, report_every, &opts)
+    }
 
     fn setup() -> (MeshData, FlowConstants, Vec<f64>) {
         let consts = FlowConstants::default();
@@ -601,7 +435,7 @@ mod tests {
     #[test]
     fn hybrid_matches_flat_distributed_within_rounding() {
         let (data, consts, q0) = setup();
-        let flat = run_distributed(&data, &consts, &q0, 3, 6, 2).unwrap();
+        let flat = run_strips(&data, &consts, &q0, 3, 6, 2);
         for backend in [BackendKind::ForkJoin, BackendKind::Dataflow] {
             let hyb = run_hybrid(&data, &consts, &q0, 3, 2, backend, 6, 2).unwrap();
             for (a, b) in hyb.final_q.iter().zip(&flat.final_q) {
@@ -653,8 +487,18 @@ mod tests {
     fn hybrid_masks_injected_drops_bit_identically() {
         let (data, consts, q0) = setup();
         let part = Partition::strips(200, 2);
-        let clean = run_hybrid_with(&data, &consts, &q0, &part, 2, BackendKind::ForkJoin, 4, 2)
-            .unwrap();
+        let clean = run_hybrid_opts(
+            &data,
+            &consts,
+            &q0,
+            &part,
+            2,
+            BackendKind::ForkJoin,
+            4,
+            2,
+            &DistOptions::default(),
+        )
+        .unwrap();
         let opts = DistOptions {
             plan: Some(FaultPlan::drop_first(2)),
             ..DistOptions::default()
@@ -752,6 +596,22 @@ mod tests {
         assert!(faulty.faults.dropped > 0);
     }
 
+    /// Kill plans have no recovery path here: rejected up front with a typed
+    /// error, not a panic.
+    #[test]
+    fn hybrid_rejects_kill_plans_with_a_config_error() {
+        let (data, consts, q0) = setup();
+        let part = Partition::strips(200, 2);
+        let opts = DistOptions {
+            plan: Some(FaultPlan::none().with_kill(1, 2)),
+            ..DistOptions::default()
+        };
+        match run_hybrid_opts(&data, &consts, &q0, &part, 2, BackendKind::ForkJoin, 4, 2, &opts) {
+            Err(DistError::Config(msg)) => assert!(msg.contains("kill"), "{msg}"),
+            other => panic!("expected DistError::Config, got {other:?}"),
+        }
+    }
+
     /// A hybrid-path `recv` with no matching send must fail with a deadline
     /// error, not hang (the flat-fabric twin lives in `fabric::tests`).
     #[test]
@@ -769,7 +629,8 @@ mod tests {
                     let app = build_rank_app(&data, &consts, &q0, &part, 0);
                     // The peer never participates in the exchange, so the
                     // import-side recv must hit its deadline.
-                    hybrid_forward_exchange(&comm, &app.local, &app.q)
+                    forward_send(&comm, &app.local.exports, TAG_HYB_FORWARD, 4, &app.q.data())?;
+                    recv_halos(&comm, &app.local.imports, TAG_HYB_FORWARD).map(|_| ())
                 } else {
                     std::thread::sleep(Duration::from_millis(200));
                     Ok(())

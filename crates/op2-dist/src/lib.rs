@@ -1,4 +1,4 @@
-//! # op2-dist — distributed-memory execution of the Airfoil benchmark
+//! # op2-dist — distributed-memory execution of unstructured-mesh marches
 //!
 //! OP2's production configuration runs MPI across nodes with OpenMP (or, in
 //! the paper's vision, HPX) within each node. This crate rebuilds the
@@ -8,27 +8,34 @@
 //!   threads; typed point-to-point channels; barrier; deterministic
 //!   rank-ordered `allreduce`). It stands in for MPI per the reproduction's
 //!   substitution rules: same communication semantics, no network.
-//! * [`partition`] — strip partitioning of the Airfoil mesh into per-rank
-//!   local meshes with **import halos**: each rank owns a contiguous range
-//!   of cells, executes the edges anchored at its owned cells, and keeps
-//!   local copies of the neighbour cells those edges read
-//!   (OP2's import/export halo lists).
-//! * [`exec`] — the distributed time-march: per iteration a **forward
-//!   exchange** (owners push fresh `q` to the ranks importing it), redundant
-//!   `adt` computation over owned+halo cells, local flux accumulation, a
-//!   **reverse exchange** (halo `res` contributions flow back to owners and
-//!   are added in ascending-rank order, keeping runs deterministic), the
-//!   owned-cell update, and an `allreduce` of the RMS. With
+//! * [`partition`] — strip partitioning of the mesh into per-rank local
+//!   meshes with **import halos**: each rank owns a contiguous range of
+//!   cells, executes the edges anchored at its owned cells, and keeps local
+//!   copies of the neighbour cells those edges read (OP2's import/export
+//!   halo lists).
+//! * the **march engine** (private `march` module) — one app-agnostic
+//!   time-march, as in OP2's MPI backend: per stage a **forward exchange**
+//!   (owners push fresh state to the ranks importing it), local flux
+//!   accumulation with redundant halo execution, a **reverse exchange** (halo
+//!   residual contributions flow back to owners and are added in
+//!   ascending-rank order, keeping runs deterministic), the owned-cell
+//!   update, and an `allreduce` of the RMS. With
 //!   [`exec::DistOptions::overlap`] the march is **futurized**: interior
 //!   edges execute while halo receives are outstanding, each per-peer halo
 //!   block fires as its message lands (reverse sends leave early), and the
-//!   RMS reduction is pipelined through the fabric's non-blocking
-//!   `iallreduce` — bit-identical to the bulk-synchronous schedule because
-//!   halo-edge contributions route through per-group scratch merged in
-//!   canonical order either way.
-//! * [`swe`] — the same split applied to the shallow-water application
-//!   (3-component state, adaptive `dt` via an overlap-safe pipelined
-//!   max-reduction): the halo machinery is app-agnostic.
+//!   reductions are pipelined through the fabric's non-blocking `iallreduce`
+//!   — bit-identical to the bulk-synchronous schedule because halo-edge
+//!   contributions route through per-group scratch merged in canonical order
+//!   either way. The engine also owns checkpoint commits, rank-kill
+//!   recovery, kernel-fault retry and durable restart.
+//! * [`exec`] and [`swe`] — the two applications on the engine, each nothing
+//!   but kernel glue over index lists: Airfoil (4-component state, two
+//!   stages, redundant halo `adt`) and shallow-water (3-component state,
+//!   adaptive `dt` via a pipelined max-reduction). The halo machinery is
+//!   app-agnostic, so both inherit every schedule and the whole recovery
+//!   ladder. [`exec`] also defines the option/report/error types they share.
+//! * [`hybrid`] — Airfoil with an OP2-HPX backend *inside* each rank, on the
+//!   engine's exchange, poll and gather helpers.
 //!
 //! Determinism: a given `(mesh, nranks)` always produces bit-identical
 //! results; with `nranks = 1` the execution order equals the single-node
@@ -42,7 +49,7 @@
 //! The fabric is hardened against an adversarial network and against rank
 //! loss; the error-handling spine is the [`fabric::CommError`] result type
 //! threaded through every fabric operation and up through
-//! [`exec::run_distributed`] / [`hybrid::run_hybrid`]:
+//! [`exec::run_distributed_opts`] / [`hybrid::run_hybrid_opts`]:
 //!
 //! * [`fault`] — a seeded, deterministic fault-injection shim
 //!   ([`fault::FaultPlan`]) that drops, duplicates, delays, reorders and
@@ -82,22 +89,21 @@ pub mod exec;
 pub mod fabric;
 pub mod fault;
 pub mod hybrid;
+mod march;
 pub mod partition;
 pub mod swe;
 
 pub use checkpoint::{CheckpointError, CheckpointStore, CkptStats};
 pub use exec::{
-    resume_distributed_opts, run_distributed, run_distributed_opts, run_distributed_with,
-    DistError, DistOptions, DistReport, JitterSpec, KernelFaultSpec, Recovery,
+    resume_distributed_opts, run_distributed_opts, DistError, DistOptions, DistReport, JitterSpec,
+    KernelFaultSpec, Recovery,
 };
 pub use fabric::{
     Comm, CommConfig, CommError, Fabric, FabricError, PendingReduce, COLLECTIVE_TAG_BIT,
 };
 pub use fault::{FaultPlan, FaultReport, KillSpec};
-pub use hybrid::{run_hybrid, run_hybrid_opts, run_hybrid_with};
+pub use hybrid::run_hybrid_opts;
 pub use partition::{
     cell_centroids, total_halo_cells, HaloGroup, HaloPlan, LocalMesh, Partition,
 };
-pub use swe::{
-    resume_swe_distributed_opts, run_swe_distributed, run_swe_distributed_opts, SweDistReport,
-};
+pub use swe::{resume_swe_distributed_opts, run_swe_distributed_opts, SweDistReport};

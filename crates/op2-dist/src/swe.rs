@@ -1,58 +1,30 @@
-//! The distributed shallow-water time-march — the second application on the
-//! halo-exchange fabric, bulk-synchronous or comm/compute-overlapped with
-//! bit-identical results either way.
+//! The distributed shallow-water march — the second application on the
+//! march engine, and the proof that the halo machinery is app-agnostic.
 //!
-//! Per adaptive step, each rank performs (canonical arithmetic order):
+//! The protocol — everything that touches the fabric, the store or
+//! [`DistOptions`] — is the engine's and is described once, in its module
+//! docs (`march.rs`). Shallow-water supplies only its hooks:
 //!
-//! 1. `save` over owned cells and a local CFL fold (`wave_speed` max);
-//! 2. the **global max-reduction** of the wave speed — blocking
-//!    [`Comm::allreduce_max`] in bulk mode, non-blocking
-//!    [`Comm::iallreduce_max`] posted here and completed right before the
-//!    update in overlap mode, so the reduction's latency hides behind the
-//!    flux compute (max is order-free, hence bitwise-exact either way);
-//! 3. **forward sends** of fresh owned `w` to importing peers, then
-//!    interior Rusanov fluxes plus one gated halo group per import peer
-//!    (payload install, group flux into scratch, early **reverse send**) —
-//!    the same interior/boundary split as the Airfoil march
-//!    ([`crate::partition::HaloPlan`]), just 3 components and no `adt`;
-//! 4. **merge** of group scratch into `res` (ascending group, first-touch
-//!    order) and **reverse receives** added in ascending peer order;
-//! 5. `update` over owned cells with `dt = CFL · min_len / smax`; the RMS
-//!    sum is pipelined in overlap mode exactly like the Airfoil march.
-//!
-//! Collective completions are FIFO: a pending RMS sum from the previous
-//! step's report is always harvested *before* the current step's max is
-//! completed, matching post order on the fabric's collective channel.
-//!
-//! Scope: the SWE driver masks message-level faults (drops, delays,
-//! duplicates, replays) through the transport exactly like the Airfoil
-//! march, but does not support kill-directive checkpoint recovery — the
-//! recovery ladder is exercised end-to-end by the Airfoil driver
-//! ([`crate::exec`]), and [`run_swe_distributed_opts`] rejects kill and
-//! kernel-fault plans up front. It *does* support the durable bottom rung:
-//! with [`DistOptions::store_dir`] set, every checkpoint boundary lands in
-//! the crash-consistent `op2-store` log (3 components per cell), and
-//! [`resume_swe_distributed_opts`] restarts a dead process from the newest
-//! verified consistent boundary, bit-identical to an uninterrupted march.
-
-use std::time::{Duration, Instant};
+//! * 3 state components (`w`), no auxiliary array, one exchange stage per
+//!   adaptive step, tags 500/600 (distinct from Airfoil's so one process
+//!   could run both marches);
+//! * derived per rank: owned inverse cell areas and the global `min_len`;
+//! * `begin_iter` — save owned `w` and fold the local CFL maximum
+//!   (`wave_speed`); the engine max-reduces it and `step_scale` turns the
+//!   global maximum into `dt = CFL · min_len / smax` (max is order-free, so
+//!   `dt` is bitwise the single-node value on any rank count);
+//! * `interior` / `boundary` / `group` — Rusanov `flux` / `bflux` into `res`
+//!   or the group's scratch (no redundant per-cell halo compute);
+//! * `update` — `update` over owned cells with `dt / area`.
 
 use op2_airfoil::mesh::MeshData;
 use op2_swe::kernels;
-use op2_trace::{pack2, EventKind, NO_NAME};
 
-use crate::checkpoint::{CheckpointError, CheckpointStore, CkptStats};
-use crate::exec::{
-    jitter_sleep, mix64, root_cause, DistError, DistOptions, INTERIOR_CHUNK,
-};
-use crate::fabric::{Comm, CommError, Fabric, PendingReduce};
+use crate::checkpoint::CkptStats;
+use crate::exec::{two_cells_mut, xs, DistError, DistOptions, Recovery};
 use crate::fault::FaultReport;
-use crate::partition::{build_local, HaloGroup, HaloPlan, LocalMesh, Partition};
-
-/// Forward (halo `w`) and reverse (halo `res`) exchange tags — distinct
-/// from the Airfoil tags so a hybrid process could run both marches.
-const TAG_FORWARD: u64 = 500;
-const TAG_REVERSE: u64 = 600;
+use crate::march::{march, DistApp, MarchOut};
+use crate::partition::{LocalMesh, Partition};
 
 /// Outcome of a distributed shallow-water run.
 #[derive(Debug, Clone)]
@@ -64,9 +36,15 @@ pub struct SweDistReport {
     pub final_w: Vec<f64>,
     /// End-of-run fault/robustness counters (all zero for a clean run).
     pub faults: FaultReport,
+    /// Checkpoint recoveries performed, in order.
+    pub recoveries: Vec<Recovery>,
+    /// Kernel-section rollbacks retried *locally* (summed over survivors) —
+    /// failures masked without any fabric-level recovery.
+    pub local_retries: usize,
     /// Order-free digest over every owned-cell post-exchange `res` of every
-    /// step, combined across ranks — bulk and overlapped marches agree iff
-    /// every intermediate residual is bit-identical.
+    /// step since the last recovery, combined across survivors — bulk and
+    /// overlapped marches agree iff every intermediate residual is
+    /// bit-identical.
     pub res_digest: u64,
     /// Step the run resumed from (`Some(k)` only for
     /// [`resume_swe_distributed_opts`]).
@@ -76,7 +54,23 @@ pub struct SweDistReport {
     pub ckpt: CkptStats,
 }
 
-/// March `steps` adaptive shallow-water steps on `nranks` ranks.
+impl From<MarchOut> for SweDistReport {
+    fn from(out: MarchOut) -> SweDistReport {
+        SweDistReport {
+            reports: out.history,
+            final_w: out.final_state,
+            faults: out.faults,
+            recoveries: out.recoveries,
+            local_retries: out.local_retries,
+            res_digest: out.res_digest,
+            resumed_from: out.resumed_from,
+            ckpt: out.ckpt,
+        }
+    }
+}
+
+/// March `steps` adaptive shallow-water steps over `part` per
+/// [`DistOptions`].
 ///
 /// `w0` is the global initial state (`3 × ncells`); `g`/`cfl` mirror
 /// [`op2_swe::SweConfig`]. Boundary condition codes come from `data.bound`
@@ -84,37 +78,6 @@ pub struct SweDistReport {
 ///
 /// # Errors
 /// See [`DistError`]; a clean network never fails.
-pub fn run_swe_distributed(
-    data: &MeshData,
-    g: f64,
-    cfl: f64,
-    w0: &[f64],
-    nranks: usize,
-    steps: usize,
-    report_every: usize,
-) -> Result<SweDistReport, DistError> {
-    let ncells = data.cell_nodes.len() / 4;
-    run_swe_distributed_opts(
-        data,
-        g,
-        cfl,
-        w0,
-        &Partition::strips(ncells, nranks),
-        steps,
-        report_every,
-        &DistOptions::default(),
-    )
-}
-
-/// [`run_swe_distributed`] with an explicit partition and [`DistOptions`]
-/// (fault plan, deadlines, overlap, jitter).
-///
-/// # Panics
-/// Panics if the options request kill or kernel-fault injection — the SWE
-/// march has no checkpoint path (see the module docs).
-///
-/// # Errors
-/// See [`DistError`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_swe_distributed_opts(
     data: &MeshData,
@@ -126,23 +89,7 @@ pub fn run_swe_distributed_opts(
     report_every: usize,
     opts: &DistOptions,
 ) -> Result<SweDistReport, DistError> {
-    let ncells = data.cell_nodes.len() / 4;
-    assert_eq!(w0.len(), 3 * ncells, "w0 must cover every cell");
-    if opts.renumber {
-        let (rdata, rpart, rw0, cells) = crate::exec::renumbered_inputs(data, part, w0, 3);
-        let inner = DistOptions {
-            renumber: false,
-            ..opts.clone()
-        };
-        let mut rep =
-            run_swe_distributed_opts(&rdata, g, cfl, &rw0, &rpart, steps, report_every, &inner)?;
-        rep.final_w = cells.unpermute_rows(&rep.final_w, 3);
-        return Ok(rep);
-    }
-    let checkpoints = make_swe_store(opts, part.nranks, ncells)?;
-    run_swe_core(
-        data, g, cfl, w0, part, steps, report_every, opts, &checkpoints, 0, None,
-    )
+    march(&Swe { g, cfl }, data, w0, part, steps, report_every, opts, false).map(SweDistReport::from)
 }
 
 /// Restart a shallow-water march whose process died: reopen the durable
@@ -151,10 +98,7 @@ pub fn run_swe_distributed_opts(
 /// `w0` (cold start) if no consistent boundary survived.
 ///
 /// # Errors
-/// See [`DistError`].
-///
-/// # Panics
-/// Panics if `opts.store_dir` is `None`.
+/// See [`DistError`] ([`DistError::Config`] without a `store_dir`).
 #[allow(clippy::too_many_arguments)]
 pub fn resume_swe_distributed_opts(
     data: &MeshData,
@@ -166,507 +110,112 @@ pub fn resume_swe_distributed_opts(
     report_every: usize,
     opts: &DistOptions,
 ) -> Result<SweDistReport, DistError> {
-    let ncells = data.cell_nodes.len() / 4;
-    assert_eq!(w0.len(), 3 * ncells, "w0 must cover every cell");
-    assert!(opts.store_dir.is_some(), "resume requires DistOptions::store_dir");
-    if opts.renumber {
-        let (rdata, rpart, rw0, cells) = crate::exec::renumbered_inputs(data, part, w0, 3);
-        let inner = DistOptions {
-            renumber: false,
-            ..opts.clone()
-        };
-        let mut rep = resume_swe_distributed_opts(
-            &rdata, g, cfl, &rw0, &rpart, steps, report_every, &inner,
-        )?;
-        rep.final_w = cells.unpermute_rows(&rep.final_w, 3);
-        return Ok(rep);
-    }
-    let checkpoints = make_swe_store(opts, part.nranks, ncells)?;
-    let (start, wstart) = match checkpoints.latest_consistent() {
-        Some((k, wk)) => (k, wk),
-        None => (0, w0.to_vec()),
-    };
-    checkpoints.truncate_after(start);
-    run_swe_core(
-        data,
-        g,
-        cfl,
-        &wstart,
-        part,
-        steps,
-        report_every,
-        opts,
-        &checkpoints,
-        start,
-        Some(start),
-    )
+    march(&Swe { g, cfl }, data, w0, part, steps, report_every, opts, true).map(SweDistReport::from)
 }
 
-fn make_swe_store(
-    opts: &DistOptions,
-    nranks: usize,
-    ncells: usize,
-) -> Result<CheckpointStore, DistError> {
-    match &opts.store_dir {
-        Some(dir) => {
-            CheckpointStore::open_durable(dir, nranks, ncells, 3, opts.store_faults.clone())
-                .map_err(DistError::Store)
-        }
-        None => Ok(CheckpointStore::with_comp(nranks, ncells, 3)),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_swe_core(
-    data: &MeshData,
+/// Shallow-water on the march engine (hooks listed in the module docs).
+struct Swe {
     g: f64,
     cfl: f64,
-    w0: &[f64],
-    part: &Partition,
-    steps: usize,
-    report_every: usize,
-    opts: &DistOptions,
-    checkpoints: &CheckpointStore,
-    start_step: usize,
-    resumed_from: Option<usize>,
-) -> Result<SweDistReport, DistError> {
-    let ncells = data.cell_nodes.len() / 4;
-    assert!(
-        opts.plan.as_ref().is_none_or(|p| p.kill.is_none()) && opts.kernel_fault.is_none(),
-        "kill/kernel-fault recovery requires the Airfoil march's checkpoint path"
-    );
-
-    let mut builder = Fabric::builder(part.nranks).config(opts.config.clone());
-    if let Some(plan) = &opts.plan {
-        builder = builder.faults(plan.clone());
-    }
-    let run = builder
-        .launch(|comm| {
-            rank_main(
-                comm,
-                data,
-                g,
-                cfl,
-                w0,
-                part,
-                steps,
-                report_every,
-                opts,
-                checkpoints,
-                start_step,
-            )
-        })
-        .map_err(DistError::Fabric)?;
-
-    let mut final_w = vec![0.0; 3 * ncells];
-    let mut reports = Vec::new();
-    let mut res_digest = 0u64;
-    let mut died = false;
-    let mut errors: Vec<(usize, CommError)> = Vec::new();
-    for (r, out) in run.results.into_iter().enumerate() {
-        let out = match out {
-            Ok(out) => out,
-            Err(error) => {
-                errors.push((r, error));
-                continue;
-            }
-        };
-        died |= out.died;
-        for (i, &gcell) in part.owned_cells(r).iter().enumerate() {
-            final_w[3 * gcell as usize..3 * gcell as usize + 3]
-                .copy_from_slice(&out.owned_w[3 * i..3 * i + 3]);
-        }
-        res_digest = res_digest.wrapping_add(out.res_digest);
-        if r == 0 {
-            reports = out.history;
-        }
-    }
-    if let Some((rank, error)) = root_cause(errors) {
-        return Err(DistError::Rank { rank, error });
-    }
-    if died {
-        return Err(DistError::Died {
-            iter: opts.die_at.expect("died flag implies die_at"),
-        });
-    }
-    Ok(SweDistReport {
-        reports,
-        final_w,
-        faults: run.faults,
-        res_digest,
-        resumed_from,
-        ckpt: checkpoints.stats(),
-    })
 }
 
-/// A rank's result: owned state, report history, residual digest.
-struct RankOut {
-    owned_w: Vec<f64>,
-    history: Vec<(usize, f64, f64)>,
-    res_digest: u64,
-    died: bool,
+/// Per-rank mesh geometry.
+struct SweDerived {
+    /// `1 / area` of each owned cell.
+    inv_area: Vec<f64>,
+    /// Square root of the smallest cell area of the *global* mesh — every
+    /// rank derives it identically (min is order-free).
+    min_len: f64,
 }
 
-/// Per-rank shallow-water march.
-#[allow(clippy::too_many_arguments)]
-fn rank_main(
-    comm: Comm,
-    data: &MeshData,
-    g: f64,
-    cfl: f64,
-    w0: &[f64],
-    part: &Partition,
-    steps: usize,
-    report_every: usize,
-    opts: &DistOptions,
-    checkpoints: &CheckpointStore,
-    start_step: usize,
-) -> Result<RankOut, CommError> {
-    let me = comm.rank();
-    let ncells_global = data.cell_nodes.len() / 4;
-    let local = build_local(data, part, me);
-    let plan = HaloPlan::build(&local);
-    let nowned = local.nowned;
-    let nlocal = local.ncells_local();
-    let coords = &data.coords;
+/// Shoelace area of global cell `c`.
+fn cell_area(data: &MeshData, c: usize) -> f64 {
+    let mut a = 0.0;
+    for k in 0..4 {
+        let i = data.cell_nodes[4 * c + k] as usize;
+        let j = data.cell_nodes[4 * c + (k + 1) % 4] as usize;
+        a += data.coords[2 * i] * data.coords[2 * j + 1] - data.coords[2 * j] * data.coords[2 * i + 1];
+    }
+    a / 2.0
+}
 
-    // Per-cell areas (shoelace) over the global mesh: min_len is a global
-    // quantity every rank derives identically (min is order-free), and the
-    // owned inverse areas feed the update.
-    let mut min_area = f64::INFINITY;
-    let mut inv_area = vec![0.0f64; nowned];
-    for c in 0..ncells_global {
-        let mut a = 0.0;
-        for k in 0..4 {
-            let i = data.cell_nodes[4 * c + k] as usize;
-            let j = data.cell_nodes[4 * c + (k + 1) % 4] as usize;
-            a += coords[2 * i] * coords[2 * j + 1] - coords[2 * j] * coords[2 * i + 1];
+impl Swe {
+    /// Rusanov `flux` for local edge `e`, accumulating its two cells'
+    /// residuals into cells `s1`/`s2` of `into` (`res`, or a group's scratch).
+    #[inline]
+    fn flux_edge(
+        &self,
+        coords: &[f64],
+        local: &LocalMesh,
+        e: u32,
+        w: &[f64],
+        into: &mut [f64],
+        (s1, s2): (u32, u32),
+    ) {
+        let (c1, c2) = local.edge_cells[e as usize];
+        let (c1, c2) = (c1 as usize, c2 as usize);
+        let (n1, n2) = local.edge_nodes[e as usize];
+        let (r1, r2) = two_cells_mut::<3>(into, s1 as usize, s2 as usize);
+        kernels::flux(
+            xs(coords, n1),
+            xs(coords, n2),
+            &w[3 * c1..3 * c1 + 3],
+            &w[3 * c2..3 * c2 + 3],
+            r1,
+            r2,
+            self.g,
+        );
+    }
+}
+
+impl DistApp for Swe {
+    const COMP: usize = 3;
+    const STAGES: usize = 1;
+    const TAG_FORWARD: u64 = 500;
+    const TAG_REVERSE: u64 = 600;
+    type Derived = SweDerived;
+
+    fn derive(&self, data: &MeshData, local: &LocalMesh) -> SweDerived {
+        let ncells = data.cell_nodes.len() / 4;
+        let min_area = (0..ncells).fold(f64::INFINITY, |m, c| m.min(cell_area(data, c)));
+        let inv_area = local.cell_l2g[..local.nowned]
+            .iter()
+            .map(|&c| 1.0 / cell_area(data, c as usize))
+            .collect();
+        SweDerived {
+            inv_area,
+            min_len: min_area.sqrt(),
         }
-        let a = a / 2.0;
-        min_area = min_area.min(a);
-    }
-    for (l, &gcell) in local.cell_l2g[..nowned].iter().enumerate() {
-        let c = gcell as usize;
-        let mut a = 0.0;
-        for k in 0..4 {
-            let i = data.cell_nodes[4 * c + k] as usize;
-            let j = data.cell_nodes[4 * c + (k + 1) % 4] as usize;
-            a += coords[2 * i] * coords[2 * j + 1] - coords[2 * j] * coords[2 * i + 1];
-        }
-        inv_area[l] = 1.0 / (a / 2.0);
-    }
-    let min_len = min_area.sqrt();
-
-    // Local state: w over owned + halo, wold/res over owned (+ halo slots
-    // for res to keep indexing uniform; halo res stays zero — group edges
-    // accumulate into scratch instead).
-    let mut w = vec![0.0f64; 3 * nlocal];
-    for (l, &gcell) in local.cell_l2g.iter().enumerate() {
-        w[3 * l..3 * l + 3].copy_from_slice(&w0[3 * gcell as usize..3 * gcell as usize + 3]);
-    }
-    let mut wold = vec![0.0f64; 3 * nowned];
-    let mut res = vec![0.0f64; 3 * nlocal];
-    let mut scratch: Vec<Vec<f64>> = plan.groups.iter().map(|gr| vec![0.0f64; 3 * gr.nslots]).collect();
-    let mut res_digest = 0u64;
-
-    // The SWE march has no rank-death recovery, but it does ride the
-    // durable bottom rung: every boundary lands in the crash-consistent
-    // store so a dead *process* can restart from disk.
-    let ckpt_active = opts.checkpoint_every > 0 || checkpoints.is_durable();
-    let ckpt_err = |e: CheckpointError| CommError::Checkpoint {
-        rank: me,
-        detail: e.to_string(),
-    };
-    let mut died = false;
-    // On resume the restored boundary is already durable; recommitting it
-    // would be harmless but wasteful.
-    if ckpt_active && start_step == 0 {
-        checkpoints
-            .commit(0, me, &local.cell_l2g[..nowned], &w[..3 * nowned])
-            .map_err(ckpt_err)?;
     }
 
-    let mut reports: Vec<(usize, f64, f64)> = Vec::new();
-    // At most one outstanding pipelined RMS sum: `(step, dt, pending)`.
-    let mut pending_sum: Option<(usize, f64, PendingReduce)> = None;
-
-    for step in start_step + 1..=steps {
-        if opts.die_at == Some(step) {
-            // Simulated whole-process death: stop before touching this
-            // step. No commit, no drain — the disk keeps exactly what was
-            // durable, everything in memory is void.
-            died = true;
-            break;
-        }
-        comm.beat();
-
-        // 1. save + local CFL fold over owned cells.
-        let mut smax_local = f64::NEG_INFINITY;
-        for c in 0..nowned {
+    fn begin_iter(&self, local: &LocalMesh, w: &[f64], wold: &mut [f64]) -> Option<f64> {
+        let mut smax = f64::NEG_INFINITY;
+        for c in 0..local.nowned {
             wold[3 * c..3 * c + 3].copy_from_slice(&w[3 * c..3 * c + 3]);
-            smax_local = smax_local.max(kernels::wave_speed(&w[3 * c..3 * c + 3], g));
+            smax = smax.max(kernels::wave_speed(&w[3 * c..3 * c + 3], self.g));
         }
+        Some(smax)
+    }
 
-        // 2. The wave-speed reduction. Overlap: post now, complete after
-        //    the flux phase; bulk: block here.
-        let mut dt = 0.0;
-        let pending_max = if opts.overlap {
-            Some(comm.iallreduce_max(&[smax_local])?)
-        } else {
-            let smax = comm.allreduce_max(&[smax_local])?[0];
-            dt = cfl * min_len / smax.max(1e-12);
-            None
-        };
+    fn step_scale(&self, derived: &SweDerived, smax: f64) -> f64 {
+        self.cfl * derived.min_len / smax.max(1e-12)
+    }
 
-        // 3. Forward sends, then interior + halo-group fluxes. As in the
-        //    airfoil march, jitter perturbs the send instant too.
-        jitter_sleep(opts.jitter, me, step, 0, crate::exec::SEND_JITTER_CHUNK);
-        for (peer, owned_locals) in &local.exports {
-            let mut payload = Vec::with_capacity(owned_locals.len() * 3);
-            for &l in owned_locals {
-                payload.extend_from_slice(&w[3 * l as usize..3 * l as usize + 3]);
-            }
-            comm.send(*peer, TAG_FORWARD, payload)?;
-        }
-
-        let ngroups = plan.groups.len();
-        let nchunks = plan.interior.len().div_ceil(INTERIOR_CHUNK);
-        if !opts.overlap {
-            let mut payloads: Vec<Vec<f64>> = Vec::with_capacity(ngroups);
-            for (peer, _halos) in &local.imports {
-                payloads.push(comm.recv(*peer, TAG_FORWARD)?);
-            }
-            for chunk in 0..=nchunks {
-                jitter_sleep(opts.jitter, me, step, 0, chunk);
-                run_chunk(&local, &plan, coords, g, &w, &mut res, chunk, nchunks);
-            }
-            for (gi, payload) in payloads.into_iter().enumerate() {
-                fire_group(
-                    &comm,
-                    &local,
-                    &plan.groups[gi],
-                    &local.imports[gi].1,
-                    coords,
-                    g,
-                    &mut w,
-                    &mut scratch[gi],
-                    &payload,
-                )?;
-            }
-        } else {
-            let mut got = vec![false; ngroups];
-            let mut ngot = 0usize;
-            let mut next_chunk = 0usize;
-            let mut last_progress = Instant::now();
-            while ngot < ngroups || next_chunk <= nchunks {
-                let mut progressed = false;
-                for gi in 0..ngroups {
-                    if got[gi] {
-                        continue;
-                    }
-                    let (peer, halos) = &local.imports[gi];
-                    if let Some(payload) = comm.try_recv(*peer, TAG_FORWARD)? {
-                        fire_group(
-                            &comm,
-                            &local,
-                            &plan.groups[gi],
-                            halos,
-                            coords,
-                            g,
-                            &mut w,
-                            &mut scratch[gi],
-                            &payload,
-                        )?;
-                        got[gi] = true;
-                        ngot += 1;
-                        progressed = true;
-                    }
-                }
-                if next_chunk <= nchunks {
-                    jitter_sleep(opts.jitter, me, step, 0, next_chunk);
-                    run_chunk(&local, &plan, coords, g, &w, &mut res, next_chunk, nchunks);
-                    next_chunk += 1;
-                    progressed = true;
-                }
-                if progressed {
-                    last_progress = Instant::now();
-                } else {
-                    let span = op2_trace::begin();
-                    comm.beat();
-                    std::thread::sleep(Duration::from_micros(100));
-                    op2_trace::end(
-                        span,
-                        EventKind::HaloWait,
-                        NO_NAME,
-                        pack2(me as u32, (ngroups - ngot) as u32),
-                        pack2(step as u32, 0),
-                    );
-                    let waited = last_progress.elapsed();
-                    if waited > opts.config.recv_deadline {
-                        let from = local
-                            .imports
-                            .iter()
-                            .zip(&got)
-                            .find(|(_, gt)| !**gt)
-                            .map_or(0, |((p, _), _)| *p);
-                        return Err(CommError::Timeout {
-                            rank: me,
-                            from,
-                            tag: TAG_FORWARD,
-                            waited_ms: waited.as_millis() as u64,
-                        });
-                    }
-                }
-            }
-        }
-
-        // 4. Merge group scratch (ascending group, first-touch order), then
-        //    reverse receives in ascending peer order.
-        for (gi, group) in plan.groups.iter().enumerate() {
-            let sc = &scratch[gi];
-            for &(slot, c) in &group.merge {
-                let (c, s) = (3 * c as usize, 3 * slot as usize);
-                for k in 0..3 {
-                    res[c + k] += sc[s + k];
-                }
-            }
-        }
-        for (peer, owned_locals) in &local.exports {
-            let payload = comm.recv(*peer, TAG_REVERSE)?;
-            assert_eq!(payload.len(), owned_locals.len() * 3);
-            for (i, &l) in owned_locals.iter().enumerate() {
-                for k in 0..3 {
-                    res[3 * l as usize + k] += payload[3 * i + k];
-                }
-            }
-        }
-
-        // Digest post-exchange owned residuals (before update zeroes them).
-        for c in 0..nowned {
-            let gid = u64::from(local.cell_l2g[c]);
-            let key = mix64(gid ^ ((step as u64) << 32));
-            let mut h = key;
-            for k in 0..3 {
-                h = mix64(h ^ res[3 * c + k].to_bits());
-            }
-            res_digest = res_digest.wrapping_add(h);
-        }
-
-        // Collective FIFO: harvest the previous report's sum before
-        // completing this step's max.
-        harvest_sum(&comm, &mut pending_sum, ncells_global, &mut reports)?;
-        if let Some(p) = pending_max {
-            let smax = comm.complete_reduce(p)?[0];
-            dt = cfl * min_len / smax.max(1e-12);
-        }
-
-        // 5. update over owned cells.
-        let mut rms_local = 0.0;
-        for c in 0..nowned {
-            kernels::update(
-                &wold[3 * c..3 * c + 3],
-                &mut w[3 * c..3 * c + 3],
-                &mut res[3 * c..3 * c + 3],
-                dt * inv_area[c],
-                &mut rms_local,
-            );
-        }
-
-        let report_now = step % report_every.max(1) == 0 || step == steps;
-        if report_now {
-            if opts.overlap {
-                let p = comm.iallreduce_sum(&[rms_local])?;
-                pending_sum = Some((step, dt, p));
-            } else {
-                let total = comm.allreduce_sum(&[rms_local])?[0];
-                reports.push((step, dt, (total / ncells_global as f64).sqrt()));
-            }
-        }
-
-        if ckpt_active && opts.checkpoint_every > 0 && step % opts.checkpoint_every == 0 {
-            // Drain the reduction pipeline first so no report crosses the
-            // boundary, then barrier so every rank's slice for this step
-            // has landed before anyone marches on (coordinated checkpoint,
-            // same discipline as the airfoil march).
-            harvest_sum(&comm, &mut pending_sum, ncells_global, &mut reports)?;
-            checkpoints
-                .commit(step, me, &local.cell_l2g[..nowned], &w[..3 * nowned])
-                .map_err(ckpt_err)?;
-            comm.barrier()?;
-        }
-        if opts.halt_after == Some(step) {
-            // Graceful stop: drain the pipeline, pin a durable boundary at
-            // exactly this step, and leave. The reference leg of
-            // crash-restart equivalence tests.
-            harvest_sum(&comm, &mut pending_sum, ncells_global, &mut reports)?;
-            checkpoints
-                .commit(step, me, &local.cell_l2g[..nowned], &w[..3 * nowned])
-                .map_err(ckpt_err)?;
-            comm.barrier()?;
-            break;
+    fn interior(
+        &self,
+        coords: &[f64],
+        local: &LocalMesh,
+        edges: &[u32],
+        w: &[f64],
+        _aux: &[f64],
+        res: &mut [f64],
+    ) {
+        for &e in edges {
+            self.flux_edge(coords, local, e, w, res, local.edge_cells[e as usize]);
         }
     }
-    harvest_sum(&comm, &mut pending_sum, ncells_global, &mut reports)?;
 
-    Ok(RankOut {
-        owned_w: w[..3 * nowned].to_vec(),
-        history: reports,
-        res_digest,
-        died,
-    })
-}
-
-/// Complete an outstanding pipelined RMS sum, if any, and push its report.
-fn harvest_sum(
-    comm: &Comm,
-    pending: &mut Option<(usize, f64, PendingReduce)>,
-    ncells_global: usize,
-    reports: &mut Vec<(usize, f64, f64)>,
-) -> Result<(), CommError> {
-    if let Some((step, dt, p)) = pending.take() {
-        let total = comm.complete_reduce(p)?[0];
-        reports.push((step, dt, (total / ncells_global as f64).sqrt()));
-    }
-    Ok(())
-}
-
-/// Node coordinate pair.
-#[inline]
-fn xs(coords: &[f64], n: u32) -> &[f64] {
-    &coords[2 * n as usize..2 * n as usize + 2]
-}
-
-/// Interior-edge chunk `chunk` (`< nchunks`) or the boundary-flux
-/// pseudo-chunk (`== nchunks`). Writes owned `res` only.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    local: &LocalMesh,
-    plan: &HaloPlan,
-    coords: &[f64],
-    g: f64,
-    w: &[f64],
-    res: &mut [f64],
-    chunk: usize,
-    nchunks: usize,
-) {
-    if chunk < nchunks {
-        let lo = chunk * INTERIOR_CHUNK;
-        let hi = (lo + INTERIOR_CHUNK).min(plan.interior.len());
-        for &e in &plan.interior[lo..hi] {
-            let (c1, c2) = local.edge_cells[e as usize];
-            let (n1, n2) = local.edge_nodes[e as usize];
-            let (r1, r2) = two_cells3_mut(res, c1 as usize, c2 as usize);
-            kernels::flux(
-                xs(coords, n1),
-                xs(coords, n2),
-                &w[3 * c1 as usize..3 * c1 as usize + 3],
-                &w[3 * c2 as usize..3 * c2 as usize + 3],
-                r1,
-                r2,
-                g,
-            );
-        }
-    } else {
+    fn boundary(&self, coords: &[f64], local: &LocalMesh, w: &[f64], _aux: &[f64], res: &mut [f64]) {
         for &(n1, n2, c1, bound) in &local.bedges {
             let c1 = c1 as usize;
             kernels::bflux(
@@ -675,65 +224,48 @@ fn run_chunk(
                 &w[3 * c1..3 * c1 + 3],
                 &mut res[3 * c1..3 * c1 + 3],
                 bound,
-                g,
+                self.g,
             );
         }
     }
-}
 
-/// Fire one halo group: install the forward payload, flux the group's edges
-/// into scratch, and send the halo-side scratch back (reverse payload in
-/// the peer's import order). No redundant per-cell compute here — SWE has
-/// no `adt` analogue.
-#[allow(clippy::too_many_arguments)]
-fn fire_group(
-    comm: &Comm,
-    local: &LocalMesh,
-    group: &HaloGroup,
-    halos: &[u32],
-    coords: &[f64],
-    g: f64,
-    w: &mut [f64],
-    scratch: &mut [f64],
-    payload: &[f64],
-) -> Result<(), CommError> {
-    assert_eq!(payload.len(), halos.len() * 3);
-    for (i, &l) in halos.iter().enumerate() {
-        w[3 * l as usize..3 * l as usize + 3].copy_from_slice(&payload[3 * i..3 * i + 3]);
+    fn group(
+        &self,
+        coords: &[f64],
+        local: &LocalMesh,
+        _halos: &[u32],
+        edges: &[u32],
+        slots: &[(u32, u32)],
+        w: &[f64],
+        _aux: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        for (&e, &at) in edges.iter().zip(slots) {
+            self.flux_edge(coords, local, e, w, scratch, at);
+        }
     }
-    scratch.fill(0.0);
-    for (i, &e) in group.edges.iter().enumerate() {
-        let (c1, c2) = local.edge_cells[e as usize];
-        let (n1, n2) = local.edge_nodes[e as usize];
-        let (s1, s2) = group.slots[i];
-        let (r1, r2) = two_cells3_mut(scratch, s1 as usize, s2 as usize);
-        kernels::flux(
-            xs(coords, n1),
-            xs(coords, n2),
-            &w[3 * c1 as usize..3 * c1 as usize + 3],
-            &w[3 * c2 as usize..3 * c2 as usize + 3],
-            r1,
-            r2,
-            g,
-        );
-    }
-    let mut rev = Vec::with_capacity(group.send_slots.len() * 3);
-    for &s in &group.send_slots {
-        rev.extend_from_slice(&scratch[3 * s as usize..3 * s as usize + 3]);
-    }
-    comm.send(group.peer, TAG_REVERSE, rev)
-}
 
-/// Two disjoint 3-wide mutable cell slices out of one residual array.
-fn two_cells3_mut(res: &mut [f64], a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
-    assert_ne!(a, b, "edge endpoints must be distinct");
-    if a < b {
-        let (lo, hi) = res.split_at_mut(3 * b);
-        (&mut lo[3 * a..3 * a + 3], &mut hi[..3])
-    } else {
-        let (lo, hi) = res.split_at_mut(3 * a);
-        let (bpart, apart) = (&mut lo[3 * b..3 * b + 3], &mut hi[..3]);
-        (apart, bpart)
+    fn update(
+        &self,
+        derived: &SweDerived,
+        local: &LocalMesh,
+        wold: &[f64],
+        w: &mut [f64],
+        res: &mut [f64],
+        _aux: &[f64],
+        dt: f64,
+    ) -> f64 {
+        let mut rms = 0.0;
+        for c in 0..local.nowned {
+            kernels::update(
+                &wold[3 * c..3 * c + 3],
+                &mut w[3 * c..3 * c + 3],
+                &mut res[3 * c..3 * c + 3],
+                dt * derived.inv_area[c],
+                &mut rms,
+            );
+        }
+        rms
     }
 }
 
@@ -772,7 +304,17 @@ mod tests {
         let (imax, jmax, steps) = (24, 12, 6);
         let (w0, w_ref, rep_ref) = serial_oracle(imax, jmax, steps, 1);
         let data = walled_data(imax, jmax);
-        let dist = run_swe_distributed(&data, 9.81, 0.4, &w0, 1, steps, 1).unwrap();
+        let dist = run_swe_distributed_opts(
+            &data,
+            9.81,
+            0.4,
+            &w0,
+            &Partition::strips(imax * jmax, 1),
+            steps,
+            1,
+            &DistOptions::default(),
+        )
+        .unwrap();
         assert_eq!(
             dist.final_w.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             w_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -791,7 +333,17 @@ mod tests {
         let (w0, w_ref, rep_ref) = serial_oracle(imax, jmax, steps, 1);
         let data = walled_data(imax, jmax);
         for nranks in [2, 3, 5] {
-            let dist = run_swe_distributed(&data, 9.81, 0.4, &w0, nranks, steps, 1).unwrap();
+            let dist = run_swe_distributed_opts(
+            &data,
+            9.81,
+            0.4,
+            &w0,
+            &Partition::strips(imax * jmax, nranks),
+            steps,
+            1,
+            &DistOptions::default(),
+        )
+        .unwrap();
             for (a, b) in dist.final_w.iter().zip(&w_ref) {
                 assert!(
                     (a - b).abs() <= 1e-11 * b.abs().max(1.0),

@@ -23,8 +23,10 @@
 
 use op2_airfoil::mesh::MeshData;
 use op2_airfoil::{FlowConstants, MeshBuilder};
-use op2_dist::exec::{run_distributed_opts, DistError, DistOptions, KernelFaultSpec};
-use op2_dist::{CommConfig, CommError, Fabric, FaultPlan, Partition};
+use op2_dist::exec::{run_distributed_opts, DistError, DistOptions, KernelFaultSpec, Recovery};
+use op2_dist::swe::run_swe_distributed_opts;
+use op2_dist::{CommConfig, CommError, Fabric, FaultPlan, FaultReport, Partition};
+use op2_swe::{SweApp, SweConfig};
 
 /// Seeds swept (unless `FAULT_SEED` narrows the run to one).
 const NUM_SEEDS: u64 = 16;
@@ -53,6 +55,115 @@ fn setup(nx: usize, ny: usize) -> (MeshData, FlowConstants, Vec<f64>) {
 
 fn bits(q: &[f64]) -> Vec<u64> {
     q.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The applications the recovery ladder is exercised on. Recovery lives in
+/// the march engine, so every kill / kernel-fault scenario below runs on
+/// both — the shallow-water march has no recovery code of its own.
+#[derive(Debug, Clone, Copy)]
+enum App {
+    Airfoil,
+    Swe,
+}
+
+const APPS: [App; 2] = [App::Airfoil, App::Swe];
+
+/// One app's mesh and initial state, ready to march.
+struct Case {
+    app: App,
+    data: MeshData,
+    consts: FlowConstants,
+    state0: Vec<f64>,
+}
+
+/// What the recovery scenarios compare, common to both apps' reports.
+struct Outcome {
+    state: Vec<f64>,
+    /// `(iteration, dt, rms)`; `dt` is 0 for Airfoil.
+    reports: Vec<(usize, f64, f64)>,
+    recoveries: Vec<Recovery>,
+    local_retries: usize,
+    faults: FaultReport,
+}
+
+impl Outcome {
+    fn report_bits(&self) -> Vec<(usize, u64, u64)> {
+        self.reports
+            .iter()
+            .map(|(i, dt, rms)| (*i, dt.to_bits(), rms.to_bits()))
+            .collect()
+    }
+}
+
+impl App {
+    fn setup(self, nx: usize, ny: usize) -> Case {
+        let (data, consts, state0) = match self {
+            App::Airfoil => setup(nx, ny),
+            App::Swe => {
+                // Walled dam break, as in `tests/restart.rs`.
+                let app = SweApp::new(SweConfig { imax: nx, jmax: ny, ..SweConfig::default() });
+                app.dam_break(2.0, 2.0, 1.0);
+                let mut data = MeshBuilder::channel(nx, ny).data();
+                data.bound
+                    .iter_mut()
+                    .for_each(|b| *b = op2_swe::kernels::SWE_WALL);
+                (data, FlowConstants::default(), app.w.to_vec())
+            }
+        };
+        Case { app: self, data, consts, state0 }
+    }
+}
+
+impl Case {
+    /// March `niter` iterations from `state0` over `part`.
+    fn run(
+        &self,
+        state0: &[f64],
+        part: &Partition,
+        niter: usize,
+        report_every: usize,
+        opts: &DistOptions,
+    ) -> Result<Outcome, DistError> {
+        match self.app {
+            App::Airfoil => {
+                run_distributed_opts(&self.data, &self.consts, state0, part, niter, report_every, opts)
+                    .map(|r| Outcome {
+                        state: r.final_q,
+                        reports: r.rms.into_iter().map(|(i, rms)| (i, 0.0, rms)).collect(),
+                        recoveries: r.recoveries,
+                        local_retries: r.local_retries,
+                        faults: r.faults,
+                    })
+            }
+            App::Swe => {
+                run_swe_distributed_opts(&self.data, 9.81, 0.4, state0, part, niter, report_every, opts)
+                    .map(|r| Outcome {
+                        state: r.final_w,
+                        reports: r.reports,
+                        recoveries: r.recoveries,
+                        local_retries: r.local_retries,
+                        faults: r.faults,
+                    })
+            }
+        }
+    }
+
+    /// The survivors-only reference of a recovered march: the same march on
+    /// a clean fabric over `part` up to the restored checkpoint, then a
+    /// *fresh* run over strips of the survivor count for the rest. The
+    /// recovered fabric's strips-over-survivors partition marches in the
+    /// same order as that fresh run, so agreement is exact.
+    fn survivors_only_reference(&self, part: &Partition, rec: &Recovery, niter: usize) -> Outcome {
+        let clean = DistOptions::default();
+        let k = rec.restored_iter;
+        let pre = self
+            .run(&self.state0, part, k, k, &clean)
+            .expect("reference prefix run");
+        let ncells = self.data.cell_nodes.len() / 4;
+        let survivors = Partition::strips(ncells, rec.survivors.len());
+        self.run(&pre.state, &survivors, niter - k, niter - k, &clean)
+            .expect("reference survivors-only run")
+    }
 }
 
 /// The tentpole sweep: for ≥16 seeds, a run under the seeded fault mix is
@@ -187,100 +298,82 @@ fn every_survivable_drop_budget_is_masked_and_one_beyond_fails() {
 /// state a fresh survivors-only run produces from that checkpoint.
 #[test]
 fn kill_mid_march_recovers_and_matches_survivors_only_run() {
-    let (data, consts, q0) = setup(24, 12);
-    let ncells = 24 * 12;
-    let niter = 8;
-    let kill_at = 5;
-    let ckpt_every = 2;
-    let seed_line = "replay: deterministic kill scenario (rank 1 @ iter 5, ckpt every 2)";
+    for app in APPS {
+        let case = app.setup(24, 12);
+        let ncells = 24 * 12;
+        let niter = 8;
+        let kill_at = 5;
+        let ckpt_every = 2;
+        let seed_line =
+            format!("replay: deterministic {app:?} kill scenario (rank 1 @ iter 5, ckpt every 2)");
 
-    let part = Partition::strips(ncells, 4);
-    let opts = DistOptions {
-        plan: Some(FaultPlan::none().with_kill(1, kill_at)),
-        checkpoint_every: ckpt_every,
-        ..DistOptions::default()
-    };
-    let rep = run_distributed_opts(&data, &consts, &q0, &part, niter, niter, &opts)
-        .unwrap_or_else(|e| panic!("march did not survive the kill: {e}\n{seed_line}"));
+        let part = Partition::strips(ncells, 4);
+        let opts = DistOptions {
+            plan: Some(FaultPlan::none().with_kill(1, kill_at)),
+            checkpoint_every: ckpt_every,
+            ..DistOptions::default()
+        };
+        let rep = case
+            .run(&case.state0, &part, niter, niter, &opts)
+            .unwrap_or_else(|e| panic!("march did not survive the kill: {e}\n{seed_line}"));
 
-    assert_eq!(rep.recoveries.len(), 1, "{seed_line}");
-    let rec = &rep.recoveries[0];
-    assert_eq!(rec.failed, vec![1]);
-    assert_eq!(rec.survivors, vec![0, 2, 3]);
-    assert_eq!(rec.restored_iter, 4, "newest complete checkpoint before the kill");
-    assert_eq!(rep.faults.rank_failures, 1);
-    assert_eq!(rep.faults.recoveries, 1);
+        assert_eq!(rep.recoveries.len(), 1, "{seed_line}");
+        let rec = &rep.recoveries[0];
+        assert_eq!(rec.failed, vec![1], "{seed_line}");
+        assert_eq!(rec.survivors, vec![0, 2, 3], "{seed_line}");
+        assert_eq!(rec.restored_iter, 4, "newest complete checkpoint before the kill\n{seed_line}");
+        assert_eq!(rep.faults.rank_failures, 1, "{seed_line}");
+        assert_eq!(rep.faults.recoveries, 1, "{seed_line}");
 
-    // Reference: the same march on a clean 4-rank fabric up to the restored
-    // checkpoint, then a *fresh survivors-only* run for the rest. The
-    // recovered fabric's strips-over-survivors partition marches in the
-    // same order as a fresh 3-rank run, so agreement is exact.
-    let pre = run_distributed_opts(
-        &data,
-        &consts,
-        &q0,
-        &part,
-        rec.restored_iter,
-        rec.restored_iter,
-        &DistOptions::default(),
-    )
-    .expect("reference prefix run");
-    let post = run_distributed_opts(
-        &data,
-        &consts,
-        &pre.final_q,
-        &Partition::strips(ncells, rec.survivors.len()),
-        niter - rec.restored_iter,
-        niter - rec.restored_iter,
-        &DistOptions::default(),
-    )
-    .expect("reference survivors-only run");
-
-    let mut sq = 0.0;
-    for (a, b) in rep.final_q.iter().zip(&post.final_q) {
-        sq += (a - b) * (a - b);
+        let post = case.survivors_only_reference(&part, rec, niter);
+        let mut sq = 0.0;
+        for (a, b) in rep.state.iter().zip(&post.state) {
+            sq += (a - b) * (a - b);
+        }
+        let rms_diff = (sq / post.state.len() as f64).sqrt();
+        assert!(
+            rms_diff <= 1e-12,
+            "recovered state differs from survivors-only run: RMS {rms_diff:e}\n{seed_line}"
+        );
+        assert_eq!(
+            bits(&rep.state),
+            bits(&post.state),
+            "recovered march not bit-identical to survivors-only run\n{seed_line}"
+        );
     }
-    let rms_diff = (sq / post.final_q.len() as f64).sqrt();
-    assert!(
-        rms_diff <= 1e-12,
-        "recovered state differs from survivors-only run: RMS {rms_diff:e}\n{seed_line}"
-    );
-    assert_eq!(
-        bits(&rep.final_q),
-        bits(&post.final_q),
-        "recovered march not bit-identical to survivors-only run\n{seed_line}"
-    );
 }
 
 /// Kills swept across ranks and iterations: recovery must succeed and stay
 /// internally consistent everywhere, not just in the curated scenario.
 #[test]
 fn kills_across_ranks_and_iterations_all_recover() {
-    let (data, consts, q0) = setup(16, 8);
-    let ncells = 16 * 8;
-    let niter = 6;
-    let part = Partition::strips(ncells, 4);
-    for victim in [1, 2, 3] {
-        for kill_at in [2, 4, 6] {
-            let opts = DistOptions {
-                plan: Some(FaultPlan::none().with_kill(victim, kill_at)),
-                checkpoint_every: 2,
-                ..DistOptions::default()
-            };
-            let rep = run_distributed_opts(&data, &consts, &q0, &part, niter, niter, &opts)
-                .unwrap_or_else(|e| {
-                    panic!("kill rank {victim} @ iter {kill_at} not survived: {e}")
-                });
-            assert_eq!(rep.recoveries.len(), 1, "victim {victim} @ {kill_at}");
-            assert!(
-                !rep.recoveries[0].survivors.contains(&victim),
-                "victim {victim} still in survivor set"
-            );
-            assert!(
-                rep.rms.iter().all(|(_, r)| r.is_finite()),
-                "victim {victim} @ {kill_at}: non-finite rms"
-            );
-            assert_eq!(rep.final_q.len(), 4 * ncells);
+    for app in APPS {
+        let case = app.setup(16, 8);
+        let ncells = 16 * 8;
+        let niter = 6;
+        let part = Partition::strips(ncells, 4);
+        for victim in [1, 2, 3] {
+            for kill_at in [2, 4, 6] {
+                let what = format!("{app:?}: kill rank {victim} @ iter {kill_at}");
+                let opts = DistOptions {
+                    plan: Some(FaultPlan::none().with_kill(victim, kill_at)),
+                    checkpoint_every: 2,
+                    ..DistOptions::default()
+                };
+                let rep = case
+                    .run(&case.state0, &part, niter, niter, &opts)
+                    .unwrap_or_else(|e| panic!("{what} not survived: {e}"));
+                assert_eq!(rep.recoveries.len(), 1, "{what}");
+                assert!(
+                    !rep.recoveries[0].survivors.contains(&victim),
+                    "{what}: victim still in survivor set"
+                );
+                assert!(
+                    rep.reports.iter().all(|(_, _, r)| r.is_finite()),
+                    "{what}: non-finite rms"
+                );
+                assert_eq!(rep.state.len(), case.state0.len(), "{what}");
+            }
         }
     }
 }
@@ -366,51 +459,38 @@ fn overlapped_march_masks_seeded_faults_bitwise() {
 /// survivors-only reference — same contract as the bulk kill scenario.
 #[test]
 fn kill_mid_overlap_recovers_and_matches_survivors_only_run() {
-    let (data, consts, q0) = setup(24, 12);
-    let ncells = 24 * 12;
-    let niter = 8;
-    let seed_line = "replay: deterministic mid-overlap kill (rank 1 @ iter 5, ckpt every 2)";
+    for app in APPS {
+        let case = app.setup(24, 12);
+        let ncells = 24 * 12;
+        let niter = 8;
+        let seed_line =
+            format!("replay: deterministic {app:?} mid-overlap kill (rank 1 @ iter 5, ckpt every 2)");
 
-    let part = Partition::strips(ncells, 4);
-    let opts = DistOptions {
-        overlap: true,
-        plan: Some(FaultPlan::none().with_kill(1, 5)),
-        checkpoint_every: 2,
-        ..DistOptions::default()
-    };
-    let rep = run_distributed_opts(&data, &consts, &q0, &part, niter, niter, &opts)
-        .unwrap_or_else(|e| panic!("overlapped march did not survive the kill: {e}\n{seed_line}"));
+        let part = Partition::strips(ncells, 4);
+        let opts = DistOptions {
+            overlap: true,
+            plan: Some(FaultPlan::none().with_kill(1, 5)),
+            checkpoint_every: 2,
+            ..DistOptions::default()
+        };
+        let rep = case
+            .run(&case.state0, &part, niter, niter, &opts)
+            .unwrap_or_else(|e| {
+                panic!("overlapped march did not survive the kill: {e}\n{seed_line}")
+            });
 
-    assert_eq!(rep.recoveries.len(), 1, "{seed_line}");
-    let rec = &rep.recoveries[0];
-    assert_eq!(rec.failed, vec![1], "{seed_line}");
-    assert_eq!(rec.restored_iter, 4, "{seed_line}");
+        assert_eq!(rep.recoveries.len(), 1, "{seed_line}");
+        let rec = &rep.recoveries[0];
+        assert_eq!(rec.failed, vec![1], "{seed_line}");
+        assert_eq!(rec.restored_iter, 4, "{seed_line}");
 
-    let pre = run_distributed_opts(
-        &data,
-        &consts,
-        &q0,
-        &part,
-        rec.restored_iter,
-        rec.restored_iter,
-        &DistOptions::default(),
-    )
-    .expect("reference prefix run");
-    let post = run_distributed_opts(
-        &data,
-        &consts,
-        &pre.final_q,
-        &Partition::strips(ncells, rec.survivors.len()),
-        niter - rec.restored_iter,
-        niter - rec.restored_iter,
-        &DistOptions::default(),
-    )
-    .expect("reference survivors-only run");
-    assert_eq!(
-        bits(&rep.final_q),
-        bits(&post.final_q),
-        "overlapped recovery not bit-identical to survivors-only run\n{seed_line}"
-    );
+        let post = case.survivors_only_reference(&part, rec, niter);
+        assert_eq!(
+            bits(&rep.state),
+            bits(&post.state),
+            "overlapped recovery not bit-identical to survivors-only run\n{seed_line}"
+        );
+    }
 }
 
 /// Stale-epoch guard at the transport: a halo payload sent *before* a
@@ -485,40 +565,36 @@ fn recv_with_no_matching_send_fails_with_deadline_error() {
 /// no fabric-level recovery, and results bit-identical to the clean run.
 #[test]
 fn kernel_fault_masked_by_local_retry_is_bit_identical() {
-    let (data, consts, q0) = setup(16, 8);
-    let nranks = 3;
-    let niter = 3;
-    let part = Partition::strips(16 * 8, nranks);
-    let clean = run_distributed_opts(
-        &data,
-        &consts,
-        &q0,
-        &part,
-        niter,
-        1,
-        &DistOptions::default(),
-    )
-    .expect("clean run");
-    for seed in seeds_to_run() {
-        let hint = replay_hint(seed);
-        let opts = DistOptions {
-            kernel_fault: Some(KernelFaultSpec {
-                rank: seed as usize % nranks,
-                at_iter: 1 + seed as usize % niter,
-                failures: 1,
-            }),
-            ..DistOptions::default()
-        };
-        let rep = run_distributed_opts(&data, &consts, &q0, &part, niter, 1, &opts)
-            .unwrap_or_else(|e| panic!("masked kernel fault failed the run: {e}\n{hint}"));
-        assert_eq!(rep.local_retries, 1, "one local rollback+retry\n{hint}");
-        assert!(rep.recoveries.is_empty(), "must not escalate to the fabric\n{hint}");
-        assert_eq!(
-            bits(&rep.final_q),
-            bits(&clean.final_q),
-            "local rollback+retry must be bit-invisible\n{hint}"
-        );
-        assert_eq!(rep.rms, clean.rms, "{hint}");
+    for app in APPS {
+        let case = app.setup(16, 8);
+        let nranks = 3;
+        let niter = 3;
+        let part = Partition::strips(16 * 8, nranks);
+        let clean = case
+            .run(&case.state0, &part, niter, 1, &DistOptions::default())
+            .expect("clean run");
+        for seed in seeds_to_run() {
+            let hint = format!("{app:?}\n{}", replay_hint(seed));
+            let opts = DistOptions {
+                kernel_fault: Some(KernelFaultSpec {
+                    rank: seed as usize % nranks,
+                    at_iter: 1 + seed as usize % niter,
+                    failures: 1,
+                }),
+                ..DistOptions::default()
+            };
+            let rep = case
+                .run(&case.state0, &part, niter, 1, &opts)
+                .unwrap_or_else(|e| panic!("masked kernel fault failed the run: {e}\n{hint}"));
+            assert_eq!(rep.local_retries, 1, "one local rollback+retry\n{hint}");
+            assert!(rep.recoveries.is_empty(), "must not escalate to the fabric\n{hint}");
+            assert_eq!(
+                bits(&rep.state),
+                bits(&clean.state),
+                "local rollback+retry must be bit-invisible\n{hint}"
+            );
+            assert_eq!(rep.report_bits(), clean.report_bits(), "{hint}");
+        }
     }
 }
 
@@ -527,57 +603,41 @@ fn kernel_fault_masked_by_local_retry_is_bit_identical() {
 /// the newest checkpoint exactly as for a process kill.
 #[test]
 fn kernel_fault_exhausting_local_budget_escalates_to_checkpoint_recovery() {
-    let (data, consts, q0) = setup(24, 12);
-    let ncells = 24 * 12;
-    let niter = 8;
-    let ckpt_every = 2;
-    let seed_line =
-        "replay: deterministic kernel-fault scenario (rank 1 @ iter 5, 2 failures, 1 retry)";
+    for app in APPS {
+        let case = app.setup(24, 12);
+        let ncells = 24 * 12;
+        let niter = 8;
+        let ckpt_every = 2;
+        let seed_line = format!(
+            "replay: deterministic {app:?} kernel-fault scenario (rank 1 @ iter 5, 2 failures, 1 retry)"
+        );
 
-    let part = Partition::strips(ncells, 4);
-    let opts = DistOptions {
-        kernel_fault: Some(KernelFaultSpec { rank: 1, at_iter: 5, failures: 2 }),
-        kernel_retries: 1,
-        checkpoint_every: ckpt_every,
-        ..DistOptions::default()
-    };
-    let rep = run_distributed_opts(&data, &consts, &q0, &part, niter, niter, &opts)
-        .unwrap_or_else(|e| panic!("march did not survive the escalation: {e}\n{seed_line}"));
+        let part = Partition::strips(ncells, 4);
+        let opts = DistOptions {
+            kernel_fault: Some(KernelFaultSpec { rank: 1, at_iter: 5, failures: 2 }),
+            kernel_retries: 1,
+            checkpoint_every: ckpt_every,
+            ..DistOptions::default()
+        };
+        let rep = case
+            .run(&case.state0, &part, niter, niter, &opts)
+            .unwrap_or_else(|e| panic!("march did not survive the escalation: {e}\n{seed_line}"));
 
-    assert_eq!(rep.recoveries.len(), 1, "{seed_line}");
-    let rec = &rep.recoveries[0];
-    assert_eq!(rec.failed, vec![1], "{seed_line}");
-    assert_eq!(rec.survivors, vec![0, 2, 3], "{seed_line}");
-    assert_eq!(rec.restored_iter, 4, "newest complete checkpoint\n{seed_line}");
-    // The dying rank burned its one local retry before giving up, but it did
-    // not survive to report it.
-    assert_eq!(rep.local_retries, 0, "{seed_line}");
+        assert_eq!(rep.recoveries.len(), 1, "{seed_line}");
+        let rec = &rep.recoveries[0];
+        assert_eq!(rec.failed, vec![1], "{seed_line}");
+        assert_eq!(rec.survivors, vec![0, 2, 3], "{seed_line}");
+        assert_eq!(rec.restored_iter, 4, "newest complete checkpoint\n{seed_line}");
+        // The dying rank burned its one local retry before giving up, but it
+        // did not survive to report it.
+        assert_eq!(rep.local_retries, 0, "{seed_line}");
 
-    // Reference: clean prefix to the restored checkpoint, then a fresh
-    // survivors-only run (same agreement argument as the kill scenario).
-    let pre = run_distributed_opts(
-        &data,
-        &consts,
-        &q0,
-        &part,
-        rec.restored_iter,
-        rec.restored_iter,
-        &DistOptions::default(),
-    )
-    .expect("reference prefix run");
-    let post = run_distributed_opts(
-        &data,
-        &consts,
-        &pre.final_q,
-        &Partition::strips(ncells, rec.survivors.len()),
-        niter - rec.restored_iter,
-        niter - rec.restored_iter,
-        &DistOptions::default(),
-    )
-    .expect("reference survivors-only run");
-    assert_eq!(
-        bits(&rep.final_q),
-        bits(&post.final_q),
-        "recovered march must match the survivors-only reference\n{seed_line}"
-    );
+        // Same agreement argument as the kill scenario.
+        let post = case.survivors_only_reference(&part, rec, niter);
+        assert_eq!(
+            bits(&rep.state),
+            bits(&post.state),
+            "recovered march must match the survivors-only reference\n{seed_line}"
+        );
+    }
 }

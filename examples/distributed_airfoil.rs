@@ -14,7 +14,7 @@
 //! consistent checkpoint onto the surviving ranks.
 
 use op2_airfoil::{FlowConstants, MeshBuilder};
-use op2_dist::{run_distributed, run_distributed_opts, DistOptions, FaultPlan, Partition};
+use op2_dist::{run_distributed_opts, run_hybrid_opts, DistOptions, FaultPlan, Partition};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,14 +32,19 @@ fn main() {
         "distributed airfoil: {nranks} ranks, {} cells, {iters} iters",
         mesh.ncells()
     );
-    let report = run_distributed(&data, &consts, &q0, nranks, iters, (iters / 5).max(1))
-        .expect("distributed march");
+    let part = Partition::strips(mesh.ncells(), nranks);
+    let clean = DistOptions::default();
+    let report =
+        run_distributed_opts(&data, &consts, &q0, &part, iters, (iters / 5).max(1), &clean)
+            .expect("distributed march");
     for (iter, rms) in &report.rms {
         println!("  iter {iter:>6}  rms {rms:.6e}");
     }
 
     // Cross-check against a 1-rank (single-node natural-order) run.
-    let single = run_distributed(&data, &consts, &q0, 1, iters, iters).expect("1-rank march");
+    let one_rank = Partition::strips(mesh.ncells(), 1);
+    let single = run_distributed_opts(&data, &consts, &q0, &one_rank, iters, iters, &clean)
+        .expect("1-rank march");
     let max_dev = report
         .final_q
         .iter()
@@ -54,7 +59,6 @@ fn main() {
     // link. The sequenced retry protocol must mask all of it — the result
     // is required to be *bit-identical* to the fault-free march above.
     let seed = 42;
-    let part = Partition::strips(mesh.ncells(), nranks);
     let faulty = run_distributed_opts(
         &data,
         &consts,
@@ -111,15 +115,16 @@ fn main() {
 
     // Hybrid mode: the same ranks, each running its loops on the dataflow
     // backend with its own thread pool (the paper's MPI+HPX configuration).
-    let hybrid = op2_dist::run_hybrid(
+    let hybrid = run_hybrid_opts(
         &data,
         &consts,
         &q0,
-        nranks,
+        &part,
         2,
         op2_hpx::BackendKind::Dataflow,
         iters,
         iters,
+        &clean,
     )
     .expect("hybrid march");
     let max_dev_h = hybrid

@@ -3,17 +3,16 @@
 //! which is what the planner (coloring) and the dataflow dependency analysis
 //! consume.
 //!
-//! Every loop carries **two kernel bodies** (see
-//! [`op2_core::ParLoopBuilder::kernel_chunked`]):
+//! Every loop has **one kernel body**. `adt_calc`, `res_calc` and
+//! `bres_calc` hand their per-element function to
+//! [`op2_core::ParLoopBuilder::kernel`], which derives the span loop around
+//! it; `save_soln` and `update` do something per span (contiguous copies, a
+//! blocked RMS replay) and are written as span bodies
+//! ([`op2_core::ParLoopBuilder::kernel_span`]) that fall back to the same
+//! per-element functions. The `*_one` functions are also the reference the
+//! contract test below iterates directly.
 //!
-//! * a per-element scalar reference body — the `#[cfg]`-selectable path
-//!   (`scalar-kernels` feature) that tests pin bitwise identity against;
-//! * a chunked body that runs a whole plan-block span per dynamic dispatch,
-//!   with branch-minimized inner loops; order-independent bodies
-//!   (`save_soln`'s copy) additionally take contiguous/component-slice fast
-//!   paths that the autovectorizer turns into vector moves.
-//!
-//! Both bodies reach their dats only through layout-agnostic [`DatView`]
+//! The bodies reach their dats only through layout-agnostic [`DatView`]
 //! accessors (`load`/`store`/`add_vec`/`span`/`comp`), so the same wiring
 //! serves AoS, SoA, and AoSoA meshes unchanged — and produces bitwise
 //! identical results for each (the arithmetic per element never depends on
@@ -117,7 +116,7 @@ unsafe fn bres_one(
 }
 
 /// One `update` element. Element-outer, component-inner order is load-bearing:
-/// the RMS partial sum accumulates in exactly this order, so the chunked body
+/// the RMS partial sum accumulates in exactly this order, so the span body
 /// must (and does) iterate elements ascending.
 #[inline(always)]
 unsafe fn update_one(
@@ -165,45 +164,38 @@ impl AirfoilLoops {
         let save_soln = ParLoop::build("save_soln", &mesh.cells)
             .arg(arg_direct(&mesh.p_q, Access::Read))
             .arg(arg_direct(&mesh.p_qold, Access::Write))
-            .kernel_chunked(
-                move |e, _| unsafe {
-                    save_one(&qv, &qoldv, e);
-                },
-                move |span, _| unsafe {
-                    // A copy is bitwise order-independent, so take whatever
-                    // contiguous shape the layouts offer: whole-span memcpy
-                    // (AoS/AoS), per-component memcpy (SoA/SoA), else the
-                    // element loop.
-                    if let (Some(src), Some(dst)) =
-                        (qv.span(span.clone()), qoldv.span_mut(span.clone()))
-                    {
+            .kernel_span(move |span, _| unsafe {
+                // A copy is bitwise order-independent, so take whatever
+                // contiguous shape the layouts offer: whole-span memcpy
+                // (AoS/AoS), per-component memcpy (SoA/SoA), else the
+                // element loop.
+                if let (Some(src), Some(dst)) =
+                    (qv.span(span.clone()), qoldv.span_mut(span.clone()))
+                {
+                    dst.copy_from_slice(src);
+                    return;
+                }
+                let all_comps = (0..4)
+                    .all(|j| qv.comp(j).unit_stride(&span) && qoldv.comp(j).unit_stride(&span));
+                if all_comps {
+                    for j in 0..4 {
+                        let qc = qv.comp(j);
+                        let qoldc = qoldv.comp(j);
+                        let src = qc.contiguous(span.clone()).unwrap();
+                        let dst = qoldc.contiguous_mut(span.clone()).unwrap();
                         dst.copy_from_slice(src);
-                        return;
                     }
-                    let all_comps = (0..4).all(|j| {
-                        qv.comp(j).unit_stride(&span) && qoldv.comp(j).unit_stride(&span)
-                    });
-                    if all_comps {
-                        for j in 0..4 {
-                            let qc = qv.comp(j);
-                            let qoldc = qoldv.comp(j);
-                            let src = qc.contiguous(span.clone()).unwrap();
-                            let dst = qoldc.contiguous_mut(span.clone()).unwrap();
-                            dst.copy_from_slice(src);
-                        }
-                        return;
-                    }
-                    for e in span {
-                        save_one(&qv, &qoldv, e);
-                    }
-                },
-            );
+                    return;
+                }
+                for e in span {
+                    save_one(&qv, &qoldv, e);
+                }
+            });
 
         // adt_calc ---------------------------------------------------------
         let xv = mesh.p_x.view();
         let adtv = mesh.p_adt.view();
         let pcell = mesh.pcell.clone();
-        let pcell2 = mesh.pcell.clone();
         let adt_calc = ParLoop::build("adt_calc", &mesh.cells)
             .arg(arg_indirect(&mesh.p_x, 0, &mesh.pcell, Access::Read))
             .arg(arg_indirect(&mesh.p_x, 1, &mesh.pcell, Access::Read))
@@ -215,23 +207,14 @@ impl AirfoilLoops {
             // (e.g. sqrt of a negative pressure from a blown-up state) would
             // silently corrupt the whole march, so fail the loop instead.
             .guard_finite()
-            .kernel_chunked(
-                move |e, _| unsafe {
-                    adt_one(&xv, &qv, &adtv, &pcell, &c, e);
-                },
-                move |span, _| unsafe {
-                    for e in span {
-                        adt_one(&xv, &qv, &adtv, &pcell2, &c, e);
-                    }
-                },
-            );
+            .kernel(move |e, _| unsafe {
+                adt_one(&xv, &qv, &adtv, &pcell, &c, e);
+            });
 
         // res_calc ---------------------------------------------------------
         let resv = mesh.p_res.view();
         let pedge = mesh.pedge.clone();
         let pecell = mesh.pecell.clone();
-        let pedge2 = mesh.pedge.clone();
-        let pecell2 = mesh.pecell.clone();
         let res_calc = ParLoop::build("res_calc", &mesh.edges)
             .arg(arg_indirect(&mesh.p_x, 0, &mesh.pedge, Access::Read))
             .arg(arg_indirect(&mesh.p_x, 1, &mesh.pedge, Access::Read))
@@ -241,25 +224,16 @@ impl AirfoilLoops {
             .arg(arg_indirect(&mesh.p_adt, 1, &mesh.pecell, Access::Read))
             .arg(arg_indirect(&mesh.p_res, 0, &mesh.pecell, Access::Inc))
             .arg(arg_indirect(&mesh.p_res, 1, &mesh.pecell, Access::Inc))
-            .kernel_chunked(
-                move |e, _| unsafe {
-                    res_one(&xv, &qv, &adtv, &resv, &pedge, &pecell, &c, e);
-                },
-                move |span, _| unsafe {
-                    // Ascending order is load-bearing: two edges of one block
-                    // may increment the same cell.
-                    for e in span {
-                        res_one(&xv, &qv, &adtv, &resv, &pedge2, &pecell2, &c, e);
-                    }
-                },
-            );
+            // The derived span loop's ascending order is load-bearing: two
+            // edges of one block may increment the same cell.
+            .kernel(move |e, _| unsafe {
+                res_one(&xv, &qv, &adtv, &resv, &pedge, &pecell, &c, e);
+            });
 
         // bres_calc --------------------------------------------------------
         let boundv = mesh.p_bound.view();
         let pbedge = mesh.pbedge.clone();
         let pbecell = mesh.pbecell.clone();
-        let pbedge2 = mesh.pbedge.clone();
-        let pbecell2 = mesh.pbecell.clone();
         let bres_calc = ParLoop::build("bres_calc", &mesh.bedges)
             .arg(arg_indirect(&mesh.p_x, 0, &mesh.pbedge, Access::Read))
             .arg(arg_indirect(&mesh.p_x, 1, &mesh.pbedge, Access::Read))
@@ -267,16 +241,9 @@ impl AirfoilLoops {
             .arg(arg_indirect(&mesh.p_adt, 0, &mesh.pbecell, Access::Read))
             .arg(arg_indirect(&mesh.p_res, 0, &mesh.pbecell, Access::Inc))
             .arg(arg_direct(&mesh.p_bound, Access::Read))
-            .kernel_chunked(
-                move |e, _| unsafe {
-                    bres_one(&xv, &qv, &adtv, &resv, &boundv, &pbedge, &pbecell, &c, e);
-                },
-                move |span, _| unsafe {
-                    for e in span {
-                        bres_one(&xv, &qv, &adtv, &resv, &boundv, &pbedge2, &pbecell2, &c, e);
-                    }
-                },
-            );
+            .kernel(move |e, _| unsafe {
+                bres_one(&xv, &qv, &adtv, &resv, &boundv, &pbedge, &pbecell, &c, e);
+            });
 
         // update -----------------------------------------------------------
         let update = ParLoop::build("update", &mesh.cells)
@@ -285,85 +252,80 @@ impl AirfoilLoops {
             .arg(arg_direct(&mesh.p_res, Access::ReadWrite))
             .arg(arg_direct(&mesh.p_adt, Access::Read))
             .gbl_inc(1)
-            .kernel_chunked(
-                move |e, gbl| unsafe {
-                    update_one(&qoldv, &qv, &resv, &adtv, e, &mut gbl[0]);
-                },
-                move |span, gbl| unsafe {
-                    // Component-slice fast path (SoA): the state update of
-                    // each element depends only on that element, so it may
-                    // run plane-by-plane — `(1.0 / adt) * res` is the exact
-                    // expression the scalar kernel evaluates, so the bits
-                    // match. Only the RMS accumulation is order-sensitive;
-                    // it replays the saved deltas in the pinned
-                    // element-outer, component-inner order afterwards.
-                    let n = span.len();
-                    let planes = n > 1
-                        && adtv.comp(0).unit_stride(&span)
-                        && (0..4).all(|j| {
-                            qoldv.comp(j).unit_stride(&span)
-                                && qv.comp(j).unit_stride(&span)
-                                && resv.comp(j).unit_stride(&span)
-                        });
-                    if planes {
-                        // Fixed-size stack buffers: no allocation in the hot
-                        // path, and the delta replay stays L1-resident.
-                        const B: usize = 16;
-                        let adtc = adtv.comp(0);
-                        let adt = adtc.contiguous(span.clone()).unwrap();
-                        let qoc: [_; 4] = std::array::from_fn(|j| qoldv.comp(j));
-                        let qc: [_; 4] = std::array::from_fn(|j| qv.comp(j));
-                        let rc: [_; 4] = std::array::from_fn(|j| resv.comp(j));
-                        let qold: [&[f64]; 4] =
-                            std::array::from_fn(|j| qoc[j].contiguous(span.clone()).unwrap());
-                        let q: [&mut [f64]; 4] =
-                            std::array::from_fn(|j| qc[j].contiguous_mut(span.clone()).unwrap());
-                        let res: [&mut [f64]; 4] =
-                            std::array::from_fn(|j| rc[j].contiguous_mut(span.clone()).unwrap());
-                        let mut recip = [0.0f64; B];
-                        let mut dels = [0.0f64; 4 * B];
-                        let mut rms = gbl[0];
-                        let mut at = 0usize;
-                        while at < n {
-                            let m = B.min(n - at);
-                            let a = &adt[at..at + m];
-                            for i in 0..m {
-                                recip[i] = 1.0 / a[i];
-                            }
-                            for j in 0..4 {
-                                let qold = &qold[j][at..at + m];
-                                let q = &mut q[j][at..at + m];
-                                let res = &mut res[j][at..at + m];
-                                let d = &mut dels[j * B..j * B + m];
-                                for i in 0..m {
-                                    let del = recip[i] * res[i];
-                                    q[i] = qold[i] - del;
-                                    res[i] = 0.0;
-                                    d[i] = del;
-                                }
-                            }
-                            for i in 0..m {
-                                let d0 = dels[i];
-                                let d1 = dels[B + i];
-                                let d2 = dels[2 * B + i];
-                                let d3 = dels[3 * B + i];
-                                rms += d0 * d0;
-                                rms += d1 * d1;
-                                rms += d2 * d2;
-                                rms += d3 * d3;
-                            }
-                            at += m;
+            .kernel_span(move |span, gbl| unsafe {
+                // Component-slice fast path (SoA): the state update of each
+                // element depends only on that element, so it may run
+                // plane-by-plane — `(1.0 / adt) * res` is the exact
+                // expression `kernels::update` evaluates, so the bits match.
+                // Only the RMS accumulation is order-sensitive; it replays
+                // the saved deltas in the pinned element-outer,
+                // component-inner order afterwards.
+                let n = span.len();
+                let planes = n > 1
+                    && adtv.comp(0).unit_stride(&span)
+                    && (0..4).all(|j| {
+                        qoldv.comp(j).unit_stride(&span)
+                            && qv.comp(j).unit_stride(&span)
+                            && resv.comp(j).unit_stride(&span)
+                    });
+                if planes {
+                    // Fixed-size stack buffers: no allocation in the hot
+                    // path, and the delta replay stays L1-resident.
+                    const B: usize = 16;
+                    let adtc = adtv.comp(0);
+                    let adt = adtc.contiguous(span.clone()).unwrap();
+                    let qoc: [_; 4] = std::array::from_fn(|j| qoldv.comp(j));
+                    let qc: [_; 4] = std::array::from_fn(|j| qv.comp(j));
+                    let rc: [_; 4] = std::array::from_fn(|j| resv.comp(j));
+                    let qold: [&[f64]; 4] =
+                        std::array::from_fn(|j| qoc[j].contiguous(span.clone()).unwrap());
+                    let q: [&mut [f64]; 4] =
+                        std::array::from_fn(|j| qc[j].contiguous_mut(span.clone()).unwrap());
+                    let res: [&mut [f64]; 4] =
+                        std::array::from_fn(|j| rc[j].contiguous_mut(span.clone()).unwrap());
+                    let mut recip = [0.0f64; B];
+                    let mut dels = [0.0f64; 4 * B];
+                    let mut rms = gbl[0];
+                    let mut at = 0usize;
+                    while at < n {
+                        let m = B.min(n - at);
+                        let a = &adt[at..at + m];
+                        for i in 0..m {
+                            recip[i] = 1.0 / a[i];
                         }
-                        gbl[0] = rms;
-                        return;
+                        for j in 0..4 {
+                            let qold = &qold[j][at..at + m];
+                            let q = &mut q[j][at..at + m];
+                            let res = &mut res[j][at..at + m];
+                            let d = &mut dels[j * B..j * B + m];
+                            for i in 0..m {
+                                let del = recip[i] * res[i];
+                                q[i] = qold[i] - del;
+                                res[i] = 0.0;
+                                d[i] = del;
+                            }
+                        }
+                        for i in 0..m {
+                            let d0 = dels[i];
+                            let d1 = dels[B + i];
+                            let d2 = dels[2 * B + i];
+                            let d3 = dels[3 * B + i];
+                            rms += d0 * d0;
+                            rms += d1 * d1;
+                            rms += d2 * d2;
+                            rms += d3 * d3;
+                        }
+                        at += m;
                     }
-                    // Element-outer keeps the RMS accumulation order pinned
-                    // to the scalar reference path.
-                    for e in span {
-                        update_one(&qoldv, &qv, &resv, &adtv, e, &mut gbl[0]);
-                    }
-                },
-            );
+                    gbl[0] = rms;
+                    return;
+                }
+                // Element-outer keeps the RMS accumulation order pinned to
+                // the per-element reference.
+                for e in span {
+                    update_one(&qoldv, &qv, &resv, &adtv, e, &mut gbl[0]);
+                }
+            });
 
         AirfoilLoops {
             save_soln,
@@ -424,11 +386,14 @@ mod tests {
         }
     }
 
-    /// The chunked bodies must be bit-identical to the per-element reference
-    /// path over arbitrary spans — this is the contract every executor and
-    /// det sweep relies on.
+    /// Every loop's one body, driven through `run_span` over uneven spans,
+    /// must be bit-identical to iterating the `*_one` reference directly —
+    /// the contract every executor and det sweep relies on, on every layout
+    /// (AoS takes `save_soln`'s whole-span memcpy, SoA its per-component
+    /// memcpy and `update`'s blocked RMS, AoSoA the element fallbacks).
     #[test]
-    fn chunked_bodies_match_scalar_reference() {
+    fn span_bodies_match_per_element_reference() {
+        type PerElement<'a> = Box<dyn Fn(usize, &mut [f64]) + 'a>;
         let consts = FlowConstants::default();
         for layout in [
             op2_core::Layout::Aos,
@@ -439,35 +404,56 @@ mod tests {
                 layout,
                 ..Default::default()
             };
-            let mesh = MeshBuilder::channel(12, 6).build_with(&consts, &opts);
-            mesh.add_pulse(2.0, 0.5, 0.4, 0.2, &consts);
-            let mesh2 = MeshBuilder::channel(12, 6).build_with(&consts, &opts);
-            mesh2.add_pulse(2.0, 0.5, 0.4, 0.2, &consts);
+            let build = || {
+                let mesh = MeshBuilder::channel(12, 6).build_with(&consts, &opts);
+                mesh.add_pulse(2.0, 0.5, 0.4, 0.2, &consts);
+                mesh
+            };
+            let (mesh, mesh2) = (build(), build());
             let a = AirfoilLoops::new(&mesh, &consts);
-            let b = AirfoilLoops::new(&mesh2, &consts);
-            for (la, lb) in [
-                (&a.save_soln, &b.save_soln),
-                (&a.adt_calc, &b.adt_calc),
-                (&a.res_calc, &b.res_calc),
-                (&a.bres_calc, &b.bres_calc),
-                (&a.update, &b.update),
-            ] {
+            let m = &mesh2;
+            let (xv, qv, qoldv) = (m.p_x.view(), m.p_q.view(), m.p_qold.view());
+            let (adtv, resv, boundv) = (m.p_adt.view(), m.p_res.view(), m.p_bound.view());
+            let c = &consts;
+            let reference: [(&ParLoop, PerElement); 5] = [
+                (&a.save_soln, Box::new(|e, _| unsafe { save_one(&qv, &qoldv, e) })),
+                (
+                    &a.adt_calc,
+                    Box::new(|e, _| unsafe { adt_one(&xv, &qv, &adtv, &m.pcell, c, e) }),
+                ),
+                (
+                    &a.res_calc,
+                    Box::new(|e, _| unsafe {
+                        res_one(&xv, &qv, &adtv, &resv, &m.pedge, &m.pecell, c, e)
+                    }),
+                ),
+                (
+                    &a.bres_calc,
+                    Box::new(|e, _| unsafe {
+                        bres_one(&xv, &qv, &adtv, &resv, &boundv, &m.pbedge, &m.pbecell, c, e)
+                    }),
+                ),
+                (
+                    &a.update,
+                    Box::new(|e, gbl| unsafe {
+                        update_one(&qoldv, &qv, &resv, &adtv, e, &mut gbl[0])
+                    }),
+                ),
+            ];
+            for (la, one) in &reference {
                 let n = la.set().size();
-                // Uneven spans force the fast paths through their edge cases.
                 let mut gbl_a = vec![0.0f64; la.gbl_dim()];
-                let mut gbl_b = vec![0.0f64; lb.gbl_dim()];
-                // Under the scalar-kernels feature no chunked body exists —
-                // nothing to compare.
-                let Some(ck) = la.chunk_kernel() else { continue };
+                let mut gbl_b = vec![0.0f64; la.gbl_dim()];
+                // Uneven spans force the fast paths through their edge cases.
                 let mut at = 0usize;
                 for (i, w) in [7usize, 1, 13, 64, 3].iter().cycle().enumerate() {
                     if at >= n {
                         break;
                     }
                     let hi = (at + w + i % 2).min(n);
-                    ck(at..hi, &mut gbl_a);
+                    la.run_span(at..hi, &mut gbl_a);
                     for e in at..hi {
-                        lb.kernel()(e, &mut gbl_b);
+                        one(e, &mut gbl_b);
                     }
                     at = hi;
                 }

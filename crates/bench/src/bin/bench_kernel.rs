@@ -10,20 +10,18 @@
 //! exists to repair. Two sections:
 //!
 //! * `arms` — per-kernel wall time of a serial airfoil march for each
-//!   (dispatch × layout × renumbered) arm. The `scalar/aos/unrenumbered`
-//!   arm is the pre-PR default (one dynamic dispatch per element, AoS, mesh
-//!   as handed to us); the chunked arms run whole spans per dispatch with
-//!   the branch-minimized bodies the autovectorizer fires on. The gate
-//!   (`scripts/bench_gate.py`) requires chunked SoA or AoSoA with RCM to
-//!   beat that default on `res_calc` and `update`.
+//!   (layout × renumbered) arm, every loop driven over its whole set through
+//!   [`ParLoop::run_span`]. The `aos/unrenumbered` arm is the default (AoS,
+//!   mesh as handed to us). The gate (`scripts/bench_gate.py`) requires SoA
+//!   or AoSoA with RCM to beat that default on `res_calc` and `update`.
 //! * `backends` — full-march wall time of the default and tuned arms on
 //!   every backend, pinning that the tuned arm stays bitwise identical
 //!   across all of them (same digest).
 //!
-//! Digests are layout- and dispatch-independent by construction (the
-//! chunked-vs-scalar and layout contracts), but renumbering legitimately
-//! reorders the `res_calc` increments, so the two renumber classes carry
-//! two distinct digests — the gate checks exactly that split.
+//! Digests are layout-independent by construction (the layout contract), but
+//! renumbering legitimately reorders the `res_calc` increments, so the two
+//! renumber classes carry two distinct digests — the gate checks exactly
+//! that split.
 
 use std::time::Instant;
 
@@ -72,57 +70,45 @@ fn build(base: &MeshData, consts: &FlowConstants, opts: MeshOptions) -> Mesh {
 
 /// Run one loop over its full set in ascending order (exactly what the
 /// serial executor does), returning elapsed ns.
-fn run_loop(l: &ParLoop, chunked: bool) -> u64 {
-    let n = l.set().size();
+fn run_loop(l: &ParLoop) -> u64 {
     let mut gbl = vec![0.0f64; l.gbl_dim()];
     let t0 = Instant::now();
-    if chunked {
-        let ck = l
-            .chunk_kernel()
-            .expect("chunked body (bench_kernel needs a build without --features scalar-kernels)");
-        ck(0..n, &mut gbl);
-    } else {
-        let k = l.kernel();
-        for e in 0..n {
-            k(e, &mut gbl);
-        }
-    }
+    l.run_span(0..l.set().size(), &mut gbl);
     t0.elapsed().as_nanos() as u64
 }
 
 /// One timed serial march; returns accumulated ns per kernel (issue order).
-fn march(loops: &AirfoilLoops, chunked: bool) -> [u64; 5] {
+fn march(loops: &AirfoilLoops) -> [u64; 5] {
     let mut ns = [0u64; 5];
     for _iter in 0..ITERS {
-        ns[0] += run_loop(&loops.save_soln, chunked);
+        ns[0] += run_loop(&loops.save_soln);
         for _k in 0..2 {
-            ns[1] += run_loop(&loops.adt_calc, chunked);
-            ns[2] += run_loop(&loops.res_calc, chunked);
-            ns[3] += run_loop(&loops.bres_calc, chunked);
-            ns[4] += run_loop(&loops.update, chunked);
+            ns[1] += run_loop(&loops.adt_calc);
+            ns[2] += run_loop(&loops.res_calc);
+            ns[3] += run_loop(&loops.bres_calc);
+            ns[4] += run_loop(&loops.update);
         }
     }
     ns
 }
 
-/// Measure one (dispatch × layout × renumbered) arm: min-of-repeats per
-/// kernel, each repeat on a freshly built mesh.
-fn measure_arm(base: &MeshData, consts: &FlowConstants, chunked: bool, opts: MeshOptions) -> Value {
+/// Measure one (layout × renumbered) arm: min-of-repeats per kernel, each
+/// repeat on a freshly built mesh.
+fn measure_arm(base: &MeshData, consts: &FlowConstants, opts: MeshOptions) -> Value {
     let mut best = [u64::MAX; 5];
     let mut dig = 0u64;
     for _ in 0..REPEATS {
         let mesh = build(base, consts, opts);
         let loops = AirfoilLoops::new(&mesh, consts);
-        let ns = march(&loops, chunked);
+        let ns = march(&loops);
         for (b, n) in best.iter_mut().zip(ns) {
             *b = (*b).min(n);
         }
         dig = digest(&mesh);
     }
-    let dispatch = if chunked { "chunked" } else { "scalar" };
     let total: u64 = best.iter().sum();
     println!(
-        "{dispatch:<8} {:<7} ren={:<5} total {:>9.3} ms  res_calc {:>9.3} ms  update {:>9.3} ms",
+        "{:<7} ren={:<5} total {:>9.3} ms  res_calc {:>9.3} ms  update {:>9.3} ms",
         opts.layout.label(),
         opts.renumber,
         total as f64 / 1e6,
@@ -130,7 +116,6 @@ fn measure_arm(base: &MeshData, consts: &FlowConstants, chunked: bool, opts: Mes
         best[4] as f64 / 1e6,
     );
     obj(vec![
-        ("dispatch", Value::Str(dispatch.into())),
         ("layout", Value::Str(opts.layout.label())),
         ("renumbered", Value::Bool(opts.renumber)),
         (
@@ -191,19 +176,8 @@ fn main() {
     let layouts = [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 8 }];
     let mut arms = Vec::new();
     for renumber in [false, true] {
-        // The scalar reference dispatch only ever runs the declared-default
-        // AoS layout: it is the pre-PR baseline, not a tuning axis.
-        arms.push(measure_arm(
-            &base,
-            &consts,
-            false,
-            MeshOptions {
-                layout: Layout::Aos,
-                renumber,
-            },
-        ));
         for layout in layouts {
-            arms.push(measure_arm(&base, &consts, true, MeshOptions { layout, renumber }));
+            arms.push(measure_arm(&base, &consts, MeshOptions { layout, renumber }));
         }
     }
 

@@ -24,7 +24,7 @@ use crate::recover::{
     check_finite, run_transaction, FailSlot, FailureKind, FenceReport, LoopError, WriteSet,
 };
 use crate::runtime::Op2Runtime;
-use crate::{tune, tracehooks, Executor};
+use crate::{tracehooks, Executor};
 
 /// One issued-and-unfenced loop: its future, the structured-failure slot the
 /// transactional wrapper fills, and the loop name for fallback provenance.
@@ -64,17 +64,8 @@ impl Executor for AsyncExecutor {
     }
 
     fn try_execute(&self, loop_: &ParLoop) -> Result<LoopHandle, LoopError> {
-        let trial = tune::begin(&self.rt, loop_, &[]);
-        let plan = self.rt.plan_with(loop_, trial.as_ref().and_then(|t| t.plan()));
-        plan.validate_cached(loop_.args()).map_err(|e| {
-            LoopError::new(loop_.name(), self.name(), FailureKind::Plan(e), false)
-        })?;
+        let (trial, plan, chunk) = self.rt.prepare(loop_, self.name(), self.chunk)?;
         let pool = Arc::clone(self.rt.pool());
-        let chunk = trial
-            .as_ref()
-            .and_then(|t| t.chunk_blocks(plan.part_size))
-            .map(hpx_rt::ChunkSize::Tuned)
-            .unwrap_or(self.chunk);
         let cancel = self.rt.cancel_token().clone();
         let err_slot: Arc<Mutex<Option<LoopError>>> = Arc::new(Mutex::new(None));
         let instance = tracehooks::next_instance();

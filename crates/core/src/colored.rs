@@ -21,38 +21,26 @@ use hpx_rt::{
     for_each_index_cancel, for_each_index_task_cancel, par, par_task, CancelToken, Cancelled,
     ChunkSize, Pool, Promise, TaskPanic,
 };
-use op2_core::{ChunkKernelFn, GlobalAcc, KernelFn, ParLoop, Plan};
+use op2_core::{GlobalAcc, KernelFn, ParLoop, Plan};
 
 use crate::recover::{FailSlot, FailureKind};
 
-/// Run one plan block's elements, tracking the element under execution so a
-/// kernel panic is re-raised as a [`TaskPanic`] with loop/element provenance.
-/// When a `fail` slot is supplied (asynchronous color chains), the structured
-/// failure is also parked there — the future layer only transports strings.
-///
-/// When the loop carries a chunked kernel body it runs over the whole block
-/// span (bit-identical to the per-element path by contract); panic
-/// provenance then resolves to the block's first element rather than the
-/// exact one.
+/// Run one plan block's elements, handing the kernel the cell it keeps
+/// pointed at the element under execution, so a kernel panic is re-raised as
+/// a [`TaskPanic`] with loop/element provenance (the exact element for a
+/// body derived from a per-element closure, the block's first for a body
+/// written per span). When a `fail` slot is supplied (asynchronous color
+/// chains), the structured failure is also parked there — the future layer
+/// only transports strings.
 pub(crate) fn run_block(
     loop_name: &str,
     kernel: &KernelFn,
-    chunk_kernel: Option<&ChunkKernelFn>,
     block: std::ops::Range<usize>,
     scratch: &mut [f64],
     fail: Option<&FailSlot>,
 ) {
     let current = Cell::new(block.start);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(ck) = chunk_kernel {
-            ck(block, scratch);
-        } else {
-            for e in block {
-                current.set(e);
-                kernel(e, scratch);
-            }
-        }
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| kernel(block, scratch, &current)));
     if let Err(p) = result {
         let tp = TaskPanic::wrap(p, current.get(), loop_name);
         if let Some(slot) = fail {
@@ -79,7 +67,6 @@ pub(crate) fn run_plan_order_tracked(
     cancel: Option<&CancelToken>,
 ) -> Vec<f64> {
     let kernel = loop_.kernel();
-    let chunk_kernel = loop_.chunk_kernel();
     let acc = GlobalAcc::with_op(loop_.gbl_dim(), plan.nblocks(), loop_.gbl_op());
     for color in &plan.color_blocks {
         if let Some(reason) = cancel.and_then(CancelToken::check) {
@@ -88,14 +75,7 @@ pub(crate) fn run_plan_order_tracked(
         for &b in color {
             let b = b as usize;
             let mut scratch = acc.scratch();
-            run_block(
-                loop_.name(),
-                kernel,
-                chunk_kernel,
-                plan.blocks[b].clone(),
-                &mut scratch,
-                None,
-            );
+            run_block(loop_.name(), kernel, plan.blocks[b].clone(), &mut scratch, None);
             acc.store(b, scratch);
         }
     }
@@ -112,7 +92,6 @@ pub fn run_colored<P: Pool + ?Sized>(
     cancel: Option<&CancelToken>,
 ) -> Vec<f64> {
     let kernel = loop_.kernel();
-    let chunk_kernel = loop_.chunk_kernel();
     let name = loop_.name();
     let acc = GlobalAcc::with_op(loop_.gbl_dim(), plan.nblocks(), loop_.gbl_op());
     #[cfg(feature = "det")]
@@ -134,7 +113,7 @@ pub fn run_colored<P: Pool + ?Sized>(
             #[cfg(feature = "det")]
             op2_core::det::enter_block(epoch, b as u32);
             let mut scratch = acc.scratch();
-            run_block(name, kernel, chunk_kernel, plan.blocks[b].clone(), &mut scratch, None);
+            run_block(name, kernel, plan.blocks[b].clone(), &mut scratch, None);
             acc.store(b, scratch);
             #[cfg(feature = "det")]
             op2_core::det::exit_block();
@@ -162,7 +141,6 @@ pub fn run_colored_task(
         plan: Arc::clone(plan),
         name: loop_.name().to_owned(),
         kernel: loop_.kernel().clone(),
-        chunk_kernel: loop_.chunk_kernel().cloned(),
         acc: GlobalAcc::with_op(loop_.gbl_dim(), plan.nblocks(), loop_.gbl_op()),
         chunk,
         cancel,
@@ -176,8 +154,7 @@ struct ChainCtx {
     pool: Arc<dyn Pool>,
     plan: Arc<Plan>,
     name: String,
-    kernel: op2_core::KernelFn,
-    chunk_kernel: Option<ChunkKernelFn>,
+    kernel: KernelFn,
     acc: GlobalAcc,
     chunk: ChunkSize,
     cancel: Option<CancelToken>,
@@ -227,7 +204,6 @@ fn launch_color(ctx: Arc<ChainCtx>, color_idx: usize, promise: Promise<Vec<f64>>
             run_block(
                 &body_ctx.name,
                 &body_ctx.kernel,
-                body_ctx.chunk_kernel.as_ref(),
                 body_ctx.plan.blocks[b].clone(),
                 &mut scratch,
                 body_ctx.fail.as_ref(),

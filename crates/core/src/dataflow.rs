@@ -31,7 +31,7 @@ use crate::colored::run_colored;
 use crate::handle::LoopHandle;
 use crate::recover::{run_transaction, FailureKind, FenceReport, LoopError};
 use crate::runtime::Op2Runtime;
-use crate::{tune, tracehooks, Executor};
+use crate::{tracehooks, Executor};
 
 /// Readers-since-write lists longer than this are merged into one future.
 const READER_COMPACT_THRESHOLD: usize = 64;
@@ -90,17 +90,8 @@ impl Executor for DataflowExecutor {
     }
 
     fn try_execute(&self, loop_: &ParLoop) -> Result<LoopHandle, LoopError> {
-        let trial = tune::begin(&self.rt, loop_, &[]);
-        let plan = self.rt.plan_with(loop_, trial.as_ref().and_then(|t| t.plan()));
-        plan.validate_cached(loop_.args()).map_err(|e| {
-            LoopError::new(loop_.name(), self.name(), FailureKind::Plan(e), false)
-        })?;
+        let (trial, plan, chunk) = self.rt.prepare(loop_, self.name(), self.chunk)?;
         let pool = Arc::clone(self.rt.pool());
-        let chunk = trial
-            .as_ref()
-            .and_then(|t| t.chunk_blocks(plan.part_size))
-            .map(ChunkSize::Tuned)
-            .unwrap_or(self.chunk);
         let reads = loop_.dat_reads();
         let writes = loop_.dat_writes();
 

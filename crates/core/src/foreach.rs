@@ -12,13 +12,12 @@ use std::sync::Arc;
 
 use hpx_rt::ChunkSize;
 use op2_core::ParLoop;
-use op2_trace::{EventKind, NO_NAME};
 
 use crate::colored::run_colored;
 use crate::handle::LoopHandle;
-use crate::recover::{run_transaction, FailureKind, LoopError};
+use crate::recover::LoopError;
 use crate::runtime::Op2Runtime;
-use crate::{tune, tracehooks, Executor};
+use crate::Executor;
 
 /// `for_each(par)` executor with configurable grain size.
 pub struct ForEachExecutor {
@@ -71,37 +70,13 @@ impl Executor for ForEachExecutor {
     }
 
     fn try_execute(&self, loop_: &ParLoop) -> Result<LoopHandle, LoopError> {
-        // A fixed-backend executor offers the tuner no backend choice; the
-        // trial still tunes the plan (where invariance allows), replaces the
-        // auto-partitioner's 1%-probe chunk with a measured one, and feeds
-        // the wall time back.
-        let trial = tune::begin(&self.rt, loop_, &[]);
-        let plan = self.rt.plan_with(loop_, trial.as_ref().and_then(|t| t.plan()));
-        plan.validate_cached(loop_.args())
-            .map_err(|e| LoopError::new(loop_.name(), self.name, FailureKind::Plan(e), false))?;
-        let chunk = trial
-            .as_ref()
-            .and_then(|t| t.chunk_blocks(plan.part_size))
-            .map(ChunkSize::Tuned)
-            .unwrap_or(self.chunk);
-        let instance = tracehooks::next_instance();
-        tracehooks::chain(&self.last_instance, instance);
-        tracehooks::loop_begin(loop_.name(), self.name, instance);
         // Still fork-join: the caller is held at the implicit barrier for
-        // the whole blocking call (work-helping netted out by the assembler).
-        let span = op2_trace::begin();
-        let cancel = self.rt.cancel_token().clone();
-        let result = run_transaction(loop_, self.name, || {
-            run_colored(self.rt.pool(), loop_, &plan, chunk, Some(&cancel))
-        });
-        op2_trace::end(span, EventKind::BarrierWait, NO_NAME, instance, 0);
-        tracehooks::loop_end(instance);
-        if result.is_ok() {
-            if let Some(t) = trial {
-                t.finish();
-            }
-        }
-        result.map(|gbl| LoopHandle::ready(gbl).with_instance(instance))
+        // the whole blocking call. A tuned chunk replaces the
+        // auto-partitioner's 1%-probe one.
+        let (name, last) = (self.name, &self.last_instance);
+        self.rt.execute_blocking(loop_, name, last, self.chunk, true, |plan, chunk, cancel| {
+            run_colored(self.rt.pool(), loop_, plan, chunk, Some(cancel))
+        })
     }
 }
 

@@ -13,13 +13,12 @@ use std::sync::Arc;
 
 use hpx_rt::ChunkSize;
 use op2_core::ParLoop;
-use op2_trace::{EventKind, NO_NAME};
 
 use crate::colored::run_colored;
 use crate::handle::LoopHandle;
-use crate::recover::{run_transaction, FailureKind, LoopError};
+use crate::recover::LoopError;
 use crate::runtime::Op2Runtime;
-use crate::{tune, tracehooks, Executor};
+use crate::Executor;
 
 /// OpenMP-style fork-join executor (the paper's baseline).
 pub struct ForkJoinExecutor {
@@ -46,41 +45,13 @@ impl Executor for ForkJoinExecutor {
         // Plan-parameter tuning only: the static schedule (one contiguous
         // chunk per worker) *is* this backend's semantics, so the tuner's
         // chunk knob does not apply here.
-        let trial = tune::begin(&self.rt, loop_, &[]);
-        let plan = self.rt.plan_with(loop_, trial.as_ref().and_then(|t| t.plan()));
-        plan.validate_cached(loop_.args()).map_err(|e| {
-            LoopError::new(loop_.name(), self.name(), FailureKind::Plan(e), false)
-        })?;
-        // schedule(static): ceil(nblocks / nthreads) blocks per worker chunk.
-        let per_thread = plan
-            .nblocks()
-            .div_ceil(self.rt.num_threads())
-            .max(1);
-        let instance = tracehooks::next_instance();
-        tracehooks::chain(&self.last_instance, instance);
-        tracehooks::loop_begin(loop_.name(), self.name(), instance);
-        // The whole blocking call is the implicit end-of-loop barrier from
-        // the caller's point of view: it is held here until every worker is
-        // done. The assembler nets out time the caller spent work-helping.
-        let span = op2_trace::begin();
-        let cancel = self.rt.cancel_token().clone();
-        let result = run_transaction(loop_, self.name(), || {
-            run_colored(
-                self.rt.pool(),
-                loop_,
-                &plan,
-                ChunkSize::Static(per_thread),
-                Some(&cancel),
-            )
-        });
-        op2_trace::end(span, EventKind::BarrierWait, NO_NAME, instance, 0);
-        tracehooks::loop_end(instance);
-        if result.is_ok() {
-            if let Some(t) = trial {
-                t.finish();
-            }
-        }
-        result.map(|gbl| LoopHandle::ready(gbl).with_instance(instance))
+        let (name, last) = (self.name(), &self.last_instance);
+        self.rt.execute_blocking(loop_, name, last, ChunkSize::Default, true, |plan, _, cancel| {
+            // schedule(static): ceil(nblocks / nthreads) blocks per worker chunk.
+            let per_thread = plan.nblocks().div_ceil(self.rt.num_threads()).max(1);
+            let chunk = ChunkSize::Static(per_thread);
+            run_colored(self.rt.pool(), loop_, plan, chunk, Some(cancel))
+        })
     }
 }
 

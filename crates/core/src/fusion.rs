@@ -102,12 +102,11 @@ pub fn try_fuse_direct(l1: &ParLoop, l2: &ParLoop) -> Result<ParLoop, FusionErro
         builder = builder.guard_finite();
     }
 
-    let k1 = l1.kernel().clone();
-    let k2 = l2.kernel().clone();
+    let (l1, l2) = (l1.clone(), l2.clone());
     Ok(builder.kernel(move |e, gbl| {
         let (g1, g2) = gbl.split_at_mut(d1);
-        k1(e, g1);
-        k2(e, g2);
+        l1.run_span(e..e + 1, g1);
+        l2.run_span(e..e + 1, g2);
     }))
 }
 

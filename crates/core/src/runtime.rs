@@ -1,11 +1,18 @@
 //! Shared runtime context for all backends: the HPX pool and the plan cache.
 
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use hpx_rt::{CancelToken, DetPool, Pool, PoolBuilder, SchedulePolicy};
+use hpx_rt::{CancelToken, ChunkSize, DetPool, Pool, PoolBuilder, SchedulePolicy};
 use op2_core::plan::PlanParams;
 use op2_core::{ParLoop, Plan, PlanCache};
+use op2_trace::{EventKind, NO_NAME};
 use op2_tune::Tuner;
+
+use crate::handle::LoopHandle;
+use crate::recover::{run_transaction, FailureKind, LoopError};
+use crate::tune::{self, LoopTrial};
+use crate::tracehooks;
 
 /// Default mini-partition (block) size, matching OP2's common setting.
 pub use op2_core::plan::DEFAULT_PART_SIZE;
@@ -156,6 +163,57 @@ impl Op2Runtime {
             .or(tuned)
             .unwrap_or_else(|| PlanParams::with_part_size(self.part_size));
         self.plans.get_with(loop_.set(), loop_.args(), params)
+    }
+
+    /// Every backend's decision point: open the tuner trial (a fixed backend
+    /// offers no backend choice, but its plan and chunk are still tuned and
+    /// its wall time — serial's too, which tiny sets are compared against —
+    /// still trains the model), resolve and validate the plan, and pick the
+    /// chunk: the tuner's measured one, else the backend's own `chunk`.
+    pub(crate) fn prepare(
+        &self,
+        loop_: &ParLoop,
+        backend: &'static str,
+        chunk: ChunkSize,
+    ) -> Result<(Option<LoopTrial>, Arc<Plan>, ChunkSize), LoopError> {
+        let trial = tune::begin(self, loop_, &[]);
+        let plan = self.plan_with(loop_, trial.as_ref().and_then(|t| t.plan()));
+        plan.validate_cached(loop_.args())
+            .map_err(|e| LoopError::new(loop_.name(), backend, FailureKind::Plan(e), false))?;
+        let tuned = trial.as_ref().and_then(|t| t.chunk_blocks(plan.part_size));
+        Ok((trial, plan, tuned.map_or(chunk, ChunkSize::Tuned)))
+    }
+
+    /// `try_execute` of a backend whose caller waits for the loop:
+    /// [`Op2Runtime::prepare`], a loop span chained in program order behind
+    /// `last`, `body` run as one transaction, the trial closed on success.
+    /// With `barrier` the whole call is recorded as the implicit end-of-loop
+    /// barrier the caller is held at (the assembler nets out the time it
+    /// spent work-helping); the serial backend runs the body itself and is
+    /// never held at one.
+    pub(crate) fn execute_blocking(
+        &self,
+        loop_: &ParLoop,
+        backend: &'static str,
+        last: &AtomicU64,
+        chunk: ChunkSize,
+        barrier: bool,
+        body: impl FnOnce(&Plan, ChunkSize, &CancelToken) -> Vec<f64>,
+    ) -> Result<LoopHandle, LoopError> {
+        let (trial, plan, chunk) = self.prepare(loop_, backend, chunk)?;
+        let instance = tracehooks::next_instance();
+        tracehooks::chain(last, instance);
+        tracehooks::loop_begin(loop_.name(), backend, instance);
+        let span = barrier.then(op2_trace::begin);
+        let result = run_transaction(loop_, backend, || body(&plan, chunk, &self.cancel));
+        if let Some(span) = span {
+            op2_trace::end(span, EventKind::BarrierWait, NO_NAME, instance, 0);
+        }
+        tracehooks::loop_end(instance);
+        if let (Ok(_), Some(t)) = (&result, trial) {
+            t.finish();
+        }
+        result.map(|gbl| LoopHandle::ready(gbl).with_instance(instance))
     }
 
     /// Number of distinct plans built so far (observability/tests).

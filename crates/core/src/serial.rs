@@ -3,13 +3,14 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
+use hpx_rt::ChunkSize;
 use op2_core::ParLoop;
 
 use crate::colored::run_plan_order_tracked;
 use crate::handle::LoopHandle;
-use crate::recover::{run_transaction, FailureKind, LoopError};
+use crate::recover::LoopError;
 use crate::runtime::Op2Runtime;
-use crate::{tune, tracehooks, Executor};
+use crate::Executor;
 
 /// Executes loops sequentially in plan order — the oracle every parallel
 /// backend must match bitwise (see [`op2_core::serial`]).
@@ -34,29 +35,10 @@ impl Executor for SerialExecutor {
     }
 
     fn try_execute(&self, loop_: &ParLoop) -> Result<LoopHandle, LoopError> {
-        // Serial runs still train the tuner: its wall times are what tiny
-        // sets are compared against when backend choice is on the table.
-        let trial = tune::begin(&self.rt, loop_, &[]);
-        let plan = self.rt.plan_with(loop_, trial.as_ref().and_then(|t| t.plan()));
-        plan.validate_cached(loop_.args()).map_err(|e| {
-            LoopError::new(loop_.name(), self.name(), FailureKind::Plan(e), false)
-        })?;
-        // Loop span + program-order edge, but no BarrierWait: the caller
-        // runs the body itself, it is never held at a barrier.
-        let instance = tracehooks::next_instance();
-        tracehooks::chain(&self.last_instance, instance);
-        tracehooks::loop_begin(loop_.name(), self.name(), instance);
-        let cancel = self.rt.cancel_token().clone();
-        let result = run_transaction(loop_, self.name(), || {
-            run_plan_order_tracked(loop_, &plan, Some(&cancel))
-        });
-        tracehooks::loop_end(instance);
-        if result.is_ok() {
-            if let Some(t) = trial {
-                t.finish();
-            }
-        }
-        result.map(|gbl| LoopHandle::ready(gbl).with_instance(instance))
+        let (name, last) = (self.name(), &self.last_instance);
+        self.rt.execute_blocking(loop_, name, last, ChunkSize::Default, false, |plan, _, cancel| {
+            run_plan_order_tracked(loop_, plan, Some(cancel))
+        })
     }
 }
 

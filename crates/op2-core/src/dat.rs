@@ -667,7 +667,7 @@ impl<T: Copy> DatView<T> {
     /// The raw storage of elements `range` as one contiguous slice
     /// (`range.len() * dim` values), when the layout stores whole elements
     /// contiguously (AoS, or any layout at `dim == 1`); `None` otherwise.
-    /// The chunked-kernel fast path for order-independent bodies (copies,
+    /// The span-kernel fast path for order-independent bodies (copies,
     /// fills).
     ///
     /// # Safety

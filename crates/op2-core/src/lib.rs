@@ -45,7 +45,7 @@ pub mod snapshot;
 pub use access::Access;
 pub use arg::{arg_direct, arg_indirect, ArgSpec, MapRef};
 pub use dat::{CompView, Dat, DatError, DatView, Layout};
-pub use loops::{ChunkKernelFn, KernelFn, ParLoop, ParLoopBuilder};
+pub use loops::{KernelFn, ParLoop, ParLoopBuilder};
 pub use map::{Map, MapError};
 pub use plan::{ColoringStrategy, Plan, PlanCache, PlanError, PlanKey, PlanParams};
 pub use renumber::MeshPermutation;

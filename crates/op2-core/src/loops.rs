@@ -1,32 +1,29 @@
 //! Parallel-loop descriptors — the analogue of `op_par_loop`.
 
+use std::cell::Cell;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
-
 
 use crate::arg::{ArgSpec, MapRef};
 use crate::reduction::GblOp;
 use crate::set::Set;
 
-/// The kernel body: called once per iteration-set element.
+/// The kernel body: called once per contiguous element span, which it visits
+/// in ascending order — so dynamic dispatch is paid per span, never per
+/// element.
 ///
-/// Arguments: the element index, and a per-block scratch slice for global
-/// (reduction) increments — empty when the loop declares no global argument.
-/// The kernel reaches its dats through captured [`crate::DatView`]s, which is
-/// what OP2's generated code does with raw pointers.
-pub type KernelFn = Arc<dyn Fn(usize, &mut [f64]) + Send + Sync>;
-
-/// An optional chunked kernel body: called once per contiguous element span
-/// instead of once per element, so the body can run a branch-minimized inner
-/// loop over component slices that the autovectorizer handles — and so the
-/// per-element dynamic dispatch is amortized over the whole span.
+/// Arguments: the span, a per-block scratch slice for global (reduction)
+/// increments — empty when the loop declares no global argument — and a cell
+/// the caller sets to the span start and a body that works element by
+/// element keeps pointed at the current one, which is where executors read
+/// kernel-panic provenance from. The kernel reaches its dats through captured
+/// [`crate::DatView`]s, which is what OP2's generated code does with raw
+/// pointers.
 ///
-/// Must be *bit-identical* to iterating the per-element [`KernelFn`] over the
-/// same span in ascending order (same arithmetic, same scratch updates); the
-/// executors choose freely between the two, and det sweeps pin the
-/// equivalence. Compile with the `scalar-kernels` feature to force every
-/// executor onto the per-element reference path.
-pub type ChunkKernelFn = Arc<dyn Fn(std::ops::Range<usize>, &mut [f64]) + Send + Sync>;
+/// There is one body per loop: [`ParLoopBuilder::kernel`] derives it from a
+/// per-element closure, [`ParLoopBuilder::kernel_span`] takes it as written.
+pub type KernelFn = Arc<dyn Fn(Range<usize>, &mut [f64], &Cell<usize>) + Send + Sync>;
 
 /// A parallel loop over a set: name, iteration set, argument declarations,
 /// optional global reduction, and the kernel.
@@ -42,7 +39,6 @@ pub struct ParLoop {
     gbl_op: GblOp,
     guard_finite: bool,
     kernel: KernelFn,
-    chunk_kernel: Option<ChunkKernelFn>,
 }
 
 /// Builder for [`ParLoop`]; validates argument/set consistency.
@@ -93,38 +89,20 @@ impl ParLoop {
         self.gbl_op
     }
 
-    /// The per-element kernel body (the scalar reference path).
+    /// The kernel body. Executors that report kernel-panic provenance call
+    /// it directly with their own element cell; everything else goes through
+    /// [`ParLoop::run_span`].
     pub fn kernel(&self) -> &KernelFn {
         &self.kernel
     }
 
-    /// The chunked kernel body, when one was attached with
-    /// [`ParLoopBuilder::kernel_chunked`]. Returns `None` under the
-    /// `scalar-kernels` feature, which pins every executor to the
-    /// per-element reference path.
-    pub fn chunk_kernel(&self) -> Option<&ChunkKernelFn> {
-        #[cfg(feature = "scalar-kernels")]
-        {
-            None
-        }
-        #[cfg(not(feature = "scalar-kernels"))]
-        {
-            self.chunk_kernel.as_ref()
-        }
-    }
-
-    /// Run the kernel over a contiguous span of elements in ascending order,
-    /// using the chunked body when available — the single dispatch point
-    /// every executor funnels block execution through.
+    /// Run the kernel over a contiguous span of elements in ascending order —
+    /// the single dispatch point every executor funnels block execution
+    /// through.
     #[inline]
-    pub fn run_span(&self, span: std::ops::Range<usize>, scratch: &mut [f64]) {
-        if let Some(ck) = self.chunk_kernel() {
-            ck(span, scratch);
-        } else {
-            for e in span {
-                (self.kernel)(e, scratch);
-            }
-        }
+    pub fn run_span(&self, span: Range<usize>, scratch: &mut [f64]) {
+        let current = Cell::new(span.start);
+        (self.kernel)(span, scratch, &current);
     }
 
     /// Should transactional executors scan this loop's written `f64` dats
@@ -254,29 +232,36 @@ impl ParLoopBuilder {
         self
     }
 
-    /// Attach the kernel and finish.
-    pub fn kernel(self, kernel: impl Fn(usize, &mut [f64]) + Send + Sync + 'static) -> ParLoop {
-        ParLoop {
-            name: self.name,
-            set: self.set,
-            args: self.args,
-            gbl_dim: self.gbl_dim,
-            gbl_op: self.gbl_op,
-            guard_finite: self.guard_finite,
-            kernel: Arc::new(kernel),
-            chunk_kernel: None,
-        }
+    /// Attach a per-element kernel `f(element, gbl)` and finish. The span
+    /// loop around it is derived here, monomorphized over `f`, so `f` inlines
+    /// into a plain counted loop and a panic inside it is attributed to the
+    /// exact element.
+    pub fn kernel(self, f: impl Fn(usize, &mut [f64]) + Send + Sync + 'static) -> ParLoop {
+        self.finish(Arc::new(
+            move |span: Range<usize>, gbl: &mut [f64], current: &Cell<usize>| {
+                for e in span {
+                    current.set(e);
+                    f(e, gbl);
+                }
+            },
+        ))
     }
 
-    /// Attach both a per-element reference kernel and a chunked fast path
-    /// and finish. The two must be bit-identical over any ascending span
-    /// (see [`ChunkKernelFn`]); executors prefer the chunked body unless
-    /// compiled with the `scalar-kernels` feature.
-    pub fn kernel_chunked(
+    /// Attach a kernel `f(span, gbl)` that does something per span — a block
+    /// copy, a hoisted load, a blocked reduction — and finish. It must leave
+    /// dats and `gbl` bit-identical to visiting the span's elements one by
+    /// one in ascending order; a panic inside it is attributed to the span's
+    /// first element.
+    pub fn kernel_span(
         self,
-        kernel: impl Fn(usize, &mut [f64]) + Send + Sync + 'static,
-        chunked: impl Fn(std::ops::Range<usize>, &mut [f64]) + Send + Sync + 'static,
+        f: impl Fn(Range<usize>, &mut [f64]) + Send + Sync + 'static,
     ) -> ParLoop {
+        self.finish(Arc::new(
+            move |span: Range<usize>, gbl: &mut [f64], _: &Cell<usize>| f(span, gbl),
+        ))
+    }
+
+    fn finish(self, kernel: KernelFn) -> ParLoop {
         ParLoop {
             name: self.name,
             set: self.set,
@@ -284,8 +269,7 @@ impl ParLoopBuilder {
             gbl_dim: self.gbl_dim,
             gbl_op: self.gbl_op,
             guard_finite: self.guard_finite,
-            kernel: Arc::new(kernel),
-            chunk_kernel: Some(Arc::new(chunked)),
+            kernel,
         }
     }
 }

@@ -272,7 +272,7 @@ impl MeshPermutation {
     }
 
     /// Permute a dat's elements in place (layout-aware, via
-    /// [`Dat::permute`]).
+    /// [`crate::Dat::permute`]).
     pub fn permute_dat<T: Copy + Send + Sync + 'static>(&self, dat: &crate::dat::Dat<T>) {
         dat.permute(&self.perm);
     }

@@ -29,8 +29,8 @@ pub fn execute_natural(loop_: &ParLoop) -> Vec<f64> {
 
 /// Execute `loop_` sequentially in plan order (colors → blocks → elements),
 /// with the block-ordered deterministic reduction. Dispatches through
-/// [`ParLoop::run_span`], so a chunked kernel body runs over exactly the
-/// plan's block spans — the same spans every parallel backend uses.
+/// [`ParLoop::run_span`], so the kernel body runs over exactly the plan's
+/// block spans — the same spans every parallel backend uses.
 pub fn execute_plan_order(loop_: &ParLoop, plan: &Plan) -> Vec<f64> {
     let acc = GlobalAcc::with_op(loop_.gbl_dim(), plan.nblocks(), loop_.gbl_op());
     for color in &plan.color_blocks {

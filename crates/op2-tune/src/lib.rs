@@ -988,6 +988,13 @@ mod tests {
         cold.load(&path).unwrap();
         assert!(cold.decide(&k, &c).trial.is_some(), "cold start re-explores");
 
+        // ...and so is a store without the seal (the pre-seal bare-JSON
+        // format is no longer read).
+        std::fs::write(&path, t.export().to_json()).unwrap();
+        let cold = Tuner::with_seed(4);
+        cold.load(&path).unwrap();
+        assert!(cold.decide(&k, &c).trial.is_some(), "unsealed store re-explores");
+
         // ...but a missing file still surfaces as an ordinary IO error.
         let missing = dir.join("nope.json");
         assert_eq!(

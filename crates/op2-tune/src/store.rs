@@ -156,25 +156,15 @@ impl TuneStore {
         op2_store::write_sealed(path, self.to_json().as_bytes(), None).map_err(store_to_io)
     }
 
-    /// Read, verify, and parse a store file. A store from before the
-    /// sealed format (bare JSON) is still accepted; a sealed store with a
-    /// bad checksum, bad length, or unknown version is `InvalidData`.
+    /// Read, verify, and parse a store file. Anything but an intact sealed
+    /// envelope — no seal at all, a bad checksum, a bad length, an unknown
+    /// version — is `InvalidData`.
     pub fn load(path: &Path) -> io::Result<TuneStore> {
         let bytes = std::fs::read(path)?;
-        match op2_store::unseal(&bytes) {
-            Ok(payload) => {
-                let json = String::from_utf8(payload)
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "store is not UTF-8"))?;
-                TuneStore::from_json(&json)
-            }
-            // Legacy pre-seal stores were bare JSON documents.
-            Err(_) if bytes.first() == Some(&b'{') => {
-                let json = String::from_utf8(bytes)
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "store is not UTF-8"))?;
-                TuneStore::from_json(&json)
-            }
-            Err(e) => Err(store_to_io(e)),
-        }
+        let payload = op2_store::unseal(&bytes).map_err(store_to_io)?;
+        let json = String::from_utf8(payload)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "store is not UTF-8"))?;
+        TuneStore::from_json(&json)
     }
 }
 
@@ -304,17 +294,6 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
         let err = TuneStore::load(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_bare_json_store_still_loads() {
-        let dir = std::env::temp_dir().join("op2-tune-legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.json");
-        let s = sample();
-        std::fs::write(&path, s.to_json()).unwrap();
-        assert_eq!(TuneStore::load(&path).unwrap(), s);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

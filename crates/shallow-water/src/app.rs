@@ -82,6 +82,13 @@ unsafe fn save_one(wv: &DatView<f64>, woldv: &DatView<f64>, e: usize) {
     woldv.store(e, w);
 }
 
+/// One `swe_dt` element: fold the cell's wave speed into the running max.
+#[inline(always)]
+unsafe fn dt_one(wv: &DatView<f64>, g: f64, e: usize, smax: &mut f64) {
+    let w: [f64; 3] = wv.load(e);
+    *smax = smax.max(kernels::wave_speed(&w, g));
+}
+
 /// One `swe_flux` element. Flux lands in local zero-initialized accumulators
 /// applied with `add_vec` — bit-identical to incrementing the live residual
 /// (same `-0.0` argument as airfoil's `res_one`: each component receives
@@ -131,7 +138,7 @@ unsafe fn bflux_one(
 }
 
 /// One `swe_update` element. Element-outer order is load-bearing for the RMS
-/// partial sum, so chunked bodies iterate elements ascending.
+/// partial sum, so the span body iterates elements ascending.
 #[inline(always)]
 unsafe fn update_one(
     woldv: &DatView<f64>,
@@ -210,60 +217,46 @@ impl SweApp {
         let save = ParLoop::build("swe_save", &mesh.cells)
             .arg(arg_direct(&w, Access::Read))
             .arg(arg_direct(&wold, Access::Write))
-            .kernel_chunked(
-                move |e, _| unsafe {
-                    save_one(&wv, &woldv, e);
-                },
-                move |span, _| unsafe {
-                    // A copy is order-independent: take the widest contiguous
-                    // shape the layout offers before the element loop.
-                    if let (Some(src), Some(dst)) =
-                        (wv.span(span.clone()), woldv.span_mut(span.clone()))
-                    {
+            .kernel_span(move |span, _| unsafe {
+                // A copy is order-independent: take the widest contiguous
+                // shape the layout offers before the element loop.
+                if let (Some(src), Some(dst)) =
+                    (wv.span(span.clone()), woldv.span_mut(span.clone()))
+                {
+                    dst.copy_from_slice(src);
+                    return;
+                }
+                let all_comps = (0..3)
+                    .all(|j| wv.comp(j).unit_stride(&span) && woldv.comp(j).unit_stride(&span));
+                if all_comps {
+                    for j in 0..3 {
+                        let wc = wv.comp(j);
+                        let woldc = woldv.comp(j);
+                        let src = wc.contiguous(span.clone()).unwrap();
+                        let dst = woldc.contiguous_mut(span.clone()).unwrap();
                         dst.copy_from_slice(src);
-                        return;
                     }
-                    let all_comps = (0..3).all(|j| {
-                        wv.comp(j).unit_stride(&span) && woldv.comp(j).unit_stride(&span)
-                    });
-                    if all_comps {
-                        for j in 0..3 {
-                            let wc = wv.comp(j);
-                            let woldc = woldv.comp(j);
-                            let src = wc.contiguous(span.clone()).unwrap();
-                            let dst = woldc.contiguous_mut(span.clone()).unwrap();
-                            dst.copy_from_slice(src);
-                        }
-                        return;
-                    }
-                    for e in span {
-                        save_one(&wv, &woldv, e);
-                    }
-                },
-            );
+                    return;
+                }
+                for e in span {
+                    save_one(&wv, &woldv, e);
+                }
+            });
 
         let dt_calc = ParLoop::build("swe_dt", &mesh.cells)
             .arg(arg_direct(&w, Access::Read))
             .gbl_max(1)
-            .kernel_chunked(
-                move |e, gbl| unsafe {
-                    let w: [f64; 3] = wv.load(e);
-                    gbl[0] = gbl[0].max(kernels::wave_speed(&w, g));
-                },
-                move |span, gbl| unsafe {
-                    let mut m = gbl[0];
-                    for e in span {
-                        let w: [f64; 3] = wv.load(e);
-                        m = m.max(kernels::wave_speed(&w, g));
-                    }
-                    gbl[0] = m;
-                },
-            );
+            .kernel_span(move |span, gbl| unsafe {
+                // The running max stays in a register for the whole span.
+                let mut m = gbl[0];
+                for e in span {
+                    dt_one(&wv, g, e, &mut m);
+                }
+                gbl[0] = m;
+            });
 
         let pedge = mesh.pedge.clone();
-        let pedge2 = mesh.pedge.clone();
         let pecell = mesh.pecell.clone();
-        let pecell2 = mesh.pecell.clone();
         let flux = ParLoop::build("swe_flux", &mesh.edges)
             .arg(arg_indirect(&mesh.p_x, 0, &mesh.pedge, Access::Read))
             .arg(arg_indirect(&mesh.p_x, 1, &mesh.pedge, Access::Read))
@@ -271,21 +264,12 @@ impl SweApp {
             .arg(arg_indirect(&w, 1, &mesh.pecell, Access::Read))
             .arg(arg_indirect(&res, 0, &mesh.pecell, Access::Inc))
             .arg(arg_indirect(&res, 1, &mesh.pecell, Access::Inc))
-            .kernel_chunked(
-                move |e, _| unsafe {
-                    flux_one(&xv, &wv, &resv, &pedge, &pecell, g, e);
-                },
-                move |span, _| unsafe {
-                    for e in span {
-                        flux_one(&xv, &wv, &resv, &pedge2, &pecell2, g, e);
-                    }
-                },
-            );
+            .kernel(move |e, _| unsafe {
+                flux_one(&xv, &wv, &resv, &pedge, &pecell, g, e);
+            });
 
         let pbedge = mesh.pbedge.clone();
-        let pbedge2 = mesh.pbedge.clone();
         let pbecell = mesh.pbecell.clone();
-        let pbecell2 = mesh.pbecell.clone();
         let boundv = mesh.p_bound.view();
         let bflux = ParLoop::build("swe_bflux", &mesh.bedges)
             .arg(arg_indirect(&mesh.p_x, 0, &mesh.pbedge, Access::Read))
@@ -293,38 +277,25 @@ impl SweApp {
             .arg(arg_indirect(&w, 0, &mesh.pbecell, Access::Read))
             .arg(arg_indirect(&res, 0, &mesh.pbecell, Access::Inc))
             .arg(arg_direct(&mesh.p_bound, Access::Read))
-            .kernel_chunked(
-                move |e, _| unsafe {
-                    bflux_one(&xv, &wv, &resv, &boundv, &pbedge, &pbecell, g, e);
-                },
-                move |span, _| unsafe {
-                    for e in span {
-                        bflux_one(&xv, &wv, &resv, &boundv, &pbedge2, &pbecell2, g, e);
-                    }
-                },
-            );
+            .kernel(move |e, _| unsafe {
+                bflux_one(&xv, &wv, &resv, &boundv, &pbedge, &pbecell, g, e);
+            });
 
         let dt_bits = Arc::new(AtomicU64::new(0));
         let dt_for_kernel = Arc::clone(&dt_bits);
-        let dt_for_chunk = Arc::clone(&dt_bits);
         let update = ParLoop::build("swe_update", &mesh.cells)
             .arg(arg_direct(&wold, Access::Read))
             .arg(arg_direct(&w, Access::Write))
             .arg(arg_direct(&res, Access::ReadWrite))
             .arg(arg_direct(&inv_area, Access::Read))
             .gbl_inc(1)
-            .kernel_chunked(
-                move |e, gbl| unsafe {
-                    let dt = f64::from_bits(dt_for_kernel.load(Ordering::Acquire));
+            .kernel_span(move |span, gbl| unsafe {
+                // One atomic load of the step per span, not per element.
+                let dt = f64::from_bits(dt_for_kernel.load(Ordering::Acquire));
+                for e in span {
                     update_one(&woldv, &wv, &resv, &iav, dt, e, &mut gbl[0]);
-                },
-                move |span, gbl| unsafe {
-                    let dt = f64::from_bits(dt_for_chunk.load(Ordering::Acquire));
-                    for e in span {
-                        update_one(&woldv, &wv, &resv, &iav, dt, e, &mut gbl[0]);
-                    }
-                },
-            );
+                }
+            });
 
         SweApp {
             mesh,
@@ -552,6 +523,77 @@ mod tests {
             let got = run(kind);
             assert_eq!(got.0, reference.0, "state diverged under {kind}");
             assert_eq!(got.1, reference.1, "reports diverged under {kind}");
+        }
+    }
+
+    /// The twin of Airfoil's contract test: every loop's one body, driven
+    /// through `run_span` over uneven spans, is bit-identical to iterating
+    /// the `*_one` reference directly on every layout — `save`'s whole-span
+    /// and per-component memcpys and the `dt`/`update` hoists included.
+    #[test]
+    fn span_bodies_match_per_element_reference() {
+        type PerElement<'a> = Box<dyn Fn(usize, &mut [f64]) + 'a>;
+        for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 4 }] {
+            let build = || {
+                let app = SweApp::new(SweConfig {
+                    imax: 12,
+                    jmax: 6,
+                    layout,
+                    ..SweConfig::default()
+                });
+                app.dam_break(2.0, 2.0, 1.0);
+                app.dt_bits.store(1e-3f64.to_bits(), Ordering::Release);
+                app
+            };
+            let (a, b) = (build(), build());
+            let (wv, woldv, resv, iav) = (b.w.view(), b.wold.view(), b.res.view(), b.inv_area.view());
+            let (xv, boundv) = (b.mesh.p_x.view(), b.mesh.p_bound.view());
+            let (m, g) = (&b.mesh, b.g);
+            let reference: [(&ParLoop, PerElement); 5] = [
+                (&a.save, Box::new(|e, _| unsafe { save_one(&wv, &woldv, e) })),
+                (&a.dt_calc, Box::new(|e, gbl| unsafe { dt_one(&wv, g, e, &mut gbl[0]) })),
+                (
+                    &a.flux,
+                    Box::new(|e, _| unsafe { flux_one(&xv, &wv, &resv, &m.pedge, &m.pecell, g, e) }),
+                ),
+                (
+                    &a.bflux,
+                    Box::new(|e, _| unsafe {
+                        bflux_one(&xv, &wv, &resv, &boundv, &m.pbedge, &m.pbecell, g, e)
+                    }),
+                ),
+                (
+                    &a.update,
+                    Box::new(|e, gbl| unsafe {
+                        update_one(&woldv, &wv, &resv, &iav, 1e-3, e, &mut gbl[0])
+                    }),
+                ),
+            ];
+            for (la, one) in &reference {
+                let n = la.set().size();
+                let mut gbl_a = vec![la.gbl_op().identity(); la.gbl_dim()];
+                let mut gbl_b = gbl_a.clone();
+                let mut at = 0usize;
+                for (i, w) in [7usize, 1, 13, 64, 3].iter().cycle().enumerate() {
+                    if at >= n {
+                        break;
+                    }
+                    let hi = (at + w + i % 2).min(n);
+                    la.run_span(at..hi, &mut gbl_a);
+                    for e in at..hi {
+                        one(e, &mut gbl_b);
+                    }
+                    at = hi;
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&gbl_a), bits(&gbl_b), "{} ({layout:?}): reduction", la.name());
+            }
+            for (da, db) in [(&a.w, &b.w), (&a.wold, &b.wold), (&a.res, &b.res)] {
+                let bits = |d: &Dat<f64>| {
+                    d.to_aos_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(da), bits(db), "{} ({layout:?}) differs", da.name());
+            }
         }
     }
 

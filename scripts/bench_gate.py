@@ -151,7 +151,7 @@ def gate_store(gate, fresh, base):
 
 def gate_kernel(gate, fresh, base):
     def key(a):
-        return (a["dispatch"], a["layout"], a["renumbered"])
+        return (a["layout"], a["renumbered"])
 
     fresh_arms = {key(a): a for a in fresh["arms"]}
     base_arms = {key(a): a for a in base["arms"]}
@@ -160,9 +160,9 @@ def gate_kernel(gate, fresh, base):
         "same arm set",
         f"{sorted(fresh_arms)} vs {sorted(base_arms)}",
     )
-    # Layout and dispatch never move floating-point bits; renumbering
-    # legitimately reorders the res_calc increments — so the arms must split
-    # into exactly one digest per renumber class.
+    # Layout never moves floating-point bits; renumbering legitimately
+    # reorders the res_calc increments — so the arms must split into exactly
+    # one digest per renumber class.
     for ren in (False, True):
         digs = {a["digest"] for a in fresh["arms"] if a["renumbered"] == ren}
         gate.check(
@@ -170,24 +170,23 @@ def gate_kernel(gate, fresh, base):
             f"arms agree bitwise (renumbered={ren})",
             f"{len(digs)} distinct digests",
         )
-    # The headline claim: the best chunked SoA/AoSoA arm with RCM beats the
-    # pre-PR default (scalar dispatch, AoS, mesh numbering as handed to us)
-    # on the gated kernels — on this machine, in this fresh run.
-    default = fresh_arms[("scalar", "aos", False)]["kernels"]
-    bdefault = base_arms[("scalar", "aos", False)]["kernels"]
+    # The headline claim: the best SoA/AoSoA arm with RCM beats the default
+    # (AoS, mesh numbering as handed to us) on the gated kernels — on this
+    # machine, in this fresh run.
+    default = fresh_arms[("aos", False)]["kernels"]
+    bdefault = base_arms[("aos", False)]["kernels"]
     layouts = sorted({a["layout"] for a in fresh["arms"] if a["layout"] != "aos"})
     for kernel in ("res_calc", "update"):
-        tuned = min(fresh_arms[("chunked", lay, True)]["kernels"][kernel] for lay in layouts)
-        btuned = min(base_arms[("chunked", lay, True)]["kernels"][kernel] for lay in layouts)
+        tuned = min(fresh_arms[(lay, True)]["kernels"][kernel] for lay in layouts)
+        btuned = min(base_arms[(lay, True)]["kernels"][kernel] for lay in layouts)
         gate.check(
             tuned < default[kernel],
             f"SoA/AoSoA + RCM beats default on {kernel}",
             f"{tuned} vs {default[kernel]} ns",
         )
         # And the speedup itself must not regress vs the checked-in baseline.
-        # Dispatch overhead and cache geometry vary more across machines than
-        # the tuner's min-of-N ratios do — double headroom, like gate_shm's
-        # tail spread.
+        # Cache geometry varies more across machines than the tuner's
+        # min-of-N ratios do — double headroom, like gate_shm's tail spread.
         gate.tolerance, saved = gate.tolerance * 2, gate.tolerance
         gate.within(
             tuned / default[kernel],

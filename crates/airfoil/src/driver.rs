@@ -85,30 +85,14 @@ impl Simulation {
     /// reports every `report_every` iterations (and always for the final
     /// iteration).
     pub fn run(&self, niter: usize, report_every: usize) -> Vec<(usize, f64)> {
-        let ncells = self.mesh.ncells() as f64;
-        let mut reports = Vec::new();
-        // Per-iteration update handles awaiting RMS resolution (dataflow
-        // defers these to report points).
-        let mut pending: Vec<(usize, LoopHandle, LoopHandle)> = Vec::new();
-
-        for iter in 1..=niter {
-            let (h1, h2) = match self.strategy {
-                SyncStrategy::Blocking => self.iteration_blocking(),
-                SyncStrategy::Fig10 => self.iteration_fig10(),
-                SyncStrategy::Dataflow => self.iteration_dataflow(),
-            };
-            pending.push((iter, h1, h2));
-
-            let report_now = iter % report_every.max(1) == 0 || iter == niter;
-            if report_now {
-                for (it, h1, h2) in pending.drain(..) {
-                    let rms = h1.get()[0] + h2.get()[0];
-                    if it % report_every.max(1) == 0 || it == niter {
-                        reports.push((it, (rms / ncells).sqrt()));
-                    }
-                }
-            }
-        }
+        let exec = self.exec.as_ref();
+        let reports = self
+            .march(niter, report_every, || match self.strategy {
+                SyncStrategy::Blocking => self.iteration(exec, true),
+                SyncStrategy::Fig10 => Ok(self.iteration_fig10()),
+                SyncStrategy::Dataflow => self.iteration(exec, false),
+            })
+            .unwrap_or_else(|e| e.rethrow());
         self.exec.fence();
         reports
     }
@@ -126,41 +110,68 @@ impl Simulation {
         niter: usize,
         report_every: usize,
     ) -> Result<Vec<(usize, f64)>, LoopError> {
-        let l = &self.loops;
+        self.march(niter, report_every, || self.iteration(sup, true))
+    }
+
+    /// The time march around one `iterate` call per iteration, which returns
+    /// the two stages' `update` handles.
+    fn march(
+        &self,
+        niter: usize,
+        report_every: usize,
+        iterate: impl Fn() -> Result<(LoopHandle, LoopHandle), LoopError>,
+    ) -> Result<Vec<(usize, f64)>, LoopError> {
         let ncells = self.mesh.ncells() as f64;
         let mut reports = Vec::new();
+        // Per-iteration update handles awaiting RMS resolution (dataflow
+        // defers these to report points).
+        let mut pending: Vec<(usize, LoopHandle, LoopHandle)> = Vec::new();
+
         for iter in 1..=niter {
-            sup.run(&l.save_soln)?;
-            let mut rms = 0.0;
-            for _k in 0..2 {
-                sup.run(&l.adt_calc)?;
-                sup.run(&l.res_calc)?;
-                sup.run(&l.bres_calc)?;
-                rms += sup.run(&l.update)?[0];
-            }
-            if iter % report_every.max(1) == 0 || iter == niter {
-                reports.push((iter, (rms / ncells).sqrt()));
+            let (h1, h2) = iterate()?;
+            pending.push((iter, h1, h2));
+
+            let report_now = iter % report_every.max(1) == 0 || iter == niter;
+            if report_now {
+                for (it, h1, h2) in pending.drain(..) {
+                    let rms = h1.get()[0] + h2.get()[0];
+                    if it % report_every.max(1) == 0 || it == niter {
+                        reports.push((it, (rms / ncells).sqrt()));
+                    }
+                }
             }
         }
         Ok(reports)
     }
 
-    /// One iteration, waiting on every loop (the unchanged OP2 program).
-    fn iteration_blocking(&self) -> (LoopHandle, LoopHandle) {
+    /// One iteration, `save → 2 × (adt, res, bres, update)`, issued on
+    /// `exec`. With `wait_each` every loop completes before the next is
+    /// issued (the unchanged OP2 program); without it nothing waits and the
+    /// executor orders the loops from their declared access modes (paper
+    /// §III-B, dataflow only). A failure to issue is returned; a late
+    /// failure of an asynchronous executor panics at the wait or at the
+    /// report's `get` (a supervisor's handles are always complete).
+    fn iteration(
+        &self,
+        exec: &dyn Executor,
+        wait_each: bool,
+    ) -> Result<(LoopHandle, LoopHandle), LoopError> {
         let l = &self.loops;
-        self.exec.execute(&l.save_soln).wait();
-        let mut handles = Vec::with_capacity(2);
-        for _k in 0..2 {
-            self.exec.execute(&l.adt_calc).wait();
-            self.exec.execute(&l.res_calc).wait();
-            self.exec.execute(&l.bres_calc).wait();
-            let h = self.exec.execute(&l.update);
-            h.wait();
-            handles.push(h);
-        }
-        let h2 = handles.pop().expect("two stages");
-        let h1 = handles.pop().expect("two stages");
-        (h1, h2)
+        let issue = |loop_| -> Result<LoopHandle, LoopError> {
+            let h = exec.try_execute(loop_)?;
+            if wait_each {
+                h.wait();
+            }
+            Ok(h)
+        };
+        issue(&l.save_soln)?;
+        let stage = || {
+            issue(&l.adt_calc)?;
+            issue(&l.res_calc)?;
+            issue(&l.bres_calc)?;
+            issue(&l.update)
+        };
+        Ok((stage()?, stage()?))
     }
 
     /// One iteration with manual future placement (paper Fig. 10):
@@ -182,23 +193,6 @@ impl Simulation {
             let h_up = self.exec.execute(&l.update);
             h_up.wait(); // next adt_calc reads p_q
             handles.push(h_up);
-        }
-        let h2 = handles.pop().expect("two stages");
-        let h1 = handles.pop().expect("two stages");
-        (h1, h2)
-    }
-
-    /// One iteration with no waits (paper §III-B): the dataflow executor
-    /// orders everything from the declared access modes.
-    fn iteration_dataflow(&self) -> (LoopHandle, LoopHandle) {
-        let l = &self.loops;
-        let _ = self.exec.execute(&l.save_soln);
-        let mut handles = Vec::with_capacity(2);
-        for _k in 0..2 {
-            let _ = self.exec.execute(&l.adt_calc);
-            let _ = self.exec.execute(&l.res_calc);
-            let _ = self.exec.execute(&l.bres_calc);
-            handles.push(self.exec.execute(&l.update));
         }
         let h2 = handles.pop().expect("two stages");
         let h1 = handles.pop().expect("two stages");

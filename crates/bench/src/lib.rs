@@ -1,6 +1,8 @@
-//! # op2-bench — benchmark harness and figure regeneration
+//! # op2-bench — the paper-reproduction pipeline
 //!
-//! One binary per figure of the paper's evaluation section (run with
+//! Figures, ablations, the report and trace export; performance is measured
+//! by `benchmark/` (`bench_e2e`), not here. One binary per figure of the
+//! paper's evaluation section (run with
 //! `cargo run -p op2-bench --release --bin figNN`):
 //!
 //! | binary | regenerates | series |
@@ -16,8 +18,8 @@
 //! | `ablation_chunks` | DESIGN §5.1/5.4 | chunking & granularity sweep |
 //!
 //! Scaling curves are produced by the deterministic `op2-simsched` machine
-//! model (this host does not have 32 hardware threads); `realrun` and the
-//! Criterion benches exercise the real runtime.
+//! model (this host does not have 32 hardware threads); `realrun`,
+//! `breakdown --real` and `trace_export --real` exercise the real runtime.
 
 pub mod realtrace;
 pub mod svg;
@@ -29,14 +31,20 @@ use op2_simsched::{MachineParams, ScalePoint, SimMethod};
 /// the block/color structure; override with `OP2_MESH=IMAXxJMAX`).
 pub fn figure_mesh() -> (usize, usize) {
     if let Ok(s) = std::env::var("OP2_MESH") {
-        if let Some((a, b)) = s.split_once('x') {
-            if let (Ok(i), Ok(j)) = (a.parse(), b.parse()) {
-                return (i, j);
-            }
+        if let Some(dims) = parse_mesh(&s) {
+            return dims;
         }
         eprintln!("warning: ignoring malformed OP2_MESH={s} (expected IMAXxJMAX)");
     }
     (200, 200)
+}
+
+/// `IMAXxJMAX` with both dimensions positive (a zero-cell mesh has no
+/// blocks to schedule).
+fn parse_mesh(s: &str) -> Option<(usize, usize)> {
+    let (a, b) = s.split_once('x')?;
+    let (i, j): (usize, usize) = (a.parse().ok()?, b.parse().ok()?);
+    (i > 0 && j > 0).then_some((i, j))
 }
 
 /// Mini-partition size used by the figure binaries.
@@ -107,4 +115,17 @@ pub fn fig15_methods() -> Vec<SimMethod> {
         SimMethod::AsyncFutures,
         SimMethod::Dataflow,
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_mesh;
+
+    #[test]
+    fn mesh_override_rejects_malformed_and_non_positive_dimensions() {
+        assert_eq!(parse_mesh("64x32"), Some((64, 32)));
+        for bad in ["0x5", "5x0", "0x0", "-3x4", "12", "x", "axb", ""] {
+            assert_eq!(parse_mesh(bad), None, "{bad:?}");
+        }
+    }
 }

@@ -34,10 +34,12 @@ use op2_core::{DatSnapshot, ParLoop, PlanError};
 use parking_lot::Mutex;
 
 use crate::factory::BackendKind;
+use crate::handle::LoopHandle;
 use crate::runtime::Op2Runtime;
-use crate::tune::{self, choice_to_kind, kind_to_choice};
-use crate::tuned::make_tuned_executor;
 use crate::tracehooks;
+use crate::tune::kind_to_choice;
+use crate::tuned::{decide, make_tuned_executor};
+use crate::Executor;
 
 /// Why a loop failed, with as much provenance as the failure path preserves.
 #[derive(Debug, Clone, PartialEq)]
@@ -302,6 +304,23 @@ impl std::fmt::Display for FenceReport {
 
 impl std::error::Error for FenceReport {}
 
+/// Issue `loop_` on `exec`, wait for its reduction, then fence; a failed
+/// fence surfaces as its last failure. `backend` labels the error for a
+/// fence that failed without reporting any.
+pub(crate) fn run_to_fence(
+    exec: &dyn Executor,
+    loop_: &ParLoop,
+    backend: &'static str,
+) -> Result<Vec<f64>, LoopError> {
+    let gbl = exec.try_execute(loop_)?.try_get()?;
+    exec.try_fence().map_err(|mut report| {
+        report.failures.pop().unwrap_or_else(|| {
+            LoopError::new(loop_.name(), backend, FailureKind::CircuitOpen, false)
+        })
+    })?;
+    Ok(gbl)
+}
+
 /// The tighter of two optional deadlines.
 fn min_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
     match (a, b) {
@@ -366,12 +385,16 @@ impl Supervisor {
     }
 
     /// Supervisor with an explicit degradation ladder (tried left to right).
+    /// An empty ladder degrades to `[BackendKind::Serial]`, the floor every
+    /// ladder ends at.
     pub fn with_ladder(
         rt: Arc<Op2Runtime>,
-        ladder: Vec<BackendKind>,
+        mut ladder: Vec<BackendKind>,
         policy: RetryPolicy,
     ) -> Self {
-        assert!(!ladder.is_empty(), "supervisor needs at least one backend");
+        if ladder.is_empty() {
+            ladder.push(BackendKind::Serial);
+        }
         let quota = AtomicUsize::new(policy.quota);
         Supervisor {
             rt,
@@ -415,27 +438,12 @@ impl Supervisor {
         // runtime so the inner executor does not decide a second time.
         let choices: Vec<op2_tune::BackendChoice> =
             self.ladder.iter().copied().map(kind_to_choice).collect();
-        let mut trial = tune::begin(&self.rt, loop_, &choices);
-        let (ladder, attempt_rt, chunk_blocks) = match &trial {
-            Some(t) => {
-                let config = t.config();
-                let mut ladder = self.ladder.clone();
-                if let Some(kind) = config.backend.map(choice_to_kind) {
-                    ladder.retain(|k| *k != kind);
-                    ladder.insert(0, kind);
-                }
-                let part = config
-                    .plan
-                    .map(|p| p.part_size)
-                    .unwrap_or_else(|| self.rt.part_size());
-                (
-                    ladder,
-                    Arc::new(self.rt.resolve_tuned(config.plan)),
-                    t.chunk_blocks(part),
-                )
-            }
-            None => (self.ladder.clone(), Arc::clone(&self.rt), None),
-        };
+        let mut decision = decide(&self.rt, loop_, &choices);
+        let mut ladder = self.ladder.clone();
+        if let Some(kind) = decision.backend {
+            ladder.retain(|k| *k != kind);
+            ladder.insert(0, kind);
+        }
         for (rung, kind) in ladder.iter().enumerate() {
             for attempt in 0..=self.policy.max_retries {
                 // A fresh executor per *attempt*: a failed async attempt must
@@ -443,7 +451,8 @@ impl Supervisor {
                 // retry would then be misreported at the fence), and a failed
                 // dataflow attempt must not leave a poisoned dependency table
                 // that would poison the retry itself.
-                let exec = make_tuned_executor(*kind, Arc::clone(&attempt_rt), chunk_blocks);
+                let exec =
+                    make_tuned_executor(*kind, Arc::clone(&decision.rt), decision.chunk_blocks);
                 if self.quota_remaining() == 0 {
                     return Err(last.unwrap_or_else(|| {
                         LoopError::new(loop_.name(), "supervisor", FailureKind::CircuitOpen, false)
@@ -460,15 +469,7 @@ impl Supervisor {
                 }
                 let attempt_deadline = self.policy.deadline.map(|d| Instant::now() + d);
                 token.set_deadline_opt(min_deadline(job_deadline, attempt_deadline));
-                let result = exec
-                    .try_execute(loop_)
-                    .and_then(|h| h.try_get())
-                    .and_then(|gbl| match exec.try_fence() {
-                        Ok(()) => Ok(gbl),
-                        Err(mut report) => Err(report.failures.pop().unwrap_or_else(|| {
-                            LoopError::new(loop_.name(), exec.name(), FailureKind::CircuitOpen, false)
-                        })),
-                    });
+                let result = run_to_fence(exec.as_ref(), loop_, exec.name());
                 token.set_deadline_opt(job_deadline);
                 match result {
                     Ok(gbl) => {
@@ -476,7 +477,7 @@ impl Supervisor {
                         // config; retries and fallback rungs ran something
                         // else, so their trial yields no observation.
                         if rung == 0 && attempt == 0 {
-                            if let Some(t) = trial.take() {
+                            if let Some(t) = decision.trial.take() {
                                 t.finish();
                             }
                         }
@@ -521,5 +522,47 @@ impl Supervisor {
             FailureKind::Cancelled(reason),
             false,
         ))
+    }
+}
+
+/// A supervisor is itself an [`Executor`]: each loop runs to completion under
+/// the recovery ladder, so the handle is always ready and there is nothing
+/// left to fence — drivers written against `&dyn Executor` march supervised
+/// without a second copy of their loop sequence.
+impl Executor for Supervisor {
+    fn name(&self) -> &'static str {
+        "supervisor"
+    }
+
+    fn try_execute(&self, loop_: &ParLoop) -> Result<LoopHandle, LoopError> {
+        self.run(loop_).map(LoopHandle::ready)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use op2_core::{arg_direct, Access, Dat, Set};
+
+    #[test]
+    fn empty_ladder_degrades_to_serial() {
+        let rt = Arc::new(Op2Runtime::new(2, 32));
+        let sup = Supervisor::with_ladder(rt, vec![], RetryPolicy::default());
+        assert_eq!(sup.ladder(), &[BackendKind::Serial]);
+
+        let cells = Set::new("cells", 100);
+        let q = Dat::filled("q", &cells, 1, 3.0f64);
+        let qv = q.view();
+        let square = ParLoop::build("square", &cells)
+            .arg(arg_direct(&q, Access::ReadWrite))
+            .kernel(move |e, _| unsafe {
+                let s = qv.slice_mut(e);
+                s[0] *= s[0];
+            });
+        let handle = sup
+            .try_execute(&square)
+            .expect("serial floor runs the loop");
+        assert!(handle.is_ready());
+        assert!(q.to_vec().iter().all(|&v| v == 9.0));
     }
 }

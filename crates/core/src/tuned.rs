@@ -21,10 +21,10 @@ use crate::factory::{make_executor, BackendKind};
 use crate::foreach::ForEachExecutor;
 use crate::forkjoin::ForkJoinExecutor;
 use crate::handle::LoopHandle;
-use crate::recover::{FailureKind, LoopError};
+use crate::recover::{run_to_fence, LoopError};
 use crate::runtime::Op2Runtime;
 use crate::serial::SerialExecutor;
-use crate::tune::{self, choice_to_kind};
+use crate::tune::{self, choice_to_kind, LoopTrial};
 use crate::Executor;
 
 /// Backend menu offered to the tuner, cheapest-to-coordinate first.
@@ -82,20 +82,48 @@ impl TunedExecutor {
     pub fn fallback(&self) -> BackendKind {
         self.fallback
     }
+}
 
-    fn run_inner(
-        &self,
-        exec: Box<dyn Executor>,
-        loop_: &ParLoop,
-    ) -> Result<Vec<f64>, LoopError> {
-        let handle = exec.try_execute(loop_)?;
-        let gbl = handle.try_get()?;
-        exec.try_fence().map_err(|mut report| {
-            report.failures.pop().unwrap_or_else(|| {
-                LoopError::new(loop_.name(), "tuned", FailureKind::CircuitOpen, false)
-            })
-        })?;
-        Ok(gbl)
+/// One tuner consultation, resolved against the consulted runtime — the
+/// single place a decided [`op2_tune::TuneConfig`] becomes something to run.
+pub(crate) struct TunedDecision {
+    /// The open measurement bracket (`None` when the runtime has no tuner);
+    /// the caller closes it after a run that measured the decided config.
+    pub(crate) trial: Option<LoopTrial>,
+    /// The backend picked from the offered menu, if the decision names one.
+    pub(crate) backend: Option<BackendKind>,
+    /// Runtime to execute on. With a tuner it has tuning *resolved* — no
+    /// tuner (one decision per execution, made here) and the decided plan
+    /// parameters pinned — so the inner executor does not decide again.
+    pub(crate) rt: Arc<Op2Runtime>,
+    /// Tuned chunk in plan blocks, for backends that have a chunk knob.
+    pub(crate) chunk_blocks: Option<usize>,
+}
+
+/// Consult `rt`'s tuner (if any) for `loop_`, offering it `menu`.
+pub(crate) fn decide(
+    rt: &Arc<Op2Runtime>,
+    loop_: &ParLoop,
+    menu: &[BackendChoice],
+) -> TunedDecision {
+    let Some(trial) = tune::begin(rt, loop_, menu) else {
+        return TunedDecision {
+            trial: None,
+            backend: None,
+            rt: Arc::clone(rt),
+            chunk_blocks: None,
+        };
+    };
+    let config = trial.config();
+    let part_size = config
+        .plan
+        .map(|p| p.part_size)
+        .unwrap_or_else(|| rt.part_size());
+    TunedDecision {
+        backend: config.backend.map(choice_to_kind),
+        rt: Arc::new(rt.resolve_tuned(config.plan)),
+        chunk_blocks: trial.chunk_blocks(part_size),
+        trial: Some(trial),
     }
 }
 
@@ -105,35 +133,18 @@ impl Executor for TunedExecutor {
     }
 
     fn try_execute(&self, loop_: &ParLoop) -> Result<LoopHandle, LoopError> {
-        let Some(trial) = tune::begin(&self.rt, loop_, &TUNABLE_BACKENDS) else {
-            let exec = make_executor(self.fallback, Arc::clone(&self.rt));
-            return self.run_inner(exec, loop_).map(LoopHandle::ready);
-        };
-        let config = trial.config();
-        let kind = config
-            .backend
-            .map(choice_to_kind)
-            .unwrap_or(self.fallback);
-        let part_size = config
-            .plan
-            .map(|p| p.part_size)
-            .unwrap_or_else(|| self.rt.part_size());
-        let chunk_blocks = trial.chunk_blocks(part_size);
-        // The inner runtime has tuning *resolved*: no tuner (one decision per
-        // execution, made here) and the decided plan parameters pinned.
-        let inner_rt = Arc::new(self.rt.resolve_tuned(config.plan));
-        let exec = make_tuned_executor(kind, inner_rt, chunk_blocks);
-        match self.run_inner(exec, loop_) {
-            Ok(gbl) => {
-                // Issue→drain wall: the honest cross-backend comparison —
-                // an async candidate pays for its coordination here.
-                trial.finish();
-                Ok(LoopHandle::ready(gbl))
-            }
-            // A failed attempt yields no observation: its wall time measures
-            // the failure path, not the candidate.
-            Err(e) => Err(e),
+        let decision = decide(&self.rt, loop_, &TUNABLE_BACKENDS);
+        let kind = decision.backend.unwrap_or(self.fallback);
+        let exec = make_tuned_executor(kind, decision.rt, decision.chunk_blocks);
+        // A failed attempt yields no observation: its wall time measures the
+        // failure path, not the candidate.
+        let gbl = run_to_fence(exec.as_ref(), loop_, "tuned")?;
+        // Issue→drain wall: the honest cross-backend comparison — an async
+        // candidate pays for its coordination here.
+        if let Some(trial) = decision.trial {
+            trial.finish();
         }
+        Ok(LoopHandle::ready(gbl))
     }
 }
 

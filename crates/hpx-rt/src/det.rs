@@ -89,8 +89,11 @@ pub(crate) struct DetInner {
     state: Mutex<DetState>,
     seed: u64,
     policy: SchedulePolicy,
-    virtual_threads: usize,
 }
+
+/// Worker count a [`DetPool`] reports (affects chunk planning only; all
+/// execution remains on the calling thread).
+const VIRTUAL_THREADS: usize = 4;
 
 /// SplitMix64 step — a small, high-quality, dependency-free PRNG. Schedule
 /// reproducibility only needs determinism, not cryptographic quality.
@@ -228,21 +231,6 @@ impl DetPool {
                 }),
                 seed,
                 policy,
-                virtual_threads: 4,
-            }),
-        }
-    }
-
-    /// Override the reported worker count (affects chunk planning only; all
-    /// execution remains on the calling thread).
-    pub fn with_virtual_threads(seed: u64, policy: SchedulePolicy, threads: usize) -> Self {
-        let pool = Self::with_policy(seed, policy);
-        // `virtual_threads` is immutable after construction; rebuild.
-        let inner = Arc::into_inner(pool.inner).expect("freshly built pool is unshared");
-        DetPool {
-            inner: Arc::new(DetInner {
-                virtual_threads: threads.max(1),
-                ..inner
             }),
         }
     }
@@ -292,7 +280,7 @@ impl DetPool {
 
 impl Pool for DetPool {
     fn num_threads(&self) -> usize {
-        self.inner.virtual_threads
+        VIRTUAL_THREADS
     }
 
     fn spawn_boxed(&self, task: Task) {

@@ -122,16 +122,6 @@ impl ExecutionPolicy {
     }
 }
 
-/// Crate-internal re-export of the chunk planner for other algorithms
-/// (`scan`): no probe support, `None` per-iteration estimate.
-pub(crate) fn plan_chunks_pub(
-    range: Range<usize>,
-    workers: usize,
-    chunk: ChunkSize,
-) -> Vec<Range<usize>> {
-    plan_chunks(range, workers, chunk, None)
-}
-
 /// Split `range` into chunks according to `chunk`, after `probed` iterations
 /// have already been executed by the auto-partitioner probe.
 fn plan_chunks(

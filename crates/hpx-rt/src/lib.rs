@@ -57,7 +57,6 @@ pub mod future;
 pub mod latch;
 pub mod metrics;
 pub mod pool;
-pub mod scan;
 pub mod spawn;
 
 pub use cancel::{CancelReason, CancelToken, Cancelled};
@@ -75,5 +74,4 @@ pub use future::{
 pub use latch::CountdownLatch;
 pub use metrics::{MetricsSnapshot, PoolMetrics};
 pub use pool::{Pool, PoolBuilder, Spawner, Task, ThreadPool};
-pub use scan::{exclusive_scan, inclusive_scan};
 pub use spawn::async_spawn;

@@ -25,7 +25,7 @@ pub type Task = Box<dyn FnOnce() + Send + 'static>;
 /// [`crate::DetPool`].
 ///
 /// Every runtime primitive in this crate (futures, latches, `for_each`,
-/// dataflow, scans) is generic over `Pool`, so the same executor code can run
+/// dataflow) is generic over `Pool`, so the same executor code can run
 /// either on the real work-stealing pool or under the deterministic
 /// single-threaded scheduler used for schedule exploration and race checking.
 ///

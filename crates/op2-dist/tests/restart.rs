@@ -132,6 +132,7 @@ fn airfoil_killed_march_restarts_bit_identical() {
     )
     .expect("resume after kill");
     assert_eq!(resumed.resumed_from, Some(4), "newest consistent boundary");
+    assert!(resumed.ckpt.recovered > 0, "replay recovered no records");
     assert_eq!(
         bits(&resumed.final_q),
         bits(&reference.final_q),
@@ -177,6 +178,51 @@ fn airfoil_killed_march_restarts_bit_identical() {
 
     std::fs::remove_dir_all(&dir_a).unwrap();
     std::fs::remove_dir_all(&dir_b).unwrap();
+}
+
+/// An uninterrupted durable march perturbs nothing and writes the same log
+/// every time: its final state is bit-identical to the in-memory
+/// checkpointed march, and the append count and payload volume repeat
+/// exactly run to run.
+#[test]
+fn durable_march_matches_in_memory_and_its_log_repeats() {
+    let (data, consts, q0) = airfoil_setup(16, 8);
+    let part = Partition::strips(16 * 8, 3);
+    let (niter, every) = (6, 1);
+
+    let in_memory = run_distributed_opts(
+        &data,
+        &consts,
+        &q0,
+        &part,
+        niter,
+        1,
+        &DistOptions {
+            checkpoint_every: every,
+            ..DistOptions::default()
+        },
+    )
+    .expect("in-memory march");
+    assert_eq!(in_memory.ckpt.appends, 0, "in-memory store appends nothing");
+
+    let durable = |tag: &str| {
+        let dir = tmpdir(tag);
+        let opts = durable_opts(&dir, every, None, None, None);
+        let rep = run_distributed_opts(&data, &consts, &q0, &part, niter, 1, &opts)
+            .expect("durable march");
+        std::fs::remove_dir_all(&dir).unwrap();
+        rep
+    };
+    let (first, second) = (durable("durable-a"), durable("durable-b"));
+    assert_eq!(bits(&first.final_q), bits(&in_memory.final_q));
+    assert_eq!(bits(&second.final_q), bits(&in_memory.final_q));
+    assert!(
+        first.ckpt.appends > 0 && first.ckpt.bytes > 0,
+        "{:?}",
+        first.ckpt
+    );
+    assert_eq!(first.ckpt.appends, second.ckpt.appends, "append count");
+    assert_eq!(first.ckpt.bytes, second.ckpt.bytes, "payload bytes");
 }
 
 /// Clean-disk restart, shallow water: same shape as the airfoil test for

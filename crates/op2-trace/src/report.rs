@@ -368,8 +368,8 @@ fn ms(ns: u64) -> f64 {
 }
 
 impl RunReport {
-    /// Total tagged barrier-wait time; the headline number the acceptance
-    /// criterion compares across executors.
+    /// Total tagged barrier-wait time; the headline number compared across
+    /// executors (dataflow's must be below fork-join's).
     pub fn barrier_wait_ns(&self) -> u64 {
         self.barrier_blocked_ns
     }

@@ -362,20 +362,9 @@ impl SweApp {
     /// resolve `dt_calc` before issuing `update` — a data dependency the dat
     /// system cannot see (documented; all other ordering is per backend).
     pub fn run(&self, exec: &dyn Executor, steps: usize, report_every: usize) -> Vec<(usize, f64, f64)> {
-        let ncells = self.mesh.ncells() as f64;
-        let mut reports = Vec::new();
-        for step in 1..=steps {
-            exec.execute(&self.save).wait();
-            let smax = exec.execute(&self.dt_calc).get()[0];
-            let dt = self.cfl * self.min_len / smax.max(1e-12);
-            self.dt_bits.store(dt.to_bits(), Ordering::Release);
-            exec.execute(&self.flux).wait();
-            exec.execute(&self.bflux).wait();
-            let rms = exec.execute(&self.update).get()[0];
-            if step % report_every.max(1) == 0 || step == steps {
-                reports.push((step, dt, (rms / ncells).sqrt()));
-            }
-        }
+        let reports = self
+            .march(exec, steps, report_every)
+            .unwrap_or_else(|e| e.rethrow());
         exec.fence();
         reports
     }
@@ -392,16 +381,29 @@ impl SweApp {
         steps: usize,
         report_every: usize,
     ) -> Result<Vec<(usize, f64, f64)>, op2_hpx::LoopError> {
+        self.march(sup, steps, report_every)
+    }
+
+    /// The adaptive march on `exec`, every loop waited on before the next.
+    /// A failure to issue is returned; a late failure of an asynchronous
+    /// executor panics at the wait (a supervisor's handles are always
+    /// complete).
+    fn march(
+        &self,
+        exec: &dyn Executor,
+        steps: usize,
+        report_every: usize,
+    ) -> Result<Vec<(usize, f64, f64)>, op2_hpx::LoopError> {
         let ncells = self.mesh.ncells() as f64;
         let mut reports = Vec::new();
         for step in 1..=steps {
-            sup.run(&self.save)?;
-            let smax = sup.run(&self.dt_calc)?[0];
+            exec.try_execute(&self.save)?.wait();
+            let smax = exec.try_execute(&self.dt_calc)?.get()[0];
             let dt = self.cfl * self.min_len / smax.max(1e-12);
             self.dt_bits.store(dt.to_bits(), Ordering::Release);
-            sup.run(&self.flux)?;
-            sup.run(&self.bflux)?;
-            let rms = sup.run(&self.update)?[0];
+            exec.try_execute(&self.flux)?.wait();
+            exec.try_execute(&self.bflux)?.wait();
+            let rms = exec.try_execute(&self.update)?.get()[0];
             if step % report_every.max(1) == 0 || step == steps {
                 reports.push((step, dt, (rms / ncells).sqrt()));
             }

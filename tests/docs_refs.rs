@@ -1,0 +1,90 @@
+//! Docs and CI must not name a cargo target that no longer exists.
+//!
+//! Every `--bin X`, `--example X` and `--test X` that `README.md`,
+//! `EXPERIMENTS.md`, `DESIGN.md` and `.github/workflows/ci.yml` spell out
+//! has to resolve to a source file of the package the same line selects
+//! with `-p`, or of any workspace package when it selects none (wrapped
+//! commands, table cells that abbreviate to `--bin fig16`).
+
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+
+const SOURCES: [&str; 4] = [
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    ".github/workflows/ci.yml",
+];
+
+/// Package name → directory, for the root package and `crates/*`.
+fn packages(root: &Path) -> BTreeMap<String, PathBuf> {
+    let mut out = BTreeMap::from([(env!("CARGO_PKG_NAME").to_string(), root.to_path_buf())]);
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let dir = entry.expect("crates/ entry").path();
+        let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+            .unwrap_or_else(|| panic!("{}: no package name", dir.display()));
+        out.insert(name.to_string(), dir);
+    }
+    out
+}
+
+/// The word after each occurrence of `flag` in `line`, cut at the first
+/// character a target or package name cannot contain.
+fn words_after<'a>(line: &'a str, flag: &str) -> Vec<&'a str> {
+    line.match_indices(flag)
+        .filter_map(|(at, _)| {
+            let rest = line[at + flag.len()..].strip_prefix(' ')?;
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
+                .unwrap_or(rest.len());
+            (end > 0).then(|| &rest[..end])
+        })
+        .collect()
+}
+
+#[test]
+fn every_named_cargo_target_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let packages = packages(root);
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for source in SOURCES {
+        let text =
+            std::fs::read_to_string(root.join(source)).unwrap_or_else(|e| panic!("{source}: {e}"));
+        for (n, line) in text.lines().enumerate() {
+            let selected: Vec<&Path> = words_after(line, "-p")
+                .into_iter()
+                .filter_map(|p| packages.get(p).map(PathBuf::as_path))
+                .collect();
+            let dirs = if selected.is_empty() {
+                packages.values().map(PathBuf::as_path).collect()
+            } else {
+                selected
+            };
+            for (flag, sub) in [
+                ("--bin", "src/bin"),
+                ("--example", "examples"),
+                ("--test", "tests"),
+            ] {
+                for target in words_after(line, flag) {
+                    checked += 1;
+                    let file = format!("{sub}/{target}.rs");
+                    if !dirs.iter().any(|d| d.join(&file).is_file()) {
+                        missing.push(format!("{source}:{}: {flag} {target}", n + 1));
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 30, "the scan found only {checked} references");
+    assert!(
+        missing.is_empty(),
+        "references to cargo targets that do not exist:\n  {}",
+        missing.join("\n  ")
+    );
+}

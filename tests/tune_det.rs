@@ -368,6 +368,11 @@ fn warm_store_round_trip_skips_exploration() {
     warm.load(&path).expect("load store");
     std::fs::remove_file(&path).ok();
     assert!(warm.converged(), "imported keys start in exploit phase");
+    assert_eq!(
+        cold.snapshot().len(),
+        warm.snapshot().len(),
+        "warm store carries one entry per cold decision key"
+    );
 
     let before = warm.snapshot();
     let untuned = run_app(&forkjoin, 7, SWEEP_ITERS, 2, 16, None);

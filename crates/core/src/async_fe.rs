@@ -14,32 +14,21 @@
 
 use std::sync::Arc;
 
-use hpx_rt::{async_spawn, ChunkSize, Promise, SharedFuture};
+use hpx_rt::{async_spawn, ChunkSize, Promise};
 use op2_core::ParLoop;
-use parking_lot::Mutex;
 
 use crate::colored::{run_colored, run_colored_task};
-use crate::handle::LoopHandle;
-use crate::recover::{
-    check_finite, run_transaction, FailSlot, FailureKind, FenceReport, LoopError, WriteSet,
-};
+use crate::handle::{LoopHandle, Outstanding};
+use crate::recover::{run_transaction, FenceReport, LoopError, Transaction};
 use crate::runtime::Op2Runtime;
 use crate::{tracehooks, Executor};
-
-/// One issued-and-unfenced loop: its future, the structured-failure slot the
-/// transactional wrapper fills, and the loop name for fallback provenance.
-struct Outstanding {
-    fut: SharedFuture<Vec<f64>>,
-    err: Arc<Mutex<Option<LoopError>>>,
-    loop_name: String,
-}
 
 /// Future-returning executor (`async` for direct loops,
 /// `for_each(par(task))` for indirect ones).
 pub struct AsyncExecutor {
     rt: Arc<Op2Runtime>,
     chunk: ChunkSize,
-    outstanding: Mutex<Vec<Outstanding>>,
+    outstanding: Outstanding,
 }
 
 impl AsyncExecutor {
@@ -53,7 +42,7 @@ impl AsyncExecutor {
         AsyncExecutor {
             rt,
             chunk,
-            outstanding: Mutex::new(Vec::new()),
+            outstanding: Outstanding::default(),
         }
     }
 }
@@ -67,7 +56,6 @@ impl Executor for AsyncExecutor {
         let (trial, plan, chunk) = self.rt.prepare(loop_, self.name(), self.chunk)?;
         let pool = Arc::clone(self.rt.pool());
         let cancel = self.rt.cancel_token().clone();
-        let err_slot: Arc<Mutex<Option<LoopError>>> = Arc::new(Mutex::new(None));
         let instance = tracehooks::next_instance();
         // This backend has no automatic ordering: the caller's explicit
         // `.get()`/`wait()` placements *are* the dependency statements, so
@@ -76,15 +64,13 @@ impl Executor for AsyncExecutor {
         for synced in tracehooks::synced_drain() {
             tracehooks::edge(synced, instance);
         }
-        let direct = loop_.is_direct();
-        let fut = if direct {
+        let loop_ = loop_.clone();
+        let fut = if loop_.is_direct() {
             // Fig. 8: return async(launch::async, [=]{ for_each(par, …) }).
             // The whole transaction (snapshot → run → rollback-on-failure)
             // runs inside the spawned task, so the snapshot is taken when
             // the task starts, not at issue time.
-            let loop_ = loop_.clone();
             let pool2 = Arc::clone(&pool);
-            let slot = Arc::clone(&err_slot);
             async_spawn(&pool, move || {
                 tracehooks::loop_begin(loop_.name(), "async-foreach", instance);
                 let body_start = std::time::Instant::now();
@@ -92,125 +78,46 @@ impl Executor for AsyncExecutor {
                     run_colored(&pool2, &loop_, &plan, chunk, Some(&cancel))
                 });
                 tracehooks::loop_end(instance);
-                match result {
-                    Ok(out) => {
-                        // Credit the body only — queueing before the task
-                        // started is scheduler noise, not this config's cost.
-                        if let Some(t) = trial {
-                            t.finish_with(body_start.elapsed().as_nanos() as u64);
-                        }
-                        out
-                    }
-                    Err(e) => {
-                        *slot.lock() = Some(e.clone());
-                        e.rethrow()
-                    }
+                // Credit the body only — queueing before the task started
+                // is scheduler noise, not this config's cost.
+                if let (Ok(_), Some(t)) = (&result, trial) {
+                    t.finish_with(body_start.elapsed().as_nanos() as u64);
                 }
+                result
             })
         } else {
             // Fig. 9: for_each(par(task)) — continuation-chained colors.
             // The first color launches before this call returns, so the
-            // write-set snapshot must be captured *now*; the backend's
+            // transaction must begin *now*; the backend's
             // manual-synchronization contract (callers wait before issuing a
-            // conflicting loop) makes issue time a consistent point.
+            // conflicting loop) makes issue time a consistent point. It is
+            // finished by the chain's last continuation.
             tracehooks::loop_begin(loop_.name(), "async-foreach", instance);
-            let ws = WriteSet::capture(loop_);
-            let fail: FailSlot = Arc::new(Mutex::new(None));
-            let inner = run_colored_task(
-                &pool,
-                loop_,
-                &plan,
-                chunk,
-                Some(cancel),
-                Some(Arc::clone(&fail)),
-            );
-            let (promise, wrapped) = Promise::<Vec<f64>>::with_pool(&pool);
-            let guarded = loop_.clone();
-            let slot = Arc::clone(&err_slot);
-            inner.finally(move |res| {
-                let fail_with = |kind: FailureKind| {
-                    ws.restore();
-                    tracehooks::rollback(guarded.name(), ws.len() as u64);
-                    LoopError::new(guarded.name(), "async-foreach", kind, true)
-                };
-                match res {
-                    Ok(gbl) => {
-                        let bad = guarded.guard_finite().then(|| check_finite(&guarded)).flatten();
-                        match bad {
-                            Some(kind) => {
-                                let e = fail_with(kind);
-                                *slot.lock() = Some(e.clone());
-                                promise.set_panic(Box::new(e.to_string()));
-                            }
-                            None => {
-                                // The first color launched at issue, so
-                                // issue→completion is the body's wall time.
-                                if let Some(t) = trial {
-                                    t.finish();
-                                }
-                                promise.set_value(gbl);
-                            }
-                        }
-                    }
-                    Err(msg) => {
-                        let kind = fail.lock().take().unwrap_or(FailureKind::KernelPanic {
-                            message: msg,
-                            element: None,
-                        });
-                        let e = fail_with(kind);
-                        *slot.lock() = Some(e.clone());
-                        promise.set_panic(Box::new(e.to_string()));
-                    }
+            let tx = Transaction::begin(&loop_, "async-foreach");
+            let (promise, fut) = Promise::with_pool(&pool);
+            run_colored_task(&pool, &loop_, &plan, chunk, Some(cancel)).finally(move |res| {
+                let result = tx.finish(&loop_, res.map_err(Into::into));
+                tracehooks::loop_end(instance);
+                // The first color launched at issue, so issue→completion is
+                // the body's wall time.
+                if let (Ok(_), Some(t)) = (&result, trial) {
+                    t.finish();
                 }
+                promise.set_value(result);
             });
-            wrapped
+            fut
         };
-        let mut shared = fut.share();
-        if !direct && op2_trace::enabled() {
-            // Close the loop span when the last color's continuation fires.
-            shared = shared
-                .then(&pool, move |gbl| {
-                    tracehooks::loop_end(instance);
-                    gbl
-                })
-                .share();
-        }
-        self.outstanding.lock().push(Outstanding {
-            fut: shared.clone(),
-            err: Arc::clone(&err_slot),
-            loop_name: loop_.name().to_owned(),
-        });
-        Ok(LoopHandle::pending(shared)
-            .with_instance(instance)
-            .with_failure(err_slot, loop_.name(), self.name()))
+        let fut = fut.share();
+        self.outstanding.push(fut.clone());
+        Ok(LoopHandle::pending(fut).with_instance(instance))
     }
 
     fn try_fence(&self) -> Result<(), FenceReport> {
-        let pending = std::mem::take(&mut *self.outstanding.lock());
-        let mut failures = Vec::new();
-        for o in pending {
-            if let Err(msg) = o.fut.try_get() {
-                failures.push(o.err.lock().clone().unwrap_or_else(|| {
-                    LoopError::new(
-                        &o.loop_name,
-                        "async-foreach",
-                        FailureKind::KernelPanic {
-                            message: msg,
-                            element: None,
-                        },
-                        false,
-                    )
-                }));
-            }
-        }
+        let report = self.outstanding.fence();
         // Everything is complete now: discard synced-with instances so they
         // don't become spurious trace edges into a later program's loops.
         let _ = tracehooks::synced_drain();
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(FenceReport { failures })
-        }
+        report
     }
 
     fn is_asynchronous(&self) -> bool {
@@ -294,6 +201,33 @@ mod tests {
             let _ = exec.execute(l);
         }
         exec.fence();
-        assert!(exec.outstanding.lock().is_empty());
+        assert_eq!(exec.outstanding.len(), 0);
+    }
+
+    /// A march that fences once at its end must not hold every loop it ever
+    /// issued: entries that completed `Ok` leave the list as later loops are
+    /// issued, while a failed one stays until a fence has reported it.
+    #[test]
+    fn outstanding_stays_bounded_and_keeps_failures_for_the_fence() {
+        let rt = Arc::new(Op2Runtime::new(1, 16));
+        let cells = Set::new("cells", 16);
+        let q = Dat::filled("q", &cells, 1, 0.0f64);
+        let qv = q.view();
+        let exec = AsyncExecutor::new(rt);
+        let bad = ParLoop::build("bad", &cells)
+            .arg(arg_direct(&q, Access::ReadWrite))
+            .kernel(|e, _| assert_ne!(e, 3, "injected kernel failure"));
+        let failed = exec.execute(&bad).try_wait().expect_err("the kernel panics");
+        let inc = ParLoop::build("inc", &cells)
+            .arg(arg_direct(&q, Access::ReadWrite))
+            .kernel(move |e, _| unsafe { qv.add(e, 0, 1.0) });
+        for _ in 0..2_000 {
+            exec.execute(&inc).wait();
+            assert!(exec.outstanding.len() <= crate::handle::PRUNE_FLOOR);
+        }
+        let report = exec.try_fence().expect_err("the early failure is still reported");
+        assert_eq!(report.failures, [failed]);
+        assert_eq!(exec.outstanding.len(), 0);
+        assert!(q.to_vec().iter().all(|&v| v == 2_000.0));
     }
 }

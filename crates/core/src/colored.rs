@@ -19,40 +19,26 @@ use std::sync::Arc;
 
 use hpx_rt::{
     for_each_index_cancel, for_each_index_task_cancel, par, par_task, CancelToken, Cancelled,
-    ChunkSize, Pool, Promise, TaskPanic,
+    ChunkSize, Pool, Promise, TaskFailure, TaskPanic,
 };
 use op2_core::{GlobalAcc, KernelFn, ParLoop, Plan};
-
-use crate::recover::{FailSlot, FailureKind};
 
 /// Run one plan block's elements, handing the kernel the cell it keeps
 /// pointed at the element under execution, so a kernel panic is re-raised as
 /// a [`TaskPanic`] with loop/element provenance (the exact element for a
 /// body derived from a per-element closure, the block's first for a body
-/// written per span). When a `fail` slot is supplied (asynchronous color
-/// chains), the structured failure is also parked there — the future layer
-/// only transports strings.
+/// written per span). Blocking runners catch it as a payload; the futures of
+/// the asynchronous color chain carry it as a [`TaskFailure`].
 pub(crate) fn run_block(
     loop_name: &str,
     kernel: &KernelFn,
     block: std::ops::Range<usize>,
     scratch: &mut [f64],
-    fail: Option<&FailSlot>,
 ) {
     let current = Cell::new(block.start);
     let result = catch_unwind(AssertUnwindSafe(|| kernel(block, scratch, &current)));
     if let Err(p) = result {
-        let tp = TaskPanic::wrap(p, current.get(), loop_name);
-        if let Some(slot) = fail {
-            let mut guard = slot.lock();
-            if guard.is_none() {
-                *guard = Some(FailureKind::KernelPanic {
-                    message: tp.message.clone(),
-                    element: tp.element,
-                });
-            }
-        }
-        resume_unwind(Box::new(tp));
+        resume_unwind(Box::new(TaskPanic::wrap(p, current.get(), loop_name)));
     }
 }
 
@@ -75,7 +61,7 @@ pub(crate) fn run_plan_order_tracked(
         for &b in color {
             let b = b as usize;
             let mut scratch = acc.scratch();
-            run_block(loop_.name(), kernel, plan.blocks[b].clone(), &mut scratch, None);
+            run_block(loop_.name(), kernel, plan.blocks[b].clone(), &mut scratch);
             acc.store(b, scratch);
         }
     }
@@ -113,7 +99,7 @@ pub fn run_colored<P: Pool + ?Sized>(
             #[cfg(feature = "det")]
             op2_core::det::enter_block(epoch, b as u32);
             let mut scratch = acc.scratch();
-            run_block(name, kernel, plan.blocks[b].clone(), &mut scratch, None);
+            run_block(name, kernel, plan.blocks[b].clone(), &mut scratch);
             acc.store(b, scratch);
             #[cfg(feature = "det")]
             op2_core::det::exit_block();
@@ -124,14 +110,15 @@ pub fn run_colored<P: Pool + ?Sized>(
 
 /// Execute `loop_` under `plan` asynchronously: colors are sequenced with
 /// continuations (no thread ever blocks) and the returned future is
-/// fulfilled with the global reduction after the last color.
+/// fulfilled with the global reduction after the last color — or fails with
+/// the first color's [`TaskFailure`] (kernel panic with its element, or the
+/// cancel reason).
 pub fn run_colored_task(
     pool: &Arc<dyn Pool>,
     loop_: &ParLoop,
     plan: &Arc<Plan>,
     chunk: ChunkSize,
     cancel: Option<CancelToken>,
-    fail: Option<FailSlot>,
 ) -> hpx_rt::Future<Vec<f64>> {
     let (promise, future) = Promise::<Vec<f64>>::with_pool(pool);
     #[cfg(feature = "det")]
@@ -144,7 +131,6 @@ pub fn run_colored_task(
         acc: GlobalAcc::with_op(loop_.gbl_dim(), plan.nblocks(), loop_.gbl_op()),
         chunk,
         cancel,
-        fail,
     });
     launch_color(ctx, 0, promise);
     future
@@ -158,19 +144,6 @@ struct ChainCtx {
     acc: GlobalAcc,
     chunk: ChunkSize,
     cancel: Option<CancelToken>,
-    fail: Option<FailSlot>,
-}
-
-impl ChainCtx {
-    /// Park `kind` in the fail slot (first failure wins).
-    fn record_failure(&self, kind: FailureKind) {
-        if let Some(slot) = &self.fail {
-            let mut guard = slot.lock();
-            if guard.is_none() {
-                *guard = Some(kind);
-            }
-        }
-    }
 }
 
 fn launch_color(ctx: Arc<ChainCtx>, color_idx: usize, promise: Promise<Vec<f64>>) {
@@ -180,8 +153,7 @@ fn launch_color(ctx: Arc<ChainCtx>, color_idx: usize, promise: Promise<Vec<f64>>
     }
     // Cooperative cancellation between colors, mirroring the blocking path.
     if let Some(reason) = ctx.cancel.as_ref().and_then(CancelToken::check) {
-        ctx.record_failure(FailureKind::Cancelled(reason));
-        promise.set_panic(Box::new(Cancelled(reason)));
+        promise.set_failure(TaskFailure::Cancelled(reason));
         return;
     }
     // A fresh epoch as each color launches: the previous color's continuation
@@ -206,7 +178,6 @@ fn launch_color(ctx: Arc<ChainCtx>, color_idx: usize, promise: Promise<Vec<f64>>
                 &body_ctx.kernel,
                 body_ctx.plan.blocks[b].clone(),
                 &mut scratch,
-                body_ctx.fail.as_ref(),
             );
             body_ctx.acc.store(b, scratch);
             #[cfg(feature = "det")]
@@ -215,15 +186,7 @@ fn launch_color(ctx: Arc<ChainCtx>, color_idx: usize, promise: Promise<Vec<f64>>
     );
     fut.finally(move |res| match res {
         Ok(()) => launch_color(ctx, color_idx + 1, promise),
-        Err(msg) => {
-            // Chunk-level cancellation skips fill the slot here (kernel
-            // panics already parked their structured failure in run_block).
-            ctx.record_failure(FailureKind::KernelPanic {
-                message: msg.clone(),
-                element: None,
-            });
-            promise.set_panic(Box::new(msg));
-        }
+        Err(failure) => promise.set_failure(failure),
     });
 }
 
@@ -282,7 +245,7 @@ mod tests {
         let (l, res) = chain_loop(333);
         let plan = Arc::new(Plan::build(l.set(), l.args(), 8));
         let pool: Arc<dyn Pool> = Arc::new(ThreadPool::new(2));
-        let fut = run_colored_task(&pool, &l, &plan, ChunkSize::Default, None, None);
+        let fut = run_colored_task(&pool, &l, &plan, ChunkSize::Default, None);
         let gbl = fut.get();
         assert_eq!(gbl, vec![333.0]);
         let got = res.to_vec();
@@ -326,27 +289,27 @@ mod tests {
         });
         let plan = Arc::new(Plan::build(l.set(), l.args(), 2));
         let pool: Arc<dyn Pool> = Arc::new(ThreadPool::new(1));
-        let fail = FailSlot::default();
-        let fut = run_colored_task(&pool, &l, &plan, ChunkSize::Default, None, Some(fail.clone()));
+        // One channel: the typed failure arrives through the future alone,
+        // both for a continuation and for a `get()` that rethrows it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        run_colored_task(&pool, &l, &plan, ChunkSize::Default, None).finally(move |res| {
+            let _ = tx.send(res);
+        });
+        match rx.recv().expect("the chain completes its future") {
+            Err(TaskFailure::Panic(tp)) => {
+                assert_eq!(tp.element, Some(5));
+                assert!(tp.message.contains("injected kernel failure"), "{tp}");
+            }
+            other => panic!("the future must carry the typed failure, got {other:?}"),
+        }
+        let fut = run_colored_task(&pool, &l, &plan, ChunkSize::Default, None);
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fut.get())) {
             Ok(gbl) => panic!("kernel panic must propagate, got {gbl:?}"),
             Err(payload) => {
-                // The future layer transports a rendered message; the typed
-                // provenance rides the fail slot (what the supervisor reads).
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .unwrap_or_else(|| panic!("future payload must be the rendered message"));
+                let msg = hpx_rt::panic_message(&payload);
                 assert!(msg.contains("injected kernel failure"), "{msg}");
                 assert!(msg.contains("element 5"), "{msg}");
             }
-        }
-        let parked = fail.lock().take();
-        match parked {
-            Some(FailureKind::KernelPanic { message, element }) => {
-                assert_eq!(element, Some(5));
-                assert!(message.contains("injected kernel failure"), "{message}");
-            }
-            other => panic!("fail slot must hold the typed failure, got {other:?}"),
         }
     }
 }

@@ -18,17 +18,19 @@
 //!
 //! The loop body is scheduled with `dataflow` semantics
 //! ([`hpx_rt::when_all_shared_unit`] + a continuation) and its completion
-//! future replaces / extends the table entries. `execute` never blocks.
+//! future — the one future a loop has, resolving to its reduction or its
+//! typed [`LoopError`] — replaces / extends the table entries. `execute`
+//! never blocks.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use hpx_rt::{when_all_shared_unit, ChunkSize, Promise, SharedFuture};
+use hpx_rt::{when_all_shared_unit, ChunkSize, Promise};
 use op2_core::ParLoop;
 use parking_lot::Mutex;
 
 use crate::colored::run_colored;
-use crate::handle::LoopHandle;
+use crate::handle::{LoopFuture, LoopHandle, Outstanding};
 use crate::recover::{run_transaction, FailureKind, FenceReport, LoopError};
 use crate::runtime::Op2Runtime;
 use crate::{tracehooks, Executor};
@@ -36,14 +38,19 @@ use crate::{tracehooks, Executor};
 /// Readers-since-write lists longer than this are merged into one future.
 const READER_COMPACT_THRESHOLD: usize = 64;
 
-/// A dependency source: its completion future plus the trace loop-instance
-/// id of the producing loop (0 for compacted reader bundles).
-type Dep = (SharedFuture<()>, u64);
+/// A dependency source: the producing loop's completion future plus its
+/// trace loop-instance id (0 for compacted reader bundles).
+type Dep = (LoopFuture, u64);
 
 #[derive(Default)]
 struct DatDeps {
     last_writer: Option<Dep>,
     readers_since_write: Vec<Dep>,
+}
+
+/// The first (in dependency order) failure among completed `deps`.
+fn first_failure(deps: &[LoopFuture]) -> Option<LoopError> {
+    deps.iter().find_map(|d| d.get().err())
 }
 
 /// Dataflow executor: automatic inter-loop dependency DAG from the declared
@@ -52,9 +59,10 @@ pub struct DataflowExecutor {
     rt: Arc<Op2Runtime>,
     chunk: ChunkSize,
     table: Mutex<HashMap<u64, DatDeps>>,
-    /// Every failure observed so far (failed nodes *and* the descendants
-    /// they poisoned), drained by [`Executor::try_fence`].
-    failures: Arc<Mutex<Vec<LoopError>>>,
+    /// Every loop not yet known to have succeeded — failed nodes *and* the
+    /// descendants they poisoned stay here, even once the table has moved on
+    /// to later writers, until [`Executor::try_fence`] reports them.
+    outstanding: Outstanding,
 }
 
 impl DataflowExecutor {
@@ -69,13 +77,8 @@ impl DataflowExecutor {
             rt,
             chunk,
             table: Mutex::new(HashMap::new()),
-            failures: Arc::new(Mutex::new(Vec::new())),
+            outstanding: Outstanding::default(),
         }
-    }
-
-    /// Failures recorded since the last fence (observability/tests).
-    pub fn failures_so_far(&self) -> usize {
-        self.failures.lock().len()
     }
 
     /// Number of dats currently tracked in the dependency table.
@@ -99,7 +102,7 @@ impl Executor for DataflowExecutor {
         // one thread; the table lock makes the read-modify-write atomic.
         let mut table = self.table.lock();
         let instance = tracehooks::next_instance();
-        let mut deps: Vec<SharedFuture<()>> = Vec::new();
+        let mut deps: Vec<LoopFuture> = Vec::new();
         let mut push_dep = |(fut, from): &Dep| {
             deps.push(fut.clone());
             tracehooks::edge(*from, instance);
@@ -129,74 +132,56 @@ impl Executor for DataflowExecutor {
         let df_token = op2_core::det::dataflow_register(loop_.name(), &reads, &writes);
 
         // Fig. 13: dataflow(unwrapped([&]{ for_each(par, …); return out; }),
-        // arg0 … argN) — the body fires when the last dependency resolves.
-        // `finally` (not `then`) so an upstream failure reaches us: a failed
-        // dependency *poisons* this node — it never runs, its write-set is
-        // untouched, and its own completion future fails, poisoning exactly
-        // the RAW/WAW/WAR descendants while independent loops proceed.
-        let join = when_all_shared_unit(&pool, deps);
-        let (promise, body_fut) = Promise::<Vec<f64>>::with_pool(&pool);
+        // arg0 … argN) — the node fires when the last dependency resolves.
+        // A failed dependency *poisons* it: it never runs, its write-set is
+        // untouched, and its own future resolves to `Poisoned`, poisoning
+        // exactly the RAW/WAW/WAR descendants while independent loops
+        // proceed.
+        let (promise, done) = Promise::with_pool(&pool);
         let body_loop = loop_.clone();
         let body_pool = Arc::clone(&pool);
         let spawn_pool = Arc::clone(&pool);
         let cancel = self.rt.cancel_token().clone();
-        let failures = Arc::clone(&self.failures);
-        let err_slot: Arc<Mutex<Option<LoopError>>> = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&err_slot);
-        join.finally(move |res| match res {
-            Err(origin) => {
-                tracehooks::poison(body_loop.name(), instance);
-                let e = LoopError::new(
-                    body_loop.name(),
-                    "dataflow",
-                    FailureKind::Poisoned { origin },
-                    false,
-                );
-                failures.lock().push(e.clone());
-                *slot.lock() = Some(e.clone());
-                promise.set_panic(Box::new(e.to_string()));
-            }
-            Ok(()) => {
-                // `finally` may run inline on the thread that resolved the
-                // last dependency (possibly a caller holding locks) — spawn
-                // the body as a pool task, as `then` did.
-                spawn_pool.spawn_boxed(Box::new(move || {
-                    #[cfg(feature = "det")]
-                    op2_core::det::dataflow_begin(df_token);
-                    // The loop span covers the body continuation only — from
-                    // the last dependency resolving to completion — so there
-                    // is never a barrier (or caller-side blocking) inside it.
-                    tracehooks::loop_begin(body_loop.name(), "dataflow", instance);
-                    let body_start = std::time::Instant::now();
-                    let result = run_transaction(&body_loop, "dataflow", || {
-                        run_colored(&body_pool, &body_loop, &plan, chunk, Some(&cancel))
-                    });
-                    tracehooks::loop_end(instance);
-                    // Completion is recorded before the body's future
-                    // resolves, so any dependent that begins afterwards
-                    // observes it as done.
-                    #[cfg(feature = "det")]
-                    op2_core::det::dataflow_complete(df_token);
-                    match result {
-                        Ok(out) => {
-                            // Credit the body only, not the dependency wait
-                            // the DAG imposed before it could start.
-                            if let Some(t) = trial {
-                                t.finish_with(body_start.elapsed().as_nanos() as u64);
-                            }
-                            promise.set_value(out);
-                        }
-                        Err(e) => {
-                            failures.lock().push(e.clone());
-                            *slot.lock() = Some(e.clone());
-                            promise.set_panic(Box::new(e.to_string()));
-                        }
-                    }
-                }));
-            }
+        when_all_shared_unit(&pool, &deps).finally(move |joined| {
+            // `finally` runs on the thread that resolved the last dependency
+            // (a caller holding locks, or an ancestor resolving a long chain
+            // of poisoned descendants) — the node is a pool task either way.
+            spawn_pool.spawn_boxed(Box::new(move || {
+                let origin = match joined {
+                    Err(failure) => Some(failure.to_string()),
+                    Ok(()) => first_failure(&deps).map(|e| e.to_string()),
+                };
+                if let Some(origin) = origin {
+                    tracehooks::poison(body_loop.name(), instance);
+                    let kind = FailureKind::Poisoned { origin };
+                    promise.set_value(Err(LoopError::new(body_loop.name(), "dataflow", kind, false)));
+                    return;
+                }
+                #[cfg(feature = "det")]
+                op2_core::det::dataflow_begin(df_token);
+                // The loop span covers the body only — from the last
+                // dependency resolving to completion — so there is never a
+                // barrier (or caller-side blocking) inside it.
+                tracehooks::loop_begin(body_loop.name(), "dataflow", instance);
+                let body_start = std::time::Instant::now();
+                let result = run_transaction(&body_loop, "dataflow", || {
+                    run_colored(&body_pool, &body_loop, &plan, chunk, Some(&cancel))
+                });
+                tracehooks::loop_end(instance);
+                // Completion is recorded before the loop's future resolves,
+                // so any dependent that begins afterwards observes it as
+                // done.
+                #[cfg(feature = "det")]
+                op2_core::det::dataflow_complete(df_token);
+                // Credit the body only, not the dependency wait the DAG
+                // imposed before it could start.
+                if let (Ok(_), Some(t)) = (&result, trial) {
+                    t.finish_with(body_start.elapsed().as_nanos() as u64);
+                }
+                promise.set_value(result);
+            }));
         });
-        let rms = body_fut.share();
-        let done: SharedFuture<()> = rms.then(&pool, |_| ()).share();
+        let done = done.share();
 
         for id in &writes {
             let entry = table.entry(*id).or_default();
@@ -210,55 +195,26 @@ impl Executor for DataflowExecutor {
                 // A dat that is read every iteration but (almost) never
                 // written — e.g. mesh coordinates — would accumulate one
                 // reader per loop forever. Compact the list by merging it
-                // into a single joined future once it grows.
+                // into a single future once it grows: the first failure
+                // among the readers, else an empty success.
                 if entry.readers_since_write.len() > READER_COMPACT_THRESHOLD {
-                    let merged = when_all_shared_unit(
-                        &pool,
-                        entry
-                            .readers_since_write
-                            .drain(..)
-                            .map(|(f, _)| f)
-                            .collect(),
-                    )
-                    .share();
+                    let readers: Vec<LoopFuture> =
+                        entry.readers_since_write.drain(..).map(|(f, _)| f).collect();
+                    let merged = when_all_shared_unit(&pool, &readers)
+                        .then(&pool, move |()| first_failure(&readers).map_or(Ok(Vec::new()), Err))
+                        .share();
                     entry.readers_since_write.push((merged, 0));
                 }
             }
         }
         drop(table);
 
-        Ok(LoopHandle::pending(rms)
-            .with_instance(instance)
-            .with_failure(err_slot, loop_.name(), self.name()))
+        self.outstanding.push(done.clone());
+        Ok(LoopHandle::pending(done).with_instance(instance))
     }
 
     fn try_fence(&self) -> Result<(), FenceReport> {
-        // Snapshot, then wait outside the lock (waiters work-help and might
-        // execute loop bodies that themselves never take this lock — but a
-        // concurrent execute() from another thread must not deadlock on us).
-        let pending: Vec<SharedFuture<()>> = {
-            let table = self.table.lock();
-            table
-                .values()
-                .flat_map(|d| {
-                    d.last_writer
-                        .iter()
-                        .chain(d.readers_since_write.iter())
-                        .map(|(f, _)| f.clone())
-                })
-                .collect()
-        };
-        for f in pending {
-            // Individual failures were already recorded with provenance at
-            // the failing (or poisoned) node; here we only drain the DAG.
-            let _ = f.try_get();
-        }
-        let failures = std::mem::take(&mut *self.failures.lock());
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(FenceReport { failures })
-        }
+        self.outstanding.fence()
     }
 
     fn is_asynchronous(&self) -> bool {

@@ -1,41 +1,36 @@
 //! The result of issuing a parallel loop: ready now, or a future.
 
-use std::sync::Arc;
-
 use hpx_rt::SharedFuture;
 use op2_trace::{EventKind, NO_INSTANCE, NO_NAME};
 use parking_lot::Mutex;
 
-use crate::recover::{FailureKind, LoopError};
+use crate::recover::{FenceReport, LoopError};
 use crate::tracehooks;
+
+/// A loop's completion future. It resolves to a *value* either way: the
+/// global reduction, or the typed [`LoopError`] (write-set already rolled
+/// back) — the error travels inside the future, never beside it.
+pub(crate) type LoopFuture = SharedFuture<Result<Vec<f64>, LoopError>>;
 
 /// Handle to an issued loop.
 ///
 /// Synchronous backends return a handle that is already complete;
 /// asynchronous ones (async / dataflow) return a pending handle — the
 /// analogue of the `new_data` futures in Fig. 10 of the paper. The payload is
-/// the loop's global reduction (empty when none was declared).
+/// the loop's global reduction (empty when none was declared), or the
+/// [`LoopError`] it failed with: [`LoopHandle::get`]/[`LoopHandle::wait`]
+/// rethrow that error, [`LoopHandle::try_get`]/[`LoopHandle::try_wait`]
+/// return it, as often as they are asked.
 pub struct LoopHandle {
     inner: HandleInner,
     /// Trace loop-instance id ([`NO_INSTANCE`] when untraced), so waits on
     /// this handle attribute their blocked time to the awaited loop.
     instance: u64,
-    /// Typed-failure side channel for async handles: the issuing executor
-    /// parks the full [`LoopError`] here (the future itself can only carry a
-    /// flattened string payload), so [`LoopHandle::try_get`] can recover
-    /// provenance instead of re-parsing the panic message.
-    failure: Option<FailureHook>,
-}
-
-struct FailureHook {
-    slot: Arc<Mutex<Option<LoopError>>>,
-    loop_name: String,
-    backend: &'static str,
 }
 
 enum HandleInner {
     Ready(Vec<f64>),
-    Pending(SharedFuture<Vec<f64>>),
+    Pending(LoopFuture),
 }
 
 impl LoopHandle {
@@ -44,58 +39,15 @@ impl LoopHandle {
         LoopHandle {
             inner: HandleInner::Ready(gbl),
             instance: NO_INSTANCE,
-            failure: None,
         }
     }
 
-    /// A handle backed by a future.
-    pub fn pending(fut: SharedFuture<Vec<f64>>) -> Self {
+    /// A handle backed by the loop's completion future.
+    pub fn pending(fut: SharedFuture<Result<Vec<f64>, LoopError>>) -> Self {
         LoopHandle {
             inner: HandleInner::Pending(fut),
             instance: NO_INSTANCE,
-            failure: None,
         }
-    }
-
-    /// Attach the executor's typed-failure slot (see [`FailureHook`] docs).
-    pub(crate) fn with_failure(
-        mut self,
-        slot: Arc<Mutex<Option<LoopError>>>,
-        loop_name: &str,
-        backend: &'static str,
-    ) -> Self {
-        self.failure = Some(FailureHook {
-            slot,
-            loop_name: loop_name.to_string(),
-            backend,
-        });
-        self
-    }
-
-    fn failure_for(&self, message: String) -> LoopError {
-        if let Some(hook) = &self.failure {
-            if let Some(e) = hook.slot.lock().clone() {
-                return e;
-            }
-            return LoopError::new(
-                &hook.loop_name,
-                hook.backend,
-                FailureKind::KernelPanic {
-                    message,
-                    element: None,
-                },
-                false,
-            );
-        }
-        LoopError::new(
-            "<unknown>",
-            "unknown",
-            FailureKind::KernelPanic {
-                message,
-                element: None,
-            },
-            false,
-        )
     }
 
     /// Tag the handle with its trace loop-instance id.
@@ -120,62 +72,101 @@ impl LoopHandle {
     /// Wait for completion without consuming the handle (the paper's
     /// `new_data.get()` used purely for synchronization).
     pub fn wait(&self) {
-        if let HandleInner::Pending(f) = &self.inner {
-            let span = op2_trace::begin();
-            let _ = f.get();
-            op2_trace::end(span, EventKind::DepWait, NO_NAME, self.instance, 0);
-            tracehooks::synced_push(self.instance);
-        }
+        self.try_wait().unwrap_or_else(|e| e.rethrow())
     }
 
     /// Wait for completion and return the global reduction.
     pub fn get(self) -> Vec<f64> {
-        match self.inner {
-            HandleInner::Ready(gbl) => gbl,
-            HandleInner::Pending(f) => {
-                let span = op2_trace::begin();
-                let gbl = f.get();
-                op2_trace::end(span, EventKind::DepWait, NO_NAME, self.instance, 0);
-                tracehooks::synced_push(self.instance);
-                gbl
-            }
-        }
+        self.try_get().unwrap_or_else(|e| e.rethrow())
     }
 
     /// Wait for completion without consuming the handle, surfacing the
     /// loop's failure (if any) as a typed [`LoopError`] instead of a panic.
     pub fn try_wait(&self) -> Result<(), LoopError> {
-        if let HandleInner::Pending(f) = &self.inner {
-            let span = op2_trace::begin();
-            let res = f.try_get();
-            op2_trace::end(span, EventKind::DepWait, NO_NAME, self.instance, 0);
-            tracehooks::synced_push(self.instance);
-            res.map(|_| ()).map_err(|msg| self.failure_for(msg))?;
+        match &self.inner {
+            HandleInner::Ready(_) => Ok(()),
+            HandleInner::Pending(f) => await_loop(f, self.instance).map(drop),
         }
-        Ok(())
     }
 
     /// Wait for completion and return the global reduction, surfacing the
     /// loop's failure (if any) as a typed [`LoopError`] instead of a panic.
     pub fn try_get(self) -> Result<Vec<f64>, LoopError> {
-        match &self.inner {
-            HandleInner::Ready(gbl) => Ok(gbl.clone()),
-            HandleInner::Pending(f) => {
-                let span = op2_trace::begin();
-                let res = f.try_get();
-                op2_trace::end(span, EventKind::DepWait, NO_NAME, self.instance, 0);
-                tracehooks::synced_push(self.instance);
-                res.map_err(|msg| self.failure_for(msg))
-            }
+        match self.inner {
+            HandleInner::Ready(gbl) => Ok(gbl),
+            HandleInner::Pending(f) => await_loop(&f, self.instance),
         }
     }
 
     /// The completion future, if this handle is asynchronous.
-    pub fn future(&self) -> Option<&SharedFuture<Vec<f64>>> {
+    pub fn future(&self) -> Option<&SharedFuture<Result<Vec<f64>, LoopError>>> {
         match &self.inner {
             HandleInner::Ready(_) => None,
             HandleInner::Pending(f) => Some(f),
         }
+    }
+}
+
+/// The wait every accessor goes through: a dependency-wait span tagged with
+/// the awaited loop, and the loop noted as synchronized-on.
+fn await_loop(f: &LoopFuture, instance: u64) -> Result<Vec<f64>, LoopError> {
+    let span = op2_trace::begin();
+    let res = f.get();
+    op2_trace::end(span, EventKind::DepWait, NO_NAME, instance, 0);
+    tracehooks::synced_push(instance);
+    res
+}
+
+/// Loops below this many are never pruned from an [`Outstanding`] list.
+pub(crate) const PRUNE_FLOOR: usize = 32;
+
+/// The loops an asynchronous executor issued and does not yet know to have
+/// succeeded: what its fence waits for, and reports from.
+pub(crate) struct Outstanding {
+    /// The futures, and the length at which to prune them next.
+    inner: Mutex<(Vec<LoopFuture>, usize)>,
+}
+
+impl Default for Outstanding {
+    fn default() -> Self {
+        Outstanding {
+            inner: Mutex::new((Vec::new(), PRUNE_FLOOR)),
+        }
+    }
+}
+
+impl Outstanding {
+    /// Track a newly issued loop. Entries that completed `Ok` are dropped on
+    /// the way (whenever the list has doubled since the last sweep, so the
+    /// cost stays constant per loop): a march that fences once at its end
+    /// holds its in-flight loops, not every loop it ever issued. Failed
+    /// entries stay until a fence has reported them.
+    pub(crate) fn push(&self, fut: LoopFuture) {
+        let mut guard = self.inner.lock();
+        let (list, prune_at) = &mut *guard;
+        if list.len() >= *prune_at {
+            list.retain(|f| !(f.is_ready() && matches!(f.try_get(), Ok(Ok(_)))));
+            *prune_at = (2 * list.len()).max(PRUNE_FLOOR);
+        }
+        list.push(fut);
+    }
+
+    /// Wait for every tracked loop and report each failure, in issue order.
+    pub(crate) fn fence(&self) -> Result<(), FenceReport> {
+        // Taken out first: waiters work-help, and a body they run must not
+        // find the lock held.
+        let pending = std::mem::take(&mut self.inner.lock().0);
+        let failures: Vec<LoopError> = pending.iter().filter_map(|f| f.get().err()).collect();
+        if failures.is_empty() {
+            Ok(())
+        } else {
+            Err(FenceReport { failures })
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.inner.lock().0.len()
     }
 }
 
@@ -193,7 +184,7 @@ mod tests {
 
     #[test]
     fn pending_handle() {
-        let h = LoopHandle::pending(SharedFuture::ready(vec![2.0]));
+        let h = LoopHandle::pending(SharedFuture::ready(Ok(vec![2.0])));
         assert!(h.is_ready());
         assert!(h.future().is_some());
         assert_eq!(h.get(), vec![2.0]);

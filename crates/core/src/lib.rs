@@ -82,14 +82,19 @@ pub use tuned::{TunedExecutor, TUNABLE_BACKENDS};
 /// [`Executor::try_fence`] wait for *all* outstanding loops —
 /// `try_fence` aggregating **every** pending failure into a [`FenceReport`]
 /// instead of rethrowing the first.
+///
+/// A futurized loop has **one** completion future, and it resolves to a
+/// value either way — `Result<Vec<f64>, LoopError>`. The error travels
+/// inside that future, never beside it: the handle, the fence and (under
+/// dataflow) a poisoned descendant all read the same [`LoopError`].
 pub trait Executor: Send + Sync {
     /// Stable, human-readable backend name (used in benches/reports).
     fn name(&self) -> &'static str;
 
     /// Execute or schedule `loop_` transactionally. A synchronous failure
     /// (plan validation, kernel panic, finite-guard) is returned here;
-    /// asynchronous backends surface late failures through
-    /// [`LoopHandle::try_get`]/[`LoopHandle::try_wait`] and
+    /// asynchronous backends surface late failures — the same value each
+    /// time — through [`LoopHandle::try_get`]/[`LoopHandle::try_wait`] and
     /// [`Executor::try_fence`]. In every failure case the declared write-set
     /// has been restored before the error becomes observable.
     fn try_execute(&self, loop_: &op2_core::ParLoop) -> Result<LoopHandle, LoopError>;
@@ -101,7 +106,8 @@ pub trait Executor: Send + Sync {
     }
 
     /// Block until every loop issued so far has completed; collect **all**
-    /// failures (with provenance) instead of rethrowing the first.
+    /// failures not yet reported by a fence (with provenance, in issue
+    /// order) instead of rethrowing the first.
     fn try_fence(&self) -> Result<(), FenceReport> {
         Ok(())
     }

@@ -28,10 +28,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hpx_rt::future::PanicPayload;
-use hpx_rt::{CancelReason, Cancelled, TaskPanic};
+use hpx_rt::{CancelReason, TaskFailure, TaskPanic};
 use op2_core::{DatSnapshot, ParLoop, PlanError};
-use parking_lot::Mutex;
 
 use crate::factory::BackendKind;
 use crate::handle::LoopHandle;
@@ -48,8 +46,8 @@ pub enum FailureKind {
     KernelPanic {
         /// Rendering of the kernel's panic payload.
         message: String,
-        /// Iteration-set element being processed, when the executor tracked
-        /// it (per-block element tracking; lost across some async seams).
+        /// Iteration-set element being processed (per-block element
+        /// tracking; `None` only for a panic raised outside a kernel body).
         element: Option<usize>,
     },
     /// The loop ran to completion but the [`ParLoop::guard_finite`] scan
@@ -156,7 +154,7 @@ impl LoopError {
             other => other.to_string(),
         };
         std::panic::resume_unwind(Box::new(TaskPanic {
-            message,
+            message: message.into(),
             element: self.element(),
             context: Some(self.loop_name.clone()),
         }))
@@ -230,28 +228,54 @@ pub(crate) fn check_finite(loop_: &ParLoop) -> Option<FailureKind> {
     None
 }
 
-/// Slot the asynchronous color chain uses to hand the structured failure
-/// back across the future boundary (whose error channel is a plain string).
-pub(crate) type FailSlot = Arc<Mutex<Option<FailureKind>>>;
-
-/// Map a caught panic payload to a [`FailureKind`], preserving the
-/// provenance that [`TaskPanic`] / [`Cancelled`] payloads carry.
-pub(crate) fn classify_payload(p: PanicPayload) -> FailureKind {
-    let p = match p.downcast::<TaskPanic>() {
-        Ok(tp) => {
-            return FailureKind::KernelPanic {
-                message: tp.message,
+/// What a failed task carried, as this crate's failure vocabulary.
+impl From<TaskFailure> for FailureKind {
+    fn from(failure: TaskFailure) -> Self {
+        match failure {
+            TaskFailure::Panic(tp) => FailureKind::KernelPanic {
+                message: tp.message.into_owned(),
                 element: tp.element,
-            }
+            },
+            TaskFailure::Cancelled(reason) => FailureKind::Cancelled(reason),
         }
-        Err(p) => p,
-    };
-    match p.downcast::<Cancelled>() {
-        Ok(c) => FailureKind::Cancelled(c.0),
-        Err(p) => FailureKind::KernelPanic {
-            message: hpx_rt::panic_message(&p),
-            element: None,
-        },
+    }
+}
+
+/// An open transaction on a loop's declared write-set: the snapshot is taken
+/// by [`Transaction::begin`]; [`Transaction::finish`] commits or aborts it.
+/// [`run_transaction`] brackets a blocking body with the two; a continuation
+/// chain begins at issue and finishes in its last continuation.
+pub(crate) struct Transaction {
+    ws: WriteSet,
+    backend: &'static str,
+}
+
+impl Transaction {
+    pub(crate) fn begin(loop_: &ParLoop, backend: &'static str) -> Self {
+        Transaction {
+            ws: WriteSet::capture(loop_),
+            backend,
+        }
+    }
+
+    /// Close the transaction with the body's outcome. A failed body — or a
+    /// successful one whose finite-guard scan trips — restores the snapshot
+    /// bit-identically and becomes a typed error.
+    pub(crate) fn finish(
+        self,
+        loop_: &ParLoop,
+        outcome: Result<Vec<f64>, FailureKind>,
+    ) -> Result<Vec<f64>, LoopError> {
+        let kind = match outcome {
+            Ok(gbl) => match loop_.guard_finite().then(|| check_finite(loop_)).flatten() {
+                None => return Ok(gbl),
+                Some(kind) => kind,
+            },
+            Err(kind) => kind,
+        };
+        self.ws.restore();
+        tracehooks::rollback(loop_.name(), self.ws.len() as u64);
+        Err(LoopError::new(loop_.name(), self.backend, kind, true))
     }
 }
 
@@ -263,27 +287,12 @@ pub(crate) fn run_transaction(
     backend: &'static str,
     body: impl FnOnce() -> Vec<f64>,
 ) -> Result<Vec<f64>, LoopError> {
-    let ws = WriteSet::capture(loop_);
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(gbl) => {
-            if loop_.guard_finite() {
-                if let Some(kind) = check_finite(loop_) {
-                    ws.restore();
-                    tracehooks::rollback(loop_.name(), ws.len() as u64);
-                    return Err(LoopError::new(loop_.name(), backend, kind, true));
-                }
-            }
-            Ok(gbl)
-        }
-        Err(p) => {
-            ws.restore();
-            tracehooks::rollback(loop_.name(), ws.len() as u64);
-            Err(LoopError::new(loop_.name(), backend, classify_payload(p), true))
-        }
-    }
+    let tx = Transaction::begin(loop_, backend);
+    let outcome = catch_unwind(AssertUnwindSafe(body));
+    tx.finish(loop_, outcome.map_err(|p| TaskFailure::of(&p).into()))
 }
 
-/// Every failure a fence observed, in completion order — the aggregate error
+/// Every failure a fence observed, in issue order — the aggregate error
 /// of [`crate::Executor::try_fence`]. Asynchronous executors report *all*
 /// pending failures here, not just the first.
 #[derive(Debug, Clone, Default, PartialEq)]

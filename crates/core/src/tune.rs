@@ -105,16 +105,9 @@ impl LoopTrial {
     /// Close the bracket with an externally measured wall time (futurized
     /// executors time issue → completion themselves).
     pub(crate) fn finish_with(self, wall_ns: u64) {
-        self.tuner.observe(
-            &self.key,
-            self.trial,
-            Observation {
-                wall_ns,
-                ..Observation::default()
-            },
-        );
+        self.tuner
+            .observe(&self.key, self.trial, Observation { wall_ns });
     }
-
 }
 
 /// Open a trial for `loop_` if `rt` carries a tuner. `backends` is the set

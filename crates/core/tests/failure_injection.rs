@@ -340,3 +340,46 @@ fn broken_loop_then_fresh_executor_is_clean() {
     exec.fence();
     assert!(q.to_vec().iter().all(|&v| v == 4.0));
 }
+
+/// The error travels inside the loop's future, so there is one value of it:
+/// `try_wait`, a later `try_get` on the same handle and the fence all return
+/// the same `LoopError` — and a dataflow descendant's `Poisoned::origin`
+/// names the loop that failed.
+#[test]
+fn futurized_backends_hand_out_one_error_value_everywhere() {
+    for kind in [BackendKind::Async, BackendKind::Dataflow] {
+        let exec = make_executor(kind, Arc::new(Op2Runtime::new(2, 8)));
+        let cells = Set::new("cells", 64);
+        let q = Dat::filled("q", &cells, 1, 0.0f64);
+        let bad = poison_loop(&cells, &q, Arc::new(AtomicBool::new(true)));
+        let qv = q.view();
+        let reader = ParLoop::build("reader", &cells)
+            .arg(arg_direct(&q, Access::Read))
+            .gbl_inc(1)
+            .kernel(move |e, gbl| unsafe { gbl[0] += qv.get(e, 0) });
+
+        let handle = exec.try_execute(&bad).expect("issue succeeds");
+        let waited = handle.try_wait().expect_err("the failure surfaces at try_wait");
+        // (The async backend orders nothing itself; the wait above is what
+        // makes issuing a second loop on `q` legal there.)
+        let descendant = exec.try_execute(&reader).and_then(|h| h.try_get());
+        let got = handle.try_get().expect_err("and again at try_get");
+        assert_eq!(waited, got, "{kind}");
+        assert_eq!(waited.element(), Some(7), "{kind}: {waited}");
+        let report = exec.try_fence().expect_err("and at the fence");
+
+        if kind == BackendKind::Dataflow {
+            let poisoned = descendant.expect_err("a reader of the failed write is poisoned");
+            match &poisoned.kind {
+                FailureKind::Poisoned { origin } => {
+                    assert!(origin.contains("maybe_panic"), "origin must name the failed loop: {origin}")
+                }
+                other => panic!("expected poisoning, got {other:?}"),
+            }
+            assert_eq!(report.failures, [waited, poisoned]);
+        } else {
+            assert_eq!(descendant, Ok(vec![0.0]), "reader sees the rolled-back dat");
+            assert_eq!(report.failures, [waited]);
+        }
+    }
+}

@@ -10,143 +10,113 @@
 //!
 //! This module provides fixed-arity [`dataflow1`]–[`dataflow4`] plus the
 //! variadic [`when_all`] / [`when_all_unit`] / [`when_all_shared_unit`]
-//! combinators the OP2 backend uses for arbitrary argument counts.
+//! combinators the OP2 backend uses for arbitrary argument counts. The
+//! variadic ones, and the chunk fan-out of
+//! [`crate::for_each_index_task_cancel`], count down on the one `Join`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::future::{Future, PanicPayload, SharedFuture};
+use crate::future::{run_as_task, Future, Outcome, SharedFuture, TaskFailure};
 use crate::pool::Pool;
+
+/// The runtime's one join: after `n` arrivals it calls `done` — exactly once,
+/// on the thread of the last arrival — with the first failure any of them
+/// reported, or `Ok(())`.
+pub(crate) struct Join<D> {
+    remaining: AtomicUsize,
+    /// The first failure so far, and `done` until it has been called.
+    slot: Mutex<(Option<TaskFailure>, Option<D>)>,
+}
+
+impl<D: FnOnce(Outcome<()>)> Join<D> {
+    /// A join over `n` arrivals; with none to wait for, `done` runs at once.
+    pub(crate) fn new(n: usize, done: D) -> Arc<Self> {
+        let join = Arc::new(Join {
+            remaining: AtomicUsize::new(n.max(1)),
+            slot: Mutex::new((None, Some(done))),
+        });
+        if n == 0 {
+            join.arrive(Ok(()));
+        }
+        join
+    }
+
+    pub(crate) fn arrive(&self, outcome: Outcome<()>) {
+        if let Err(failure) = outcome {
+            self.slot.lock().0.get_or_insert(failure);
+        }
+        // AcqRel: the last arrival must see what the earlier ones wrote
+        // before they counted down (their failure, their `when_all` slot).
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let (failure, done) = std::mem::take(&mut *self.slot.lock());
+            done.expect("join completed twice")(failure.map_or(Ok(()), Err));
+        }
+    }
+}
 
 /// Combine a vector of futures into one future of all their values, in input
 /// order (the analogue of `hpx::when_all`).
 ///
 /// If any input's producer panicked, the first captured panic is re-thrown by
 /// `get()` on the combined future.
-pub fn when_all<T: Send + 'static>(pool: &(impl Pool + ?Sized), futures: Vec<Future<T>>) -> Future<Vec<T>> {
-    let n = futures.len();
-    let (out_shared, out) = Future::<Vec<T>>::new_pair(Some(pool.spawner()));
-    if n == 0 {
-        out_shared.complete(Ok(Vec::new()));
-        return out;
-    }
-    let slots: Arc<Mutex<Vec<Option<T>>>> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-    let first_panic: Arc<Mutex<Option<PanicPayload>>> = Arc::new(Mutex::new(None));
-    let remaining = Arc::new(AtomicUsize::new(n));
-    let out_shared = Arc::new(Mutex::new(Some(out_shared)));
+pub fn when_all<T: Send + 'static>(
+    pool: &(impl Pool + ?Sized),
+    futures: Vec<Future<T>>,
+) -> Future<Vec<T>> {
+    let (out, future) = Future::new_pair(Some(pool.spawner()));
+    let slots: Arc<Mutex<Vec<Option<T>>>> =
+        Arc::new(Mutex::new(futures.iter().map(|_| None).collect()));
+    let filled = Arc::clone(&slots);
+    // With no arrival failed, every slot has been filled.
+    let join = Join::new(futures.len(), move |res: Outcome<()>| {
+        out.complete(res.map(|()| filled.lock().drain(..).flatten().collect()))
+    });
     for (i, fut) in futures.into_iter().enumerate() {
-        let slots = Arc::clone(&slots);
-        let first_panic = Arc::clone(&first_panic);
-        let remaining = Arc::clone(&remaining);
-        let out_shared = Arc::clone(&out_shared);
-        fut.on_ready(move |res| {
-            match res {
-                Ok(v) => slots.lock()[i] = Some(v),
-                Err(p) => {
-                    let mut guard = first_panic.lock();
-                    if guard.is_none() {
-                        *guard = Some(p);
-                    }
-                }
-            }
-            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let shared = out_shared.lock().take().expect("when_all completed twice");
-                if let Some(p) = first_panic.lock().take() {
-                    shared.complete(Err(p));
-                } else {
-                    let values = slots
-                        .lock()
-                        .iter_mut()
-                        .map(|s| s.take().expect("when_all slot unfilled"))
-                        .collect();
-                    shared.complete(Ok(values));
-                }
-            }
-        });
+        let (join, slots) = (Arc::clone(&join), Arc::clone(&slots));
+        fut.finally(move |res| join.arrive(res.map(|v| slots.lock()[i] = Some(v))));
     }
-    out
+    future
 }
 
 /// [`when_all`] specialised for `Future<()>`: no value storage, just a
 /// countdown. Used for pure dependency edges.
 pub fn when_all_unit(pool: &(impl Pool + ?Sized), futures: Vec<Future<()>>) -> Future<()> {
-    let n = futures.len();
-    let (out_shared, out) = Future::<()>::new_pair(Some(pool.spawner()));
-    if n == 0 {
-        out_shared.complete(Ok(()));
-        return out;
-    }
-    let first_panic: Arc<Mutex<Option<PanicPayload>>> = Arc::new(Mutex::new(None));
-    let remaining = Arc::new(AtomicUsize::new(n));
-    let out_shared = Arc::new(Mutex::new(Some(out_shared)));
+    let (out, future) = Future::new_pair(Some(pool.spawner()));
+    let join = Join::new(futures.len(), move |res| out.complete(res));
     for fut in futures {
-        let first_panic = Arc::clone(&first_panic);
-        let remaining = Arc::clone(&remaining);
-        let out_shared = Arc::clone(&out_shared);
-        fut.on_ready(move |res| {
-            if let Err(p) = res {
-                let mut guard = first_panic.lock();
-                if guard.is_none() {
-                    *guard = Some(p);
-                }
-            }
-            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let shared = out_shared
-                    .lock()
-                    .take()
-                    .expect("when_all_unit completed twice");
-                match first_panic.lock().take() {
-                    Some(p) => shared.complete(Err(p)),
-                    None => shared.complete(Ok(())),
-                }
-            }
-        });
+        let join = Arc::clone(&join);
+        fut.finally(move |res| join.arrive(res));
     }
-    out
+    future
 }
 
-/// Dependency-join over *shared* futures: ready when every input is ready.
+/// Dependency-join over *shared* futures: ready when every input is ready,
+/// failed if one of them failed. The inputs' values are not looked at.
 ///
-/// This is the combinator behind the dataflow OP2 backend, where one dat
-/// version may be awaited by several subsequent loops.
-pub fn when_all_shared_unit(pool: &(impl Pool + ?Sized), deps: Vec<SharedFuture<()>>) -> Future<()> {
-    let n = deps.len();
-    op2_trace::instant(op2_trace::EventKind::Mark, op2_trace::intern("when-all"), n as u64, 0);
-    let (out_shared, out) = Future::<()>::new_pair(Some(pool.spawner()));
-    if n == 0 {
-        out_shared.complete(Ok(()));
-        return out;
-    }
-    let first_err: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let remaining = Arc::new(AtomicUsize::new(n));
-    let out_shared = Arc::new(Mutex::new(Some(out_shared)));
+/// This is the combinator behind the dataflow OP2 backend, where one loop
+/// may be awaited by several subsequent loops.
+pub fn when_all_shared_unit<T: Clone + Send + 'static>(
+    pool: &(impl Pool + ?Sized),
+    deps: &[SharedFuture<T>],
+) -> Future<()> {
+    op2_trace::instant(
+        op2_trace::EventKind::Mark,
+        op2_trace::intern("when-all"),
+        deps.len() as u64,
+        0,
+    );
+    let (out, future) = Future::new_pair(Some(pool.spawner()));
+    let join = Join::new(deps.len(), move |res| out.complete(res));
     for dep in deps {
-        let first_err = Arc::clone(&first_err);
-        let remaining = Arc::clone(&remaining);
-        let out_shared = Arc::clone(&out_shared);
-        dep.on_ready(move |res| {
-            if let Err(msg) = res {
-                let mut guard = first_err.lock();
-                if guard.is_none() {
-                    *guard = Some(msg);
-                }
-            }
-            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let shared = out_shared
-                    .lock()
-                    .take()
-                    .expect("when_all_shared_unit completed twice");
-                match first_err.lock().take() {
-                    Some(msg) => shared.complete(Err(Box::new(msg))),
-                    None => shared.complete(Ok(())),
-                }
-            }
+        let join = Arc::clone(&join);
+        dep.shared.on_ready(move |shared| {
+            join.arrive(shared.peek(|res| res.as_ref().map(drop).map_err(Clone::clone)))
         });
     }
-    out
+    future
 }
 
 /// Run `f(a)` as a new task once `a` is ready (`hpx::dataflow` arity 1).
@@ -162,32 +132,23 @@ where
 }
 
 /// Run `f(a, b)` as a new task once **both** inputs are ready.
-pub fn dataflow2<A, B, R, F>(pool: &(impl Pool + ?Sized), f: F, a: Future<A>, b: Future<B>) -> Future<R>
+pub fn dataflow2<A, B, R, F>(
+    pool: &(impl Pool + ?Sized),
+    f: F,
+    a: Future<A>,
+    b: Future<B>,
+) -> Future<R>
 where
     A: Send + 'static,
     B: Send + 'static,
     R: Send + 'static,
     F: FnOnce(A, B) -> R + Send + 'static,
 {
-    let (out_shared, out) = Future::<R>::new_pair(Some(pool.spawner()));
-    let spawner = pool.spawner();
-    // Chain registrations: the inner continuation is registered once `a` is
-    // ready, and fires immediately if `b` already completed — so `f` runs
-    // after the *last* input, as Fig. 11 specifies.
-    a.on_ready(move |ra| {
-        b.on_ready(move |rb| {
-            let run = move || match (ra, rb) {
-                (Ok(va), Ok(vb)) => {
-                    catch_unwind(AssertUnwindSafe(move || f(va, vb))).map_err(|p| p as PanicPayload)
-                }
-                (Err(p), _) | (_, Err(p)) => Err(p),
-            };
-            let task: crate::pool::Task = Box::new(move || out_shared.complete(run()));
-            if let Err(task) = spawner.spawn(task) {
-                task();
-            }
-        });
-    });
+    let (run, out) = run_as_task(pool, move |(a, b)| f(a, b));
+    // Chained registrations, no counter: the inner one is made once `a` is
+    // ready and fires at once if `b` already completed — so `f` runs after
+    // the *last* input, as Fig. 11 specifies.
+    a.finally(move |ra| b.finally(move |rb| run(ra.and_then(|a| rb.map(|b| (a, b))))));
     out
 }
 

@@ -17,14 +17,14 @@
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::future::{Future, PanicPayload};
+use crate::dataflow::Join;
+use crate::future::{Future, PanicPayload, TaskFailure};
 use crate::latch::CountdownLatch;
 use crate::pool::Pool;
 
@@ -389,53 +389,29 @@ where
                 match probe {
                     Ok((next, t)) => (next, Some(t)),
                     Err(p) => {
-                        out_shared.complete(Err(p));
+                        out_shared.complete(Err(TaskFailure::of(&p)));
                         return;
                     }
                 }
             }
             _ => (range.start, None),
         };
-        let rest = start..range.end;
-        if rest.is_empty() {
-            out_shared.complete(Ok(()));
-            return;
-        }
-        let chunks = plan_chunks(rest, workers, chunk_policy, per_iter);
-        let remaining = Arc::new(AtomicUsize::new(chunks.len()));
-        let panic_slot: Arc<Mutex<Option<PanicPayload>>> = Arc::new(Mutex::new(None));
-        let out_shared = Arc::new(Mutex::new(Some(out_shared)));
+        let chunks = plan_chunks(start..range.end, workers, chunk_policy, per_iter);
+        let join = Join::new(chunks.len(), move |res| out_shared.complete(res));
         for chunk in chunks {
             let f = Arc::clone(&f);
-            let remaining = Arc::clone(&remaining);
-            let panic_slot = Arc::clone(&panic_slot);
-            let out_shared = Arc::clone(&out_shared);
+            let join = Arc::clone(&join);
             let cancel = cancel.clone();
             let task: crate::pool::Task = Box::new(move || {
-                let result = match cancel.as_ref().and_then(CancelToken::check) {
-                    Some(reason) => Err(Box::new(Cancelled(reason)) as PanicPayload),
+                join.arrive(match cancel.as_ref().and_then(CancelToken::check) {
+                    Some(reason) => Err(TaskFailure::Cancelled(reason)),
                     None => catch_unwind(AssertUnwindSafe(|| {
                         for i in chunk {
                             f(i);
                         }
-                    })),
-                };
-                if let Err(p) = result {
-                    let mut guard = panic_slot.lock();
-                    if guard.is_none() {
-                        *guard = Some(p);
-                    }
-                }
-                if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let shared = out_shared
-                        .lock()
-                        .take()
-                        .expect("for_each_index_task completed twice");
-                    match panic_slot.lock().take() {
-                        Some(p) => shared.complete(Err(p)),
-                        None => shared.complete(Ok(())),
-                    }
-                }
+                    }))
+                    .map_err(|p| TaskFailure::of(&p)),
+                })
             });
             if let Err(task) = spawner.spawn(task) {
                 task();
@@ -443,63 +419,6 @@ where
         }
     }));
     out
-}
-
-/// Parallel map-reduce over an index range, blocking, with **deterministic**
-/// combine order (chunk partials are reduced left-to-right in index order,
-/// regardless of which worker finished first).
-///
-/// `map` produces a value per index; `fold` combines a chunk-local
-/// accumulator with a mapped value; `combine` merges chunk partials.
-pub fn reduce_index<P, T, M, C>(
-    pool: &P,
-    policy: ExecutionPolicy,
-    range: Range<usize>,
-    identity: T,
-    map: M,
-    combine: C,
-) -> T
-where
-    P: Pool + ?Sized,
-    T: Clone + Send + Sync,
-    M: Fn(usize) -> T + Sync,
-    C: Fn(T, T) -> T + Sync,
-{
-    if range.is_empty() {
-        return identity;
-    }
-    if matches!(policy.kind, PolicyKind::Seq) {
-        let mut acc = identity;
-        for i in range {
-            acc = combine(acc, map(i));
-        }
-        return acc;
-    }
-    let chunks = plan_chunks(range, pool.num_threads(), policy.chunk, None);
-    let partials: Vec<Mutex<Option<T>>> = (0..chunks.len()).map(|_| Mutex::new(None)).collect();
-    {
-        let partials = &partials;
-        let map = &map;
-        let combine = &combine;
-        let identity = &identity;
-        let chunk_of = |idx: usize| chunks[idx].clone();
-        run_chunks_blocking(pool, &(0..chunks.len()).map(|i| i..i + 1).collect::<Vec<_>>(), &{
-            move |ci: usize| {
-                let mut acc = identity.clone();
-                for i in chunk_of(ci) {
-                    acc = combine(acc, map(i));
-                }
-                *partials[ci].lock() = Some(acc);
-            }
-        }, None);
-    }
-    let mut acc = identity;
-    for p in partials {
-        if let Some(v) = p.into_inner() {
-            acc = combine(acc, v);
-        }
-    }
-    acc
 }
 
 #[cfg(test)]

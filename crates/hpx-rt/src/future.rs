@@ -10,94 +10,93 @@
 //! * a continuation can be attached ([`Future::then`]) and runs as a new pool
 //!   task once the value is ready — this is the building block for
 //!   [`crate::dataflow`] and for removing global barriers.
-//! * panics inside the producing task are captured and re-thrown at `get()`,
-//!   mirroring HPX's exceptional futures.
+//! * a panic inside the producing task is captured as a [`TaskFailure`] — a
+//!   cloneable value that keeps the loop/element provenance or the cancel
+//!   reason the payload carried — and re-thrown at `get()`, mirroring HPX's
+//!   exceptional futures.
 //!
-//! [`Future`] is single-consumer (the value moves out exactly once);
-//! [`SharedFuture`] (`T: Clone`) supports any number of consumers and
-//! continuations, which the dataflow OP2 backend uses when several loops read
-//! the same dat version.
+//! As in HPX, there is **one shared state** (`Shared`) under both future
+//! types: [`Future`] is its unique consumer (the value moves out exactly
+//! once); [`SharedFuture`] (`T: Clone`) is a cloning view of the same state
+//! with any number of consumers and continuations, which the dataflow OP2
+//! backend uses when several loops depend on the same loop. [`Future::share`]
+//! is therefore a change of type, not a second allocation.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::pool::{Pool, Spawner};
+use crate::cancel::{CancelReason, Cancelled};
+use crate::pool::{Pool, Spawner, Task};
 
-/// Result of a producing task: the value, or the payload of a panic.
-pub(crate) type FutureResult<T> = Result<T, PanicPayload>;
+/// What a future resolves to: the value, or why its producer failed.
+pub(crate) type Outcome<T> = Result<T, TaskFailure>;
 /// The payload a panicking task carries (what `catch_unwind` returns).
 pub type PanicPayload = Box<dyn Any + Send + 'static>;
 
-type Continuation<T> = Box<dyn FnOnce(FutureResult<T>) + Send + 'static>;
+/// Called on the completing thread (or at once, when already ready) with
+/// the state it was attached to; pulls the outcome as its future type does.
+type Continuation<T> = Box<dyn FnOnce(&Shared<T>) + Send + 'static>;
 
 enum State<T> {
-    /// Value not yet produced; at most one registered continuation.
-    Pending(Option<Continuation<T>>),
-    /// Value produced, not yet consumed.
-    Ready(FutureResult<T>),
-    /// Value moved out by `get()` or a continuation.
-    Consumed,
+    /// Not yet produced: the continuations to run on completion, and whether
+    /// any thread is blocked in [`Shared::wait`] (only then is a wake-up due).
+    Pending {
+        conts: Vec<Continuation<T>>,
+        waited: bool,
+    },
+    /// Produced; shared views clone it from here.
+    Ready(Outcome<T>),
+    /// Moved out by the unique consumer.
+    Taken,
 }
 
+/// The one shared state behind [`Future`], [`SharedFuture`] and [`Promise`].
 pub(crate) struct Shared<T> {
     state: Mutex<State<T>>,
     cond: Condvar,
-    /// Handle used to schedule continuations and to work-help in `get()`.
-    /// `None` for pool-less promises: continuations then run inline.
+    /// Handle used to work-help in `wait`. `None` for pool-less promises,
+    /// which wait on `cond`.
     spawner: Option<Spawner>,
 }
 
 impl<T: Send + 'static> Shared<T> {
     fn new(spawner: Option<Spawner>) -> Arc<Self> {
         Arc::new(Shared {
-            state: Mutex::new(State::Pending(None)),
+            state: Mutex::new(State::Pending {
+                conts: Vec::new(),
+                waited: false,
+            }),
             cond: Condvar::new(),
             spawner,
         })
     }
 
-    /// Fulfil the future. Runs/schedules the continuation if one is attached.
-    pub(crate) fn complete(&self, result: FutureResult<T>) {
-        let cont = {
+    /// Fulfil the future and run its continuations, here, on this thread.
+    /// They are the runtime's own bookkeeping (a join counting down, a color
+    /// chain launching its next color); user code attached through `then` or
+    /// `dataflow` is always handed to the pool as a new task by them.
+    pub(crate) fn complete(&self, outcome: Outcome<T>) {
+        let (conts, waited) = {
             let mut st = self.state.lock();
-            match &mut *st {
-                State::Pending(cont) => match cont.take() {
-                    Some(cont) => {
-                        *st = State::Consumed;
-                        cont
-                    }
-                    None => {
-                        *st = State::Ready(result);
-                        // Release `state` before notifying: a waiter in
-                        // `help_until` evaluates its readiness predicate
-                        // (which takes `state`) while holding the pool's
-                        // `sleepers` lock, and `notify` takes `sleepers`.
-                        drop(st);
-                        self.cond.notify_all();
-                        if let Some(sp) = &self.spawner {
-                            sp.notify();
-                        }
-                        return;
-                    }
-                },
+            match std::mem::replace(&mut *st, State::Ready(outcome)) {
+                State::Pending { conts, waited } => (conts, waited),
                 _ => panic!("future completed twice"),
             }
         };
-        // Run the continuation as a pool task (HPX schedules continuations as
-        // new lightweight threads); inline if the pool is gone.
-        if let Some(sp) = &self.spawner {
-            let mut payload = Some((cont, result));
-            let task: crate::pool::Task = Box::new(move || {
-                let (cont, result) = payload.take().expect("payload taken twice");
-                cont(result);
-            });
-            if let Err(task) = sp.spawn(task) {
-                task();
+        // `state` is released before notifying: a waiter in `help_until`
+        // evaluates its readiness predicate (which takes `state`) while
+        // holding the pool's `sleepers` lock, and `notify` takes `sleepers`.
+        if waited {
+            self.cond.notify_all();
+            if let Some(sp) = &self.spawner {
+                sp.notify();
             }
-        } else {
-            cont(result);
+        }
+        for cont in conts {
+            cont(self);
         }
     }
 
@@ -105,18 +104,91 @@ impl<T: Send + 'static> Shared<T> {
         matches!(&*self.state.lock(), State::Ready(_))
     }
 
-    fn try_take(&self) -> Option<FutureResult<T>> {
+    /// Block until ready: work-helping on the pool when bound to one, on the
+    /// condition variable otherwise.
+    fn wait(&self) {
         let mut st = self.state.lock();
-        if matches!(&*st, State::Ready(_)) {
-            match std::mem::replace(&mut *st, State::Consumed) {
-                State::Ready(v) => Some(v),
-                _ => unreachable!(),
+        match &mut *st {
+            State::Pending { waited, .. } => *waited = true,
+            _ => return,
+        }
+        let span = op2_trace::begin();
+        match &self.spawner {
+            Some(sp) => {
+                drop(st);
+                sp.count_dep_wait();
+                sp.help_until(|| self.is_ready());
             }
-        } else {
-            None
+            None => {
+                while matches!(&*st, State::Pending { .. }) {
+                    self.cond.wait(&mut st);
+                }
+            }
+        }
+        op2_trace::end(
+            span,
+            op2_trace::EventKind::DepWait,
+            op2_trace::NO_NAME,
+            0,
+            0,
+        );
+    }
+
+    /// Move the outcome out (the unique consumer's read).
+    fn take(&self) -> Outcome<T> {
+        match std::mem::replace(&mut *self.state.lock(), State::Taken) {
+            State::Ready(outcome) => outcome,
+            State::Pending { .. } => unreachable!("future read before it was ready"),
+            State::Taken => panic!("future value already consumed"),
         }
     }
 
+    /// Read the outcome in place (a shared view's read).
+    pub(crate) fn peek<R>(&self, read: impl FnOnce(&Outcome<T>) -> R) -> R {
+        match &*self.state.lock() {
+            State::Ready(outcome) => read(outcome),
+            _ => unreachable!("shared future read before it was ready"),
+        }
+    }
+
+    /// Run `cont` once the outcome is there: at once on the calling thread
+    /// when it already is, otherwise on the thread that fulfils the future.
+    pub(crate) fn on_ready(&self, cont: impl FnOnce(&Shared<T>) + Send + 'static) {
+        let mut st = self.state.lock();
+        if let State::Pending { conts, .. } = &mut *st {
+            conts.push(Box::new(cont));
+        } else {
+            drop(st);
+            cont(self);
+        }
+    }
+}
+
+/// The continuation behind `then` and `dataflow`: run `f` on the input as a
+/// **new pool task** (inline only if the pool is gone) and fulfil `out` with
+/// its result; a failed input skips `f` and fails `out` the same way.
+pub(crate) fn run_as_task<A, R>(
+    pool: &(impl Pool + ?Sized),
+    f: impl FnOnce(A) -> R + Send + 'static,
+) -> (impl FnOnce(Outcome<A>) + Send + 'static, Future<R>)
+where
+    A: Send + 'static,
+    R: Send + 'static,
+{
+    let spawner = pool.spawner();
+    let (out, future) = Future::<R>::new_pair(Some(spawner.clone()));
+    let run = move |input: Outcome<A>| {
+        let task: Task = Box::new(move || {
+            out.complete(input.and_then(|v| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(v)))
+                    .map_err(|p| TaskFailure::of(&p))
+            }))
+        });
+        if let Err(task) = spawner.spawn(task) {
+            task();
+        }
+    };
+    (run, future)
 }
 
 /// The write end of a future: fulfil it with [`Promise::set_value`].
@@ -126,31 +198,26 @@ pub struct Promise<T: Send + 'static> {
 }
 
 impl<T: Send + 'static> Promise<T> {
-    /// Create a promise/future pair not bound to any pool.
-    ///
-    /// Continuations attached to the future run inline on the fulfilling
-    /// thread, and `get()` waits on a condition variable.
+    /// Create a promise/future pair not bound to any pool: `get()` waits on
+    /// a condition variable.
     pub fn new() -> (Promise<T>, Future<T>) {
-        let shared = Shared::new(None);
-        (
-            Promise {
-                shared: Arc::clone(&shared),
-                fulfilled: false,
-            },
-            Future { shared },
-        )
+        Self::pair(None)
     }
 
-    /// Create a promise/future pair bound to `pool`: continuations are
-    /// scheduled as pool tasks and `get()` work-helps on that pool.
+    /// Create a promise/future pair bound to `pool`: `get()` work-helps on
+    /// that pool.
     pub fn with_pool(pool: &(impl Pool + ?Sized)) -> (Promise<T>, Future<T>) {
-        let shared = Shared::new(Some(pool.spawner()));
+        Self::pair(Some(pool.spawner()))
+    }
+
+    fn pair(spawner: Option<Spawner>) -> (Promise<T>, Future<T>) {
+        let (shared, future) = Future::new_pair(spawner);
         (
             Promise {
-                shared: Arc::clone(&shared),
+                shared,
                 fulfilled: false,
             },
-            Future { shared },
+            future,
         )
     }
 
@@ -163,10 +230,10 @@ impl<T: Send + 'static> Promise<T> {
         self.shared.complete(Ok(value));
     }
 
-    /// Fulfil the future with a captured panic payload; `get()` re-throws it.
-    pub fn set_panic(mut self, payload: PanicPayload) {
+    /// Fail the future; `get()` re-throws `failure`.
+    pub fn set_failure(mut self, failure: TaskFailure) {
         self.fulfilled = true;
-        self.shared.complete(Err(payload));
+        self.shared.complete(Err(failure));
     }
 }
 
@@ -176,8 +243,11 @@ impl<T: Send + 'static> Drop for Promise<T> {
             // A dropped promise would leave getters waiting forever; turn it
             // into a broken-promise panic at the consumer, like HPX's
             // `broken_promise` error.
-            self.shared
-                .complete(Err(Box::new("broken promise: promise dropped unfulfilled")));
+            self.shared.complete(Err(TaskFailure::Panic(TaskPanic {
+                message: "broken promise: promise dropped unfulfilled".into(),
+                element: None,
+                context: None,
+            })));
         }
     }
 }
@@ -205,39 +275,16 @@ impl<T: Send + 'static> Future<T> {
     /// (work-helping), so calling `get()` from inside a task is safe even on a
     /// single-worker pool. Re-throws the producer's panic if it panicked.
     pub fn get(self) -> T {
-        if let Some(v) = self.shared.try_take() {
-            return unwrap_result(v);
-        }
-        if let Some(sp) = self.shared.spawner.clone() {
-            sp.count_dep_wait();
-            let span = op2_trace::begin();
-            let shared = Arc::clone(&self.shared);
-            sp.help_until(move || shared.is_ready());
-            op2_trace::end(span, op2_trace::EventKind::DepWait, op2_trace::NO_NAME, 0, 0);
-            return unwrap_result(self.shared.try_take().expect("future ready but empty"));
-        }
-        // Pool-less future: plain condvar wait.
-        let span = op2_trace::begin();
-        let mut st = self.shared.state.lock();
-        loop {
-            match &*st {
-                State::Ready(_) => break,
-                State::Pending(_) => self.shared.cond.wait(&mut st),
-                State::Consumed => panic!("future value already consumed"),
-            }
-        }
-        match std::mem::replace(&mut *st, State::Consumed) {
-            State::Ready(v) => {
-                op2_trace::end(span, op2_trace::EventKind::DepWait, op2_trace::NO_NAME, 0, 0);
-                unwrap_result(v)
-            }
-            _ => unreachable!(),
+        self.shared.wait();
+        match self.shared.take() {
+            Ok(v) => v,
+            Err(failure) => std::panic::resume_unwind(failure.into_payload()),
         }
     }
 
     /// Attach a continuation: returns a future for `f(value)`, scheduled as a
-    /// new pool task when this future becomes ready. Panics propagate without
-    /// running `f`.
+    /// new pool task when this future becomes ready. Failures propagate
+    /// without running `f`.
     ///
     /// `f` **always** runs as a pool task — even when this future is already
     /// ready — so `then` never executes user code on the calling thread
@@ -248,109 +295,44 @@ impl<T: Send + 'static> Future<T> {
         R: Send + 'static,
         F: FnOnce(T) -> R + Send + 'static,
     {
-        let (out_shared, out) = Future::<R>::new_pair(Some(pool.spawner()));
-        let spawner = pool.spawner();
-        self.on_ready(move |res| {
-            let task: crate::pool::Task = Box::new(move || match res {
-                Ok(v) => {
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(v)));
-                    out_shared.complete(r.map_err(|p| p as PanicPayload));
-                }
-                Err(p) => out_shared.complete(Err(p)),
-            });
-            if let Err(task) = spawner.spawn(task) {
-                task();
-            }
-        });
+        let (run, out) = run_as_task(pool, f);
+        self.finally(run);
         out
     }
 
-    /// Register a raw callback invoked with the produced result.
-    ///
-    /// If the value is already available the callback runs immediately on the
-    /// calling thread; otherwise it runs on the thread/task that fulfils the
-    /// future (scheduled as a pool task when pool-bound).
-    pub(crate) fn on_ready(self, cont: impl FnOnce(FutureResult<T>) + Send + 'static) {
-        // Fast path: value already there.
-        if let Some(v) = self.shared.try_take() {
-            cont(v);
-            return;
-        }
-        let mut st = self.shared.state.lock();
-        match &mut *st {
-            State::Pending(slot) => {
-                assert!(
-                    slot.is_none(),
-                    "future already has a continuation (futures are single-consumer; \
-                     use .share() for multiple consumers)"
-                );
-                *slot = Some(Box::new(cont));
-            }
-            State::Ready(_) => {
-                // Raced with completion between try_take and lock.
-                let v = match std::mem::replace(&mut *st, State::Consumed) {
-                    State::Ready(v) => v,
-                    _ => unreachable!(),
-                };
-                drop(st);
-                cont(v);
-            }
-            State::Consumed => panic!("future value already consumed"),
-        }
-    }
-
-    /// Register a callback invoked with the outcome (value, or the panic
-    /// message if the producer panicked) once this future completes.
+    /// Register a callback invoked with the outcome — the value, or the
+    /// producer's [`TaskFailure`] — once this future completes.
     ///
     /// Unlike [`Future::then`] this consumes the future without producing a
     /// new one — the building block for hand-rolled continuation chains
     /// (e.g. sequencing the colors of an indirect loop without blocking).
-    /// The callback may run immediately on the calling thread if the value is
-    /// already available; otherwise it runs where the future is fulfilled.
-    pub fn finally(self, f: impl FnOnce(Result<T, String>) + Send + 'static) {
-        self.on_ready(move |res| match res {
-            Ok(v) => f(Ok(v)),
-            Err(p) => f(Err(panic_message(&p))),
-        });
+    /// The callback runs immediately on the calling thread if the value is
+    /// already available; otherwise on the thread that fulfils the future.
+    pub fn finally(self, f: impl FnOnce(Result<T, TaskFailure>) + Send + 'static) {
+        self.shared.on_ready(move |shared| f(shared.take()));
     }
 
-    /// Convert into a multi-consumer [`SharedFuture`].
+    /// View the same state as a multi-consumer [`SharedFuture`].
     pub fn share(self) -> SharedFuture<T>
     where
         T: Clone,
     {
-        let spawner = self.shared.spawner.clone();
-        let inner = Arc::new(SharedInner {
-            state: Mutex::new(SharedState::Pending(Vec::new())),
-            cond: Condvar::new(),
-            spawner,
-        });
-        let inner2 = Arc::clone(&inner);
-        self.on_ready(move |res| {
-            inner2.complete(res.map_err(|p| panic_message(&p)));
-        });
-        SharedFuture { inner }
-    }
-}
-
-fn unwrap_result<T>(r: FutureResult<T>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(p) => std::panic::resume_unwind(p),
+        SharedFuture {
+            shared: self.shared,
+        }
     }
 }
 
 /// A panic payload enriched with provenance: what parallel loop the task was
 /// executing and at which element it failed.
 ///
-/// Loop runners wrap raw kernel panics in a `TaskPanic` so the same context
-/// reaches both the `set_panic` → `get()` rethrow path (via
-/// [`panic_message`]'s rendering) and any typed error the executor builds
-/// from the payload.
-#[derive(Debug, Clone)]
+/// Loop runners wrap raw kernel panics in a `TaskPanic`; futures keep it (as
+/// [`TaskFailure::Panic`]) so the same context reaches the `get()` rethrow
+/// and any typed error an executor builds from the failure.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskPanic {
     /// Rendering of the original panic payload.
-    pub message: String,
+    pub message: Cow<'static, str>,
     /// Iteration-set element the kernel was processing, when known.
     pub element: Option<usize>,
     /// Context label, typically the parallel loop's name.
@@ -364,7 +346,7 @@ impl TaskPanic {
         match p.downcast::<TaskPanic>() {
             Ok(tp) => *tp,
             Err(p) => TaskPanic {
-                message: panic_message(&p),
+                message: panic_message(&p).into(),
                 element: Some(element),
                 context: Some(context.to_owned()),
             },
@@ -388,96 +370,88 @@ impl std::fmt::Display for TaskPanic {
     }
 }
 
-/// Best-effort textual rendering of a panic payload (shared futures cannot
-/// clone the original payload, so they store a message). Payloads wrapped in
-/// a [`TaskPanic`] render with their loop/element provenance.
-pub fn panic_message(p: &PanicPayload) -> String {
-    if let Some(tp) = p.downcast_ref::<TaskPanic>() {
-        tp.to_string()
-    } else if let Some(c) = p.downcast_ref::<crate::cancel::Cancelled>() {
-        format!("loop abandoned: {}", c.0)
-    } else if let Some(s) = p.downcast_ref::<&'static str>() {
-        (*s).to_owned()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "task panicked".to_owned()
+/// Why a task failed: what its panic payload carried, as a value that can be
+/// cloned to every consumer of a [`SharedFuture`] (the payload itself cannot).
+#[derive(Debug, Clone, PartialEq)]
+pub enum TaskFailure {
+    /// The task panicked; a bare `&str`/`String` payload is a [`TaskPanic`]
+    /// with no provenance.
+    Panic(TaskPanic),
+    /// A parallel loop was abandoned cooperatively ([`Cancelled`] payload).
+    Cancelled(CancelReason),
+}
+
+impl TaskFailure {
+    /// Classify a caught panic payload.
+    pub fn of(p: &PanicPayload) -> TaskFailure {
+        if let Some(tp) = p.downcast_ref::<TaskPanic>() {
+            return TaskFailure::Panic(tp.clone());
+        }
+        if let Some(c) = p.downcast_ref::<Cancelled>() {
+            return TaskFailure::Cancelled(c.0);
+        }
+        let message = if let Some(s) = p.downcast_ref::<&'static str>() {
+            Cow::Borrowed(*s)
+        } else if let Some(s) = p.downcast_ref::<String>() {
+            Cow::Owned(s.clone())
+        } else {
+            Cow::Borrowed("task panicked")
+        };
+        TaskFailure::Panic(TaskPanic {
+            message,
+            element: None,
+            context: None,
+        })
     }
+
+    /// The payload to re-throw at a unique consumer: of the type the
+    /// producer raised (`TaskPanic`, `Cancelled`, `&str` or `String`).
+    fn into_payload(self) -> PanicPayload {
+        match self {
+            TaskFailure::Cancelled(reason) => Box::new(Cancelled(reason)),
+            TaskFailure::Panic(tp) if tp.element.is_some() || tp.context.is_some() => Box::new(tp),
+            TaskFailure::Panic(tp) => match tp.message {
+                Cow::Borrowed(s) => Box::new(s),
+                Cow::Owned(s) => Box::new(s),
+            },
+        }
+    }
+}
+
+impl std::fmt::Display for TaskFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TaskFailure::Panic(tp) => write!(f, "{tp}"),
+            TaskFailure::Cancelled(reason) => write!(f, "loop abandoned: {reason}"),
+        }
+    }
+}
+
+/// Best-effort textual rendering of a panic payload. Payloads wrapped in a
+/// [`TaskPanic`] render with their loop/element provenance.
+pub fn panic_message(p: &PanicPayload) -> String {
+    TaskFailure::of(p).to_string()
 }
 
 /// Create a future that is already fulfilled (the paper's
 /// `hpx::make_ready_future`).
 pub fn make_ready_future<T: Send + 'static>(value: T) -> Future<T> {
-    let shared = Shared::new(None);
+    let (shared, future) = Future::new_pair(None);
     shared.complete(Ok(value));
-    Future { shared }
+    future
 }
 
-// ---------------------------------------------------------------------------
-// SharedFuture: multi-consumer, T: Clone
-// ---------------------------------------------------------------------------
-
-type SharedCont<T> = Box<dyn FnOnce(Result<T, String>) + Send + 'static>;
-
-enum SharedState<T> {
-    Pending(Vec<SharedCont<T>>),
-    Ready(Result<T, String>),
-}
-
-struct SharedInner<T> {
-    state: Mutex<SharedState<T>>,
-    cond: Condvar,
-    spawner: Option<Spawner>,
-}
-
-impl<T: Clone + Send + 'static> SharedInner<T> {
-    fn complete(&self, result: Result<T, String>) {
-        let conts = {
-            let mut st = self.state.lock();
-            match std::mem::replace(&mut *st, SharedState::Ready(result.clone())) {
-                SharedState::Pending(conts) => conts,
-                SharedState::Ready(_) => panic!("shared future completed twice"),
-            }
-        };
-        self.cond.notify_all();
-        if let Some(sp) = &self.spawner {
-            sp.notify();
-        }
-        for cont in conts {
-            let res = result.clone();
-            match &self.spawner {
-                Some(sp) => {
-                    let mut payload = Some((cont, res));
-                    let task: crate::pool::Task = Box::new(move || {
-                        let (cont, res) = payload.take().expect("payload taken twice");
-                        cont(res);
-                    });
-                    if let Err(task) = sp.spawn(task) {
-                        task();
-                    }
-                }
-                None => cont(res),
-            }
-        }
-    }
-
-    fn is_ready(&self) -> bool {
-        matches!(&*self.state.lock(), SharedState::Ready(_))
-    }
-}
-
-/// Multi-consumer future over a cloneable value; any number of continuations
-/// and `get()` calls are allowed. Producer panics are re-thrown as a `String`
-/// message.
+/// Multi-consumer view of a future's state over a cloneable value; any
+/// number of continuations and `get()` calls are allowed.
 #[must_use = "futures do nothing unless consumed"]
 pub struct SharedFuture<T: Clone + Send + 'static> {
-    inner: Arc<SharedInner<T>>,
+    pub(crate) shared: Arc<Shared<T>>,
 }
 
 impl<T: Clone + Send + 'static> Clone for SharedFuture<T> {
     fn clone(&self) -> Self {
         SharedFuture {
-            inner: Arc::clone(&self.inner),
+            shared: Arc::clone(&self.shared),
         }
     }
 }
@@ -485,87 +459,36 @@ impl<T: Clone + Send + 'static> Clone for SharedFuture<T> {
 impl<T: Clone + Send + 'static> SharedFuture<T> {
     /// A shared future that is already fulfilled.
     pub fn ready(value: T) -> Self {
-        let inner = Arc::new(SharedInner {
-            state: Mutex::new(SharedState::Pending(Vec::new())),
-            cond: Condvar::new(),
-            spawner: None,
-        });
-        inner.complete(Ok(value));
-        SharedFuture { inner }
+        make_ready_future(value).share()
     }
 
     /// True once the value is available.
     pub fn is_ready(&self) -> bool {
-        self.inner.is_ready()
+        self.shared.is_ready()
     }
 
     /// Wait for the value and return a clone of it (work-helping when
-    /// pool-bound).
+    /// pool-bound). Panics with the producer's rendered failure if it failed.
     pub fn get(&self) -> T {
-        if !self.is_ready() {
-            let span = op2_trace::begin();
-            if let Some(sp) = self.inner.spawner.clone() {
-                sp.count_dep_wait();
-                let inner = Arc::clone(&self.inner);
-                sp.help_until(move || inner.is_ready());
-            } else {
-                let mut st = self.inner.state.lock();
-                while matches!(&*st, SharedState::Pending(_)) {
-                    self.inner.cond.wait(&mut st);
-                }
-                drop(st);
-            }
-            op2_trace::end(span, op2_trace::EventKind::DepWait, op2_trace::NO_NAME, 0, 0);
-        }
-        match &*self.inner.state.lock() {
-            SharedState::Ready(Ok(v)) => v.clone(),
-            SharedState::Ready(Err(msg)) => panic!("shared future producer panicked: {msg}"),
-            SharedState::Pending(_) => unreachable!("waited until ready"),
-        }
+        self.try_get()
+            .unwrap_or_else(|failure| panic!("shared future producer panicked: {failure}"))
     }
 
     /// Wait for the result without rethrowing: `Err` carries the producer's
-    /// rendered panic message instead of panicking the caller. This is the
-    /// primitive fallible fences/supervisors build on.
-    pub fn try_get(&self) -> Result<T, String> {
-        if !self.is_ready() {
-            if let Some(sp) = self.inner.spawner.clone() {
-                sp.count_dep_wait();
-                let inner = Arc::clone(&self.inner);
-                sp.help_until(move || inner.is_ready());
-            } else {
-                let mut st = self.inner.state.lock();
-                while matches!(&*st, SharedState::Pending(_)) {
-                    self.inner.cond.wait(&mut st);
-                }
-            }
-        }
-        match &*self.inner.state.lock() {
-            SharedState::Ready(res) => res.clone(),
-            SharedState::Pending(_) => unreachable!("waited until ready"),
-        }
+    /// failure instead of panicking the caller. This is the primitive
+    /// fallible fences/supervisors build on.
+    pub fn try_get(&self) -> Result<T, TaskFailure> {
+        self.shared.wait();
+        self.shared.peek(Clone::clone)
     }
 
-    /// Register a callback invoked with the outcome (value, or the producer's
-    /// panic message) once available — the shared-future analogue of
-    /// [`Future::finally`]. May run immediately on the calling thread when
-    /// the value is already there.
-    pub fn finally(&self, f: impl FnOnce(Result<T, String>) + Send + 'static) {
-        self.on_ready(f);
-    }
-
-    /// Register a callback invoked (possibly immediately, on this thread) with
-    /// the result once available.
-    pub(crate) fn on_ready(&self, cont: impl FnOnce(Result<T, String>) + Send + 'static) {
-        let mut st = self.inner.state.lock();
-        match &mut *st {
-            SharedState::Pending(conts) => conts.push(Box::new(cont)),
-            SharedState::Ready(v) => {
-                let v = v.clone();
-                drop(st);
-                cont(v);
-            }
-        }
+    /// Register a callback invoked with the outcome (a clone of the value, or
+    /// the producer's failure) once available — the shared-future analogue of
+    /// [`Future::finally`]. Runs immediately on the calling thread when the
+    /// value is already there.
+    pub fn finally(&self, f: impl FnOnce(Result<T, TaskFailure>) + Send + 'static) {
+        self.shared
+            .on_ready(move |shared| f(shared.peek(Clone::clone)));
     }
 
     /// Attach a continuation producing a new single-consumer future.
@@ -577,20 +500,8 @@ impl<T: Clone + Send + 'static> SharedFuture<T> {
         R: Send + 'static,
         F: FnOnce(T) -> R + Send + 'static,
     {
-        let (out_shared, out) = Future::<R>::new_pair(Some(pool.spawner()));
-        let spawner = pool.spawner();
-        self.on_ready(move |res| {
-            let task: crate::pool::Task = Box::new(move || match res {
-                Ok(v) => {
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(v)));
-                    out_shared.complete(r.map_err(|p| p as PanicPayload));
-                }
-                Err(msg) => out_shared.complete(Err(Box::new(msg))),
-            });
-            if let Err(task) = spawner.spawn(task) {
-                task();
-            }
-        });
+        let (run, out) = run_as_task(pool, f);
+        self.finally(run);
         out
     }
 }

@@ -7,11 +7,14 @@
 //!
 //! * a **work-stealing thread pool** of lightweight tasks ([`ThreadPool`]),
 //! * **futures** with attachable continuations and a work-helping, deadlock-free
-//!   [`Future::get`] ([`Future`], [`Promise`]),
+//!   [`Future::get`] ([`Future`], [`Promise`]) — one shared state under the
+//!   unique [`Future`] and the cloning [`SharedFuture`] view of it, with a
+//!   producer's failure kept inside it as a cloneable [`TaskFailure`],
 //! * **asynchronous function execution** ([`async_spawn`], the analogue of
 //!   `hpx::async`),
 //! * **dataflow** — delayed function invocation that fires once all input
-//!   futures are ready ([`dataflow2`], [`when_all`]),
+//!   futures are ready ([`dataflow2`], [`when_all`]; one join under every
+//!   countdown),
 //! * **parallel algorithms** with execution policies — [`for_each`] under
 //!   `par` (blocking, fork-join) or `par(task)` (asynchronous, returns a
 //!   future), with runtime-controlled grain size including the HPX
@@ -66,10 +69,11 @@ pub use dataflow::{
 pub use det::{DetPool, SchedulePolicy};
 pub use for_each::{
     for_each_index, for_each_index_cancel, for_each_index_task, for_each_index_task_cancel, par,
-    par_task, reduce_index, seq, ChunkSize, ExecutionPolicy,
+    par_task, seq, ChunkSize, ExecutionPolicy,
 };
 pub use future::{
-    make_ready_future, panic_message, Future, PanicPayload, Promise, SharedFuture, TaskPanic,
+    make_ready_future, panic_message, Future, PanicPayload, Promise, SharedFuture, TaskFailure,
+    TaskPanic,
 };
 pub use latch::CountdownLatch;
 pub use metrics::{MetricsSnapshot, PoolMetrics};

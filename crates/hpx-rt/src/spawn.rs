@@ -2,7 +2,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::future::{Future, PanicPayload};
+use crate::future::{Future, TaskFailure};
 use crate::pool::Pool;
 
 /// Schedule `f` for asynchronous execution on `pool` and immediately return a
@@ -25,7 +25,7 @@ where
     let (shared, future) = Future::<T>::new_pair(Some(pool.spawner()));
     pool.spawn_boxed(Box::new(move || {
         let result = catch_unwind(AssertUnwindSafe(f));
-        shared.complete(result.map_err(|p| p as PanicPayload));
+        shared.complete(result.map_err(|p| TaskFailure::of(&p)));
     }));
     future
 }

@@ -1,16 +1,13 @@
 //! Behavioral coverage for [`ChunkSize::Auto`], the HPX auto-partitioner:
 //! whatever chunk sizes its timing probe derives, `for_each_index` /
-//! `for_each_index_task` / `reduce_index` must visit every index exactly
+//! `for_each_index_task` must visit every index exactly
 //! once — including the probe iterations it runs sequentially up front —
 //! and empty or tiny (< 100 iteration) loops must neither hang nor panic.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hpx_rt::{
-    for_each_index, for_each_index_task, par, par_task, reduce_index, ChunkSize, DetPool,
-    ThreadPool,
-};
+use hpx_rt::{for_each_index, for_each_index_task, par, par_task, ChunkSize, DetPool, ThreadPool};
 
 /// Run `for_each_index` with Auto over `0..n` and return per-index visit
 /// counts.
@@ -69,22 +66,6 @@ fn auto_task_variant_visits_every_index_exactly_once() {
             counts.iter().all(|c| c.load(Ordering::Relaxed) == 1),
             "n={n}"
         );
-    }
-}
-
-#[test]
-fn auto_reduce_sums_every_index_exactly_once() {
-    let pool = ThreadPool::new(3);
-    for n in [0usize, 1, 42, 99, 1_000] {
-        let sum = reduce_index(
-            &pool,
-            par().with_chunk(ChunkSize::auto()),
-            0..n,
-            0usize,
-            |i| i,
-            |a, b| a + b,
-        );
-        assert_eq!(sum, n * n.saturating_sub(1) / 2, "n={n}");
     }
 }
 

@@ -1,14 +1,13 @@
 //! Property-based tests of the runtime: random task DAGs evaluated through
 //! dataflow must equal direct evaluation; parallel algorithms must visit
-//! every index exactly once under arbitrary chunking; reductions must match
-//! their sequential counterparts.
+//! every index exactly once under arbitrary chunking.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hpx_rt::{
     async_spawn, dataflow2, for_each_index, for_each_index_task, make_ready_future, par, par_task,
-    reduce_index, when_all, ChunkSize, ThreadPool,
+    when_all, ChunkSize, ThreadPool,
 };
 use proptest::prelude::*;
 
@@ -128,26 +127,6 @@ proptest! {
         for (i, c) in counts.iter().enumerate() {
             prop_assert_eq!(c.load(Ordering::Relaxed), 1, "index {}", i);
         }
-    }
-
-    /// Parallel integer reduction equals the sequential fold exactly.
-    #[test]
-    fn reduce_matches_sequential(
-        values in prop::collection::vec(-1000i64..1000, 0..500),
-        chunk in 1usize..64,
-        threads in 1usize..4,
-    ) {
-        let pool = ThreadPool::new(threads);
-        let expect: i64 = values.iter().sum();
-        let got = reduce_index(
-            &pool,
-            par().with_chunk(ChunkSize::Static(chunk)),
-            0..values.len(),
-            0i64,
-            |i| values[i],
-            |a, b| a + b,
-        );
-        prop_assert_eq!(got, expect);
     }
 
     /// `when_all` preserves input order for arbitrary completion orders.

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use hpx_rt::{
     async_spawn, dataflow1, dataflow2, dataflow3, dataflow4, for_each_index, for_each_index_task,
-    make_ready_future, par, par_task, reduce_index, seq, when_all, when_all_unit, ChunkSize,
+    make_ready_future, par, par_task, seq, when_all, when_all_unit, ChunkSize,
     CountdownLatch, PoolBuilder, Promise, SharedFuture, ThreadPool,
 };
 
@@ -193,23 +193,30 @@ fn promise_fulfilled_from_external_thread() {
 /// non-worker `get()` evaluates its readiness predicate (taking `state`)
 /// under `sleepers` — an ABBA inversion that hung within 40–160 000 round
 /// trips. The loop runs on its own thread so a regression fails the test
-/// after 60 s instead of hanging CI.
+/// after 60 s instead of hanging CI. `Future` and `SharedFuture` are views of
+/// one state machine, so the shared view's `get()` is a second input to the
+/// same lock-order check.
 #[test]
 fn spawn_get_round_trips_from_non_worker_never_deadlock() {
+    round_trips_never_deadlock("Future", |pool| async_spawn(pool, || ()).get());
+    round_trips_never_deadlock("SharedFuture", |pool| async_spawn(pool, || ()).share().get());
+}
+
+fn round_trips_never_deadlock(view: &str, round_trip: fn(&ThreadPool)) {
     const ROUND_TRIPS: usize = 300_000;
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let caller = std::thread::spawn(move || {
         let pool = ThreadPool::new(2);
         for _ in 0..ROUND_TRIPS {
-            async_spawn(&pool, || ()).get();
+            round_trip(&pool);
         }
         let _ = done_tx.send(());
     });
     // On a deadlock the stuck thread is deliberately leaked: it can never
     // be joined, and the test process ends with the failure.
-    done_rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("spawn+get from a non-worker thread deadlocked (future state / pool sleepers lock order)");
+    done_rx.recv_timeout(Duration::from_secs(60)).unwrap_or_else(|_| {
+        panic!("spawn + {view}::get from a non-worker thread deadlocked (future state / pool sleepers lock order)")
+    });
     caller.join().expect("round-trip thread panicked");
 }
 
@@ -622,43 +629,6 @@ fn for_each_tasks_overlap_without_barrier() {
     assert!(!fut_a.is_ready(), "loop A should still be blocked");
     gate.counter().count_down();
     fut_a.get();
-}
-
-// ---------------------------------------------------------------------------
-// reduce
-// ---------------------------------------------------------------------------
-
-#[test]
-fn reduce_matches_sequential_sum() {
-    let pool = ThreadPool::new(4);
-    let n = 10_000usize;
-    let expect: u64 = (0..n as u64).sum();
-    let got = reduce_index(&pool, par(), 0..n, 0u64, |i| i as u64, |a, b| a + b);
-    assert_eq!(got, expect);
-}
-
-#[test]
-fn reduce_deterministic_float_order() {
-    // Same chunking → identical floating-point result on every run.
-    let pool = ThreadPool::new(4);
-    let f = |i: usize| 1.0f64 / (i as f64 + 1.0);
-    let r1 = reduce_index(&pool, par().with_chunk(ChunkSize::Static(37)), 0..5000, 0.0, f, |a, b| a + b);
-    let r2 = reduce_index(&pool, par().with_chunk(ChunkSize::Static(37)), 0..5000, 0.0, f, |a, b| a + b);
-    assert_eq!(r1.to_bits(), r2.to_bits());
-}
-
-#[test]
-fn reduce_seq_policy() {
-    let pool = ThreadPool::new(2);
-    let got = reduce_index(&pool, seq(), 0..100, 0u64, |i| i as u64, |a, b| a + b);
-    assert_eq!(got, 4950);
-}
-
-#[test]
-fn reduce_empty_range_returns_identity() {
-    let pool = ThreadPool::new(2);
-    let got = reduce_index(&pool, par(), 0..0, 42u64, |i| i as u64, |a, b| a + b);
-    assert_eq!(got, 42);
 }
 
 // ---------------------------------------------------------------------------

@@ -40,9 +40,7 @@ pub mod report;
 
 pub use collect::Timeline;
 pub use event::{Event, EventKind, NO_INSTANCE, NO_NAME};
-pub use record::{
-    begin, enabled, end, instant, intern, Collector, LoopSample, LoopTap, SpanToken, COMPILED,
-};
+pub use record::{begin, enabled, end, instant, intern, Collector, SpanToken, COMPILED};
 
 /// Pack two 32-bit values into an event payload word (fabric rank/peer,
 /// epoch/seq tagging).

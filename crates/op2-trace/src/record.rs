@@ -202,159 +202,10 @@ mod imp {
     }
 
     pub(super) const DISARMED: u64 = u64::MAX;
-
-    /// An incremental per-loop attribution tap (the tuner's pull API).
-    ///
-    /// Unlike [`Collector::stop`] — end-of-run, whole-timeline — a tap can be
-    /// polled *while a session records*: each [`LoopTap::pull`] drains the
-    /// events appended to the rings since the previous pull and returns one
-    /// [`super::LoopSample`] per loop instance that completed in the window,
-    /// with tagged barrier-blocked / dependency-wait time attributed to it.
-    ///
-    /// Multiple taps are independent (each keeps its own ring cursors); a tap
-    /// never disturbs a concurrent [`Collector`]. Wait spans that land in a
-    /// ring *after* the instance's `LoopEnd` was pulled are dropped — an
-    /// online consumer values freshness over exactness, and the executors
-    /// always emit the loop's own wall time, which is the primary signal.
-    pub struct LoopTap {
-        /// Events consumed so far, per ring tid.
-        cursors: HashMap<u32, u64>,
-        /// Loops begun but not yet ended: instance → (name, executor, begin).
-        pending: HashMap<u64, (u32, u32, u64)>,
-        /// Accumulated tagged wait time: instance → (barrier_ns, dep_ns).
-        waits: HashMap<u64, (u64, u64)>,
-    }
-
-    impl LoopTap {
-        /// A tap that starts at the rings' *current* positions: only loops
-        /// recorded after this call are observed.
-        pub fn new() -> LoopTap {
-            let cursors = lock(registry())
-                .iter()
-                .map(|r| (r.tid, r.count.load(Ordering::Acquire)))
-                .collect();
-            LoopTap {
-                cursors,
-                pending: HashMap::new(),
-                waits: HashMap::new(),
-            }
-        }
-
-        /// Drain events recorded since the last pull and return the loop
-        /// instances that completed in the window, in completion order.
-        pub fn pull(&mut self) -> Vec<super::LoopSample> {
-            let mut window: Vec<Event> = Vec::new();
-            for ring in lock(registry()).iter() {
-                let cursor = self.cursors.entry(ring.tid).or_insert(0);
-                let end = ring.count.load(Ordering::Acquire);
-                let first = (*cursor).max(end.saturating_sub(RING_CAP as u64));
-                for i in first..end {
-                    let slot = &ring.slots[(i as usize) % RING_CAP];
-                    let meta = slot[0].load(Ordering::Relaxed);
-                    let Some(kind) = EventKind::from_u8((meta & 0xff) as u8) else {
-                        continue;
-                    };
-                    if matches!(
-                        kind,
-                        EventKind::LoopBegin
-                            | EventKind::LoopEnd
-                            | EventKind::BarrierWait
-                            | EventKind::DepWait
-                    ) {
-                        window.push(Event {
-                            kind,
-                            tid: ring.tid,
-                            name: (meta >> 32) as u32,
-                            a: slot[1].load(Ordering::Relaxed),
-                            b: slot[2].load(Ordering::Relaxed),
-                            start_ns: slot[3].load(Ordering::Relaxed),
-                            end_ns: slot[4].load(Ordering::Relaxed),
-                        });
-                    }
-                }
-                *cursor = end;
-            }
-            // Cross-ring order: a begin and its end may live in different
-            // rings, so sort the merged window by time before pairing.
-            window.sort_by_key(|e| (e.end_ns, e.start_ns, e.tid));
-            let mut out = Vec::new();
-            for e in window {
-                match e.kind {
-                    EventKind::LoopBegin => {
-                        self.pending.insert(e.a, (e.name, e.b as u32, e.start_ns));
-                    }
-                    EventKind::BarrierWait if e.a != crate::NO_INSTANCE => {
-                        let w = self.waits.entry(e.a).or_default();
-                        w.0 += e.dur_ns();
-                    }
-                    EventKind::DepWait if e.a != crate::NO_INSTANCE => {
-                        let w = self.waits.entry(e.a).or_default();
-                        w.1 += e.dur_ns();
-                    }
-                    EventKind::LoopEnd => {
-                        let Some((name, exec, begin_ns)) = self.pending.remove(&e.a) else {
-                            continue;
-                        };
-                        let (barrier, dep) = self.waits.remove(&e.a).unwrap_or((0, 0));
-                        let g = lock(strings());
-                        let name_of = |id: u32| {
-                            g.0.get(id as usize).cloned().unwrap_or_default()
-                        };
-                        out.push(super::LoopSample {
-                            name: name_of(name),
-                            executor: name_of(exec),
-                            instance: e.a,
-                            wall_ns: e.end_ns.saturating_sub(begin_ns),
-                            barrier_blocked_ns: barrier,
-                            dep_wait_ns: dep,
-                        });
-                    }
-                    _ => {}
-                }
-            }
-            // A begin whose end was lost to ring overwrite would pin state
-            // forever; bound both side tables.
-            if self.pending.len() > 4096 {
-                let min = self.pending.keys().copied().min().unwrap_or(0);
-                self.pending.remove(&min);
-            }
-            if self.waits.len() > 4096 {
-                let min = self.waits.keys().copied().min().unwrap_or(0);
-                self.waits.remove(&min);
-            }
-            out
-        }
-    }
-
-    impl Default for LoopTap {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
 }
 
 #[cfg(feature = "record")]
-pub use imp::{Collector, LoopTap, SpanToken};
-
-/// One completed loop execution as observed by a [`LoopTap`] pull: wall time
-/// plus the wait time attributed to the instance by tagged spans. This is the
-/// per-loop attribution the autotuner consumes online, instead of waiting for
-/// [`crate::report::analyze`] at end of run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoopSample {
-    /// Loop name.
-    pub name: String,
-    /// Executor that ran the instance.
-    pub executor: String,
-    /// Loop instance id.
-    pub instance: u64,
-    /// `LoopBegin → LoopEnd` wall time, ns.
-    pub wall_ns: u64,
-    /// Thread time held at end-of-loop barriers for this instance, ns.
-    pub barrier_blocked_ns: u64,
-    /// Thread time blocked on this instance's future/dataflow result, ns.
-    pub dep_wait_ns: u64,
-}
+pub use imp::{Collector, SpanToken};
 
 /// Begin a span. Cheap when tracing is idle (one relaxed load); the returned
 /// token must be passed to [`end`].
@@ -418,27 +269,6 @@ pub struct SpanToken;
 /// [`Timeline`]).
 #[cfg(not(feature = "record"))]
 pub struct Collector;
-
-/// Incremental per-loop attribution tap (inert in this build: `pull` always
-/// returns no samples).
-#[cfg(not(feature = "record"))]
-#[derive(Default)]
-pub struct LoopTap;
-
-#[cfg(not(feature = "record"))]
-impl LoopTap {
-    /// A tap (no-op build: observes nothing).
-    #[inline(always)]
-    pub fn new() -> LoopTap {
-        LoopTap
-    }
-
-    /// Drain new loop samples (no-op build: always empty).
-    #[inline(always)]
-    pub fn pull(&mut self) -> Vec<LoopSample> {
-        Vec::new()
-    }
-}
 
 #[cfg(not(feature = "record"))]
 impl Collector {

@@ -113,58 +113,3 @@ fn interning_is_stable_across_sessions() {
     let t = c.stop();
     assert_eq!(t.name_of(a), Some("stable-name"));
 }
-
-#[test]
-fn loop_tap_pulls_incrementally() {
-    let _g = locked();
-    let name = intern("tapped_loop");
-    let exec = intern("serial");
-    let c = Collector::start();
-    let mut tap = op2_trace::LoopTap::new();
-
-    // One complete instance with a tagged barrier span.
-    instant(EventKind::LoopBegin, name, 41, exec as u64);
-    let tok = begin();
-    std::thread::sleep(std::time::Duration::from_millis(1));
-    end(tok, EventKind::BarrierWait, NO_NAME, 41, 0);
-    instant(EventKind::LoopEnd, NO_NAME, 41, 0);
-
-    let samples = tap.pull();
-    assert_eq!(samples.len(), 1, "{samples:?}");
-    let s = &samples[0];
-    assert_eq!(s.name, "tapped_loop");
-    assert_eq!(s.executor, "serial");
-    assert_eq!(s.instance, 41);
-    assert!(s.barrier_blocked_ns >= 1_000_000, "{}", s.barrier_blocked_ns);
-    assert!(s.wall_ns >= s.barrier_blocked_ns);
-    assert_eq!(s.dep_wait_ns, 0);
-
-    // Nothing new → empty pull; an in-flight begin stays pending.
-    assert!(tap.pull().is_empty());
-    instant(EventKind::LoopBegin, name, 42, exec as u64);
-    assert!(tap.pull().is_empty(), "unfinished loop must not be emitted");
-    instant(EventKind::LoopEnd, NO_NAME, 42, 0);
-    let samples = tap.pull();
-    assert_eq!(samples.len(), 1);
-    assert_eq!(samples[0].instance, 42);
-
-    // The tap never disturbed the collector's own session.
-    let t = c.stop();
-    assert_eq!(t.of_kind(EventKind::LoopBegin).count(), 2);
-}
-
-#[test]
-fn loop_tap_skips_history_before_creation() {
-    let _g = locked();
-    let name = intern("historic_loop");
-    let c = Collector::start();
-    instant(EventKind::LoopBegin, name, 77, 0);
-    instant(EventKind::LoopEnd, NO_NAME, 77, 0);
-    let mut tap = op2_trace::LoopTap::new();
-    instant(EventKind::LoopBegin, name, 78, 0);
-    instant(EventKind::LoopEnd, NO_NAME, 78, 0);
-    let samples = tap.pull();
-    drop(c.stop());
-    assert_eq!(samples.len(), 1);
-    assert_eq!(samples[0].instance, 78);
-}

@@ -5,9 +5,8 @@
 //! APEX feedback loop — performance counters flowing back into scheduling
 //! decisions. This crate rebuilds that loop natively for the OP2 executors:
 //!
-//! * **observe** — completed loop executions report wall time (and, when
-//!   tracing records, barrier/dep-wait attribution pulled incrementally via
-//!   `op2_trace::LoopTap`) into a [`Tuner`];
+//! * **observe** — completed loop executions report wall time into a
+//!   [`Tuner`];
 //! * **decide** — per decision key `(loop name, set size, indirection
 //!   pattern, mesh-topology hash)` the tuner runs a *deterministic*
 //!   explore-then-exploit search over backend choice and plan parameters,
@@ -21,17 +20,12 @@
 //!
 //! Exploration order is a pure function of `(decision key, seed)` — the seed
 //! defaults to `DET_SEED`, so tuned runs replay exactly. More importantly,
-//! with the default [`TuneOptions`] the tuner only moves **schedule-invariant
-//! knobs**: backend and chunk size never change results (every backend
-//! executes the same colored plan with block-ordered reductions), and plan
-//! parameters (block size, coloring) are explored only for loops whose
-//! results are *plan-order invariant* — no indirect writes and no global
-//! reduction. Loops outside that class keep their default plan, so a tuned
-//! run is bit-identical to an untuned one. Setting
-//! [`TuneOptions::allow_reordering`] widens plan-parameter search to every
-//! loop at the documented cost of that guarantee (floating-point increment
-//! order then follows the chosen plan, exactly as with a hand-picked
-//! `part_size`).
+//! the tuner only moves **schedule-invariant knobs**: backend and chunk size
+//! never change results (every backend executes the same colored plan with
+//! block-ordered reductions), and plan parameters (block size, coloring) are
+//! explored only for loops whose results are *plan-order invariant* — no
+//! indirect writes and no global reduction. Loops outside that class keep
+//! their default plan, so a tuned run is bit-identical to an untuned one.
 
 #![warn(missing_docs)]
 
@@ -230,10 +224,6 @@ pub struct Observation {
     /// End-to-end wall time of the loop, ns (the primary signal; always
     /// available, even with tracing compiled out).
     pub wall_ns: u64,
-    /// Barrier-blocked ns attributed by the trace tap (0 when unavailable).
-    pub barrier_blocked_ns: u64,
-    /// Dependency-wait ns attributed by the trace tap (0 when unavailable).
-    pub dep_wait_ns: u64,
 }
 
 /// Tuning knobs for the tuner itself.
@@ -254,10 +244,6 @@ pub struct TuneOptions {
     /// Exploit-phase drift detection: re-explore a key after this many
     /// consecutive observations slower than 2× the recorded best. 0 disables.
     pub drift_limit: u32,
-    /// Permit plan-parameter exploration on loops whose results depend on
-    /// plan order. **Breaks bit-identity with untuned runs** (documented
-    /// trade-off); off by default.
-    pub allow_reordering: bool,
 }
 
 impl Default for TuneOptions {
@@ -271,7 +257,6 @@ impl Default for TuneOptions {
             target_chunk_ns: 200_000,
             small_set: 4096,
             drift_limit: 8,
-            allow_reordering: false,
         }
     }
 }
@@ -318,10 +303,6 @@ pub struct Tuner {
     opts: TuneOptions,
     states: Mutex<HashMap<TuneKey, LoopState>>,
     costs: CostBook,
-    /// Per-loop wait attribution fed from the trace tap (`op2_trace::LoopTap`
-    /// samples forwarded by whoever owns the tap): loop name →
-    /// (barrier ns, dep-wait ns, samples).
-    attributions: Mutex<HashMap<String, (u64, u64, u64)>>,
 }
 
 impl Tuner {
@@ -331,27 +312,7 @@ impl Tuner {
             opts,
             states: Mutex::new(HashMap::new()),
             costs: CostBook::new(),
-            attributions: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Feed one trace-tap attribution sample (wait time the trace layer
-    /// charged to a completed instance of `loop_name`). Enriches reports;
-    /// candidate scoring stays on wall time, which exists in every build.
-    pub fn note_attribution(&self, loop_name: &str, barrier_blocked_ns: u64, dep_wait_ns: u64) {
-        let mut g = self.attributions.lock();
-        let e = g.entry(loop_name.to_string()).or_insert((0, 0, 0));
-        e.0 += barrier_blocked_ns;
-        e.1 += dep_wait_ns;
-        e.2 += 1;
-    }
-
-    /// Mean `(barrier_blocked_ns, dep_wait_ns)` per execution of
-    /// `loop_name`, if the trace tap has reported any.
-    pub fn attribution(&self, loop_name: &str) -> Option<(u64, u64)> {
-        let g = self.attributions.lock();
-        let &(b, d, n) = g.get(loop_name)?;
-        (n > 0).then(|| (b / n, d / n))
     }
 
     /// A tuner with default options and an explicit seed.
@@ -550,19 +511,15 @@ impl Tuner {
 
     /// Warm-start from a persisted store: every entry whose topology hash
     /// matches a future key jumps straight to the exploit phase. Entries are
-    /// verified against this tuner's gating — a store written with
-    /// `allow_reordering` feeding a strict tuner has its plan overrides
-    /// stripped (bit-identity wins over persistence).
+    /// verified against this tuner's gating — a plan override on an
+    /// indirect-write key is stripped (bit-identity wins over persistence).
     pub fn import(&self, store: &TuneStore) {
         let mut states = self.states.lock();
         for e in &store.entries {
             let Some((key, mut config)) = e.decode() else {
                 continue;
             };
-            if !self.opts.allow_reordering
-                && config.plan.is_some()
-                && key.pattern == IndirectionPattern::IndirectWrite
-            {
+            if key.pattern == IndirectionPattern::IndirectWrite {
                 config.plan = None;
             }
             states.insert(
@@ -652,9 +609,8 @@ impl Tuner {
             backends.push(Some(BackendChoice::Serial));
         }
 
-        let plan_tunable = ctx.plan_order_invariant || self.opts.allow_reordering;
         let mut plans: Vec<Option<PlanParams>> = vec![None];
-        if plan_tunable {
+        if ctx.plan_order_invariant {
             let dp = ctx.default_part_size.max(1);
             for part in [dp / 4, dp * 4] {
                 let part = part.clamp(16, key.set_size.max(16));
@@ -892,31 +848,6 @@ mod tests {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn allow_reordering_unlocks_plan_search() {
-        let t = Tuner::new(TuneOptions {
-            allow_reordering: true,
-            seed: 2,
-            ..TuneOptions::default()
-        });
-        let mut c = ctx();
-        c.plan_order_invariant = false;
-        let k = TuneKey {
-            pattern: IndirectionPattern::IndirectWrite,
-            ..key(50_000)
-        };
-        let mut saw_plan = false;
-        for _ in 0..200 {
-            let d = t.decide(&k, &c);
-            saw_plan |= d.config.plan.is_some();
-            t.observe(&k, d.trial, Observation { wall_ns: 1000, ..Default::default() });
-            if d.trial.is_none() {
-                break;
-            }
-        }
-        assert!(saw_plan, "reordering mode must explore plan params");
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! has to resolve to a source file of the package the same line selects
 //! with `-p`, or of any workspace package when it selects none (wrapped
 //! commands, table cells that abbreviate to `--bin fig16`).
+//!
+//! Nor may DESIGN.md's workspace layout name a source file that is gone:
+//! under each `### crates/<dir>` heading, every backticked `<name>.rs` has to
+//! be a file of `crates/<dir>/src/`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -85,6 +89,52 @@ fn every_named_cargo_target_exists() {
     assert!(
         missing.is_empty(),
         "references to cargo targets that do not exist:\n  {}",
+        missing.join("\n  ")
+    );
+}
+
+/// The backticked bare file names (`` `name.rs` ``, no directory) in `line`.
+fn backticked_rs_files(line: &str) -> impl Iterator<Item = &str> {
+    let is_bare = |s: &&str| {
+        s.strip_suffix(".rs").is_some_and(|stem| {
+            !stem.is_empty() && stem.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+        })
+    };
+    // Odd pieces of a split at backticks are the code spans.
+    line.split('`').skip(1).step_by(2).filter(is_bare)
+}
+
+#[test]
+fn design_layout_names_only_source_files_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md is readable");
+    let mut src: Option<PathBuf> = None;
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        if line.starts_with('#') {
+            src = line
+                .strip_prefix("### crates/")
+                .and_then(|rest| rest.split_whitespace().next())
+                .map(|dir| root.join("crates").join(dir).join("src"));
+            continue;
+        }
+        let Some(src) = &src else { continue };
+        for file in backticked_rs_files(line) {
+            checked += 1;
+            if !src.join(file).is_file() {
+                missing.push(format!(
+                    "DESIGN.md:{}: `{file}` is not in {}",
+                    n + 1,
+                    src.display()
+                ));
+            }
+        }
+    }
+    assert!(checked > 30, "the scan found only {checked} file names");
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md's workspace layout names source files that do not exist:\n  {}",
         missing.join("\n  ")
     );
 }

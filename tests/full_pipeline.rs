@@ -129,3 +129,56 @@ fn fences_are_idempotent_everywhere() {
         exec.fence();
     }
 }
+
+/// An injected kernel panic on each of the six backends — in a direct loop
+/// and in an indirect one, which the async backend runs as a chain of
+/// continuations — comes back as a typed `LoopError` naming the element,
+/// with the declared write-set restored bit for bit; where there is a fence
+/// to ask, it reports the same error value.
+#[test]
+fn injected_kernel_panic_is_typed_and_rolled_back_on_six_backends() {
+    use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
+    use op2_hpx::FailureKind;
+
+    let nedges = 40;
+    let edges = Set::new("edges", nedges);
+    let cells = Set::new("cells", nedges + 1);
+    let table = (0..nedges as u32).flat_map(|e| [e, e + 1]).collect();
+    let pecell = Map::new("pecell", &edges, &cells, 2, table);
+    let res = Dat::new("res", &cells, 1, (0..=nedges).map(|c| 0.1 * c as f64).collect());
+    let bits = || res.to_vec().into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+
+    let rv = res.view();
+    let direct = ParLoop::build("direct", &cells)
+        .arg(arg_direct(&res, Access::ReadWrite))
+        .kernel(move |e, _| unsafe {
+            rv.add(e, 0, 1.0);
+            assert_ne!(e, 23, "injected kernel failure");
+        });
+    let (rv, mv) = (res.view(), pecell.clone());
+    let indirect = ParLoop::build("indirect", &edges)
+        .arg(arg_indirect(&res, 0, &pecell, Access::Inc))
+        .arg(arg_indirect(&res, 1, &pecell, Access::Inc))
+        .kernel(move |e, _| unsafe {
+            rv.add(mv.at(e, 0), 0, 1.0);
+            assert_ne!(e, 23, "injected kernel failure");
+            rv.add(mv.at(e, 1), 0, 1.0);
+        });
+
+    let before = bits();
+    for kind in BackendKind::all() {
+        for l in [&direct, &indirect] {
+            let exec = make_executor(kind, Arc::new(Op2Runtime::new(2, 8)));
+            let err = exec
+                .try_execute(l)
+                .and_then(|h| h.try_get())
+                .expect_err("the kernel panic must surface");
+            assert_eq!((err.loop_name.as_str(), err.element()), (l.name(), Some(23)), "{kind}: {err}");
+            assert!(matches!(err.kind, FailureKind::KernelPanic { .. }) && err.rolled_back, "{kind}: {err}");
+            assert_eq!(bits(), before, "{kind}/{}: write-set not restored", l.name());
+            if let Err(report) = exec.try_fence() {
+                assert_eq!(report.failures, [err], "{kind}");
+            }
+        }
+    }
+}

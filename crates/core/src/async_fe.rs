@@ -56,6 +56,7 @@ impl Executor for AsyncExecutor {
         let (trial, plan, chunk) = self.rt.prepare(loop_, self.name(), self.chunk)?;
         let pool = Arc::clone(self.rt.pool());
         let cancel = self.rt.cancel_token().clone();
+        let rollback = self.rt.rollback();
         let instance = tracehooks::next_instance();
         // This backend has no automatic ordering: the caller's explicit
         // `.get()`/`wait()` placements *are* the dependency statements, so
@@ -68,13 +69,13 @@ impl Executor for AsyncExecutor {
         let fut = if loop_.is_direct() {
             // Fig. 8: return async(launch::async, [=]{ for_each(par, …) }).
             // The whole transaction (snapshot → run → rollback-on-failure)
-            // runs inside the spawned task, so the snapshot is taken when
-            // the task starts, not at issue time.
+            // runs inside the spawned task, so a snapshot is taken when the
+            // task starts, not at issue time.
             let pool2 = Arc::clone(&pool);
             async_spawn(&pool, move || {
                 tracehooks::loop_begin(loop_.name(), "async-foreach", instance);
                 let body_start = std::time::Instant::now();
-                let result = run_transaction(&loop_, "async-foreach", || {
+                let result = run_transaction(&loop_, "async-foreach", rollback, || {
                     run_colored(&pool2, &loop_, &plan, chunk, Some(&cancel))
                 });
                 tracehooks::loop_end(instance);
@@ -93,7 +94,7 @@ impl Executor for AsyncExecutor {
             // conflicting loop) makes issue time a consistent point. It is
             // finished by the chain's last continuation.
             tracehooks::loop_begin(loop_.name(), "async-foreach", instance);
-            let tx = Transaction::begin(&loop_, "async-foreach");
+            let tx = Transaction::begin(&loop_, "async-foreach", rollback);
             let (promise, fut) = Promise::with_pool(&pool);
             run_colored_task(&pool, &loop_, &plan, chunk, Some(cancel)).finally(move |res| {
                 let result = tx.finish(&loop_, res.map_err(Into::into));

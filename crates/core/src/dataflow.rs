@@ -142,6 +142,7 @@ impl Executor for DataflowExecutor {
         let body_pool = Arc::clone(&pool);
         let spawn_pool = Arc::clone(&pool);
         let cancel = self.rt.cancel_token().clone();
+        let rollback = self.rt.rollback();
         when_all_shared_unit(&pool, &deps).finally(move |joined| {
             // `finally` runs on the thread that resolved the last dependency
             // (a caller holding locks, or an ancestor resolving a long chain
@@ -164,7 +165,7 @@ impl Executor for DataflowExecutor {
                 // barrier (or caller-side blocking) inside it.
                 tracehooks::loop_begin(body_loop.name(), "dataflow", instance);
                 let body_start = std::time::Instant::now();
-                let result = run_transaction(&body_loop, "dataflow", || {
+                let result = run_transaction(&body_loop, "dataflow", rollback, || {
                     run_colored(&body_pool, &body_loop, &plan, chunk, Some(&cancel))
                 });
                 tracehooks::loop_end(instance);

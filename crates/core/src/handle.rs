@@ -9,7 +9,8 @@ use crate::tracehooks;
 
 /// A loop's completion future. It resolves to a *value* either way: the
 /// global reduction, or the typed [`LoopError`] (write-set already rolled
-/// back) — the error travels inside the future, never beside it.
+/// back, where the runtime rolls back) — the error travels inside the
+/// future, never beside it.
 pub(crate) type LoopFuture = SharedFuture<Result<Vec<f64>, LoopError>>;
 
 /// Handle to an issued loop.

@@ -70,11 +70,25 @@ pub use tuned::{TunedExecutor, TUNABLE_BACKENDS};
 
 /// A strategy for executing OP2 parallel loops.
 ///
-/// [`Executor::try_execute`] is the fallible, **transactional** surface:
-/// every backend snapshots the loop's declared write-set first; a kernel
-/// panic (or a failed validation guard) rolls the data back bit-identically
-/// and returns a typed [`LoopError`] with provenance. [`Executor::execute`]
-/// keeps the legacy rethrow semantics as a thin wrapper.
+/// [`Executor::try_execute`] is the fallible surface: a kernel panic, a
+/// tripped [`op2_core::ParLoop::guard_finite`] scan or a cancellation never
+/// escapes as a raw panic — it returns a typed [`LoopError`] with provenance
+/// (loop, backend, element, message). [`Executor::execute`] keeps the legacy
+/// rethrow semantics as a thin wrapper.
+///
+/// What the *data* looks like after such a failure depends on the runtime
+/// the executor was built over, and on nothing else:
+///
+/// * a **bare executor** (a plain [`Op2Runtime`]) copies nothing between
+///   loops, so the failed run's partial writes stay in the dats and the
+///   error says `rolled_back: false`;
+/// * on a **rollback-on runtime** ([`Op2Runtime::with_rollback`] — which a
+///   [`Supervisor`] derives for itself, so `run_supervised` and service jobs
+///   need do nothing) every backend snapshots the loop's declared write
+///   footprint first and restores it bit-identically before the error
+///   becomes observable (`rolled_back: true`; the one exception, dats the
+///   loop only overwrites directly, is spelled out on
+///   [`LoopError::rolled_back`]).
 ///
 /// `try_execute`/`execute` may return before the loop has run (asynchronous
 /// backends); [`LoopHandle::get`]/[`LoopHandle::try_get`] wait for (and
@@ -91,16 +105,17 @@ pub trait Executor: Send + Sync {
     /// Stable, human-readable backend name (used in benches/reports).
     fn name(&self) -> &'static str;
 
-    /// Execute or schedule `loop_` transactionally. A synchronous failure
-    /// (plan validation, kernel panic, finite-guard) is returned here;
-    /// asynchronous backends surface late failures — the same value each
-    /// time — through [`LoopHandle::try_get`]/[`LoopHandle::try_wait`] and
-    /// [`Executor::try_fence`]. In every failure case the declared write-set
-    /// has been restored before the error becomes observable.
+    /// Execute or schedule `loop_`. A synchronous failure (plan validation,
+    /// kernel panic, finite-guard) is returned here; asynchronous backends
+    /// surface late failures — the same value each time — through
+    /// [`LoopHandle::try_get`]/[`LoopHandle::try_wait`] and
+    /// [`Executor::try_fence`]. On a rollback-on runtime the declared write
+    /// footprint has been restored before the error becomes observable.
     fn try_execute(&self, loop_: &op2_core::ParLoop) -> Result<LoopHandle, LoopError>;
 
     /// Execute or schedule `loop_`; a synchronous failure panics with the
-    /// original kernel provenance (data already rolled back).
+    /// original kernel provenance (data already rolled back where the
+    /// runtime rolls back).
     fn execute(&self, loop_: &op2_core::ParLoop) -> LoopHandle {
         self.try_execute(loop_).unwrap_or_else(|e| e.rethrow())
     }

@@ -2,15 +2,37 @@
 //!
 //! Every OP2 loop declares its write-set exactly (each `OP_WRITE` / `OP_RW` /
 //! `OP_INC` argument names a dat), which makes parallel loops *natural
-//! transactions*: before a loop runs, [`WriteSet::capture`] snapshots
-//! precisely the dats it may modify; if the kernel panics — or a validation
-//! guard trips afterwards — the snapshot is restored **bit-identically** and
-//! the failure surfaces as a typed [`LoopError`] carrying full provenance
-//! (loop name, backend, element, kernel message) instead of a raw panic.
+//! transactions* — for whoever can use one. Nothing consumes a snapshot
+//! unless something is there to retry the loop, so taking one is a property
+//! of the runtime, off by default:
+//!
+//! * **A bare executor** (any backend over a plain [`Op2Runtime`]) promises a
+//!   *typed* failure and nothing more. A kernel panic, a tripped
+//!   [`ParLoop::guard_finite`] scan or a cancellation surfaces as a
+//!   [`LoopError`] carrying full provenance (loop name, backend, element,
+//!   kernel message) with `rolled_back: false`; whatever the failed run had
+//!   already written is still in the dats. No copy is made between two
+//!   loops.
+//! * **A rollback-on runtime** ([`Op2Runtime::with_rollback`], which
+//!   [`Supervisor::new`] / [`Supervisor::with_ladder`] derive for themselves
+//!   from whatever runtime they are given) brackets every loop with
+//!   [`WriteSet::capture`] and, on any of those failures, restores the
+//!   snapshot **bit-identically** before the error becomes observable
+//!   (`rolled_back: true`). What is captured is the declared write
+//!   *footprint* ([`ParLoop::write_footprint`]): nothing for a dat the loop
+//!   only `OP_WRITE`s directly (it never observed the old contents and a
+//!   retry rewrites it in full, so it is left holding unspecified values —
+//!   the one exception to "restored"), only the reachable rows for a dat
+//!   written through map slots that reach at most half of it, the whole dat
+//!   otherwise.
+//!
+//! `Transaction` is the one capture → run → guard → restore path; all five
+//! executors and both colored runners go through it, and the runtime's flag
+//! has no other reader.
 //!
 //! Layered on top, a [`Supervisor`] implements the recovery ladder:
 //!
-//! 1. **rollback** — the transactional executor already restored the data;
+//! 1. **rollback** — the transaction already restored the data;
 //! 2. **retry** — re-run on the same backend, bounded attempts with backoff;
 //! 3. **degrade** — walk down the backend ladder (e.g. dataflow → fork-join
 //!    → serial) and retry on simpler, more deterministic execution;
@@ -29,7 +51,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hpx_rt::{CancelReason, TaskFailure, TaskPanic};
-use op2_core::{DatSnapshot, ParLoop, PlanError};
+use op2_core::{DatSnapshot, ParLoop, PlanError, WriteFootprint};
 
 use crate::factory::BackendKind;
 use crate::handle::LoopHandle;
@@ -115,8 +137,19 @@ pub struct LoopError {
     /// What went wrong.
     pub kind: FailureKind,
     /// Was the declared write-set restored to its pre-loop contents?
-    /// (`false` only for failures that never ran the kernel: plan errors,
-    /// poisoned dataflow nodes, an open circuit breaker.)
+    ///
+    /// `true` only on a rollback-on runtime ([`Op2Runtime::with_rollback`],
+    /// which every [`Supervisor`] runs its attempts on) for a failure that
+    /// ran the kernel or could have: kernel panic, tripped finite guard,
+    /// cancellation. Every written dat then holds its pre-loop bits, with
+    /// one exception: a dat that *every* argument naming it declares direct
+    /// `OP_WRITE` holds unspecified contents — the loop never observed it
+    /// and any retry rewrites it in full (`save_soln`'s `qold`, `adt_calc`'s
+    /// `adt`, `update`'s `q`), so it is not copied.
+    ///
+    /// `false` on a bare executor — the failed run's partial writes are
+    /// still in the dats — and for failures that never ran the kernel: plan
+    /// errors, poisoned dataflow nodes, an open circuit breaker.
     pub rolled_back: bool,
 }
 
@@ -173,25 +206,25 @@ impl std::fmt::Display for LoopError {
 
 impl std::error::Error for LoopError {}
 
-/// The declared write-set of a loop, captured as type-erased snapshots.
+/// The declared write footprint of a loop, captured as type-erased
+/// snapshots.
 pub struct WriteSet {
     snaps: Vec<Box<dyn DatSnapshot>>,
 }
 
 impl WriteSet {
-    /// Snapshot every dat `loop_` declares it may modify (deduplicated —
-    /// a dat written through several map slots is captured once).
+    /// Snapshot what `loop_` declares it may modify, bounded by
+    /// [`ParLoop::write_footprint`]: each written dat once, whole, by the
+    /// rows its writing map slots reach, or — written directly and never
+    /// observed — not at all.
     pub fn capture(loop_: &ParLoop) -> WriteSet {
-        let mut snaps: Vec<Box<dyn DatSnapshot>> = Vec::new();
-        for a in loop_.args() {
-            if a.access.writes() && !snaps.iter().any(|s| s.dat_id() == a.dat_id) {
-                snaps.push(a.raw().snapshot());
-            }
+        let footprint = loop_.write_footprint();
+        WriteSet {
+            snaps: footprint.iter().filter_map(WriteFootprint::snapshot).collect(),
         }
-        WriteSet { snaps }
     }
 
-    /// Restore every captured dat to its snapshotted contents,
+    /// Restore everything captured to its snapshotted contents,
     /// bit-identically.
     pub fn restore(&self) {
         for s in &self.snaps {
@@ -199,12 +232,13 @@ impl WriteSet {
         }
     }
 
-    /// Number of dats captured.
+    /// Number of dats captured (whole or by rows).
     pub fn len(&self) -> usize {
         self.snaps.len()
     }
 
-    /// Was there nothing to capture (a pure-reduction loop)?
+    /// Was there nothing to capture (a pure-reduction loop, or one that only
+    /// overwrites)?
     pub fn is_empty(&self) -> bool {
         self.snaps.is_empty()
     }
@@ -241,26 +275,33 @@ impl From<TaskFailure> for FailureKind {
     }
 }
 
-/// An open transaction on a loop's declared write-set: the snapshot is taken
-/// by [`Transaction::begin`]; [`Transaction::finish`] commits or aborts it.
-/// [`run_transaction`] brackets a blocking body with the two; a continuation
-/// chain begins at issue and finishes in its last continuation.
+/// An open transaction on a loop's declared write-set: the snapshot, when
+/// the runtime asks for one, is taken by [`Transaction::begin`];
+/// [`Transaction::finish`] commits or aborts it. [`run_transaction`] brackets
+/// a blocking body with the two; a continuation chain begins at issue and
+/// finishes in its last continuation.
 pub(crate) struct Transaction {
-    ws: WriteSet,
+    /// `None` on a rollback-off runtime: nothing was copied, so a failure
+    /// has nothing to restore.
+    ws: Option<WriteSet>,
     backend: &'static str,
 }
 
 impl Transaction {
-    pub(crate) fn begin(loop_: &ParLoop, backend: &'static str) -> Self {
+    /// `rollback` is [`Op2Runtime::rollback`] of the runtime the loop runs
+    /// on — this is the flag's one reader.
+    pub(crate) fn begin(loop_: &ParLoop, backend: &'static str, rollback: bool) -> Self {
         Transaction {
-            ws: WriteSet::capture(loop_),
+            ws: rollback.then(|| WriteSet::capture(loop_)),
             backend,
         }
     }
 
     /// Close the transaction with the body's outcome. A failed body — or a
-    /// successful one whose finite-guard scan trips — restores the snapshot
-    /// bit-identically and becomes a typed error.
+    /// successful one whose finite-guard scan trips (the scan is a check the
+    /// loop declared, so it runs with or without a snapshot) — becomes a
+    /// typed error, after the snapshot, if there is one, has been restored
+    /// bit-identically.
     pub(crate) fn finish(
         self,
         loop_: &ParLoop,
@@ -273,21 +314,24 @@ impl Transaction {
             },
             Err(kind) => kind,
         };
-        self.ws.restore();
-        tracehooks::rollback(loop_.name(), self.ws.len() as u64);
-        Err(LoopError::new(loop_.name(), self.backend, kind, true))
+        if let Some(ws) = &self.ws {
+            ws.restore();
+            tracehooks::rollback(loop_.name(), ws.len() as u64);
+        }
+        Err(LoopError::new(loop_.name(), self.backend, kind, self.ws.is_some()))
     }
 }
 
 /// Run `body` as a transaction on `loop_`'s declared write-set: snapshot
-/// first; on panic (or a failed finite-guard scan afterwards) restore the
-/// snapshot bit-identically and return a typed error.
+/// first if `rollback`; on panic (or a failed finite-guard scan afterwards)
+/// restore the snapshot, if any, and return a typed error.
 pub(crate) fn run_transaction(
     loop_: &ParLoop,
     backend: &'static str,
+    rollback: bool,
     body: impl FnOnce() -> Vec<f64>,
 ) -> Result<Vec<f64>, LoopError> {
-    let tx = Transaction::begin(loop_, backend);
+    let tx = Transaction::begin(loop_, backend, rollback);
     let outcome = catch_unwind(AssertUnwindSafe(body));
     tx.finish(loop_, outcome.map_err(|p| TaskFailure::of(&p).into()))
 }
@@ -369,13 +413,21 @@ impl Default for RetryPolicy {
 /// Policy wrapper executing loops with bounded retries and backend
 /// degradation (see the module docs for the full ladder).
 ///
+/// A supervisor is what consumes a rollback, so it turns rollback on: its
+/// attempts run on a runtime derived from the one it was given (same pool,
+/// plan cache, cancel token and tuner) with [`Op2Runtime::with_rollback`]
+/// set — callers hand it any runtime and keep the guarantee.
+///
 /// Each attempt runs on a **fresh** executor of the rung's kind: a failed
 /// dataflow attempt leaves no poisoned dependency table behind, and the
 /// transactional rollback guarantees each attempt starts from pristine
 /// pre-loop data.
 pub struct Supervisor {
+    /// Rollback-on (see the struct docs).
     rt: Arc<Op2Runtime>,
     ladder: Vec<BackendKind>,
+    /// The ladder as the tuner's menu.
+    choices: Vec<op2_tune::BackendChoice>,
     policy: RetryPolicy,
     quota: AtomicUsize,
 }
@@ -404,9 +456,15 @@ impl Supervisor {
         if ladder.is_empty() {
             ladder.push(BackendKind::Serial);
         }
+        let rt = if rt.rollback() {
+            rt
+        } else {
+            Arc::new(rt.share().with_rollback())
+        };
         let quota = AtomicUsize::new(policy.quota);
         Supervisor {
             rt,
+            choices: ladder.iter().copied().map(kind_to_choice).collect(),
             ladder,
             policy,
             quota,
@@ -445,23 +503,18 @@ impl Supervisor {
         // the ladder's backends and promote its pick; the degradation order
         // behind it is unchanged. Attempts then run on a tuning-resolved
         // runtime so the inner executor does not decide a second time.
-        let choices: Vec<op2_tune::BackendChoice> =
-            self.ladder.iter().copied().map(kind_to_choice).collect();
-        let mut decision = decide(&self.rt, loop_, &choices);
-        let mut ladder = self.ladder.clone();
-        if let Some(kind) = decision.backend {
-            ladder.retain(|k| *k != kind);
-            ladder.insert(0, kind);
-        }
+        let mut decision = decide(&self.rt, loop_, &self.choices);
+        let promoted: Vec<BackendKind>;
+        let ladder = match decision.backend {
+            Some(kind) if kind != self.ladder[0] => {
+                let rest = self.ladder.iter().copied().filter(|k| *k != kind);
+                promoted = std::iter::once(kind).chain(rest).collect();
+                &promoted
+            }
+            _ => &self.ladder,
+        };
         for (rung, kind) in ladder.iter().enumerate() {
             for attempt in 0..=self.policy.max_retries {
-                // A fresh executor per *attempt*: a failed async attempt must
-                // not leave its failure in the outstanding list (a successful
-                // retry would then be misreported at the fence), and a failed
-                // dataflow attempt must not leave a poisoned dependency table
-                // that would poison the retry itself.
-                let exec =
-                    make_tuned_executor(*kind, Arc::clone(&decision.rt), decision.chunk_blocks);
                 if self.quota_remaining() == 0 {
                     return Err(last.unwrap_or_else(|| {
                         LoopError::new(loop_.name(), "supervisor", FailureKind::CircuitOpen, false)
@@ -476,6 +529,13 @@ impl Supervisor {
                 if attempt > 0 && !self.policy.backoff.is_zero() {
                     std::thread::sleep(self.policy.backoff * attempt as u32);
                 }
+                // A fresh executor per *attempt*: a failed async attempt must
+                // not leave its failure in the outstanding list (a successful
+                // retry would then be misreported at the fence), and a failed
+                // dataflow attempt must not leave a poisoned dependency table
+                // that would poison the retry itself.
+                let exec =
+                    make_tuned_executor(*kind, Arc::clone(&decision.rt), decision.chunk_blocks);
                 let attempt_deadline = self.policy.deadline.map(|d| Instant::now() + d);
                 token.set_deadline_opt(min_deadline(job_deadline, attempt_deadline));
                 let result = run_to_fence(exec.as_ref(), loop_, exec.name());

@@ -32,6 +32,9 @@ pub struct Op2Runtime {
     /// Fixed plan-parameter override (set on the derived runtimes the tuned
     /// executor hands its inner backends; wins over the tuner).
     plan_override: Option<PlanParams>,
+    /// Snapshot every loop's write footprint so a failure can be rolled back
+    /// ([`Op2Runtime::with_rollback`]); read by `recover::Transaction` only.
+    rollback: bool,
 }
 
 impl Op2Runtime {
@@ -76,7 +79,27 @@ impl Op2Runtime {
             cancel: CancelToken::new(),
             tuner: None,
             plan_override: None,
+            rollback: false,
         }
+    }
+
+    /// Make every loop executed over this runtime a transaction that can be
+    /// undone: executors snapshot the loop's declared write footprint first
+    /// and restore it bit-identically when the kernel panics, a finite guard
+    /// trips or the loop is cancelled (`LoopError::rolled_back`). Off by
+    /// default — a snapshot is a copy between every two loops, and nothing
+    /// consumes it unless something retries the loop; [`crate::Supervisor`]
+    /// is that something and turns this on for its own attempts, so only
+    /// code that wants rollback on a bare executor calls it.
+    pub fn with_rollback(mut self) -> Self {
+        self.rollback = true;
+        self
+    }
+
+    /// Do executors over this runtime snapshot and roll back
+    /// ([`Op2Runtime::with_rollback`])?
+    pub(crate) fn rollback(&self) -> bool {
+        self.rollback
     }
 
     /// Attach an online [`Tuner`]: executors created over this runtime
@@ -93,18 +116,30 @@ impl Op2Runtime {
         self.tuner.as_ref()
     }
 
-    /// A derived runtime sharing this one's pool, plan cache, and cancel
-    /// token, but with tuning *resolved*: no tuner (inner executors must not
-    /// re-decide) and a fixed plan-parameter override. Used by the tuned
-    /// executor to hand a decided configuration to a concrete backend.
-    pub(crate) fn resolve_tuned(&self, plan: Option<PlanParams>) -> Op2Runtime {
+    /// A second runtime over this one's pool, plan cache, cancel token and
+    /// tuner, with the same settings — the base of every derived runtime.
+    pub(crate) fn share(&self) -> Op2Runtime {
         Op2Runtime {
             pool: Arc::clone(&self.pool),
             plans: Arc::clone(&self.plans),
             part_size: self.part_size,
             cancel: self.cancel.clone(),
+            tuner: self.tuner.clone(),
+            plan_override: self.plan_override,
+            rollback: self.rollback,
+        }
+    }
+
+    /// A derived runtime sharing this one's pool, plan cache, and cancel
+    /// token (and its rollback setting), but with tuning *resolved*: no
+    /// tuner (inner executors must not re-decide) and a fixed plan-parameter
+    /// override. Used by the tuned executor to hand a decided configuration
+    /// to a concrete backend.
+    pub(crate) fn resolve_tuned(&self, plan: Option<PlanParams>) -> Op2Runtime {
+        Op2Runtime {
             tuner: None,
             plan_override: plan,
+            ..self.share()
         }
     }
 
@@ -186,7 +221,8 @@ impl Op2Runtime {
 
     /// `try_execute` of a backend whose caller waits for the loop:
     /// [`Op2Runtime::prepare`], a loop span chained in program order behind
-    /// `last`, `body` run as one transaction, the trial closed on success.
+    /// `last`, `body` run as one transaction (snapshotted when the runtime
+    /// rolls back), the trial closed on success.
     /// With `barrier` the whole call is recorded as the implicit end-of-loop
     /// barrier the caller is held at (the assembler nets out the time it
     /// spent work-helping); the serial backend runs the body itself and is
@@ -205,7 +241,8 @@ impl Op2Runtime {
         tracehooks::chain(last, instance);
         tracehooks::loop_begin(loop_.name(), backend, instance);
         let span = barrier.then(op2_trace::begin);
-        let result = run_transaction(loop_, backend, || body(&plan, chunk, &self.cancel));
+        let result =
+            run_transaction(loop_, backend, self.rollback, || body(&plan, chunk, &self.cancel));
         if let Some(span) = span {
             op2_trace::end(span, EventKind::BarrierWait, NO_NAME, instance, 0);
         }

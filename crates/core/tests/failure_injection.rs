@@ -1,8 +1,10 @@
 //! Failure injection: kernels that panic must not poison the runtime —
 //! panics surface at well-defined points (handle `get`/`wait`, `fence`),
-//! the pool survives, subsequent loops run normally, and — since loops are
-//! transactions — every failed loop's declared write-set is rolled back
-//! **bit-identically** to its pre-loop contents.
+//! the pool survives, subsequent loops run normally, and — on a runtime built
+//! `with_rollback()`, as every test here that looks at the data builds its
+//! own — every failed loop's declared write-set is rolled back
+//! **bit-identically** to its pre-loop contents. (What a bare executor
+//! promises instead is pinned by `tests/full_pipeline.rs`.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,7 +35,7 @@ fn synchronous_backends_rethrow_and_recover() {
         BackendKind::ForEachAuto,
         BackendKind::ForEachStatic(2),
     ] {
-        let rt = Arc::new(Op2Runtime::new(2, 8));
+        let rt = Arc::new(Op2Runtime::new(2, 8).with_rollback());
         let exec = make_executor(kind, rt);
         let cells = Set::new("cells", 64);
         let q = Dat::filled("q", &cells, 1, 0.0f64);
@@ -68,7 +70,7 @@ fn typed_errors_carry_provenance_and_rollback_status() {
         BackendKind::ForkJoin,
         BackendKind::ForEachStatic(2),
     ] {
-        let rt = Arc::new(Op2Runtime::new(2, 8));
+        let rt = Arc::new(Op2Runtime::new(2, 8).with_rollback());
         let exec = make_executor(kind, rt);
         let cells = Set::new("cells", 64);
         let q = Dat::filled("q", &cells, 1, 0.0f64);
@@ -115,7 +117,7 @@ fn provenance_is_exact_per_element_and_span_start_per_span() {
             .arg(arg_direct(&q, Access::ReadWrite))
             .kernel_span(move |span, _| span.for_each(|e| bump(&qv2, e)));
         for (l, want) in [(&per_element, 13), (&per_span, 8)] {
-            let exec = make_executor(kind, Arc::new(Op2Runtime::new(2, 8)));
+            let exec = make_executor(kind, Arc::new(Op2Runtime::new(2, 8).with_rollback()));
             let err = exec
                 .try_execute(l)
                 .and_then(|h| h.try_get())
@@ -130,7 +132,7 @@ fn provenance_is_exact_per_element_and_span_start_per_span() {
 
 #[test]
 fn nan_guard_rolls_back_and_reports_the_site() {
-    let rt = Arc::new(Op2Runtime::new(2, 8));
+    let rt = Arc::new(Op2Runtime::new(2, 8).with_rollback());
     let exec = make_executor(BackendKind::ForkJoin, rt);
     let cells = Set::new("cells", 32);
     let q = Dat::filled("q", &cells, 2, 1.0f64);
@@ -163,7 +165,7 @@ fn nan_guard_rolls_back_and_reports_the_site() {
 
 #[test]
 fn preset_cancellation_abandons_with_typed_error() {
-    let rt = Arc::new(Op2Runtime::new(2, 8));
+    let rt = Arc::new(Op2Runtime::new(2, 8).with_rollback());
     let exec = make_executor(BackendKind::ForkJoin, Arc::clone(&rt));
     let cells = Set::new("cells", 64);
     let q = Dat::filled("q", &cells, 1, 5.0f64);
@@ -190,7 +192,7 @@ fn preset_cancellation_abandons_with_typed_error() {
 
 #[test]
 fn async_backend_defers_panic_to_wait() {
-    let rt = Arc::new(Op2Runtime::new(2, 8));
+    let rt = Arc::new(Op2Runtime::new(2, 8).with_rollback());
     let exec = make_executor(BackendKind::Async, rt);
     let cells = Set::new("cells", 64);
     let q = Dat::filled("q", &cells, 1, 0.0f64);
@@ -218,7 +220,7 @@ fn async_backend_defers_panic_to_wait() {
 
 #[test]
 fn async_fence_surfaces_every_pending_failure() {
-    let rt = Arc::new(Op2Runtime::new(2, 8));
+    let rt = Arc::new(Op2Runtime::new(2, 8).with_rollback());
     let exec = make_executor(BackendKind::Async, rt);
     let cells = Set::new("cells", 64);
     // Three failing loops on disjoint dats plus one healthy one.
@@ -272,7 +274,7 @@ fn async_fence_surfaces_every_pending_failure() {
 
 #[test]
 fn dataflow_poisons_dependents_but_not_independents() {
-    let rt = Arc::new(Op2Runtime::new(2, 8));
+    let rt = Arc::new(Op2Runtime::new(2, 8).with_rollback());
     let exec = DataflowExecutor::new(rt);
     let cells = Set::new("cells", 32);
     let poisoned = Dat::filled("poisoned", &cells, 1, 0.0f64);
@@ -348,7 +350,7 @@ fn broken_loop_then_fresh_executor_is_clean() {
 #[test]
 fn futurized_backends_hand_out_one_error_value_everywhere() {
     for kind in [BackendKind::Async, BackendKind::Dataflow] {
-        let exec = make_executor(kind, Arc::new(Op2Runtime::new(2, 8)));
+        let exec = make_executor(kind, Arc::new(Op2Runtime::new(2, 8).with_rollback()));
         let cells = Set::new("cells", 64);
         let q = Dat::filled("q", &cells, 1, 0.0f64);
         let bad = poison_loop(&cells, &q, Arc::new(AtomicBool::new(true)));

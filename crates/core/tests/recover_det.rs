@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
+use op2_core::{arg_direct, arg_indirect, Access, Dat, Footprint, Map, ParLoop, Set};
 use op2_hpx::{
     make_executor, BackendKind, FailureKind, Op2Runtime, RetryPolicy, Supervisor,
 };
@@ -43,6 +43,9 @@ struct Mesh {
     nedges: usize,
     ncells: usize,
     table: Vec<u32>,
+    /// The one or two cells the boundary edges touch — at most half of the
+    /// (≥ 4) cells, so a rollback of `bres` covers rows, not the dat.
+    bcells: Vec<u32>,
 }
 
 fn random_mesh(seed: u64) -> Mesh {
@@ -54,24 +57,35 @@ fn random_mesh(seed: u64) -> Mesh {
         table.push(rng.gen_range(0..ncells) as u32);
         table.push(rng.gen_range(0..ncells) as u32);
     }
+    let bcells = (0..rng.gen_range(1..3usize))
+        .map(|_| rng.gen_range(0..ncells) as u32)
+        .collect();
     Mesh {
         nedges,
         ncells,
         table,
+        bcells,
     }
 }
 
 struct Fixture {
     res: Dat<f64>,
     q: Dat<f64>,
+    qold: Dat<f64>,
+    save: ParLoop,
     gather: ParLoop,
+    bres: ParLoop,
     update: ParLoop,
 }
 
-/// Two-loop program: an indirect gather with increments and a global sum,
-/// then a direct update. When `faults` is non-zero, the gather kernel panics
-/// at a seed-derived element that many times before succeeding (each attempt
-/// decrements the counter) — the supervisor's retries drain it.
+/// Four-loop program in Airfoil's shape: a write-only direct save, an
+/// indirect gather with increments and a global sum, a boundary loop that
+/// increments a cell or two through a sparse map, then a direct update — one
+/// loop per way a write footprint is captured (not at all, whole, by rows,
+/// whole). While `faults` is non-zero, the save, gather and boundary kernels
+/// panic at a seed-derived element (each panic decrements the counter) — the
+/// supervisor's retries drain it. The save and boundary kernels write
+/// *before* they panic, so a retry over data that was not put back diverges.
 fn fixture(mesh: &Mesh, seed: u64, faults: Arc<AtomicUsize>) -> Fixture {
     let edges = Set::new("edges", mesh.nedges);
     let cells = Set::new("cells", mesh.ncells);
@@ -85,6 +99,32 @@ fn fixture(mesh: &Mesh, seed: u64, faults: Arc<AtomicUsize>) -> Fixture {
     let q = Dat::filled("q", &cells, 1, 1.0f64);
     let fail_at = seed as usize % mesh.nedges;
 
+    let qold = Dat::filled("qold", &cells, 1, 0.0f64);
+    let (qv, qoldv, armed) = (q.view(), qold.view(), Arc::clone(&faults));
+    let save_fail_at = seed as usize % mesh.ncells;
+    let save = ParLoop::build("save", &cells)
+        .arg(arg_direct(&q, Access::Read))
+        .arg(arg_direct(&qold, Access::Write))
+        .kernel(move |c, _| unsafe {
+            qoldv.set(c, 0, qv.get(c, 0));
+            if c == save_fail_at && trip(&armed) {
+                panic!("injected kernel failure at element {c}");
+            }
+        });
+
+    let bedges = Set::new("bedges", mesh.bcells.len());
+    let bm = Map::new("pbecell", &bedges, &cells, 1, mesh.bcells.clone());
+    let (rv, bmv, armed) = (res.view(), bm.clone(), Arc::clone(&faults));
+    let bres_fail_at = seed as usize % mesh.bcells.len();
+    let bres = ParLoop::build("bres", &bedges)
+        .arg(arg_indirect(&res, 0, &bm, Access::Inc))
+        .kernel(move |e, _| unsafe {
+            rv.add(bmv.at(e, 0), 0, 2.0);
+            if e == bres_fail_at && trip(&armed) {
+                panic!("injected kernel failure at element {e}");
+            }
+        });
+
     let rv = res.view();
     let mv = m.clone();
     let gather = ParLoop::build("gather", &edges)
@@ -92,11 +132,7 @@ fn fixture(mesh: &Mesh, seed: u64, faults: Arc<AtomicUsize>) -> Fixture {
         .arg(arg_indirect(&res, 1, &m, Access::Inc))
         .gbl_inc(1)
         .kernel(move |e, gbl| unsafe {
-            if e == fail_at
-                && faults
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                    .is_ok()
-            {
+            if e == fail_at && trip(&faults) {
                 panic!("injected kernel failure at element {e}");
             }
             rv.add(mv.at(e, 0), 0, 1.0);
@@ -117,9 +153,19 @@ fn fixture(mesh: &Mesh, seed: u64, faults: Arc<AtomicUsize>) -> Fixture {
     Fixture {
         res,
         q,
+        qold,
+        save,
         gather,
+        bres,
         update,
     }
+}
+
+/// Spend one injected fault, if any are left.
+fn trip(faults: &AtomicUsize) -> bool {
+    faults
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+        .is_ok()
 }
 
 fn bits(d: &Dat<f64>) -> Vec<u64> {
@@ -136,9 +182,10 @@ fn backends() -> Vec<BackendKind> {
     ]
 }
 
-/// The sweep: for every seed × backend, inject 1–2 kernel failures into the
-/// gather loop, run it under the supervisor (retry → degrade), then the
-/// update loop, and require results bit-identical to a clean serial run.
+/// The sweep: for every seed × backend, inject 1–2 kernel failures into each
+/// of the save, gather and boundary loops, run them under the supervisor
+/// (retry → degrade), then the update loop, and require results
+/// bit-identical to a clean serial run.
 #[test]
 fn supervised_recovery_is_bit_identical_to_clean_serial_run() {
     for seed in seeds_to_run() {
@@ -149,9 +196,14 @@ fn supervised_recovery_is_bit_identical_to_clean_serial_run() {
             let fx = fixture(&mesh, seed, Arc::new(AtomicUsize::new(0)));
             let rt = Arc::new(Op2Runtime::new(1, PART_SIZE));
             let exec = make_executor(BackendKind::Serial, rt);
+            exec.execute(&fx.save).wait();
             let gbl = exec.execute(&fx.gather).get();
+            exec.execute(&fx.bres).wait();
             exec.execute(&fx.update).wait();
-            (bits(&fx.res), bits(&fx.q), gbl)
+            // Both footprint bounds really are inside the sweep.
+            assert_eq!(fx.save.write_footprint()[0].extent(), &Footprint::Skip);
+            assert!(matches!(fx.bres.write_footprint()[0].extent(), Footprint::Rows(_)));
+            (bits(&fx.res), bits(&fx.q), gbl, bits(&fx.qold))
         };
 
         for kind in backends() {
@@ -159,21 +211,65 @@ fn supervised_recovery_is_bit_identical_to_clean_serial_run() {
             // 1 + seed%2 failures: one retry on the primary rung always
             // recovers the single failure; two failures exhaust the primary
             // rung (1 + max_retries attempts) and force degradation.
-            let faults = Arc::new(AtomicUsize::new(1 + (seed as usize % 2)));
+            let nfaults = 1 + (seed as usize % 2);
+            let faults = Arc::new(AtomicUsize::new(nfaults));
             let fx = fixture(&mesh, seed, Arc::clone(&faults));
             let rt = Arc::new(Op2Runtime::new(2, PART_SIZE));
             let sup = Supervisor::new(Arc::clone(&rt), kind, RetryPolicy::default());
+            sup.run(&fx.save)
+                .unwrap_or_else(|e| panic!("supervisor gave up on save: {e}\n{hint}"));
+            assert_eq!(faults.swap(nfaults, Ordering::Relaxed), 0, "save faults not drained\n{hint}");
             let gbl = sup
                 .run(&fx.gather)
                 .unwrap_or_else(|e| panic!("supervisor gave up: {e}\n{hint}"));
             assert_eq!(faults.load(Ordering::Relaxed), 0, "faults not drained\n{hint}");
+            faults.store(nfaults, Ordering::Relaxed);
+            sup.run(&fx.bres)
+                .unwrap_or_else(|e| panic!("supervisor gave up on bres: {e}\n{hint}"));
+            assert_eq!(faults.load(Ordering::Relaxed), 0, "bres faults not drained\n{hint}");
             sup.run(&fx.update)
                 .unwrap_or_else(|e| panic!("update failed: {e}\n{hint}"));
             assert_eq!(bits(&fx.res), oracle.0, "res diverged from oracle\n{hint}");
             assert_eq!(bits(&fx.q), oracle.1, "q diverged from oracle\n{hint}");
             assert_eq!(gbl, oracle.2, "reduction diverged from oracle\n{hint}");
+            assert_eq!(bits(&fx.qold), oracle.3, "qold diverged from oracle\n{hint}");
         }
     }
+}
+
+/// With a tuner on the runtime the supervisor's attempts run on a runtime
+/// derived once more (`resolve_tuned`: tuner dropped, plan pinned). The
+/// rollback setting has to survive that derivation: a retry still starts from
+/// restored data, and a failure that outlives the ladder still reports — and
+/// has made — the rollback.
+#[test]
+fn supervisor_over_a_tuned_runtime_still_rolls_back_and_retries_bit_identically() {
+    let seed = 7;
+    let mesh = random_mesh(seed);
+    let oracle = {
+        let fx = fixture(&mesh, seed, Arc::new(AtomicUsize::new(0)));
+        let exec = make_executor(BackendKind::Serial, Arc::new(Op2Runtime::new(1, PART_SIZE)));
+        let gbl = exec.execute(&fx.gather).get();
+        exec.execute(&fx.bres).wait();
+        (bits(&fx.res), gbl)
+    };
+
+    let faults = Arc::new(AtomicUsize::new(1));
+    let fx = fixture(&mesh, seed, Arc::clone(&faults));
+    let tuner = Arc::new(op2_tune::Tuner::with_seed(seed));
+    let rt = Arc::new(Op2Runtime::new(2, PART_SIZE).with_tuner(tuner));
+    let sup = Supervisor::new(rt, BackendKind::Dataflow, RetryPolicy::default());
+    let gbl = sup.run(&fx.gather).expect("one retry recovers the gather");
+    faults.store(1, Ordering::Relaxed);
+    sup.run(&fx.bres).expect("one retry recovers the boundary loop");
+    assert_eq!(faults.load(Ordering::Relaxed), 0, "faults not drained");
+    assert_eq!((bits(&fx.res), gbl), oracle, "a tuned supervisor's retry changed the result");
+
+    faults.store(usize::MAX, Ordering::Relaxed);
+    let before = bits(&fx.res);
+    let err = sup.run(&fx.bres).expect_err("the failure outlives the ladder");
+    assert!(err.rolled_back, "{err}");
+    assert_eq!(bits(&fx.res), before, "every attempt must roll back");
 }
 
 /// A failure that outlives every rung of the ladder surfaces as the last

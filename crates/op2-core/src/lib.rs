@@ -49,6 +49,6 @@ pub use loops::{KernelFn, ParLoop, ParLoopBuilder};
 pub use map::{Map, MapError};
 pub use plan::{ColoringStrategy, Plan, PlanCache, PlanError, PlanKey, PlanParams};
 pub use renumber::MeshPermutation;
-pub use snapshot::{DatSnapshot, RawDat};
+pub use snapshot::{DatSnapshot, Footprint, RawDat, WriteFootprint};
 pub use reduction::{GblOp, GlobalAcc};
 pub use set::Set;

@@ -3,11 +3,12 @@
 use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::arg::{ArgSpec, MapRef};
 use crate::reduction::GblOp;
 use crate::set::Set;
+use crate::snapshot::{write_footprint, WriteFootprint};
 
 /// The kernel body: called once per contiguous element span, which it visits
 /// in ascending order — so dynamic dispatch is paid per span, never per
@@ -39,6 +40,8 @@ pub struct ParLoop {
     gbl_op: GblOp,
     guard_finite: bool,
     kernel: KernelFn,
+    /// [`ParLoop::write_footprint`], classified on first use; clones share it.
+    footprint: Arc<OnceLock<Vec<WriteFootprint>>>,
 }
 
 /// Builder for [`ParLoop`]; validates argument/set consistency.
@@ -105,10 +108,20 @@ impl ParLoop {
         (self.kernel)(span, scratch, &current);
     }
 
-    /// Should transactional executors scan this loop's written `f64` dats
-    /// for NaN/Inf after it runs (and roll back on a hit)?
+    /// Should executors scan this loop's written `f64` dats for NaN/Inf
+    /// after it runs (a hit is a typed error, rolled back where the runtime
+    /// snapshots)?
     pub fn guard_finite(&self) -> bool {
         self.guard_finite
+    }
+
+    /// Every dat the loop declares it may modify, with how much of it a
+    /// rollback has to be able to put back (see [`crate::Footprint`]).
+    /// Classified on the first call — the one place that walks the writing
+    /// maps — and kept for the life of the loop and its clones, so a run that
+    /// never snapshots never pays for it.
+    pub fn write_footprint(&self) -> &[WriteFootprint] {
+        self.footprint.get_or_init(|| write_footprint(&self.args))
     }
 
     /// Does any argument write through a map? (If so, execution needs a
@@ -222,9 +235,9 @@ impl ParLoopBuilder {
         self
     }
 
-    /// Ask transactional executors to validate that every written `f64` dat
-    /// is finite after the loop runs; a NaN/Inf rolls the write-set back and
-    /// surfaces a typed error. Opt-in because the scan is O(written values)
+    /// Ask executors to validate that every written `f64` dat is finite
+    /// after the loop runs; a NaN/Inf surfaces a typed error (and rolls the
+    /// write-set back on a runtime that snapshots). Opt-in because the scan is O(written values)
     /// per execution — wire it on loops that can overflow/underflow (e.g.
     /// `sqrt`/division kernels like Airfoil's `adt_calc`).
     pub fn guard_finite(mut self) -> Self {
@@ -270,6 +283,7 @@ impl ParLoopBuilder {
             gbl_op: self.gbl_op,
             guard_finite: self.guard_finite,
             kernel,
+            footprint: Arc::default(),
         }
     }
 }
@@ -322,6 +336,19 @@ mod tests {
             v
         });
         assert_eq!(l.dat_writes(), vec![res.id()]);
+    }
+
+    /// The footprint is classified once per loop, not once per clone: the
+    /// futurized executors clone the loop on every issue.
+    #[test]
+    fn clones_share_the_classified_write_footprint() {
+        let (edges, _cells, m, _q, res) = fixture();
+        let l = ParLoop::build("res_calc", &edges)
+            .arg(arg_indirect(&res, 0, &m, Access::Inc))
+            .kernel(|_, _| {});
+        let clone = l.clone();
+        assert!(std::ptr::eq(l.write_footprint(), clone.write_footprint()));
+        assert_eq!(l.write_footprint().len(), 1);
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! Nor may DESIGN.md's workspace layout name a source file that is gone:
 //! under each `### crates/<dir>` heading, every backticked `<name>.rs` has to
 //! be a file of `crates/<dir>/src/`.
+//!
+//! And one rule about the sources themselves, checked the same way: op2-hpx
+//! snapshots a write-set in exactly one place.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -136,5 +139,47 @@ fn design_layout_names_only_source_files_that_exist() {
         missing.is_empty(),
         "DESIGN.md's workspace layout names source files that do not exist:\n  {}",
         missing.join("\n  ")
+    );
+}
+
+/// `Transaction::begin` is the only code in op2-hpx that snapshots a
+/// write-set: it is where the runtime's rollback setting is read, so an
+/// executor that called `WriteSet::capture` itself would copy on every run
+/// again. Scans `crates/core/src` up to each file's first `#[cfg(test)]`,
+/// comments aside.
+#[test]
+fn write_sets_are_captured_in_transaction_begin_only() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
+    let mut calls = Vec::new();
+    for entry in std::fs::read_dir(&src).expect("crates/core/src is readable") {
+        let path = entry.expect("source entry").path();
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+        // The innermost `impl` and `fn` headers above each line.
+        let (mut in_impl, mut in_fn) = ("", "");
+        for (n, line) in code.lines().enumerate() {
+            let line = line.trim();
+            if line.starts_with("//") {
+                continue;
+            }
+            if line.starts_with("impl ") {
+                in_impl = line;
+            }
+            if line.contains("fn ") {
+                in_fn = line;
+            }
+            if line.contains("WriteSet::capture(") {
+                let file = path.file_name().expect("a file name").to_string_lossy().into_owned();
+                calls.push(format!("{file}:{}: in `{in_fn}` of `{in_impl}`", n + 1));
+            }
+        }
+    }
+    assert_eq!(calls.len(), 1, "WriteSet::capture( call sites: {calls:#?}");
+    let only = &calls[0];
+    assert!(
+        only.starts_with("recover.rs:")
+            && only.contains("fn begin(")
+            && only.contains("`impl Transaction {`"),
+        "the one capture call is not in Transaction::begin: {only}"
     );
 }

@@ -133,8 +133,9 @@ fn fences_are_idempotent_everywhere() {
 /// An injected kernel panic on each of the six backends — in a direct loop
 /// and in an indirect one, which the async backend runs as a chain of
 /// continuations — comes back as a typed `LoopError` naming the element,
-/// with the declared write-set restored bit for bit; where there is a fence
-/// to ask, it reports the same error value.
+/// with the declared write-set restored bit for bit (the runtime is built
+/// `with_rollback()`); where there is a fence to ask, it reports the same
+/// error value.
 #[test]
 fn injected_kernel_panic_is_typed_and_rolled_back_on_six_backends() {
     use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
@@ -168,7 +169,7 @@ fn injected_kernel_panic_is_typed_and_rolled_back_on_six_backends() {
     let before = bits();
     for kind in BackendKind::all() {
         for l in [&direct, &indirect] {
-            let exec = make_executor(kind, Arc::new(Op2Runtime::new(2, 8)));
+            let exec = make_executor(kind, Arc::new(Op2Runtime::new(2, 8).with_rollback()));
             let err = exec
                 .try_execute(l)
                 .and_then(|h| h.try_get())
@@ -176,6 +177,59 @@ fn injected_kernel_panic_is_typed_and_rolled_back_on_six_backends() {
             assert_eq!((err.loop_name.as_str(), err.element()), (l.name(), Some(23)), "{kind}: {err}");
             assert!(matches!(err.kind, FailureKind::KernelPanic { .. }) && err.rolled_back, "{kind}: {err}");
             assert_eq!(bits(), before, "{kind}/{}: write-set not restored", l.name());
+            if let Err(report) = exec.try_fence() {
+                assert_eq!(report.failures, [err], "{kind}");
+            }
+        }
+    }
+}
+
+/// The mirror image on a default runtime: the same injected panic is just as
+/// typed and names the same element on all six backends, but nothing was
+/// copied behind the caller's back — the error says `rolled_back: false` and
+/// the failed run's partial increments are still in the dat.
+#[test]
+fn injected_kernel_panic_on_a_bare_executor_is_typed_and_not_rolled_back() {
+    use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
+    use op2_hpx::FailureKind;
+
+    let nedges = 40;
+    let edges = Set::new("edges", nedges);
+    let cells = Set::new("cells", nedges + 1);
+    let table = (0..nedges as u32).flat_map(|e| [e, e + 1]).collect();
+    let pecell = Map::new("pecell", &edges, &cells, 2, table);
+
+    for kind in BackendKind::all() {
+        for indirect in [false, true] {
+            let res = Dat::filled("res", &cells, 1, 0.0f64);
+            let (rv, mv) = (res.view(), pecell.clone());
+            // Both bump element 23's own row before they panic on it.
+            let l = if indirect {
+                ParLoop::build("indirect", &edges)
+                    .arg(arg_indirect(&res, 0, &pecell, Access::Inc))
+                    .arg(arg_indirect(&res, 1, &pecell, Access::Inc))
+                    .kernel(move |e, _| unsafe {
+                        rv.add(mv.at(e, 0), 0, 1.0);
+                        assert_ne!(e, 23, "injected kernel failure");
+                        rv.add(mv.at(e, 1), 0, 1.0);
+                    })
+            } else {
+                ParLoop::build("direct", &cells)
+                    .arg(arg_direct(&res, Access::ReadWrite))
+                    .kernel(move |e, _| unsafe {
+                        rv.add(e, 0, 1.0);
+                        assert_ne!(e, 23, "injected kernel failure");
+                    })
+            };
+            let exec = make_executor(kind, Arc::new(Op2Runtime::new(2, 8)));
+            let err = exec
+                .try_execute(&l)
+                .and_then(|h| h.try_get())
+                .expect_err("the kernel panic must surface");
+            assert_eq!((err.loop_name.as_str(), err.element()), (l.name(), Some(23)), "{kind}: {err}");
+            assert!(matches!(err.kind, FailureKind::KernelPanic { .. }) && !err.rolled_back, "{kind}: {err}");
+            assert!(!err.to_string().contains("rolled back"), "{kind}: {err}");
+            assert!(res.get_at(23, 0) >= 1.0, "{kind}/{}: the partial increment is gone", l.name());
             if let Err(report) = exec.try_fence() {
                 assert_eq!(report.failures, [err], "{kind}");
             }

@@ -27,21 +27,15 @@ use crate::{tracehooks, Executor};
 /// `for_each(par(task))` for indirect ones).
 pub struct AsyncExecutor {
     rt: Arc<Op2Runtime>,
-    chunk: ChunkSize,
     outstanding: Outstanding,
 }
 
 impl AsyncExecutor {
-    /// Async executor with the default chunk policy.
+    /// Async executor on `rt` (chunks of [`ChunkSize::Default`] unless the
+    /// runtime's tuner has measured one).
     pub fn new(rt: Arc<Op2Runtime>) -> Self {
-        Self::with_chunk(rt, ChunkSize::Default)
-    }
-
-    /// Async executor with an explicit chunk policy.
-    pub fn with_chunk(rt: Arc<Op2Runtime>, chunk: ChunkSize) -> Self {
         AsyncExecutor {
             rt,
-            chunk,
             outstanding: Outstanding::default(),
         }
     }
@@ -53,7 +47,8 @@ impl Executor for AsyncExecutor {
     }
 
     fn try_execute(&self, loop_: &ParLoop) -> Result<LoopHandle, LoopError> {
-        let (trial, plan, chunk) = self.rt.prepare(loop_, self.name(), self.chunk)?;
+        let (trial, plan, tuned) = self.rt.prepare(loop_, self.name(), Some(&[]))?;
+        let chunk = tuned.unwrap_or(ChunkSize::Default);
         let pool = Arc::clone(self.rt.pool());
         let cancel = self.rt.cancel_token().clone();
         let rollback = self.rt.rollback();
@@ -119,10 +114,6 @@ impl Executor for AsyncExecutor {
         // don't become spurious trace edges into a later program's loops.
         let _ = tracehooks::synced_drain();
         report
-    }
-
-    fn is_asynchronous(&self) -> bool {
-        true
     }
 }
 

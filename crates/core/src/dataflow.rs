@@ -57,7 +57,6 @@ fn first_failure(deps: &[LoopFuture]) -> Option<LoopError> {
 /// access modes (the paper's modified OP2 API).
 pub struct DataflowExecutor {
     rt: Arc<Op2Runtime>,
-    chunk: ChunkSize,
     table: Mutex<HashMap<u64, DatDeps>>,
     /// Every loop not yet known to have succeeded — failed nodes *and* the
     /// descendants they poisoned stay here, even once the table has moved on
@@ -66,16 +65,11 @@ pub struct DataflowExecutor {
 }
 
 impl DataflowExecutor {
-    /// Dataflow executor with the default chunk policy.
+    /// Dataflow executor on `rt` (chunks of [`ChunkSize::Default`] unless
+    /// the runtime's tuner has measured one).
     pub fn new(rt: Arc<Op2Runtime>) -> Self {
-        Self::with_chunk(rt, ChunkSize::Default)
-    }
-
-    /// Dataflow executor with an explicit chunk policy.
-    pub fn with_chunk(rt: Arc<Op2Runtime>, chunk: ChunkSize) -> Self {
         DataflowExecutor {
             rt,
-            chunk,
             table: Mutex::new(HashMap::new()),
             outstanding: Outstanding::default(),
         }
@@ -93,7 +87,8 @@ impl Executor for DataflowExecutor {
     }
 
     fn try_execute(&self, loop_: &ParLoop) -> Result<LoopHandle, LoopError> {
-        let (trial, plan, chunk) = self.rt.prepare(loop_, self.name(), self.chunk)?;
+        let (trial, plan, tuned) = self.rt.prepare(loop_, self.name(), Some(&[]))?;
+        let chunk = tuned.unwrap_or(ChunkSize::Default);
         let pool = Arc::clone(self.rt.pool());
         let reads = loop_.dat_reads();
         let writes = loop_.dat_writes();
@@ -216,10 +211,6 @@ impl Executor for DataflowExecutor {
 
     fn try_fence(&self) -> Result<(), FenceReport> {
         self.outstanding.fence()
-    }
-
-    fn is_asynchronous(&self) -> bool {
-        true
     }
 }
 

@@ -2,14 +2,10 @@
 
 use std::sync::Arc;
 
-use hpx_rt::ChunkSize;
-
 use crate::async_fe::AsyncExecutor;
+use crate::blocking::BlockingExecutor;
 use crate::dataflow::DataflowExecutor;
-use crate::foreach::ForEachExecutor;
-use crate::forkjoin::ForkJoinExecutor;
 use crate::runtime::Op2Runtime;
-use crate::serial::SerialExecutor;
 use crate::Executor;
 
 /// The five execution strategies of the study.
@@ -43,7 +39,8 @@ impl BackendKind {
     }
 
     /// Parse a CLI-style name (`serial`, `omp`, `foreach`, `foreach-static`,
-    /// `async`, `dataflow`).
+    /// `foreach-static(N)`, `async`, `dataflow`) — everything `Display`
+    /// prints parses back to the same kind.
     pub fn parse(s: &str) -> Option<BackendKind> {
         BackendKind::try_parse(s).ok()
     }
@@ -59,12 +56,28 @@ impl BackendKind {
             "foreach-static" => BackendKind::ForEachStatic(4),
             "async" => BackendKind::Async,
             "dataflow" => BackendKind::Dataflow,
-            other => {
-                return Err(FactoryError::UnknownBackend {
+            other => other
+                .strip_prefix("foreach-static(")
+                .and_then(|rest| rest.strip_suffix(')'))
+                .and_then(|n| n.parse().ok())
+                .map(BackendKind::ForEachStatic)
+                .ok_or_else(|| FactoryError::UnknownBackend {
                     input: other.to_string(),
-                })
-            }
+                })?,
         })
+    }
+
+    /// The executor name a loop of this kind runs under when its caller
+    /// waits for it (`Op2Runtime::run_blocking`). A futurized kind, once
+    /// waited on, is the colored `for_each` its executor would have spawned.
+    pub(crate) fn blocking_name(self) -> &'static str {
+        match self {
+            BackendKind::Serial => "serial",
+            BackendKind::ForkJoin => "omp-forkjoin",
+            BackendKind::ForEachAuto => "foreach-auto",
+            BackendKind::ForEachStatic(_) => "foreach-static",
+            BackendKind::Async | BackendKind::Dataflow => "foreach",
+        }
     }
 }
 
@@ -85,7 +98,7 @@ impl std::fmt::Display for FactoryError {
                 f,
                 "unknown backend '{input}' (expected one of: serial, omp, \
                  forkjoin, openmp, foreach, foreach-auto, foreach-static, \
-                 async, dataflow)"
+                 foreach-static(N), async, dataflow)"
             ),
         }
     }
@@ -109,12 +122,9 @@ impl std::fmt::Display for BackendKind {
 /// Instantiate an executor of the given kind on `rt`.
 pub fn make_executor(kind: BackendKind, rt: Arc<Op2Runtime>) -> Box<dyn Executor> {
     match kind {
-        BackendKind::Serial => Box::new(SerialExecutor::new(rt)),
-        BackendKind::ForkJoin => Box::new(ForkJoinExecutor::new(rt)),
-        BackendKind::ForEachAuto => Box::new(ForEachExecutor::auto(rt)),
-        BackendKind::ForEachStatic(n) => Box::new(ForEachExecutor::static_chunk(rt, n)),
-        BackendKind::Async => Box::new(AsyncExecutor::with_chunk(rt, ChunkSize::Default)),
-        BackendKind::Dataflow => Box::new(DataflowExecutor::with_chunk(rt, ChunkSize::Default)),
+        BackendKind::Async => Box::new(AsyncExecutor::new(rt)),
+        BackendKind::Dataflow => Box::new(DataflowExecutor::new(rt)),
+        blocking => Box::new(BlockingExecutor::new(rt, blocking)),
     }
 }
 
@@ -124,16 +134,12 @@ mod tests {
 
     #[test]
     fn parse_roundtrip() -> Result<(), FactoryError> {
-        for kind in BackendKind::all() {
-            let shown = kind.to_string();
-            let base = shown.split('(').next().unwrap_or(shown.as_str());
-            let parsed = BackendKind::try_parse(base)?;
-            // ForEachStatic loses its parameter through Display; kinds match
-            // up to parameters.
-            assert_eq!(
-                std::mem::discriminant(&parsed),
-                std::mem::discriminant(&kind)
-            );
+        for kind in BackendKind::all().into_iter().chain([BackendKind::ForEachStatic(8)]) {
+            assert_eq!(BackendKind::try_parse(&kind.to_string())?, kind);
+        }
+        assert_eq!(BackendKind::parse("foreach-static"), Some(BackendKind::ForEachStatic(4)));
+        for bad in ["foreach-static(", "foreach-static()", "foreach-static(x)", "foreach-static(8"] {
+            assert!(BackendKind::parse(bad).is_none(), "{bad}");
         }
         assert!(BackendKind::parse("nonsense").is_none());
         match BackendKind::try_parse("nonsense") {

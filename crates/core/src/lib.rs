@@ -6,15 +6,22 @@
 //!
 //! | backend | paper section | synchronization |
 //! |---|---|---|
-//! | [`ForkJoinExecutor`] | baseline | `#pragma omp parallel for` equivalent: static block schedule, **global barrier after every loop** (and between plan colors) |
-//! | [`ForEachExecutor`] | §III-A1 | `hpx::parallel::for_each(par)`: still fork-join, but HPX controls the grain size (auto-partitioner or static chunk) |
+//! | [`BlockingExecutor`] of [`BackendKind::ForkJoin`] | baseline | `#pragma omp parallel for` equivalent: static block schedule, **global barrier after every loop** (and between plan colors) |
+//! | [`BlockingExecutor`] of [`BackendKind::ForEachAuto`] / [`BackendKind::ForEachStatic`] | §III-A1 | `hpx::parallel::for_each(par)`: still fork-join, but HPX controls the grain size (auto-partitioner or static chunk) |
 //! | [`AsyncExecutor`] | §III-A2 | `async` + `for_each(par(task))`: every loop returns a **future**; the *caller* places `.get()` according to data dependencies |
 //! | [`DataflowExecutor`] | §III-B | modified OP2 API: arguments carry futures; each loop becomes a **dataflow node** and the dependency DAG is built automatically from the declared access modes |
 //!
-//! A [`SerialExecutor`] provides the reference semantics; every parallel
-//! backend is tested to produce **bitwise-identical** dat contents and global
-//! reductions (plan-ordered accumulation + block-ordered reduction combine
-//! make this possible even for floating point).
+//! A [`BlockingExecutor`] of [`BackendKind::Serial`] provides the reference
+//! semantics; every parallel backend is tested to produce
+//! **bitwise-identical** dat contents and global reductions (plan-ordered
+//! accumulation + block-ordered reduction combine make this possible even
+//! for floating point).
+//!
+//! A future pays when its caller does *not* wait on it. Whoever waits on
+//! every loop — a blocking executor, a [`TunedExecutor`], each attempt of a
+//! [`Supervisor`] — goes through one function, `Op2Runtime::run_blocking`,
+//! which runs the loop on the calling thread's behalf and never builds a
+//! future for it.
 //!
 //! ```
 //! use op2_core::{Access, Dat, ParLoop, Set, arg_direct};
@@ -41,30 +48,24 @@
 #![warn(missing_docs)]
 
 pub mod async_fe;
+pub mod blocking;
 pub mod colored;
 pub mod dataflow;
 pub mod factory;
-pub mod foreach;
-pub mod forkjoin;
-pub mod fusion;
 pub mod handle;
 pub mod recover;
 pub mod runtime;
-pub mod serial;
 pub mod tracehooks;
 pub mod tune;
 pub mod tuned;
 
 pub use async_fe::AsyncExecutor;
+pub use blocking::BlockingExecutor;
 pub use dataflow::DataflowExecutor;
 pub use factory::{make_executor, BackendKind, FactoryError};
-pub use foreach::ForEachExecutor;
-pub use fusion::{fuse_direct, split_gbl, try_fuse_direct, FusionError};
-pub use forkjoin::ForkJoinExecutor;
 pub use handle::LoopHandle;
 pub use recover::{FailureKind, FenceReport, LoopError, RetryPolicy, Supervisor, WriteSet};
 pub use runtime::Op2Runtime;
-pub use serial::SerialExecutor;
 pub use tune::{choice_to_kind, kind_to_choice, key_for, plan_order_invariant};
 pub use tuned::{TunedExecutor, TUNABLE_BACKENDS};
 
@@ -90,8 +91,12 @@ pub use tuned::{TunedExecutor, TUNABLE_BACKENDS};
 ///   loop only overwrites directly, is spelled out on
 ///   [`LoopError::rolled_back`]).
 ///
-/// `try_execute`/`execute` may return before the loop has run (asynchronous
-/// backends); [`LoopHandle::get`]/[`LoopHandle::try_get`] wait for (and
+/// `try_execute`/`execute` may return before the loop has run — the two
+/// futurized backends, [`AsyncExecutor`] and [`DataflowExecutor`]; every
+/// other implementor ([`BlockingExecutor`], [`TunedExecutor`],
+/// [`Supervisor`]) waits for the loop inside the call, returns a handle that
+/// is already ready and has nothing to fence.
+/// [`LoopHandle::get`]/[`LoopHandle::try_get`] wait for (and
 /// return) the loop's global reduction, and [`Executor::fence`] /
 /// [`Executor::try_fence`] wait for *all* outstanding loops —
 /// `try_fence` aggregating **every** pending failure into a [`FenceReport`]
@@ -133,12 +138,5 @@ pub trait Executor: Send + Sync {
         if let Err(report) = self.try_fence() {
             std::panic::resume_unwind(Box::new(report.to_string()));
         }
-    }
-
-    /// Does `execute` return before the loop finished? (Asynchronous
-    /// backends require either explicit `get()` placement or automatic
-    /// dependency tracking.)
-    fn is_asynchronous(&self) -> bool {
-        false
     }
 }

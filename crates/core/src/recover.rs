@@ -26,15 +26,15 @@
 //!   written through map slots that reach at most half of it, the whole dat
 //!   otherwise.
 //!
-//! `Transaction` is the one capture → run → guard → restore path; all five
-//! executors and both colored runners go through it, and the runtime's flag
+//! `Transaction` is the one capture → run → guard → restore path; every
+//! executor and both colored runners go through it, and the runtime's flag
 //! has no other reader.
 //!
 //! Layered on top, a [`Supervisor`] implements the recovery ladder:
 //!
 //! 1. **rollback** — the transaction already restored the data;
-//! 2. **retry** — re-run on the same backend, bounded attempts with backoff;
-//! 3. **degrade** — walk down the backend ladder (e.g. dataflow → fork-join
+//! 2. **retry** — re-run the same shape, bounded attempts with backoff;
+//! 3. **degrade** — walk down the backend ladder (e.g. for_each → fork-join
 //!    → serial) and retry on simpler, more deterministic execution;
 //! 4. **escalate** — give up locally once the circuit-breaker quota is
 //!    exhausted and return the last [`LoopError`] (a distributed driver then
@@ -46,7 +46,7 @@
 //! accumulation semantics).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,7 +58,6 @@ use crate::handle::LoopHandle;
 use crate::runtime::Op2Runtime;
 use crate::tracehooks;
 use crate::tune::kind_to_choice;
-use crate::tuned::{decide, make_tuned_executor};
 use crate::Executor;
 
 /// Why a loop failed, with as much provenance as the failure path preserves.
@@ -357,23 +356,6 @@ impl std::fmt::Display for FenceReport {
 
 impl std::error::Error for FenceReport {}
 
-/// Issue `loop_` on `exec`, wait for its reduction, then fence; a failed
-/// fence surfaces as its last failure. `backend` labels the error for a
-/// fence that failed without reporting any.
-pub(crate) fn run_to_fence(
-    exec: &dyn Executor,
-    loop_: &ParLoop,
-    backend: &'static str,
-) -> Result<Vec<f64>, LoopError> {
-    let gbl = exec.try_execute(loop_)?.try_get()?;
-    exec.try_fence().map_err(|mut report| {
-        report.failures.pop().unwrap_or_else(|| {
-            LoopError::new(loop_.name(), backend, FailureKind::CircuitOpen, false)
-        })
-    })?;
-    Ok(gbl)
-}
-
 /// The tighter of two optional deadlines.
 fn min_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
     match (a, b) {
@@ -418,10 +400,12 @@ impl Default for RetryPolicy {
 /// plan cache, cancel token and tuner) with [`Op2Runtime::with_rollback`]
 /// set — callers hand it any runtime and keep the guarantee.
 ///
-/// Each attempt runs on a **fresh** executor of the rung's kind: a failed
-/// dataflow attempt leaves no poisoned dependency table behind, and the
-/// transactional rollback guarantees each attempt starts from pristine
-/// pre-loop data.
+/// A supervisor waits for every loop, so each attempt is one blocking run
+/// of the rung's kind (`Op2Runtime::run_blocking`; a futurized kind runs
+/// as the colored `for_each` its executor would have spawned): nothing is
+/// constructed per attempt and a failed one leaves nothing pending behind,
+/// and the transactional rollback guarantees each attempt starts from
+/// pristine pre-loop data.
 pub struct Supervisor {
     /// Rollback-on (see the struct docs).
     rt: Arc<Op2Runtime>,
@@ -430,6 +414,7 @@ pub struct Supervisor {
     choices: Vec<op2_tune::BackendChoice>,
     policy: RetryPolicy,
     quota: AtomicUsize,
+    last_instance: AtomicU64,
 }
 
 impl Supervisor {
@@ -468,6 +453,7 @@ impl Supervisor {
             ladder,
             policy,
             quota,
+            last_instance: AtomicU64::new(0),
         }
     }
 
@@ -499,21 +485,17 @@ impl Supervisor {
         // Both are sticky: an explicit cancel terminates the ladder, and the
         // job deadline is restored after every attempt tightens it.
         let job_deadline = token.deadline();
-        // Feedback-directed first rung: with a tuner on the runtime, offer it
-        // the ladder's backends and promote its pick; the degradation order
-        // behind it is unchanged. Attempts then run on a tuning-resolved
-        // runtime so the inner executor does not decide a second time.
-        let mut decision = decide(&self.rt, loop_, &self.choices);
-        let promoted: Vec<BackendKind>;
-        let ladder = match decision.backend {
-            Some(kind) if kind != self.ladder[0] => {
-                let rest = self.ladder.iter().copied().filter(|k| *k != kind);
-                promoted = std::iter::once(kind).chain(rest).collect();
-                &promoted
-            }
-            _ => &self.ladder,
-        };
-        for (rung, kind) in ladder.iter().enumerate() {
+        // Feedback-directed first rung: the first attempt offers the
+        // runtime's tuner (if any) the ladder's backends and runs its pick;
+        // the degradation order behind it is unchanged. Retries and fallback
+        // rungs ask the tuner nothing — they measure recovery, not a
+        // candidate — so only a first-try success is credited to the trial.
+        let mut menu = Some(&self.choices[..]);
+        let mut kind = self.ladder[0];
+        // What rung 0 ran: the primary, or the tuner's pick promoted over it.
+        let mut first = kind;
+        let mut rest = self.ladder.iter().copied();
+        for rung in 0.. {
             for attempt in 0..=self.policy.max_retries {
                 if self.quota_remaining() == 0 {
                     return Err(last.unwrap_or_else(|| {
@@ -529,33 +511,16 @@ impl Supervisor {
                 if attempt > 0 && !self.policy.backoff.is_zero() {
                     std::thread::sleep(self.policy.backoff * attempt as u32);
                 }
-                // A fresh executor per *attempt*: a failed async attempt must
-                // not leave its failure in the outstanding list (a successful
-                // retry would then be misreported at the fence), and a failed
-                // dataflow attempt must not leave a poisoned dependency table
-                // that would poison the retry itself.
-                let exec =
-                    make_tuned_executor(*kind, Arc::clone(&decision.rt), decision.chunk_blocks);
                 let attempt_deadline = self.policy.deadline.map(|d| Instant::now() + d);
                 token.set_deadline_opt(min_deadline(job_deadline, attempt_deadline));
-                let result = run_to_fence(exec.as_ref(), loop_, exec.name());
+                let (ran, result) =
+                    self.rt.run_blocking(loop_, kind, menu.take(), &self.last_instance);
                 token.set_deadline_opt(job_deadline);
-                match result {
-                    Ok(gbl) => {
-                        // Only a first-try success measures the decided
-                        // config; retries and fallback rungs ran something
-                        // else, so their trial yields no observation.
-                        if rung == 0 && attempt == 0 {
-                            if let Some(t) = decision.trial.take() {
-                                t.finish();
-                            }
-                        }
-                        return Ok(gbl);
-                    }
+                // A retry re-runs the shape that failed.
+                kind = ran;
+                match result.and_then(LoopHandle::try_get) {
+                    Ok(gbl) => return Ok(gbl),
                     Err(e) => {
-                        // Drain whatever the failed attempt left pending
-                        // before the executor is dropped.
-                        let _ = exec.try_fence();
                         let _ = self.spend_quota();
                         last = Some(e);
                         // Retrying past the *job's* cancel/deadline is
@@ -565,6 +530,14 @@ impl Supervisor {
                         }
                     }
                 }
+            }
+            if rung == 0 {
+                first = kind;
+            }
+            // Degrade to the next rung of the ladder that rung 0 did not run.
+            match rest.find(|k| *k != first) {
+                Some(next) => kind = next,
+                None => break,
             }
         }
         Err(last.expect("ladder is non-empty, so at least one attempt ran"))

@@ -7,15 +7,21 @@ use hpx_rt::{CancelToken, ChunkSize, DetPool, Pool, PoolBuilder, SchedulePolicy}
 use op2_core::plan::PlanParams;
 use op2_core::{ParLoop, Plan, PlanCache};
 use op2_trace::{EventKind, NO_NAME};
-use op2_tune::Tuner;
+use op2_tune::{BackendChoice, Tuner};
 
+use crate::colored::{run_colored, run_plan_order_tracked};
+use crate::factory::BackendKind;
 use crate::handle::LoopHandle;
 use crate::recover::{run_transaction, FailureKind, LoopError};
-use crate::tune::{self, LoopTrial};
 use crate::tracehooks;
+use crate::tune::{self, LoopTrial};
 
 /// Default mini-partition (block) size, matching OP2's common setting.
 pub use op2_core::plan::DEFAULT_PART_SIZE;
+
+/// What [`Op2Runtime::prepare`] decides for one loop execution: the open
+/// tuner trial, the validated plan, and the tuner's measured chunk.
+pub(crate) type Prepared = (Option<LoopTrial>, Arc<Plan>, Option<ChunkSize>);
 
 /// The execution context shared by every backend: a task pool (normally an
 /// [`hpx_rt::ThreadPool`]; a deterministic [`hpx_rt::DetPool`] for schedule
@@ -29,9 +35,6 @@ pub struct Op2Runtime {
     cancel: CancelToken,
     /// Online autotuner consulted by the executors; `None` = untuned run.
     tuner: Option<Arc<Tuner>>,
-    /// Fixed plan-parameter override (set on the derived runtimes the tuned
-    /// executor hands its inner backends; wins over the tuner).
-    plan_override: Option<PlanParams>,
     /// Snapshot every loop's write footprint so a failure can be rolled back
     /// ([`Op2Runtime::with_rollback`]); read by `recover::Transaction` only.
     rollback: bool,
@@ -78,7 +81,6 @@ impl Op2Runtime {
             part_size: part_size.max(1),
             cancel: CancelToken::new(),
             tuner: None,
-            plan_override: None,
             rollback: false,
         }
     }
@@ -117,7 +119,7 @@ impl Op2Runtime {
     }
 
     /// A second runtime over this one's pool, plan cache, cancel token and
-    /// tuner, with the same settings — the base of every derived runtime.
+    /// tuner, with the same settings.
     pub(crate) fn share(&self) -> Op2Runtime {
         Op2Runtime {
             pool: Arc::clone(&self.pool),
@@ -125,21 +127,7 @@ impl Op2Runtime {
             part_size: self.part_size,
             cancel: self.cancel.clone(),
             tuner: self.tuner.clone(),
-            plan_override: self.plan_override,
             rollback: self.rollback,
-        }
-    }
-
-    /// A derived runtime sharing this one's pool, plan cache, and cancel
-    /// token (and its rollback setting), but with tuning *resolved*: no
-    /// tuner (inner executors must not re-decide) and a fixed plan-parameter
-    /// override. Used by the tuned executor to hand a decided configuration
-    /// to a concrete backend.
-    pub(crate) fn resolve_tuned(&self, plan: Option<PlanParams>) -> Op2Runtime {
-        Op2Runtime {
-            tuner: None,
-            plan_override: plan,
-            ..self.share()
         }
     }
 
@@ -189,60 +177,88 @@ impl Op2Runtime {
         self.plan_with(loop_, None)
     }
 
-    /// [`Op2Runtime::plan_for`] with tuner-decided plan parameters. The
-    /// runtime's fixed override (see `Op2Runtime::resolve_tuned`) wins,
-    /// then `tuned`, then the default `(part_size, greedy)`.
+    /// [`Op2Runtime::plan_for`] with tuner-decided plan parameters; the
+    /// default is `(part_size, greedy)`.
     pub fn plan_with(&self, loop_: &ParLoop, tuned: Option<PlanParams>) -> Arc<Plan> {
-        let params = self
-            .plan_override
-            .or(tuned)
-            .unwrap_or_else(|| PlanParams::with_part_size(self.part_size));
+        let params = tuned.unwrap_or_else(|| PlanParams::with_part_size(self.part_size));
         self.plans.get_with(loop_.set(), loop_.args(), params)
     }
 
-    /// Every backend's decision point: open the tuner trial (a fixed backend
-    /// offers no backend choice, but its plan and chunk are still tuned and
-    /// its wall time — serial's too, which tiny sets are compared against —
-    /// still trains the model), resolve and validate the plan, and pick the
-    /// chunk: the tuner's measured one, else the backend's own `chunk`.
+    /// Every backend's decision point, and the one place the tuner is
+    /// consulted: open the trial, offering `menu` (the backends the caller
+    /// can run: none for a fixed backend, whose plan and chunk are still
+    /// tuned and whose wall time — serial's too, which tiny sets are
+    /// compared against — still trains the model; `None` asks nothing, for
+    /// an attempt that measures recovery and not a candidate), resolve and
+    /// validate the plan, and hand back the tuner's measured chunk, if any.
     pub(crate) fn prepare(
         &self,
         loop_: &ParLoop,
         backend: &'static str,
-        chunk: ChunkSize,
-    ) -> Result<(Option<LoopTrial>, Arc<Plan>, ChunkSize), LoopError> {
-        let trial = tune::begin(self, loop_, &[]);
+        menu: Option<&[BackendChoice]>,
+    ) -> Result<Prepared, LoopError> {
+        let trial = menu.and_then(|menu| tune::begin(self, loop_, menu));
         let plan = self.plan_with(loop_, trial.as_ref().and_then(|t| t.plan()));
         plan.validate_cached(loop_.args())
             .map_err(|e| LoopError::new(loop_.name(), backend, FailureKind::Plan(e), false))?;
         let tuned = trial.as_ref().and_then(|t| t.chunk_blocks(plan.part_size));
-        Ok((trial, plan, tuned.map_or(chunk, ChunkSize::Tuned)))
+        Ok((trial, plan, tuned.map(ChunkSize::Static)))
     }
 
-    /// `try_execute` of a backend whose caller waits for the loop:
-    /// [`Op2Runtime::prepare`], a loop span chained in program order behind
-    /// `last`, `body` run as one transaction (snapshotted when the runtime
-    /// rolls back), the trial closed on success.
-    /// With `barrier` the whole call is recorded as the implicit end-of-loop
-    /// barrier the caller is held at (the assembler nets out the time it
-    /// spent work-helping); the serial backend runs the body itself and is
-    /// never held at one.
-    pub(crate) fn execute_blocking(
+    /// The one function that turns a [`BackendKind`] into a loop its caller
+    /// waits for — under a fixed [`crate::BlockingExecutor`], a
+    /// [`crate::TunedExecutor`] and every attempt of a [`crate::Supervisor`].
+    /// `Op2Runtime::prepare` with the caller's `menu` (the tuner's pick from
+    /// it replaces `kind`; an invalid plan is refused under the name of the
+    /// kind that was asked for), a loop span chained in program
+    /// order behind `last`, the shape's body run as one transaction
+    /// (snapshotted when the runtime rolls back), the trial closed on
+    /// success — issue to completion, the honest cross-backend comparison.
+    /// Returns the kind that ran beside the outcome, so a caller that
+    /// retries can re-run the same shape.
+    ///
+    /// | kind | body |
+    /// |---|---|
+    /// | `Serial` | plan order on the calling thread |
+    /// | `ForkJoin` | colored `for_each`, `schedule(static)`: one contiguous chunk per worker — that schedule *is* the backend, so the tuner's chunk does not apply |
+    /// | `ForEachAuto`, `ForEachStatic(n)` | colored `for_each`; a tuned chunk replaces the 1 %-probe / pinned one |
+    /// | `Async`, `Dataflow` | the colored `for_each` those executors spawn, with their `ChunkSize::Default` — fenced, they are that plus a task and a cross-thread wake |
+    ///
+    /// Every parallel shape is recorded as the implicit end-of-loop barrier
+    /// the caller is held at (the assembler nets out the time it spent
+    /// work-helping); serial runs the body itself and is never held at one.
+    pub(crate) fn run_blocking(
         &self,
         loop_: &ParLoop,
-        backend: &'static str,
+        kind: BackendKind,
+        menu: Option<&[BackendChoice]>,
         last: &AtomicU64,
-        chunk: ChunkSize,
-        barrier: bool,
-        body: impl FnOnce(&Plan, ChunkSize, &CancelToken) -> Vec<f64>,
-    ) -> Result<LoopHandle, LoopError> {
-        let (trial, plan, chunk) = self.prepare(loop_, backend, chunk)?;
+    ) -> (BackendKind, Result<LoopHandle, LoopError>) {
+        let (trial, plan, tuned) = match self.prepare(loop_, kind.blocking_name(), menu) {
+            Ok(prepared) => prepared,
+            Err(e) => return (kind, Err(e)),
+        };
+        let kind = trial.as_ref().and_then(LoopTrial::backend).unwrap_or(kind);
+        let backend = kind.blocking_name();
+        // `None` = plan order, no pool involved.
+        let chunk = match kind {
+            BackendKind::Serial => None,
+            // ceil(nblocks / nthreads) blocks per worker chunk.
+            BackendKind::ForkJoin => {
+                Some(ChunkSize::Static(plan.nblocks().div_ceil(self.num_threads()).max(1)))
+            }
+            BackendKind::ForEachAuto => Some(tuned.unwrap_or(ChunkSize::auto())),
+            BackendKind::ForEachStatic(n) => Some(tuned.unwrap_or(ChunkSize::Static(n.max(1)))),
+            BackendKind::Async | BackendKind::Dataflow => Some(tuned.unwrap_or(ChunkSize::Default)),
+        };
         let instance = tracehooks::next_instance();
         tracehooks::chain(last, instance);
         tracehooks::loop_begin(loop_.name(), backend, instance);
-        let span = barrier.then(op2_trace::begin);
-        let result =
-            run_transaction(loop_, backend, self.rollback, || body(&plan, chunk, &self.cancel));
+        let span = chunk.is_some().then(op2_trace::begin);
+        let result = run_transaction(loop_, backend, self.rollback, || match chunk {
+            None => run_plan_order_tracked(loop_, &plan, Some(&self.cancel)),
+            Some(chunk) => run_colored(&self.pool, loop_, &plan, chunk, Some(&self.cancel)),
+        });
         if let Some(span) = span {
             op2_trace::end(span, EventKind::BarrierWait, NO_NAME, instance, 0);
         }
@@ -250,7 +266,7 @@ impl Op2Runtime {
         if let (Ok(_), Some(t)) = (&result, trial) {
             t.finish();
         }
-        result.map(|gbl| LoopHandle::ready(gbl).with_instance(instance))
+        (kind, result.map(|gbl| LoopHandle::ready(gbl).with_instance(instance)))
     }
 
     /// Number of distinct plans built so far (observability/tests).

@@ -1,9 +1,10 @@
 //! The executor ↔ tuner bridge: decision keys, trial brackets, and the
 //! mapping between `op2_tune::BackendChoice` and this crate's `BackendKind`.
 //!
-//! Every executor opens a `LoopTrial` at its decision point (the top of
-//! `try_execute`) and closes it when the loop's work is done — immediately
-//! for blocking backends, in the completion continuation for futurized ones.
+//! Every executor opens a `LoopTrial` at its decision point
+//! (`Op2Runtime::prepare`, the one caller of `begin`) and closes it when the
+//! loop's work is done — immediately for blocking backends, in the
+//! completion continuation for futurized ones.
 //! Closing the trial feeds the measured wall time back into the tuner,
 //! credited to the candidate the paired decision came from.
 
@@ -73,6 +74,8 @@ pub(crate) struct LoopTrial {
     key: TuneKey,
     trial: Option<usize>,
     config: TuneConfig,
+    /// Did the caller offer a backend menu?
+    offered: bool,
     start: Instant,
 }
 
@@ -83,9 +86,11 @@ impl LoopTrial {
         self.config.plan
     }
 
-    /// The decided config (for backend selection by the tuned executor).
-    pub(crate) fn config(&self) -> TuneConfig {
-        self.config
+    /// The backend picked from the menu the caller offered — `None` when it
+    /// offered none, whatever a menu-offering sharer of the tuner made of
+    /// the same key.
+    pub(crate) fn backend(&self) -> Option<BackendKind> {
+        self.config.backend.filter(|_| self.offered).map(choice_to_kind)
     }
 
     /// Tuned chunk converted from elements to plan blocks (the unit
@@ -111,9 +116,9 @@ impl LoopTrial {
 }
 
 /// Open a trial for `loop_` if `rt` carries a tuner. `backends` is the set
-/// the *caller* can actually run: the tuned executor passes every backend,
-/// a fixed-backend executor passes none (it explores chunk and plan knobs
-/// only, and its observations still train the shared model).
+/// the *caller* can actually run: the tuned executor passes its menu, a
+/// supervisor its ladder, a fixed-backend executor none (it explores chunk
+/// and plan knobs only, and its observations still train the shared model).
 pub(crate) fn begin(
     rt: &Op2Runtime,
     loop_: &ParLoop,
@@ -138,6 +143,7 @@ pub(crate) fn begin(
         key,
         trial: decision.trial,
         config: decision.config,
+        offered: !backends.is_empty(),
         start: Instant::now(),
     })
 }

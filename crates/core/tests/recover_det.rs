@@ -237,9 +237,9 @@ fn supervised_recovery_is_bit_identical_to_clean_serial_run() {
     }
 }
 
-/// With a tuner on the runtime the supervisor's attempts run on a runtime
-/// derived once more (`resolve_tuned`: tuner dropped, plan pinned). The
-/// rollback setting has to survive that derivation: a retry still starts from
+/// With a tuner on the runtime the supervisor's first attempt runs the
+/// tuner's pick and its retries ask the tuner nothing. Either way the attempt
+/// runs on the supervisor's rollback-on runtime: a retry still starts from
 /// restored data, and a failure that outlives the ladder still reports — and
 /// has made — the rollback.
 #[test]

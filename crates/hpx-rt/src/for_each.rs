@@ -43,20 +43,11 @@ pub enum ChunkSize {
         /// Target wall-clock duration of one chunk, in microseconds.
         target_chunk_micros: u64,
     },
-    /// Fixed number of iterations per chunk (`static_chunk_size scs(size)`).
+    /// Fixed number of iterations per chunk (`static_chunk_size scs(size)`):
+    /// hand-pinned, or derived by a tuner from the *measured* throughput of
+    /// prior executions of the same loop (no probe is run — the measurement
+    /// already happened).
     Static(usize),
-    /// Guided scheduling: successive chunks shrink from `remaining/workers`
-    /// down to `min`.
-    Guided {
-        /// Smallest chunk the schedule will emit.
-        min: usize,
-    },
-    /// Tuner-supplied fixed chunk derived from *measured* throughput of prior
-    /// executions of the same loop (no probe is run — the measurement already
-    /// happened). Semantically identical to [`ChunkSize::Static`]; the
-    /// distinct variant lets executors and traces tell a hand-pinned chunk
-    /// from a feedback-directed one.
-    Tuned(usize),
 }
 
 impl ChunkSize {
@@ -154,19 +145,7 @@ fn plan_chunks(
             size = size.clamp(1, n.div_ceil(workers.max(1)).max(1));
             push_fixed(&mut chunks, range, size);
         }
-        ChunkSize::Static(size) | ChunkSize::Tuned(size) => {
-            push_fixed(&mut chunks, range, size.max(1));
-        }
-        ChunkSize::Guided { min } => {
-            let min = min.max(1);
-            let mut lo = range.start;
-            while lo < range.end {
-                let remaining = range.end - lo;
-                let size = (remaining / (2 * workers).max(1)).max(min).min(remaining);
-                chunks.push(lo..lo + size);
-                lo += size;
-            }
-        }
+        ChunkSize::Static(size) => push_fixed(&mut chunks, range, size.max(1)),
     }
     chunks
 }
@@ -493,14 +472,10 @@ mod tests {
     }
 
     #[test]
-    fn tuned_matches_static_and_survives_zero() {
-        // Tuned(n) is a measured Static(n): same partition, and a degenerate
-        // tuned size of 0 is clamped to 1 instead of looping forever.
-        assert_eq!(
-            plan_chunks(0..100, 4, ChunkSize::Tuned(8), None),
-            plan_chunks(0..100, 4, ChunkSize::Static(8), None),
-        );
-        let chunks = plan_chunks(0..5, 4, ChunkSize::Tuned(0), None);
+    fn static_survives_zero() {
+        // A degenerate (tuned) size of 0 is clamped to 1 instead of looping
+        // forever.
+        let chunks = plan_chunks(0..5, 4, ChunkSize::Static(0), None);
         assert_partitions(&chunks, 0..5);
         assert!(chunks.iter().all(|c| c.len() == 1));
     }
@@ -511,8 +486,7 @@ mod tests {
             ChunkSize::Default,
             auto(200),
             ChunkSize::Static(3),
-            ChunkSize::Tuned(7),
-            ChunkSize::Guided { min: 2 },
+            ChunkSize::Static(7),
         ] {
             for n in [0usize, 1, 5, 17, 100] {
                 let chunks = plan_chunks(0..n, 3, chunk, None);

@@ -104,7 +104,6 @@ proptest! {
         chunk in prop_oneof![
             Just(ChunkSize::Default),
             (1usize..128).prop_map(ChunkSize::Static),
-            (1usize..16).prop_map(|min| ChunkSize::Guided { min }),
             Just(ChunkSize::auto()),
         ],
         threads in 1usize..4,

@@ -500,12 +500,6 @@ fn for_each_par_auto_chunk_touches_all() {
 }
 
 #[test]
-fn for_each_par_guided_touches_all() {
-    let pool = ThreadPool::new(4);
-    check_all_touched(&pool, par().with_chunk(ChunkSize::Guided { min: 4 }), 3000);
-}
-
-#[test]
 fn for_each_empty_range_is_noop() {
     let pool = ThreadPool::new(2);
     for_each_index(&pool, par(), 5..5, |_| panic!("must not run"));

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use hpx_rt::{DetPool, Pool, SchedulePolicy};
 use op2_core::det::{self, RaceKind};
 use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
-use op2_hpx::{make_executor, BackendKind, Executor, Op2Runtime, SerialExecutor};
+use op2_hpx::{make_executor, BackendKind, BlockingExecutor, Executor, Op2Runtime};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -184,7 +184,7 @@ fn serial_oracle(mesh: &Mesh) -> ProgramOut {
     // The pool is irrelevant for the serial backend; a DetPool keeps the
     // oracle free of OS threads. Same part size → same plan → same order.
     let rt = Arc::new(Op2Runtime::deterministic(0, PART_SIZE));
-    let exec = SerialExecutor::new(rt);
+    let exec = BlockingExecutor::new(rt, BackendKind::Serial);
     run_program(&exec, mesh, false)
 }
 

@@ -10,8 +10,10 @@
 //! under each `### crates/<dir>` heading, every backticked `<name>.rs` has to
 //! be a file of `crates/<dir>/src/`.
 //!
-//! And one rule about the sources themselves, checked the same way: op2-hpx
-//! snapshots a write-set in exactly one place.
+//! And two rules about the sources themselves, checked the same way: op2-hpx
+//! snapshots a write-set in exactly one place, and it consults the tuner in
+//! exactly one place — the code that waits on every loop builds no executor
+//! to do it.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -142,26 +144,38 @@ fn design_layout_names_only_source_files_that_exist() {
     );
 }
 
-/// `Transaction::begin` is the only code in op2-hpx that snapshots a
-/// write-set: it is where the runtime's rollback setting is read, so an
-/// executor that called `WriteSet::capture` itself would copy on every run
-/// again. Scans `crates/core/src` up to each file's first `#[cfg(test)]`,
-/// comments aside.
-#[test]
-fn write_sets_are_captured_in_transaction_begin_only() {
+/// The code of `crates/core/src`: per file, the trimmed lines up to its first
+/// `#[cfg(test)]`, comments aside, each with its line number.
+fn core_code() -> Vec<(String, Vec<(usize, String)>)> {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
-    let mut calls = Vec::new();
+    let mut files = Vec::new();
     for entry in std::fs::read_dir(&src).expect("crates/core/src is readable") {
         let path = entry.expect("source entry").path();
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
         let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+        let lines = code
+            .lines()
+            .enumerate()
+            .map(|(n, line)| (n + 1, line.trim().to_string()))
+            .filter(|(_, line)| !line.starts_with("//"))
+            .collect();
+        let file = path.file_name().expect("a file name").to_string_lossy().into_owned();
+        files.push((file, lines));
+    }
+    files
+}
+
+/// `Transaction::begin` is the only code in op2-hpx that snapshots a
+/// write-set: it is where the runtime's rollback setting is read, so an
+/// executor that called `WriteSet::capture` itself would copy on every run
+/// again.
+#[test]
+fn write_sets_are_captured_in_transaction_begin_only() {
+    let mut calls = Vec::new();
+    for (file, lines) in core_code() {
         // The innermost `impl` and `fn` headers above each line.
         let (mut in_impl, mut in_fn) = ("", "");
-        for (n, line) in code.lines().enumerate() {
-            let line = line.trim();
-            if line.starts_with("//") {
-                continue;
-            }
+        for (n, line) in &lines {
             if line.starts_with("impl ") {
                 in_impl = line;
             }
@@ -169,8 +183,7 @@ fn write_sets_are_captured_in_transaction_begin_only() {
                 in_fn = line;
             }
             if line.contains("WriteSet::capture(") {
-                let file = path.file_name().expect("a file name").to_string_lossy().into_owned();
-                calls.push(format!("{file}:{}: in `{in_fn}` of `{in_impl}`", n + 1));
+                calls.push(format!("{file}:{n}: in `{in_fn}` of `{in_impl}`"));
             }
         }
     }
@@ -182,4 +195,32 @@ fn write_sets_are_captured_in_transaction_begin_only() {
             && only.contains("`impl Transaction {`"),
         "the one capture call is not in Transaction::begin: {only}"
     );
+}
+
+/// A loop that is waited on has one shape. The tuner is consulted at one call
+/// site (`Op2Runtime::prepare`, which every backend's decision goes
+/// through), and the two layers that wait on every loop — the supervisor and
+/// the tuned executor — call `Op2Runtime::run_blocking` per attempt: neither
+/// constructs an executor, boxed or concrete, to run a loop on.
+#[test]
+fn the_tuner_has_one_consult_site_and_waiting_layers_build_no_executor() {
+    let mut consults = Vec::new();
+    let mut built = Vec::new();
+    for (file, lines) in core_code() {
+        for (n, line) in &lines {
+            if line.contains("tune::begin(") {
+                consults.push(format!("{file}:{n}: {line}"));
+            }
+            if file == "recover.rs" || file == "tuned.rs" {
+                for needle in ["make_executor(", "Box<dyn Executor>", "Executor::new("] {
+                    if line.contains(needle) {
+                        built.push(format!("{file}:{n}: {line}"));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(consults.len(), 1, "tune::begin( call sites: {consults:#?}");
+    assert!(consults[0].starts_with("runtime.rs:"), "{consults:#?}");
+    assert!(built.is_empty(), "executors built by a layer that waits: {built:#?}");
 }

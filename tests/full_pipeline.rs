@@ -236,3 +236,68 @@ fn injected_kernel_panic_on_a_bare_executor_is_typed_and_not_rolled_back() {
         }
     }
 }
+
+/// Whoever waits on every loop runs it directly. A `Supervisor` march of the
+/// Airfoil loops lands on `SerialExecutor`'s bits whatever its primary
+/// backend, and so does a `TunedExecutor` march while its tuner explores; and
+/// a supervised loop on the `Dataflow` primary is the blocking `for_each`
+/// with `ChunkSize::Default` and nothing else — the same pool tasks, no task
+/// to carry the loop, no future for the caller to block on.
+#[test]
+fn waited_on_loops_match_serial_and_spawn_only_their_chunks() {
+    use op2_core::{arg_direct, Access, Dat, ParLoop, Set};
+    use op2_hpx::{Executor, RetryPolicy, Supervisor, TunedExecutor};
+
+    let build = |exec: Box<dyn Executor>| {
+        let consts = FlowConstants::default();
+        let mesh = MeshBuilder::channel(20, 10).build(&consts);
+        mesh.add_pulse(1.0, 0.5, 0.3, 0.2, &consts);
+        Simulation::new(mesh, &consts, exec, SyncStrategy::Blocking)
+    };
+    let bits = |sim: &Simulation, reports: Vec<(usize, f64)>| {
+        let q: Vec<u64> = sim.mesh().p_q.to_vec().into_iter().map(f64::to_bits).collect();
+        let rms: Vec<(usize, u64)> = reports.into_iter().map(|(i, r)| (i, r.to_bits())).collect();
+        (q, rms)
+    };
+    let serial = || make_executor(BackendKind::Serial, Arc::new(Op2Runtime::new(1, 32)));
+    let sim = build(serial());
+    let reference = bits(&sim, sim.run(4, 1));
+
+    for primary in BackendKind::all() {
+        let rt = Arc::new(Op2Runtime::new(3, 32));
+        let sup = Supervisor::new(rt, primary, RetryPolicy::default());
+        let sim = build(serial());
+        let reports = sim.run_supervised(&sup, 4, 1).expect("a clean supervised march");
+        assert_eq!(bits(&sim, reports), reference, "supervised march on {primary}");
+    }
+    let tuner = Arc::new(op2_tune::Tuner::with_seed(11));
+    let rt = Arc::new(Op2Runtime::new(3, 32).with_tuner(tuner));
+    let sim = build(Box::new(TunedExecutor::new(rt)));
+    assert_eq!(bits(&sim, sim.run(4, 1)), reference, "tuned march");
+
+    let rt = Arc::new(Op2Runtime::new(2, 16));
+    let cells = Set::new("cells", 1000);
+    let q = Dat::filled("q", &cells, 1, 1.0f64);
+    let qv = q.view();
+    let double = ParLoop::build("double", &cells)
+        .arg(arg_direct(&q, Access::ReadWrite))
+        .kernel(move |e, _| unsafe { qv.slice_mut(e)[0] *= 2.0 });
+    let counted = |f: &dyn Fn()| {
+        let metrics = rt.pool().metrics().expect("a ThreadPool keeps counters");
+        let before = metrics.snapshot();
+        f();
+        before.delta(&metrics.snapshot())
+    };
+    let plan = rt.plan_for(&double);
+    let for_each = counted(&|| {
+        op2_hpx::colored::run_colored(rt.pool(), &double, &plan, hpx_rt::ChunkSize::Default, None);
+    });
+    let sup = Supervisor::new(Arc::clone(&rt), BackendKind::Dataflow, RetryPolicy::default());
+    let supervised = counted(&|| {
+        sup.run(&double).expect("a clean supervised loop");
+    });
+    assert!(for_each.tasks_spawned > 1, "{for_each:?}");
+    assert_eq!(supervised.tasks_spawned, for_each.tasks_spawned);
+    assert_eq!(supervised.dep_waits, 0);
+    assert!(q.to_vec().iter().all(|&v| v == 4.0));
+}

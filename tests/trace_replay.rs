@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use hpx_rt::{DetPool, Pool};
 use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
-use op2_hpx::{make_executor, BackendKind, Executor, Op2Runtime, SerialExecutor};
+use op2_hpx::{make_executor, BackendKind, BlockingExecutor, Executor, Op2Runtime};
 use op2_trace::{Collector, EventKind, Timeline};
 
 const PART_SIZE: usize = 4;
@@ -164,7 +164,7 @@ fn serial_critical_path_is_the_loop_chain() {
     let _g = locked();
     let pool = Arc::new(DetPool::new(seed()));
     let rt = Arc::new(Op2Runtime::from_pool(pool as Arc<dyn Pool>, PART_SIZE));
-    let exec = SerialExecutor::new(rt);
+    let exec = BlockingExecutor::new(rt, BackendKind::Serial);
     let c = Collector::start();
     run_program(&exec, false);
     let t = c.stop();

@@ -8,7 +8,8 @@
 //!   schedule over plan blocks with an **implicit global barrier at the
 //!   end** — the model whose sequential fractions Amdahl-limit scalability.
 //!   Blocks of each color are partitioned into exactly one contiguous chunk
-//!   per worker.
+//!   per worker (`ChunkSize::PerWorker`, evaluated on the color, not on the
+//!   whole plan).
 //! * **for_each** is the code generator re-targeted to emit
 //!   `for_each(par, …)` (Fig. 6/7). The barrier remains, but HPX picks the
 //!   chunk size: the **auto-partitioner** (sequentially execute ~1% of the
@@ -16,7 +17,10 @@
 //!   **static chunk size**, whose comparison is exactly Fig. 16.
 //!
 //! They differ in the shape `Op2Runtime::run_blocking` gives the loop and
-//! in nothing else, so they are one type.
+//! in nothing else, so they are one type. The parallel two share one grain
+//! floor: once a loop has run, a color whose measured work is under the
+//! pool's hand-off cost (`ThreadPool::HANDOFF_FLOOR`, 50 µs) runs on the
+//! caller — a hand-off to a parked worker would cost more than the color.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;

@@ -8,20 +8,26 @@
 //! and schedules; only the *synchronization* between colors/loops differs:
 //!
 //! * [`run_colored`] — blocking: a fork-join barrier after every color
-//!   (what `#pragma omp parallel for` and `for_each(par)` do);
+//!   (what `#pragma omp parallel for` and `for_each(par)` do), except that a
+//!   color predicted to take less than the pool's hand-off cost runs on the
+//!   caller with no barrier at all (the grain floor);
 //! * [`run_colored_task`] — non-blocking: colors are chained with future
 //!   continuations and the whole loop completes a future
 //!   (what `for_each(par(task))` enables).
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use hpx_rt::{
-    for_each_index_cancel, for_each_index_task_cancel, par, par_task, CancelToken, Cancelled,
+    for_each_chunk_cancel, for_each_index_task_cancel, par, par_task, CancelToken, Cancelled,
     ChunkSize, Pool, Promise, TaskFailure, TaskPanic,
 };
 use op2_core::{GlobalAcc, KernelFn, ParLoop, Plan};
+use op2_trace::{EventKind, NO_NAME};
 
 /// Run one plan block's elements, handing the kernel the cell it keeps
 /// pointed at the element under execution, so a kernel panic is re-raised as
@@ -70,6 +76,14 @@ pub(crate) fn run_plan_order_tracked(
 
 /// Execute `loop_` under `plan`, blocking until every color has completed.
 /// Returns the global reduction (empty when none declared).
+///
+/// The grain floor: a color whose predicted time — its element count times
+/// the loop's measured [`ParLoop::work_per_element`] — is under the pool's
+/// [`Pool::handoff_floor`] runs its blocks in plan order on the calling
+/// thread, with no spawn and no latch; every other color goes to the pool in
+/// `chunk`s. Every run records the kernel's busy time for the next one to
+/// predict from, so a loop's first run is parallel throughout, and a pool
+/// whose floor is zero never inlines.
 pub fn run_colored<P: Pool + ?Sized>(
     pool: &P,
     loop_: &ParLoop,
@@ -82,6 +96,9 @@ pub fn run_colored<P: Pool + ?Sized>(
     let acc = GlobalAcc::with_op(loop_.gbl_dim(), plan.nblocks(), loop_.gbl_op());
     #[cfg(feature = "det")]
     op2_core::det::check_plan(plan, loop_.args(), loop_.name());
+    let floor_ns = pool.handoff_floor().as_nanos() as f64;
+    let work_ns = loop_.work_per_element();
+    let busy_ns = AtomicU64::new(0);
     for color in &plan.color_blocks {
         // Cooperative cancellation between colors (the per-chunk checks
         // inside for_each cover long colors).
@@ -92,19 +109,34 @@ pub fn run_colored<P: Pool + ?Sized>(
         // concurrently-scheduled unit the detector checks against.
         #[cfg(feature = "det")]
         let epoch = op2_core::det::begin_epoch();
-        // Implicit barrier here: for_each_index waits for all blocks of this
-        // color before the next color starts.
-        for_each_index_cancel(pool, par().with_chunk(chunk), 0..color.len(), cancel, |i| {
-            let b = color[i] as usize;
-            #[cfg(feature = "det")]
-            op2_core::det::enter_block(epoch, b as u32);
-            let mut scratch = acc.scratch();
-            run_block(name, kernel, plan.blocks[b].clone(), &mut scratch);
-            acc.store(b, scratch);
-            #[cfg(feature = "det")]
-            op2_core::det::exit_block();
-        });
+        let run = |blocks: Range<usize>| {
+            let start = Instant::now();
+            for b in &color[blocks] {
+                let b = *b as usize;
+                #[cfg(feature = "det")]
+                op2_core::det::enter_block(epoch, b as u32);
+                let mut scratch = acc.scratch();
+                run_block(name, kernel, plan.blocks[b].clone(), &mut scratch);
+                acc.store(b, scratch);
+                #[cfg(feature = "det")]
+                op2_core::det::exit_block();
+            }
+            busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        };
+        let elements = || -> usize { color.iter().map(|&b| plan.blocks[b as usize].len()).sum() };
+        if work_ns.is_some_and(|ns| elements() as f64 * ns < floor_ns) {
+            // Recorded as a task of the caller's own, so a trace counts it
+            // as work, not as time held at the loop's barrier.
+            let span = op2_trace::begin();
+            run(0..color.len());
+            op2_trace::end(span, EventKind::Task, NO_NAME, 0, 0);
+        } else {
+            // Implicit barrier here: for_each waits for all blocks of this
+            // color before the next color starts.
+            for_each_chunk_cancel(pool, par().with_chunk(chunk), 0..color.len(), cancel, run);
+        }
     }
+    loop_.record_work(busy_ns.into_inner(), plan.set_size);
     acc.combine()
 }
 

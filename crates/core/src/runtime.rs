@@ -220,13 +220,16 @@ impl Op2Runtime {
     /// | kind | body |
     /// |---|---|
     /// | `Serial` | plan order on the calling thread |
-    /// | `ForkJoin` | colored `for_each`, `schedule(static)`: one contiguous chunk per worker — that schedule *is* the backend, so the tuner's chunk does not apply |
+    /// | `ForkJoin` | colored `for_each`, `schedule(static)`: `ChunkSize::PerWorker`, one contiguous chunk per worker *of each color* — that schedule *is* the backend, so the tuner's chunk does not apply |
     /// | `ForEachAuto`, `ForEachStatic(n)` | colored `for_each`; a tuned chunk replaces the 1 %-probe / pinned one |
     /// | `Async`, `Dataflow` | the colored `for_each` those executors spawn, with their `ChunkSize::Default` — fenced, they are that plus a task and a cross-thread wake |
     ///
-    /// Every parallel shape is recorded as the implicit end-of-loop barrier
-    /// the caller is held at (the assembler nets out the time it spent
-    /// work-helping); serial runs the body itself and is never held at one.
+    /// Every parallel shape is the one colored body, so each inherits its
+    /// grain floor: a color predicted under the pool's hand-off cost runs on
+    /// the caller (`crate::colored::run_colored`). Every parallel shape is
+    /// recorded as the implicit end-of-loop barrier the caller is held at
+    /// (the assembler nets out the time it spent work-helping or running an
+    /// inlined color); serial runs the body itself and is never held at one.
     pub(crate) fn run_blocking(
         &self,
         loop_: &ParLoop,
@@ -243,10 +246,7 @@ impl Op2Runtime {
         // `None` = plan order, no pool involved.
         let chunk = match kind {
             BackendKind::Serial => None,
-            // ceil(nblocks / nthreads) blocks per worker chunk.
-            BackendKind::ForkJoin => {
-                Some(ChunkSize::Static(plan.nblocks().div_ceil(self.num_threads()).max(1)))
-            }
+            BackendKind::ForkJoin => Some(ChunkSize::PerWorker),
             BackendKind::ForEachAuto => Some(tuned.unwrap_or(ChunkSize::auto())),
             BackendKind::ForEachStatic(n) => Some(tuned.unwrap_or(ChunkSize::Static(n.max(1)))),
             BackendKind::Async | BackendKind::Dataflow => Some(tuned.unwrap_or(ChunkSize::Default)),

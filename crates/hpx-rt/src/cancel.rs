@@ -1,7 +1,8 @@
 //! Cooperative cancellation and deadlines for parallel algorithms.
 //!
 //! A [`CancelToken`] is a cheaply-cloneable flag that loop bodies poll
-//! *between chunks* ([`crate::for_each_index_cancel`] and the task variant):
+//! *between chunks* ([`crate::for_each_chunk_cancel`] and the
+//! [`crate::for_each_index_task_cancel`] variant):
 //! once cancelled — explicitly or by an expired deadline — remaining chunks
 //! are abandoned and the loop surfaces a [`Cancelled`] panic payload at its
 //! usual failure points (the blocking call, or the returned future). A

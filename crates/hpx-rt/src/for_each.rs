@@ -13,7 +13,9 @@
 //!   estimate the per-iteration cost and derives a chunk size targeting a
 //!   fixed task duration; [`ChunkSize::Static`] pins the chunk size
 //!   (`hpx::parallel::static_chunk_size`), which the paper shows is superior
-//!   for large loops (Fig. 16).
+//!   for large loops (Fig. 16); [`ChunkSize::PerWorker`] is the
+//!   default-constructed `static_chunk_size` — one contiguous chunk per
+//!   worker of whatever range the call sees, OpenMP's `schedule(static)`.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,6 +50,12 @@ pub enum ChunkSize {
     /// prior executions of the same loop (no probe is run — the measurement
     /// already happened).
     Static(usize),
+    /// One contiguous chunk per worker, sizes differing by at most one
+    /// iteration: `min(workers, n)` chunks of the range the call is given.
+    /// HPX's default-constructed `static_chunk_size` (iterations ÷ cores)
+    /// and OpenMP's `schedule(static)` — so a loop run color by color gets
+    /// one chunk per worker *per color*, not a chunk sized for the whole loop.
+    PerWorker,
 }
 
 impl ChunkSize {
@@ -146,6 +154,16 @@ fn plan_chunks(
             push_fixed(&mut chunks, range, size);
         }
         ChunkSize::Static(size) => push_fixed(&mut chunks, range, size.max(1)),
+        ChunkSize::PerWorker => {
+            let parts = workers.clamp(1, n);
+            let (size, extra) = (n / parts, n % parts);
+            let mut lo = range.start;
+            for k in 0..parts {
+                let hi = lo + size + usize::from(k < extra);
+                chunks.push(lo..hi);
+                lo = hi;
+            }
+        }
     }
     chunks
 }
@@ -159,10 +177,10 @@ fn push_fixed(chunks: &mut Vec<Range<usize>>, range: Range<usize>, size: usize) 
     }
 }
 
-/// Run the auto-partitioner probe: execute the first `probe_fraction × n`
-/// iterations sequentially and return (next unprocessed index, per-iteration
-/// time).
-fn auto_probe<F: Fn(usize) + ?Sized>(
+/// Run the auto-partitioner probe: hand the first `probe_fraction × n`
+/// iterations to `f` as one sequential chunk and return (next unprocessed
+/// index, per-iteration time).
+fn auto_probe<F: Fn(Range<usize>) + ?Sized>(
     range: &Range<usize>,
     probe_fraction: f64,
     f: &F,
@@ -170,9 +188,7 @@ fn auto_probe<F: Fn(usize) + ?Sized>(
     let n = range.len();
     let probe = (((n as f64) * probe_fraction) as usize).clamp(1, n);
     let start = Instant::now();
-    for i in range.start..range.start + probe {
-        f(i);
-    }
+    f(range.start..range.start + probe);
     let elapsed = start.elapsed();
     (range.start + probe, elapsed / probe as u32)
 }
@@ -191,14 +207,17 @@ where
     P: Pool + ?Sized,
     F: Fn(usize) + Sync,
 {
-    for_each_index_cancel(pool, policy, range, None, f)
+    for_each_chunk_cancel(pool, policy, range, None, |chunk| chunk.for_each(&f))
 }
 
-/// [`for_each_index`] with cooperative cancellation: `cancel` is polled
-/// between chunks; once it fires, remaining chunks are skipped and the call
-/// rethrows a [`Cancelled`] payload after the in-flight chunks drain (the
-/// barrier still closes — no task is ever leaked).
-pub fn for_each_index_cancel<P, F>(
+/// [`for_each_index`] that hands `f` each planned chunk (and the
+/// auto-partitioner's probe) as one ascending range, so per-chunk work — a
+/// timer, a buffer — is paid once per chunk rather than once per index; with
+/// cooperative cancellation: `cancel` is polled between chunks; once it
+/// fires, remaining chunks are skipped and the call rethrows a [`Cancelled`]
+/// payload after the in-flight chunks drain (the barrier still closes — no
+/// task is ever leaked).
+pub fn for_each_chunk_cancel<P, F>(
     pool: &P,
     policy: ExecutionPolicy,
     range: Range<usize>,
@@ -206,17 +225,13 @@ pub fn for_each_index_cancel<P, F>(
     f: F,
 ) where
     P: Pool + ?Sized,
-    F: Fn(usize) + Sync,
+    F: Fn(Range<usize>) + Sync,
 {
     if range.is_empty() {
         return;
     }
     match policy.kind {
-        PolicyKind::Seq => {
-            for i in range {
-                f(i);
-            }
-        }
+        PolicyKind::Seq => f(range),
         PolicyKind::Par | PolicyKind::ParTask => {
             // Blocking call: ParTask without a future degenerates to Par.
             let (start, per_iter) = match policy.chunk {
@@ -252,7 +267,7 @@ fn run_chunks_blocking<P, F>(
     cancel: Option<&CancelToken>,
 ) where
     P: Pool + ?Sized,
-    F: Fn(usize) + Sync,
+    F: Fn(Range<usize>) + Sync,
 {
     let latch = CountdownLatch::with_pool(pool, chunks.len());
     let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
@@ -261,10 +276,10 @@ fn run_chunks_blocking<P, F>(
     // panic, via the catch_unwind below), and we do not return before
     // `wait_helping` observes all count-downs — so the borrows of `f` and
     // `panic_slot` outlive every task that uses them.
-    let f_obj: &(dyn Fn(usize) + Sync) = f;
-    let f_static: &'static (dyn Fn(usize) + Sync) = unsafe {
-        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f_obj)
-    };
+    type ChunkFn<'a> = dyn Fn(Range<usize>) + Sync + 'a;
+    let f_obj: &ChunkFn<'_> = f;
+    let f_static: &'static ChunkFn<'static> =
+        unsafe { std::mem::transmute::<&ChunkFn<'_>, &'static ChunkFn<'static>>(f_obj) };
     let panic_raw: *const Mutex<Option<PanicPayload>> = &panic_slot;
     let panic_ptr: &'static Mutex<Option<PanicPayload>> = unsafe { &*panic_raw };
 
@@ -284,11 +299,7 @@ fn run_chunks_blocking<P, F>(
                 counter.count_down();
                 return;
             }
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for i in chunk {
-                    f_static(i);
-                }
-            }));
+            let result = catch_unwind(AssertUnwindSafe(|| f_static(chunk)));
             if let Err(p) = result {
                 let mut guard = panic_ptr.lock();
                 if guard.is_none() {
@@ -326,7 +337,7 @@ where
 }
 
 /// [`for_each_index_task`] with cooperative cancellation, polled between
-/// chunks exactly as in [`for_each_index_cancel`]; the returned future then
+/// chunks exactly as in [`for_each_chunk_cancel`]; the returned future then
 /// completes with a [`Cancelled`] payload.
 pub fn for_each_index_task_cancel<P, F>(
     pool: &P,
@@ -356,7 +367,9 @@ where
             ChunkSize::Auto { probe_fraction, .. } => {
                 let span = op2_trace::begin();
                 let probe = catch_unwind(AssertUnwindSafe(|| {
-                    auto_probe(&range, probe_fraction, f.as_ref())
+                    auto_probe(&range, probe_fraction, &|chunk: Range<usize>| {
+                        chunk.for_each(f.as_ref())
+                    })
                 }));
                 op2_trace::end(
                     span,
@@ -481,12 +494,26 @@ mod tests {
     }
 
     #[test]
+    fn per_worker_is_one_balanced_chunk_per_worker_of_the_range_given() {
+        for (n, workers) in [(1, 2), (2, 2), (3, 2), (5, 4), (255, 2), (256, 3), (7, 1)] {
+            let chunks = plan_chunks(10..10 + n, workers, ChunkSize::PerWorker, None);
+            assert_partitions(&chunks, 10..10 + n);
+            assert_eq!(chunks.len(), workers.min(n), "n={n} workers={workers}");
+            let (lo, hi) = chunks.iter().fold((usize::MAX, 0), |(lo, hi), c| {
+                (lo.min(c.len()), hi.max(c.len()))
+            });
+            assert!(hi - lo <= 1, "n={n} workers={workers}: {chunks:?}");
+        }
+    }
+
+    #[test]
     fn all_policies_partition_exactly() {
         for chunk in [
             ChunkSize::Default,
             auto(200),
             ChunkSize::Static(3),
             ChunkSize::Static(7),
+            ChunkSize::PerWorker,
         ] {
             for n in [0usize, 1, 5, 17, 100] {
                 let chunks = plan_chunks(0..n, 3, chunk, None);

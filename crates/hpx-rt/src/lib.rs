@@ -68,7 +68,7 @@ pub use dataflow::{
 };
 pub use det::{DetPool, SchedulePolicy};
 pub use for_each::{
-    for_each_index, for_each_index_cancel, for_each_index_task, for_each_index_task_cancel, par,
+    for_each_chunk_cancel, for_each_index, for_each_index_task, for_each_index_task_cancel, par,
     par_task, seq, ChunkSize, ExecutionPolicy,
 };
 pub use future::{

@@ -51,6 +51,15 @@ pub trait Pool: Send + Sync {
     fn metrics(&self) -> Option<&PoolMetrics> {
         None
     }
+
+    /// The grain floor: work predicted to take less than this costs more to
+    /// hand to another worker than it saves, so a caller that can run it
+    /// itself should. [`ThreadPool`] reports [`ThreadPool::HANDOFF_FLOOR`];
+    /// the default, and the deterministic pool, is zero — never inline, so
+    /// schedule exploration sees every chunk.
+    fn handoff_floor(&self) -> Duration {
+        Duration::ZERO
+    }
 }
 
 struct Inner {
@@ -118,19 +127,9 @@ impl PoolBuilder {
 
     /// Spawn the workers and return the pool.
     pub fn build(self) -> ThreadPool {
-        let n = self.num_threads;
-        let workers: Vec<Worker<Task>> = (0..n).map(|_| Worker::new_fifo()).collect();
-        let stealers = workers.iter().map(Worker::stealer).collect();
-        let inner = Arc::new(Inner {
-            injector: Injector::new(),
-            stealers,
-            num_threads: n,
-            shutdown: AtomicBool::new(false),
-            sleepers: Mutex::new(0),
-            wakeup: Condvar::new(),
-            metrics: PoolMetrics::default(),
-            steal_seed: AtomicUsize::new(0),
-        });
+        let workers: Vec<Worker<Task>> =
+            (0..self.num_threads).map(|_| Worker::new_fifo()).collect();
+        let inner = Arc::new(Inner::new(workers.iter().map(Worker::stealer).collect()));
         let handles = workers
             .into_iter()
             .enumerate()
@@ -148,6 +147,13 @@ impl PoolBuilder {
 }
 
 impl ThreadPool {
+    /// This pool's [`Pool::handoff_floor`]: about two hand-offs. Handing a
+    /// chunk to a parked worker and waiting for it (`spawn` → wake → run →
+    /// `get`) measured 24–31 µs on a 2-vCPU host (`hpx-rt.spawn_get_ns` in
+    /// the benchmark's checked-in ledger), so below 50 µs of work the
+    /// hand-off, not the work, decides the time.
+    pub const HANDOFF_FLOOR: Duration = Duration::from_micros(50);
+
     /// Create a pool with `num_threads` workers (at least 1).
     pub fn new(num_threads: usize) -> Self {
         PoolBuilder::new().num_threads(num_threads).build()
@@ -243,6 +249,10 @@ impl<P: Pool + ?Sized> Pool for Arc<P> {
     fn metrics(&self) -> Option<&PoolMetrics> {
         (**self).metrics()
     }
+
+    fn handoff_floor(&self) -> Duration {
+        (**self).handoff_floor()
+    }
 }
 
 impl Pool for ThreadPool {
@@ -264,6 +274,10 @@ impl Pool for ThreadPool {
 
     fn metrics(&self) -> Option<&PoolMetrics> {
         Some(ThreadPool::metrics(self))
+    }
+
+    fn handoff_floor(&self) -> Duration {
+        ThreadPool::HANDOFF_FLOOR
     }
 }
 
@@ -385,6 +399,19 @@ impl Spawner {
 }
 
 impl Inner {
+    fn new(stealers: Vec<Stealer<Task>>) -> Inner {
+        Inner {
+            injector: Injector::new(),
+            num_threads: stealers.len(),
+            stealers,
+            shutdown: AtomicBool::new(false),
+            sleepers: Mutex::new(0),
+            wakeup: Condvar::new(),
+            metrics: PoolMetrics::default(),
+            steal_seed: AtomicUsize::new(0),
+        }
+    }
+
     fn notify_one(&self) {
         // Only take the lock when somebody might be asleep.
         let sleepers = self.sleepers.lock();
@@ -459,18 +486,33 @@ impl Inner {
     fn help_until(&self, mut pred: impl FnMut() -> bool) {
         while !pred() {
             if !self.try_execute_one() {
-                let mut sleepers = self.sleepers.lock();
-                if pred() {
-                    return;
-                }
-                *sleepers += 1;
-                let span = op2_trace::begin();
-                self.wakeup
-                    .wait_for(&mut sleepers, Duration::from_micros(200));
-                op2_trace::end(span, op2_trace::EventKind::Park, op2_trace::NO_NAME, 0, 0);
-                *sleepers -= 1;
+                self.park_unless(Duration::from_micros(200), &mut pred);
             }
         }
+    }
+
+    /// Is a task waiting in the injector or any worker's deque?
+    fn has_queued_task(&self) -> bool {
+        !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
+    }
+
+    /// The idle path of both wait loops, entered after a failed search for a
+    /// task: sleep on the wakeup condvar for at most `timeout` — unless
+    /// `ready()` holds or a task is queued by now. Both are re-checked under
+    /// the `sleepers` lock, the lock a spawner takes to decide whether anyone
+    /// needs a notify, so a push that raced the failed search is seen here or
+    /// finds this thread counted and wakes it. Returns whether it slept.
+    fn park_unless(&self, timeout: Duration, mut ready: impl FnMut() -> bool) -> bool {
+        let mut sleepers = self.sleepers.lock();
+        if ready() || self.has_queued_task() {
+            return false;
+        }
+        *sleepers += 1;
+        let span = op2_trace::begin();
+        self.wakeup.wait_for(&mut sleepers, timeout);
+        op2_trace::end(span, op2_trace::EventKind::Park, op2_trace::NO_NAME, 0, 0);
+        *sleepers -= 1;
+        true
     }
 }
 
@@ -481,20 +523,17 @@ fn worker_main(inner: Arc<Inner>, local: Worker<Task>) {
             local,
         });
     });
+    let shutdown = || inner.shutdown.load(Ordering::Acquire);
     loop {
         if inner.try_execute_one() {
             continue;
         }
-        if inner.shutdown.load(Ordering::Acquire) {
+        if shutdown() {
             break;
         }
-        inner.metrics.parks.fetch_add(1, Ordering::Relaxed);
-        let mut sleepers = inner.sleepers.lock();
-        *sleepers += 1;
-        let span = op2_trace::begin();
-        inner.wakeup.wait_for(&mut sleepers, Duration::from_millis(5));
-        op2_trace::end(span, op2_trace::EventKind::Park, op2_trace::NO_NAME, 0, 0);
-        *sleepers -= 1;
+        if inner.park_unless(Duration::from_millis(5), shutdown) {
+            inner.metrics.parks.fetch_add(1, Ordering::Relaxed);
+        }
     }
     CURRENT.with(|c| {
         *c.borrow_mut() = None;
@@ -516,5 +555,50 @@ impl Drop for ThreadPool {
                 let _ = h.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// A pool's queues with no thread running them.
+    fn idle_inner() -> (Inner, Worker<Task>) {
+        let local = Worker::new_fifo();
+        (Inner::new(vec![local.stealer()]), local)
+    }
+
+    /// The lost wake-up: a spawner whose push lands after an idle thread's
+    /// failed search, but before that thread counts itself a sleeper, sees
+    /// nobody to notify. Queue a task exactly that way — no notify — and the
+    /// idle path must notice it instead of sleeping out its timeout, whether
+    /// the task sits in the injector or in a worker's deque.
+    #[test]
+    fn idle_path_rechecks_the_queues_a_silent_push_filled() {
+        let (inner, local) = idle_inner();
+        inner.injector.push(Box::new(|| {}));
+        local.push(Box::new(|| {}));
+        for _ in 0..2 {
+            let start = Instant::now();
+            assert!(!inner.park_unless(Duration::from_secs(10), || false));
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "slept through a queued task"
+            );
+            assert!(inner.find_task().is_some());
+        }
+        assert!(!inner.has_queued_task());
+        assert_eq!(*inner.sleepers.lock(), 0);
+    }
+
+    /// The other half of the contract: with nothing queued and nothing
+    /// ready, the idle path does sleep — an idle pool must not spin.
+    #[test]
+    fn idle_path_sleeps_when_there_is_nothing_to_do() {
+        let (inner, _local) = idle_inner();
+        assert!(inner.park_unless(Duration::from_millis(1), || false));
+        assert!(!inner.park_unless(Duration::from_secs(10), || true));
+        assert_eq!(*inner.sleepers.lock(), 0);
     }
 }

@@ -3,6 +3,7 @@
 use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::arg::{ArgSpec, MapRef};
@@ -42,6 +43,9 @@ pub struct ParLoop {
     kernel: KernelFn,
     /// [`ParLoop::write_footprint`], classified on first use; clones share it.
     footprint: Arc<OnceLock<Vec<WriteFootprint>>>,
+    /// [`ParLoop::work_per_element`] as `f64` bits (0 = never measured);
+    /// clones share it.
+    work: Arc<AtomicU64>,
 }
 
 /// Builder for [`ParLoop`]; validates argument/set consistency.
@@ -122,6 +126,28 @@ impl ParLoop {
     /// never snapshots never pays for it.
     pub fn write_footprint(&self) -> &[WriteFootprint] {
         self.footprint.get_or_init(|| write_footprint(&self.args))
+    }
+
+    /// The kernel's measured work per element, in nanoseconds: busy time —
+    /// summed over every thread that ran a block, so the same work reads the
+    /// same whether it ran on one thread or spread over many — of the last
+    /// complete run [`ParLoop::record_work`] was told about, over the
+    /// elements it ran. `None` until then. Kept for the life of the loop and
+    /// its clones.
+    pub fn work_per_element(&self) -> Option<f64> {
+        match self.work.load(Ordering::Relaxed) {
+            0 => None,
+            bits => Some(f64::from_bits(bits)),
+        }
+    }
+
+    /// Record that running `elements` elements kept threads busy for
+    /// `busy_ns` nanoseconds in total (see [`ParLoop::work_per_element`]).
+    pub fn record_work(&self, busy_ns: u64, elements: usize) {
+        if elements > 0 {
+            let per_element = (busy_ns as f64 / elements as f64).max(f64::MIN_POSITIVE);
+            self.work.store(per_element.to_bits(), Ordering::Relaxed);
+        }
     }
 
     /// Does any argument write through a map? (If so, execution needs a
@@ -284,6 +310,7 @@ impl ParLoopBuilder {
             guard_finite: self.guard_finite,
             kernel,
             footprint: Arc::default(),
+            work: Arc::default(),
         }
     }
 }
@@ -349,6 +376,25 @@ mod tests {
         let clone = l.clone();
         assert!(std::ptr::eq(l.write_footprint(), clone.write_footprint()));
         assert_eq!(l.write_footprint().len(), 1);
+    }
+
+    /// A loop starts unmeasured; what one clone records, every clone reads;
+    /// an empty run records nothing and a zero-time run still counts as
+    /// measured.
+    #[test]
+    fn clones_share_the_measured_work_per_element() {
+        let (edges, _cells, m, _q, res) = fixture();
+        let l = ParLoop::build("res_calc", &edges)
+            .arg(arg_indirect(&res, 0, &m, Access::Inc))
+            .kernel(|_, _| {});
+        let clone = l.clone();
+        assert_eq!(l.work_per_element(), None);
+        clone.record_work(1_000, 0);
+        assert_eq!(l.work_per_element(), None);
+        clone.record_work(1_000, 4);
+        assert_eq!(l.work_per_element(), Some(250.0));
+        l.record_work(0, 4);
+        assert!(clone.work_per_element().is_some_and(|ns| ns < 1e-300));
     }
 
     #[test]

@@ -278,26 +278,161 @@ fn waited_on_loops_match_serial_and_spawn_only_their_chunks() {
     let rt = Arc::new(Op2Runtime::new(2, 16));
     let cells = Set::new("cells", 1000);
     let q = Dat::filled("q", &cells, 1, 1.0f64);
-    let qv = q.view();
-    let double = ParLoop::build("double", &cells)
-        .arg(arg_direct(&q, Access::ReadWrite))
-        .kernel(move |e, _| unsafe { qv.slice_mut(e)[0] *= 2.0 });
+    // Two loops that have never run, so both runs below are cold and the
+    // grain floor (which inlines a warm loop this small) spreads both alike.
+    let double = || {
+        let qv = q.view();
+        ParLoop::build("double", &cells)
+            .arg(arg_direct(&q, Access::ReadWrite))
+            .kernel(move |e, _| unsafe { qv.slice_mut(e)[0] *= 2.0 })
+    };
     let counted = |f: &dyn Fn()| {
         let metrics = rt.pool().metrics().expect("a ThreadPool keeps counters");
         let before = metrics.snapshot();
         f();
         before.delta(&metrics.snapshot())
     };
-    let plan = rt.plan_for(&double);
+    let (direct, supervised_loop) = (double(), double());
+    let plan = rt.plan_for(&direct);
     let for_each = counted(&|| {
-        op2_hpx::colored::run_colored(rt.pool(), &double, &plan, hpx_rt::ChunkSize::Default, None);
+        op2_hpx::colored::run_colored(rt.pool(), &direct, &plan, hpx_rt::ChunkSize::Default, None);
     });
     let sup = Supervisor::new(Arc::clone(&rt), BackendKind::Dataflow, RetryPolicy::default());
     let supervised = counted(&|| {
-        sup.run(&double).expect("a clean supervised loop");
+        sup.run(&supervised_loop).expect("a clean supervised loop");
     });
     assert!(for_each.tasks_spawned > 1, "{for_each:?}");
     assert_eq!(supervised.tasks_spawned, for_each.tasks_spawned);
     assert_eq!(supervised.dep_waits, 0);
     assert!(q.to_vec().iter().all(|&v| v == 4.0));
+}
+
+/// Fork-join forks each color. On a 2-thread pool a cold `res_calc` spawns
+/// one chunk per worker *per color* — Σ min(2, |color|) tasks, where a chunk
+/// sized from the whole plan made one task per color — and the march lands
+/// on the serial oracle's bits. Once warm, every color of this small mesh is
+/// predicted under the pool's hand-off floor, runs on the caller, and spawns
+/// nothing; the same march on a `DetPool`, whose floor is zero, still spawns
+/// every chunk for the schedule explorer and the race detector (`det`) to
+/// see, and lands on the same bits.
+#[test]
+fn forkjoin_forks_every_color_and_runs_warm_colors_under_the_floor_inline() {
+    use hpx_rt::{DetPool, Pool};
+    use op2_airfoil::{AirfoilLoops, Mesh};
+    use op2_core::ParLoop;
+    use op2_hpx::Executor;
+
+    const PART: usize = 4;
+    const ITERS: usize = 4;
+    let consts = FlowConstants::default();
+    let fresh = || {
+        let mesh = MeshBuilder::channel(8, 4).build(&consts);
+        mesh.add_pulse(1.0, 0.5, 0.3, 0.2, &consts);
+        let loops = AirfoilLoops::new(&mesh, &consts);
+        (mesh, loops)
+    };
+    let state = |mesh: &Mesh| {
+        mesh.p_q
+            .to_vec()
+            .into_iter()
+            .map(f64::to_bits)
+            .collect::<Vec<_>>()
+    };
+    // One iteration, every loop waited on; the two stages' RMS bits.
+    let iteration = |exec: &dyn Executor, l: &AirfoilLoops| {
+        exec.execute(&l.save_soln).wait();
+        let mut rms = Vec::new();
+        for _ in 0..2 {
+            for loop_ in [&l.adt_calc, &l.res_calc, &l.bres_calc] {
+                exec.execute(loop_).wait();
+            }
+            rms.push(exec.execute(&l.update).get()[0].to_bits());
+        }
+        rms
+    };
+
+    let (mesh, loops) = fresh();
+    let serial = make_executor(BackendKind::Serial, Arc::new(Op2Runtime::new(1, PART)));
+    let rms: Vec<_> = (0..ITERS)
+        .map(|_| iteration(serial.as_ref(), &loops))
+        .collect();
+    let oracle = (state(&mesh), rms);
+
+    let rt = Arc::new(Op2Runtime::new(2, PART));
+    let exec = make_executor(BackendKind::ForkJoin, Arc::clone(&rt));
+    let metrics = rt.pool().metrics().expect("a ThreadPool keeps counters");
+    let spawned = |f: &mut dyn FnMut()| {
+        let before = metrics.snapshot();
+        f();
+        before.delta(&metrics.snapshot()).tasks_spawned
+    };
+    let (_cold_mesh, cold) = fresh();
+    let plan = rt.plan_for(&cold.res_calc);
+    let per_color: u64 = plan
+        .color_blocks
+        .iter()
+        .map(|c| c.len().min(2) as u64)
+        .sum();
+    assert!(
+        per_color > u64::from(plan.ncolors),
+        "the fixture needs a color of two blocks or more"
+    );
+    assert_eq!(
+        spawned(&mut || exec.execute(&cold.res_calc).wait()),
+        per_color,
+        "cold res_calc"
+    );
+
+    let (mesh, loops) = fresh();
+    let mut rms = Vec::new();
+    let per_iteration: Vec<u64> = (0..ITERS)
+        .map(|_| spawned(&mut || rms.push(iteration(exec.as_ref(), &loops))))
+        .collect();
+    assert_eq!(
+        (state(&mesh), rms),
+        oracle,
+        "fork-join march on a ThreadPool"
+    );
+    // The first iteration meets every loop cold; a warm one inlines every
+    // color (the minimum, so a descheduled thread that inflated one busy-time
+    // measurement cannot fail the test).
+    assert!(per_iteration[0] > 0, "{per_iteration:?}");
+    assert_eq!(
+        per_iteration[1..].iter().min(),
+        Some(&0),
+        "{per_iteration:?}"
+    );
+
+    let det = Arc::new(DetPool::new(7));
+    let rt = Arc::new(Op2Runtime::from_pool(
+        Arc::clone(&det) as Arc<dyn Pool>,
+        PART,
+    ));
+    let exec = make_executor(BackendKind::ForkJoin, Arc::clone(&rt));
+    let (mesh, loops) = fresh();
+    let chunks = |l: &ParLoop| -> usize {
+        rt.plan_for(l)
+            .color_blocks
+            .iter()
+            .map(|c| c.len().min(rt.num_threads()))
+            .sum()
+    };
+    let stage = [
+        &loops.adt_calc,
+        &loops.res_calc,
+        &loops.bres_calc,
+        &loops.update,
+    ];
+    let every_chunk = chunks(&loops.save_soln) + 2 * stage.map(chunks).iter().sum::<usize>();
+    let mut rms = Vec::new();
+    for _ in 0..ITERS {
+        let before = det.trace().len();
+        rms.push(iteration(exec.as_ref(), &loops));
+        assert_eq!(
+            det.trace().len() - before,
+            every_chunk,
+            "a DetPool never inlines"
+        );
+    }
+    assert_eq!((state(&mesh), rms), oracle, "fork-join march on a DetPool");
 }

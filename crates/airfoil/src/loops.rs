@@ -14,7 +14,7 @@
 //!
 //! The bodies reach their dats only through layout-agnostic [`DatView`]
 //! accessors (`load`/`store`/`add_vec`/`span`/`comp`), so the same wiring
-//! serves AoS, SoA, and AoSoA meshes unchanged — and produces bitwise
+//! serves AoS and SoA meshes unchanged — and produces bitwise
 //! identical results for each (the arithmetic per element never depends on
 //! the layout, only the addresses do).
 
@@ -343,12 +343,6 @@ impl AirfoilLoops {
             ),
         }
     }
-
-    /// The loops in issue order of one stage (without `save_soln`, which runs
-    /// once per iteration, not per stage).
-    pub fn stage_loops(&self) -> [&ParLoop; 4] {
-        [&self.adt_calc, &self.res_calc, &self.bres_calc, &self.update]
-    }
 }
 
 #[cfg(test)]
@@ -390,16 +384,12 @@ mod tests {
     /// must be bit-identical to iterating the `*_one` reference directly —
     /// the contract every executor and det sweep relies on, on every layout
     /// (AoS takes `save_soln`'s whole-span memcpy, SoA its per-component
-    /// memcpy and `update`'s blocked RMS, AoSoA the element fallbacks).
+    /// memcpy and `update`'s blocked RMS).
     #[test]
     fn span_bodies_match_per_element_reference() {
         type PerElement<'a> = Box<dyn Fn(usize, &mut [f64]) + 'a>;
         let consts = FlowConstants::default();
-        for layout in [
-            op2_core::Layout::Aos,
-            op2_core::Layout::Soa,
-            op2_core::Layout::AoSoA { block: 4 },
-        ] {
+        for layout in [op2_core::Layout::Aos, op2_core::Layout::Soa] {
             let opts = crate::mesh::MeshOptions {
                 layout,
                 ..Default::default()

@@ -68,7 +68,7 @@ fn march(
 fn layout_renumbering_backend_cube_matches_serial_aos_oracle() {
     let consts = FlowConstants::default();
     let builder = MeshBuilder::channel(12, 6);
-    let layouts = [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 4 }];
+    let layouts = [Layout::Aos, Layout::Soa];
     let backends = [
         BackendKind::Serial,
         BackendKind::ForkJoin,

@@ -3,8 +3,7 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use hpx_rt::{CancelToken, ChunkSize, DetPool, Pool, PoolBuilder, SchedulePolicy};
-use op2_core::plan::PlanParams;
+use hpx_rt::{CancelToken, ChunkSize, DetPool, Pool, PoolBuilder};
 use op2_core::{ParLoop, Plan, PlanCache};
 use op2_trace::{EventKind, NO_NAME};
 use op2_tune::{BackendChoice, Tuner};
@@ -105,7 +104,7 @@ impl Op2Runtime {
     }
 
     /// Attach an online [`Tuner`]: executors created over this runtime
-    /// consult it for chunk sizes and plan parameters and feed wall-time
+    /// consult it for chunk sizes and block sizes and feed wall-time
     /// observations back. Share one `Arc<Tuner>` across runtimes (e.g. all
     /// jobs of a service) to pool their measurements.
     pub fn with_tuner(mut self, tuner: Arc<Tuner>) -> Self {
@@ -140,15 +139,6 @@ impl Op2Runtime {
         Self::from_pool(Arc::new(DetPool::new(seed)), part_size)
     }
 
-    /// [`Op2Runtime::deterministic`] with an explicit schedule policy.
-    pub fn deterministic_with_policy(
-        seed: u64,
-        policy: SchedulePolicy,
-        part_size: usize,
-    ) -> Self {
-        Self::from_pool(Arc::new(DetPool::with_policy(seed, policy)), part_size)
-    }
-
     /// The underlying task pool.
     pub fn pool(&self) -> &Arc<dyn Pool> {
         &self.pool
@@ -172,16 +162,9 @@ impl Op2Runtime {
         self.part_size
     }
 
-    /// The memoized plan for `loop_`'s shape.
+    /// The memoized plan for `loop_`'s shape at the runtime's block size.
     pub fn plan_for(&self, loop_: &ParLoop) -> Arc<Plan> {
-        self.plan_with(loop_, None)
-    }
-
-    /// [`Op2Runtime::plan_for`] with tuner-decided plan parameters; the
-    /// default is `(part_size, greedy)`.
-    pub fn plan_with(&self, loop_: &ParLoop, tuned: Option<PlanParams>) -> Arc<Plan> {
-        let params = tuned.unwrap_or_else(|| PlanParams::with_part_size(self.part_size));
-        self.plans.get_with(loop_.set(), loop_.args(), params)
+        self.plans.get(loop_.set(), loop_.args(), self.part_size)
     }
 
     /// Every backend's decision point, and the one place the tuner is
@@ -198,7 +181,11 @@ impl Op2Runtime {
         menu: Option<&[BackendChoice]>,
     ) -> Result<Prepared, LoopError> {
         let trial = menu.and_then(|menu| tune::begin(self, loop_, menu));
-        let plan = self.plan_with(loop_, trial.as_ref().and_then(|t| t.plan()));
+        let part_size = trial
+            .as_ref()
+            .and_then(LoopTrial::plan)
+            .unwrap_or(self.part_size);
+        let plan = self.plans.get(loop_.set(), loop_.args(), part_size);
         plan.validate_cached(loop_.args())
             .map_err(|e| LoopError::new(loop_.name(), backend, FailureKind::Plan(e), false))?;
         let tuned = trial.as_ref().and_then(|t| t.chunk_blocks(plan.part_size));

@@ -11,7 +11,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use op2_core::plan::PlanParams;
 use op2_core::ParLoop;
 use op2_tune::{
     BackendChoice, IndirectionPattern, Observation, TuneConfig, TuneContext, TuneKey, Tuner,
@@ -45,7 +44,7 @@ pub fn kind_to_choice(kind: BackendKind) -> BackendChoice {
 /// True when `loop_`'s results cannot depend on plan order: no indirect
 /// writes (single-color plans, every element's outputs disjoint) and no
 /// global reduction (whose partials combine in block order). Only such loops
-/// may have their plan parameters tuned without moving floating-point bits.
+/// may have their block size tuned without moving floating-point bits.
 pub fn plan_order_invariant(loop_: &ParLoop) -> bool {
     !loop_.has_indirect_writes() && loop_.gbl_dim() == 0
 }
@@ -80,9 +79,8 @@ pub(crate) struct LoopTrial {
 }
 
 impl LoopTrial {
-    /// Plan parameters the decision asks for (already gated on invariance by
-    /// the tuner).
-    pub(crate) fn plan(&self) -> Option<PlanParams> {
+    /// Block size the decision asks for (gated on invariance by `begin`).
+    pub(crate) fn plan(&self) -> Option<usize> {
         self.config.plan
     }
 
@@ -118,7 +116,7 @@ impl LoopTrial {
 /// Open a trial for `loop_` if `rt` carries a tuner. `backends` is the set
 /// the *caller* can actually run: the tuned executor passes its menu, a
 /// supervisor its ladder, a fixed-backend executor none (it explores chunk
-/// and plan knobs only, and its observations still train the shared model).
+/// and block size only, and its observations still train the shared model).
 pub(crate) fn begin(
     rt: &Op2Runtime,
     loop_: &ParLoop,
@@ -138,11 +136,18 @@ pub(crate) fn begin(
         layouts: Vec::new(),
     };
     let decision = tuner.decide(&key, &ctx);
+    let mut config = decision.config;
+    // The one gate on a tuned block size, whatever proposed it (exploration
+    // or a warm store): a loop whose bits depend on plan order keeps the
+    // runtime's plan.
+    if !ctx.plan_order_invariant {
+        config.plan = None;
+    }
     Some(LoopTrial {
         tuner,
         key,
         trial: decision.trial,
-        config: decision.config,
+        config,
         offered: !backends.is_empty(),
         start: Instant::now(),
     })

@@ -1,7 +1,7 @@
 //! The feedback-directed executor: lets the tuner pick the backend too.
 //!
 //! A fixed executor consults the tuner for *schedule knobs* (chunk size,
-//! plan parameters) but cannot change what it is. The [`TunedExecutor`]
+//! block size) but cannot change what it is. The [`TunedExecutor`]
 //! closes the last loop: it offers the tuner a backend menu as well and runs
 //! whatever shape comes back (`Op2Runtime::run_blocking`, which feeds the
 //! measured wall time back). Execution is synchronous — the caller waits for
@@ -29,7 +29,7 @@ pub const TUNABLE_BACKENDS: [BackendChoice; 3] = [
     BackendChoice::Serial,
 ];
 
-/// Executor whose backend, chunk size, and plan parameters are all picked by
+/// Executor whose backend, chunk size, and block size are all picked by
 /// the runtime's tuner; plain fork-join when the runtime carries no tuner.
 pub struct TunedExecutor {
     rt: Arc<Op2Runtime>,

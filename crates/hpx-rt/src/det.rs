@@ -265,11 +265,6 @@ impl DetPool {
         while self.inner.try_execute_one() {}
     }
 
-    /// Number of tasks currently runnable.
-    pub fn runnable_len(&self) -> usize {
-        self.inner.state.lock().runnable.len()
-    }
-
     /// Convenience for doctests/examples: run `body` against this pool and
     /// return the resulting schedule string.
     pub fn replay(&self, body: impl FnOnce(&DetPool)) -> String {

@@ -1,12 +1,11 @@
 //! Dats — data attached to the elements of a set.
 //!
 //! Storage is parameterized by a [`Layout`]: element-major AoS (the
-//! default, and OP2's native CPU layout), component-major SoA, or blocked
-//! AoSoA with a tunable lane width. The layout is fixed at construction and
-//! hidden behind the same `data`/`view` API, so kernels written against
-//! [`DatView`] accessors (`get`/`set`/`add`/`comp`) are layout-agnostic;
-//! only code that touches raw storage order (`data`, `to_vec`) sees the
-//! difference.
+//! default, and OP2's native CPU layout) or component-major SoA. The layout
+//! is fixed at construction and hidden behind the same `data`/`view` API, so
+//! kernels written against [`DatView`] accessors (`get`/`set`/`add`/`comp`)
+//! are layout-agnostic; only code that touches raw storage order (`data`,
+//! `to_vec`) sees the difference.
 
 use std::fmt;
 use std::sync::Arc;
@@ -23,42 +22,24 @@ use crate::set::Set;
 ///
 /// * `Aos` — `e*dim + j` (element-major, OP2's default);
 /// * `Soa` — `j*n + e` (component-major; unit stride across elements, so
-///   direct loops over one component autovectorize);
-/// * `AoSoA { block: w }` — `(e/w)*dim*w + j*w + e%w` (blocks of `w`
-///   elements stored SoA-within-block; unit stride across a lane block,
-///   cache-local across components). Storage is padded to a whole number
-///   of blocks; pad lanes replicate the last real element so NaN guards
-///   stay quiet.
+///   direct loops over one component autovectorize).
+///
+/// Both store exactly `n * dim` values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Layout {
     /// Array-of-structures: `e*dim + j`.
     Aos,
     /// Structure-of-arrays: `j*n + e`.
     Soa,
-    /// Blocked AoSoA with `block` lanes: `(e/block)*dim*block + j*block + e%block`.
-    AoSoA {
-        /// Lane-block width (must be > 0; 4–16 suit f64 SIMD widths).
-        block: usize,
-    },
 }
 
 impl Layout {
-    /// Raw storage length for `n` elements × `dim` components (includes
-    /// AoSoA tail padding).
-    pub fn storage_len(self, n: usize, dim: usize) -> usize {
-        match self {
-            Layout::Aos | Layout::Soa => n * dim,
-            Layout::AoSoA { block } => n.div_ceil(block.max(1)) * block.max(1) * dim,
-        }
-    }
-
     /// Raw index of component `j` of element `e`.
     #[inline(always)]
     pub fn index(self, e: usize, j: usize, n: usize, dim: usize) -> usize {
         match self {
             Layout::Aos => e * dim + j,
             Layout::Soa => j * n + e,
-            Layout::AoSoA { block } => (e / block) * (dim * block) + j * block + (e % block),
         }
     }
 
@@ -68,13 +49,12 @@ impl Layout {
         dim == 1 || matches!(self, Layout::Aos)
     }
 
-    /// Stable short label (`aos`, `soa`, `aosoa8`) for artifacts and the
-    /// tuner's persisted models.
-    pub fn label(self) -> String {
+    /// Stable short label (`aos`, `soa`) for artifacts and the tuner's
+    /// persisted models.
+    pub fn label(self) -> &'static str {
         match self {
-            Layout::Aos => "aos".into(),
-            Layout::Soa => "soa".into(),
-            Layout::AoSoA { block } => format!("aosoa{block}"),
+            Layout::Aos => "aos",
+            Layout::Soa => "soa",
         }
     }
 
@@ -83,10 +63,7 @@ impl Layout {
         match s {
             "aos" => Some(Layout::Aos),
             "soa" => Some(Layout::Soa),
-            _ => {
-                let block: usize = s.strip_prefix("aosoa")?.parse().ok()?;
-                (block > 0).then_some(Layout::AoSoA { block })
-            }
+            _ => None,
         }
     }
 }
@@ -99,7 +76,7 @@ impl Default for Layout {
 
 impl fmt::Display for Layout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
+        f.write_str(self.label())
     }
 }
 
@@ -122,11 +99,6 @@ pub enum DatError {
         /// Declared components per element.
         dim: usize,
     },
-    /// AoSoA lane-block width of 0.
-    ZeroBlock {
-        /// Declared dat name.
-        name: String,
-    },
 }
 
 impl fmt::Display for DatError {
@@ -144,9 +116,6 @@ impl fmt::Display for DatError {
                 f,
                 "dat {name}: data length {len} != set.size {set_size} * dim {dim}"
             ),
-            DatError::ZeroBlock { name } => {
-                write!(f, "dat {name}: AoSoA block width must be positive")
-            }
         }
     }
 }
@@ -159,10 +128,9 @@ struct DatInner<T> {
     set: Set,
     dim: usize,
     layout: Layout,
-    /// Storage in `layout` order (see [`Layout`] for the index formulas;
-    /// AoSoA includes tail padding). The box is never resized, so the
-    /// payload address is stable and raw views stay valid for the lifetime
-    /// of the dat.
+    /// Storage in `layout` order (see [`Layout`] for the index formulas).
+    /// The box is never resized, so the payload address is stable and raw
+    /// views stay valid for the lifetime of the dat.
     data: RwLock<Box<[T]>>,
 }
 
@@ -215,8 +183,7 @@ impl<T: Copy + Send + Sync + 'static> Dat<T> {
 
     /// Declare a dat with an explicit storage [`Layout`]. `data` is always
     /// supplied element-major (AoS canonical order) and is converted into
-    /// the requested layout; AoSoA tail padding replicates the last
-    /// element's components (so finite data stays finite through guards).
+    /// the requested layout.
     ///
     /// # Panics
     /// As [`Dat::new`]; use [`Dat::try_with_layout`] for a typed error.
@@ -245,9 +212,6 @@ impl<T: Copy + Send + Sync + 'static> Dat<T> {
         if dim == 0 {
             return Err(DatError::ZeroDim { name });
         }
-        if let Layout::AoSoA { block: 0 } = layout {
-            return Err(DatError::ZeroBlock { name });
-        }
         let n = set.size();
         if data.len() != n * dim {
             return Err(DatError::LengthMismatch {
@@ -260,18 +224,10 @@ impl<T: Copy + Send + Sync + 'static> Dat<T> {
         let storage = match (layout, data.first().copied()) {
             (Layout::Aos, _) | (_, None) => data,
             (_, Some(fill)) => {
-                let mut out = vec![fill; layout.storage_len(n, dim)];
+                let mut out = vec![fill; n * dim];
                 for e in 0..n {
                     for j in 0..dim {
                         out[layout.index(e, j, n, dim)] = data[e * dim + j];
-                    }
-                }
-                if let Layout::AoSoA { block } = layout {
-                    // Pad lanes replicate the last real element.
-                    for e in n..n.div_ceil(block) * block {
-                        for j in 0..dim {
-                            out[layout.index(e, j, n, dim)] = data[(n - 1) * dim + j];
-                        }
                     }
                 }
                 out
@@ -365,19 +321,10 @@ impl<T: Copy + Send + Sync + 'static> Dat<T> {
         let mut guard = self.data_mut();
         match layout {
             Layout::Aos => guard.copy_from_slice(aos),
-            _ => {
+            Layout::Soa => {
                 for e in 0..n {
                     for j in 0..dim {
                         guard[layout.index(e, j, n, dim)] = aos[e * dim + j];
-                    }
-                }
-                if let Layout::AoSoA { block } = layout {
-                    if n > 0 {
-                        for e in n..n.div_ceil(block) * block {
-                            for j in 0..dim {
-                                guard[layout.index(e, j, n, dim)] = aos[(n - 1) * dim + j];
-                            }
-                        }
                     }
                 }
             }
@@ -391,33 +338,10 @@ impl<T: Copy + Send + Sync + 'static> Dat<T> {
         self.data()[self.inner.layout.index(e, j, n, self.inner.dim)]
     }
 
-    /// Layout-independent single-value write (locked; setup only). Keeps
-    /// AoSoA pad lanes in sync when writing the last element.
+    /// Layout-independent single-value write (locked; setup only).
     pub fn set_at(&self, e: usize, j: usize, v: T) {
         let n = self.inner.set.size();
-        let dim = self.inner.dim;
-        let layout = self.inner.layout;
-        let mut guard = self.data_mut();
-        guard[layout.index(e, j, n, dim)] = v;
-        if let Layout::AoSoA { block } = layout {
-            if e + 1 == n {
-                for pad in n..n.div_ceil(block) * block {
-                    guard[layout.index(pad, j, n, dim)] = v;
-                }
-            }
-        }
-    }
-
-    /// A copy of this dat converted to `layout` (fresh identity, same name,
-    /// set, dim, and contents).
-    pub fn relayout(&self, layout: Layout) -> Dat<T> {
-        Dat::with_layout(
-            self.inner.name.clone(),
-            &self.inner.set,
-            self.inner.dim,
-            layout,
-            self.to_aos_vec(),
-        )
+        self.data_mut()[self.inner.layout.index(e, j, n, self.inner.dim)] = v;
     }
 
     /// Reorder elements in place under a permutation `old_of_new`
@@ -756,7 +680,7 @@ impl<T: Copy + std::ops::AddAssign> DatView<T> {
 /// loops.
 ///
 /// `stride()` gives the distance between consecutive elements' slots (1 for
-/// SoA and for AoSoA within a lane block, `dim` for AoS);
+/// SoA, `dim` for AoS);
 /// [`CompView::contiguous`]/[`CompView::contiguous_mut`] hand out a plain
 /// slice whenever a requested element range is unit-stride in storage.
 pub struct CompView<T> {
@@ -802,7 +726,6 @@ impl<T: Copy> CompView<T> {
         match self.layout {
             Layout::Aos => self.dim,
             Layout::Soa => 1,
-            Layout::AoSoA { .. } => 1,
         }
     }
 
@@ -836,19 +759,9 @@ impl<T: Copy> CompView<T> {
     }
 
     /// True when elements `range` occupy consecutive storage slots for this
-    /// component: SoA always; AoS only when `dim == 1`; AoSoA when the
-    /// range stays inside one lane block.
+    /// component: SoA always; AoS only when `dim == 1`.
     pub fn unit_stride(&self, range: &std::ops::Range<usize>) -> bool {
-        if range.len() <= 1 {
-            return true;
-        }
-        match self.layout {
-            Layout::Soa => true,
-            Layout::Aos => self.dim == 1,
-            Layout::AoSoA { block } => {
-                self.dim == 1 || range.start / block == (range.end - 1) / block
-            }
-        }
+        range.len() <= 1 || self.stride() == 1
     }
 
     /// The elements of `range` as a contiguous slice, when the layout stores
@@ -951,10 +864,6 @@ mod tests {
             Dat::try_new("q", &cells, 0, vec![0.0f64; 0]),
             Err(DatError::ZeroDim { .. })
         ));
-        assert!(matches!(
-            Dat::try_with_layout("q", &cells, 2, Layout::AoSoA { block: 0 }, vec![0.0f64; 6]),
-            Err(DatError::ZeroBlock { .. })
-        ));
     }
 
     #[test]
@@ -973,20 +882,14 @@ mod tests {
         let (n, dim) = (5usize, 3usize);
         assert_eq!(Layout::Aos.index(2, 1, n, dim), 7);
         assert_eq!(Layout::Soa.index(2, 1, n, dim), 5 + 2);
-        let l = Layout::AoSoA { block: 4 };
-        // e=2 in block 0: j*4 + 2; e=4 in block 1: 12 + j*4 + 0.
-        assert_eq!(l.index(2, 1, n, dim), 6);
-        assert_eq!(l.index(4, 2, n, dim), 12 + 8);
-        assert_eq!(l.storage_len(n, dim), 2 * 4 * 3);
-        assert_eq!(Layout::Soa.storage_len(n, dim), 15);
     }
 
     #[test]
     fn layout_labels_roundtrip() {
-        for l in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 8 }] {
-            assert_eq!(Layout::parse(&l.label()), Some(l));
+        for l in [Layout::Aos, Layout::Soa] {
+            assert_eq!(Layout::parse(l.label()), Some(l));
         }
-        assert_eq!(Layout::parse("aosoa0"), None);
+        assert_eq!(Layout::parse("soa8"), None);
         assert_eq!(Layout::parse("garbage"), None);
     }
 
@@ -1005,30 +908,10 @@ mod tests {
     }
 
     #[test]
-    fn aosoa_pads_with_last_element() {
-        let cells = Set::new("cells", 5);
-        let aos: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let d = Dat::with_layout("q", &cells, 2, Layout::AoSoA { block: 4 }, aos.clone());
-        assert_eq!(d.to_vec().len(), 2 * 4 * 2);
-        assert_eq!(d.to_aos_vec(), aos);
-        // Pad lanes replicate element 4 = (8.0, 9.0): finite stays finite.
-        let raw = d.to_vec();
-        let l = Layout::AoSoA { block: 4 };
-        for pad in 5..8 {
-            assert_eq!(raw[l.index(pad, 0, 5, 2)], 8.0);
-            assert_eq!(raw[l.index(pad, 1, 5, 2)], 9.0);
-        }
-        // Writing the last element keeps pads in sync.
-        d.set_at(4, 0, -1.0);
-        let raw = d.to_vec();
-        assert_eq!(raw[l.index(6, 0, 5, 2)], -1.0);
-    }
-
-    #[test]
     fn view_layout_agnostic_accessors_agree() {
         let cells = Set::new("cells", 7);
         let aos: Vec<f64> = (0..21).map(|i| i as f64 * 0.5).collect();
-        for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 4 }] {
+        for layout in [Layout::Aos, Layout::Soa] {
             let d = Dat::with_layout("q", &cells, 3, layout, aos.clone());
             let v = d.view();
             unsafe {
@@ -1068,26 +951,13 @@ mod tests {
             assert!(c0.contiguous(0..6).is_none()); // dim 2 AoS: never unit stride
             assert_eq!(c0.get(3), 6.0);
         }
-
-        let blocked = Dat::with_layout("q", &cells, 2, Layout::AoSoA { block: 4 }, aos.clone());
-        let b0 = blocked.view().comp(0);
-        unsafe {
-            // Within one lane block: contiguous.
-            assert_eq!(b0.contiguous(0..4).unwrap(), &[0.0, 2.0, 4.0, 6.0]);
-            // Straddling blocks: not contiguous.
-            assert!(b0.contiguous(2..6).is_none());
-        }
     }
 
     #[test]
-    fn relayout_and_permute() {
+    fn soa_permute() {
         let cells = Set::new("cells", 4);
         let aos: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        let d = Dat::new("q", &cells, 2, aos.clone());
-        let s = d.relayout(Layout::Soa);
-        assert_eq!(s.layout(), Layout::Soa);
-        assert_eq!(s.to_aos_vec(), aos);
-        assert_ne!(s.id(), d.id());
+        let s = Dat::with_layout("q", &cells, 2, Layout::Soa, aos);
 
         // perm[new] = old: reverse the elements.
         s.permute(&[3, 2, 1, 0]);

@@ -148,16 +148,6 @@ pub fn enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0 && DETECTOR.with(|d| d.borrow().is_some())
 }
 
-/// Reports collected so far (without disabling).
-pub fn reports_so_far() -> Vec<RaceReport> {
-    DETECTOR.with(|d| {
-        d.borrow()
-            .as_ref()
-            .map(|det| det.reports.clone())
-            .unwrap_or_default()
-    })
-}
-
 /// Start a new exclusivity epoch (one per color of one loop execution) and
 /// return its id. Blocks of different epochs never conflict.
 pub fn begin_epoch() -> u64 {

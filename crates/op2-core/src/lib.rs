@@ -47,7 +47,7 @@ pub use arg::{arg_direct, arg_indirect, ArgSpec, MapRef};
 pub use dat::{CompView, Dat, DatError, DatView, Layout};
 pub use loops::{KernelFn, ParLoop, ParLoopBuilder};
 pub use map::{Map, MapError};
-pub use plan::{ColoringStrategy, Plan, PlanCache, PlanError, PlanKey, PlanParams};
+pub use plan::{Plan, PlanCache, PlanError, PlanKey};
 pub use renumber::MeshPermutation;
 pub use snapshot::{DatSnapshot, Footprint, RawDat, WriteFootprint};
 pub use reduction::{GblOp, GlobalAcc};

@@ -28,73 +28,6 @@ use crate::set::Set;
 /// Default mini-partition size (elements per block). OP2's common default.
 pub const DEFAULT_PART_SIZE: usize = 256;
 
-/// Block-coloring strategy.
-///
-/// Both strategies honor the same invariant (same-colored blocks have
-/// disjoint indirect-write footprints); they differ in *which* admissible
-/// color a block gets, which moves the color-population balance — and with it
-/// the per-color barrier cost — without affecting correctness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ColoringStrategy {
-    /// First-fit: lowest admissible color, ascending block order (OP2's
-    /// classic `op_plan` behavior; minimizes the number of colors).
-    #[default]
-    Greedy,
-    /// Least-loaded-fit: among admissible colors, pick the one with the
-    /// fewest blocks so far (ties break toward the lowest color). May use a
-    /// color or two more than first-fit, but the parallel width per color is
-    /// flatter — fewer straggler colors with one block each.
-    Balanced,
-}
-
-impl ColoringStrategy {
-    /// Stable short name (used in tune stores, reports, and hashes).
-    pub fn name(self) -> &'static str {
-        match self {
-            ColoringStrategy::Greedy => "greedy",
-            ColoringStrategy::Balanced => "balanced",
-        }
-    }
-
-    /// Parse [`ColoringStrategy::name`] back; `None` for unknown spellings.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "greedy" => Some(ColoringStrategy::Greedy),
-            "balanced" => Some(ColoringStrategy::Balanced),
-            _ => None,
-        }
-    }
-}
-
-/// The tunable knobs a plan is built from. Everything else a plan contains is
-/// a pure function of `(set, args)` and these parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanParams {
-    /// Mini-partition (block) size.
-    pub part_size: usize,
-    /// Block-coloring strategy.
-    pub coloring: ColoringStrategy,
-}
-
-impl Default for PlanParams {
-    fn default() -> Self {
-        PlanParams {
-            part_size: DEFAULT_PART_SIZE,
-            coloring: ColoringStrategy::Greedy,
-        }
-    }
-}
-
-impl PlanParams {
-    /// Default coloring with an explicit block size.
-    pub fn with_part_size(part_size: usize) -> Self {
-        PlanParams {
-            part_size,
-            coloring: ColoringStrategy::Greedy,
-        }
-    }
-}
-
 /// Why a plan failed validation — typed so executors can surface a broken
 /// plan as a recoverable error instead of a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,8 +94,6 @@ pub struct Plan {
     pub set_size: usize,
     /// Mini-partition size used to build the blocks.
     pub part_size: usize,
-    /// Coloring strategy the plan was built with.
-    pub coloring: ColoringStrategy,
     /// Contiguous element ranges, one per block, in ascending order.
     pub blocks: Vec<Range<usize>>,
     /// Color of each block.
@@ -180,20 +111,11 @@ impl Plan {
     ///
     /// Coloring considers every argument that *writes through a map*
     /// (`OP_INC`, `OP_WRITE`, `OP_RW` with a map); if there are none, all
-    /// blocks share color 0.
-    ///
-    /// # Panics
-    /// Panics if more than 64 colors would be required (never the case for
-    /// meshes partitioned with sane block sizes).
+    /// blocks share color 0. Blocks take the lowest admissible color in
+    /// ascending block order (OP2's first-fit `op_plan`).
     pub fn build(set: &Set, args: &[ArgSpec], part_size: usize) -> Plan {
-        Plan::build_with(set, args, PlanParams::with_part_size(part_size))
-    }
-
-    /// [`Plan::build`] with full [`PlanParams`] (block size *and* coloring
-    /// strategy).
-    pub fn build_with(set: &Set, args: &[ArgSpec], params: PlanParams) -> Plan {
         let n = set.size();
-        let part_size = params.part_size.max(1);
+        let part_size = part_size.max(1);
         let nblocks = n.div_ceil(part_size);
         let blocks: Vec<Range<usize>> = (0..nblocks)
             .map(|b| b * part_size..((b + 1) * part_size).min(n))
@@ -220,7 +142,6 @@ impl Plan {
             return Plan {
                 set_size: n,
                 part_size,
-                coloring: params.coloring,
                 blocks,
                 block_colors,
                 ncolors,
@@ -242,9 +163,6 @@ impl Plan {
 
         let mut block_colors = vec![0u32; nblocks];
         let mut ncolors = 0u32;
-        // Blocks assigned per color so far (Balanced picks the least-loaded
-        // admissible color instead of the lowest one).
-        let mut color_load: Vec<usize> = Vec::new();
         let mut forbidden: Vec<u64> = Vec::new();
         for (b, range) in blocks.iter().enumerate() {
             forbidden.clear();
@@ -258,17 +176,7 @@ impl Plan {
                     }
                 }
             }
-            let picked = match params.coloring {
-                ColoringStrategy::Greedy => first_zero_bit(&forbidden),
-                // Only colors already in use are candidates for balancing; a
-                // brand-new color (load 0) would always win and degenerate
-                // into one block per color.
-                ColoringStrategy::Balanced => (0..ncolors)
-                    .filter(|&c| forbidden[c as usize / 64] & (1u64 << (c % 64)) == 0)
-                    .min_by_key(|&c| color_load[c as usize])
-                    .or_else(|| first_zero_bit(&forbidden)),
-            };
-            let color = match picked {
+            let color = match first_zero_bit(&forbidden) {
                 Some(c) => c,
                 None => {
                     // All current words saturated: widen every mask by one
@@ -283,8 +191,6 @@ impl Plan {
             };
             block_colors[b] = color;
             ncolors = ncolors.max(color + 1);
-            color_load.resize(ncolors as usize, 0);
-            color_load[color as usize] += 1;
             let (word, bit) = (color as usize / 64, color as usize % 64);
             for (map, idx) in &write_refs {
                 let mask = masks.get_mut(&map.id()).expect("mask pre-inserted");
@@ -307,7 +213,6 @@ impl Plan {
         Plan {
             set_size: n,
             part_size,
-            coloring: params.coloring,
             blocks,
             block_colors,
             ncolors,
@@ -416,23 +321,18 @@ fn widen(mask: &[u64], words: usize) -> Vec<u64> {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     set_id: u64,
-    params: PlanParams,
+    part_size: usize,
     args: Vec<(u64, u64, usize, &'static str)>,
 }
 
 impl PlanKey {
-    /// Build the key for `(set, args, part_size)` with default coloring.
+    /// Build the key for `(set, args, part_size)`. The block size is part of
+    /// the key: two jobs tuned to different block sizes must never share a
+    /// plan.
     pub fn new(set: &Set, args: &[ArgSpec], part_size: usize) -> Self {
-        PlanKey::new_with(set, args, PlanParams::with_part_size(part_size))
-    }
-
-    /// Build the key for `(set, args, params)`. Every tunable plan parameter
-    /// is part of the key: two jobs tuned to different block sizes or
-    /// coloring strategies must never share a plan.
-    pub fn new_with(set: &Set, args: &[ArgSpec], params: PlanParams) -> Self {
         PlanKey {
             set_id: set.id(),
-            params,
+            part_size,
             args: args
                 .iter()
                 .map(|a| {
@@ -462,32 +362,15 @@ pub fn topology_hash(
     part_size: usize,
     map_hash: &mut impl FnMut(&crate::map::Map) -> u64,
 ) -> u64 {
-    topology_hash_with(
-        set,
-        args,
-        PlanParams::with_part_size(part_size),
-        map_hash,
-    )
-}
-
-/// [`topology_hash`] with full [`PlanParams`]: the coloring strategy is part
-/// of the content address, for the same reason it is part of [`PlanKey`].
-pub fn topology_hash_with(
-    set: &Set,
-    args: &[ArgSpec],
-    params: PlanParams,
-    map_hash: &mut impl FnMut(&crate::map::Map) -> u64,
-) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     loop_shape_hash(set, args, map_hash, &mut h);
-    params.part_size.hash(&mut h);
-    params.coloring.name().hash(&mut h);
+    part_size.hash(&mut h);
     h.finish()
 }
 
 /// Content hash of the *loop shape alone* — set size, access pattern, and map
-/// contents, with **no plan parameters mixed in**. This is the mesh-topology
-/// half of a tuner decision key: all plan-parameter candidates for one loop
+/// contents, with **no block size mixed in**. This is the mesh-topology
+/// half of a tuner decision key: all block-size candidates for one loop
 /// share this hash, so a tune store addressed by it survives retuning.
 pub fn loop_topology(
     set: &Set,
@@ -552,28 +435,22 @@ impl PlanCache {
         Self::default()
     }
 
-    /// Get or build the plan for `(set, args, part_size)` with default
-    /// coloring.
+    /// Get or build the plan for `(set, args, part_size)`. Both cache tiers
+    /// key on the block size, so jobs tuned to different block sizes get
+    /// distinct plans.
     pub fn get(&self, set: &Set, args: &[ArgSpec], part_size: usize) -> Arc<Plan> {
-        self.get_with(set, args, PlanParams::with_part_size(part_size))
-    }
-
-    /// Get or build the plan for `(set, args, params)`. Both cache tiers key
-    /// on the full parameter set, so jobs tuned to different block sizes or
-    /// coloring strategies get distinct plans.
-    pub fn get_with(&self, set: &Set, args: &[ArgSpec], params: PlanParams) -> Arc<Plan> {
-        let key = PlanKey::new_with(set, args, params);
+        let key = PlanKey::new(set, args, part_size);
         if let Some(p) = self.plans.lock().get(&key) {
             return Arc::clone(p);
         }
         // Identity miss: fall through to the content-addressed tier.
-        let topo = topology_hash_with(set, args, params, &mut |m| self.hash_map_table(m));
+        let topo = topology_hash(set, args, part_size, &mut |m| self.hash_map_table(m));
         let slot = Arc::clone(self.topo.lock().entry(topo).or_default());
         let mut built_here = false;
         let plan = Arc::clone(slot.get_or_init(|| {
             built_here = true;
             self.builds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(Plan::build_with(set, args, params))
+            Arc::new(Plan::build(set, args, part_size))
         }));
         if !built_here {
             self.topo_hits.fetch_add(1, Ordering::Relaxed);
@@ -789,90 +666,44 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
-    #[test]
-    fn balanced_coloring_valid_and_flatter() {
-        for part in [1, 3, 7, 50, 128] {
-            let edges = Set::new("edges", 1000);
-            let cells = Set::new("cells", 1001);
-            let mut table = Vec::with_capacity(2000);
-            for e in 0..1000u32 {
-                table.push(e);
-                table.push(e + 1);
-            }
-            let m = Map::new("pecell", &edges, &cells, 2, table);
-            let res = Dat::filled("res", &cells, 1, 0.0f64);
-            let args = vec![
-                arg_indirect(&res, 0, &m, Access::Inc),
-                arg_indirect(&res, 1, &m, Access::Inc),
-            ];
-            let params = PlanParams {
-                part_size: part,
-                coloring: ColoringStrategy::Balanced,
-            };
-            let plan = Plan::build_with(&edges, &args, params);
-            assert_eq!(plan.coloring, ColoringStrategy::Balanced);
-            plan.validate(&args)
-                .unwrap_or_else(|e| panic!("part={part}: {e}"));
-            // Balanced must not fragment: no more colors than blocks, and for
-            // the chain the color count stays small.
-            assert!(plan.ncolors as usize <= plan.nblocks().max(1));
-        }
-    }
-
     /// Regression (tuning collision): two callers asking for the *same*
-    /// topology with different plan parameters must get different plans from
-    /// both cache tiers — before parameters entered the topology hash, the
-    /// content-addressed tier could serve a plan built for another job's
+    /// topology with different block sizes must get different plans from
+    /// both cache tiers — before the block size entered the topology hash,
+    /// the content-addressed tier could serve a plan built for another job's
     /// tuned block size.
     #[test]
     fn cache_keys_distinguish_plan_params() {
         let (set, args, _plan) = chain(400, 16);
         let cache = PlanCache::new();
-        let greedy = cache.get_with(
-            &set,
-            &args,
-            PlanParams {
-                part_size: 16,
-                coloring: ColoringStrategy::Greedy,
-            },
+        let mut map_hash = |m: &Map| cache.hash_map_table(m);
+        assert_ne!(
+            topology_hash(&set, &args, 16, &mut map_hash),
+            topology_hash(&set, &args, 64, &mut map_hash),
+            "part_size ignored by topology_hash"
         );
-        let balanced = cache.get_with(
-            &set,
-            &args,
-            PlanParams {
-                part_size: 16,
-                coloring: ColoringStrategy::Balanced,
-            },
-        );
-        let coarse = cache.get_with(
-            &set,
-            &args,
-            PlanParams {
-                part_size: 64,
-                coloring: ColoringStrategy::Greedy,
-            },
-        );
-        assert!(!Arc::ptr_eq(&greedy, &balanced), "coloring ignored by key");
-        assert!(!Arc::ptr_eq(&greedy, &coarse), "part_size ignored by key");
-        assert_eq!(cache.builds(), 3, "each parameter set built its own plan");
-        assert_eq!(greedy.part_size, 16);
-        assert_eq!(coarse.part_size, 64);
-        assert_eq!(balanced.coloring, ColoringStrategy::Balanced);
+        assert_ne!(PlanKey::new(&set, &args, 16), PlanKey::new(&set, &args, 64));
 
-        // And the content-addressed tier still dedupes across *identical*
-        // params on a structurally-equal fresh mesh.
+        let fine = cache.get(&set, &args, 16);
+        let coarse = cache.get(&set, &args, 64);
+        assert!(!Arc::ptr_eq(&fine, &coarse), "part_size ignored by key");
+        assert_eq!(cache.builds(), 2, "each block size built its own plan");
+        assert_eq!(fine.part_size, 16);
+        assert_eq!(coarse.part_size, 64);
+
+        // The content-addressed tier dedupes *identical* block sizes on a
+        // structurally-equal fresh mesh, and keeps different ones apart.
         let (set2, args2, _p) = chain(400, 16);
-        let again = cache.get_with(
-            &set2,
-            &args2,
-            PlanParams {
-                part_size: 16,
-                coloring: ColoringStrategy::Greedy,
-            },
+        let mut map_hash = |m: &Map| cache.hash_map_table(m);
+        assert_eq!(
+            topology_hash(&set, &args, 16, &mut map_hash),
+            topology_hash(&set2, &args2, 16, &mut map_hash)
         );
-        assert!(Arc::ptr_eq(&greedy, &again));
+        assert!(Arc::ptr_eq(&fine, &cache.get(&set2, &args2, 16)));
+        assert!(Arc::ptr_eq(&coarse, &cache.get(&set2, &args2, 64)));
+        let medium = cache.get(&set2, &args2, 32);
+        assert_eq!(medium.part_size, 32);
         assert_eq!(cache.builds(), 3);
-        assert_eq!(cache.topo_hits(), 1);
+        assert_eq!(cache.topo_hits(), 2);
     }
 
     #[test]

@@ -102,8 +102,7 @@ impl<T: Copy + Send + Sync + 'static> RawDat for Dat<T> {
                 .position(|v| !v.is_finite())
                 .map(|i| (i / dim, i % dim)),
             layout => {
-                // Walk elements in canonical order (skips AoSoA pad lanes,
-                // which merely replicate the last real element).
+                // Walk elements in canonical order.
                 let n = self.set().size();
                 for e in 0..n {
                     for j in 0..dim {
@@ -282,15 +281,14 @@ mod tests {
         assert_eq!(raw.find_nonfinite(), None);
     }
 
-    /// Raw storage bits, pad lanes included.
+    /// Raw storage bits.
     fn raw_bits(d: &Dat<f64>) -> Vec<u64> {
         d.to_vec().into_iter().map(f64::to_bits).collect()
     }
 
     #[test]
     fn row_snapshot_restores_its_rows_bit_exactly_and_nothing_else() {
-        // 10 elements in tiles of 4: elements 8 and 9 sit in the last, padded
-        // tile. Values carry a negative zero and NaNs with distinct payloads.
+        // Values carry a negative zero and NaNs with distinct payloads.
         let (n, dim) = (10, 3);
         let cells = Set::new("cells", n);
         let init: Vec<f64> = (0..n * dim)
@@ -300,7 +298,7 @@ mod tests {
                 _ => i as f64 * 0.5,
             })
             .collect();
-        for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 4 }] {
+        for layout in [Layout::Aos, Layout::Soa] {
             let d = Dat::with_layout("q", &cells, dim, layout, init.clone());
             let before = raw_bits(&d);
             let rows: Arc<[u32]> = vec![0, 3, 9].into();

@@ -412,22 +412,10 @@ impl Comm {
         self.shared.plan.as_ref()
     }
 
-    /// Snapshot of the fabric-wide fault/robustness counters.
-    pub fn fault_report(&self) -> FaultReport {
-        self.shared.stats.report()
-    }
-
     /// True if a rank failure has been flagged and a re-formation
     /// ([`Comm::recover`]) is pending.
     pub fn recovery_pending(&self) -> bool {
         self.shared.rec_flag.load(Ordering::SeqCst)
-    }
-
-    /// Ranks currently alive (not yet declared failed), ascending.
-    pub fn alive_ranks(&self) -> Vec<usize> {
-        (0..self.shared.nranks)
-            .filter(|&r| self.shared.alive[r].load(Ordering::SeqCst))
-            .collect()
     }
 
     /// Record a liveness heartbeat for this rank. Called automatically

@@ -71,20 +71,6 @@ pub fn run_solo(
     program(&ctx)
 }
 
-/// [`run_solo`] on a deterministic single-threaded pool (seeded), matching
-/// the service's [`crate::PoolMode::DetPerJob`] shape.
-pub fn run_solo_det(
-    program: Program,
-    seed: u64,
-    part_size: usize,
-    backend: BackendKind,
-    retry: RetryPolicy,
-) -> Result<JobOutput, JobError> {
-    let rt = Arc::new(Op2Runtime::deterministic(seed, part_size));
-    let ctx = JobCtx::standalone(rt, backend, retry);
-    program(&ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

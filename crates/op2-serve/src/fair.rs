@@ -28,7 +28,6 @@ use std::collections::{BTreeMap, HashMap};
 const VT_SHIFT: u32 = 16;
 
 struct Entry<T> {
-    tenant: String,
     vstart: u128,
     item: T,
 }
@@ -72,14 +71,7 @@ impl<T> FairQueue<T> {
         self.vlast.insert(tenant.to_owned(), vfinish);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.insert(
-            (vfinish, seq),
-            Entry {
-                tenant: tenant.to_owned(),
-                vstart,
-                item,
-            },
-        );
+        self.queue.insert((vfinish, seq), Entry { vstart, item });
     }
 
     /// Dispatch the job with the smallest virtual finish time (ties broken
@@ -95,11 +87,6 @@ impl<T> FairQueue<T> {
     pub fn drain(&mut self) -> Vec<T> {
         let drained = std::mem::take(&mut self.queue);
         drained.into_values().map(|e| e.item).collect()
-    }
-
-    /// Tenant of the next job to be dispatched (observability).
-    pub fn peek_tenant(&self) -> Option<&str> {
-        self.queue.values().next().map(|e| e.tenant.as_str())
     }
 
     pub fn len(&self) -> usize {

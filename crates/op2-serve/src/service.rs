@@ -42,7 +42,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::admission::{AdmissionError, QuotaSpec, TokenBucket};
 use crate::fair::FairQueue;
 use crate::job::{JobCtx, JobError, JobHandle, JobOutcome, JobSpec, Priority, Program};
-use crate::journal::{JobJournal, JournalStats, PendingJob};
+use crate::journal::{JobJournal, PendingJob};
 use crate::report::{LatencyStats, ServiceReport};
 use crate::tracehooks;
 use op2_store::StoreFaultPlan;
@@ -88,7 +88,7 @@ pub struct ServeOptions {
     /// from what tenant A's already taught the tuner.
     pub tuner: Option<Arc<Tuner>>,
     /// Persist/warm-start path for the tuner's [`op2_tune::TuneStore`]:
-    /// loaded (best-effort) at start, saved at `drain`/`shutdown_now`.
+    /// loaded (best-effort) at start, saved at `drain`.
     pub tune_store: Option<PathBuf>,
     /// Wall time worth one quota token: a completed job records
     /// `wall / cost_unit` as its **measured** cost, and admission charges
@@ -492,11 +492,6 @@ impl Service {
         }
     }
 
-    /// The journal's counters, if the service is durable.
-    pub fn journal_stats(&self) -> Option<JournalStats> {
-        self.inner.journal.as_ref().map(|j| j.stats())
-    }
-
     fn try_submit_inner(
         &self,
         spec: JobSpec,
@@ -612,11 +607,6 @@ impl Service {
         }
     }
 
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.inner.state.lock().queue.len()
-    }
-
     /// Snapshot the service statistics.
     pub fn report(&self) -> ServiceReport {
         let stats = self.inner.stats.lock();
@@ -652,35 +642,6 @@ impl Service {
         self.inner.tuner.as_ref()
     }
 
-    /// Per-key tuning provenance: `(loop key, chosen config, converged,
-    /// best observed ns)` for every decision key the tuner has seen —
-    /// which tenant job got which schedule, and why.
-    pub fn tune_snapshot(&self) -> Vec<(String, String, bool, u64)> {
-        self.inner
-            .tuner
-            .as_ref()
-            .map(|t| {
-                t.snapshot()
-                    .into_iter()
-                    .map(|(key, config, converged, best_ns)| {
-                        (
-                            format!(
-                                "{}[n={},{}] @{:016x}",
-                                key.loop_name,
-                                key.set_size,
-                                key.pattern.name(),
-                                key.topo
-                            ),
-                            config,
-                            converged,
-                            best_ns,
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Persist the tuner store if both a tuner and a store path are set.
     fn persist_tuner(&self) {
         if let (Some(tuner), Some(path)) = (&self.inner.tuner, &self.inner.tune_store) {
@@ -698,33 +659,6 @@ impl Service {
             }
         }
         self.inner.cv.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.persist_tuner();
-        self.report()
-    }
-
-    /// Hard stop: shed the queue (each queued job resolves `Cancelled`),
-    /// fire the cancel token of every running job, join dispatchers.
-    pub fn shutdown_now(mut self) -> ServiceReport {
-        let drained = {
-            let mut st = self.inner.state.lock();
-            st.phase = Phase::Closed;
-            for h in &st.running {
-                h.try_cancel();
-            }
-            st.queue.drain()
-        };
-        self.inner.cv.notify_all();
-        let mut n_cancelled = 0u64;
-        for job in drained {
-            if finish_journaled(&self.inner, &job.journal_key, &job.handle, JobOutcome::Cancelled)
-            {
-                n_cancelled += 1;
-            }
-        }
-        self.inner.stats.lock().cancelled += n_cancelled;
         for w in self.workers.drain(..) {
             let _ = w.join();
         }

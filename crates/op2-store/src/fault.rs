@@ -106,15 +106,6 @@ impl StoreFaultPlan {
         StoreFaultPlan::new(0, 0)
     }
 
-    /// Build from `STORE_FAULT_SEED` if set, else `None`. The companion of
-    /// the fabric's `FAULT_SEED` sweep idiom.
-    pub fn from_env(rate: u32) -> Option<StoreFaultPlan> {
-        std::env::var("STORE_FAULT_SEED")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .map(|seed| StoreFaultPlan::new(seed, rate))
-    }
-
     /// Skip injection for the first `n` ops.
     pub fn after_op(mut self, n: u64) -> StoreFaultPlan {
         self.after_op = n;

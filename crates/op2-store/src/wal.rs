@@ -351,11 +351,6 @@ impl Wal {
         self.seg_index
     }
 
-    /// Bytes in the current segment.
-    pub fn segment_len(&self) -> u64 {
-        self.seg_len
-    }
-
     fn rotate(&mut self) -> Result<(), StoreError> {
         self.file.sync_all()?;
         let idx = self.seg_index + 1;

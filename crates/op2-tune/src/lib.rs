@@ -9,7 +9,7 @@
 //!   [`Tuner`];
 //! * **decide** — per decision key `(loop name, set size, indirection
 //!   pattern, mesh-topology hash)` the tuner runs a *deterministic*
-//!   explore-then-exploit search over backend choice and plan parameters,
+//!   explore-then-exploit search over backend choice and plan block size,
 //!   and derives chunk size from measured throughput (replacing the static
 //!   1 %-sample auto-partitioner);
 //! * **persist** — learned configs round-trip through a versioned
@@ -22,10 +22,11 @@
 //! defaults to `DET_SEED`, so tuned runs replay exactly. More importantly,
 //! the tuner only moves **schedule-invariant knobs**: backend and chunk size
 //! never change results (every backend executes the same colored plan with
-//! block-ordered reductions), and plan parameters (block size, coloring) are
-//! explored only for loops whose results are *plan-order invariant* — no
-//! indirect writes and no global reduction. Loops outside that class keep
-//! their default plan, so a tuned run is bit-identical to an untuned one.
+//! block-ordered reductions), and the plan block size is explored only for
+//! loops whose results are *plan-order invariant* — no indirect writes and no
+//! global reduction. Loops outside that class keep their default plan (the
+//! executor drops any block size a decision or a warm store carries for
+//! them), so a tuned run is bit-identical to an untuned one.
 
 #![warn(missing_docs)]
 
@@ -41,7 +42,6 @@ use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-use op2_core::plan::{ColoringStrategy, PlanParams};
 use op2_core::Layout;
 
 /// Backend selection as plain data. Mirrors the executor factory's
@@ -147,7 +147,7 @@ pub struct TuneContext {
     /// is the caller's default and exploration starts from it).
     pub backends: Vec<BackendChoice>,
     /// True when the loop's results cannot depend on plan order (no indirect
-    /// writes, no global reduction): plan parameters may be explored without
+    /// writes, no global reduction): the block size may be explored without
     /// breaking bit-identity.
     pub plan_order_invariant: bool,
     /// Data layouts the caller can *rebuild its dats in* beyond the declared
@@ -168,8 +168,8 @@ pub struct TuneConfig {
     /// Measured-throughput chunk size in *elements*; `None` = backend's own
     /// chunking (the probe-based auto-partitioner).
     pub chunk: Option<usize>,
-    /// Plan parameters; `None` = the runtime's default plan.
-    pub plan: Option<PlanParams>,
+    /// Plan block size (elements per block); `None` = the runtime's default.
+    pub plan: Option<usize>,
     /// Data layout to declare the loop's dats in; `None` = whatever the
     /// caller declared. Schedule-invariant (results are bitwise independent
     /// of layout) but applied at mesh-construction time — see
@@ -194,17 +194,11 @@ impl TuneConfig {
         let chunk = self
             .chunk
             .map_or_else(|| "auto".to_string(), |c| c.to_string());
-        let layout = self
-            .layout
-            .map_or_else(|| "declared".to_string(), |l| l.label());
-        match self.plan {
-            None => format!("{backend}/chunk={chunk}/plan=default/layout={layout}"),
-            Some(p) => format!(
-                "{backend}/chunk={chunk}/plan={}x{}/layout={layout}",
-                p.part_size,
-                p.coloring.name()
-            ),
-        }
+        let plan = self
+            .plan
+            .map_or_else(|| "default".to_string(), |p| p.to_string());
+        let layout = self.layout.map_or("declared", Layout::label);
+        format!("{backend}/chunk={chunk}/plan={plan}/layout={layout}")
     }
 }
 
@@ -510,18 +504,15 @@ impl Tuner {
     }
 
     /// Warm-start from a persisted store: every entry whose topology hash
-    /// matches a future key jumps straight to the exploit phase. Entries are
-    /// verified against this tuner's gating — a plan override on an
-    /// indirect-write key is stripped (bit-identity wins over persistence).
+    /// matches a future key jumps straight to the exploit phase. A stored
+    /// block size is kept as data; whether it may move a loop's plan is the
+    /// executor's call, made where the plan is picked.
     pub fn import(&self, store: &TuneStore) {
         let mut states = self.states.lock();
         for e in &store.entries {
-            let Some((key, mut config)) = e.decode() else {
+            let Some((key, config)) = e.decode() else {
                 continue;
             };
-            if key.pattern == IndirectionPattern::IndirectWrite {
-                config.plan = None;
-            }
             states.insert(
                 key,
                 LoopState {
@@ -589,7 +580,7 @@ impl Tuner {
         }
     }
 
-    /// Candidate enumeration: backends × plan parameters, shuffled by the
+    /// Candidate enumeration: backends × block sizes, shuffled by the
     /// seeded PRNG — except the baseline config, which is always measured
     /// first so exploration never starts worse than an untuned run.
     fn candidates(&self, key: &TuneKey, ctx: &TuneContext) -> Vec<TuneConfig> {
@@ -601,7 +592,7 @@ impl Tuner {
         }
         // Tiny sets get a serial candidate — but only when the caller can
         // actually switch backends (an executor with a fixed backend passes
-        // an empty list and explores plan parameters alone).
+        // an empty list and explores block sizes alone).
         if !ctx.backends.is_empty()
             && key.set_size <= self.opts.small_set
             && !backends.contains(&Some(BackendChoice::Serial))
@@ -609,24 +600,14 @@ impl Tuner {
             backends.push(Some(BackendChoice::Serial));
         }
 
-        let mut plans: Vec<Option<PlanParams>> = vec![None];
+        let mut plans: Vec<Option<usize>> = vec![None];
         if ctx.plan_order_invariant {
             let dp = ctx.default_part_size.max(1);
             for part in [dp / 4, dp * 4] {
                 let part = part.clamp(16, key.set_size.max(16));
                 if part != dp {
-                    plans.push(Some(PlanParams {
-                        part_size: part,
-                        coloring: ColoringStrategy::Greedy,
-                    }));
+                    plans.push(Some(part));
                 }
-            }
-            // Balanced coloring only changes anything on multi-color plans.
-            if key.pattern == IndirectionPattern::IndirectWrite {
-                plans.push(Some(PlanParams {
-                    part_size: dp,
-                    coloring: ColoringStrategy::Balanced,
-                }));
             }
         }
 
@@ -795,7 +776,7 @@ mod tests {
         let t = Tuner::with_seed(9);
         let k = key(100_000);
         let mut c = ctx();
-        c.layouts = vec![Layout::Soa, Layout::AoSoA { block: 8 }];
+        c.layouts = vec![Layout::Soa];
         let best = converge(&t, &k, &c, |cfg| match cfg.layout {
             Some(Layout::Soa) => 300,
             _ => 4_000,
@@ -925,6 +906,28 @@ mod tests {
         let cold = Tuner::with_seed(4);
         cold.load(&path).unwrap();
         assert!(cold.decide(&k, &c).trial.is_some(), "unsealed store re-explores");
+
+        // ...and so is an intact version-2 store, whose rows still carry the
+        // `coloring` column.
+        let v3 = t.export().to_json();
+        let v2 = v3
+            .replacen("\"version\":3", "\"version\":2", 1)
+            .replace("\"part_size\":", "\"coloring\":\"greedy\",\"part_size\":");
+        assert!(
+            v2.contains("\"version\":2") && v2.contains("\"coloring\""),
+            "{v2}"
+        );
+        op2_store::write_sealed(&path, v2.as_bytes(), None).unwrap();
+        assert_eq!(
+            TuneStore::load(&path).unwrap_err().kind(),
+            std::io::ErrorKind::InvalidData
+        );
+        let cold = Tuner::with_seed(4);
+        cold.load(&path).unwrap();
+        assert!(
+            cold.decide(&k, &c).trial.is_some(),
+            "version-2 store re-explores"
+        );
 
         // ...but a missing file still surfaces as an ordinary IO error.
         let missing = dir.join("nope.json");

@@ -15,16 +15,15 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use op2_core::plan::{ColoringStrategy, PlanParams};
-
 use crate::{BackendChoice, IndirectionPattern, TuneConfig, TuneKey};
 
 /// Current store schema version. Readers reject other versions (forward and
 /// backward) — a stale store is regenerated in one cold run, which is far
 /// cheaper than debugging a silently misread one.
 ///
-/// v2 added the `layout` column (data-layout knob).
-pub const STORE_VERSION: u64 = 2;
+/// v2 added the `layout` column (data-layout knob); v3 dropped the
+/// `coloring` column (plans have one coloring).
+pub const STORE_VERSION: u64 = 3;
 
 /// One persisted `(decision key → best config)` row. Flat primitives only:
 /// the vendored serde derive handles named-field structs and unit enums, so
@@ -45,8 +44,6 @@ pub struct StoreEntry {
     pub chunk: u64,
     /// Tuned mini-partition size; 0 = default plan.
     pub part_size: u64,
-    /// Coloring strategy name (meaningful only when `part_size > 0`).
-    pub coloring: String,
     /// [`op2_core::Layout::label`], or empty for "declared layout".
     pub layout: String,
     /// Best (min-of-samples) wall time of the winning config when exported, ns.
@@ -65,12 +62,11 @@ impl StoreEntry {
             pattern: key.pattern.name().to_string(),
             backend: config.backend.map_or("", BackendChoice::name).to_string(),
             chunk: config.chunk.unwrap_or(0) as u64,
-            part_size: config.plan.map_or(0, |p| p.part_size as u64),
-            coloring: config
-                .plan
-                .map_or("", |p| p.coloring.name())
+            part_size: config.plan.unwrap_or(0) as u64,
+            layout: config
+                .layout
+                .map_or("", op2_core::Layout::label)
                 .to_string(),
-            layout: config.layout.map_or_else(String::new, |l| l.label()),
             best_ns,
             per_elem_ns,
         }
@@ -84,14 +80,6 @@ impl StoreEntry {
             None
         } else {
             Some(BackendChoice::parse(&self.backend)?)
-        };
-        let plan = if self.part_size == 0 {
-            None
-        } else {
-            Some(PlanParams {
-                part_size: self.part_size as usize,
-                coloring: ColoringStrategy::parse(&self.coloring)?,
-            })
         };
         let layout = if self.layout.is_empty() {
             None
@@ -108,7 +96,7 @@ impl StoreEntry {
             TuneConfig {
                 backend,
                 chunk: (self.chunk > 0).then_some(self.chunk as usize),
-                plan,
+                plan: (self.part_size > 0).then_some(self.part_size as usize),
                 layout,
             },
         ))
@@ -198,7 +186,6 @@ mod tests {
                     backend: "dataflow".into(),
                     chunk: 128,
                     part_size: 0,
-                    coloring: String::new(),
                     layout: "soa".into(),
                     best_ns: 42_000,
                     per_elem_ns: 3.5,
@@ -211,7 +198,6 @@ mod tests {
                     backend: String::new(),
                     chunk: 0,
                     part_size: 1024,
-                    coloring: "greedy".into(),
                     layout: String::new(),
                     best_ns: 9_000,
                     per_elem_ns: 1.0,
@@ -224,8 +210,7 @@ mod tests {
                     backend: String::new(),
                     chunk: 0,
                     part_size: 0,
-                    coloring: String::new(),
-                    layout: "aosoa8".into(),
+                    layout: "aos".into(),
                     best_ns: 5_000,
                     per_elem_ns: 0.6,
                 },

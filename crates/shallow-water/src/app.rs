@@ -535,7 +535,7 @@ mod tests {
     #[test]
     fn span_bodies_match_per_element_reference() {
         type PerElement<'a> = Box<dyn Fn(usize, &mut [f64]) + 'a>;
-        for layout in [Layout::Aos, Layout::Soa, Layout::AoSoA { block: 4 }] {
+        for layout in [Layout::Aos, Layout::Soa] {
             let build = || {
                 let app = SweApp::new(SweConfig {
                     imax: 12,

@@ -386,6 +386,55 @@ fn warm_store_round_trip_skips_exploration() {
     assert_eq!(before.len(), warm.snapshot().len());
 }
 
+/// A warm store can carry a block size for any key, including a direct loop
+/// with a global reduction, whose partials combine in block order. The
+/// executor must drop it there: the reduction of a tuned run equals the
+/// untuned one bit for bit.
+#[test]
+fn stored_part_size_on_a_reduction_loop_leaves_its_bits_alone() {
+    let run = |tuner: Option<Arc<Tuner>>| -> u64 {
+        let cells = Set::new("cells", 10_000);
+        let data: Vec<f64> = (0..10_000).map(|e| 1.0 / (e as f64 + 1.0)).collect();
+        let q = Dat::new("q", &cells, 1, data);
+        let qv = q.view();
+        let l = ParLoop::build("sum", &cells)
+            .arg(arg_direct(&q, Access::Read))
+            .gbl_inc(1)
+            .kernel(move |e, gbl| unsafe { gbl[0] += qv.get(e, 0) });
+        let mut rt = Op2Runtime::new(1, 256);
+        if let Some(t) = tuner {
+            let key = key_for(&rt, &l);
+            t.import(&op2_tune::TuneStore {
+                version: op2_tune::STORE_VERSION,
+                seed: 0,
+                entries: vec![op2_tune::StoreEntry {
+                    topo: key.topo,
+                    loop_name: key.loop_name,
+                    set_size: key.set_size as u64,
+                    pattern: key.pattern.name().to_owned(),
+                    backend: String::new(),
+                    chunk: 0,
+                    part_size: 7,
+                    layout: String::new(),
+                    best_ns: 1_000,
+                    per_elem_ns: 0.1,
+                }],
+            });
+            rt = rt.with_tuner(t);
+        }
+        let exec = make_executor(BackendKind::Serial, Arc::new(rt));
+        exec.execute(&l).get()[0].to_bits()
+    };
+    let tuner = Arc::new(Tuner::with_seed(0));
+    let tuned = run(Some(Arc::clone(&tuner)));
+    assert!(tuner.converged(), "the stored row was imported and used");
+    assert_eq!(
+        tuned,
+        run(None),
+        "a stored part size moved the reduction bits: {tuned:#018x}"
+    );
+}
+
 /// The decision key is content-addressed: two apps with identical topology
 /// (same seed) share a key; a different mesh (different seed) gets its own.
 #[test]

@@ -139,13 +139,20 @@ impl Executor for DataflowExecutor {
         let cancel = self.rt.cancel_token().clone();
         let rollback = self.rt.rollback();
         when_all_shared_unit(&pool, &deps).finally(move |joined| {
-            // `finally` runs on the thread that resolved the last dependency
-            // (a caller holding locks, or an ancestor resolving a long chain
-            // of poisoned descendants) — the node is a pool task either way.
-            spawn_pool.spawn_boxed(Box::new(move || {
+            // `finally` runs on the thread that resolved the last dependency.
+            // A pool worker that just finished a predecessor runs the node
+            // next itself; a caller holding the table lock, or a worker
+            // inside a wait, hands it to the pool. Never inline here, so a
+            // long chain of poisoned descendants cannot recurse.
+            spawn_pool.spawn_next(Box::new(move || {
                 let origin = match joined {
                     Err(failure) => Some(failure.to_string()),
-                    Ok(()) => first_failure(&deps).map(|e| e.to_string()),
+                    // A poisoned dependency passes its own origin on, so a
+                    // chain names its root failure in constant space.
+                    Ok(()) => first_failure(&deps).map(|e| match e.kind {
+                        FailureKind::Poisoned { origin } => origin,
+                        _ => e.to_string(),
+                    }),
                 };
                 if let Some(origin) = origin {
                     tracehooks::poison(body_loop.name(), instance);

@@ -87,7 +87,8 @@ pub enum FailureKind {
     Cancelled(CancelReason),
     /// A dataflow node never ran because an upstream dependency failed.
     Poisoned {
-        /// Failure message of the upstream node.
+        /// Failure message of the upstream node that failed — the root of
+        /// the chain, when the node's dependency was itself poisoned.
         origin: String,
     },
     /// The supervisor's circuit breaker is open: its failure quota was

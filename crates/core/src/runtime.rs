@@ -209,7 +209,7 @@ impl Op2Runtime {
     /// | `Serial` | plan order on the calling thread |
     /// | `ForkJoin` | colored `for_each`, `schedule(static)`: `ChunkSize::PerWorker`, one contiguous chunk per worker *of each color* — that schedule *is* the backend, so the tuner's chunk does not apply |
     /// | `ForEachAuto`, `ForEachStatic(n)` | colored `for_each`; a tuned chunk replaces the 1 %-probe / pinned one |
-    /// | `Async`, `Dataflow` | the colored `for_each` those executors spawn, with their `ChunkSize::Default` — fenced, they are that plus a task and a cross-thread wake |
+    /// | `Async`, `Dataflow` | the colored `for_each` those executors spawn, with their `ChunkSize::Default` — fenced loop by loop, they are that plus a task and a cross-thread wake (a dataflow node readied by a pool worker pays neither: `Pool::spawn_next`) |
     ///
     /// Every parallel shape is the one colored body, so each inherits its
     /// grain floor: a color predicted under the pool's hand-off cost runs on

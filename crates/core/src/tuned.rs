@@ -7,8 +7,9 @@
 //! measured wall time back). Execution is synchronous — the caller waits for
 //! every loop, which is exactly what makes the candidates' wall times
 //! comparable — so the menu holds the shapes that differ when waited on; a
-//! futurized backend is, once fenced, the `for_each` arm plus a spawn and a
-//! cross-thread wake.
+//! futurized backend is, fenced loop by loop, the `for_each` arm plus a spawn
+//! and a cross-thread wake (the ones a dataflow node skips only when a pool
+//! worker, not the waiting caller, readies it).
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;

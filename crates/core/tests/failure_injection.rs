@@ -385,3 +385,50 @@ fn futurized_backends_hand_out_one_error_value_everywhere() {
         }
     }
 }
+
+/// A failed head poisons a 10 000-node chain, and each node is run by the
+/// worker that poisoned the one before — as its next task, not a nested
+/// call, so the chain costs no stack. Every node resolves to `Poisoned`
+/// naming the head's failure, and the fence reports all of them.
+#[test]
+fn long_poisoned_chain_resolves_every_node_without_recursion() {
+    const NODES: usize = 10_000;
+    let exec = DataflowExecutor::new(Arc::new(Op2Runtime::new(2, 8)));
+    let cells = Set::new("cells", 8);
+    let q = Dat::filled("q", &cells, 1, 0.0f64);
+    // The head fails only once every node is issued and a worker runs it.
+    let (waiting, open) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+    let (head_waiting, head_open) = (Arc::clone(&waiting), Arc::clone(&open));
+    let head = ParLoop::build("head", &cells)
+        .arg(arg_direct(&q, Access::ReadWrite))
+        .kernel(move |_, _| {
+            head_waiting.store(true, Ordering::Release);
+            while !head_open.load(Ordering::Acquire) {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            panic!("injected head failure");
+        });
+    let qv = q.view();
+    let step = ParLoop::build("step", &cells)
+        .arg(arg_direct(&q, Access::ReadWrite))
+        .kernel(move |e, _| unsafe { qv.add(e, 0, 1.0) });
+
+    exec.try_execute(&head).expect("issue succeeds");
+    for _ in 1..NODES {
+        exec.try_execute(&step).expect("issue succeeds");
+    }
+    while !waiting.load(Ordering::Acquire) {
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    open.store(true, Ordering::Release);
+
+    let report = exec.try_fence().expect_err("the fence reports the chain");
+    assert_eq!(report.failures.len(), NODES);
+    let root = &report.failures[0];
+    assert!(matches!(root.kind, FailureKind::KernelPanic { .. }), "{root}");
+    let origin = root.to_string();
+    for poisoned in &report.failures[1..] {
+        assert_eq!(poisoned.kind, FailureKind::Poisoned { origin: origin.clone() });
+    }
+    assert!(q.to_vec().iter().all(|&v| v == 0.0), "a poisoned node ran");
+}

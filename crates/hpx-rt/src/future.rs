@@ -76,8 +76,10 @@ impl<T: Send + 'static> Shared<T> {
 
     /// Fulfil the future and run its continuations, here, on this thread.
     /// They are the runtime's own bookkeeping (a join counting down, a color
-    /// chain launching its next color); user code attached through `then` or
-    /// `dataflow` is always handed to the pool as a new task by them.
+    /// chain launching its next color). They never run user code here: `then`
+    /// and `dataflowN` hand theirs to the pool as a new task, and an OP2
+    /// dataflow node goes to [`Pool::spawn_next`] — the completing worker's
+    /// next task, not a call on this stack.
     pub(crate) fn complete(&self, outcome: Outcome<T>) {
         let (conts, waited) = {
             let mut st = self.state.lock();

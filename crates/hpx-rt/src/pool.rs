@@ -7,8 +7,13 @@
 //! *work-helping* — a thread that must wait for an event keeps executing other
 //! pool tasks instead of blocking (see [`ThreadPool::try_execute_one`]), which
 //! is what makes `future.get()` deadlock-free even on a single-worker pool.
+//!
+//! Each worker also has a one-task **next slot** ([`Pool::spawn_next`]): a
+//! continuation readied by the task the worker is running, which the worker
+//! runs next itself — no queue push, no wake-up, no steal — the way HPX runs
+//! a `launch::sync` dataflow continuation on the thread that made it ready.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,6 +42,17 @@ pub trait Pool: Send + Sync {
 
     /// Schedule a task for execution.
     fn spawn_boxed(&self, task: Task);
+
+    /// Schedule `task` as the continuation of the task running on this
+    /// thread, for this thread to run next. [`ThreadPool`] keeps it in the
+    /// calling worker's next slot when that worker is running a task from the
+    /// top of its loop and the slot is free — a continuation, not a new task:
+    /// not counted as spawned or executed, invisible to stealers, no notify;
+    /// otherwise, and on every other pool (the deterministic one included, so
+    /// schedule exploration sees every node), it is [`Pool::spawn_boxed`].
+    fn spawn_next(&self, task: Task) {
+        self.spawn_boxed(task);
+    }
 
     /// Try to execute one pending task on the calling thread; returns `true`
     /// if a task ran (the work-helping primitive).
@@ -77,11 +93,16 @@ struct Inner {
 
 thread_local! {
     static CURRENT: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
+    /// How many pool tasks this thread is inside: 1 while a worker runs a
+    /// task from the top of `worker_main`, more inside a `help_until` wait.
+    static DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
 struct WorkerCtx {
     inner: Arc<Inner>,
     local: Worker<Task>,
+    /// The next slot (see the module docs); only this worker sees it.
+    next: RefCell<Option<Task>>,
 }
 
 /// A fixed-size work-stealing thread pool.
@@ -169,34 +190,9 @@ impl ThreadPool {
         &self.inner.metrics
     }
 
-    /// Schedule a task for execution.
-    ///
-    /// From a worker thread of this pool the task goes to the worker's local
-    /// deque; from any other thread it goes to the global injector.
-    pub(crate) fn spawn_task(&self, task: Task) {
-        self.inner.metrics.tasks_spawned.fetch_add(1, Ordering::Relaxed);
-        op2_trace::instant(op2_trace::EventKind::TaskSpawn, op2_trace::NO_NAME, 0, 0);
-        let mut task = Some(task);
-        CURRENT.with(|c| {
-            if let Some(ctx) = c.borrow().as_ref() {
-                if std::ptr::eq(Arc::as_ptr(&ctx.inner), Arc::as_ptr(&self.inner)) {
-                    ctx.local.push(task.take().expect("task consumed twice"));
-                }
-            }
-        });
-        if let Some(task) = task {
-            self.inner.injector.push(task);
-        }
-        self.inner.notify_one();
-    }
-
     /// True if the calling thread is a worker of this pool.
     pub fn is_worker_thread(&self) -> bool {
-        CURRENT.with(|c| {
-            c.borrow()
-                .as_ref()
-                .is_some_and(|ctx| std::ptr::eq(Arc::as_ptr(&ctx.inner), Arc::as_ptr(&self.inner)))
-        })
+        self.inner.on_worker(|ctx| ctx.is_some())
     }
 
     /// Try to execute one pending task on the calling thread.
@@ -238,6 +234,10 @@ impl<P: Pool + ?Sized> Pool for Arc<P> {
         (**self).spawn_boxed(task);
     }
 
+    fn spawn_next(&self, task: Task) {
+        (**self).spawn_next(task);
+    }
+
     fn try_execute_one(&self) -> bool {
         (**self).try_execute_one()
     }
@@ -261,7 +261,11 @@ impl Pool for ThreadPool {
     }
 
     fn spawn_boxed(&self, task: Task) {
-        self.spawn_task(task);
+        self.inner.push(task);
+    }
+
+    fn spawn_next(&self, task: Task) {
+        self.inner.push_next(task);
     }
 
     fn try_execute_one(&self) -> bool {
@@ -309,20 +313,7 @@ impl Spawner {
         match &self.kind {
             SpawnerKind::Threads(weak) => {
                 if let Some(inner) = weak.upgrade() {
-                    inner.metrics.tasks_spawned.fetch_add(1, Ordering::Relaxed);
-                    op2_trace::instant(op2_trace::EventKind::TaskSpawn, op2_trace::NO_NAME, 0, 0);
-                    let mut task = Some(task);
-                    CURRENT.with(|c| {
-                        if let Some(ctx) = c.borrow().as_ref() {
-                            if std::ptr::eq(Arc::as_ptr(&ctx.inner), Arc::as_ptr(&inner)) {
-                                ctx.local.push(task.take().expect("task consumed twice"));
-                            }
-                        }
-                    });
-                    if let Some(task) = task {
-                        inner.injector.push(task);
-                    }
-                    inner.notify_one();
+                    inner.push(task);
                     Ok(())
                 } else {
                     Err(task)
@@ -412,6 +403,41 @@ impl Inner {
         }
     }
 
+    /// Run `f` with the calling thread's worker context when the thread is
+    /// a worker of this pool, with `None` otherwise.
+    fn on_worker<R>(&self, f: impl FnOnce(Option<&WorkerCtx>) -> R) -> R {
+        CURRENT.with(|c| {
+            let ctx = c.borrow();
+            f(ctx.as_ref().filter(|ctx| std::ptr::eq(Arc::as_ptr(&ctx.inner), self)))
+        })
+    }
+
+    /// The one push path: count, trace, queue on the calling worker's deque
+    /// (the global injector from any other thread), wake a sleeper.
+    fn push(&self, task: Task) {
+        self.metrics.tasks_spawned.fetch_add(1, Ordering::Relaxed);
+        op2_trace::instant(op2_trace::EventKind::TaskSpawn, op2_trace::NO_NAME, 0, 0);
+        self.on_worker(|ctx| match ctx {
+            Some(ctx) => ctx.local.push(task),
+            None => self.injector.push(task),
+        });
+        self.notify_one();
+    }
+
+    /// [`Pool::spawn_next`]: the next slot of a worker running a top-level
+    /// task, if free; [`Inner::push`] otherwise. The slot is filled only at
+    /// depth 1 and run from the top of `worker_main`, so a chain of
+    /// continuations trampolines there instead of recursing.
+    fn push_next(&self, task: Task) {
+        let top_level = DEPTH.with(Cell::get) == 1;
+        self.on_worker(|ctx| match ctx {
+            Some(ctx) if top_level && ctx.next.borrow().is_none() => {
+                *ctx.next.borrow_mut() = Some(task);
+            }
+            _ => self.push(task),
+        });
+    }
+
     fn notify_one(&self) {
         // Only take the lock when somebody might be asleep.
         let sleepers = self.sleepers.lock();
@@ -425,24 +451,21 @@ impl Inner {
         self.wakeup.notify_all();
     }
 
-    /// Find a runnable task: local deque first (on a worker of this pool),
-    /// then the global injector, then stealing from sibling workers.
-    fn find_task(&self) -> Option<Task> {
-        let local = CURRENT.with(|c| {
-            c.borrow().as_ref().and_then(|ctx| {
-                if std::ptr::eq(Arc::as_ptr(&ctx.inner), self as *const Inner) {
-                    ctx.local.pop()
-                } else {
-                    None
-                }
-            })
+    /// Find a runnable task: on a worker of this pool its next slot (a
+    /// continuation: the `true`), then its local deque; then the global
+    /// injector, then stealing from sibling workers.
+    fn find_task(&self) -> Option<(Task, bool)> {
+        let mine = self.on_worker(|ctx| {
+            let ctx = ctx?;
+            let next = ctx.next.take();
+            next.map(|t| (t, true)).or_else(|| ctx.local.pop().map(|t| (t, false)))
         });
-        if local.is_some() {
-            return local;
+        if mine.is_some() {
+            return mine;
         }
         loop {
             match self.injector.steal() {
-                Steal::Success(t) => return Some(t),
+                Steal::Success(t) => return Some((t, false)),
                 Steal::Empty => break,
                 Steal::Retry => continue,
             }
@@ -461,7 +484,7 @@ impl Inner {
                             ((start + off) % n) as u64,
                             0,
                         );
-                        return Some(t);
+                        return Some((t, false));
                     }
                     Steal::Empty => break,
                     Steal::Retry => continue,
@@ -472,15 +495,18 @@ impl Inner {
     }
 
     fn try_execute_one(&self) -> bool {
-        if let Some(task) = self.find_task() {
+        let Some((task, continuation)) = self.find_task() else {
+            return false;
+        };
+        if !continuation {
             self.metrics.tasks_executed.fetch_add(1, Ordering::Relaxed);
-            let span = op2_trace::begin();
-            task();
-            op2_trace::end(span, op2_trace::EventKind::Task, op2_trace::NO_NAME, 0, 0);
-            true
-        } else {
-            false
         }
+        let span = op2_trace::begin();
+        DEPTH.with(|d| d.set(d.get() + 1));
+        task();
+        DEPTH.with(|d| d.set(d.get() - 1));
+        op2_trace::end(span, op2_trace::EventKind::Task, op2_trace::NO_NAME, 0, 0);
+        true
     }
 
     fn help_until(&self, mut pred: impl FnMut() -> bool) {
@@ -491,7 +517,9 @@ impl Inner {
         }
     }
 
-    /// Is a task waiting in the injector or any worker's deque?
+    /// Is a task waiting in the injector or any worker's deque? (A next slot
+    /// is not looked at: only its own worker may run it, and that worker
+    /// checks it before it ever idles.)
     fn has_queued_task(&self) -> bool {
         !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
     }
@@ -521,6 +549,7 @@ fn worker_main(inner: Arc<Inner>, local: Worker<Task>) {
         *c.borrow_mut() = Some(WorkerCtx {
             inner: Arc::clone(&inner),
             local,
+            next: RefCell::new(None),
         });
     });
     let shutdown = || inner.shutdown.load(Ordering::Acquire);
@@ -590,6 +619,54 @@ mod tests {
         }
         assert!(!inner.has_queued_task());
         assert_eq!(*inner.sleepers.lock(), 0);
+    }
+
+    /// The next slot holds one continuation that its worker runs before
+    /// anything queued, that no stealer (and no idle check) sees, and that is
+    /// no new task. Only a task run from the top level fills it: a
+    /// continuation readied behind a full slot, or inside a nested wait, is
+    /// pushed like any task.
+    #[test]
+    fn the_next_slot_runs_first_unseen_by_stealers_and_only_from_the_top_level() {
+        let local = Worker::new_fifo();
+        let inner = Arc::new(Inner::new(vec![local.stealer()]));
+        CURRENT.with(|c| {
+            *c.borrow_mut() = Some(WorkerCtx {
+                inner: Arc::clone(&inner),
+                local,
+                next: RefCell::new(None),
+            })
+        });
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let log = |tag: &'static str| -> Task {
+            let ran = Arc::clone(&ran);
+            Box::new(move || ran.lock().push(tag))
+        };
+        let drain = || while inner.try_execute_one() {};
+
+        let (pool, next, behind, queued) = (Arc::clone(&inner), log("next"), log("behind"), log("queued"));
+        inner.push(Box::new(move || {
+            pool.push_next(next);
+            assert!(!pool.has_queued_task(), "a stealer can see the slot");
+            pool.push_next(behind);
+            pool.push(queued);
+        }));
+        drain();
+        assert_eq!(*ran.lock(), ["next", "behind", "queued"]);
+
+        let (pool, nested) = (Arc::clone(&inner), log("nested"));
+        inner.push(Box::new(move || {
+            let readies = Arc::clone(&pool);
+            pool.push(Box::new(move || readies.push_next(nested)));
+            assert!(pool.try_execute_one(), "the nested wait runs the queued task");
+            assert!(pool.has_queued_task(), "a nested continuation took the slot");
+        }));
+        drain();
+        assert_eq!(ran.lock().last(), Some(&"nested"));
+
+        let m = inner.metrics.snapshot();
+        assert_eq!((m.tasks_spawned, m.tasks_executed), (6, 6), "the slot run is no task");
+        CURRENT.with(|c| *c.borrow_mut() = None);
     }
 
     /// The other half of the contract: with nothing queued and nothing

@@ -221,12 +221,19 @@ pub fn build_local(data: &MeshData, part: &Partition, rank: usize) -> LocalMesh 
     let owned = part.owned_cells(rank);
     let is_owned = |c: u32| part.owner(c as usize) == rank;
 
-    // Assigned interior edges: first endpoint owned here.
+    // One pass over the interior edges. An edge is assigned to the owner of
+    // its first endpoint: here, or a peer — whose halo then holds every
+    // endpoint owned here, i.e. exactly what this rank exports to it.
     let nedges = data.edge_cells.len() / 2;
     let mut my_edges: Vec<usize> = Vec::new();
+    let mut exported: Vec<Vec<u32>> = vec![Vec::new(); part.nranks];
     for e in 0..nedges {
-        if part.owner(data.edge_cells[2 * e] as usize) == rank {
+        let ends = [data.edge_cells[2 * e], data.edge_cells[2 * e + 1]];
+        let assignee = part.owner(ends[0] as usize);
+        if assignee == rank {
             my_edges.push(e);
+        } else {
+            exported[assignee].extend(ends.into_iter().filter(|&c| is_owned(c)));
         }
     }
     // Assigned boundary edges.
@@ -244,14 +251,15 @@ pub fn build_local(data: &MeshData, part: &Partition, rank: usize) -> LocalMesh 
     halo.sort_unstable();
     halo.dedup();
 
-    // Local numbering: owned (ascending global), then halo (ascending).
+    // Local numbering: owned (ascending global), then halo (ascending);
+    // `g2l` is dense over the global cells (`u32::MAX` = not local).
     let mut cell_l2g: Vec<u32> = owned.to_vec();
     cell_l2g.extend_from_slice(&halo);
-    let g2l: HashMap<u32, u32> = cell_l2g
-        .iter()
-        .enumerate()
-        .map(|(l, &g)| (g, l as u32))
-        .collect();
+    let mut g2l = vec![u32::MAX; ncells];
+    for (l, &g) in cell_l2g.iter().enumerate() {
+        g2l[g as usize] = l as u32;
+    }
+    let g2l = |g: u32| g2l[g as usize];
 
     let cell_nodes: Vec<u32> = cell_l2g
         .iter()
@@ -267,7 +275,7 @@ pub fn build_local(data: &MeshData, part: &Partition, rank: usize) -> LocalMesh 
         .collect();
     let edge_cells: Vec<(u32, u32)> = my_edges
         .iter()
-        .map(|&e| (g2l[&data.edge_cells[2 * e]], g2l[&data.edge_cells[2 * e + 1]]))
+        .map(|&e| (g2l(data.edge_cells[2 * e]), g2l(data.edge_cells[2 * e + 1])))
         .collect();
     let bedges: Vec<(u32, u32, u32, i32)> = my_bedges
         .iter()
@@ -275,7 +283,7 @@ pub fn build_local(data: &MeshData, part: &Partition, rank: usize) -> LocalMesh 
             (
                 data.bedge_nodes[2 * be],
                 data.bedge_nodes[2 * be + 1],
-                g2l[&data.bedge_cells[be]],
+                g2l(data.bedge_cells[be]),
                 data.bound[be],
             )
         })
@@ -287,33 +295,24 @@ pub fn build_local(data: &MeshData, part: &Partition, rank: usize) -> LocalMesh 
     for &g in &halo {
         let peer = part.owner(g as usize);
         match imports.last_mut() {
-            Some((p, list)) if *p == peer => list.push(g2l[&g]),
-            _ => imports.push((peer, vec![g2l[&g]])),
+            Some((p, list)) if *p == peer => list.push(g2l(g)),
+            _ => imports.push((peer, vec![g2l(g)])),
         }
     }
 
-    // Export lists: recompute each peer's halo-from-me deterministically
-    // from global data (no negotiation needed).
-    let mut exports: Vec<(usize, Vec<u32>)> = Vec::new();
-    for peer in 0..part.nranks {
-        if peer == rank {
-            continue;
-        }
-        // Cells owned by me that appear as an endpoint of an edge assigned
-        // to `peer` — exactly the peer's import list from me.
-        let mut cells: Vec<u32> = (0..nedges)
-            .filter(|&e| part.owner(data.edge_cells[2 * e] as usize) == peer)
-            .flat_map(|e| [data.edge_cells[2 * e], data.edge_cells[2 * e + 1]])
-            .filter(|&c| is_owned(c))
-            .collect();
-        cells.sort_unstable();
-        cells.dedup();
-        if !cells.is_empty() {
-            exports.push((peer, cells.iter().map(|c| g2l[c]).collect()));
-        }
-    }
+    // Export lists, ascending peer: each peer's import list from this rank,
+    // derived from global data alone (no negotiation needed).
+    let exports: Vec<(usize, Vec<u32>)> = exported
+        .into_iter()
+        .enumerate()
+        .filter(|(_, cells)| !cells.is_empty())
+        .map(|(peer, mut cells)| {
+            cells.sort_unstable();
+            cells.dedup();
+            (peer, cells.into_iter().map(g2l).collect())
+        })
+        .collect();
 
-    let _ = ncells;
     LocalMesh {
         rank,
         nowned: owned.len(),
@@ -375,11 +374,12 @@ impl HaloPlan {
     /// endpoint) and lands in exactly one group — or in `interior`.
     pub fn build(local: &LocalMesh) -> HaloPlan {
         let nowned = local.nowned as u32;
-        // Halo local id → index of the group (= import entry) it belongs to.
-        let mut group_of: HashMap<u32, usize> = HashMap::new();
+        // Halo local id − `nowned` → index of the group (= import entry) it
+        // belongs to.
+        let mut group_of = vec![usize::MAX; local.ncells_local() - local.nowned];
         for (gi, (_, halos)) in local.imports.iter().enumerate() {
             for &h in halos {
-                group_of.insert(h, gi);
+                group_of[(h - nowned) as usize] = gi;
             }
         }
         let mut interior: Vec<u32> = Vec::new();
@@ -389,7 +389,7 @@ impl HaloPlan {
             if c2 < nowned {
                 interior.push(e as u32);
             } else {
-                let gi = group_of[&c2];
+                let gi = group_of[(c2 - nowned) as usize];
                 group_edges[gi].push(e as u32);
             }
         }

@@ -2,6 +2,7 @@
 //! on the real Airfoil mesh; long marches stay stable and bounded; the
 //! simulator's structural claims hold against real plans.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use op2_airfoil::{FlowConstants, MeshBuilder, Simulation, SyncStrategy};
@@ -435,4 +436,196 @@ fn forkjoin_forks_every_color_and_runs_warm_colors_under_the_floor_inline() {
         );
     }
     assert_eq!((state(&mesh), rms), oracle, "fork-join march on a DetPool");
+}
+
+/// Holds the kernel that passes it until opened, and tells the test that a
+/// kernel is waiting there — so the test knows a worker, not the test thread
+/// helping in a fence, is running the loop it gates.
+#[derive(Default)]
+struct Gate {
+    waiting: AtomicBool,
+    open: AtomicBool,
+}
+
+impl Gate {
+    fn opened() -> Arc<Gate> {
+        let gate = Arc::new(Gate::default());
+        gate.open.store(true, Ordering::Release);
+        gate
+    }
+
+    fn close(&self) {
+        self.waiting.store(false, Ordering::Release);
+        self.open.store(false, Ordering::Release);
+    }
+
+    fn pass(&self) {
+        self.waiting.store(true, Ordering::Release);
+        while !self.open.load(Ordering::Acquire) {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+    }
+
+    fn open_once_a_kernel_waits(&self) {
+        while !self.waiting.load(Ordering::Acquire) {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        self.open.store(true, Ordering::Release);
+    }
+}
+
+const CHAIN: usize = 64;
+
+/// `CHAIN` direct loops over `q`, loop `i` setting `q = q / 2 + i`: each reads
+/// what the one before wrote, so they form one dependency chain. The head's
+/// kernel passes `gate` first.
+fn chain_loops(q: &op2_core::Dat<f64>, gate: &Arc<Gate>) -> Vec<op2_core::ParLoop> {
+    use op2_core::{arg_direct, Access, ParLoop};
+    (0..CHAIN)
+        .map(|i| {
+            let (qv, gate) = (q.view(), Arc::clone(gate));
+            ParLoop::build(format!("step{i}"), q.set())
+                .arg(arg_direct(q, Access::ReadWrite))
+                .kernel(move |e, _| unsafe {
+                    if i == 0 {
+                        gate.pass();
+                    }
+                    qv.set(e, 0, qv.get(e, 0) / 2.0 + i as f64);
+                })
+        })
+        .collect()
+}
+
+/// Run `loops` in order, fenced, until the grain floor would inline every
+/// color of every one of them (a loop measured while its thread was
+/// descheduled predicts too much; the next pass measures again). Returns the
+/// number of passes.
+fn warm(exec: &dyn op2_hpx::Executor, loops: &[&op2_core::ParLoop]) -> usize {
+    let floor_ns = hpx_rt::ThreadPool::HANDOFF_FLOOR.as_nanos() as f64;
+    for pass in 1..=20 {
+        for l in loops {
+            let _ = exec.execute(l);
+        }
+        exec.fence();
+        let inlined = |l: &&op2_core::ParLoop| {
+            l.work_per_element()
+                .is_some_and(|ns| ns * (l.set().size() as f64) < floor_ns)
+        };
+        if loops.iter().all(inlined) {
+            return pass;
+        }
+    }
+    panic!("the loops never measured under the hand-off floor");
+}
+
+/// A dataflow node runs on the worker that resolved its last dependency. A
+/// warm chain of direct loops (every color under the grain floor) issued
+/// while its head still runs costs one pool task — the head's, spawned by
+/// the issuing thread — however long it is: each node is the next task of
+/// the worker that finished the one before, with no push, no wake and no
+/// steal. The result is the serial executor's, bit for bit.
+#[test]
+fn dataflow_chain_runs_each_node_on_the_worker_that_readied_it() {
+    use op2_core::{Dat, Set};
+    use op2_hpx::Executor;
+
+    let cells = Set::new("cells", 16);
+    let q = Dat::filled("q", &cells, 1, 1.0f64);
+    let gate = Gate::opened();
+    let loops = chain_loops(&q, &gate);
+    let rt = Arc::new(Op2Runtime::new(2, 16));
+    let exec = DataflowExecutor::new(Arc::clone(&rt));
+    let passes = warm(&exec, &loops.iter().collect::<Vec<_>>());
+
+    gate.close();
+    let metrics = rt.pool().metrics().expect("a ThreadPool keeps counters");
+    let before = metrics.snapshot();
+    let handles: Vec<_> = loops.iter().map(|l| exec.execute(l)).collect();
+    gate.open_once_a_kernel_waits();
+    exec.fence();
+    let spawned = before.delta(&metrics.snapshot()).tasks_spawned;
+    assert_eq!(spawned, 1, "a warm chain of {CHAIN} nodes spawned {spawned} tasks");
+    assert!(handles.iter().all(|h| h.try_wait().is_ok()));
+
+    let oracle = Dat::filled("q", &cells, 1, 1.0f64);
+    let serial = make_executor(BackendKind::Serial, Arc::new(Op2Runtime::new(1, 16)));
+    let oracle_loops = chain_loops(&oracle, &Gate::opened());
+    for _ in 0..=passes {
+        for l in &oracle_loops {
+            serial.execute(l).wait();
+        }
+    }
+    let bits = |d: &Dat<f64>| d.to_vec().into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(bits(&q), bits(&oracle));
+}
+
+/// One completion that readies two independent nodes keeps one and hands
+/// the other to the pool, so siblings still run in parallel: a warm head
+/// and its two readers spawn two tasks — the head's and one reader's.
+#[test]
+fn dataflow_siblings_readied_together_spawn_all_but_one() {
+    use op2_core::{arg_direct, Access, Dat, ParLoop, Set};
+    use op2_hpx::Executor;
+
+    let cells = Set::new("cells", 16);
+    let [a, b, c] = ["a", "b", "c"].map(|name| Dat::filled(name, &cells, 1, 1.0f64));
+    let gate = Gate::opened();
+    let (av, head_gate) = (a.view(), Arc::clone(&gate));
+    let head = ParLoop::build("head", &cells)
+        .arg(arg_direct(&a, Access::ReadWrite))
+        .kernel(move |e, _| unsafe {
+            head_gate.pass();
+            av.set(e, 0, av.get(e, 0) + 1.0);
+        });
+    let reader = |name: &str, out: &Dat<f64>| {
+        let (av, ov) = (a.view(), out.view());
+        ParLoop::build(name, &cells)
+            .arg(arg_direct(&a, Access::Read))
+            .arg(arg_direct(out, Access::ReadWrite))
+            .kernel(move |e, _| unsafe { ov.set(e, 0, ov.get(e, 0) + av.get(e, 0)) })
+    };
+    let (left, right) = (reader("left", &b), reader("right", &c));
+    let rt = Arc::new(Op2Runtime::new(2, 16));
+    let exec = DataflowExecutor::new(Arc::clone(&rt));
+    let passes = warm(&exec, &[&head, &left, &right]);
+
+    gate.close();
+    let metrics = rt.pool().metrics().expect("a ThreadPool keeps counters");
+    let before = metrics.snapshot();
+    for l in [&head, &left, &right] {
+        let _ = exec.execute(l);
+    }
+    gate.open_once_a_kernel_waits();
+    exec.fence();
+    assert_eq!(before.delta(&metrics.snapshot()).tasks_spawned, 2);
+    // Pass k leaves a = 1 + k and adds it to b and c.
+    let want: f64 = 1.0 + (1..=passes + 1).map(|k| 1.0 + k as f64).sum::<f64>();
+    for d in [&b, &c] {
+        assert!(d.to_vec().iter().all(|&v| v == want), "{:?}", d.to_vec());
+    }
+}
+
+/// On a `DetPool` every node stays a pool task, so schedule exploration and
+/// the race detector see each one: the chain spawns all its nodes.
+#[test]
+fn dataflow_chain_on_a_det_pool_spawns_every_node() {
+    use hpx_rt::{DetPool, Pool};
+    use op2_core::{Dat, Set};
+    use op2_hpx::Executor;
+
+    let cells = Set::new("cells", 16);
+    let q = Dat::filled("q", &cells, 1, 1.0f64);
+    let loops = chain_loops(&q, &Gate::opened());
+    let det = Arc::new(DetPool::new(7));
+    let rt = Arc::new(Op2Runtime::from_pool(Arc::clone(&det) as Arc<dyn Pool>, 16));
+    let exec = DataflowExecutor::new(rt);
+    // Warm as on the ThreadPool, though a floor of zero inlines nothing.
+    warm(&exec, &loops.iter().collect::<Vec<_>>());
+    let before = det.trace().len();
+    for l in &loops {
+        let _ = exec.execute(l);
+    }
+    exec.fence();
+    // One block per loop: one node task and one chunk task per node.
+    assert_eq!(det.trace().len() - before, 2 * CHAIN);
 }

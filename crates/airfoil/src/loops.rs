@@ -16,9 +16,11 @@
 //! accessors (`load`/`store`/`add_vec`/`span`/`comp`), so the same wiring
 //! serves AoS and SoA meshes unchanged — and produces bitwise
 //! identical results for each (the arithmetic per element never depends on
-//! the layout, only the addresses do).
+//! the layout, only the addresses do). They reach their maps only through
+//! [`MapView`]s, and every access has a compile-time width: what lets the
+//! optimizer compile them as it would a hand-written loop over raw arrays.
 
-use op2_core::{arg_direct, arg_indirect, Access, Dat, DatView, Map, ParLoop};
+use op2_core::{arg_direct, arg_indirect, Access, Dat, DatView, MapView, ParLoop};
 
 use crate::constants::FlowConstants;
 use crate::kernels;
@@ -38,18 +40,19 @@ unsafe fn adt_one(
     xv: &DatView<f64>,
     qv: &DatView<f64>,
     adtv: &DatView<f64>,
-    pcell: &Map,
+    pcell: MapView<4>,
     c: &FlowConstants,
     e: usize,
 ) {
-    let x1: [f64; 2] = xv.load(pcell.at(e, 0));
-    let x2: [f64; 2] = xv.load(pcell.at(e, 1));
-    let x3: [f64; 2] = xv.load(pcell.at(e, 2));
-    let x4: [f64; 2] = xv.load(pcell.at(e, 3));
+    let [n1, n2, n3, n4] = pcell.row(e);
+    let x1: [f64; 2] = xv.load(n1);
+    let x2: [f64; 2] = xv.load(n2);
+    let x3: [f64; 2] = xv.load(n3);
+    let x4: [f64; 2] = xv.load(n4);
     let q: [f64; 4] = qv.load(e);
     let mut adt = [0.0f64];
     kernels::adt_calc(&x1, &x2, &x3, &x4, &q, &mut adt, c);
-    adtv.set(e, 0, adt[0]);
+    adtv.store(e, adt);
 }
 
 /// One `res_calc` element. The flux lands in local zero-initialized
@@ -64,30 +67,22 @@ unsafe fn res_one(
     qv: &DatView<f64>,
     adtv: &DatView<f64>,
     resv: &DatView<f64>,
-    pedge: &Map,
-    pecell: &Map,
+    pedge: MapView<2>,
+    pecell: MapView<2>,
     c: &FlowConstants,
     e: usize,
 ) {
-    let c1 = pecell.at(e, 0);
-    let c2 = pecell.at(e, 1);
-    let x1: [f64; 2] = xv.load(pedge.at(e, 0));
-    let x2: [f64; 2] = xv.load(pedge.at(e, 1));
+    let [c1, c2] = pecell.row(e);
+    let [n1, n2] = pedge.row(e);
+    let x1: [f64; 2] = xv.load(n1);
+    let x2: [f64; 2] = xv.load(n2);
     let q1: [f64; 4] = qv.load(c1);
     let q2: [f64; 4] = qv.load(c2);
+    let [adt1] = adtv.load(c1);
+    let [adt2] = adtv.load(c2);
     let mut r1 = [0.0f64; 4];
     let mut r2 = [0.0f64; 4];
-    kernels::res_calc(
-        &x1,
-        &x2,
-        &q1,
-        &q2,
-        adtv.get(c1, 0),
-        adtv.get(c2, 0),
-        &mut r1,
-        &mut r2,
-        c,
-    );
+    kernels::res_calc(&x1, &x2, &q1, &q2, adt1, adt2, &mut r1, &mut r2, c);
     resv.add_vec(c1, r1);
     resv.add_vec(c2, r2);
 }
@@ -101,17 +96,20 @@ unsafe fn bres_one(
     adtv: &DatView<f64>,
     resv: &DatView<f64>,
     boundv: &DatView<i32>,
-    pbedge: &Map,
-    pbecell: &Map,
+    pbedge: MapView<2>,
+    pbecell: MapView<1>,
     c: &FlowConstants,
     e: usize,
 ) {
-    let c1 = pbecell.at(e, 0);
-    let x1: [f64; 2] = xv.load(pbedge.at(e, 0));
-    let x2: [f64; 2] = xv.load(pbedge.at(e, 1));
+    let [c1] = pbecell.row(e);
+    let [n1, n2] = pbedge.row(e);
+    let x1: [f64; 2] = xv.load(n1);
+    let x2: [f64; 2] = xv.load(n2);
     let q1: [f64; 4] = qv.load(c1);
+    let [adt1] = adtv.load(c1);
+    let [bound] = boundv.load(e);
     let mut r1 = [0.0f64; 4];
-    kernels::bres_calc(&x1, &x2, &q1, adtv.get(c1, 0), &mut r1, boundv.get(e, 0), c);
+    kernels::bres_calc(&x1, &x2, &q1, adt1, &mut r1, bound, c);
     resv.add_vec(c1, r1);
 }
 
@@ -130,7 +128,8 @@ unsafe fn update_one(
     let qold: [f64; 4] = qoldv.load(e);
     let mut q = [0.0f64; 4];
     let mut res: [f64; 4] = resv.load(e);
-    kernels::update(&qold, &mut q, &mut res, adtv.get(e, 0), rms);
+    let [adt] = adtv.load(e);
+    kernels::update(&qold, &mut q, &mut res, adt, rms);
     qv.store(e, q);
     resv.store(e, res);
 }
@@ -195,7 +194,7 @@ impl AirfoilLoops {
         // adt_calc ---------------------------------------------------------
         let xv = mesh.p_x.view();
         let adtv = mesh.p_adt.view();
-        let pcell = mesh.pcell.clone();
+        let pcell = mesh.pcell.view();
         let adt_calc = ParLoop::build("adt_calc", &mesh.cells)
             .arg(arg_indirect(&mesh.p_x, 0, &mesh.pcell, Access::Read))
             .arg(arg_indirect(&mesh.p_x, 1, &mesh.pcell, Access::Read))
@@ -208,13 +207,12 @@ impl AirfoilLoops {
             // silently corrupt the whole march, so fail the loop instead.
             .guard_finite()
             .kernel(move |e, _| unsafe {
-                adt_one(&xv, &qv, &adtv, &pcell, &c, e);
+                adt_one(&xv, &qv, &adtv, pcell, &c, e);
             });
 
         // res_calc ---------------------------------------------------------
         let resv = mesh.p_res.view();
-        let pedge = mesh.pedge.clone();
-        let pecell = mesh.pecell.clone();
+        let (pedge, pecell) = (mesh.pedge.view(), mesh.pecell.view());
         let res_calc = ParLoop::build("res_calc", &mesh.edges)
             .arg(arg_indirect(&mesh.p_x, 0, &mesh.pedge, Access::Read))
             .arg(arg_indirect(&mesh.p_x, 1, &mesh.pedge, Access::Read))
@@ -227,13 +225,12 @@ impl AirfoilLoops {
             // The derived span loop's ascending order is load-bearing: two
             // edges of one block may increment the same cell.
             .kernel(move |e, _| unsafe {
-                res_one(&xv, &qv, &adtv, &resv, &pedge, &pecell, &c, e);
+                res_one(&xv, &qv, &adtv, &resv, pedge, pecell, &c, e);
             });
 
         // bres_calc --------------------------------------------------------
         let boundv = mesh.p_bound.view();
-        let pbedge = mesh.pbedge.clone();
-        let pbecell = mesh.pbecell.clone();
+        let (pbedge, pbecell) = (mesh.pbedge.view(), mesh.pbecell.view());
         let bres_calc = ParLoop::build("bres_calc", &mesh.bedges)
             .arg(arg_indirect(&mesh.p_x, 0, &mesh.pbedge, Access::Read))
             .arg(arg_indirect(&mesh.p_x, 1, &mesh.pbedge, Access::Read))
@@ -242,7 +239,7 @@ impl AirfoilLoops {
             .arg(arg_indirect(&mesh.p_res, 0, &mesh.pbecell, Access::Inc))
             .arg(arg_direct(&mesh.p_bound, Access::Read))
             .kernel(move |e, _| unsafe {
-                bres_one(&xv, &qv, &adtv, &resv, &boundv, &pbedge, &pbecell, &c, e);
+                bres_one(&xv, &qv, &adtv, &resv, &boundv, pbedge, pbecell, &c, e);
             });
 
         // update -----------------------------------------------------------
@@ -409,18 +406,19 @@ mod tests {
                 (&a.save_soln, Box::new(|e, _| unsafe { save_one(&qv, &qoldv, e) })),
                 (
                     &a.adt_calc,
-                    Box::new(|e, _| unsafe { adt_one(&xv, &qv, &adtv, &m.pcell, c, e) }),
+                    Box::new(|e, _| unsafe { adt_one(&xv, &qv, &adtv, m.pcell.view(), c, e) }),
                 ),
                 (
                     &a.res_calc,
                     Box::new(|e, _| unsafe {
-                        res_one(&xv, &qv, &adtv, &resv, &m.pedge, &m.pecell, c, e)
+                        res_one(&xv, &qv, &adtv, &resv, m.pedge.view(), m.pecell.view(), c, e)
                     }),
                 ),
                 (
                     &a.bres_calc,
                     Box::new(|e, _| unsafe {
-                        bres_one(&xv, &qv, &adtv, &resv, &boundv, &m.pbedge, &m.pbecell, c, e)
+                        let (pbedge, pbecell) = (m.pbedge.view(), m.pbecell.view());
+                        bres_one(&xv, &qv, &adtv, &resv, &boundv, pbedge, pbecell, c, e)
                     }),
                 ),
                 (

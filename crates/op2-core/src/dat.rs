@@ -493,6 +493,15 @@ impl<T: Copy> DatView<T> {
         self.layout.index(e, j, self.n, self.dim)
     }
 
+    /// [`DatView::idx`] with the compile-time `D` (`== dim`) in place of `dim`.
+    #[inline(always)]
+    fn idx_d<const D: usize>(&self, e: usize, j: usize) -> usize {
+        match self.layout {
+            Layout::Aos => e * D + j,
+            Layout::Soa => j * self.n + e,
+        }
+    }
+
     /// Read element `e`'s values as a contiguous slice.
     ///
     /// Requires element-contiguous storage (AoS, or `dim == 1`); use
@@ -557,34 +566,41 @@ impl<T: Copy> DatView<T> {
     }
 
     /// Read element `e`'s `D` components into a stack array (layout-
-    /// agnostic; `D` must equal `dim`).
+    /// agnostic; on AoS one `[T; D]` read at `e * D`).
     ///
     /// # Safety
-    /// As [`DatView::slice`].
+    /// As [`DatView::slice`], and `D == dim`, `e < n` (only `debug_assert`ed).
     #[inline]
     pub unsafe fn load<const D: usize>(&self, e: usize) -> [T; D] {
-        debug_assert_eq!(D, self.dim);
+        debug_assert!(D == self.dim && e < self.n);
         #[cfg(feature = "det")]
         crate::det::record_access(self.id, e, crate::access::Access::Read);
-        let mut out = [*self.ptr.add(self.idx(e, 0)); D];
-        for (j, slot) in out.iter_mut().enumerate().skip(1) {
-            *slot = *self.ptr.add(self.idx(e, j));
+        // SAFETY: with `D == dim` and `e < n`, each `idx_d(e, j)`, `j < D`, is
+        // inside the `n * dim` storage, and AoS element `e` is the `D` values
+        // from `idx_d(e, 0)`; `[T; D]` has `T`'s alignment.
+        match self.layout {
+            Layout::Aos => self.ptr.add(self.idx_d::<D>(e, 0)).cast::<[T; D]>().read(),
+            Layout::Soa => std::array::from_fn(|j| *self.ptr.add(self.idx_d::<D>(e, j))),
         }
-        out
     }
 
-    /// Write element `e`'s `D` components from a stack array (layout-
-    /// agnostic; `D` must equal `dim`).
+    /// Write element `e`'s `D` components (addressed as [`DatView::load`]).
     ///
     /// # Safety
-    /// As [`DatView::slice_mut`].
+    /// As [`DatView::slice_mut`], and `D == dim`, `e < n` (only `debug_assert`ed).
     #[inline]
     pub unsafe fn store<const D: usize>(&self, e: usize, vals: [T; D]) {
-        debug_assert_eq!(D, self.dim);
+        debug_assert!(D == self.dim && e < self.n);
         #[cfg(feature = "det")]
         crate::det::record_access(self.id, e, crate::access::Access::Write);
-        for (j, v) in vals.into_iter().enumerate() {
-            *self.ptr.add(self.idx(e, j)) = v;
+        // SAFETY: `load`'s bounds; the caller holds element `e` exclusively.
+        match self.layout {
+            Layout::Aos => self.ptr.add(self.idx_d::<D>(e, 0)).cast::<[T; D]>().write(vals),
+            Layout::Soa => {
+                for (j, v) in vals.into_iter().enumerate() {
+                    *self.ptr.add(self.idx_d::<D>(e, j)) = v;
+                }
+            }
         }
     }
 
@@ -660,17 +676,27 @@ impl<T: Copy + std::ops::AddAssign> DatView<T> {
         *self.ptr.add(self.idx(e, j)) += v;
     }
 
-    /// Increment element `e`'s `D` components (layout-agnostic `OP_INC`).
+    /// Increment element `e`'s `D` components in ascending `j`
+    /// (layout-agnostic `OP_INC`; addressed as [`DatView::load`]).
     ///
     /// # Safety
-    /// As [`DatView::add`].
+    /// As [`DatView::add`], and `D == dim`, `e < n` (only `debug_assert`ed).
     #[inline]
     pub unsafe fn add_vec<const D: usize>(&self, e: usize, vals: [T; D]) {
-        debug_assert_eq!(D, self.dim);
+        debug_assert!(D == self.dim && e < self.n);
         #[cfg(feature = "det")]
         crate::det::record_access(self.id, e, crate::access::Access::Inc);
-        for (j, v) in vals.into_iter().enumerate() {
-            *self.ptr.add(self.idx(e, j)) += v;
+        // SAFETY: `load`'s bounds; the coloring gives the caller element `e`.
+        match self.layout {
+            Layout::Aos => {
+                let row = &mut *self.ptr.add(self.idx_d::<D>(e, 0)).cast::<[T; D]>();
+                row.iter_mut().zip(vals).for_each(|(slot, v)| *slot += v);
+            }
+            Layout::Soa => {
+                for (j, v) in vals.into_iter().enumerate() {
+                    *self.ptr.add(self.idx_d::<D>(e, j)) += v;
+                }
+            }
         }
     }
 }
@@ -706,12 +732,6 @@ unsafe impl<T: Send + Sync> Send for CompView<T> {}
 unsafe impl<T: Send + Sync> Sync for CompView<T> {}
 
 impl<T: Copy> CompView<T> {
-    /// The component index this view selects.
-    #[inline]
-    pub fn component(&self) -> usize {
-        self.j
-    }
-
     /// Number of elements.
     #[inline]
     pub fn n(&self) -> usize {
@@ -907,26 +927,93 @@ mod tests {
         assert_eq!(d.to_aos_vec(), vec![1.0, 2.0, 3.0, 40.0, 5.0, 6.0]);
     }
 
+    /// The const-width accessors are the per-component ones, bit for bit:
+    /// `load`/`store`/`add_vec` at every width 1–4 on both layouts against
+    /// `get`/`set`/`add` on a twin dat, with `-0.0` and NaN payloads among
+    /// the values. Loads and stores copy, so every payload must survive;
+    /// Rust leaves the payload of a NaN that arithmetic produces unspecified
+    /// (the optimizer may fold it either way), so after `add_vec` a NaN need
+    /// only be a NaN.
     #[test]
     fn view_layout_agnostic_accessors_agree() {
-        let cells = Set::new("cells", 7);
-        let aos: Vec<f64> = (0..21).map(|i| i as f64 * 0.5).collect();
-        for layout in [Layout::Aos, Layout::Soa] {
-            let d = Dat::with_layout("q", &cells, 3, layout, aos.clone());
-            let v = d.view();
-            unsafe {
-                for e in 0..7 {
-                    let arr: [f64; 3] = v.load(e);
-                    for j in 0..3 {
-                        assert_eq!(arr[j], aos[e * 3 + j], "{layout:?} e={e} j={j}");
-                        assert_eq!(v.get(e, j), aos[e * 3 + j]);
+        fn check<const D: usize>() {
+            let n = 7;
+            let cells = Set::new("cells", n);
+            let odd = [-0.0, f64::from_bits(0x7ff8_0000_dead_beef), f64::from_bits(0xfff4_0000_0000_0042)];
+            let value = |i: usize| if i % 4 < 3 { odd[i % 4] } else { i as f64 * 0.5 - 3.0 };
+            let aos: Vec<f64> = (0..n * D).map(value).collect();
+            let bits = |d: &Dat<f64>| d.to_aos_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let sums = |d: &Dat<f64>| {
+                d.to_aos_vec().iter().map(|v| if v.is_nan() { None } else { Some(v.to_bits()) }).collect::<Vec<_>>()
+            };
+            for layout in [Layout::Aos, Layout::Soa] {
+                let a = Dat::with_layout("a", &cells, D, layout, aos.clone());
+                let b = Dat::with_layout("b", &cells, D, layout, aos.clone());
+                let (va, vb) = (a.view(), b.view());
+                unsafe {
+                    for e in 0..n {
+                        let row: [f64; D] = va.load(e);
+                        for (j, v) in row.iter().enumerate() {
+                            assert_eq!(v.to_bits(), vb.get(e, j).to_bits(), "{layout:?} D={D} e={e}");
+                            assert_eq!(v.to_bits(), aos[e * D + j].to_bits());
+                        }
                     }
+                    for e in 0..n {
+                        let vals: [f64; D] = std::array::from_fn(|j| value(e + 3 * j + 1));
+                        va.store(e, vals);
+                        vals.iter().enumerate().for_each(|(j, &v)| vb.set(e, j, v));
+                    }
+                    assert_eq!(bits(&a), bits(&b), "{layout:?} D={D}: store");
+                    for e in 0..n {
+                        let vals: [f64; D] = std::array::from_fn(|j| value(2 * e + j));
+                        va.add_vec(e, vals);
+                        vals.iter().enumerate().for_each(|(j, &v)| vb.add(e, j, v));
+                    }
+                    assert_eq!(sums(&a), sums(&b), "{layout:?} D={D}: add_vec");
                 }
-                v.store(2, [9.0, 8.0, 7.0]);
-                v.add_vec(2, [1.0, 1.0, 1.0]);
-                assert_eq!(v.load::<3>(2), [10.0, 9.0, 8.0]);
             }
         }
+        check::<1>();
+        check::<2>();
+        check::<3>();
+        check::<4>();
+    }
+
+    /// The race detector does not go blind on the const-width path: an AoS
+    /// `load`, `store` or `add_vec` records exactly one access, for its own
+    /// element, so a second block touching that element in the same color
+    /// is reported and one touching another element is not.
+    #[cfg(feature = "det")]
+    #[test]
+    fn det_sees_one_access_per_element_on_the_fast_path() {
+        use crate::det;
+        let cells = Set::new("cells", 5);
+        let d = Dat::new("q", &cells, 4, vec![1.0f64; 20]);
+        let v = d.view();
+        det::enable_with(false);
+        let epoch = det::begin_epoch();
+        det::enter_block(epoch, 0);
+        unsafe {
+            let q: [f64; 4] = v.load(1);
+            assert_eq!(det::accesses(), 1);
+            v.store(2, q);
+            assert_eq!(det::accesses(), 2);
+            v.add_vec(3, q);
+            assert_eq!(det::accesses(), 3);
+        }
+        det::exit_block();
+        det::enter_block(epoch, 1);
+        unsafe {
+            v.load::<4>(2); // written by block 0
+            v.add_vec(1, [0.0; 4]); // read by block 0
+            v.load::<4>(4); // untouched
+        }
+        det::exit_block();
+        assert_eq!(det::accesses(), 6);
+        let reports = det::disable();
+        assert_eq!(reports.len(), 2, "{reports:?}");
+        assert!(reports[0].detail.contains("element 2"), "{reports:?}");
+        assert!(reports[1].detail.contains("element 1"), "{reports:?}");
     }
 
     #[test]

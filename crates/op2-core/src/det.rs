@@ -78,6 +78,7 @@ struct Detector {
     /// under the dataflow executor, so per-epoch state must not be reset by
     /// accesses from another epoch.
     elems: HashMap<(u64, u64, usize), ElemState>,
+    accesses: u64,
     reports: Vec<RaceReport>,
 
     // Dataflow-ordering mirror of the executor's dependency table.
@@ -195,6 +196,7 @@ pub fn record_access(dat: u64, elem: usize, access: Access) {
         let Some((epoch, block)) = det.current else {
             return;
         };
+        det.accesses += 1;
         let st = det.elems.entry((epoch, dat, elem)).or_insert(ElemState {
             writer: None,
             readers: Vec::new(),
@@ -233,6 +235,11 @@ pub fn record_access(dat: u64, elem: usize, access: Access) {
             );
         }
     });
+}
+
+/// Accesses recorded inside blocks since [`enable`] on the calling thread.
+pub fn accesses() -> u64 {
+    DETECTOR.with(|d| d.borrow().as_ref().map_or(0, |det| det.accesses))
 }
 
 /// Re-validate a plan's coloring invariant at execution time (no-op when the

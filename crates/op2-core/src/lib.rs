@@ -46,7 +46,7 @@ pub use access::Access;
 pub use arg::{arg_direct, arg_indirect, ArgSpec, MapRef};
 pub use dat::{CompView, Dat, DatError, DatView, Layout};
 pub use loops::{KernelFn, ParLoop, ParLoopBuilder};
-pub use map::{Map, MapError};
+pub use map::{Map, MapError, MapView};
 pub use plan::{Plan, PlanCache, PlanError, PlanKey};
 pub use renumber::MeshPermutation;
 pub use snapshot::{DatSnapshot, Footprint, RawDat, WriteFootprint};

@@ -168,11 +168,15 @@ impl Map {
         self.inner.table[e * self.inner.dim + j] as usize
     }
 
-    /// All targets of element `e` (a `dim`-long slice).
-    #[inline]
-    pub fn targets(&self, e: usize) -> &[u32] {
-        let d = self.inner.dim;
-        &self.inner.table[e * d..(e + 1) * d]
+    /// A raw view of the table for kernels, as [`crate::Dat::view`] is for a
+    /// dat (non-kernel code reads through [`Map::at`]).
+    ///
+    /// # Panics
+    /// Panics unless `D` is the map's `dim`: the view's one width check.
+    pub fn view<const D: usize>(&self) -> MapView<D> {
+        let (dim, table) = (self.inner.dim, &self.inner.table);
+        assert!(D == dim, "map {}: view of width {D}, map dim {dim}", self.inner.name);
+        MapView { table: table.as_ptr(), len: table.len() }
     }
 
     /// The full row-major connectivity table (entry `e * dim + j` is the
@@ -221,6 +225,35 @@ impl fmt::Debug for Map {
     }
 }
 
+/// A raw, `Copy` view of a [`Map`]'s table, arity `D` a constant: a row is one
+/// `[u32; D]` read, no `Arc` to re-read or bounds check after a kernel's
+/// stores. It does not keep the map alive; the loop's [`crate::ArgSpec`]s do.
+#[derive(Clone, Copy, Debug)]
+pub struct MapView<const D: usize> {
+    table: *const u32,
+    len: usize,
+}
+
+// SAFETY: `table` points into a `Map`'s table, never mutated after
+// `Map::try_new`, so sharing it shares only reads; `len` is a plain value.
+unsafe impl<const D: usize> Send for MapView<D> {}
+unsafe impl<const D: usize> Sync for MapView<D> {}
+
+impl<const D: usize> MapView<D> {
+    /// The `D` targets of element `e`, `[at(e, 0), …, at(e, D - 1)]`.
+    ///
+    /// # Safety
+    /// The map must be alive and `e` in its from-set (only `debug_assert`ed);
+    /// every target is in its to-set, as [`Map::try_new`] checked.
+    #[inline(always)]
+    pub unsafe fn row(&self, e: usize) -> [usize; D] {
+        debug_assert!(e * D + D <= self.len);
+        // SAFETY: `D == dim` (`Map::view`), so row `e` is the `D` entries from
+        // `e * D` of the `from.size() * dim` table; `[u32; D]` is `u32`-aligned.
+        self.table.add(e * D).cast::<[u32; D]>().read().map(|t| t as usize)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,8 +268,36 @@ mod tests {
         let m = Map::new("pecell", &edges, &cells, 2, vec![0, 1, 1, 2, 2, 3]);
         assert_eq!(m.at(0, 0), 0);
         assert_eq!(m.at(2, 1), 3);
-        assert_eq!(m.targets(1), &[1, 2]);
+        assert_eq!(unsafe { m.view::<2>().row(1) }, [1, 2]);
         assert_eq!(m.dim(), 2);
+    }
+
+    /// Every row a view hands a kernel is the map's own, at every width
+    /// Airfoil declares (`pbecell` 1, `pecell` 2, `pcell` 4).
+    #[test]
+    fn view_rows_equal_at_for_every_element() {
+        fn check<const D: usize>() {
+            let (from, to) = (Set::new("from", 7), Set::new("to", 11));
+            let table = (0..7 * D as u32).map(|i| (i * 5 + 3) % 11).collect();
+            let m = Map::new("m", &from, &to, D, table);
+            let v = m.view::<D>();
+            for e in 0..7 {
+                let row = unsafe { v.row(e) };
+                let at: Vec<usize> = (0..D).map(|j| m.at(e, j)).collect();
+                assert_eq!(row.to_vec(), at, "D={D} e={e}");
+            }
+        }
+        check::<1>();
+        check::<2>();
+        check::<4>();
+    }
+
+    #[test]
+    #[should_panic(expected = "view of width 4, map dim 2")]
+    fn view_of_the_wrong_width_is_rejected_where_it_is_made() {
+        let (edges, cells) = sets();
+        let m = Map::new("pecell", &edges, &cells, 2, vec![0, 1, 1, 2, 2, 3]);
+        let _ = m.view::<4>();
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use op2_airfoil::mesh::{Mesh, MeshOptions};
 use op2_airfoil::{FlowConstants, MeshBuilder};
-use op2_core::{arg_direct, arg_indirect, Access, Dat, DatView, Layout, Map, ParLoop};
+use op2_core::{arg_direct, arg_indirect, Access, Dat, DatView, Layout, MapView, ParLoop};
 use op2_hpx::Executor;
 
 use crate::kernels;
@@ -98,14 +98,15 @@ unsafe fn flux_one(
     xv: &DatView<f64>,
     wv: &DatView<f64>,
     resv: &DatView<f64>,
-    pedge: &Map,
-    pecell: &Map,
+    pedge: MapView<2>,
+    pecell: MapView<2>,
     g: f64,
     e: usize,
 ) {
-    let (c1, c2) = (pecell.at(e, 0), pecell.at(e, 1));
-    let x1: [f64; 2] = xv.load(pedge.at(e, 0));
-    let x2: [f64; 2] = xv.load(pedge.at(e, 1));
+    let [c1, c2] = pecell.row(e);
+    let [n1, n2] = pedge.row(e);
+    let x1: [f64; 2] = xv.load(n1);
+    let x2: [f64; 2] = xv.load(n2);
     let w1: [f64; 3] = wv.load(c1);
     let w2: [f64; 3] = wv.load(c2);
     let mut r1 = [0.0f64; 3];
@@ -123,17 +124,19 @@ unsafe fn bflux_one(
     wv: &DatView<f64>,
     resv: &DatView<f64>,
     boundv: &DatView<i32>,
-    pbedge: &Map,
-    pbecell: &Map,
+    pbedge: MapView<2>,
+    pbecell: MapView<1>,
     g: f64,
     e: usize,
 ) {
-    let c1 = pbecell.at(e, 0);
-    let x1: [f64; 2] = xv.load(pbedge.at(e, 0));
-    let x2: [f64; 2] = xv.load(pbedge.at(e, 1));
+    let [c1] = pbecell.row(e);
+    let [n1, n2] = pbedge.row(e);
+    let x1: [f64; 2] = xv.load(n1);
+    let x2: [f64; 2] = xv.load(n2);
     let w1: [f64; 3] = wv.load(c1);
+    let [bound] = boundv.load(e);
     let mut r1 = [0.0f64; 3];
-    kernels::bflux(&x1, &x2, &w1, &mut r1, boundv.get(e, 0), g);
+    kernels::bflux(&x1, &x2, &w1, &mut r1, bound, g);
     resv.add_vec(c1, r1);
 }
 
@@ -152,7 +155,8 @@ unsafe fn update_one(
     let wold: [f64; 3] = woldv.load(e);
     let mut w = [0.0f64; 3];
     let mut res: [f64; 3] = resv.load(e);
-    kernels::update(&wold, &mut w, &mut res, dt * iav.get(e, 0), rms);
+    let [inv_area] = iav.load(e);
+    kernels::update(&wold, &mut w, &mut res, dt * inv_area, rms);
     wv.store(e, w);
     resv.store(e, res);
 }
@@ -255,8 +259,7 @@ impl SweApp {
                 gbl[0] = m;
             });
 
-        let pedge = mesh.pedge.clone();
-        let pecell = mesh.pecell.clone();
+        let (pedge, pecell) = (mesh.pedge.view(), mesh.pecell.view());
         let flux = ParLoop::build("swe_flux", &mesh.edges)
             .arg(arg_indirect(&mesh.p_x, 0, &mesh.pedge, Access::Read))
             .arg(arg_indirect(&mesh.p_x, 1, &mesh.pedge, Access::Read))
@@ -265,11 +268,10 @@ impl SweApp {
             .arg(arg_indirect(&res, 0, &mesh.pecell, Access::Inc))
             .arg(arg_indirect(&res, 1, &mesh.pecell, Access::Inc))
             .kernel(move |e, _| unsafe {
-                flux_one(&xv, &wv, &resv, &pedge, &pecell, g, e);
+                flux_one(&xv, &wv, &resv, pedge, pecell, g, e);
             });
 
-        let pbedge = mesh.pbedge.clone();
-        let pbecell = mesh.pbecell.clone();
+        let (pbedge, pbecell) = (mesh.pbedge.view(), mesh.pbecell.view());
         let boundv = mesh.p_bound.view();
         let bflux = ParLoop::build("swe_bflux", &mesh.bedges)
             .arg(arg_indirect(&mesh.p_x, 0, &mesh.pbedge, Access::Read))
@@ -278,7 +280,7 @@ impl SweApp {
             .arg(arg_indirect(&res, 0, &mesh.pbecell, Access::Inc))
             .arg(arg_direct(&mesh.p_bound, Access::Read))
             .kernel(move |e, _| unsafe {
-                bflux_one(&xv, &wv, &resv, &boundv, &pbedge, &pbecell, g, e);
+                bflux_one(&xv, &wv, &resv, &boundv, pbedge, pbecell, g, e);
             });
 
         let dt_bits = Arc::new(AtomicU64::new(0));
@@ -556,12 +558,14 @@ mod tests {
                 (&a.dt_calc, Box::new(|e, gbl| unsafe { dt_one(&wv, g, e, &mut gbl[0]) })),
                 (
                     &a.flux,
-                    Box::new(|e, _| unsafe { flux_one(&xv, &wv, &resv, &m.pedge, &m.pecell, g, e) }),
+                    Box::new(|e, _| unsafe {
+                        flux_one(&xv, &wv, &resv, m.pedge.view(), m.pecell.view(), g, e)
+                    }),
                 ),
                 (
                     &a.bflux,
                     Box::new(|e, _| unsafe {
-                        bflux_one(&xv, &wv, &resv, &boundv, &m.pbedge, &m.pbecell, g, e)
+                        bflux_one(&xv, &wv, &resv, &boundv, m.pbedge.view(), m.pbecell.view(), g, e)
                     }),
                 ),
                 (

@@ -76,20 +76,24 @@ fn main() {
     };
     let k = 0.4 / degree;
 
+    // Raw views with compile-time widths, as in `quickstart`: the map through
+    // a `MapView` (kept alive by the loop's ArgSpecs), the dats through
+    // `load`/`store`/`add_vec`.
     let tv = temp.view();
     let fv = flux.view();
-    let m = ends.clone();
+    let m = ends.view::<2>();
     let conduct = ParLoop::build("conduct", &links)
         .arg(arg_indirect(&temp, 0, &ends, Access::Read))
         .arg(arg_indirect(&temp, 1, &ends, Access::Read))
         .arg(arg_indirect(&flux, 0, &ends, Access::Inc))
         .arg(arg_indirect(&flux, 1, &ends, Access::Inc))
         .kernel(move |l, _| unsafe {
-            let a = m.at(l, 0);
-            let b = m.at(l, 1);
-            let f = k * (tv.get(a, 0) - tv.get(b, 0));
-            fv.add(a, 0, -f);
-            fv.add(b, 0, f);
+            let [a, b] = m.row(l);
+            let [ta] = tv.load(a);
+            let [tb] = tv.load(b);
+            let f = k * (ta - tb);
+            fv.add_vec(a, [-f]);
+            fv.add_vec(b, [f]);
         });
 
     let apply = ParLoop::build("apply", &nodes)
@@ -97,9 +101,9 @@ fn main() {
         .arg(arg_direct(&temp, Access::ReadWrite))
         .gbl_inc(1)
         .kernel(move |n, gbl| unsafe {
-            let f = fv.get(n, 0);
-            tv.add(n, 0, f);
-            fv.set(n, 0, 0.0);
+            let [f] = fv.load(n);
+            tv.add_vec(n, [f]);
+            fv.store(n, [0.0]);
             gbl[0] += f * f;
         });
 

@@ -33,14 +33,17 @@ fn main() {
     let acc = Dat::filled("acc", &cells, 1, 0.0f64);
 
     // --- Loop 1: value[c] = c (direct write) ------------------------------
+    // Kernels reach dats through raw `DatView`s and maps through raw
+    // `MapView`s, with every width a compile-time constant (`load::<1>`,
+    // `view::<2>`): the loop then compiles as a hand-written one would.
     let vv = value.view();
     let init = ParLoop::build("init", &cells)
         .arg(arg_direct(&value, Access::Write))
-        .kernel(move |c, _| unsafe { vv.set(c, 0, c as f64) });
+        .kernel(move |c, _| unsafe { vv.store(c, [c as f64]) });
 
     // --- Loop 2: acc[c] += value[left] + value[right] per edge (OP_INC) ---
     let av = acc.view();
-    let m = pecell.clone();
+    let m = pecell.view::<2>(); // the loop's ArgSpecs keep `pecell` alive
     let gather = ParLoop::build("gather", &edges)
         .arg(arg_indirect(&value, 0, &pecell, Access::Read))
         .arg(arg_indirect(&value, 1, &pecell, Access::Read))
@@ -48,9 +51,10 @@ fn main() {
         .arg(arg_indirect(&acc, 1, &pecell, Access::Inc))
         .gbl_inc(1)
         .kernel(move |e, gbl| unsafe {
-            let s = vv.get(m.at(e, 0), 0) + vv.get(m.at(e, 1), 0);
-            av.add(m.at(e, 0), 0, s);
-            av.add(m.at(e, 1), 0, s);
+            let [left, right] = m.row(e);
+            let s = vv.load::<1>(left)[0] + vv.load::<1>(right)[0];
+            av.add_vec(left, [s]);
+            av.add_vec(right, [s]);
             gbl[0] += s;
         });
 

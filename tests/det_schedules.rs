@@ -132,9 +132,12 @@ fn run_program(exec: &dyn Executor, mesh: &Mesh, auto_deps: bool) -> ProgramOut 
         .arg(arg_direct(&w, Access::Write))
         .kernel(move |c, _| unsafe { wv.set(c, 0, 0.5 * c as f64 + 1.0) });
 
+    // The indirect loop uses the apps' const-width accessors and a
+    // `MapView`, so the injected-coloring tests below catch races on that
+    // path.
     let wv = w.view();
     let rv = res.view();
-    let mv = m.clone();
+    let mv = m.view::<2>();
     let gather = ParLoop::build("gather", &edges)
         .arg(arg_indirect(&w, 0, &m, Access::Read))
         .arg(arg_indirect(&w, 1, &m, Access::Read))
@@ -142,9 +145,10 @@ fn run_program(exec: &dyn Executor, mesh: &Mesh, auto_deps: bool) -> ProgramOut 
         .arg(arg_indirect(&res, 1, &m, Access::Inc))
         .gbl_inc(1)
         .kernel(move |e, gbl| unsafe {
-            let s = wv.get(mv.at(e, 0), 0) + wv.get(mv.at(e, 1), 0);
-            rv.add(mv.at(e, 0), 0, 0.25 * s);
-            rv.add(mv.at(e, 1), 0, 0.5 * s);
+            let [c1, c2] = mv.row(e);
+            let s = wv.load::<1>(c1)[0] + wv.load::<1>(c2)[0];
+            rv.add_vec(c1, [0.25 * s]);
+            rv.add_vec(c2, [0.5 * s]);
             gbl[0] += s;
         });
 

@@ -10,10 +10,10 @@
 //! under each `### crates/<dir>` heading, every backticked `<name>.rs` has to
 //! be a file of `crates/<dir>/src/`.
 //!
-//! And two rules about the sources themselves, checked the same way: op2-hpx
+//! And three rules about the sources themselves, checked the same way: op2-hpx
 //! snapshots a write-set in exactly one place, and it consults the tuner in
 //! exactly one place — the code that waits on every loop builds no executor
-//! to do it.
+//! to do it; and the apps' kernels read maps only through `MapView`s.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -144,23 +144,26 @@ fn design_layout_names_only_source_files_that_exist() {
     );
 }
 
-/// The code of `crates/core/src`: per file, the trimmed lines up to its first
+/// The code of one source file: the trimmed lines up to its first
 /// `#[cfg(test)]`, comments aside, each with its line number.
+fn code(path: &Path) -> Vec<(usize, String)> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+    let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+    code.lines()
+        .enumerate()
+        .map(|(n, line)| (n + 1, line.trim().to_string()))
+        .filter(|(_, line)| !line.starts_with("//"))
+        .collect()
+}
+
+/// [`code`] of every file of `crates/core/src`, by file name.
 fn core_code() -> Vec<(String, Vec<(usize, String)>)> {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
     let mut files = Vec::new();
     for entry in std::fs::read_dir(&src).expect("crates/core/src is readable") {
         let path = entry.expect("source entry").path();
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
-        let lines = code
-            .lines()
-            .enumerate()
-            .map(|(n, line)| (n + 1, line.trim().to_string()))
-            .filter(|(_, line)| !line.starts_with("//"))
-            .collect();
         let file = path.file_name().expect("a file name").to_string_lossy().into_owned();
-        files.push((file, lines));
+        files.push((file, code(&path)));
     }
     files
 }
@@ -223,4 +226,47 @@ fn the_tuner_has_one_consult_site_and_waiting_layers_build_no_executor() {
     assert_eq!(consults.len(), 1, "tune::begin( call sites: {consults:#?}");
     assert!(consults[0].starts_with("runtime.rs:"), "{consults:#?}");
     assert!(built.is_empty(), "executors built by a layer that waits: {built:#?}");
+}
+
+/// The apps' kernels read maps the way generated OP2 code does, through a raw
+/// `MapView` row: a kernel that took a `Map` (an `Arc` the optimizer must
+/// re-read after every store) or called `Map::at` would still be correct and
+/// only slower, which no tier-1 test can time. So in Airfoil's and
+/// shallow-water's loop wiring, no `*_one` helper and no `.kernel(` /
+/// `.kernel_span(` body names the type `Map` or calls `.at(`.
+#[test]
+fn app_kernels_reach_maps_only_through_map_views() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut regions = 0;
+    let mut views = 0;
+    let mut found = Vec::new();
+    for file in ["crates/airfoil/src/loops.rs", "crates/shallow-water/src/app.rs"] {
+        let mut depth: Option<i64> = None;
+        for (n, line) in code(&root.join(file)) {
+            let starts = line.starts_with("unsafe fn ") && line.contains("_one(")
+                || line.contains(".kernel(")
+                || line.contains(".kernel_span(");
+            if depth.is_none() && starts {
+                regions += 1;
+                depth = Some(0);
+            }
+            let Some(d) = depth.as_mut() else { continue };
+            views += line.matches("MapView<").count();
+            let names_map = line
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .any(|word| word == "Map");
+            if names_map || line.contains(".at(") {
+                found.push(format!("{file}:{n}: {line}"));
+            }
+            *d += line.matches('{').count() as i64 - line.matches('}').count() as i64;
+            if *d <= 0 && line.contains('}') {
+                depth = None;
+            }
+        }
+    }
+    // Five `*_one` helpers and five kernel bodies per app.
+    assert_eq!(regions, 20, "kernel regions scanned");
+    // adt_one 1, res_one 2, bres_one 2, flux_one 2, bflux_one 2.
+    assert_eq!(views, 9, "MapView parameters of the *_one helpers");
+    assert!(found.is_empty(), "kernels reaching a map without a MapView: {found:#?}");
 }

@@ -2,7 +2,7 @@
 //!
 //! Ranks run as OS threads and communicate through per-link envelope queues.
 //! Unlike a bare channel mesh, the transport is built to survive an
-//! adversarial network (droped, duplicated, delayed, reordered and replayed
+//! adversarial network (dropped, duplicated, delayed, reordered and replayed
 //! messages, injected deterministically by a [`FaultPlan`]):
 //!
 //! * every message carries a per-link **sequence number** and the current
@@ -13,27 +13,34 @@
 //!   in-process, so hand-off is synchronous); a dropped transmission is
 //!   retried with exponential backoff up to a bounded budget, after which
 //!   the sender gets [`CommError::RetriesExhausted`];
-//! * every blocking operation (`recv`, `barrier`, `allreduce_sum`) has a
-//!   **deadline** and returns [`CommError::Timeout`] instead of hanging;
-//! * ranks **heartbeat** while alive; a peer whose heartbeat goes stale past
-//!   the deadline — or that dies by panic or by a fault-plan kill — is
-//!   declared failed, blocking peers get [`CommError::RankFailed`], and the
-//!   survivors can re-form the fabric with [`Comm::recover`] (clearing all
-//!   in-flight state and shrinking the collective group), after which the
-//!   time-march restores from a checkpoint (see [`crate::exec`]).
+//! * every blocking operation has a **deadline** (never hangs);
+//! * ranks **heartbeat** while they wait (one atomic timestamp per rank); a
+//!   peer that dies (panic, fault-plan kill) or goes stale is declared
+//!   failed, and the survivors can re-form the fabric with [`Comm::recover`]
+//!   (clearing all in-flight state and shrinking the collective group),
+//!   after which the time-march restores from a checkpoint.
 //!
-//! The collectives are deterministic exactly as before: barrier via arrival
-//! counters, `allreduce` as a gather in ascending *group* order at the
-//! lowest surviving rank followed by a broadcast.
+//! Every wait is one of two loops: a link wait under one reorder-buffer
+//! loop that [`Comm::recv`] blocks on (deadline restarted per envelope) and
+//! [`Comm::try_recv`] polls once, and a coordinator wait under
+//! [`Comm::barrier`] and the three phases of [`Comm::recover`]. Whenever a
+//! wait on a peer finds nothing to take, one **liveness ladder** decides, in
+//! this order: this rank fenced → [`CommError::Fenced`]; the peer dead, a
+//! recovery pending with a dead group member, or the peer's heartbeat stale
+//! → [`CommError::RankFailed`]; the peer exited cleanly (it will never send
+//! again) or the deadline passed → [`CommError::Timeout`], counted in the
+//! fault report every time it is built.
+//!
+//! The collectives are deterministic: barrier via arrival counters,
+//! `allreduce` as a gather in ascending *group* order at the lowest
+//! surviving rank followed by a broadcast.
 //!
 //! Tags with the top bit set ([`COLLECTIVE_TAG_BIT`]) are reserved for
 //! collectives; user sends/recvs into that namespace are rejected with
-//! [`CommError::ReservedTag`].
+//! [`CommError::ReservedTag`], and a peer outside the fabric with
+//! [`CommError::NoSuchRank`].
 //!
-//! ## Overlap support
-//!
-//! Two additions serve the comm/compute-overlapped march (see
-//! [`crate::exec`]):
+//! For the comm/compute-overlapped march:
 //!
 //! * each link carries **two independent sequence channels** — user
 //!   point-to-point traffic and collective traffic (selected by
@@ -41,15 +48,13 @@
 //!   contributions on the same links the next iteration's halo messages use;
 //!   separate channels let the receiver drain halo traffic ahead of queued
 //!   collective envelopes without tripping the in-sequence tag check.
-//! * **non-blocking primitives**: [`Comm::try_recv`] polls a link without
-//!   blocking (so interior compute can proceed while boundary receives are
-//!   outstanding), and [`Comm::iallreduce_sum`] / [`Comm::iallreduce_max`]
-//!   split an allreduce into a start ([`PendingReduce`]) and a
-//!   [`Comm::complete_reduce`] harvest, pipelining step *k*'s reduction
-//!   under step *k+1*'s compute. The completed result is bitwise identical
-//!   to the blocking collective (same ascending gather order at the same
-//!   root); a pending reduce that crosses a recovery epoch refuses to
-//!   complete, so stale contributions can never leak into a reduction.
+//! * **non-blocking primitives**: [`Comm::try_recv`] lets interior compute
+//!   run while boundary receives are outstanding, and
+//!   [`Comm::iallreduce_sum`] / [`Comm::iallreduce_max`] start an allreduce
+//!   ([`PendingReduce`]) that [`Comm::complete_reduce`] harvests a step
+//!   later — bitwise identical to the blocking collective (same gather order
+//!   at the same root); a pending reduce that crosses a recovery epoch
+//!   refuses to complete, so stale contributions never leak into a sum.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -82,8 +87,7 @@ pub enum CommError {
         rank: usize,
         /// The peer the rank was waiting on.
         from: usize,
-        /// The expected tag ([`TAG_BARRIER`-like reserved values for
-        /// collectives]).
+        /// The expected tag (a reserved one for a barrier).
         tag: u64,
         /// How long the rank waited, in milliseconds.
         waited_ms: u64,
@@ -119,6 +123,15 @@ pub enum CommError {
     ReservedTag {
         /// The offending tag.
         tag: u64,
+    },
+    /// A user send/recv named a peer rank the fabric does not have.
+    NoSuchRank {
+        /// The calling rank.
+        rank: usize,
+        /// The out-of-range peer.
+        peer: usize,
+        /// Ranks in the fabric (valid peers are `0..nranks`).
+        nranks: usize,
     },
     /// In-sequence message carried an unexpected tag — a protocol bug.
     TagMismatch {
@@ -180,6 +193,10 @@ impl std::fmt::Display for CommError {
             CommError::ReservedTag { tag } => {
                 write!(f, "tag {tag:#x} is in the reserved collective namespace")
             }
+            CommError::NoSuchRank { rank, peer, nranks } => write!(
+                f,
+                "rank {rank}: peer rank {peer} is out of range (the fabric has {nranks} ranks)"
+            ),
             CommError::TagMismatch { rank, from, expected, got } => write!(
                 f,
                 "rank {rank}: expected tag {expected} from {from}, got {got}"
@@ -285,6 +302,18 @@ struct LinkState {
     last: [Option<Envelope>; 2],
 }
 
+impl LinkState {
+    /// The next envelope off the wire: the queue head, else the oldest
+    /// parked one (the network finally releases it).
+    fn pop(&mut self) -> Option<Envelope> {
+        if let Some(env) = self.queue.pop_front() {
+            return Some(env);
+        }
+        let i = (0..self.held.len()).min_by_key(|&i| self.held[i].seq)?;
+        Some(self.held.remove(i))
+    }
+}
+
 struct Link {
     state: Mutex<LinkState>,
     cv: Condvar,
@@ -307,8 +336,10 @@ struct Shared {
     coord_cv: Condvar,
     alive: Vec<AtomicBool>,
     done: Vec<AtomicBool>,
-    heartbeat: Vec<AtomicU64>,
-    last_beat: Vec<Mutex<Instant>>,
+    /// Launch instant, the origin of the heartbeat timestamps.
+    born: Instant,
+    /// Per rank: nanoseconds after `born` of its latest heartbeat.
+    last_beat: Vec<AtomicU64>,
     /// Set when any rank fails; cleared by the recovery leader.
     rec_flag: AtomicBool,
     /// Current fabric epoch; bumped once per successful recovery.
@@ -319,17 +350,20 @@ struct Shared {
 }
 
 impl Shared {
+    /// Mark `rank` failed and wake every waiter, so the ladder sees it now.
     fn declare_dead(&self, rank: usize) {
         if self.alive[rank].swap(false, Ordering::SeqCst) {
             FaultStats::inc(&self.stats.rank_failures);
             self.rec_flag.store(true, Ordering::SeqCst);
             self.coord_cv.notify_all();
+            for l in &self.links {
+                l.cv.notify_all();
+            }
         }
     }
 
-    fn mark_done(&self, rank: usize) {
-        self.done[rank].store(true, Ordering::SeqCst);
-        self.coord_cv.notify_all();
+    fn now_ns(&self) -> u64 {
+        self.born.elapsed().as_nanos() as u64
     }
 }
 
@@ -374,6 +408,25 @@ impl RecvState {
         }
         c.reorder.insert(env.seq, env);
     }
+}
+
+/// The one span wrapper of the traced operations: run `op` inside a `kind`
+/// span with `a` = packed `pair` and `b` = packed (`epoch`, `seq` of the
+/// outcome); a `None` seq records nothing.
+fn traced<T>(
+    kind: EventKind,
+    pair: (usize, usize),
+    epoch: u64,
+    op: impl FnOnce() -> Result<T, CommError>,
+    seq: impl FnOnce(&Result<T, CommError>) -> Option<u32>,
+) -> Result<T, CommError> {
+    let span = op2_trace::begin();
+    let r = op();
+    if let Some(seq) = seq(&r) {
+        let a = pack2(pair.0 as u32, pair.1 as u32);
+        op2_trace::end(span, kind, NO_NAME, a, pack2(epoch as u32, seq));
+    }
+    r
 }
 
 /// Per-rank communicator handle (the `MPI_COMM_WORLD` analogue).
@@ -422,8 +475,8 @@ impl Comm {
     /// inside every blocking wait; long compute phases should call it at
     /// natural boundaries (the time-march beats once per iteration).
     pub fn beat(&self) {
-        self.shared.heartbeat[self.rank].fetch_add(1, Ordering::Relaxed);
-        *self.shared.last_beat[self.rank].lock() = Instant::now();
+        let sh = &self.shared;
+        sh.last_beat[self.rank].store(sh.now_ns(), Ordering::Relaxed);
     }
 
     /// Mark this rank failed (the fault-plan kill path): peers will detect
@@ -431,44 +484,70 @@ impl Comm {
     /// caller should propagate while unwinding its work.
     pub fn kill_self(&self) -> CommError {
         self.shared.declare_dead(self.rank);
-        self.notify_all_links();
         CommError::Fenced { rank: self.rank }
     }
 
-    fn notify_all_links(&self) {
-        for l in &self.shared.links {
-            l.cv.notify_all();
-        }
+    fn epoch(&self) -> u64 {
+        self.shared.rec_epoch.load(Ordering::SeqCst)
     }
 
     fn check_self(&self) -> Result<(), CommError> {
-        if self.shared.alive[self.rank].load(Ordering::SeqCst) {
-            Ok(())
+        let alive = self.shared.alive[self.rank].load(Ordering::SeqCst);
+        alive.then_some(()).ok_or(CommError::Fenced { rank: self.rank })
+    }
+
+    /// Entry check of the user point-to-point calls: the tag must lie
+    /// outside the collective namespace and the peer inside the fabric.
+    fn check_user(&self, peer: usize, tag: u64) -> Result<(), CommError> {
+        let nranks = self.shared.nranks;
+        if tag & COLLECTIVE_TAG_BIT != 0 {
+            Err(CommError::ReservedTag { tag })
+        } else if peer >= nranks {
+            Err(CommError::NoSuchRank { rank: self.rank, peer, nranks })
         } else {
-            Err(CommError::Fenced { rank: self.rank })
+            Ok(())
         }
     }
 
-    fn first_dead(&self) -> Option<usize> {
-        let group = self.group.borrow();
-        group
-            .iter()
-            .copied()
-            .find(|&r| !self.shared.alive[r].load(Ordering::SeqCst))
+    /// The one place a [`CommError::Timeout`] is built, so every deadline
+    /// expiry — the fabric's own waits and the overlapped march's
+    /// quiet-period poll alike — is counted in the fault report.
+    pub(crate) fn timeout(&self, from: usize, tag: u64, waited: Duration) -> CommError {
+        FaultStats::inc(&self.shared.stats.timeouts);
+        let waited_ms = waited.as_millis() as u64;
+        CommError::Timeout { rank: self.rank, from, tag, waited_ms }
     }
 
-    /// Declare `peer` failed if its heartbeat is stale. Returns true if the
-    /// verdict was reached (by this or any earlier observer).
-    fn stale_check(&self, peer: usize) -> bool {
+    /// The liveness ladder below the fence check (see the module docs), run
+    /// by every wait on `peer` that found nothing to take.
+    fn ladder(
+        &self,
+        peer: usize,
+        tag: u64,
+        waited: Duration,
+        expired: bool,
+    ) -> Result<(), CommError> {
         let sh = &self.shared;
-        if sh.done[peer].load(Ordering::SeqCst) || !sh.alive[peer].load(Ordering::SeqCst) {
-            return false;
+        let failed = |failed| Err(CommError::RankFailed { rank: self.rank, failed });
+        let dead = |r: &usize| !sh.alive[*r].load(Ordering::SeqCst);
+        if dead(&peer) {
+            return failed(peer);
         }
-        let stale = sh.last_beat[peer].lock().elapsed() > sh.config.heartbeat_timeout;
-        if stale {
+        if sh.rec_flag.load(Ordering::SeqCst) {
+            if let Some(&d) = self.group.borrow().iter().find(|r| dead(r)) {
+                return failed(d);
+            }
+        }
+        let exited = sh.done[peer].load(Ordering::SeqCst);
+        let silent = sh.now_ns().saturating_sub(sh.last_beat[peer].load(Ordering::Relaxed));
+        if !exited && u128::from(silent) > sh.config.heartbeat_timeout.as_nanos() {
             sh.declare_dead(peer);
+            return failed(peer);
         }
-        stale
+        if expired || exited {
+            return Err(self.timeout(peer, tag, waited));
+        }
+        Ok(())
     }
 
     /// Send `payload` to rank `to` with `tag` (buffered; retries masked
@@ -476,67 +555,50 @@ impl Comm {
     ///
     /// # Errors
     /// [`CommError::ReservedTag`] for tags in the collective namespace,
+    /// [`CommError::NoSuchRank`] if `to` is out of range,
     /// [`CommError::RetriesExhausted`] if every transmission attempt was
     /// dropped, [`CommError::Fenced`] if this rank has been marked failed.
-    ///
-    /// # Panics
-    /// Panics if `to` is out of range.
     pub fn send(&self, to: usize, tag: u64, payload: Vec<f64>) -> Result<(), CommError> {
-        if tag & COLLECTIVE_TAG_BIT != 0 {
-            return Err(CommError::ReservedTag { tag });
-        }
+        self.check_user(to, tag)?;
         self.send_raw(to, tag, payload)
     }
 
-    /// Trace-instrumented transport wrapper: records a
-    /// [`EventKind::FabricSend`] span with `a` = packed (from, to) ranks and
-    /// `b` = packed (epoch, seq), covering retries and backoff.
+    /// Traced transport send: a [`EventKind::FabricSend`] span with `a` =
+    /// packed (from, to) ranks and `b` = packed (epoch, seq), covering
+    /// retries and backoff.
     fn send_raw(&self, to: usize, tag: u64, payload: Vec<f64>) -> Result<(), CommError> {
-        let span = op2_trace::begin();
-        let epoch = self.shared.rec_epoch.load(Ordering::SeqCst);
-        let r = self.send_impl(to, tag, payload);
-        let seq = *r.as_ref().unwrap_or(&u64::from(u32::MAX));
-        op2_trace::end(
-            span,
+        let epoch = self.epoch();
+        traced(
             EventKind::FabricSend,
-            NO_NAME,
-            pack2(self.rank as u32, to as u32),
-            pack2(epoch as u32, seq as u32),
-        );
-        r.map(|_| ())
+            (self.rank, to),
+            epoch,
+            || self.send_impl(to, tag, payload),
+            |r| Some(r.as_ref().map_or(u32::MAX, |&seq| seq as u32)),
+        )
+        .map(drop)
     }
 
     fn send_impl(&self, to: usize, tag: u64, payload: Vec<f64>) -> Result<u64, CommError> {
         self.check_self()?;
-        assert!(to < self.shared.nranks, "send to out-of-range rank {to}");
         let sh = &self.shared;
         let link = &sh.links[self.rank * sh.nranks + to];
-        let epoch = sh.rec_epoch.load(Ordering::SeqCst);
+        let epoch = self.epoch();
         FaultStats::inc(&sh.stats.sent);
         let chan = chan_of(tag);
-        let seq = {
-            let mut st = link.state.lock();
-            let s = st.next_seq[chan];
-            st.next_seq[chan] += 1;
-            s
-        };
+        let mut st = link.state.lock();
+        let seq = st.next_seq[chan];
+        st.next_seq[chan] += 1;
+        drop(st);
         let env = Envelope { seq, epoch, tag, payload };
         let mut attempt: u32 = 0;
         loop {
-            let action = match &sh.plan {
-                Some(p) => p.decide(epoch, self.rank, to, seq, attempt),
-                None => FaultAction::Deliver,
-            };
+            let decide = |p: &FaultPlan| p.decide(epoch, self.rank, to, seq, attempt);
+            let action = sh.plan.as_ref().map_or(FaultAction::Deliver, decide);
             if action == FaultAction::Drop {
                 FaultStats::inc(&sh.stats.dropped);
                 if attempt >= sh.config.max_retries {
-                    return Err(CommError::RetriesExhausted {
-                        rank: self.rank,
-                        to,
-                        tag,
-                        seq,
-                        attempts: attempt + 1,
-                    });
+                    let (rank, attempts) = (self.rank, attempt + 1);
+                    return Err(CommError::RetriesExhausted { rank, to, tag, seq, attempts });
                 }
                 FaultStats::inc(&sh.stats.retries);
                 let backoff = sh.config.backoff_base * (1 << attempt.min(6));
@@ -572,58 +634,77 @@ impl Comm {
         }
     }
 
-    /// Pull the next raw envelope off the link `from → self`, with deadline
-    /// and failure detection.
-    fn pull(&self, from: usize, tag: u64) -> Result<Envelope, CommError> {
+    /// The one link wait: take the next raw envelope off `from → self`.
+    /// `wait: None` polls once (`Ok(None)` if the link is empty and the
+    /// ladder passes); `Some(deadline)` blocks on the link's condvar, beating
+    /// every slice, until an envelope arrives or the ladder fails the wait.
+    fn pull(
+        &self,
+        from: usize,
+        tag: u64,
+        wait: Option<Duration>,
+    ) -> Result<Option<Envelope>, CommError> {
         let sh = &self.shared;
         let link = &sh.links[from * sh.nranks + self.rank];
-        let deadline = sh.config.recv_deadline;
         let start = Instant::now();
         let mut st = link.state.lock();
         loop {
-            if !sh.alive[self.rank].load(Ordering::SeqCst) {
-                return Err(CommError::Fenced { rank: self.rank });
+            self.check_self()?;
+            if let Some(env) = st.pop() {
+                return Ok(Some(env));
             }
-            if let Some(env) = st.queue.pop_front() {
-                return Ok(env);
-            }
-            if !st.held.is_empty() {
-                // The network finally releases the oldest parked envelope.
-                let i = st
-                    .held
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.seq)
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
-                return Ok(st.held.remove(i));
-            }
-            if !sh.alive[from].load(Ordering::SeqCst) {
-                return Err(CommError::RankFailed { rank: self.rank, failed: from });
-            }
-            if sh.rec_flag.load(Ordering::SeqCst) {
-                if let Some(d) = self.first_dead() {
-                    return Err(CommError::RankFailed { rank: self.rank, failed: d });
+            let waited = wait.map_or(Duration::ZERO, |_| start.elapsed());
+            self.ladder(from, tag, waited, wait.is_some_and(|d| waited >= d))?;
+            let Some(deadline) = wait else { return Ok(None) };
+            self.beat();
+            link.cv.wait_for(&mut st, WAIT_SLICE.min(deadline.saturating_sub(waited)));
+        }
+    }
+
+    /// The one receive path under [`Comm::recv`], [`Comm::try_recv`] and
+    /// the collectives: deliver the next in-sequence envelope of `tag`'s
+    /// channel from `from`, filing pulled envelopes into the reorder buffer
+    /// until it arrives (or, polling, until the link runs dry). Records a
+    /// [`EventKind::FabricRecv`] span with `a` = packed (from, to) ranks and
+    /// `b` = packed (epoch, seq) for every delivery, and for a failed
+    /// blocking receive (seq `u32::MAX`); a poll that delivers nothing
+    /// records nothing.
+    fn receive(
+        &self,
+        from: usize,
+        tag: u64,
+        wait: Option<Duration>,
+    ) -> Result<Option<Vec<f64>>, CommError> {
+        let epoch = self.epoch();
+        let deliver = || {
+            let chan = chan_of(tag);
+            let mut st = self.recv_state[from].borrow_mut();
+            loop {
+                if let Some(env) = st.take_next(chan) {
+                    if env.tag != tag {
+                        let (rank, got) = (self.rank, env.tag);
+                        return Err(CommError::TagMismatch { rank, from, expected: tag, got });
+                    }
+                    return Ok(Some(env));
+                }
+                match self.pull(from, tag, wait)? {
+                    Some(env) => st.file(env, epoch, &self.shared.stats),
+                    None => return Ok(None),
                 }
             }
-            if self.stale_check(from) {
-                return Err(CommError::RankFailed { rank: self.rank, failed: from });
-            }
-            let waited = start.elapsed();
-            if waited >= deadline || sh.done[from].load(Ordering::SeqCst) {
-                // A cleanly-exited peer will never send again: fail fast
-                // with the same deadline error a full wait would produce.
-                FaultStats::inc(&sh.stats.timeouts);
-                return Err(CommError::Timeout {
-                    rank: self.rank,
-                    from,
-                    tag,
-                    waited_ms: waited.as_millis() as u64,
-                });
-            }
-            self.beat();
-            link.cv.wait_for(&mut st, WAIT_SLICE.min(deadline - waited));
-        }
+        };
+        let seq = |r: &Result<Option<Envelope>, CommError>| match r {
+            Ok(env) => env.as_ref().map(|e| e.seq as u32),
+            Err(_) => wait.map(|_| u32::MAX),
+        };
+        let env = traced(EventKind::FabricRecv, (from, self.rank), epoch, deliver, seq)?;
+        Ok(env.map(|e| e.payload))
+    }
+
+    /// Blocking transport receive (the deadline restarts per envelope).
+    fn recv_raw(&self, from: usize, tag: u64) -> Result<Vec<f64>, CommError> {
+        let got = self.receive(from, tag, Some(self.shared.config.recv_deadline))?;
+        Ok(got.expect("a blocking receive delivers or fails"))
     }
 
     /// Receive the next in-sequence message from rank `from`; its tag must
@@ -633,52 +714,11 @@ impl Comm {
     /// # Errors
     /// [`CommError::Timeout`] when the deadline expires with no message,
     /// [`CommError::RankFailed`] when the peer is detected dead,
-    /// [`CommError::ReservedTag`] for collective-namespace tags.
+    /// [`CommError::ReservedTag`] for collective-namespace tags,
+    /// [`CommError::NoSuchRank`] if `from` is out of range.
     pub fn recv(&self, from: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        if tag & COLLECTIVE_TAG_BIT != 0 {
-            return Err(CommError::ReservedTag { tag });
-        }
+        self.check_user(from, tag)?;
         self.recv_raw(from, tag)
-    }
-
-    /// Trace-instrumented transport wrapper: records a
-    /// [`EventKind::FabricRecv`] span with `a` = packed (from, to) ranks and
-    /// `b` = packed (epoch, seq), covering the blocking reorder-buffer wait.
-    fn recv_raw(&self, from: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        let span = op2_trace::begin();
-        let epoch = self.shared.rec_epoch.load(Ordering::SeqCst);
-        let r = self.recv_impl(from, tag);
-        let seq = r.as_ref().map(|e| e.seq as u32).unwrap_or(u32::MAX);
-        op2_trace::end(
-            span,
-            EventKind::FabricRecv,
-            NO_NAME,
-            pack2(from as u32, self.rank as u32),
-            pack2(epoch as u32, seq),
-        );
-        r.map(|env| env.payload)
-    }
-
-    fn recv_impl(&self, from: usize, tag: u64) -> Result<Envelope, CommError> {
-        let sh = &self.shared;
-        let epoch = sh.rec_epoch.load(Ordering::SeqCst);
-        let chan = chan_of(tag);
-        let mut st = self.recv_state[from].borrow_mut();
-        loop {
-            if let Some(env) = st.take_next(chan) {
-                if env.tag != tag {
-                    return Err(CommError::TagMismatch {
-                        rank: self.rank,
-                        from,
-                        expected: tag,
-                        got: env.tag,
-                    });
-                }
-                return Ok(env);
-            }
-            let env = self.pull(from, tag)?;
-            st.file(env, epoch, &sh.stats);
-        }
     }
 
     /// Poll for the next in-sequence message from rank `from` without
@@ -687,152 +727,69 @@ impl Comm {
     /// march calls this between interior-compute chunks to fire boundary
     /// blocks the moment their halo data lands.
     ///
-    /// Failure detection stays prompt even though the call never waits: a
-    /// dead or fenced peer, a pending recovery, or a stale heartbeat surface
-    /// as the same errors [`Comm::recv`] would return, and a cleanly-exited
+    /// Failure detection stays prompt even though the call never waits: it
+    /// runs the same liveness ladder as [`Comm::recv`], so a cleanly-exited
     /// peer that can no longer send reports [`CommError::Timeout`]
     /// immediately.
     pub fn try_recv(&self, from: usize, tag: u64) -> Result<Option<Vec<f64>>, CommError> {
-        if tag & COLLECTIVE_TAG_BIT != 0 {
-            return Err(CommError::ReservedTag { tag });
-        }
-        let span = op2_trace::begin();
-        let sh = &self.shared;
-        let epoch = sh.rec_epoch.load(Ordering::SeqCst);
-        let chan = chan_of(tag);
-        let mut st = self.recv_state[from].borrow_mut();
-        loop {
-            if let Some(env) = st.take_next(chan) {
-                if env.tag != tag {
-                    return Err(CommError::TagMismatch {
-                        rank: self.rank,
-                        from,
-                        expected: tag,
-                        got: env.tag,
-                    });
-                }
-                op2_trace::end(
-                    span,
-                    EventKind::FabricRecv,
-                    NO_NAME,
-                    pack2(from as u32, self.rank as u32),
-                    pack2(epoch as u32, env.seq as u32),
-                );
-                return Ok(Some(env.payload));
-            }
-            match self.try_pull(from, tag)? {
-                Some(env) => st.file(env, epoch, &sh.stats),
-                None => return Ok(None),
-            }
-        }
+        self.check_user(from, tag)?;
+        self.receive(from, tag, None)
     }
 
-    /// Non-blocking variant of [`Comm::pull`]: drain one envelope if the
-    /// link has one, otherwise run the same failure checks and return
-    /// `Ok(None)`.
-    fn try_pull(&self, from: usize, tag: u64) -> Result<Option<Envelope>, CommError> {
+    /// The one coordinator wait, under [`Comm::barrier`] and the three
+    /// phases of [`Comm::recover`]: fence check, record this rank's arrival
+    /// with `arrive`, then until `ready` returns `Ok(true)` beat and sleep a
+    /// slice on `coord_cv`, at most up to `deadline` after `start`. `ready`
+    /// sees the time waited and gives its own verdict on expiry.
+    fn coord_wait(
+        &self,
+        start: Instant,
+        deadline: Duration,
+        arrive: impl FnOnce(&mut Coord),
+        mut ready: impl FnMut(&Coord, Duration) -> Result<bool, CommError>,
+    ) -> Result<(), CommError> {
+        self.check_self()?;
         let sh = &self.shared;
-        if !sh.alive[self.rank].load(Ordering::SeqCst) {
-            return Err(CommError::Fenced { rank: self.rank });
-        }
-        let link = &sh.links[from * sh.nranks + self.rank];
-        {
-            let mut st = link.state.lock();
-            if let Some(env) = st.queue.pop_front() {
-                return Ok(Some(env));
+        let mut c = sh.coord.lock();
+        arrive(&mut c);
+        sh.coord_cv.notify_all();
+        loop {
+            let waited = start.elapsed();
+            if ready(&c, waited)? {
+                return Ok(());
             }
-            if !st.held.is_empty() {
-                let i = st
-                    .held
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.seq)
-                    .map(|(i, _)| i)
-                    .expect("non-empty");
-                return Ok(Some(st.held.remove(i)));
-            }
+            self.beat();
+            sh.coord_cv.wait_for(&mut c, WAIT_SLICE.min(deadline.saturating_sub(waited)));
         }
-        if !sh.alive[from].load(Ordering::SeqCst) {
-            return Err(CommError::RankFailed { rank: self.rank, failed: from });
-        }
-        if sh.rec_flag.load(Ordering::SeqCst) {
-            if let Some(d) = self.first_dead() {
-                return Err(CommError::RankFailed { rank: self.rank, failed: d });
-            }
-        }
-        if self.stale_check(from) {
-            return Err(CommError::RankFailed { rank: self.rank, failed: from });
-        }
-        if sh.done[from].load(Ordering::SeqCst) {
-            // A cleanly-exited peer will never send again: the missing
-            // head-of-line message can't arrive, so fail fast as a blocking
-            // recv would.
-            FaultStats::inc(&sh.stats.timeouts);
-            return Err(CommError::Timeout { rank: self.rank, from, tag, waited_ms: 0 });
-        }
-        Ok(None)
     }
 
     /// Block until every rank of the current group has reached the barrier.
     ///
     /// Records a [`EventKind::FabricBarrier`] span with `a` = packed (rank,
-    /// group size) and `b` = packed (epoch, barrier generation).
+    /// group size) and `b` = packed (epoch, 0).
     ///
     /// # Errors
     /// [`CommError::RankFailed`] if a group member dies while waiting,
     /// [`CommError::Timeout`] if the deadline expires.
     pub fn barrier(&self) -> Result<(), CommError> {
-        let span = op2_trace::begin();
-        let epoch = self.shared.rec_epoch.load(Ordering::SeqCst);
-        let r = self.barrier_impl();
-        op2_trace::end(
-            span,
-            EventKind::FabricBarrier,
-            NO_NAME,
-            pack2(self.rank as u32, self.group.borrow().len() as u32),
-            pack2(epoch as u32, 0),
-        );
-        r
-    }
-
-    fn barrier_impl(&self) -> Result<(), CommError> {
-        self.check_self()?;
+        let group = self.group();
         let sh = &self.shared;
-        let group = self.group.borrow().clone();
+        let me = self.rank;
         let deadline = sh.config.recv_deadline;
-        let start = Instant::now();
-        let mut c = sh.coord.lock();
-        c.bar[self.rank] += 1;
-        let my = c.bar[self.rank];
-        sh.coord_cv.notify_all();
-        loop {
-            let mut pending = None;
-            for &r in &group {
-                if r == self.rank || c.bar[r] >= my {
-                    continue;
-                }
+        let ready = |c: &Coord, waited: Duration| {
+            let my = c.bar[me];
+            let mut last = None;
+            for r in group.iter().copied().filter(|&r| r != me && c.bar[r] < my) {
                 if !sh.alive[r].load(Ordering::SeqCst) {
-                    return Err(CommError::RankFailed { rank: self.rank, failed: r });
+                    return Err(CommError::RankFailed { rank: me, failed: r });
                 }
-                pending = Some(r);
+                last = Some(r);
             }
-            let Some(p) = pending else { return Ok(()) };
-            if self.stale_check(p) {
-                return Err(CommError::RankFailed { rank: self.rank, failed: p });
-            }
-            let waited = start.elapsed();
-            if waited >= deadline {
-                FaultStats::inc(&sh.stats.timeouts);
-                return Err(CommError::Timeout {
-                    rank: self.rank,
-                    from: p,
-                    tag: TAG_BARRIER,
-                    waited_ms: waited.as_millis() as u64,
-                });
-            }
-            self.beat();
-            sh.coord_cv.wait_for(&mut c, WAIT_SLICE.min(deadline - waited));
-        }
+            let Some(p) = last else { return Ok(true) };
+            self.ladder(p, TAG_BARRIER, waited, waited >= deadline).map(|()| false)
+        };
+        let wait = || self.coord_wait(Instant::now(), deadline, |c| c.bar[me] += 1, ready);
+        traced(EventKind::FabricBarrier, (me, group.len()), self.epoch(), wait, |_| Some(0))
     }
 
     /// Element-wise sum across the current group, identical result on every
@@ -860,17 +817,14 @@ impl Comm {
     }
 
     fn allreduce(&self, local: &[f64], op: ReduceOp) -> Result<Vec<f64>, CommError> {
-        let span = op2_trace::begin();
-        let epoch = self.shared.rec_epoch.load(Ordering::SeqCst);
-        let r = self.ireduce_start(local, op).and_then(|p| self.complete_impl(p));
-        op2_trace::end(
-            span,
+        let group_len = self.group.borrow().len();
+        traced(
             EventKind::FabricAllreduce,
-            NO_NAME,
-            pack2(self.rank as u32, self.group.borrow().len() as u32),
-            pack2(epoch as u32, 0),
-        );
-        r
+            (self.rank, group_len),
+            self.epoch(),
+            || self.ireduce_start(local, op).and_then(|p| self.complete_impl(p)),
+            |_| Some(0),
+        )
     }
 
     /// Start a non-blocking sum-allreduce: this rank's contribution is
@@ -895,9 +849,9 @@ impl Comm {
 
     fn ireduce_start(&self, local: &[f64], op: ReduceOp) -> Result<PendingReduce, CommError> {
         self.check_self()?;
-        let group = self.group.borrow().clone();
+        let group = self.group();
         let root = *group.first().expect("non-empty group");
-        let epoch = self.shared.rec_epoch.load(Ordering::SeqCst);
+        let epoch = self.epoch();
         if self.rank != root {
             self.send_raw(root, TAG_GATHER, local.to_vec())?;
         }
@@ -917,23 +871,13 @@ impl Comm {
     /// epoch's traffic, so completing would hang or mix epochs); otherwise
     /// as [`Comm::allreduce_sum`].
     pub fn complete_reduce(&self, pending: PendingReduce) -> Result<Vec<f64>, CommError> {
-        let span = op2_trace::begin();
-        let epoch = pending.epoch;
-        let group_len = pending.group.len();
-        let r = self.complete_impl(pending);
-        op2_trace::end(
-            span,
-            EventKind::FabricAllreduce,
-            NO_NAME,
-            pack2(self.rank as u32, group_len as u32),
-            pack2(epoch as u32, 0),
-        );
-        r
+        let (pair, epoch) = ((self.rank, pending.group.len()), pending.epoch);
+        traced(EventKind::FabricAllreduce, pair, epoch, || self.complete_impl(pending), |_| Some(0))
     }
 
     fn complete_impl(&self, pending: PendingReduce) -> Result<Vec<f64>, CommError> {
         self.check_self()?;
-        if pending.epoch != self.shared.rec_epoch.load(Ordering::SeqCst) {
+        if pending.epoch != self.epoch() {
             return Err(CommError::RecoveryFailed {
                 rank: self.rank,
                 reason: "pending reduce crosses a recovery epoch",
@@ -945,12 +889,8 @@ impl Comm {
             for &from in group.iter().filter(|&&r| r != root) {
                 let part = self.recv_raw(from, TAG_GATHER)?;
                 if part.len() != acc.len() {
-                    return Err(CommError::LengthMismatch {
-                        rank: self.rank,
-                        from,
-                        expected: acc.len(),
-                        got: part.len(),
-                    });
+                    let (rank, expected, got) = (self.rank, acc.len(), part.len());
+                    return Err(CommError::LengthMismatch { rank, from, expected, got });
                 }
                 for (a, v) in acc.iter_mut().zip(part) {
                     match op {
@@ -977,101 +917,65 @@ impl Comm {
     /// failed ranks: stale traffic from before the failure is discarded, so
     /// post-recovery state depends only on the restored checkpoint.
     pub fn recover(&self) -> Result<Vec<usize>, CommError> {
-        self.check_self()?;
         let sh = &self.shared;
         let me = self.rank;
         let n = sh.nranks;
-        let target = sh.rec_epoch.load(Ordering::SeqCst) + 1;
+        let target = self.epoch() + 1;
         let deadline = sh.config.recv_deadline * 4;
         let start = Instant::now();
+        let alive = |r: usize| sh.alive[r].load(Ordering::SeqCst);
+        // Every phase shares the one deadline; each waits until `ready`.
+        let phase = |arrive: &dyn Fn(&mut Coord), ready: &dyn Fn(&Coord) -> bool, reason| {
+            self.coord_wait(start, deadline, arrive, |c, waited| match ready(c) {
+                false if waited >= deadline => Err(CommError::RecoveryFailed { rank: me, reason }),
+                settled => Ok(settled),
+            })
+        };
 
         // Phase 1: every surviving rank arrives (so nobody is still
         // marching and sending while state is cleared).
-        {
-            let mut c = sh.coord.lock();
-            if c.rec_arrived[me] < target {
-                c.rec_arrived[me] = target;
-            }
-            sh.coord_cv.notify_all();
-            loop {
-                let all = (0..n).all(|r| {
-                    !sh.alive[r].load(Ordering::SeqCst) || c.rec_arrived[r] >= target
-                });
-                if all {
-                    break;
-                }
-                if start.elapsed() > deadline {
-                    return Err(CommError::RecoveryFailed {
-                        rank: me,
-                        reason: "rendezvous (arrival phase) timed out",
-                    });
-                }
-                self.beat();
-                sh.coord_cv.wait_for(&mut c, WAIT_SLICE);
-            }
-        }
+        phase(
+            &|c| c.rec_arrived[me] = c.rec_arrived[me].max(target),
+            &|c| (0..n).all(|r| !alive(r) || c.rec_arrived[r] >= target),
+            "rendezvous (arrival phase) timed out",
+        )?;
 
         // Phase 2: each rank resets its inbound links (which also hold the
         // peers' sender-side counters for those links) and its own receive
         // state; a second rendezvous keeps sends out until all are clean.
         for from in 0..n {
-            let mut st = sh.links[from * n + me].state.lock();
-            st.queue.clear();
-            st.held.clear();
-            st.next_seq = [0; 2];
-            st.last = [None, None];
+            *sh.links[from * n + me].state.lock() = LinkState::default();
         }
         for rs in &self.recv_state {
             *rs.borrow_mut() = RecvState::default();
         }
-        {
-            let mut c = sh.coord.lock();
-            // Realign the barrier generation: survivors may disagree on how
-            // many barriers they entered before the failure (one can error
-            // out *inside* a barrier another never reached), and a skewed
-            // counter would deadlock the first post-recovery barrier.
-            c.bar[me] = 0;
-            c.rec_cleared[me] = target;
-            sh.coord_cv.notify_all();
-            loop {
-                let all = (0..n).all(|r| {
-                    !sh.alive[r].load(Ordering::SeqCst) || c.rec_cleared[r] >= target
-                });
-                if all {
-                    break;
-                }
-                if start.elapsed() > deadline {
-                    return Err(CommError::RecoveryFailed {
-                        rank: me,
-                        reason: "rendezvous (clear phase) timed out",
-                    });
-                }
-                self.beat();
-                sh.coord_cv.wait_for(&mut c, WAIT_SLICE);
-            }
-        }
+        // Realign the barrier generation on arrival: survivors may disagree
+        // on how many barriers they entered before the failure (one can
+        // error out *inside* a barrier another never reached), and a skewed
+        // counter would deadlock the first post-recovery barrier.
+        phase(
+            &|c| {
+                c.bar[me] = 0;
+                c.rec_cleared[me] = target;
+            },
+            &|c| (0..n).all(|r| !alive(r) || c.rec_cleared[r] >= target),
+            "rendezvous (clear phase) timed out",
+        )?;
 
-        let survivors: Vec<usize> = (0..n)
-            .filter(|&r| sh.alive[r].load(Ordering::SeqCst))
-            .collect();
+        let survivors: Vec<usize> = (0..n).filter(|&r| alive(r)).collect();
         if survivors.is_empty() {
             return Err(CommError::RecoveryFailed { rank: me, reason: "no survivors" });
         }
         if survivors[0] == me {
+            // Publish under the coordinator lock, so no waiter misses it.
+            let _c = sh.coord.lock();
             FaultStats::inc(&sh.stats.recoveries);
             sh.rec_flag.store(false, Ordering::SeqCst);
             sh.rec_epoch.store(target, Ordering::SeqCst);
             sh.coord_cv.notify_all();
         } else {
-            while sh.rec_epoch.load(Ordering::SeqCst) < target {
-                if start.elapsed() > deadline {
-                    return Err(CommError::RecoveryFailed {
-                        rank: me,
-                        reason: "epoch publication timed out",
-                    });
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
+            // Phase 3: wait for the leader's epoch publication.
+            phase(&|_| {}, &|_| self.epoch() >= target, "epoch publication timed out")?;
         }
         *self.group.borrow_mut() = survivors.clone();
         Ok(survivors)
@@ -1137,14 +1041,10 @@ impl FabricBuilder {
         F: Fn(Comm) -> T + Send + Sync,
     {
         let nranks = self.nranks.max(1);
-        let now = Instant::now();
         let shared = Arc::new(Shared {
             nranks,
             links: (0..nranks * nranks)
-                .map(|_| Link {
-                    state: Mutex::new(LinkState::default()),
-                    cv: Condvar::new(),
-                })
+                .map(|_| Link { state: Mutex::default(), cv: Condvar::new() })
                 .collect(),
             coord: Mutex::new(Coord {
                 bar: vec![0; nranks],
@@ -1154,8 +1054,8 @@ impl FabricBuilder {
             coord_cv: Condvar::new(),
             alive: (0..nranks).map(|_| AtomicBool::new(true)).collect(),
             done: (0..nranks).map(|_| AtomicBool::new(false)).collect(),
-            heartbeat: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
-            last_beat: (0..nranks).map(|_| Mutex::new(now)).collect(),
+            born: Instant::now(),
+            last_beat: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
             rec_flag: AtomicBool::new(false),
             rec_epoch: AtomicU64::new(0),
             stats: FaultStats::default(),
@@ -1163,40 +1063,32 @@ impl FabricBuilder {
             config: self.config,
         });
 
-        let comms: Vec<Comm> = (0..nranks)
-            .map(|rank| Comm {
-                rank,
-                shared: Arc::clone(&shared),
-                group: RefCell::new((0..nranks).collect()),
-                recv_state: (0..nranks).map(|_| RefCell::new(RecvState::default())).collect(),
-            })
-            .collect();
-
         let f = &f;
-        let outcomes: Vec<Result<T, Box<dyn std::any::Any + Send>>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = comms
-                    .into_iter()
-                    .map(|comm| {
-                        let shared = Arc::clone(&shared);
-                        scope.spawn(move || {
-                            let rank = comm.rank;
-                            let guard = RankGuard { shared, rank, armed: true };
-                            let out = f(comm);
-                            guard.finish();
-                            out
-                        })
+        let outcomes: Vec<Result<T, hpx_rt::PanicPayload>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..nranks)
+                .map(|rank| {
+                    let comm = Comm {
+                        rank,
+                        shared: Arc::clone(&shared),
+                        group: RefCell::new((0..nranks).collect()),
+                        recv_state: (0..nranks).map(|_| RefCell::default()).collect(),
+                    };
+                    let guard = RankGuard { shared: Arc::clone(&shared), rank };
+                    scope.spawn(move || {
+                        let _guard = guard;
+                        f(comm)
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            });
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
 
         let mut failures = Vec::new();
         let mut results = Vec::with_capacity(nranks);
         for (rank, out) in outcomes.into_iter().enumerate() {
             match out {
                 Ok(v) => results.push(v),
-                Err(p) => failures.push((rank, panic_message(&p))),
+                Err(p) => failures.push((rank, hpx_rt::panic_message(&p))),
             }
         }
         if failures.is_empty() {
@@ -1213,35 +1105,16 @@ impl FabricBuilder {
 struct RankGuard {
     shared: Arc<Shared>,
     rank: usize,
-    armed: bool,
-}
-
-impl RankGuard {
-    fn finish(mut self) {
-        self.armed = false;
-        self.shared.mark_done(self.rank);
-    }
 }
 
 impl Drop for RankGuard {
     fn drop(&mut self) {
-        if self.armed {
-            self.shared.declare_dead(self.rank);
-            self.shared.mark_done(self.rank);
-            for l in &self.shared.links {
-                l.cv.notify_all();
-            }
+        let sh = &self.shared;
+        if std::thread::panicking() {
+            sh.declare_dead(self.rank);
         }
-    }
-}
-
-fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        sh.done[self.rank].store(true, Ordering::SeqCst);
+        sh.coord_cv.notify_all();
     }
 }
 
@@ -1251,11 +1124,7 @@ pub struct Fabric;
 impl Fabric {
     /// Configure a fabric (deadlines, retry budgets, fault injection).
     pub fn builder(nranks: usize) -> FabricBuilder {
-        FabricBuilder {
-            nranks,
-            config: CommConfig::default(),
-            plan: None,
-        }
+        FabricBuilder { nranks, config: CommConfig::default(), plan: None }
     }
 
     /// Run `f(comm)` on `nranks` ranks with default configuration and no
@@ -1384,6 +1253,17 @@ mod tests {
         for (rank, sum) in out.iter().enumerate() {
             assert_eq!(*sum, (0..5).sum::<usize>() as f64 - rank as f64);
         }
+    }
+
+    #[test]
+    fn out_of_range_peer_is_a_typed_error() {
+        Fabric::run(2, |comm| {
+            let e = CommError::NoSuchRank { rank: comm.rank(), peer: 2, nranks: 2 };
+            assert_eq!(comm.send(2, 1, vec![1.0]), Err(e.clone()));
+            assert_eq!(comm.recv(2, 1), Err(e.clone()));
+            assert_eq!(comm.try_recv(2, 1), Err(e.clone()));
+            assert!(e.to_string().contains("out of range"), "{e}");
+        });
     }
 
     #[test]

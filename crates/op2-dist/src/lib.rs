@@ -5,7 +5,7 @@
 //! distributed layer for the Rust port:
 //!
 //! * [`fabric`] — an in-process message-passing fabric (ranks are OS
-//!   threads; typed point-to-point channels; barrier; deterministic
+//!   threads; sequenced point-to-point links; barrier; deterministic
 //!   rank-ordered `allreduce`). It stands in for MPI per the reproduction's
 //!   substitution rules: same communication semantics, no network.
 //! * [`partition`] — strip partitioning of the mesh into per-rank local
@@ -62,7 +62,8 @@
 //!   delivery as the ack with bounded retransmission + exponential backoff
 //!   on drops; deadlines on every blocking operation (a `recv` with no
 //!   matching send fails with [`fabric::CommError::Timeout`], never hangs);
-//!   heartbeat-based rank-failure detection.
+//!   heartbeat-based rank-failure detection — all decided by the fabric's
+//!   one liveness ladder (see the [`fabric`] module docs).
 //! * [`checkpoint`] — periodic owned-cell snapshots
 //!   ([`checkpoint::CheckpointStore`]). On a detected rank loss the
 //!   survivors re-form the fabric ([`fabric::Comm::recover`]), re-partition

@@ -871,7 +871,7 @@ pub(crate) trait HaloSink {
 /// (`tag`) and hand each payload to the sink the moment it lands, running
 /// one of the sink's `nunits` compute units between polls. A pass with
 /// neither an arrival nor compute left records a `halo-wait` span; a quiet
-/// period longer than the receive deadline synthesizes the same
+/// period longer than the receive deadline fails with the same counted
 /// [`CommError::Timeout`] a blocking `recv` would have produced.
 pub(crate) fn poll_halos(
     comm: &Comm,
@@ -929,12 +929,7 @@ pub(crate) fn poll_halos(
                 .zip(&got)
                 .find(|(_, g)| !**g)
                 .map_or(0, |((p, _), _)| *p);
-            return Err(CommError::Timeout {
-                rank,
-                from,
-                tag,
-                waited_ms: waited.as_millis() as u64,
-            });
+            return Err(comm.timeout(from, tag, waited));
         }
     }
     Ok(())
@@ -1129,13 +1124,58 @@ fn exchange_stage<A: DistApp>(
 mod tests {
     use super::*;
 
+    use crate::fabric::{CommConfig, Fabric};
+
     #[test]
     fn root_cause_prefers_non_cascade_errors() {
         let timeout = CommError::Timeout { rank: 0, from: 1, tag: 7, waited_ms: 5 };
         let real = CommError::NoCheckpoint;
-        let (rank, e) = root_cause(vec![(0, timeout), (2, real)]).unwrap();
+        let (rank, e) = root_cause(vec![(0, timeout.clone()), (2, real)]).unwrap();
         assert_eq!(rank, 2);
         assert!(matches!(e, CommError::NoCheckpoint));
         assert!(root_cause(Vec::new()).is_none());
+        let stray = CommError::NoSuchRank { rank: 1, peer: 9, nranks: 2 };
+        let (rank, _) = root_cause(vec![(0, timeout), (1, stray)]).unwrap();
+        assert_eq!(rank, 1, "an out-of-range peer is a root cause, not a cascade");
+    }
+
+    struct Deaf;
+
+    impl HaloSink for Deaf {
+        fn arrived(&mut self, _gi: usize, _payload: Vec<f64>) -> Result<(), CommError> {
+            Ok(())
+        }
+    }
+
+    /// A quiet-period expiry in the overlapped poll is the same counted
+    /// `Timeout` a blocking halo receive produces.
+    #[test]
+    fn poll_and_recv_halo_timeouts_are_counted_alike() {
+        let cfg = CommConfig { recv_deadline: Duration::from_millis(60), ..CommConfig::default() };
+        let imports = vec![(1usize, Vec::new())];
+        for poll in [false, true] {
+            let run = Fabric::builder(2)
+                .config(cfg.clone())
+                .launch(|comm| {
+                    if comm.rank() == 1 {
+                        // Alive and silent past rank 0's deadline: a true
+                        // expiry, not a peer exit.
+                        std::thread::sleep(Duration::from_millis(150));
+                        return Ok(());
+                    }
+                    if poll {
+                        poll_halos(&comm, &imports, 7, 0, 0, 0, &mut Deaf)
+                    } else {
+                        recv_halos(&comm, &imports, 7).map(drop)
+                    }
+                })
+                .unwrap();
+            assert!(
+                matches!(run.results[0], Err(CommError::Timeout { rank: 0, from: 1, tag: 7, .. })),
+                "poll={poll}: {:?}",
+                run.results[0]
+            );
+            assert_eq!(run.faults.timeouts, 1, "poll={poll}");
+        }
     }
 }

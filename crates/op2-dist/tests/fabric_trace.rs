@@ -1,12 +1,14 @@
-//! Fabric instrumentation: send/recv/barrier/allreduce record epoch- and
-//! seq-tagged spans into the op2-trace rings (only meaningful with the
-//! `trace` feature; without it the collector returns an empty timeline and
-//! the hooks are no-ops).
+//! Fabric instrumentation: send/recv/try_recv/barrier/allreduce record
+//! epoch- and seq-tagged spans into the op2-trace rings (only meaningful
+//! with the `trace` feature; without it the collector returns an empty
+//! timeline and the hooks are no-ops).
 
 #![cfg(feature = "trace")]
 
-use op2_dist::fabric::Fabric;
-use op2_trace::{unpack2, Collector, EventKind};
+use std::time::Duration;
+
+use op2_dist::fabric::{CommConfig, CommError, Fabric};
+use op2_trace::{pack2, unpack2, Collector, EventKind};
 
 #[test]
 fn fabric_ops_record_tagged_spans() {
@@ -44,4 +46,59 @@ fn fabric_ops_record_tagged_spans() {
         assert_eq!(group, 2);
     }
     assert_eq!(timeline.of_kind(EventKind::FabricAllreduce).count(), 2);
+}
+
+/// The one receive path records one `FabricRecv` per delivered message: a
+/// `try_recv` poll that finds nothing records no span, each delivery records
+/// exactly one carrying its seq, and a failed blocking `recv` still records
+/// its span, with seq `u32::MAX`.
+#[test]
+fn receive_spans_count_deliveries_and_failed_recvs() {
+    let cfg = CommConfig { recv_deadline: Duration::from_millis(50), ..CommConfig::default() };
+    let collector = Collector::start();
+    let run = Fabric::builder(2)
+        .config(cfg)
+        .launch(|comm| {
+            if comm.rank() == 0 {
+                comm.barrier().unwrap();
+                comm.send(1, 5, vec![1.0]).unwrap();
+                comm.send(1, 5, vec![2.0]).unwrap();
+                return Ok::<u32, CommError>(0);
+            }
+            // Rank 0 sends only after the barrier: these polls find nothing.
+            for _ in 0..3 {
+                assert_eq!(comm.try_recv(0, 5).unwrap(), None);
+            }
+            comm.barrier().unwrap();
+            let (mut got, mut empty) = (Vec::new(), 3);
+            while got.len() < 2 {
+                match comm.try_recv(0, 5).unwrap() {
+                    Some(p) => got.push(p[0]),
+                    None => {
+                        empty += 1;
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                }
+            }
+            assert_eq!(got, vec![1.0, 2.0]);
+            // Nothing more is coming: the blocking receive fails.
+            assert!(matches!(comm.recv(0, 6), Err(CommError::Timeout { .. })));
+            Ok(empty)
+        })
+        .unwrap();
+    let timeline = collector.stop();
+
+    let empty_polls: u32 = run.results.iter().map(|r| r.as_ref().copied().unwrap()).sum();
+    assert!(empty_polls >= 3);
+    let mut seqs: Vec<u32> = timeline
+        .of_kind(EventKind::FabricRecv)
+        .filter(|e| e.a == pack2(0, 1))
+        .map(|e| {
+            let (epoch, seq) = unpack2(e.b);
+            assert_eq!(epoch, 0);
+            seq
+        })
+        .collect();
+    seqs.sort_unstable();
+    assert_eq!(seqs, vec![0, 1, u32::MAX], "{empty_polls} empty polls recorded spans");
 }

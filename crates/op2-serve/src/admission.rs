@@ -41,17 +41,21 @@ pub enum AdmissionError {
         /// The recipe name the submission asked for.
         recipe: String,
     },
+    /// A durable submission reached a service started without
+    /// [`crate::ServeOptions::journal`]: there is nowhere to record it.
+    NoJournal,
 }
 
 impl AdmissionError {
     /// Stable numeric code for trace events (0 queue-full, 1 quota,
-    /// 2 shutdown, 3 unknown-recipe).
+    /// 2 shutdown, 3 unknown-recipe, 4 no-journal).
     pub fn code(&self) -> u64 {
         match self {
             AdmissionError::QueueFull { .. } => 0,
             AdmissionError::QuotaExhausted { .. } => 1,
             AdmissionError::ShuttingDown => 2,
             AdmissionError::UnknownRecipe { .. } => 3,
+            AdmissionError::NoJournal => 4,
         }
     }
 }
@@ -73,6 +77,9 @@ impl std::fmt::Display for AdmissionError {
             AdmissionError::ShuttingDown => write!(f, "service is shutting down"),
             AdmissionError::UnknownRecipe { recipe } => {
                 write!(f, "no program factory registered for recipe '{recipe}'")
+            }
+            AdmissionError::NoJournal => {
+                write!(f, "durable submission requires a service started with a journal")
             }
         }
     }
@@ -190,5 +197,7 @@ mod tests {
         };
         assert_eq!(e.code(), 1);
         assert_eq!(AdmissionError::ShuttingDown.code(), 2);
+        assert_eq!(AdmissionError::NoJournal.code(), 4);
+        assert!(AdmissionError::NoJournal.to_string().contains("journal"));
     }
 }

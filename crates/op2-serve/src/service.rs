@@ -442,9 +442,8 @@ impl Service {
     /// * a key admitted but unresolved at the crash is **requeued** by
     ///   [`Service::start`]; resubmitting it attaches to the live run.
     ///
-    /// # Panics
-    /// Panics if the service was started without
-    /// [`ServeOptions::journal`] — durable submission needs the journal.
+    /// A service started without [`ServeOptions::journal`] refuses every
+    /// durable submission with [`AdmissionError::NoJournal`].
     pub fn try_submit_durable(
         &self,
         key: &str,
@@ -453,11 +452,9 @@ impl Service {
         priority: Priority,
         cost: f64,
     ) -> Result<JobHandle, AdmissionError> {
-        let journal = self
-            .inner
-            .journal
-            .as_ref()
-            .expect("durable submission requires ServeOptions::journal");
+        let Some(journal) = self.inner.journal.as_ref() else {
+            return Err(AdmissionError::NoJournal);
+        };
         // Dedupe a completed key to its recorded outcome, without
         // re-running and without touching admission at all.
         if let Some(outcome) = journal.terminal_of(key) {

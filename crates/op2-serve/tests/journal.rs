@@ -10,7 +10,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use op2_serve::{JobJournal, JobOutcome, JobOutput, JournalState, ServeOptions, Service};
+use op2_serve::{
+    AdmissionError, JobJournal, JobOutcome, JobOutput, JournalState, Priority, ServeOptions,
+    Service,
+};
 use op2_store::StoreFaultPlan;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -174,6 +177,22 @@ fn unknown_recipe_is_shed_typed() {
     let report = svc.drain();
     assert!(report.is_conserved());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Durable submission needs the journal: without one it is refused with a
+/// typed shed (code 4), folded into a rejected handle by `submit_durable`.
+#[test]
+fn durable_submission_without_a_journal_is_shed_typed() {
+    let svc = Service::start(ServeOptions::default());
+    match svc.try_submit_durable("k", "quick", "default", Priority::Normal, 1.0) {
+        Err(e) => assert_eq!((e.clone(), e.code()), (AdmissionError::NoJournal, 4)),
+        Ok(h) => panic!("admitted without a journal: {:?}", h.wait()),
+    }
+    match svc.submit_durable("k", "quick").wait() {
+        JobOutcome::Rejected(AdmissionError::NoJournal) => {}
+        other => panic!("expected a NoJournal rejection, got {other:?}"),
+    }
+    assert!(svc.drain().is_conserved());
 }
 
 /// Seeded storage-fault sweep: journal appends are damaged (torn, short,

@@ -11,6 +11,7 @@ use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use crate::graph::{TaskGraph, TaskId};
 use crate::machine::MachineParams;
+use crate::trace::TraceEvent;
 
 /// Outcome of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +41,19 @@ impl SimResult {
 /// # Panics
 /// Panics if the graph contains a dependency cycle.
 pub fn simulate(graph: &TaskGraph, nworkers: usize, m: &MachineParams) -> SimResult {
+    run(graph, nworkers, m, None)
+}
+
+/// The one event loop behind [`simulate`] and
+/// [`crate::trace::simulate_traced`]: with `trace`, every task's placement
+/// and timing is appended in completion order; the scheduling decisions are
+/// the same either way.
+pub(crate) fn run(
+    graph: &TaskGraph,
+    nworkers: usize,
+    m: &MachineParams,
+    mut trace: Option<&mut Vec<TraceEvent>>,
+) -> SimResult {
     let nworkers = nworkers.max(1);
     let mut indegree = graph.indegrees();
     let mut ready_unpinned: BTreeSet<TaskId> = BTreeSet::new();
@@ -54,6 +68,8 @@ pub fn simulate(graph: &TaskGraph, nworkers: usize, m: &MachineParams) -> SimRes
     let mut events: BinaryHeap<Reverse<(u64, TaskId, usize)>> = BinaryHeap::new();
     let mut idle: BTreeSet<usize> = (0..nworkers).collect();
     let mut busy_ns = vec![0u64; nworkers];
+    // Start time of each worker's current task (read only when tracing).
+    let mut started = vec![0u64; nworkers];
     let mut now = 0u64;
     let mut executed = 0usize;
     let mut makespan = 0u64;
@@ -69,6 +85,7 @@ pub fn simulate(graph: &TaskGraph, nworkers: usize, m: &MachineParams) -> SimRes
                 let speed = m.speed(w);
                 let scaled = (graph.task(tid).duration_ns as f64 / speed).round() as u64;
                 busy_ns[w] += scaled;
+                started[w] = now;
                 idle.remove(&w);
                 events.push(Reverse((now + scaled, tid, w)));
             }
@@ -81,6 +98,9 @@ pub fn simulate(graph: &TaskGraph, nworkers: usize, m: &MachineParams) -> SimRes
         makespan = makespan.max(t);
         idle.insert(w);
         executed += 1;
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.push(TraceEvent { task: tid, worker: w, start_ns: started[w], end_ns: t });
+        }
         for &s in graph.successors_of(tid) {
             indegree[s] -= 1;
             if indegree[s] == 0 {

@@ -6,12 +6,9 @@
 //! in Perfetto or `chrome://tracing` to *see* the fork-join bubbles close up
 //! when switching from the OpenMP schedule to dataflow.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
-
 use crate::graph::{TaskGraph, TaskId};
 use crate::machine::MachineParams;
-use crate::sim::SimResult;
+use crate::sim::{self, SimResult};
 
 /// One executed task instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,75 +62,9 @@ impl Trace {
 /// [`crate::simulate`] with event recording; same scheduling decisions, same
 /// deterministic outcome.
 pub fn simulate_traced(graph: &TaskGraph, nworkers: usize, m: &MachineParams) -> Trace {
-    let nworkers = nworkers.max(1);
-    let mut indegree = graph.indegrees();
-    let mut ready_unpinned: BTreeSet<TaskId> = BTreeSet::new();
-    let mut ready_pinned: Vec<VecDeque<TaskId>> = vec![VecDeque::new(); nworkers];
-    let enqueue = |id: TaskId,
-                   unpinned: &mut BTreeSet<TaskId>,
-                   pinned: &mut [VecDeque<TaskId>]| match graph.task(id).pinned {
-        Some(w) => pinned[w % nworkers].push_back(id),
-        None => {
-            unpinned.insert(id);
-        }
-    };
-    for id in 0..graph.len() {
-        if indegree[id] == 0 {
-            enqueue(id, &mut ready_unpinned, &mut ready_pinned);
-        }
-    }
-
-    let mut events_q: BinaryHeap<Reverse<(u64, TaskId, usize, u64)>> = BinaryHeap::new();
-    let mut idle: BTreeSet<usize> = (0..nworkers).collect();
-    let mut busy_ns = vec![0u64; nworkers];
-    let mut now = 0u64;
-    let mut executed = 0usize;
-    let mut makespan = 0u64;
     let mut events = Vec::with_capacity(graph.len());
-
-    loop {
-        let idle_snapshot: Vec<usize> = idle.iter().copied().collect();
-        for w in idle_snapshot {
-            let task = ready_pinned[w]
-                .pop_front()
-                .or_else(|| ready_unpinned.pop_first());
-            if let Some(tid) = task {
-                let scaled = (graph.task(tid).duration_ns as f64 / m.speed(w)).round() as u64;
-                busy_ns[w] += scaled;
-                idle.remove(&w);
-                events_q.push(Reverse((now + scaled, tid, w, now)));
-            }
-        }
-        let Some(Reverse((t, tid, w, started))) = events_q.pop() else {
-            break;
-        };
-        now = t;
-        makespan = makespan.max(t);
-        idle.insert(w);
-        executed += 1;
-        events.push(TraceEvent {
-            task: tid,
-            worker: w,
-            start_ns: started,
-            end_ns: t,
-        });
-        for &s in graph.successors_of(tid) {
-            indegree[s] -= 1;
-            if indegree[s] == 0 {
-                enqueue(s, &mut ready_unpinned, &mut ready_pinned);
-            }
-        }
-    }
-
-    assert_eq!(executed, graph.len(), "cycle or unreachable tasks");
-    Trace {
-        events,
-        result: SimResult {
-            makespan_ns: makespan,
-            busy_ns,
-            tasks_executed: executed,
-        },
-    }
+    let result = sim::run(graph, nworkers, m, Some(&mut events));
+    Trace { events, result }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! machine-model simulation; `--real` measures the actual runtime with the
 //! op2-trace recorder and attributes barrier-wait vs dependency-wait time
 //! per loop (requires the `trace` feature, on by default here).
-use op2_bench::realtrace::{backend_label, run_real};
+use op2_bench::realtrace::run_real;
 use op2_bench::*;
 use op2_hpx::BackendKind;
 use op2_simsched::methods::build_graph;
@@ -67,7 +67,7 @@ fn real_breakdown() {
         let rep = &run.report;
         println!(
             "{:<16} {:>9} {:>9} {:>12} {:>12} {:>12} {:>8.1}",
-            backend_label(kind),
+            kind.label(),
             rep.wall_ns / 1000,
             rep.critical_path_ns / 1000,
             rep.barrier_wait_ns() / 1000,
@@ -75,7 +75,7 @@ fn real_breakdown() {
             rep.dep_wait_ns / 1000,
             rep.idle_fraction * 100.0,
         );
-        reports.push((backend_label(kind), run.report));
+        reports.push((kind.label(), run.report));
     }
     for (label, report) in &reports {
         println!("\n# per-loop report: {label}");

@@ -8,7 +8,7 @@
 //! `--trace` additionally records each run with the op2-trace collector and
 //! prints the per-loop wall/barrier/dep-wait report (requires the `trace`
 //! feature, on by default for this crate).
-use op2_bench::realtrace::{backend_label, run_real};
+use op2_bench::realtrace::run_real;
 use op2_hpx::BackendKind;
 
 fn main() {
@@ -60,7 +60,7 @@ fn main() {
                 m.dep_waits,
             );
             if trace {
-                reports.push((backend_label(kind), t, run.report));
+                reports.push((kind.label(), t, run.report));
             }
         }
     }

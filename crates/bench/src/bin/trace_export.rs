@@ -11,7 +11,7 @@
 //!   schema, so simulated and real traces load side by side), prints each
 //!   backend's per-loop report, and checks that measured barrier-wait time
 //!   is strictly lower under dataflow than under fork-join.
-use op2_bench::realtrace::{backend_label, run_real};
+use op2_bench::realtrace::run_real;
 use op2_bench::*;
 use op2_hpx::BackendKind;
 use op2_simsched::methods::build_graph;
@@ -74,7 +74,7 @@ fn export_real(out_dir: &str) {
     let mut reports = Vec::new();
     for kind in kinds {
         let run = run_real(kind, threads, (60, 30), 1, true);
-        let label = backend_label(kind);
+        let label = kind.label();
         let path = format!("{out_dir}/trace_real_{label}.json");
         std::fs::write(&path, op2_trace::chrome::to_chrome_json(&run.timeline))
             .expect("write trace");

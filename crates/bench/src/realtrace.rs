@@ -5,7 +5,8 @@
 //! a modelled 32-core machine; these helpers measure the *actual* runtime on
 //! host threads with the same Chrome-trace schema, so the two can be opened
 //! side by side in Perfetto. Exports follow the `trace_real_<method>.json`
-//! naming convention (see EXPERIMENTS.md).
+//! naming convention, `<method>` being [`BackendKind::label`] (see
+//! EXPERIMENTS.md).
 //!
 //! Without the `trace` feature (`op2-trace/record`), collectors return empty
 //! timelines; callers should check [`op2_trace::COMPILED`].
@@ -18,19 +19,6 @@ use op2_airfoil::{FlowConstants, MeshBuilder, Simulation, SyncStrategy};
 use op2_hpx::{make_executor, BackendKind, Op2Runtime};
 use op2_trace::report::{analyze, RunReport};
 use op2_trace::{Collector, Timeline};
-
-/// File-name label for real-runtime trace exports
-/// (`trace_real_<label>.json`).
-pub fn backend_label(kind: BackendKind) -> &'static str {
-    match kind {
-        BackendKind::Serial => "serial",
-        BackendKind::ForkJoin => "forkjoin",
-        BackendKind::ForEachAuto => "foreach-auto",
-        BackendKind::ForEachStatic(_) => "foreach-static",
-        BackendKind::Async => "async",
-        BackendKind::Dataflow => "dataflow",
-    }
-}
 
 /// Outcome of one (optionally traced) real Airfoil run.
 pub struct RealRun {

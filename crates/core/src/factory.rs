@@ -67,6 +67,19 @@ impl BackendKind {
         })
     }
 
+    /// The method label figures and real-runtime trace exports
+    /// (`trace_real_<label>.json`) name this kind by; it parses back.
+    pub fn label(self) -> &'static str {
+        match self {
+            BackendKind::Serial => "serial",
+            BackendKind::ForkJoin => "forkjoin",
+            BackendKind::ForEachAuto => "foreach-auto",
+            BackendKind::ForEachStatic(_) => "foreach-static",
+            BackendKind::Async => "async",
+            BackendKind::Dataflow => "dataflow",
+        }
+    }
+
     /// The executor name a loop of this kind runs under when its caller
     /// waits for it (`Op2Runtime::run_blocking`). A futurized kind, once
     /// waited on, is the colored `for_each` its executor would have spawned.
@@ -136,6 +149,9 @@ mod tests {
     fn parse_roundtrip() -> Result<(), FactoryError> {
         for kind in BackendKind::all().into_iter().chain([BackendKind::ForEachStatic(8)]) {
             assert_eq!(BackendKind::try_parse(&kind.to_string())?, kind);
+        }
+        for kind in BackendKind::all() {
+            assert_eq!(BackendKind::try_parse(kind.label())?, kind);
         }
         assert_eq!(BackendKind::parse("foreach-static"), Some(BackendKind::ForEachStatic(4)));
         for bad in ["foreach-static(", "foreach-static()", "foreach-static(x)", "foreach-static(8"] {

@@ -112,6 +112,30 @@ impl ParLoop {
         (self.kernel)(span, scratch, &current);
     }
 
+    /// The same loop — name, set, arguments, so the same plan — restricted to
+    /// the elements of `window`: its kernel visits `span ∩ window` of each
+    /// span it is handed and is not called when that is empty. This is OP2's
+    /// MPI owned/exec-halo split: a rank runs a loop's core (owned) elements
+    /// while the halo exchange is in flight and its exec-halo elements once
+    /// the halo has landed, or skips the halo for loops that only update what
+    /// it owns. The copy measures its own [`ParLoop::work_per_element`].
+    pub fn window(&self, window: Range<usize>) -> ParLoop {
+        let inner = Arc::clone(&self.kernel);
+        ParLoop {
+            kernel: Arc::new(
+                move |span: Range<usize>, gbl: &mut [f64], current: &Cell<usize>| {
+                    let span = span.start.max(window.start)..span.end.min(window.end);
+                    if !span.is_empty() {
+                        current.set(span.start);
+                        inner(span, gbl, current);
+                    }
+                },
+            ),
+            work: Arc::default(),
+            ..self.clone()
+        }
+    }
+
     /// Should executors scan this loop's written `f64` dats for NaN/Inf
     /// after it runs (a hit is a typed error, rolled back where the runtime
     /// snapshots)?
@@ -395,6 +419,62 @@ mod tests {
         assert_eq!(l.work_per_element(), Some(250.0));
         l.record_work(0, 4);
         assert!(clone.work_per_element().is_some_and(|ns| ns < 1e-300));
+    }
+
+    /// A loop over 12 cells whose body logs every element it visits (and,
+    /// for a span body, a `usize::MAX` marker per call) and folds them into
+    /// an order-sensitive reduction.
+    fn logging(cells: &Set, spans: bool, log: &Arc<std::sync::Mutex<Vec<usize>>>) -> ParLoop {
+        let log = Arc::clone(log);
+        let step = |e: usize, gbl: &mut [f64]| gbl[0] = gbl[0] * 0.75 + e as f64;
+        let b = ParLoop::build("logging", cells).gbl_inc(1);
+        if spans {
+            b.kernel_span(move |span, gbl| {
+                log.lock().unwrap().push(usize::MAX);
+                for e in span {
+                    log.lock().unwrap().push(e);
+                    step(e, gbl);
+                }
+            })
+        } else {
+            b.kernel(move |e, gbl| {
+                log.lock().unwrap().push(e);
+                step(e, gbl);
+            })
+        }
+    }
+
+    /// A window runs each span's intersection with it exactly as the whole
+    /// loop runs that intersection directly, for a per-element and a span
+    /// body alike; an empty intersection never calls the kernel; the
+    /// whole-set window is the loop itself, bit for bit; and the window
+    /// measures its own work.
+    #[test]
+    fn window_runs_only_the_intersection() {
+        let cells = Set::new("cells", 12);
+        let spans = [0..2, 2..5, 5..6, 6..9, 9..12];
+        for span_body in [false, true] {
+            for (lo, hi) in [(3, 8), (0, 12), (12, 12)] {
+                let (win_log, ref_log) = (Arc::default(), Arc::default());
+                let win = logging(&cells, span_body, &win_log).window(lo..hi);
+                let whole = logging(&cells, span_body, &ref_log);
+                for span in spans.clone() {
+                    let (mut ga, mut gb) = ([0.5f64], [0.5f64]);
+                    win.run_span(span.clone(), &mut ga);
+                    // For 0..12 the cut is the span: the unwindowed loop.
+                    let cut = span.start.max(lo)..span.end.min(hi);
+                    if !cut.is_empty() {
+                        whole.run_span(cut, &mut gb);
+                    }
+                    assert_eq!(ga[0].to_bits(), gb[0].to_bits(), "{lo}..{hi}");
+                }
+                let win_log = win_log.lock().unwrap();
+                assert_eq!(*win_log, *ref_log.lock().unwrap(), "{lo}..{hi}");
+                assert!(lo < hi || win_log.is_empty(), "an empty window called the kernel");
+                win.record_work(1_000, 4);
+                assert_eq!(whole.work_per_element(), None);
+            }
+        }
     }
 
     #[test]

@@ -2,44 +2,43 @@
 //! *within* each rank — the configuration the paper positions HPX for
 //! (replacing OpenMP inside each MPI process).
 //!
-//! Each rank wraps its local mesh slice (owned cells + halo) in real
-//! [`op2_core`] sets/maps/dats, builds the five Airfoil loops against them,
-//! and executes each loop with any [`op2_hpx`] backend (fork-join, async,
-//! dataflow, …) on the rank's own thread pool. Between loops, the forward
-//! and reverse halo exchanges run on the dats' safe accessors, through the
-//! march engine's exchange helpers (same packing, same ascending-peer
-//! receive order; tags 300/400).
+//! Each rank declares Airfoil the way a single-node run does: [`Mesh::from_data`]
+//! over its local slice ([`LocalMesh::mesh_data`]: owned cells first, then
+//! halo copies, the node set replicated) and the app's own [`AirfoilLoops`]
+//! over that mesh, executed with any [`op2_hpx`] backend (fork-join, async,
+//! dataflow, …) on the rank's own thread pool. Between loops, the forward and
+//! reverse halo exchanges run on the dats' storage, through the march
+//! engine's exchange helpers (same packing, same ascending-peer receive
+//! order; tags 300/400).
 //!
-//! Loops that must only touch *owned* cells (`save_soln`, `update`) iterate
-//! the full local set but early-return for halo ids — redundant-but-idempotent
-//! guards rather than sub-set iteration, mirroring how OP2 masks its
-//! exec-halo.
+//! The owned/halo split is [`op2_core::ParLoop::window`], OP2's
+//! core/exec-halo split: `save_soln` and `update` run over the owned window
+//! only; `adt_calc` runs over every local cell (redundant halo execution, so
+//! `res_calc`/`bres_calc` find a fresh `adt` at both ends of every edge).
 //!
 //! With [`DistOptions::overlap`] the halo exchange is futurized like the
-//! flat march's: `adt_calc` splits into an owned-cell loop and a halo-cell
-//! loop, the owned loop is *issued* (not waited) while the rank thread runs
-//! the engine's poll loop and installs each peer's block the moment it
-//! lands — arrivals write halo `q` slots, the in-flight loop reads only
-//! owned `q`, so the two proceed concurrently. The report-point RMS
+//! flat march's: `adt_calc`'s owned window is *issued* (not waited) while
+//! the rank thread runs the engine's poll loop and installs each peer's
+//! block the moment it lands — arrivals write halo `q` slots, the in-flight
+//! window reads only owned `q`, so the two proceed concurrently — and its
+//! halo window runs once every block has landed. The report-point RMS
 //! reduction is pipelined through [`Comm::iallreduce_sum`], harvested at the
 //! next report point or the end of the march. Every per-cell value is
 //! computed once from the same inputs in both schedules, so overlap is
 //! bit-identical to bulk for a fixed backend.
 //!
 //! Fault handling: all fabric errors surface as [`DistError`] values, and
-//! [`run_hybrid_opts`] accepts the same [`DistOptions`] as the flat march
-//! for fault injection and deadline/retry tuning. Kill directives (and
-//! therefore checkpointed recovery) are **not** supported here — the
-//! per-rank OP2 runtime state cannot be re-partitioned mid-run; such a plan
-//! is rejected with [`DistError::Config`]. Use
-//! [`crate::exec::run_distributed_opts`] for the recovery path.
+//! [`run_hybrid_opts`] takes the flat march's [`DistOptions`] for message
+//! fault injection, deadline/retry tuning and overlap. What needs the march
+//! engine — kill directives (checkpointed recovery), kernel faults,
+//! checkpoints, the durable store, halting, dying, renumbering and jitter —
+//! is rejected with [`DistError::Config`] naming the field; use
+//! [`crate::exec::run_distributed_opts`] for those.
 
 use std::sync::Arc;
 
-use op2_airfoil::kernels;
 use op2_airfoil::mesh::MeshData;
-use op2_airfoil::FlowConstants;
-use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
+use op2_airfoil::{AirfoilLoops, FlowConstants, Mesh};
 use op2_hpx::{make_executor, BackendKind, Op2Runtime};
 
 use crate::exec::{DistError, DistOptions, DistReport};
@@ -51,13 +50,14 @@ use crate::march::{
 use crate::partition::{build_local, LocalMesh, Partition};
 
 /// March `niter` iterations over `part`, each rank executing its loops with
-/// `backend` on `threads_per_rank` workers, with fault injection and
+/// `backend` on `threads_per_rank` workers, with message fault injection and
 /// deadline/retry tuning per [`DistOptions`].
 ///
 /// # Errors
-/// See [`DistError`]; a clean network never fails. A plan with a kill
-/// directive is rejected with [`DistError::Config`] (no recovery path here —
-/// see the module docs).
+/// See [`DistError`]; a clean network never fails. Options that need the
+/// march engine (a kill directive, kernel faults, checkpoints, the store,
+/// `halt_after`, `die_at`, `renumber`, jitter) are rejected with
+/// [`DistError::Config`] — see the module docs.
 #[allow(clippy::too_many_arguments)]
 pub fn run_hybrid_opts(
     data: &MeshData,
@@ -108,199 +108,21 @@ pub fn run_hybrid_opts(
     })
 }
 
-/// The per-rank OP2 declarations over the local mesh slice.
-struct RankApp {
-    local: LocalMesh,
-    q: Dat<f64>,
-    res: Dat<f64>,
-    /// Keep-alive handles: the loop kernels capture raw `DatView`s into
-    /// these dats' storage, so the dats must live as long as the loops.
-    _qold: Dat<f64>,
-    _adt: Dat<f64>,
-    save_soln: ParLoop,
-    adt_calc: ParLoop,
-    /// Owned-only / halo-only halves of `adt_calc` for the overlapped
-    /// schedule (bitwise equivalent to the monolithic loop — each cell's
-    /// `adt` is a pure function of coordinates and its own `q`).
-    adt_calc_owned: ParLoop,
-    adt_calc_halo: ParLoop,
-    res_calc: ParLoop,
-    bres_calc: ParLoop,
-    update: ParLoop,
-}
-
-fn build_rank_app(
+/// Rank `rank`'s Airfoil mesh: [`Mesh::from_data`] over its local slice,
+/// with `q` taken from the global state `q0` (halo copies included).
+fn rank_mesh(
     data: &MeshData,
     consts: &FlowConstants,
     q0: &[f64],
     part: &Partition,
     rank: usize,
-) -> RankApp {
+) -> (LocalMesh, Mesh) {
     let local = build_local(data, part, rank);
-    let nlocal = local.ncells_local();
-    let nowned = local.nowned;
-
-    let cells = Set::new(format!("cells@{rank}"), nlocal);
-    let edges = Set::new(format!("edges@{rank}"), local.edge_cells.len());
-    let bedges = Set::new(format!("bedges@{rank}"), local.bedges.len());
-    let nodes = Set::new("nodes(replicated)", data.coords.len() / 2);
-
-    let pecell = Map::new(
-        "pecell",
-        &edges,
-        &cells,
-        2,
-        local
-            .edge_cells
-            .iter()
-            .flat_map(|&(a, b)| [a, b])
-            .collect(),
-    );
-    let pbecell = Map::new(
-        "pbecell",
-        &bedges,
-        &cells,
-        1,
-        local.bedges.iter().map(|&(_, _, c, _)| c).collect(),
-    );
-    let pcell = Map::new("pcell", &cells, &nodes, 4, local.cell_nodes.clone());
-
-    let mut q_init = vec![0.0f64; 4 * nlocal];
-    for (l, &g) in local.cell_l2g.iter().enumerate() {
-        q_init[4 * l..4 * l + 4].copy_from_slice(&q0[4 * g as usize..4 * g as usize + 4]);
-    }
-    let q = Dat::new("q", &cells, 4, q_init);
-    let qold = Dat::filled("qold", &cells, 4, 0.0);
-    let adt = Dat::filled("adt", &cells, 1, 0.0);
-    let res = Dat::filled("res", &cells, 4, 0.0);
-
-    let coords = Arc::new(data.coords.clone());
-    let c = *consts;
-
-    // save_soln over owned cells (halo guarded out).
-    let (qv, qoldv, adtv, resv) = (q.view(), qold.view(), adt.view(), res.view());
-    let save_soln = ParLoop::build("save_soln", &cells)
-        .arg(arg_direct(&q, Access::Read))
-        .arg(arg_direct(&qold, Access::Write))
-        .kernel(move |e, _| unsafe {
-            if e < nowned {
-                kernels::save_soln(qv.slice(e), qoldv.slice_mut(e));
-            }
-        });
-
-    // adt over ALL local cells (redundant halo execution). The owned/halo
-    // halves exist for the overlapped schedule; `[lo, hi)` guards mirror the
-    // nowned guard on save_soln/update rather than sub-set iteration.
-    // Note: node coordinates are replicated read-only data outside the dat
-    // system here, so the only declared accesses are the per-cell ones.
-    let make_adt = |name: &str, lo: usize, hi: usize| {
-        let pc = pcell.clone();
-        let xs = Arc::clone(&coords);
-        let (qv, adtv) = (q.view(), adt.view());
-        ParLoop::build(name, &cells)
-            .arg(arg_direct(&q, Access::Read))
-            .arg(arg_direct(&adt, Access::Write))
-            .kernel(move |e, _| unsafe {
-                if e < lo || e >= hi {
-                    return;
-                }
-                let n = [pc.at(e, 0), pc.at(e, 1), pc.at(e, 2), pc.at(e, 3)];
-                let x = |k: usize| &xs[2 * n[k]..2 * n[k] + 2];
-                kernels::adt_calc(x(0), x(1), x(2), x(3), qv.slice(e), adtv.slice_mut(e), &c);
-            })
-    };
-    let adt_calc = make_adt("adt_calc", 0, usize::MAX);
-    let adt_calc_owned = make_adt("adt_calc_owned", 0, nowned);
-    let adt_calc_halo = make_adt("adt_calc_halo", nowned, usize::MAX);
-
-    // res over local edges.
-    let pe = pecell.clone();
-    let xs = Arc::clone(&coords);
-    let edge_nodes = Arc::new(local.edge_nodes.clone());
-    let res_calc = ParLoop::build("res_calc", &edges)
-        .arg(arg_indirect(&q, 0, &pecell, Access::Read))
-        .arg(arg_indirect(&q, 1, &pecell, Access::Read))
-        .arg(arg_indirect(&adt, 0, &pecell, Access::Read))
-        .arg(arg_indirect(&adt, 1, &pecell, Access::Read))
-        .arg(arg_indirect(&res, 0, &pecell, Access::Inc))
-        .arg(arg_indirect(&res, 1, &pecell, Access::Inc))
-        .kernel(move |e, _| unsafe {
-            let (c1, c2) = (pe.at(e, 0), pe.at(e, 1));
-            let (n1, n2) = edge_nodes[e];
-            kernels::res_calc(
-                &xs[2 * n1 as usize..2 * n1 as usize + 2],
-                &xs[2 * n2 as usize..2 * n2 as usize + 2],
-                qv.slice(c1),
-                qv.slice(c2),
-                adtv.get(c1, 0),
-                adtv.get(c2, 0),
-                resv.slice_mut(c1),
-                resv.slice_mut(c2),
-                &c,
-            );
-        });
-
-    // bres over local boundary edges.
-    let pb = pbecell.clone();
-    let xs = Arc::clone(&coords);
-    let bmeta = Arc::new(
-        local
-            .bedges
-            .iter()
-            .map(|&(n1, n2, _, bound)| (n1, n2, bound))
-            .collect::<Vec<_>>(),
-    );
-    let bres_calc = ParLoop::build("bres_calc", &bedges)
-        .arg(arg_indirect(&q, 0, &pbecell, Access::Read))
-        .arg(arg_indirect(&adt, 0, &pbecell, Access::Read))
-        .arg(arg_indirect(&res, 0, &pbecell, Access::Inc))
-        .kernel(move |e, _| unsafe {
-            let c1 = pb.at(e, 0);
-            let (n1, n2, bound) = bmeta[e];
-            kernels::bres_calc(
-                &xs[2 * n1 as usize..2 * n1 as usize + 2],
-                &xs[2 * n2 as usize..2 * n2 as usize + 2],
-                qv.slice(c1),
-                adtv.get(c1, 0),
-                resv.slice_mut(c1),
-                bound,
-                &c,
-            );
-        });
-
-    // update over owned cells (halo guarded out), RMS reduction.
-    let update = ParLoop::build("update", &cells)
-        .arg(arg_direct(&qold, Access::Read))
-        .arg(arg_direct(&q, Access::Write))
-        .arg(arg_direct(&res, Access::ReadWrite))
-        .arg(arg_direct(&adt, Access::Read))
-        .gbl_inc(1)
-        .kernel(move |e, gbl| unsafe {
-            if e < nowned {
-                kernels::update(
-                    qoldv.slice(e),
-                    qv.slice_mut(e),
-                    resv.slice_mut(e),
-                    adtv.get(e, 0),
-                    &mut gbl[0],
-                );
-            }
-        });
-
-    RankApp {
-        local,
-        q,
-        res,
-        _qold: qold,
-        _adt: adt,
-        save_soln,
-        adt_calc,
-        adt_calc_owned,
-        adt_calc_halo,
-        res_calc,
-        bres_calc,
-        update,
-    }
+    let mesh = Mesh::from_data(local.mesh_data(data), consts);
+    let q: Vec<f64> =
+        local.cell_l2g.iter().flat_map(|&g| q0[4 * g as usize..][..4].iter().copied()).collect();
+    mesh.p_q.write_aos(&q);
+    (local, mesh)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -316,10 +138,15 @@ fn rank_main(
     report_every: usize,
     opts: &DistOptions,
 ) -> Result<(Vec<f64>, Vec<Report>), CommError> {
-    let app = build_rank_app(data, consts, q0, part, comm.rank());
-    let rt = Arc::new(Op2Runtime::new(threads, 64));
-    let exec = make_executor(backend, rt);
-    let exports = &app.local.exports;
+    let (local, mesh) = rank_mesh(data, consts, q0, part, comm.rank());
+    let loops = AirfoilLoops::new(&mesh, consts);
+    let (nowned, nlocal) = (local.nowned, local.ncells_local());
+    let save_soln = loops.save_soln.window(0..nowned);
+    let update = loops.update.window(0..nowned);
+    let adt_owned = loops.adt_calc.window(0..nowned);
+    let adt_halo = loops.adt_calc.window(nowned..nlocal);
+    let exec = make_executor(backend, Arc::new(Op2Runtime::new(threads, 64)));
+    let (q, res) = (&mesh.p_q, &mesh.p_res);
 
     let mut reports = Reports::new(data.cell_nodes.len() / 4);
     for iter in 1..=niter {
@@ -327,33 +154,34 @@ fn rank_main(
         // Exchanges touch the dats directly, so every issued loop must have
         // completed first (wait per loop; the halo exchange is the natural
         // synchronization point of the distributed configuration). The one
-        // deliberate exception is the overlapped owned-adt loop below, whose
-        // reads are disjoint from the halo slots the poll installs into.
-        exec.execute(&app.save_soln).wait();
+        // deliberate exception is the overlapped owned `adt_calc` window
+        // below, whose reads are disjoint from the halo slots the poll
+        // installs into.
+        exec.execute(&save_soln).wait();
         let mut rms_local = 0.0;
         for stage in 0..2 {
-            forward_send(&comm, exports, TAG_HYB_FORWARD, 4, &app.q.data())?;
-            let mut install = InstallHalos(&app);
+            forward_send(&comm, &local.exports, TAG_HYB_FORWARD, 4, &q.data())?;
+            let mut install = InstallHalos(&mesh, &local);
             if opts.overlap {
-                // Runs on the rank thread while the owned-adt loop executes
-                // on the pool: installs write only halo `q` slots, the loop
-                // reads only owned `q`, so the overlap is race-free.
-                let owned = exec.execute(&app.adt_calc_owned);
-                poll_halos(&comm, &app.local.imports, TAG_HYB_FORWARD, iter, stage, 0, &mut install)?;
+                // Runs on the rank thread while the owned window executes
+                // on the pool: installs write only halo `q` slots, the
+                // window reads only owned `q`, so the overlap is race-free.
+                let owned = exec.execute(&adt_owned);
+                poll_halos(&comm, &local.imports, TAG_HYB_FORWARD, iter, stage, 0, &mut install)?;
                 owned.wait();
-                exec.execute(&app.adt_calc_halo).wait();
+                exec.execute(&adt_halo).wait();
             } else {
-                let payloads = recv_halos(&comm, &app.local.imports, TAG_HYB_FORWARD)?;
+                let payloads = recv_halos(&comm, &local.imports, TAG_HYB_FORWARD)?;
                 for (gi, payload) in payloads.into_iter().enumerate() {
                     install.arrived(gi, payload)?;
                 }
-                exec.execute(&app.adt_calc).wait();
+                exec.execute(&loops.adt_calc).wait();
             }
-            exec.execute(&app.res_calc).wait();
-            exec.execute(&app.bres_calc).wait();
-            reverse_send(&comm, &app.local, &app.res)?;
-            reverse_receive(&comm, exports, TAG_HYB_REVERSE, 4, &mut app.res.data_mut())?;
-            let gbl = exec.execute(&app.update).get();
+            exec.execute(&loops.res_calc).wait();
+            exec.execute(&loops.bres_calc).wait();
+            reverse_send(&comm, &local.imports, &mut res.data_mut())?;
+            reverse_receive(&comm, &local.exports, TAG_HYB_REVERSE, 4, &mut res.data_mut())?;
+            let gbl = exec.execute(&update).get();
             rms_local += gbl[0];
         }
         if iter % report_every.max(1) == 0 || iter == niter {
@@ -365,8 +193,8 @@ fn rank_main(
     reports.harvest(&comm)?;
     exec.fence();
 
-    let q = app.q.to_vec();
-    Ok((q[..4 * app.local.nowned].to_vec(), reports.done))
+    let owned_q = q.data()[..4 * nowned].to_vec();
+    Ok((owned_q, reports.done))
 }
 
 const TAG_HYB_FORWARD: u64 = 300;
@@ -374,23 +202,26 @@ const TAG_HYB_REVERSE: u64 = 400;
 
 /// Installs each peer's forward payload into the halo `q` slots — the
 /// hybrid march's whole reaction to a halo arrival (its loops run whole).
-struct InstallHalos<'a>(&'a RankApp);
+struct InstallHalos<'a>(&'a Mesh, &'a LocalMesh);
 
 impl HaloSink for InstallHalos<'_> {
     fn arrived(&mut self, gi: usize, payload: Vec<f64>) -> Result<(), CommError> {
-        install_halo(&mut self.0.q.data_mut(), 4, &self.0.local.imports[gi].1, &payload);
+        install_halo(&mut self.0.p_q.data_mut(), 4, &self.1.imports[gi].1, &payload);
         Ok(())
     }
 }
 
 /// Send (and zero) the halo-side residuals back to their owners.
-fn reverse_send(comm: &Comm, local: &LocalMesh, res: &Dat<f64>) -> Result<(), CommError> {
-    let mut rd = res.data_mut();
-    for (peer, halo_locals) in &local.imports {
+fn reverse_send(
+    comm: &Comm,
+    imports: &[(usize, Vec<u32>)],
+    res: &mut [f64],
+) -> Result<(), CommError> {
+    for (peer, halo_locals) in imports {
         let mut payload = Vec::with_capacity(halo_locals.len() * 4);
         for &l in halo_locals {
-            payload.extend_from_slice(&rd[4 * l as usize..4 * l as usize + 4]);
-            rd[4 * l as usize..4 * l as usize + 4].fill(0.0);
+            payload.extend_from_slice(&res[4 * l as usize..4 * l as usize + 4]);
+            res[4 * l as usize..4 * l as usize + 4].fill(0.0);
         }
         comm.send(*peer, TAG_HYB_REVERSE, payload)?;
     }
@@ -596,6 +427,103 @@ mod tests {
         assert!(faulty.faults.dropped > 0);
     }
 
+    /// FNV-1a over the little-endian bytes of a word stream.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Digest of `final_q` and the `(iter, rms)` history, bit for bit.
+    fn digest(rep: &DistReport) -> u64 {
+        let q = rep.final_q.iter().map(|v| v.to_bits());
+        fnv1a(q.chain(rep.rms.iter().flat_map(|&(i, r)| [i as u64, r.to_bits()])))
+    }
+
+    /// The pulse setup on 3 ranks, 6 iterations, reporting every 2nd: one
+    /// pinned digest for ForkJoin and Dataflow, bulk and overlapped. The
+    /// value was taken from the march whose ranks hand-declared Airfoil's
+    /// loops, so a rank running the app's own loops (plans, block order and
+    /// per-element arithmetic unchanged) must reproduce it exactly.
+    #[test]
+    fn hybrid_results_are_pinned_bit_for_bit() {
+        const PINNED: u64 = 0xed4c_7d69_6f57_497f;
+        let (data, consts, q0) = setup();
+        let part = Partition::strips(200, 3);
+        for backend in [BackendKind::ForkJoin, BackendKind::Dataflow] {
+            for overlap in [false, true] {
+                let opts = DistOptions { overlap, ..DistOptions::default() };
+                let rep = run_hybrid_opts(&data, &consts, &q0, &part, 2, backend, 6, 2, &opts)
+                    .unwrap();
+                assert_eq!(digest(&rep), PINNED, "{backend}, overlap {overlap}");
+            }
+        }
+    }
+
+    /// The hybrid twin of `exec::tests::more_ranks_than_rows_still_works`:
+    /// 16 ranks over 288 cells leave tiny local slices, each declared as a
+    /// whole app mesh.
+    #[test]
+    fn hybrid_more_ranks_than_rows_still_works() {
+        let consts = FlowConstants::default();
+        let builder = MeshBuilder::channel(24, 12);
+        let mesh = builder.build(&consts);
+        mesh.add_pulse(1.0, 0.5, 0.25, 0.2, &consts);
+        let (data, q0) = (builder.data(), mesh.p_q.to_vec());
+        let flat = run_strips(&data, &consts, &q0, 16, 3, 3);
+        let hyb = run_hybrid(&data, &consts, &q0, 16, 1, BackendKind::ForkJoin, 3, 3).unwrap();
+        assert_eq!(hyb.final_q.len(), 288 * 4);
+        assert_eq!(hyb.rms.len(), flat.rms.len());
+        for (a, b) in hyb.final_q.iter().zip(&flat.final_q) {
+            assert!((a - b).abs() <= 1e-11 * b.abs().max(1.0), "{a} vs {b}");
+        }
+        for ((_, ra), (_, rb)) in hyb.rms.iter().zip(&flat.rms) {
+            assert!((ra - rb).abs() <= 1e-11, "rms {ra} vs {rb}");
+        }
+    }
+
+    /// Every option the hybrid march cannot honour is refused with a
+    /// config error naming it, not accepted and dropped.
+    #[test]
+    fn hybrid_rejects_every_engine_only_option() {
+        use crate::exec::{JitterSpec, KernelFaultSpec};
+        use op2_store::StoreFaultPlan;
+        let (data, consts, q0) = setup();
+        let part = Partition::strips(200, 2);
+        let base = DistOptions::default;
+        let cases = [
+            (
+                "kernel_fault",
+                DistOptions {
+                    kernel_fault: Some(KernelFaultSpec { rank: 0, at_iter: 1, failures: 1 }),
+                    ..base()
+                },
+            ),
+            ("checkpoint_every", DistOptions { checkpoint_every: 2, ..base() }),
+            ("store_dir", DistOptions { store_dir: Some("unused".into()), ..base() }),
+            (
+                "store_faults",
+                DistOptions { store_faults: Some(StoreFaultPlan::disabled()), ..base() },
+            ),
+            ("halt_after", DistOptions { halt_after: Some(2), ..base() }),
+            ("die_at", DistOptions { die_at: Some(2), ..base() }),
+            ("renumber", DistOptions { renumber: true, ..base() }),
+            ("jitter", DistOptions { jitter: Some(JitterSpec { seed: 1, max_us: 0 }), ..base() }),
+        ];
+        for (field, opts) in cases {
+            let run =
+                run_hybrid_opts(&data, &consts, &q0, &part, 2, BackendKind::ForkJoin, 4, 2, &opts);
+            match run {
+                Err(DistError::Config(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+                other => panic!("{field}: expected DistError::Config, got {other:?}"),
+            }
+        }
+    }
+
     /// Kill plans have no recovery path here: rejected up front with a typed
     /// error, not a panic.
     #[test]
@@ -626,11 +554,11 @@ mod tests {
             .config(cfg)
             .launch(|comm| {
                 if comm.rank() == 0 {
-                    let app = build_rank_app(&data, &consts, &q0, &part, 0);
+                    let (local, mesh) = rank_mesh(&data, &consts, &q0, &part, 0);
                     // The peer never participates in the exchange, so the
                     // import-side recv must hit its deadline.
-                    forward_send(&comm, &app.local.exports, TAG_HYB_FORWARD, 4, &app.q.data())?;
-                    recv_halos(&comm, &app.local.imports, TAG_HYB_FORWARD).map(|_| ())
+                    forward_send(&comm, &local.exports, TAG_HYB_FORWARD, 4, &mesh.p_q.data())?;
+                    recv_halos(&comm, &local.imports, TAG_HYB_FORWARD).map(|_| ())
                 } else {
                     std::thread::sleep(Duration::from_millis(200));
                     Ok(())

@@ -34,8 +34,11 @@
 //!   adaptive `dt` via a pipelined max-reduction). The halo machinery is
 //!   app-agnostic, so both inherit every schedule and the whole recovery
 //!   ladder. [`exec`] also defines the option/report/error types they share.
-//! * [`hybrid`] — Airfoil with an OP2-HPX backend *inside* each rank, on the
-//!   engine's exchange, poll and gather helpers.
+//! * [`hybrid`] — Airfoil with an OP2-HPX backend *inside* each rank: each
+//!   rank runs the app's own `AirfoilLoops` over its local slice
+//!   ([`partition::LocalMesh::mesh_data`]), owned-only work and the
+//!   overlapped `adt_calc` split as `ParLoop::window`s, on the engine's
+//!   exchange, poll and gather helpers.
 //!
 //! Determinism: a given `(mesh, nranks)` always produces bit-identical
 //! results; with `nranks = 1` the execution order equals the single-node

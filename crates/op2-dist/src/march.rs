@@ -244,7 +244,7 @@ pub(crate) fn validate(
     comp: usize,
     opts: &DistOptions,
     resume: bool,
-    recovers: bool,
+    on_engine: bool,
 ) -> Result<(), DistError> {
     let reject = |msg: String| Err(DistError::Config(msg));
     if state_len != comp * ncells {
@@ -255,12 +255,24 @@ pub(crate) fn validate(
     if resume && opts.store_dir.is_none() {
         return reject("resume requires DistOptions::store_dir".to_string());
     }
-    if !recovers && opts.plan.as_ref().is_some_and(|p| p.kill.is_some()) {
-        return reject(
-            "kill directives need checkpoint recovery, which the hybrid march does not have \
-             (use run_distributed_opts)"
-                .to_string(),
-        );
+    // Off the engine (the hybrid march) there is no checkpoint, store,
+    // kernel-fault ladder, jitter or renumbering: refuse what it would drop.
+    let engine_only = [
+        ("plan (kill directive)", opts.plan.as_ref().is_some_and(|p| p.kill.is_some())),
+        ("kernel_fault", opts.kernel_fault.is_some()),
+        ("checkpoint_every", opts.checkpoint_every > 0),
+        ("store_dir", opts.store_dir.is_some()),
+        ("store_faults", opts.store_faults.is_some()),
+        ("halt_after", opts.halt_after.is_some()),
+        ("die_at", opts.die_at.is_some()),
+        ("renumber", opts.renumber),
+        ("jitter", opts.jitter.is_some()),
+    ];
+    if let Some((field, _)) = engine_only.iter().find(|(_, set)| *set && !on_engine) {
+        return reject(format!(
+            "DistOptions::{field} needs the march engine, which the hybrid march does not run \
+             on (use run_distributed_opts)"
+        ));
     }
     Ok(())
 }

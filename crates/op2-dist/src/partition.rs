@@ -213,6 +213,23 @@ impl LocalMesh {
     pub fn ncells_local(&self) -> usize {
         self.cell_l2g.len()
     }
+
+    /// This slice as mesh tables an app declares itself over: the local
+    /// cells (owned, then halo), the assigned edges and boundary edges, and
+    /// `global`'s node set, replicated (`imax`/`jmax` are `global`'s too).
+    pub fn mesh_data(&self, global: &MeshData) -> MeshData {
+        MeshData {
+            imax: global.imax,
+            jmax: global.jmax,
+            coords: global.coords.clone(),
+            edge_nodes: self.edge_nodes.iter().flat_map(|&(a, b)| [a, b]).collect(),
+            edge_cells: self.edge_cells.iter().flat_map(|&(a, b)| [a, b]).collect(),
+            bedge_nodes: self.bedges.iter().flat_map(|&(a, b, _, _)| [a, b]).collect(),
+            bedge_cells: self.bedges.iter().map(|b| b.2).collect(),
+            bound: self.bedges.iter().map(|b| b.3).collect(),
+            cell_nodes: self.cell_nodes.clone(),
+        }
+    }
 }
 
 /// Build rank `rank`'s local mesh.

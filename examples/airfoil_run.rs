@@ -14,7 +14,9 @@
 //! `--trace` records the march with the op2-trace collector (requires the
 //! `trace` feature, on by default), prints the per-loop wall/barrier/dep-wait
 //! report, and writes a Chrome-trace JSON to
-//! `results/trace_real_<backend>.json` (or PATH if given).
+//! `results/trace_real_<method>.json` (or PATH if given), named by the
+//! backend's method label like `trace_export --real`'s files (`forkjoin`,
+//! `foreach-static`, `async`, `dataflow`, …).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -79,14 +81,7 @@ fn main() {
         let report = op2_trace::report::analyze(&timeline);
         println!("\n# per-loop report: {backend} @ {threads} thread(s)");
         println!("{}", report.render());
-        let path = path.unwrap_or_else(|| {
-            let label: String = backend
-                .to_string()
-                .chars()
-                .filter(|c| *c != '(' && *c != ')')
-                .collect();
-            format!("results/trace_real_{label}.json")
-        });
+        let path = path.unwrap_or_else(|| format!("results/trace_real_{}.json", backend.label()));
         if let Some(dir) = std::path::Path::new(&path).parent() {
             std::fs::create_dir_all(dir).expect("create output dir");
         }

@@ -156,11 +156,11 @@ fn code(path: &Path) -> Vec<(usize, String)> {
         .collect()
 }
 
-/// [`code`] of every file of `crates/core/src`, by file name.
-fn core_code() -> Vec<(String, Vec<(usize, String)>)> {
-    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
+/// [`code`] of every file of the source directory `dir`, by file name.
+fn src_code(dir: &str) -> Vec<(String, Vec<(usize, String)>)> {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
     let mut files = Vec::new();
-    for entry in std::fs::read_dir(&src).expect("crates/core/src is readable") {
+    for entry in std::fs::read_dir(&src).unwrap_or_else(|e| panic!("{dir}: {e}")) {
         let path = entry.expect("source entry").path();
         let file = path.file_name().expect("a file name").to_string_lossy().into_owned();
         files.push((file, code(&path)));
@@ -175,7 +175,7 @@ fn core_code() -> Vec<(String, Vec<(usize, String)>)> {
 #[test]
 fn write_sets_are_captured_in_transaction_begin_only() {
     let mut calls = Vec::new();
-    for (file, lines) in core_code() {
+    for (file, lines) in src_code("crates/core/src") {
         // The innermost `impl` and `fn` headers above each line.
         let (mut in_impl, mut in_fn) = ("", "");
         for (n, line) in &lines {
@@ -209,7 +209,7 @@ fn write_sets_are_captured_in_transaction_begin_only() {
 fn the_tuner_has_one_consult_site_and_waiting_layers_build_no_executor() {
     let mut consults = Vec::new();
     let mut built = Vec::new();
-    for (file, lines) in core_code() {
+    for (file, lines) in src_code("crates/core/src") {
         for (n, line) in &lines {
             if line.contains("tune::begin(") {
                 consults.push(format!("{file}:{n}: {line}"));
@@ -269,4 +269,21 @@ fn app_kernels_reach_maps_only_through_map_views() {
     // adt_one 1, res_one 2, bres_one 2, flux_one 2, bflux_one 2.
     assert_eq!(views, 9, "MapView parameters of the *_one helpers");
     assert!(found.is_empty(), "kernels reaching a map without a MapView: {found:#?}");
+}
+
+/// OP2 declares an application once. The distributed layer runs the apps'
+/// own loops (a hybrid rank builds `AirfoilLoops` over its slice and splits
+/// them with `ParLoop::window`) or the march engine's kernel glue over index
+/// lists; it declares no `ParLoop` of its own.
+#[test]
+fn the_distributed_layer_declares_no_loops() {
+    let mut found = Vec::new();
+    for (file, lines) in src_code("crates/op2-dist/src") {
+        for (n, line) in &lines {
+            if ["ParLoop::build", ".kernel(", ".kernel_span("].iter().any(|k| line.contains(k)) {
+                found.push(format!("{file}:{n}: {line}"));
+            }
+        }
+    }
+    assert!(found.is_empty(), "loops declared in op2-dist: {found:#?}");
 }

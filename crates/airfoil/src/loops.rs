@@ -3,22 +3,17 @@
 //! which is what the planner (coloring) and the dataflow dependency analysis
 //! consume.
 //!
-//! Every loop has **one kernel body**. `adt_calc`, `res_calc` and
-//! `bres_calc` hand their per-element function to
+//! Every loop has **one kernel body**, a per-element `*_one` function.
+//! `adt_calc`, `res_calc` and `bres_calc` hand it to
 //! [`op2_core::ParLoopBuilder::kernel`], which derives the span loop around
-//! it; `save_soln` and `update` do something per span (contiguous copies, a
-//! blocked RMS replay) and are written as span bodies
-//! ([`op2_core::ParLoopBuilder::kernel_span`]) that fall back to the same
-//! per-element functions. The `*_one` functions are also the reference the
-//! contract test below iterates directly.
+//! it; `save_soln` and `update` wrap it in one ascending element loop of
+//! their own ([`op2_core::ParLoopBuilder::kernel_span`]). The `*_one`
+//! functions are also the reference the contract test below iterates.
 //!
-//! The bodies reach their dats only through layout-agnostic [`DatView`]
-//! accessors (`load`/`store`/`add_vec`/`span`/`comp`), so the same wiring
-//! serves AoS and SoA meshes unchanged — and produces bitwise
-//! identical results for each (the arithmetic per element never depends on
-//! the layout, only the addresses do). They reach their maps only through
-//! [`MapView`]s, and every access has a compile-time width: what lets the
-//! optimizer compile them as it would a hand-written loop over raw arrays.
+//! The bodies never see the layout: they reach their dats only through the
+//! const-width [`DatView`] accessors (`load`/`store`/`add_vec`), so the same
+//! wiring serves AoS and SoA meshes with bitwise identical results, and
+//! their maps only through [`MapView`]s.
 
 use op2_core::{arg_direct, arg_indirect, Access, Dat, DatView, MapView, ParLoop};
 
@@ -163,29 +158,8 @@ impl AirfoilLoops {
         let save_soln = ParLoop::build("save_soln", &mesh.cells)
             .arg(arg_direct(&mesh.p_q, Access::Read))
             .arg(arg_direct(&mesh.p_qold, Access::Write))
+            // Not `.kernel(`: its per-element `current.set(e)` blocks wide moves.
             .kernel_span(move |span, _| unsafe {
-                // A copy is bitwise order-independent, so take whatever
-                // contiguous shape the layouts offer: whole-span memcpy
-                // (AoS/AoS), per-component memcpy (SoA/SoA), else the
-                // element loop.
-                if let (Some(src), Some(dst)) =
-                    (qv.span(span.clone()), qoldv.span_mut(span.clone()))
-                {
-                    dst.copy_from_slice(src);
-                    return;
-                }
-                let all_comps = (0..4)
-                    .all(|j| qv.comp(j).unit_stride(&span) && qoldv.comp(j).unit_stride(&span));
-                if all_comps {
-                    for j in 0..4 {
-                        let qc = qv.comp(j);
-                        let qoldc = qoldv.comp(j);
-                        let src = qc.contiguous(span.clone()).unwrap();
-                        let dst = qoldc.contiguous_mut(span.clone()).unwrap();
-                        dst.copy_from_slice(src);
-                    }
-                    return;
-                }
                 for e in span {
                     save_one(&qv, &qoldv, e);
                 }
@@ -249,79 +223,13 @@ impl AirfoilLoops {
             .arg(arg_direct(&mesh.p_res, Access::ReadWrite))
             .arg(arg_direct(&mesh.p_adt, Access::Read))
             .gbl_inc(1)
+            // RMS in a local for the span: the reference's add order, same bits.
             .kernel_span(move |span, gbl| unsafe {
-                // Component-slice fast path (SoA): the state update of each
-                // element depends only on that element, so it may run
-                // plane-by-plane — `(1.0 / adt) * res` is the exact
-                // expression `kernels::update` evaluates, so the bits match.
-                // Only the RMS accumulation is order-sensitive; it replays
-                // the saved deltas in the pinned element-outer,
-                // component-inner order afterwards.
-                let n = span.len();
-                let planes = n > 1
-                    && adtv.comp(0).unit_stride(&span)
-                    && (0..4).all(|j| {
-                        qoldv.comp(j).unit_stride(&span)
-                            && qv.comp(j).unit_stride(&span)
-                            && resv.comp(j).unit_stride(&span)
-                    });
-                if planes {
-                    // Fixed-size stack buffers: no allocation in the hot
-                    // path, and the delta replay stays L1-resident.
-                    const B: usize = 16;
-                    let adtc = adtv.comp(0);
-                    let adt = adtc.contiguous(span.clone()).unwrap();
-                    let qoc: [_; 4] = std::array::from_fn(|j| qoldv.comp(j));
-                    let qc: [_; 4] = std::array::from_fn(|j| qv.comp(j));
-                    let rc: [_; 4] = std::array::from_fn(|j| resv.comp(j));
-                    let qold: [&[f64]; 4] =
-                        std::array::from_fn(|j| qoc[j].contiguous(span.clone()).unwrap());
-                    let q: [&mut [f64]; 4] =
-                        std::array::from_fn(|j| qc[j].contiguous_mut(span.clone()).unwrap());
-                    let res: [&mut [f64]; 4] =
-                        std::array::from_fn(|j| rc[j].contiguous_mut(span.clone()).unwrap());
-                    let mut recip = [0.0f64; B];
-                    let mut dels = [0.0f64; 4 * B];
-                    let mut rms = gbl[0];
-                    let mut at = 0usize;
-                    while at < n {
-                        let m = B.min(n - at);
-                        let a = &adt[at..at + m];
-                        for i in 0..m {
-                            recip[i] = 1.0 / a[i];
-                        }
-                        for j in 0..4 {
-                            let qold = &qold[j][at..at + m];
-                            let q = &mut q[j][at..at + m];
-                            let res = &mut res[j][at..at + m];
-                            let d = &mut dels[j * B..j * B + m];
-                            for i in 0..m {
-                                let del = recip[i] * res[i];
-                                q[i] = qold[i] - del;
-                                res[i] = 0.0;
-                                d[i] = del;
-                            }
-                        }
-                        for i in 0..m {
-                            let d0 = dels[i];
-                            let d1 = dels[B + i];
-                            let d2 = dels[2 * B + i];
-                            let d3 = dels[3 * B + i];
-                            rms += d0 * d0;
-                            rms += d1 * d1;
-                            rms += d2 * d2;
-                            rms += d3 * d3;
-                        }
-                        at += m;
-                    }
-                    gbl[0] = rms;
-                    return;
-                }
-                // Element-outer keeps the RMS accumulation order pinned to
-                // the per-element reference.
+                let mut rms = gbl[0];
                 for e in span {
-                    update_one(&qoldv, &qv, &resv, &adtv, e, &mut gbl[0]);
+                    update_one(&qoldv, &qv, &resv, &adtv, e, &mut rms);
                 }
+                gbl[0] = rms;
             });
 
         AirfoilLoops {
@@ -379,9 +287,8 @@ mod tests {
 
     /// Every loop's one body, driven through `run_span` over uneven spans,
     /// must be bit-identical to iterating the `*_one` reference directly —
-    /// the contract every executor and det sweep relies on, on every layout
-    /// (AoS takes `save_soln`'s whole-span memcpy, SoA its per-component
-    /// memcpy and `update`'s blocked RMS).
+    /// the contract every executor and det sweep relies on, on both layouts
+    /// (`update`'s span-local RMS included).
     #[test]
     fn span_bodies_match_per_element_reference() {
         type PerElement<'a> = Box<dyn Fn(usize, &mut [f64]) + 'a>;

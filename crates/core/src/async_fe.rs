@@ -132,7 +132,7 @@ mod tests {
             .arg(arg_direct(&q, Access::ReadWrite))
             .gbl_inc(1)
             .kernel(move |e, gbl| unsafe {
-                qv.slice_mut(e)[0] += 1.0;
+                qv.add(e, 0, 1.0);
                 gbl[0] += 1.0;
             });
         let exec = AsyncExecutor::new(rt);

@@ -94,9 +94,8 @@ mod tests {
                 .arg(arg_direct(&q, Access::ReadWrite))
                 .gbl_inc(1)
                 .kernel(move |e, gbl| unsafe {
-                    let s = qv.slice_mut(e);
-                    s[0] = s[0] * 2.0 + 1.0;
-                    s[1] = -s[1];
+                    let [a, b] = qv.load(e);
+                    qv.store(e, [a * 2.0 + 1.0, -b]);
                     gbl[0] += 1.0;
                 });
             let h = exec.execute(&l);

@@ -296,7 +296,7 @@ mod tests {
         let l = ParLoop::build("triple", &cells)
             .arg(arg_direct(&q, Access::ReadWrite))
             .kernel(move |e, _| unsafe {
-                qv.slice_mut(e)[0] *= 3.0;
+                qv.set(e, 0, qv.get(e, 0) * 3.0);
             });
         let plan = Plan::build(l.set(), l.args(), 10);
         let pool = ThreadPool::new(2);

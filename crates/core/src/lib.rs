@@ -35,8 +35,8 @@
 //! let square = ParLoop::build("square", &cells)
 //!     .arg(arg_direct(&q, Access::ReadWrite))
 //!     .kernel(move |e, _| unsafe {
-//!         let s = qv.slice_mut(e);
-//!         s[0] *= s[0];
+//!         let [v] = qv.load(e);
+//!         qv.store(e, [v * v]);
 //!     });
 //!
 //! let exec = DataflowExecutor::new(Arc::clone(&rt));

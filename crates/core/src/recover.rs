@@ -599,8 +599,8 @@ mod tests {
         let square = ParLoop::build("square", &cells)
             .arg(arg_direct(&q, Access::ReadWrite))
             .kernel(move |e, _| unsafe {
-                let s = qv.slice_mut(e);
-                s[0] *= s[0];
+                let [v] = qv.load(e);
+                qv.store(e, [v * v]);
             });
         let handle = sup
             .try_execute(&square)

@@ -64,7 +64,7 @@ impl MiniApp {
             .arg(arg_direct(&self.q, Access::Read))
             .arg(arg_direct(&self.qold, Access::Write))
             .kernel(move |e, _| unsafe {
-                qoldv.slice_mut(e).copy_from_slice(qv.slice(e));
+                qoldv.store::<2>(e, qv.load(e));
             });
 
         let m2 = m.clone();
@@ -77,25 +77,20 @@ impl MiniApp {
             .kernel(move |e, gbl| unsafe {
                 let a = m2.at(e, 0);
                 let b = m2.at(e, 1);
-                let qa = qv.slice(a);
-                let qb = qv.slice(b);
-                let f0 = 0.5 * (qa[0] - qb[0]);
-                let f1 = 0.25 * (qa[1] + qb[1]);
-                let ra = resv.slice_mut(a);
-                ra[0] += f0;
-                ra[1] += f1;
-                let rb = resv.slice_mut(b);
-                rb[0] -= f0;
-                rb[1] += f1;
+                let [qa0, qa1] = qv.load(a);
+                let [qb0, qb1] = qv.load(b);
+                let f0 = 0.5 * (qa0 - qb0);
+                let f1 = 0.25 * (qa1 + qb1);
+                resv.add_vec(a, [f0, f1]);
+                resv.add_vec(b, [-f0, f1]);
                 gbl[0] += f0 * f0 + f1 * f1;
             });
 
         let damp = ParLoop::build("damp", &self.cells)
             .arg(arg_direct(&self.res, Access::ReadWrite))
             .kernel(move |e, _| unsafe {
-                let r = resv.slice_mut(e);
-                r[0] *= 0.9;
-                r[1] *= 0.9;
+                let [r0, r1] = resv.load(e);
+                resv.store(e, [r0 * 0.9, r1 * 0.9]);
             });
 
         let update = ParLoop::build("update", &self.cells)
@@ -104,14 +99,11 @@ impl MiniApp {
             .arg(arg_direct(&self.q, Access::Write))
             .gbl_inc(1)
             .kernel(move |e, gbl| unsafe {
-                let r = resv.slice_mut(e);
-                let qo = qoldv.slice(e);
-                let qn = qv.slice_mut(e);
-                qn[0] = qo[0] + 0.01 * r[0];
-                qn[1] = qo[1] + 0.01 * r[1];
-                let d = r[0] + r[1];
-                r[0] = 0.0;
-                r[1] = 0.0;
+                let [r0, r1] = resv.load(e);
+                let [qo0, qo1] = qoldv.load(e);
+                qv.store(e, [qo0 + 0.01 * r0, qo1 + 0.01 * r1]);
+                let d = r0 + r1;
+                resv.store(e, [0.0, 0.0]);
                 gbl[0] += d * d;
             });
 

@@ -141,10 +141,9 @@ fn nan_guard_rolls_back_and_reports_the_site() {
         .arg(arg_direct(&q, Access::ReadWrite))
         .guard_finite()
         .kernel(move |e, _| unsafe {
-            let s = qv.slice_mut(e);
-            s[0] += 1.0;
+            qv.add(e, 0, 1.0);
             if e == 13 {
-                s[1] = f64::NAN;
+                qv.set(e, 1, f64::NAN);
             }
         });
     let before = bits(&q);

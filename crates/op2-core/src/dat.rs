@@ -3,9 +3,9 @@
 //! Storage is parameterized by a [`Layout`]: element-major AoS (the
 //! default, and OP2's native CPU layout) or component-major SoA. The layout
 //! is fixed at construction and hidden behind the same `data`/`view` API, so
-//! kernels written against [`DatView`] accessors (`get`/`set`/`add`/`comp`)
-//! are layout-agnostic; only code that touches raw storage order (`data`,
-//! `to_vec`) sees the difference.
+//! kernels written against the [`DatView`] accessors (`get`/`set`/`add` and
+//! their const-width `load`/`store`/`add_vec`) are layout-agnostic; only code
+//! that touches raw storage order (`data`, `to_vec`) sees the difference.
 
 use std::fmt;
 use std::sync::Arc;
@@ -21,10 +21,10 @@ use crate::set::Set;
 /// `e` lives at raw index:
 ///
 /// * `Aos` — `e*dim + j` (element-major, OP2's default);
-/// * `Soa` — `j*n + e` (component-major; unit stride across elements, so
-///   direct loops over one component autovectorize).
+/// * `Soa` — `j*n + e` (component-major).
 ///
-/// Both store exactly `n * dim` values.
+/// Both store exactly `n * dim` values. Kernels never branch on it: the
+/// [`DatView`] accessors resolve the formula per access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Layout {
     /// Array-of-structures: `e*dim + j`.
@@ -41,12 +41,6 @@ impl Layout {
             Layout::Aos => e * dim + j,
             Layout::Soa => j * n + e,
         }
-    }
-
-    /// True when each element's components are contiguous in storage order
-    /// (so [`DatView::slice`] is valid): AoS always, any layout at `dim == 1`.
-    pub fn element_contiguous(self, dim: usize) -> bool {
-        dim == 1 || matches!(self, Layout::Aos)
     }
 
     /// Stable short label (`aos`, `soa`) for artifacts and the tuner's
@@ -333,15 +327,28 @@ impl<T: Copy + Send + Sync + 'static> Dat<T> {
 
     /// Layout-independent single-value read (locked; setup/verification
     /// only).
+    ///
+    /// # Panics
+    /// Panics unless `e < set.size()` and `j < dim`.
     pub fn get_at(&self, e: usize, j: usize) -> T {
-        let n = self.inner.set.size();
-        self.data()[self.inner.layout.index(e, j, n, self.inner.dim)]
+        self.data()[self.checked_index(e, j)]
     }
 
     /// Layout-independent single-value write (locked; setup only).
+    ///
+    /// # Panics
+    /// As [`Dat::get_at`].
     pub fn set_at(&self, e: usize, j: usize, v: T) {
-        let n = self.inner.set.size();
-        self.data_mut()[self.inner.layout.index(e, j, n, self.inner.dim)] = v;
+        let i = self.checked_index(e, j);
+        self.data_mut()[i] = v;
+    }
+
+    /// Raw index of component `j` of element `e`, range-checked: an
+    /// unchecked `j == dim` or `e == n` would alias another element's slot.
+    fn checked_index(&self, e: usize, j: usize) -> usize {
+        let (n, dim) = (self.inner.set.size(), self.inner.dim);
+        assert!(e < n && j < dim, "dat {}: ({e}, {j}) outside {n} x {dim}", self.inner.name);
+        self.inner.layout.index(e, j, n, dim)
     }
 
     /// Reorder elements in place under a permutation `old_of_new`
@@ -372,7 +379,7 @@ impl<T: Copy + Send + Sync + 'static> Dat<T> {
 
     /// A raw, unlocked view for use inside parallel-loop kernels.
     ///
-    /// The view's accessors are `unsafe fn`: the caller must be executing
+    /// The view's accessors are `unsafe`: the caller must be executing
     /// inside a [`crate::ParLoop`] whose declared arguments cover the access
     /// (the executor's plan then guarantees exclusivity). See module docs.
     ///
@@ -441,8 +448,8 @@ impl<T> fmt::Debug for Dat<T> {
 ///
 /// `Copy` and sendable across threads; all accessors are `unsafe` because the
 /// framework, not the compiler, proves exclusivity (see [`Dat::view`]).
-/// `get`/`set`/`add`/`comp` work for every [`Layout`]; `slice`/`slice_mut`
-/// require element-contiguous storage (AoS, or any layout at `dim == 1`).
+/// Every accessor works for every [`Layout`]: `get`/`set`/`add` move one
+/// component, `load`/`store`/`add_vec` a whole element of compile-time width.
 pub struct DatView<T> {
     ptr: *mut T,
     len: usize,
@@ -481,12 +488,6 @@ impl<T: Copy> DatView<T> {
         self.n
     }
 
-    /// Storage layout.
-    #[inline]
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
     /// Raw index of component `j` of element `e` under this view's layout.
     #[inline(always)]
     fn idx(&self, e: usize, j: usize) -> usize {
@@ -502,47 +503,13 @@ impl<T: Copy> DatView<T> {
         }
     }
 
-    /// Read element `e`'s values as a contiguous slice.
-    ///
-    /// Requires element-contiguous storage (AoS, or `dim == 1`); use
-    /// [`DatView::get`]/[`DatView::load`] for layout-agnostic reads.
-    ///
-    /// # Safety
-    /// Must be called from a kernel whose loop declared (at least) read
-    /// access to this dat at this element; no concurrent writer may exist
-    /// (guaranteed by the plan when declarations are correct).
-    #[inline]
-    pub unsafe fn slice(&self, e: usize) -> &[T] {
-        debug_assert!(self.layout.element_contiguous(self.dim));
-        debug_assert!(self.idx(e, self.dim - 1) < self.len);
-        #[cfg(feature = "det")]
-        crate::det::record_access(self.id, e, crate::access::Access::Read);
-        std::slice::from_raw_parts(self.ptr.add(self.idx(e, 0)), self.dim)
-    }
-
-    /// Mutably access element `e`'s values as a contiguous slice.
-    ///
-    /// Requires element-contiguous storage (AoS, or `dim == 1`); use
-    /// [`DatView::set`]/[`DatView::store`] for layout-agnostic writes.
-    ///
-    /// # Safety
-    /// Must be called from a kernel whose loop declared write/rw/inc access
-    /// to this dat at this element; the plan guarantees no other thread
-    /// touches element `e` concurrently.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, e: usize) -> &mut [T] {
-        debug_assert!(self.layout.element_contiguous(self.dim));
-        debug_assert!(self.idx(e, self.dim - 1) < self.len);
-        #[cfg(feature = "det")]
-        crate::det::record_access(self.id, e, crate::access::Access::ReadWrite);
-        std::slice::from_raw_parts_mut(self.ptr.add(self.idx(e, 0)), self.dim)
-    }
-
     /// Read a single value.
     ///
     /// # Safety
-    /// As [`DatView::slice`].
+    /// Must be called from a kernel whose loop declared (at least) read
+    /// access to this dat at element `e`, with `e < n` and `j < dim` (only
+    /// `debug_assert`ed); no concurrent writer may exist (guaranteed by the
+    /// plan when declarations are correct).
     #[inline]
     pub unsafe fn get(&self, e: usize, j: usize) -> T {
         debug_assert!(j < self.dim);
@@ -555,7 +522,8 @@ impl<T: Copy> DatView<T> {
     /// Write a single value.
     ///
     /// # Safety
-    /// As [`DatView::slice_mut`].
+    /// As [`DatView::get`], with write/rw access declared: the plan
+    /// guarantees no other thread touches element `e` concurrently.
     #[inline]
     pub unsafe fn set(&self, e: usize, j: usize, v: T) {
         debug_assert!(j < self.dim);
@@ -569,7 +537,7 @@ impl<T: Copy> DatView<T> {
     /// agnostic; on AoS one `[T; D]` read at `e * D`).
     ///
     /// # Safety
-    /// As [`DatView::slice`], and `D == dim`, `e < n` (only `debug_assert`ed).
+    /// As [`DatView::get`], and `D == dim` (only `debug_assert`ed).
     #[inline]
     pub unsafe fn load<const D: usize>(&self, e: usize) -> [T; D] {
         debug_assert!(D == self.dim && e < self.n);
@@ -587,7 +555,7 @@ impl<T: Copy> DatView<T> {
     /// Write element `e`'s `D` components (addressed as [`DatView::load`]).
     ///
     /// # Safety
-    /// As [`DatView::slice_mut`], and `D == dim`, `e < n` (only `debug_assert`ed).
+    /// As [`DatView::set`], and `D == dim` (only `debug_assert`ed).
     #[inline]
     pub unsafe fn store<const D: usize>(&self, e: usize, vals: [T; D]) {
         debug_assert!(D == self.dim && e < self.n);
@@ -603,70 +571,14 @@ impl<T: Copy> DatView<T> {
             }
         }
     }
-
-    /// The raw storage of elements `range` as one contiguous slice
-    /// (`range.len() * dim` values), when the layout stores whole elements
-    /// contiguously (AoS, or any layout at `dim == 1`); `None` otherwise.
-    /// The span-kernel fast path for order-independent bodies (copies,
-    /// fills).
-    ///
-    /// # Safety
-    /// As [`DatView::slice`], for every element in `range`.
-    pub unsafe fn span(&self, range: std::ops::Range<usize>) -> Option<&[T]> {
-        if !self.layout.element_contiguous(self.dim) || range.end > self.n {
-            return None;
-        }
-        #[cfg(feature = "det")]
-        for e in range.clone() {
-            crate::det::record_access(self.id, e, crate::access::Access::Read);
-        }
-        Some(std::slice::from_raw_parts(
-            self.ptr.add(self.idx(range.start, 0)),
-            range.len() * self.dim,
-        ))
-    }
-
-    /// Mutable [`DatView::span`].
-    ///
-    /// # Safety
-    /// As [`DatView::slice_mut`], for every element in `range`.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn span_mut(&self, range: std::ops::Range<usize>) -> Option<&mut [T]> {
-        if !self.layout.element_contiguous(self.dim) || range.end > self.n {
-            return None;
-        }
-        #[cfg(feature = "det")]
-        for e in range.clone() {
-            crate::det::record_access(self.id, e, crate::access::Access::ReadWrite);
-        }
-        Some(std::slice::from_raw_parts_mut(
-            self.ptr.add(self.idx(range.start, 0)),
-            range.len() * self.dim,
-        ))
-    }
-
-    /// Typed strided accessor for component `j` across all elements.
-    pub fn comp(&self, j: usize) -> CompView<T> {
-        assert!(j < self.dim, "component {j} out of range (dim {})", self.dim);
-        CompView {
-            ptr: self.ptr,
-            len: self.len,
-            n: self.n,
-            dim: self.dim,
-            layout: self.layout,
-            j,
-            #[cfg(feature = "det")]
-            id: self.id,
-        }
-    }
 }
 
 impl<T: Copy + std::ops::AddAssign> DatView<T> {
     /// Increment a single value (`OP_INC` access).
     ///
     /// # Safety
-    /// As [`DatView::slice_mut`]; coloring guarantees no concurrent increment
-    /// of the same element.
+    /// As [`DatView::set`]; coloring guarantees no concurrent increment of
+    /// the same element.
     #[inline]
     pub unsafe fn add(&self, e: usize, j: usize, v: T) {
         debug_assert!(j < self.dim);
@@ -680,7 +592,7 @@ impl<T: Copy + std::ops::AddAssign> DatView<T> {
     /// (layout-agnostic `OP_INC`; addressed as [`DatView::load`]).
     ///
     /// # Safety
-    /// As [`DatView::add`], and `D == dim`, `e < n` (only `debug_assert`ed).
+    /// As [`DatView::add`], and `D == dim` (only `debug_assert`ed).
     #[inline]
     pub unsafe fn add_vec<const D: usize>(&self, e: usize, vals: [T; D]) {
         debug_assert!(D == self.dim && e < self.n);
@@ -698,130 +610,6 @@ impl<T: Copy + std::ops::AddAssign> DatView<T> {
                 }
             }
         }
-    }
-}
-
-/// A single component of a dat viewed across elements — the strided-access
-/// companion to [`DatView`], for writing vectorizable per-component inner
-/// loops.
-///
-/// `stride()` gives the distance between consecutive elements' slots (1 for
-/// SoA, `dim` for AoS);
-/// [`CompView::contiguous`]/[`CompView::contiguous_mut`] hand out a plain
-/// slice whenever a requested element range is unit-stride in storage.
-pub struct CompView<T> {
-    ptr: *mut T,
-    len: usize,
-    n: usize,
-    dim: usize,
-    layout: Layout,
-    j: usize,
-    #[cfg(feature = "det")]
-    id: u64,
-}
-
-impl<T> Clone for CompView<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for CompView<T> {}
-
-// SAFETY: same justification as DatView.
-unsafe impl<T: Send + Sync> Send for CompView<T> {}
-unsafe impl<T: Send + Sync> Sync for CompView<T> {}
-
-impl<T: Copy> CompView<T> {
-    /// Number of elements.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Storage distance between consecutive elements' slots for this
-    /// component (valid within a contiguous run; see
-    /// [`CompView::contiguous`]).
-    #[inline]
-    pub fn stride(&self) -> usize {
-        match self.layout {
-            Layout::Aos => self.dim,
-            Layout::Soa => 1,
-        }
-    }
-
-    #[inline(always)]
-    fn idx(&self, e: usize) -> usize {
-        self.layout.index(e, self.j, self.n, self.dim)
-    }
-
-    /// Read this component of element `e`.
-    ///
-    /// # Safety
-    /// As [`DatView::get`].
-    #[inline]
-    pub unsafe fn get(&self, e: usize) -> T {
-        debug_assert!(self.idx(e) < self.len);
-        #[cfg(feature = "det")]
-        crate::det::record_access(self.id, e, crate::access::Access::Read);
-        *self.ptr.add(self.idx(e))
-    }
-
-    /// Write this component of element `e`.
-    ///
-    /// # Safety
-    /// As [`DatView::set`].
-    #[inline]
-    pub unsafe fn set(&self, e: usize, v: T) {
-        debug_assert!(self.idx(e) < self.len);
-        #[cfg(feature = "det")]
-        crate::det::record_access(self.id, e, crate::access::Access::Write);
-        *self.ptr.add(self.idx(e)) = v;
-    }
-
-    /// True when elements `range` occupy consecutive storage slots for this
-    /// component: SoA always; AoS only when `dim == 1`.
-    pub fn unit_stride(&self, range: &std::ops::Range<usize>) -> bool {
-        range.len() <= 1 || self.stride() == 1
-    }
-
-    /// The elements of `range` as a contiguous slice, when the layout stores
-    /// them unit-stride (see [`CompView::unit_stride`]); `None` otherwise.
-    ///
-    /// # Safety
-    /// As [`DatView::slice`], for every element in `range`.
-    pub unsafe fn contiguous(&self, range: std::ops::Range<usize>) -> Option<&[T]> {
-        if !self.unit_stride(&range) || range.end > self.n {
-            return None;
-        }
-        #[cfg(feature = "det")]
-        for e in range.clone() {
-            crate::det::record_access(self.id, e, crate::access::Access::Read);
-        }
-        debug_assert!(range.is_empty() || self.idx(range.end - 1) < self.len);
-        Some(std::slice::from_raw_parts(
-            self.ptr.add(self.idx(range.start)),
-            range.len(),
-        ))
-    }
-
-    /// Mutable [`CompView::contiguous`].
-    ///
-    /// # Safety
-    /// As [`DatView::slice_mut`], for every element in `range`.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn contiguous_mut(&self, range: std::ops::Range<usize>) -> Option<&mut [T]> {
-        if !self.unit_stride(&range) || range.end > self.n {
-            return None;
-        }
-        #[cfg(feature = "det")]
-        for e in range.clone() {
-            crate::det::record_access(self.id, e, crate::access::Access::ReadWrite);
-        }
-        debug_assert!(range.is_empty() || self.idx(range.end - 1) < self.len);
-        Some(std::slice::from_raw_parts_mut(
-            self.ptr.add(self.idx(range.start)),
-            range.len(),
-        ))
     }
 }
 
@@ -855,12 +643,12 @@ mod tests {
         unsafe {
             v.set(1, 0, 10);
             v.add(1, 0, 5);
-            v.slice_mut(2)[1] = 7;
+            v.set(2, 1, 7);
         }
         assert_eq!(d.to_vec(), vec![0, 0, 15, 0, 0, 7]);
         unsafe {
             assert_eq!(v.get(1, 0), 15);
-            assert_eq!(v.slice(2), &[0, 7]);
+            assert_eq!(&v.load::<2>(2), &[0, 7]);
         }
     }
 
@@ -1016,27 +804,38 @@ mod tests {
         assert!(reports[1].detail.contains("element 1"), "{reports:?}");
     }
 
+    /// `Dat::get_at`/`set_at` and `Map::at` refuse every index that the raw
+    /// formula would fold onto another element's slot: `j == dim` (AoS and
+    /// maps: element `e + 1`, slot 0) and `e == n` (SoA: element 0,
+    /// component `j + 1`), with a panic that names the dat or map.
     #[test]
-    fn comp_view_strides_and_contiguity() {
-        let cells = Set::new("cells", 6);
-        let aos: Vec<f64> = (0..12).map(|i| i as f64).collect();
-
-        let soa = Dat::with_layout("q", &cells, 2, Layout::Soa, aos.clone());
-        let c1 = soa.view().comp(1);
-        assert_eq!(c1.stride(), 1);
-        unsafe {
-            assert_eq!(c1.contiguous(0..6).unwrap(), &[1.0, 3.0, 5.0, 7.0, 9.0, 11.0]);
-            let s = c1.contiguous_mut(2..4).unwrap();
-            s[0] += 100.0;
+    fn out_of_range_indices_never_alias() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let panics_naming = |who: &str, f: &dyn Fn()| {
+            let payload = catch_unwind(AssertUnwindSafe(f)).err();
+            payload.and_then(|p| p.downcast::<String>().ok()).is_some_and(|m| m.starts_with(who))
+        };
+        let cells = Set::new("cells", 4);
+        let aos: Vec<f64> = (0..12).map(f64::from).collect();
+        let aliasing = [(0, 3), (1, 3), (2, 4), (4, 0), (4, 1), (5, 0)];
+        for layout in [Layout::Aos, Layout::Soa] {
+            let d = Dat::with_layout("q", &cells, 3, layout, aos.clone());
+            for (e, j) in aliasing {
+                let get = || {
+                    d.get_at(e, j);
+                };
+                assert!(panics_naming("dat q: ", &get), "{layout:?} get_at({e}, {j})");
+                let set = || d.set_at(e, j, -1.0);
+                assert!(panics_naming("dat q: ", &set), "{layout:?} set_at({e}, {j})");
+            }
+            assert_eq!(d.to_aos_vec(), aos, "{layout:?}");
         }
-        assert_eq!(soa.get_at(2, 1), 105.0);
-
-        let aos_d = Dat::new("q", &cells, 2, aos.clone());
-        let c0 = aos_d.view().comp(0);
-        assert_eq!(c0.stride(), 2);
-        unsafe {
-            assert!(c0.contiguous(0..6).is_none()); // dim 2 AoS: never unit stride
-            assert_eq!(c0.get(3), 6.0);
+        let m = crate::Map::new("m", &cells, &cells, 3, (0..12).map(|i| i % 4).collect());
+        for (e, j) in aliasing {
+            let at = || {
+                m.at(e, j);
+            };
+            assert!(panics_naming("map m: ", &at), "at({e}, {j})");
         }
     }
 

@@ -44,7 +44,7 @@ pub mod snapshot;
 
 pub use access::Access;
 pub use arg::{arg_direct, arg_indirect, ArgSpec, MapRef};
-pub use dat::{CompView, Dat, DatError, DatView, Layout};
+pub use dat::{Dat, DatError, DatView, Layout};
 pub use loops::{KernelFn, ParLoop, ParLoopBuilder};
 pub use map::{Map, MapError, MapView};
 pub use plan::{Plan, PlanCache, PlanError, PlanKey};

@@ -310,8 +310,8 @@ impl ParLoopBuilder {
         ))
     }
 
-    /// Attach a kernel `f(span, gbl)` that does something per span — a block
-    /// copy, a hoisted load, a blocked reduction — and finish. It must leave
+    /// Attach a kernel `f(span, gbl)` that does something per span — a hoisted
+    /// load, a reduction kept in a local — and finish. It must leave
     /// dats and `gbl` bit-identical to visiting the span's elements one by
     /// one in ascending order; a panic inside it is attributed to the span's
     /// first element.

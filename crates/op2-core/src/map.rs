@@ -162,10 +162,15 @@ impl Map {
     }
 
     /// The `j`-th target of element `e`.
+    ///
+    /// # Panics
+    /// Panics unless `e < from.size()` and `j < dim`: an unchecked
+    /// `j == dim` would read element `e + 1`'s first target.
     #[inline]
     pub fn at(&self, e: usize, j: usize) -> usize {
-        debug_assert!(j < self.inner.dim);
-        self.inner.table[e * self.inner.dim + j] as usize
+        let (n, dim) = (self.inner.from.size(), self.inner.dim);
+        assert!(e < n && j < dim, "map {}: at({e}, {j}) outside {n} x {dim}", self.inner.name);
+        self.inner.table[e * dim + j] as usize
     }
 
     /// A raw view of the table for kernels, as [`crate::Dat::view`] is for a

@@ -61,8 +61,8 @@ mod tests {
         let l = ParLoop::build("double", &cells)
             .arg(arg_direct(&q, Access::ReadWrite))
             .kernel(move |e, _| unsafe {
-                let s = qv.slice_mut(e);
-                s[0] *= 2.0;
+                let [v] = qv.load(e);
+                qv.store(e, [v * 2.0]);
             });
         let gbl = execute_natural(&l);
         assert!(gbl.is_empty());
@@ -81,7 +81,7 @@ mod tests {
                 .arg(arg_direct(&a, Access::Read))
                 .arg(arg_direct(dst, Access::Write))
                 .kernel(move |e, _| unsafe {
-                    dv.slice_mut(e).copy_from_slice(av.slice(e));
+                    dv.store::<2>(e, av.load(e));
                 })
         };
         let l = make(&b);

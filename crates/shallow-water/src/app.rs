@@ -221,27 +221,8 @@ impl SweApp {
         let save = ParLoop::build("swe_save", &mesh.cells)
             .arg(arg_direct(&w, Access::Read))
             .arg(arg_direct(&wold, Access::Write))
+            // Not `.kernel(`: its per-element `current.set(e)` blocks wide moves.
             .kernel_span(move |span, _| unsafe {
-                // A copy is order-independent: take the widest contiguous
-                // shape the layout offers before the element loop.
-                if let (Some(src), Some(dst)) =
-                    (wv.span(span.clone()), woldv.span_mut(span.clone()))
-                {
-                    dst.copy_from_slice(src);
-                    return;
-                }
-                let all_comps = (0..3)
-                    .all(|j| wv.comp(j).unit_stride(&span) && woldv.comp(j).unit_stride(&span));
-                if all_comps {
-                    for j in 0..3 {
-                        let wc = wv.comp(j);
-                        let woldc = woldv.comp(j);
-                        let src = wc.contiguous(span.clone()).unwrap();
-                        let dst = woldc.contiguous_mut(span.clone()).unwrap();
-                        dst.copy_from_slice(src);
-                    }
-                    return;
-                }
                 for e in span {
                     save_one(&wv, &woldv, e);
                 }
@@ -532,8 +513,8 @@ mod tests {
 
     /// The twin of Airfoil's contract test: every loop's one body, driven
     /// through `run_span` over uneven spans, is bit-identical to iterating
-    /// the `*_one` reference directly on every layout — `save`'s whole-span
-    /// and per-component memcpys and the `dt`/`update` hoists included.
+    /// the `*_one` reference directly on both layouts — the `dt`/`update`
+    /// hoists included.
     #[test]
     fn span_bodies_match_per_element_reference() {
         type PerElement<'a> = Box<dyn Fn(usize, &mut [f64]) + 'a>;

@@ -71,55 +71,57 @@ fn main() {
     );
     let loops = generated::AirfoilLoops::new(
         &decls,
-        move |e, _| unsafe { kernels::save_soln(qv.slice(e), qoldv.slice_mut(e)) },
+        move |e, _| unsafe {
+            let mut qold = [0.0; 4];
+            kernels::save_soln(&qv.load::<4>(e), &mut qold);
+            qoldv.store(e, qold);
+        },
         {
             let pcell = pcell.clone();
             move |e, _| unsafe {
-                kernels::adt_calc(
-                    xv.slice(pcell.at(e, 0)),
-                    xv.slice(pcell.at(e, 1)),
-                    xv.slice(pcell.at(e, 2)),
-                    xv.slice(pcell.at(e, 3)),
-                    qv.slice(e),
-                    adtv.slice_mut(e),
-                    &c,
-                )
+                let x = |j| xv.load::<2>(pcell.at(e, j));
+                let mut adt = [0.0];
+                kernels::adt_calc(&x(0), &x(1), &x(2), &x(3), &qv.load::<4>(e), &mut adt, &c);
+                adtv.store(e, adt);
             }
         },
         move |e, _| unsafe {
             let (c1, c2) = (pecell.at(e, 0), pecell.at(e, 1));
+            let (mut r1, mut r2) = ([0.0; 4], [0.0; 4]);
             kernels::res_calc(
-                xv.slice(pedge.at(e, 0)),
-                xv.slice(pedge.at(e, 1)),
-                qv.slice(c1),
-                qv.slice(c2),
+                &xv.load::<2>(pedge.at(e, 0)),
+                &xv.load::<2>(pedge.at(e, 1)),
+                &qv.load::<4>(c1),
+                &qv.load::<4>(c2),
                 adtv.get(c1, 0),
                 adtv.get(c2, 0),
-                resv.slice_mut(c1),
-                resv.slice_mut(c2),
+                &mut r1,
+                &mut r2,
                 &c,
-            )
+            );
+            resv.add_vec(c1, r1);
+            resv.add_vec(c2, r2);
         },
         move |e, _| unsafe {
             let c1 = pbecell.at(e, 0);
+            let mut r1 = [0.0; 4];
             kernels::bres_calc(
-                xv.slice(pbedge.at(e, 0)),
-                xv.slice(pbedge.at(e, 1)),
-                qv.slice(c1),
+                &xv.load::<2>(pbedge.at(e, 0)),
+                &xv.load::<2>(pbedge.at(e, 1)),
+                &qv.load::<4>(c1),
                 adtv.get(c1, 0),
-                resv.slice_mut(c1),
+                &mut r1,
                 boundv.get(e, 0),
                 &c,
-            )
+            );
+            resv.add_vec(c1, r1);
         },
         move |e, gbl| unsafe {
-            kernels::update(
-                qoldv.slice(e),
-                qv.slice_mut(e),
-                resv.slice_mut(e),
-                adtv.get(e, 0),
-                &mut gbl[0],
-            )
+            let mut q = [0.0; 4];
+            let mut res = resv.load::<4>(e);
+            kernels::update(&qoldv.load::<4>(e), &mut q, &mut res, adtv.get(e, 0), &mut gbl[0]);
+            qv.store(e, q);
+            resv.store(e, res);
         },
     );
 

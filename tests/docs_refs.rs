@@ -13,7 +13,8 @@
 //! And three rules about the sources themselves, checked the same way: op2-hpx
 //! snapshots a write-set in exactly one place, and it consults the tuner in
 //! exactly one place — the code that waits on every loop builds no executor
-//! to do it; and the apps' kernels read maps only through `MapView`s.
+//! to do it; and the apps' kernels read maps only through `MapView`s and
+//! never branch on the data layout.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -228,18 +229,13 @@ fn the_tuner_has_one_consult_site_and_waiting_layers_build_no_executor() {
     assert!(built.is_empty(), "executors built by a layer that waits: {built:#?}");
 }
 
-/// The apps' kernels read maps the way generated OP2 code does, through a raw
-/// `MapView` row: a kernel that took a `Map` (an `Arc` the optimizer must
-/// re-read after every store) or called `Map::at` would still be correct and
-/// only slower, which no tier-1 test can time. So in Airfoil's and
-/// shallow-water's loop wiring, no `*_one` helper and no `.kernel(` /
-/// `.kernel_span(` body names the type `Map` or calls `.at(`.
-#[test]
-fn app_kernels_reach_maps_only_through_map_views() {
+/// The code lines of every kernel region in Airfoil's and shallow-water's loop
+/// wiring — each `*_one` helper and each `.kernel(` / `.kernel_span(` body —
+/// as `file:line: code`. Fails unless it finds all twenty regions.
+fn app_kernel_lines() -> Vec<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut regions = 0;
-    let mut views = 0;
-    let mut found = Vec::new();
+    let mut lines = Vec::new();
     for file in ["crates/airfoil/src/loops.rs", "crates/shallow-water/src/app.rs"] {
         let mut depth: Option<i64> = None;
         for (n, line) in code(&root.join(file)) {
@@ -251,24 +247,52 @@ fn app_kernels_reach_maps_only_through_map_views() {
                 depth = Some(0);
             }
             let Some(d) = depth.as_mut() else { continue };
-            views += line.matches("MapView<").count();
-            let names_map = line
-                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                .any(|word| word == "Map");
-            if names_map || line.contains(".at(") {
-                found.push(format!("{file}:{n}: {line}"));
-            }
             *d += line.matches('{').count() as i64 - line.matches('}').count() as i64;
             if *d <= 0 && line.contains('}') {
                 depth = None;
             }
+            lines.push(format!("{file}:{n}: {line}"));
         }
     }
     // Five `*_one` helpers and five kernel bodies per app.
     assert_eq!(regions, 20, "kernel regions scanned");
+    lines
+}
+
+/// True when `word` occurs in `line` as a whole identifier.
+fn names(line: &str, word: &str) -> bool {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).any(|w| w == word)
+}
+
+/// The apps' kernels read maps the way generated OP2 code does, through a raw
+/// `MapView` row: a kernel that took a `Map` (an `Arc` the optimizer must
+/// re-read after every store) or called `Map::at` would still be correct and
+/// only slower, which no tier-1 test can time. So in Airfoil's and
+/// shallow-water's loop wiring, no `*_one` helper and no `.kernel(` /
+/// `.kernel_span(` body names the type `Map` or calls `.at(`.
+#[test]
+fn app_kernels_reach_maps_only_through_map_views() {
+    let lines = app_kernel_lines();
+    let views: usize = lines.iter().map(|l| l.matches("MapView<").count()).sum();
     // adt_one 1, res_one 2, bres_one 2, flux_one 2, bflux_one 2.
     assert_eq!(views, 9, "MapView parameters of the *_one helpers");
+    let found: Vec<_> = lines.iter().filter(|l| names(l, "Map") || l.contains(".at(")).collect();
     assert!(found.is_empty(), "kernels reaching a map without a MapView: {found:#?}");
+}
+
+/// OP2 writes a kernel once, per element, and leaves the layout to the
+/// framework's access code. The apps' kernels never fork on it: every span
+/// body is one element loop, so no kernel region returns early, names
+/// `Layout` or asks a dat or view for its `.layout(`; they read dats only
+/// through the layout-agnostic `DatView` accessors.
+#[test]
+fn app_kernels_never_see_the_layout() {
+    let lines = app_kernel_lines();
+    let found: Vec<_> = lines
+        .iter()
+        .filter(|l| names(l, "return") || names(l, "Layout") || l.contains(".layout("))
+        .collect();
+    assert!(found.is_empty(), "kernels that fork on the layout: {found:#?}");
 }
 
 /// OP2 declares an application once. The distributed layer runs the apps'

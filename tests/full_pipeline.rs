@@ -285,7 +285,7 @@ fn waited_on_loops_match_serial_and_spawn_only_their_chunks() {
         let qv = q.view();
         ParLoop::build("double", &cells)
             .arg(arg_direct(&q, Access::ReadWrite))
-            .kernel(move |e, _| unsafe { qv.slice_mut(e)[0] *= 2.0 })
+            .kernel(move |e, _| unsafe { qv.set(e, 0, qv.get(e, 0) * 2.0) })
     };
     let counted = |f: &dyn Fn()| {
         let metrics = rt.pool().metrics().expect("a ThreadPool keeps counters");

@@ -94,35 +94,39 @@ fn typed_errors_carry_provenance_and_rollback_status() {
     }
 }
 
-/// Provenance follows how the one kernel body was attached: a loop built
-/// from a per-element closure names the exact failing element; a loop whose
-/// body is written per span names the start of the plan block that was
-/// running (blocks of 8 here, so element 13 sits in `8..16`).
+/// Provenance names the exact failing element whichever way the kernel was
+/// attached: a raw per-element closure, or a typed argument tuple whose
+/// kernel never sees the element index (here it reads it from `ids`).
 #[test]
-fn provenance_is_exact_per_element_and_span_start_per_span() {
+fn provenance_is_the_exact_element_for_raw_and_typed_kernels() {
     for kind in [BackendKind::ForkJoin, BackendKind::Async, BackendKind::Dataflow] {
         let cells = Set::new("cells", 64);
         let q = Dat::filled("q", &cells, 1, 0.0f64);
-        let bump = |qv: &op2_core::DatView<f64>, e: usize| unsafe {
-            if e == 13 {
-                panic!("injected kernel failure at element {e}");
-            }
-            qv.add(e, 0, 1.0);
-        };
-        let (qv, qv2) = (q.view(), q.view());
-        let per_element = ParLoop::build("per_element", &cells)
+        let ids = Dat::new("ids", &cells, 1, (0..64).map(f64::from).collect());
+        let qv = q.view();
+        let raw = ParLoop::build("raw", &cells)
             .arg(arg_direct(&q, Access::ReadWrite))
-            .kernel(move |e, _| bump(&qv, e));
-        let per_span = ParLoop::build("per_span", &cells)
-            .arg(arg_direct(&q, Access::ReadWrite))
-            .kernel_span(move |span, _| span.for_each(|e| bump(&qv2, e)));
-        for (l, want) in [(&per_element, 13), (&per_span, 8)] {
+            .kernel(move |e, _| unsafe {
+                if e == 13 {
+                    panic!("injected kernel failure at element {e}");
+                }
+                qv.add(e, 0, 1.0);
+            });
+        let typed = ParLoop::build("typed", &cells)
+            .args((ids.read::<1>(), q.rw::<1>()))
+            .kernel(|([id], [v]), _| {
+                if *id == 13.0 {
+                    panic!("injected kernel failure at element {id}");
+                }
+                *v += 1.0;
+            });
+        for l in [&raw, &typed] {
             let exec = make_executor(kind, Arc::new(Op2Runtime::new(2, 8).with_rollback()));
             let err = exec
                 .try_execute(l)
                 .and_then(|h| h.try_get())
                 .expect_err("failure must surface");
-            assert_eq!(err.element(), Some(want), "{kind}/{}: {err}", l.name());
+            assert_eq!(err.element(), Some(13), "{kind}/{}: {err}", l.name());
             assert!(err.rolled_back, "{kind}/{}", l.name());
             let _ = exec.try_fence();
             assert!(q.to_vec().iter().all(|&v| v == 0.0), "{kind}/{}", l.name());

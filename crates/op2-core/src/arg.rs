@@ -28,17 +28,17 @@ pub enum MapRef {
 /// `op_arg_dat(dat, idx, map, dim, "double", access)` in Fig. 2 of the
 /// paper).
 ///
-/// The kernel closure separately captures a typed [`crate::DatView`]; the
-/// `ArgSpec` is the *metadata* the planner and the dataflow dependency
-/// analysis consume. Keeping both consistent is the application's contract,
-/// exactly as in OP2 (and what the `op2-codegen` translator automates).
+/// The `ArgSpec` is the *metadata* the planner and the dataflow dependency
+/// analysis consume. A typed argument tuple ([`crate::typed`]) expands to
+/// its `ArgSpec`s and hands the kernel exactly the values they declare; a raw
+/// [`crate::ParLoopBuilder::kernel`] captures its own [`crate::DatView`]s,
+/// and keeping those to the `ArgSpec`s is its caller's contract.
 ///
 /// Every `ArgSpec` also holds a type-erased clone of its [`Dat`] as an
-/// [`Arc<dyn RawDat>`]: a loop whose arguments are declared correctly
-/// therefore **keeps its data alive** (so the raw views the kernel captured
-/// cannot dangle even if the application drops its own dat handles), and
-/// executors can snapshot/restore the declared write-set for transactional
-/// rollback without knowing the element type.
+/// [`Arc<dyn RawDat>`]: a loop **keeps its data alive** (so the raw views its
+/// kernel reads through cannot dangle even if the application drops its own
+/// dat handles), and executors can snapshot/restore the declared write-set
+/// for transactional rollback without knowing the element type.
 #[derive(Clone)]
 pub struct ArgSpec {
     /// Identity of the dat being accessed.
@@ -106,33 +106,20 @@ pub fn arg_indirect<T: Copy + Send + Sync + 'static>(
     map: &Map,
     access: Access,
 ) -> ArgSpec {
+    let (name, dim, to) = (dat.name(), map.dim(), map.to_set());
+    let map_name = map.name();
     assert!(
-        idx < map.dim(),
-        "arg for dat {}: map index {idx} out of range for map {} (dim {})",
-        dat.name(),
-        map.name(),
-        map.dim()
+        idx < dim,
+        "arg for dat {name}: map index {idx} out of range for map {map_name} (dim {dim})"
     );
     assert!(
-        map.to_set().same(dat.set()),
-        "arg for dat {}: map {} targets set {}, but the dat lives on set {}",
-        dat.name(),
-        map.name(),
-        map.to_set().name(),
+        to.same(dat.set()),
+        "arg for dat {name}: map {map_name} targets set {}, but the dat lives on set {}",
+        to.name(),
         dat.set().name()
     );
-    ArgSpec {
-        dat_id: dat.id(),
-        dat_name: dat.name().to_owned(),
-        dat_set: dat.set().clone(),
-        dat_dim: dat.dim(),
-        map_ref: MapRef::Indirect {
-            map: map.clone(),
-            idx,
-        },
-        access,
-        raw: Arc::new(dat.clone()),
-    }
+    let map_ref = MapRef::Indirect { map: map.clone(), idx };
+    ArgSpec { map_ref, ..arg_direct(dat, access) }
 }
 
 #[cfg(test)]

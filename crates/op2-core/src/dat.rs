@@ -136,9 +136,11 @@ struct DatInner<T> {
 /// * **safe, locked** — [`Dat::data`] / [`Dat::data_mut`] for setup,
 ///   verification, and I/O (raw storage order; use [`Dat::to_aos_vec`] /
 ///   [`Dat::get_at`] for layout-independent access);
-/// * **raw, unlocked** — [`Dat::view`] for kernels running inside a parallel
-///   loop, where the framework (plan coloring + declared access modes) —
-///   not the borrow checker — guarantees race freedom, exactly as in OP2.
+/// * **unlocked, inside a parallel loop** — typed arguments
+///   ([`Dat::read`], [`Dat::write`], [`Dat::rw`], [`Dat::inc`]), or a raw
+///   kernel's [`Dat::view`], where the framework (plan coloring + declared
+///   access modes) — not the borrow checker — guarantees race freedom,
+///   exactly as in OP2.
 pub struct Dat<T> {
     inner: Arc<DatInner<T>>,
 }
@@ -383,11 +385,9 @@ impl<T: Copy + Send + Sync + 'static> Dat<T> {
     /// inside a [`crate::ParLoop`] whose declared arguments cover the access
     /// (the executor's plan then guarantees exclusivity). See module docs.
     ///
-    /// ⚠ A view holds a raw pointer into this dat's storage and does **not**
-    /// keep the dat alive: any kernel capturing a view must (transitively)
-    /// also own a clone of the `Dat` — e.g. keep it in the struct that owns
-    /// the [`crate::ParLoop`] — or the view dangles once the last handle
-    /// drops.
+    /// A view holds a raw pointer into this dat's storage and does not keep
+    /// the dat alive; a loop whose [`crate::ArgSpec`]s declare the dat does.
+    /// Typed arguments ([`crate::typed`]) take their views themselves.
     pub fn view(&self) -> DatView<T> {
         let guard = self.inner.data.read();
         let ptr = guard.as_ptr() as *mut T;
@@ -476,18 +476,6 @@ unsafe impl<T: Send + Sync> Send for DatView<T> {}
 unsafe impl<T: Send + Sync> Sync for DatView<T> {}
 
 impl<T: Copy> DatView<T> {
-    /// Values per element.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of elements in the underlying set.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Raw index of component `j` of element `e` under this view's layout.
     #[inline(always)]
     fn idx(&self, e: usize, j: usize) -> usize {

@@ -10,7 +10,9 @@
 //!
 //! This crate rebuilds the OP2 core used by the ICPP 2016 HPX+OP2 paper:
 //!
-//! * the data model (`Set`/`Map`/`Dat`/[`ArgSpec`]),
+//! * the data model (`Set`/`Map`/`Dat`/[`ArgSpec`]), and typed loop
+//!   arguments ([`typed`]) that state a loop's `ArgSpec`s and its kernel's
+//!   values in one declaration,
 //! * **execution plans** ([`Plan`]): the iteration set is partitioned into
 //!   blocks (mini-partitions) and blocks are greedily **colored** so that two
 //!   blocks of the same color never touch the same indirectly-incremented
@@ -41,14 +43,16 @@ pub mod renumber;
 pub mod serial;
 pub mod set;
 pub mod snapshot;
+pub mod typed;
 
 pub use access::Access;
 pub use arg::{arg_direct, arg_indirect, ArgSpec, MapRef};
 pub use dat::{Dat, DatError, DatView, Layout};
 pub use loops::{KernelFn, ParLoop, ParLoopBuilder};
-pub use map::{Map, MapError, MapView};
+pub use map::{Map, MapError};
 pub use plan::{Plan, PlanCache, PlanError, PlanKey};
 pub use renumber::MeshPermutation;
 pub use snapshot::{DatSnapshot, Footprint, RawDat, WriteFootprint};
 pub use reduction::{GblOp, GlobalAcc};
 pub use set::Set;
+pub use typed::{Args, TypedLoopBuilder};

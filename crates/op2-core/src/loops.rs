@@ -1,4 +1,12 @@
 //! Parallel-loop descriptors — the analogue of `op_par_loop`.
+//!
+//! A loop states its arguments once, as a typed tuple
+//! ([`ParLoopBuilder::args`], see [`crate::typed`]) that is both its
+//! [`ArgSpec`]s and its kernel's values. The framework owns the one span loop
+//! every kernel runs in. [`ParLoopBuilder::kernel`] takes a raw per-element
+//! closure instead, for tests, fault injection and generated code, which
+//! reach their dats through captured [`crate::DatView`]s as OP2's generated
+//! code does through raw pointers.
 
 use std::cell::Cell;
 use std::fmt;
@@ -6,6 +14,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::access::Access;
 use crate::arg::{ArgSpec, MapRef};
 use crate::reduction::GblOp;
 use crate::set::Set;
@@ -17,14 +26,10 @@ use crate::snapshot::{write_footprint, WriteFootprint};
 ///
 /// Arguments: the span, a per-block scratch slice for global (reduction)
 /// increments — empty when the loop declares no global argument — and a cell
-/// the caller sets to the span start and a body that works element by
-/// element keeps pointed at the current one, which is where executors read
-/// kernel-panic provenance from. The kernel reaches its dats through captured
-/// [`crate::DatView`]s, which is what OP2's generated code does with raw
-/// pointers.
+/// the body leaves at the element a panic unwound from, which is where
+/// executors read kernel-panic provenance from.
 ///
-/// There is one body per loop: [`ParLoopBuilder::kernel`] derives it from a
-/// per-element closure, [`ParLoopBuilder::kernel_span`] takes it as written.
+/// There is one body per loop, derived by [`ParLoopBuilder`]'s span loop.
 pub type KernelFn = Arc<dyn Fn(Range<usize>, &mut [f64], &Cell<usize>) + Send + Sync>;
 
 /// A parallel loop over a set: name, iteration set, argument declarations,
@@ -48,27 +53,24 @@ pub struct ParLoop {
     work: Arc<AtomicU64>,
 }
 
-/// Builder for [`ParLoop`]; validates argument/set consistency.
-pub struct ParLoopBuilder {
-    name: String,
-    set: Set,
-    args: Vec<ArgSpec>,
-    gbl_dim: usize,
-    gbl_op: GblOp,
-    guard_finite: bool,
-}
+/// Builder for [`ParLoop`]: the loop without its kernel. Validates
+/// argument/set consistency.
+pub struct ParLoopBuilder(ParLoop);
 
 impl ParLoop {
     /// Start building a loop named `name` over `set`.
     pub fn build(name: impl Into<String>, set: &Set) -> ParLoopBuilder {
-        ParLoopBuilder {
+        ParLoopBuilder(ParLoop {
             name: name.into(),
             set: set.clone(),
             args: Vec::new(),
             gbl_dim: 0,
             gbl_op: GblOp::Sum,
             guard_finite: false,
-        }
+            kernel: Arc::new(|_: Range<usize>, _: &mut [f64], _: &Cell<usize>| {}),
+            footprint: Arc::default(),
+            work: Arc::default(),
+        })
     }
 
     /// Loop name (diagnostics, plan cache keys).
@@ -126,7 +128,6 @@ impl ParLoop {
                 move |span: Range<usize>, gbl: &mut [f64], current: &Cell<usize>| {
                     let span = span.start.max(window.start)..span.end.min(window.end);
                     if !span.is_empty() {
-                        current.set(span.start);
                         inner(span, gbl, current);
                     }
                 },
@@ -191,25 +192,17 @@ impl ParLoop {
     /// Ids of dats whose *existing* values the loop observes
     /// (`OP_READ`, `OP_RW`, `OP_INC`).
     pub fn dat_reads(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .args
-            .iter()
-            .filter(|a| a.access.reads())
-            .map(|a| a.dat_id)
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        self.dat_ids(Access::reads)
     }
 
     /// Ids of dats the loop modifies (`OP_WRITE`, `OP_RW`, `OP_INC`).
     pub fn dat_writes(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .args
-            .iter()
-            .filter(|a| a.access.writes())
-            .map(|a| a.dat_id)
-            .collect();
+        self.dat_ids(Access::writes)
+    }
+
+    fn dat_ids(&self, by: fn(Access) -> bool) -> Vec<u64> {
+        let ids = self.args.iter().filter(|a| by(a.access)).map(|a| a.dat_id);
+        let mut ids: Vec<u64> = ids.collect();
         ids.sort_unstable();
         ids.dedup();
         ids
@@ -229,6 +222,19 @@ impl fmt::Debug for ParLoop {
     }
 }
 
+/// The span loop's counter, which tells the executor's cell where the loop
+/// was when a panic unwound out of it (or, harmlessly, that it finished).
+struct Provenance<'a> {
+    cell: &'a Cell<usize>,
+    e: usize,
+}
+
+impl Drop for Provenance<'_> {
+    fn drop(&mut self) {
+        self.cell.set(self.e);
+    }
+}
+
 impl ParLoopBuilder {
     /// Add an argument declaration ([`crate::arg_direct`] /
     /// [`crate::arg_indirect`]).
@@ -238,50 +244,48 @@ impl ParLoopBuilder {
     /// a direct arg's dat must live on the loop's set; an indirect arg's map
     /// must originate from the loop's set.
     pub fn arg(mut self, arg: ArgSpec) -> Self {
+        let (name, set) = (&self.0.name, &self.0.set);
         match &arg.map_ref {
             MapRef::Direct => assert!(
-                arg.dat_set.same(&self.set),
-                "loop {}: direct arg {} lives on set {}, loop iterates {}",
-                self.name,
+                arg.dat_set.same(set),
+                "loop {name}: direct arg {} lives on set {}, loop iterates {}",
                 arg.dat_name,
                 arg.dat_set.name(),
-                self.set.name()
+                set.name()
             ),
             MapRef::Indirect { map, .. } => assert!(
-                map.from_set().same(&self.set),
-                "loop {}: indirect arg {} uses map {} from set {}, loop iterates {}",
-                self.name,
+                map.from_set().same(set),
+                "loop {name}: indirect arg {} uses map {} from set {}, loop iterates {}",
                 arg.dat_name,
                 map.name(),
                 map.from_set().name(),
-                self.set.name()
+                set.name()
             ),
         }
-        self.args.push(arg);
+        self.0.args.push(arg);
         self
     }
 
     /// Declare a global `f64` reduction of dimension `dim` (OP2's
     /// `op_arg_gbl(…, OP_INC)`); the kernel receives a scratch slice of this
     /// length and partial sums are combined deterministically in block order.
-    pub fn gbl_inc(mut self, dim: usize) -> Self {
-        self.gbl_dim = dim;
-        self.gbl_op = GblOp::Sum;
-        self
+    pub fn gbl_inc(self, dim: usize) -> Self {
+        self.gbl(dim, GblOp::Sum)
     }
 
     /// Declare a global minimum reduction (OP2's `op_arg_gbl(…, OP_MIN)`);
     /// the kernel scratch starts at `+∞` and the kernel applies `min`.
-    pub fn gbl_min(mut self, dim: usize) -> Self {
-        self.gbl_dim = dim;
-        self.gbl_op = GblOp::Min;
-        self
+    pub fn gbl_min(self, dim: usize) -> Self {
+        self.gbl(dim, GblOp::Min)
     }
 
     /// Declare a global maximum reduction (OP2's `op_arg_gbl(…, OP_MAX)`).
-    pub fn gbl_max(mut self, dim: usize) -> Self {
-        self.gbl_dim = dim;
-        self.gbl_op = GblOp::Max;
+    pub fn gbl_max(self, dim: usize) -> Self {
+        self.gbl(dim, GblOp::Max)
+    }
+
+    fn gbl(mut self, dim: usize, op: GblOp) -> Self {
+        (self.0.gbl_dim, self.0.gbl_op) = (dim, op);
         self
     }
 
@@ -291,51 +295,39 @@ impl ParLoopBuilder {
     /// per execution — wire it on loops that can overflow/underflow (e.g.
     /// `sqrt`/division kernels like Airfoil's `adt_calc`).
     pub fn guard_finite(mut self) -> Self {
-        self.guard_finite = true;
+        self.0.guard_finite = true;
         self
     }
 
-    /// Attach a per-element kernel `f(element, gbl)` and finish. The span
-    /// loop around it is derived here, monomorphized over `f`, so `f` inlines
-    /// into a plain counted loop and a panic inside it is attributed to the
-    /// exact element.
+    /// Attach a raw per-element kernel `f(element, gbl)` and finish. It
+    /// reaches its dats through captured [`crate::DatView`]s, so keeping them
+    /// to what the `ArgSpec`s declare is the caller's contract; applications
+    /// declare [`ParLoopBuilder::args`] instead.
     pub fn kernel(self, f: impl Fn(usize, &mut [f64]) + Send + Sync + 'static) -> ParLoop {
-        self.finish(Arc::new(
+        self.span_loop((), move |_, e, gbl| f(e, gbl))
+    }
+
+    /// Finish with the one span loop every kernel runs in: `state` is copied
+    /// into a local at span start, then `body(&state, e, gbl)` runs for each
+    /// element in ascending order, monomorphized so the body inlines into a
+    /// plain counted loop. A panic is attributed to the exact element by a
+    /// drop guard that is the loop counter, not by a store per element.
+    pub(crate) fn span_loop<S: Copy + Send + Sync + 'static>(
+        self,
+        state: S,
+        body: impl Fn(&S, usize, &mut [f64]) + Send + Sync + 'static,
+    ) -> ParLoop {
+        let kernel: KernelFn = Arc::new(
             move |span: Range<usize>, gbl: &mut [f64], current: &Cell<usize>| {
-                for e in span {
-                    current.set(e);
-                    f(e, gbl);
+                let state = state;
+                let mut at = Provenance { cell: current, e: span.start };
+                while at.e < span.end {
+                    body(&state, at.e, gbl);
+                    at.e += 1;
                 }
             },
-        ))
-    }
-
-    /// Attach a kernel `f(span, gbl)` that does something per span — a hoisted
-    /// load, a reduction kept in a local — and finish. It must leave
-    /// dats and `gbl` bit-identical to visiting the span's elements one by
-    /// one in ascending order; a panic inside it is attributed to the span's
-    /// first element.
-    pub fn kernel_span(
-        self,
-        f: impl Fn(Range<usize>, &mut [f64]) + Send + Sync + 'static,
-    ) -> ParLoop {
-        self.finish(Arc::new(
-            move |span: Range<usize>, gbl: &mut [f64], _: &Cell<usize>| f(span, gbl),
-        ))
-    }
-
-    fn finish(self, kernel: KernelFn) -> ParLoop {
-        ParLoop {
-            name: self.name,
-            set: self.set,
-            args: self.args,
-            gbl_dim: self.gbl_dim,
-            gbl_op: self.gbl_op,
-            guard_finite: self.guard_finite,
-            kernel,
-            footprint: Arc::default(),
-            work: Arc::default(),
-        }
+        );
+        ParLoop { kernel, ..self.0 }
     }
 }
 
@@ -421,59 +413,43 @@ mod tests {
         assert!(clone.work_per_element().is_some_and(|ns| ns < 1e-300));
     }
 
-    /// A loop over 12 cells whose body logs every element it visits (and,
-    /// for a span body, a `usize::MAX` marker per call) and folds them into
-    /// an order-sensitive reduction.
-    fn logging(cells: &Set, spans: bool, log: &Arc<std::sync::Mutex<Vec<usize>>>) -> ParLoop {
+    /// A loop over 12 cells whose body logs every element it visits and
+    /// folds them into an order-sensitive reduction.
+    fn logging(cells: &Set, log: &Arc<std::sync::Mutex<Vec<usize>>>) -> ParLoop {
         let log = Arc::clone(log);
-        let step = |e: usize, gbl: &mut [f64]| gbl[0] = gbl[0] * 0.75 + e as f64;
-        let b = ParLoop::build("logging", cells).gbl_inc(1);
-        if spans {
-            b.kernel_span(move |span, gbl| {
-                log.lock().unwrap().push(usize::MAX);
-                for e in span {
-                    log.lock().unwrap().push(e);
-                    step(e, gbl);
-                }
-            })
-        } else {
-            b.kernel(move |e, gbl| {
-                log.lock().unwrap().push(e);
-                step(e, gbl);
-            })
-        }
+        ParLoop::build("logging", cells).gbl_inc(1).kernel(move |e, gbl| {
+            log.lock().unwrap().push(e);
+            gbl[0] = gbl[0] * 0.75 + e as f64;
+        })
     }
 
     /// A window runs each span's intersection with it exactly as the whole
-    /// loop runs that intersection directly, for a per-element and a span
-    /// body alike; an empty intersection never calls the kernel; the
-    /// whole-set window is the loop itself, bit for bit; and the window
-    /// measures its own work.
+    /// loop runs that intersection directly; an empty intersection never
+    /// calls the kernel; the whole-set window is the loop itself, bit for
+    /// bit; and the window measures its own work.
     #[test]
     fn window_runs_only_the_intersection() {
         let cells = Set::new("cells", 12);
         let spans = [0..2, 2..5, 5..6, 6..9, 9..12];
-        for span_body in [false, true] {
-            for (lo, hi) in [(3, 8), (0, 12), (12, 12)] {
-                let (win_log, ref_log) = (Arc::default(), Arc::default());
-                let win = logging(&cells, span_body, &win_log).window(lo..hi);
-                let whole = logging(&cells, span_body, &ref_log);
-                for span in spans.clone() {
-                    let (mut ga, mut gb) = ([0.5f64], [0.5f64]);
-                    win.run_span(span.clone(), &mut ga);
-                    // For 0..12 the cut is the span: the unwindowed loop.
-                    let cut = span.start.max(lo)..span.end.min(hi);
-                    if !cut.is_empty() {
-                        whole.run_span(cut, &mut gb);
-                    }
-                    assert_eq!(ga[0].to_bits(), gb[0].to_bits(), "{lo}..{hi}");
+        for (lo, hi) in [(3, 8), (0, 12), (12, 12)] {
+            let (win_log, ref_log) = (Arc::default(), Arc::default());
+            let win = logging(&cells, &win_log).window(lo..hi);
+            let whole = logging(&cells, &ref_log);
+            for span in spans.clone() {
+                let (mut ga, mut gb) = ([0.5f64], [0.5f64]);
+                win.run_span(span.clone(), &mut ga);
+                // For 0..12 the cut is the span: the unwindowed loop.
+                let cut = span.start.max(lo)..span.end.min(hi);
+                if !cut.is_empty() {
+                    whole.run_span(cut, &mut gb);
                 }
-                let win_log = win_log.lock().unwrap();
-                assert_eq!(*win_log, *ref_log.lock().unwrap(), "{lo}..{hi}");
-                assert!(lo < hi || win_log.is_empty(), "an empty window called the kernel");
-                win.record_work(1_000, 4);
-                assert_eq!(whole.work_per_element(), None);
+                assert_eq!(ga[0].to_bits(), gb[0].to_bits(), "{lo}..{hi}");
             }
+            let win_log = win_log.lock().unwrap();
+            assert_eq!(*win_log, *ref_log.lock().unwrap(), "{lo}..{hi}");
+            assert!(lo < hi || win_log.is_empty(), "an empty window called the kernel");
+            win.record_work(1_000, 4);
+            assert_eq!(whole.work_per_element(), None);
         }
     }
 

@@ -173,12 +173,13 @@ impl Map {
         self.inner.table[e * dim + j] as usize
     }
 
-    /// A raw view of the table for kernels, as [`crate::Dat::view`] is for a
-    /// dat (non-kernel code reads through [`Map::at`]).
+    /// A raw view of the table for typed arguments' span loops, as
+    /// [`crate::Dat::view`] is for a dat (other code reads through
+    /// [`Map::at`]).
     ///
     /// # Panics
     /// Panics unless `D` is the map's `dim`: the view's one width check.
-    pub fn view<const D: usize>(&self) -> MapView<D> {
+    pub(crate) fn view<const D: usize>(&self) -> MapView<D> {
         let (dim, table) = (self.inner.dim, &self.inner.table);
         assert!(D == dim, "map {}: view of width {D}, map dim {dim}", self.inner.name);
         MapView { table: table.as_ptr(), len: table.len() }
@@ -234,7 +235,7 @@ impl fmt::Debug for Map {
 /// `[u32; D]` read, no `Arc` to re-read or bounds check after a kernel's
 /// stores. It does not keep the map alive; the loop's [`crate::ArgSpec`]s do.
 #[derive(Clone, Copy, Debug)]
-pub struct MapView<const D: usize> {
+pub(crate) struct MapView<const D: usize> {
     table: *const u32,
     len: usize,
 }
@@ -251,7 +252,7 @@ impl<const D: usize> MapView<D> {
     /// The map must be alive and `e` in its from-set (only `debug_assert`ed);
     /// every target is in its to-set, as [`Map::try_new`] checked.
     #[inline(always)]
-    pub unsafe fn row(&self, e: usize) -> [usize; D] {
+    pub(crate) unsafe fn row(&self, e: usize) -> [usize; D] {
         debug_assert!(e * D + D <= self.len);
         // SAFETY: `D == dim` (`Map::view`), so row `e` is the `D` entries from
         // `e * D` of the `from.size() * dim` table; `[u32; D]` is `u32`-aligned.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use op2_airfoil::mesh::{Mesh, MeshOptions};
 use op2_airfoil::{FlowConstants, MeshBuilder};
-use op2_core::{arg_direct, arg_indirect, Access, Dat, DatView, Layout, MapView, ParLoop};
+use op2_core::{Dat, Layout, ParLoop};
 use op2_hpx::Executor;
 
 use crate::kernels;
@@ -75,92 +75,6 @@ pub struct SweApp {
     cfl: f64,
 }
 
-/// One `swe_save` element: `wold[e] ← w[e]` (pure copy).
-#[inline(always)]
-unsafe fn save_one(wv: &DatView<f64>, woldv: &DatView<f64>, e: usize) {
-    let w: [f64; 3] = wv.load(e);
-    woldv.store(e, w);
-}
-
-/// One `swe_dt` element: fold the cell's wave speed into the running max.
-#[inline(always)]
-unsafe fn dt_one(wv: &DatView<f64>, g: f64, e: usize, smax: &mut f64) {
-    let w: [f64; 3] = wv.load(e);
-    *smax = smax.max(kernels::wave_speed(&w, g));
-}
-
-/// One `swe_flux` element. Flux lands in local zero-initialized accumulators
-/// applied with `add_vec` — bit-identical to incrementing the live residual
-/// (same `-0.0` argument as airfoil's `res_one`: each component receives
-/// exactly one `±f`, and the live residual never holds `-0.0`).
-#[inline(always)]
-unsafe fn flux_one(
-    xv: &DatView<f64>,
-    wv: &DatView<f64>,
-    resv: &DatView<f64>,
-    pedge: MapView<2>,
-    pecell: MapView<2>,
-    g: f64,
-    e: usize,
-) {
-    let [c1, c2] = pecell.row(e);
-    let [n1, n2] = pedge.row(e);
-    let x1: [f64; 2] = xv.load(n1);
-    let x2: [f64; 2] = xv.load(n2);
-    let w1: [f64; 3] = wv.load(c1);
-    let w2: [f64; 3] = wv.load(c2);
-    let mut r1 = [0.0f64; 3];
-    let mut r2 = [0.0f64; 3];
-    kernels::flux(&x1, &x2, &w1, &w2, &mut r1, &mut r2, g);
-    resv.add_vec(c1, r1);
-    resv.add_vec(c2, r2);
-}
-
-/// One `swe_bflux` element (same local-accumulator argument as [`flux_one`]).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn bflux_one(
-    xv: &DatView<f64>,
-    wv: &DatView<f64>,
-    resv: &DatView<f64>,
-    boundv: &DatView<i32>,
-    pbedge: MapView<2>,
-    pbecell: MapView<1>,
-    g: f64,
-    e: usize,
-) {
-    let [c1] = pbecell.row(e);
-    let [n1, n2] = pbedge.row(e);
-    let x1: [f64; 2] = xv.load(n1);
-    let x2: [f64; 2] = xv.load(n2);
-    let w1: [f64; 3] = wv.load(c1);
-    let [bound] = boundv.load(e);
-    let mut r1 = [0.0f64; 3];
-    kernels::bflux(&x1, &x2, &w1, &mut r1, bound, g);
-    resv.add_vec(c1, r1);
-}
-
-/// One `swe_update` element. Element-outer order is load-bearing for the RMS
-/// partial sum, so the span body iterates elements ascending.
-#[inline(always)]
-unsafe fn update_one(
-    woldv: &DatView<f64>,
-    wv: &DatView<f64>,
-    resv: &DatView<f64>,
-    iav: &DatView<f64>,
-    dt: f64,
-    e: usize,
-    rms: &mut f64,
-) {
-    let wold: [f64; 3] = woldv.load(e);
-    let mut w = [0.0f64; 3];
-    let mut res: [f64; 3] = resv.load(e);
-    let [inv_area] = iav.load(e);
-    kernels::update(&wold, &mut w, &mut res, dt * inv_area, rms);
-    wv.store(e, w);
-    resv.store(e, res);
-}
-
 impl SweApp {
     /// Build the application on a channel basin.
     pub fn new(cfg: SweConfig) -> SweApp {
@@ -215,69 +129,50 @@ impl SweApp {
         );
 
         let g = cfg.g;
-        let (wv, woldv, resv, iav) = (w.view(), wold.view(), res.view(), inv_area.view());
-        let xv = mesh.p_x.view();
+        let m = &mesh;
 
-        let save = ParLoop::build("swe_save", &mesh.cells)
-            .arg(arg_direct(&w, Access::Read))
-            .arg(arg_direct(&wold, Access::Write))
-            // Not `.kernel(`: its per-element `current.set(e)` blocks wide moves.
-            .kernel_span(move |span, _| unsafe {
-                for e in span {
-                    save_one(&wv, &woldv, e);
-                }
-            });
+        let save = ParLoop::build("swe_save", &m.cells)
+            .args((w.read::<3>(), wold.write::<3>()))
+            .kernel(|(w, wold), _| *wold = *w);
 
-        let dt_calc = ParLoop::build("swe_dt", &mesh.cells)
-            .arg(arg_direct(&w, Access::Read))
+        let dt_calc = ParLoop::build("swe_dt", &m.cells)
             .gbl_max(1)
-            .kernel_span(move |span, gbl| unsafe {
-                // The running max stays in a register for the whole span.
-                let mut m = gbl[0];
-                for e in span {
-                    dt_one(&wv, g, e, &mut m);
-                }
-                gbl[0] = m;
+            .args(w.read::<3>())
+            .kernel(move |w, gbl| gbl[0] = gbl[0].max(kernels::wave_speed(w, g)));
+
+        // Same `0.0 + f` argument as Airfoil's `res_calc`: each residual
+        // component receives exactly one `±f` onto the zeroed INC value.
+        let flux = ParLoop::build("swe_flux", &m.edges)
+            .args((
+                m.p_x.read::<2>().via::<2>(&m.pedge),
+                w.read::<3>().via::<2>(&m.pecell),
+                res.inc::<3>().via::<2>(&m.pecell),
+            ))
+            .kernel(move |([x1, x2], [w1, w2], [r1, r2]), _| {
+                kernels::flux(x1, x2, w1, w2, r1, r2, g);
             });
 
-        let (pedge, pecell) = (mesh.pedge.view(), mesh.pecell.view());
-        let flux = ParLoop::build("swe_flux", &mesh.edges)
-            .arg(arg_indirect(&mesh.p_x, 0, &mesh.pedge, Access::Read))
-            .arg(arg_indirect(&mesh.p_x, 1, &mesh.pedge, Access::Read))
-            .arg(arg_indirect(&w, 0, &mesh.pecell, Access::Read))
-            .arg(arg_indirect(&w, 1, &mesh.pecell, Access::Read))
-            .arg(arg_indirect(&res, 0, &mesh.pecell, Access::Inc))
-            .arg(arg_indirect(&res, 1, &mesh.pecell, Access::Inc))
-            .kernel(move |e, _| unsafe {
-                flux_one(&xv, &wv, &resv, pedge, pecell, g, e);
-            });
-
-        let (pbedge, pbecell) = (mesh.pbedge.view(), mesh.pbecell.view());
-        let boundv = mesh.p_bound.view();
-        let bflux = ParLoop::build("swe_bflux", &mesh.bedges)
-            .arg(arg_indirect(&mesh.p_x, 0, &mesh.pbedge, Access::Read))
-            .arg(arg_indirect(&mesh.p_x, 1, &mesh.pbedge, Access::Read))
-            .arg(arg_indirect(&w, 0, &mesh.pbecell, Access::Read))
-            .arg(arg_indirect(&res, 0, &mesh.pbecell, Access::Inc))
-            .arg(arg_direct(&mesh.p_bound, Access::Read))
-            .kernel(move |e, _| unsafe {
-                bflux_one(&xv, &wv, &resv, &boundv, pbedge, pbecell, g, e);
+        let bflux = ParLoop::build("swe_bflux", &m.bedges)
+            .args((
+                m.p_x.read::<2>().via::<2>(&m.pbedge),
+                w.read::<3>().via::<1>(&m.pbecell),
+                res.inc::<3>().via::<1>(&m.pbecell),
+                m.p_bound.read::<1>(),
+            ))
+            .kernel(move |([x1, x2], [w1], [r1], [bound]), _| {
+                kernels::bflux(x1, x2, w1, r1, *bound, g);
             });
 
         let dt_bits = Arc::new(AtomicU64::new(0));
-        let dt_for_kernel = Arc::clone(&dt_bits);
-        let update = ParLoop::build("swe_update", &mesh.cells)
-            .arg(arg_direct(&wold, Access::Read))
-            .arg(arg_direct(&w, Access::Write))
-            .arg(arg_direct(&res, Access::ReadWrite))
-            .arg(arg_direct(&inv_area, Access::Read))
+        let dt = Arc::clone(&dt_bits);
+        let update = ParLoop::build("swe_update", &m.cells)
             .gbl_inc(1)
-            .kernel_span(move |span, gbl| unsafe {
-                // One atomic load of the step per span, not per element.
-                let dt = f64::from_bits(dt_for_kernel.load(Ordering::Acquire));
-                for e in span {
-                    update_one(&woldv, &wv, &resv, &iav, dt, e, &mut gbl[0]);
-                }
+            .args((wold.read::<3>(), w.write::<3>(), res.rw::<3>(), inv_area.read::<1>()))
+            .kernel(move |(wold, w, res, [inv_area]), gbl| {
+                // Relaxed is enough: the march stores `dt` before it issues
+                // this loop, and issuing a task happens-before it runs.
+                let dt = f64::from_bits(dt.load(Ordering::Relaxed));
+                kernels::update(wold, w, res, dt * *inv_area, &mut gbl[0]);
             });
 
         SweApp {
@@ -511,76 +406,101 @@ mod tests {
         }
     }
 
-    /// The twin of Airfoil's contract test: every loop's one body, driven
-    /// through `run_span` over uneven spans, is bit-identical to iterating
-    /// the `*_one` reference directly on both layouts — the `dt`/`update`
-    /// hoists included.
+    /// FNV-1a over 64-bit words, byte by byte.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        words
+            .into_iter()
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The twin of Airfoil's contract test: every loop's body, driven through
+    /// `run_span` over uneven spans in step order, leaves the state (`w`,
+    /// `wold`, `res`, canonical order) and the reduction bit for bit where the
+    /// per-element reference left them: one digest per loop, taken from the
+    /// hand-written per-element bodies this wiring replaced, the same on both
+    /// layouts.
     #[test]
     fn span_bodies_match_per_element_reference() {
-        type PerElement<'a> = Box<dyn Fn(usize, &mut [f64]) + 'a>;
+        const DIGESTS: [u64; 5] = [
+            0xba80_b890_31c6_30a5,
+            0xb91b_4fec_9536_5340,
+            0x6975_533b_92ea_3176,
+            0xc4c5_b648_a07d_6b22,
+            0x5949_bf1f_d8e1_e058,
+        ];
         for layout in [Layout::Aos, Layout::Soa] {
-            let build = || {
-                let app = SweApp::new(SweConfig {
-                    imax: 12,
-                    jmax: 6,
-                    layout,
-                    ..SweConfig::default()
-                });
-                app.dam_break(2.0, 2.0, 1.0);
-                app.dt_bits.store(1e-3f64.to_bits(), Ordering::Release);
-                app
-            };
-            let (a, b) = (build(), build());
-            let (wv, woldv, resv, iav) = (b.w.view(), b.wold.view(), b.res.view(), b.inv_area.view());
-            let (xv, boundv) = (b.mesh.p_x.view(), b.mesh.p_bound.view());
-            let (m, g) = (&b.mesh, b.g);
-            let reference: [(&ParLoop, PerElement); 5] = [
-                (&a.save, Box::new(|e, _| unsafe { save_one(&wv, &woldv, e) })),
-                (&a.dt_calc, Box::new(|e, gbl| unsafe { dt_one(&wv, g, e, &mut gbl[0]) })),
-                (
-                    &a.flux,
-                    Box::new(|e, _| unsafe {
-                        flux_one(&xv, &wv, &resv, m.pedge.view(), m.pecell.view(), g, e)
-                    }),
-                ),
-                (
-                    &a.bflux,
-                    Box::new(|e, _| unsafe {
-                        bflux_one(&xv, &wv, &resv, &boundv, m.pbedge.view(), m.pbecell.view(), g, e)
-                    }),
-                ),
-                (
-                    &a.update,
-                    Box::new(|e, gbl| unsafe {
-                        update_one(&woldv, &wv, &resv, &iav, 1e-3, e, &mut gbl[0])
-                    }),
-                ),
-            ];
-            for (la, one) in &reference {
-                let n = la.set().size();
-                let mut gbl_a = vec![la.gbl_op().identity(); la.gbl_dim()];
-                let mut gbl_b = gbl_a.clone();
+            let a = SweApp::new(SweConfig {
+                imax: 12,
+                jmax: 6,
+                layout,
+                ..SweConfig::default()
+            });
+            a.dam_break(2.0, 2.0, 1.0);
+            a.dt_bits.store(1e-3f64.to_bits(), Ordering::Release);
+            let digests = [&a.save, &a.dt_calc, &a.flux, &a.bflux, &a.update].map(|l| {
+                let n = l.set().size();
+                let mut gbl = vec![l.gbl_op().identity(); l.gbl_dim()];
                 let mut at = 0usize;
                 for (i, w) in [7usize, 1, 13, 64, 3].iter().cycle().enumerate() {
                     if at >= n {
                         break;
                     }
                     let hi = (at + w + i % 2).min(n);
-                    la.run_span(at..hi, &mut gbl_a);
-                    for e in at..hi {
-                        one(e, &mut gbl_b);
-                    }
+                    l.run_span(at..hi, &mut gbl);
                     at = hi;
                 }
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&gbl_a), bits(&gbl_b), "{} ({layout:?}): reduction", la.name());
-            }
-            for (da, db) in [(&a.w, &b.w), (&a.wold, &b.wold), (&a.res, &b.res)] {
-                let bits = |d: &Dat<f64>| {
-                    d.to_aos_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                };
-                assert_eq!(bits(da), bits(db), "{} ({layout:?}) differs", da.name());
-            }
+                let state = [&a.w, &a.wold, &a.res].into_iter().flat_map(|d| d.to_aos_vec());
+                let values = gbl.into_iter().chain(state);
+                fnv1a(values.map(f64::to_bits))
+            });
+            assert_eq!(digests, DIGESTS, "{layout:?}");
+        }
+    }
+
+    /// Each typed tuple expands to the `ArgSpec`s the loops declared one
+    /// `.arg(…)` at a time: same dats, maps, slots, access kinds and order.
+    #[test]
+    fn arg_lists_are_the_declared_ones() {
+        let a = SweApp::new(SweConfig::default());
+        let want: [(&ParLoop, &[&str]); 5] = [
+            (&a.save, &["w Read", "wold Write"]),
+            (&a.dt_calc, &["w Read"]),
+            (
+                &a.flux,
+                &[
+                    "p_x pedge[0] Read",
+                    "p_x pedge[1] Read",
+                    "w pecell[0] Read",
+                    "w pecell[1] Read",
+                    "res pecell[0] Inc",
+                    "res pecell[1] Inc",
+                ],
+            ),
+            (
+                &a.bflux,
+                &[
+                    "p_x pbedge[0] Read",
+                    "p_x pbedge[1] Read",
+                    "w pbecell[0] Read",
+                    "res pbecell[0] Inc",
+                    "p_bound Read",
+                ],
+            ),
+            (&a.update, &["wold Read", "w Write", "res ReadWrite", "inv_area Read"]),
+        ];
+        for (l, want) in want {
+            let got: Vec<String> = l
+                .args()
+                .iter()
+                .map(|a| match &a.map_ref {
+                    op2_core::MapRef::Direct => format!("{} {:?}", a.dat_name, a.access),
+                    op2_core::MapRef::Indirect { map, idx } => {
+                        format!("{} {}[{idx}] {:?}", a.dat_name, map.name(), a.access)
+                    }
+                })
+                .collect();
+            assert_eq!(got, want, "{}", l.name());
         }
     }
 

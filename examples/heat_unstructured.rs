@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
+use op2_core::{Dat, Map, ParLoop, Set};
 use op2_hpx::{make_executor, BackendKind, Op2Runtime};
 
 /// Deterministic pseudo-random graph: a ring (keeps it connected) plus
@@ -76,35 +76,23 @@ fn main() {
     };
     let k = 0.4 / degree;
 
-    // Raw views with compile-time widths, as in `quickstart`: the map through
-    // a `MapView` (kept alive by the loop's ArgSpecs), the dats through
-    // `load`/`store`/`add_vec`.
-    let tv = temp.view();
-    let fv = flux.view();
-    let m = ends.view::<2>();
+    // Typed arguments with compile-time widths, as in `quickstart`: each
+    // link reads both end temperatures and increments both end fluxes.
     let conduct = ParLoop::build("conduct", &links)
-        .arg(arg_indirect(&temp, 0, &ends, Access::Read))
-        .arg(arg_indirect(&temp, 1, &ends, Access::Read))
-        .arg(arg_indirect(&flux, 0, &ends, Access::Inc))
-        .arg(arg_indirect(&flux, 1, &ends, Access::Inc))
-        .kernel(move |l, _| unsafe {
-            let [a, b] = m.row(l);
-            let [ta] = tv.load(a);
-            let [tb] = tv.load(b);
-            let f = k * (ta - tb);
-            fv.add_vec(a, [-f]);
-            fv.add_vec(b, [f]);
+        .args((temp.read::<1>().via::<2>(&ends), flux.inc::<1>().via::<2>(&ends)))
+        .kernel(move |([[ta], [tb]], [[fa], [fb]]), _| {
+            let f = k * (*ta - *tb);
+            *fa = -f;
+            *fb = f;
         });
 
     let apply = ParLoop::build("apply", &nodes)
-        .arg(arg_direct(&flux, Access::ReadWrite))
-        .arg(arg_direct(&temp, Access::ReadWrite))
         .gbl_inc(1)
-        .kernel(move |n, gbl| unsafe {
-            let [f] = fv.load(n);
-            tv.add_vec(n, [f]);
-            fv.store(n, [0.0]);
-            gbl[0] += f * f;
+        .args((flux.rw::<1>(), temp.rw::<1>()))
+        .kernel(|([f], [t]), gbl| {
+            *t += *f;
+            gbl[0] += *f * *f;
+            *f = 0.0;
         });
 
     let rt = Arc::new(Op2Runtime::new(

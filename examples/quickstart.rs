@@ -7,13 +7,13 @@
 //!
 //! The mesh is a 1-D chain: `cells[0..N]` connected by `edges[0..N-1]`
 //! (edge `e` joins cells `e` and `e+1`). Loop 1 initializes a per-cell
-//! value; loop 2 gathers each edge's endpoint values into both endpoint
-//! cells (`OP_INC`). The dataflow executor orders the two loops
-//! automatically from their declared access modes.
+//! value from the cell positions; loop 2 gathers each edge's endpoint values
+//! into both endpoint cells (`OP_INC`). The dataflow executor orders the two
+//! loops automatically from their declared access modes.
 
 use std::sync::Arc;
 
-use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
+use op2_core::{Dat, Map, ParLoop, Set};
 use op2_hpx::{DataflowExecutor, Executor, Op2Runtime};
 
 fn main() {
@@ -29,32 +29,28 @@ fn main() {
     }
     let pecell = Map::new("pecell", &edges, &cells, 2, table);
 
+    let x = Dat::new("x", &cells, 1, (0..N).map(|c| c as f64).collect());
     let value = Dat::filled("value", &cells, 1, 0.0f64);
     let acc = Dat::filled("acc", &cells, 1, 0.0f64);
 
-    // --- Loop 1: value[c] = c (direct write) ------------------------------
-    // Kernels reach dats through raw `DatView`s and maps through raw
-    // `MapView`s, with every width a compile-time constant (`load::<1>`,
-    // `view::<2>`): the loop then compiles as a hand-written one would.
-    let vv = value.view();
+    // --- Loop 1: value[c] = x[c] (direct read, direct write) --------------
+    // Each argument is declared once, with its access kind and its width as a
+    // compile-time constant (`read::<1>`); the kernel gets exactly those
+    // values and the framework stores what it wrote.
     let init = ParLoop::build("init", &cells)
-        .arg(arg_direct(&value, Access::Write))
-        .kernel(move |c, _| unsafe { vv.store(c, [c as f64]) });
+        .args((x.read::<1>(), value.write::<1>()))
+        .kernel(|(x, v), _| *v = *x);
 
     // --- Loop 2: acc[c] += value[left] + value[right] per edge (OP_INC) ---
-    let av = acc.view();
-    let m = pecell.view::<2>(); // the loop's ArgSpecs keep `pecell` alive
+    // `.via::<2>(&pecell)` reaches both ends of an edge: the kernel gets one
+    // value per map slot, and each increment is added after it returns.
     let gather = ParLoop::build("gather", &edges)
-        .arg(arg_indirect(&value, 0, &pecell, Access::Read))
-        .arg(arg_indirect(&value, 1, &pecell, Access::Read))
-        .arg(arg_indirect(&acc, 0, &pecell, Access::Inc))
-        .arg(arg_indirect(&acc, 1, &pecell, Access::Inc))
         .gbl_inc(1)
-        .kernel(move |e, gbl| unsafe {
-            let [left, right] = m.row(e);
-            let s = vv.load::<1>(left)[0] + vv.load::<1>(right)[0];
-            av.add_vec(left, [s]);
-            av.add_vec(right, [s]);
+        .args((value.read::<1>().via::<2>(&pecell), acc.inc::<1>().via::<2>(&pecell)))
+        .kernel(|([[left], [right]], [[acc_l], [acc_r]]), gbl| {
+            let s = *left + *right;
+            *acc_l = s;
+            *acc_r = s;
             gbl[0] += s;
         });
 

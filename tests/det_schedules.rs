@@ -132,23 +132,17 @@ fn run_program(exec: &dyn Executor, mesh: &Mesh, auto_deps: bool) -> ProgramOut 
         .arg(arg_direct(&w, Access::Write))
         .kernel(move |c, _| unsafe { wv.set(c, 0, 0.5 * c as f64 + 1.0) });
 
-    // The indirect loop uses the apps' const-width accessors and a
-    // `MapView`, so the injected-coloring tests below catch races on that
-    // path.
-    let wv = w.view();
-    let rv = res.view();
-    let mv = m.view::<2>();
+    // The indirect loop is declared as a typed tuple, as the apps' loops are,
+    // so the injected-coloring tests below catch races on that path: the
+    // framework reaches the dats through the const-width accessors the
+    // element detector hooks.
     let gather = ParLoop::build("gather", &edges)
-        .arg(arg_indirect(&w, 0, &m, Access::Read))
-        .arg(arg_indirect(&w, 1, &m, Access::Read))
-        .arg(arg_indirect(&res, 0, &m, Access::Inc))
-        .arg(arg_indirect(&res, 1, &m, Access::Inc))
         .gbl_inc(1)
-        .kernel(move |e, gbl| unsafe {
-            let [c1, c2] = mv.row(e);
-            let s = wv.load::<1>(c1)[0] + wv.load::<1>(c2)[0];
-            rv.add_vec(c1, [0.25 * s]);
-            rv.add_vec(c2, [0.5 * s]);
+        .args((w.read::<1>().via::<2>(&m), res.inc::<1>().via::<2>(&m)))
+        .kernel(|([[w1], [w2]], [[r1], [r2]]), gbl| {
+            let s = *w1 + *w2;
+            *r1 = 0.25 * s;
+            *r2 = 0.5 * s;
             gbl[0] += s;
         });
 

@@ -13,8 +13,8 @@
 //! And three rules about the sources themselves, checked the same way: op2-hpx
 //! snapshots a write-set in exactly one place, and it consults the tuner in
 //! exactly one place — the code that waits on every loop builds no executor
-//! to do it; and the apps' kernels read maps only through `MapView`s and
-//! never branch on the data layout.
+//! to do it; and the apps' kernels never touch a map or branch on the data
+//! layout, and the apps hold no `unsafe` and no raw view.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -230,8 +230,8 @@ fn the_tuner_has_one_consult_site_and_waiting_layers_build_no_executor() {
 }
 
 /// The code lines of every kernel region in Airfoil's and shallow-water's loop
-/// wiring — each `*_one` helper and each `.kernel(` / `.kernel_span(` body —
-/// as `file:line: code`. Fails unless it finds all twenty regions.
+/// wiring — each `.kernel(` call, up to the parenthesis that closes it — as
+/// `file:line: code`. Fails unless it finds all ten regions.
 fn app_kernel_lines() -> Vec<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut regions = 0;
@@ -239,23 +239,23 @@ fn app_kernel_lines() -> Vec<String> {
     for file in ["crates/airfoil/src/loops.rs", "crates/shallow-water/src/app.rs"] {
         let mut depth: Option<i64> = None;
         for (n, line) in code(&root.join(file)) {
-            let starts = line.starts_with("unsafe fn ") && line.contains("_one(")
-                || line.contains(".kernel(")
-                || line.contains(".kernel_span(");
-            if depth.is_none() && starts {
+            let mut from = 0;
+            if depth.is_none() {
+                let Some(at) = line.find(".kernel(") else { continue };
                 regions += 1;
-                depth = Some(0);
+                (depth, from) = (Some(0), at);
             }
             let Some(d) = depth.as_mut() else { continue };
-            *d += line.matches('{').count() as i64 - line.matches('}').count() as i64;
-            if *d <= 0 && line.contains('}') {
+            let region = &line[from..];
+            *d += region.matches('(').count() as i64 - region.matches(')').count() as i64;
+            if *d <= 0 {
                 depth = None;
             }
             lines.push(format!("{file}:{n}: {line}"));
         }
     }
-    // Five `*_one` helpers and five kernel bodies per app.
-    assert_eq!(regions, 20, "kernel regions scanned");
+    // Five kernel bodies per app.
+    assert_eq!(regions, 10, "kernel regions scanned");
     lines
 }
 
@@ -264,27 +264,47 @@ fn names(line: &str, word: &str) -> bool {
     line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).any(|w| w == word)
 }
 
-/// The apps' kernels read maps the way generated OP2 code does, through a raw
-/// `MapView` row: a kernel that took a `Map` (an `Arc` the optimizer must
-/// re-read after every store) or called `Map::at` would still be correct and
-/// only slower, which no tier-1 test can time. So in Airfoil's and
-/// shallow-water's loop wiring, no `*_one` helper and no `.kernel(` /
-/// `.kernel_span(` body names the type `Map` or calls `.at(`.
+/// The apps' kernels never touch a map: their loops declare each indirect
+/// argument once, and the framework's span loop reads the map's rows through
+/// its own raw views, as generated OP2 code does. A kernel that took a `Map`
+/// (an `Arc` the optimizer must re-read after every store) or called
+/// `Map::at` would still be correct and only slower, which no tier-1 test can
+/// time. So no `.kernel(` body in Airfoil's and shallow-water's loop wiring
+/// names the type `Map` or calls `.at(`.
 #[test]
 fn app_kernels_reach_maps_only_through_map_views() {
     let lines = app_kernel_lines();
-    let views: usize = lines.iter().map(|l| l.matches("MapView<").count()).sum();
-    // adt_one 1, res_one 2, bres_one 2, flux_one 2, bflux_one 2.
-    assert_eq!(views, 9, "MapView parameters of the *_one helpers");
     let found: Vec<_> = lines.iter().filter(|l| names(l, "Map") || l.contains(".at(")).collect();
-    assert!(found.is_empty(), "kernels reaching a map without a MapView: {found:#?}");
+    assert!(found.is_empty(), "kernels reaching a map themselves: {found:#?}");
+}
+
+/// OP2 states a loop's arguments once. Every app loop declares a typed
+/// argument tuple and gets a safe kernel, so the two app crates' non-test
+/// code holds no `unsafe`, takes no raw `.view(` and names no `DatView` or
+/// `MapView`.
+#[test]
+fn app_crates_hold_no_unsafe_and_no_raw_views() {
+    let mut found = Vec::new();
+    for dir in ["crates/airfoil/src", "crates/shallow-water/src"] {
+        for (file, lines) in src_code(dir) {
+            for (n, line) in &lines {
+                if names(line, "unsafe")
+                    || line.contains(".view(")
+                    || names(line, "DatView")
+                    || names(line, "MapView")
+                {
+                    found.push(format!("{dir}/{file}:{n}: {line}"));
+                }
+            }
+        }
+    }
+    assert!(found.is_empty(), "raw access in the apps: {found:#?}");
 }
 
 /// OP2 writes a kernel once, per element, and leaves the layout to the
-/// framework's access code. The apps' kernels never fork on it: every span
-/// body is one element loop, so no kernel region returns early, names
-/// `Layout` or asks a dat or view for its `.layout(`; they read dats only
-/// through the layout-agnostic `DatView` accessors.
+/// framework's access code. The apps' kernels never fork on it: no kernel
+/// region returns early, names `Layout` or asks a dat for its `.layout(`;
+/// they get their values from the framework's layout-agnostic span loop.
 #[test]
 fn app_kernels_never_see_the_layout() {
     let lines = app_kernel_lines();
@@ -304,7 +324,7 @@ fn the_distributed_layer_declares_no_loops() {
     let mut found = Vec::new();
     for (file, lines) in src_code("crates/op2-dist/src") {
         for (n, line) in &lines {
-            if ["ParLoop::build", ".kernel(", ".kernel_span("].iter().any(|k| line.contains(k)) {
+            if ["ParLoop::build", ".kernel("].iter().any(|k| line.contains(k)) {
                 found.push(format!("{file}:{n}: {line}"));
             }
         }

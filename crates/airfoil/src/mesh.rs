@@ -13,6 +13,7 @@
 //! `(y1−y2, −(x1−x2))` is the outward normal of `pecell[0]`; for a boundary
 //! edge it points out of the domain.
 
+use op2_core::renumber::adjacency_from_pairs;
 use op2_core::{Dat, Layout, Map, MeshPermutation, Set};
 use serde::{Deserialize, Serialize};
 
@@ -94,19 +95,7 @@ impl MeshData {
     /// Cell-adjacency lists induced by the interior edges (two cells are
     /// adjacent iff an edge connects them); sorted, deduplicated.
     pub fn cell_adjacency(&self) -> Vec<Vec<u32>> {
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); self.ncells()];
-        for pair in self.edge_cells.chunks_exact(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if a != b {
-                adj[a as usize].push(b);
-                adj[b as usize].push(a);
-            }
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-        }
-        adj
+        adjacency_from_pairs(self.ncells(), &self.edge_cells)
     }
 
     /// Apply an explicit per-set renumbering: rows of every table move to
@@ -160,19 +149,10 @@ impl MeshData {
         let nodes = MeshPermutation::from_perm(node_perm);
 
         // Edges follow their lowest-ranked adjacent cell; bedges their cell.
-        let mut edge_ids: Vec<u32> = (0..self.nedges() as u32).collect();
-        edge_ids.sort_by_key(|&e| {
-            let a = cells.new_of(self.edge_cells[e as usize * 2] as usize);
-            let b = cells.new_of(self.edge_cells[e as usize * 2 + 1] as usize);
-            (a.min(b), e)
-        });
-        let edges = MeshPermutation::from_perm(edge_ids);
-
-        let mut bedge_ids: Vec<u32> = (0..self.nbedges() as u32).collect();
-        bedge_ids.sort_by_key(|&be| {
-            (cells.new_of(self.bedge_cells[be as usize] as usize), be)
-        });
-        let bedges = MeshPermutation::from_perm(bedge_ids);
+        let edges = sorted_by_cell(self.edge_cells.chunks_exact(2).map(|pair| {
+            cells.new_of(pair[0] as usize).min(cells.new_of(pair[1] as usize))
+        }));
+        let bedges = sorted_by_cell(self.bedge_cells.iter().map(|&c| cells.new_of(c as usize)));
 
         let ren = MeshRenumbering {
             cells,
@@ -207,6 +187,15 @@ impl MeshData {
         };
         (self.permuted(&ren), ren)
     }
+}
+
+/// The permutation that orders elements by `cell[id]`, then by id: one
+/// packed `cell << 32 | id` key per element, computed once and sorted
+/// (unique keys, so an unstable sort is the same order).
+fn sorted_by_cell(cell: impl Iterator<Item = usize>) -> MeshPermutation {
+    let mut keys: Vec<u64> = cell.enumerate().map(|(id, c)| ((c as u64) << 32) | id as u64).collect();
+    keys.sort_unstable();
+    MeshPermutation::from_perm(keys.into_iter().map(|k| k as u32).collect())
 }
 
 /// Generator for channel meshes.

@@ -121,15 +121,7 @@ impl Plan {
             .map(|b| b * part_size..((b + 1) * part_size).min(n))
             .collect();
 
-        // Collect the indirect-write footprint sources: (map, slot index).
-        let write_refs: Vec<(&crate::map::Map, usize)> = args
-            .iter()
-            .filter(|a| a.access.writes())
-            .filter_map(|a| match &a.map_ref {
-                MapRef::Indirect { map, idx } => Some((map, *idx)),
-                MapRef::Direct => None,
-            })
-            .collect();
+        let write_refs = write_refs(args);
 
         if write_refs.is_empty() || nblocks == 0 {
             let block_colors = vec![0u32; nblocks];
@@ -227,38 +219,70 @@ impl Plan {
     }
 
     /// Validate the coloring invariant against `args`: no two blocks of the
-    /// same color may write the same target element. Used by tests and
-    /// property checks; O(total indirect references).
+    /// same color may write the same target element, and the blocks tile the
+    /// set in order (else [`PlanError::BlockGap`] / [`PlanError::Coverage`]).
+    ///
+    /// Every [`Plan::validate_cached`] call runs this once per plan, so the
+    /// runtime pays it on the first iteration of every run that builds a new
+    /// plan. It trusts nothing in the plan but its blocks and their colors:
+    /// one pass over the indirect write references, O(references) time, and
+    /// for each written map two flat arrays over its target set — a color
+    /// bitmask of ⌈colors/64⌉ words and a `u32` last writing block — so
+    /// about `target-set size × (8·⌈colors/64⌉ + 4)` bytes, where `colors`
+    /// counts the distinct colors the blocks carry. Write state is keyed by
+    /// map, so two slots of one map (`pecell`'s two cells) share it. The
+    /// first conflict in (block, argument, element) order is reported, its
+    /// earlier block found by a rescan that only the error path pays for.
     pub fn validate(&self, args: &[ArgSpec]) -> Result<(), PlanError> {
-        let write_refs: Vec<(&crate::map::Map, usize)> = args
+        let write_refs = write_refs(args);
+        // Colors ranked densely over those the blocks carry, not `ncolors`:
+        // a broken plan's colors can exceed it or leave gaps.
+        let mut colors: Vec<u32> = self
+            .block_colors
             .iter()
-            .filter(|a| a.access.writes())
-            .filter_map(|a| match &a.map_ref {
-                MapRef::Indirect { map, idx } => Some((map, *idx)),
-                MapRef::Direct => None,
+            .take(self.blocks.len())
+            .copied()
+            .collect();
+        colors.sort_unstable();
+        colors.dedup();
+        let words = colors.len().div_ceil(64);
+        // One write state per written map; `slot[k]` is write_refs[k]'s.
+        let mut states: Vec<WriteState> = Vec::new();
+        let slot: Vec<usize> = write_refs
+            .iter()
+            .map(|(map, _)| match states.iter().position(|s| s.map == map.id()) {
+                Some(i) => i,
+                None => {
+                    states.push(WriteState::new(map.id(), map.to_set().size(), words));
+                    states.len() - 1
+                }
             })
             .collect();
-        // (map id, target, color) -> first block writing it under that color.
-        let mut writer: HashMap<(u64, usize, u32), usize> = HashMap::new();
         for (b, range) in self.blocks.iter().enumerate() {
             let color = self.block_colors[b];
-            for (map, idx) in &write_refs {
+            let rank = colors.binary_search(&color).expect("ranked above");
+            let (word, bit) = (rank / 64, 1u64 << (rank % 64));
+            // Block indices fit a u32, as `color_blocks` stores them.
+            let block = b as u32;
+            for ((map, idx), &s) in write_refs.iter().zip(&slot) {
+                let st = &mut states[s];
                 for e in range.clone() {
                     let t = map.at(e, *idx);
-                    match writer.get(&(map.id(), t, color)) {
-                        Some(&b0) if b0 != b => {
-                            return Err(PlanError::ColorConflict {
-                                block_a: b0,
-                                block_b: b,
-                                color,
-                                target: t,
-                                map: map.name().to_owned(),
-                            });
-                        }
-                        _ => {
-                            writer.insert((map.id(), t, color), b);
-                        }
+                    if st.last[t] == block {
+                        continue;
                     }
+                    let w = &mut st.colors[t * words + word];
+                    if *w & bit != 0 {
+                        return Err(PlanError::ColorConflict {
+                            block_a: self.first_writer(&write_refs, map.id(), t, color),
+                            block_b: b,
+                            color,
+                            target: t,
+                            map: map.name().to_owned(),
+                        });
+                    }
+                    *w |= bit;
+                    st.last[t] = block;
                 }
             }
         }
@@ -284,6 +308,27 @@ impl Plan {
         Ok(())
     }
 
+    /// The lowest block of `color` that writes `target` through map `map_id`
+    /// — the earlier side of a conflict [`Plan::validate`] found, so it
+    /// exists.
+    fn first_writer(
+        &self,
+        write_refs: &[(&crate::map::Map, usize)],
+        map_id: u64,
+        target: usize,
+        color: u32,
+    ) -> usize {
+        (0..self.blocks.len())
+            .filter(|&b| self.block_colors[b] == color)
+            .find(|&b| {
+                write_refs
+                    .iter()
+                    .filter(|(map, _)| map.id() == map_id)
+                    .any(|(map, idx)| self.blocks[b].clone().any(|e| map.at(e, *idx) == target))
+            })
+            .expect("a set color bit has an earlier writer")
+    }
+
     /// Memoized [`Plan::validate`]: plans are immutable once built and reused
     /// across thousands of identical loop invocations, so the O(indirect
     /// references) check runs at most once per plan.
@@ -291,6 +336,38 @@ impl Plan {
         match self.validated.get_or_init(|| self.validate(args).err()) {
             None => Ok(()),
             Some(e) => Err(e.clone()),
+        }
+    }
+}
+
+/// The indirect-write footprint sources of a loop: `(map, slot)` for every
+/// argument that writes through a map, in argument order.
+fn write_refs(args: &[ArgSpec]) -> Vec<(&crate::map::Map, usize)> {
+    args.iter()
+        .filter(|a| a.access.writes())
+        .filter_map(|a| match &a.map_ref {
+            MapRef::Indirect { map, idx } => Some((map, *idx)),
+            MapRef::Direct => None,
+        })
+        .collect()
+}
+
+/// [`Plan::validate`]'s write state for one map, flat over its target set.
+struct WriteState {
+    /// The map's id.
+    map: u64,
+    /// Per target, a bitmask over the ranked colors that wrote it.
+    colors: Vec<u64>,
+    /// Per target, the last block that wrote it (`u32::MAX`: none yet).
+    last: Vec<u32>,
+}
+
+impl WriteState {
+    fn new(map: u64, targets: usize, words: usize) -> Self {
+        WriteState {
+            map,
+            colors: vec![0; targets * words],
+            last: vec![u32::MAX; targets],
         }
     }
 }

@@ -14,14 +14,19 @@ use crate::map::Map;
 /// are removed; lists are sorted.
 pub fn adjacency_from_pair_map(map: &Map) -> Vec<Vec<u32>> {
     assert_eq!(map.dim(), 2, "pair adjacency needs a 2-ary map");
-    let n = map.to_set().size();
+    adjacency_from_pairs(map.to_set().size(), map.table())
+}
+
+/// The adjacency over `n` vertices induced by a flat pair table
+/// (`pairs[2i]`, `pairs[2i + 1]` mutually adjacent unless equal, as in a
+/// 2-ary map's table). Duplicate neighbours are removed; lists are sorted.
+pub fn adjacency_from_pairs(n: usize, pairs: &[u32]) -> Vec<Vec<u32>> {
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for e in 0..map.from_set().size() {
-        let a = map.at(e, 0);
-        let b = map.at(e, 1);
+    for pair in pairs.chunks_exact(2) {
+        let (a, b) = (pair[0], pair[1]);
         if a != b {
-            adj[a].push(b as u32);
-            adj[b].push(a as u32);
+            adj[a as usize].push(b);
+            adj[b as usize].push(a);
         }
     }
     for list in &mut adj {
@@ -91,13 +96,15 @@ pub fn rcm_order(adj: &[Vec<u32>]) -> Vec<u32> {
     let mut order: Vec<u32> = Vec::with_capacity(n);
     let degree = |v: usize| adj[v].len();
 
-    // Component seeds in ascending degree (stable by id); each seed is then
+    // Component seeds in ascending degree, then id: one packed key each
+    // (unique, so an unstable sort is the same order). Each seed is then
     // upgraded to a pseudo-peripheral vertex of its component.
-    let mut seeds: Vec<usize> = (0..n).collect();
-    seeds.sort_by_key(|&v| (degree(v), v));
+    let mut seeds: Vec<u64> = (0..n).map(|v| ((degree(v) as u64) << 32) | v as u64).collect();
+    seeds.sort_unstable();
 
     let mut queue = std::collections::VecDeque::new();
-    for seed in seeds {
+    let mut next: Vec<u32> = Vec::new();
+    for seed in seeds.into_iter().map(|k| k as u32 as usize) {
         if visited[seed] {
             continue;
         }
@@ -107,13 +114,10 @@ pub fn rcm_order(adj: &[Vec<u32>]) -> Vec<u32> {
         while let Some(v) = queue.pop_front() {
             order.push(v);
             // Neighbours in ascending degree (Cuthill-McKee rule).
-            let mut next: Vec<u32> = adj[v as usize]
-                .iter()
-                .copied()
-                .filter(|&u| !visited[u as usize])
-                .collect();
-            next.sort_by_key(|&u| (degree(u as usize), u));
-            for u in next {
+            next.clear();
+            next.extend(adj[v as usize].iter().copied().filter(|&u| !visited[u as usize]));
+            next.sort_unstable_by_key(|&u| (degree(u as usize), u));
+            for &u in &next {
                 visited[u as usize] = true;
                 queue.push_back(u);
             }

@@ -79,6 +79,8 @@
 
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
+
 use op2_airfoil::mesh::MeshData;
 use op2_trace::{pack2, EventKind, NO_NAME};
 
@@ -418,6 +420,7 @@ pub(crate) fn march<A: DistApp>(
         |_, rank: RankOut| {
             died |= rank.died;
             scatter_owned(&mut out.final_state, A::COMP, &rank.owned_g, &rank.owned);
+            recycle(rank.owned);
             out.local_retries += rank.local_retries;
             // Per-cell digest terms are position-independent hashes, so a
             // wrapping sum combines ranks without ordering concerns.
@@ -451,6 +454,8 @@ struct MarchState<A: DistApp> {
     state: Vec<f64>,
     old: Vec<f64>,
     aux: Vec<f64>,
+    /// `aux` as it was before the current stage prologue (local rollback).
+    aux_snap: Vec<f64>,
     res: Vec<f64>,
     /// Per halo group: `COMP × nslots` residual scratch (see [`HaloGroup`]).
     scratch: Vec<Vec<f64>>,
@@ -468,7 +473,7 @@ impl<A: DistApp> MarchState<A> {
             .map(|g| vec![0.0f64; A::COMP * g.nslots])
             .collect();
         let nlocal = local.ncells_local();
-        let mut state = vec![0.0f64; A::COMP * nlocal];
+        let mut state = zeroed(A::COMP * nlocal);
         for (l, &g) in local.cell_l2g.iter().enumerate() {
             let g = g as usize;
             state[A::COMP * l..A::COMP * (l + 1)]
@@ -477,9 +482,10 @@ impl<A: DistApp> MarchState<A> {
         MarchState {
             derived: app.derive(data, &local),
             state,
-            old: vec![0.0f64; A::COMP * local.nowned],
-            aux: vec![0.0f64; A::AUX * nlocal],
-            res: vec![0.0f64; A::COMP * nlocal],
+            old: zeroed(A::COMP * local.nowned),
+            aux: zeroed(A::AUX * nlocal),
+            aux_snap: spare(A::AUX * nlocal),
+            res: zeroed(A::COMP * nlocal),
             scratch,
             aux_digest: 0,
             res_digest: 0,
@@ -494,6 +500,55 @@ impl<A: DistApp> MarchState<A> {
 
     fn owned_state(&self) -> &[f64] {
         &self.state[..A::COMP * self.local.nowned]
+    }
+}
+
+/// Per-rank arrays (`state`, `old`, `aux`, its snapshot, `res`, the owned
+/// copy a rank returns) that finished marches hand back for the next march
+/// to reuse, at most [`SPARE_ARRAYS`] of them. A 512×256 Airfoil march
+/// holds ≈ 9 MB of them per rank; handed back to glibc's allocator instead,
+/// they are trimmed on release and page-faulted in again by the next call,
+/// ≈ 4 ms a call on two ranks — more than the march's localisation
+/// (`results/setup_pairs.md`).
+static SPARE: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
+const SPARE_ARRAYS: usize = 32;
+
+/// An empty array with room for `len` values: the smallest spare one that
+/// has it, or a new one.
+fn spare(len: usize) -> Vec<f64> {
+    let reused = {
+        let mut spare = SPARE.lock();
+        let fit = (0..spare.len())
+            .filter(|&i| spare[i].capacity() >= len)
+            .min_by_key(|&i| spare[i].capacity());
+        fit.map(|i| spare.swap_remove(i))
+    };
+    let mut v = reused.unwrap_or_default();
+    v.clear();
+    v.reserve(len);
+    v
+}
+
+/// `len` zeros in a [`spare`] array.
+fn zeroed(len: usize) -> Vec<f64> {
+    let mut v = spare(len);
+    v.resize(len, 0.0);
+    v
+}
+
+/// Hand `v` back for a later [`spare`].
+fn recycle(v: Vec<f64>) {
+    let mut spare = SPARE.lock();
+    if spare.len() < SPARE_ARRAYS {
+        spare.push(v);
+    }
+}
+
+impl<A: DistApp> Drop for MarchState<A> {
+    fn drop(&mut self) {
+        for v in [&mut self.state, &mut self.old, &mut self.aux, &mut self.aux_snap, &mut self.res] {
+            recycle(std::mem::take(v));
+        }
     }
 }
 
@@ -714,7 +769,11 @@ fn rank_main<A: DistApp>(
 
     Ok(RankOut {
         owned_g: st.owned_cells().to_vec(),
-        owned: st.owned_state().to_vec(),
+        owned: {
+            let mut owned = spare(st.owned_state().len());
+            owned.extend_from_slice(st.owned_state());
+            owned
+        },
         history: cx.reports.done,
         recoveries,
         local_retries: cx.local_retries,
@@ -1044,7 +1103,7 @@ fn exchange_stage<A: DistApp>(
     //    the rank escalate to fabric-level checkpoint recovery.
     let mut attempt = 0;
     loop {
-        let snap = st.aux.clone();
+        st.aux_snap.clone_from(&st.aux);
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if cx.faults_left > 0 && cx.fault_iter == Some(iter) {
                 cx.faults_left -= 1;
@@ -1055,7 +1114,7 @@ fn exchange_stage<A: DistApp>(
         if run.is_ok() {
             break;
         }
-        st.aux.copy_from_slice(&snap);
+        st.aux.copy_from_slice(&st.aux_snap);
         if attempt >= opts.kernel_retries {
             // Peers detect the death and restore the newest checkpoint.
             return Err(comm.kill_self());

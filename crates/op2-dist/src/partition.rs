@@ -278,13 +278,11 @@ pub fn build_local(data: &MeshData, part: &Partition, rank: usize) -> LocalMesh 
     }
     let g2l = |g: u32| g2l[g as usize];
 
-    let cell_nodes: Vec<u32> = cell_l2g
-        .iter()
-        .flat_map(|&g| {
-            let g = g as usize;
-            data.cell_nodes[4 * g..4 * g + 4].to_vec()
-        })
-        .collect();
+    let mut cell_nodes: Vec<u32> = Vec::with_capacity(4 * cell_l2g.len());
+    for &g in &cell_l2g {
+        let g = g as usize;
+        cell_nodes.extend_from_slice(&data.cell_nodes[4 * g..4 * g + 4]);
+    }
 
     let edge_nodes: Vec<(u32, u32)> = my_edges
         .iter()

@@ -25,6 +25,12 @@
 //! (or the real thing) degrades a commit to in-memory-only instead of
 //! failing the march: the current process keeps its full recovery ladder,
 //! only restartability lags until space returns.
+//!
+//! A durable commit writes its slice once: it is serialized into a per-rank
+//! buffer that the store reuses from commit to commit, and the WAL
+//! checksums that buffer in place and hands it to the file beside its frame
+//! header. The only other copy is the in-memory slice that
+//! [`CheckpointStore::latest_consistent`] assembles from.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -144,6 +150,10 @@ pub struct CheckpointStore {
     inner: Mutex<BTreeMap<usize, Vec<Option<Slice>>>>,
     /// Durable backing; `None` = in-memory only.
     log: Option<Mutex<DurableLog>>,
+    /// Per rank, the buffer its slice records are serialized into, reused
+    /// from commit to commit (empty for an in-memory store). One per rank,
+    /// so ranks serialize concurrently and queue only for the append.
+    payloads: Vec<Mutex<Vec<u8>>>,
 }
 
 impl CheckpointStore {
@@ -158,6 +168,7 @@ impl CheckpointStore {
             ncomp,
             inner: Mutex::new(BTreeMap::new()),
             log: None,
+            payloads: Vec::new(),
         }
     }
 
@@ -255,6 +266,7 @@ impl CheckpointStore {
             ncomp,
             inner: Mutex::new(inner),
             log: Some(Mutex::new(DurableLog { wal, stats })),
+            payloads: (0..nranks).map(|_| Mutex::new(Vec::new())).collect(),
         })
     }
 
@@ -311,9 +323,10 @@ impl CheckpointStore {
             });
         }
         if let Some(log) = &self.log {
-            let mut w = ByteWriter::new();
+            let mut payload = self.payloads[rank].lock();
+            let mut w = ByteWriter::reuse(std::mem::take(&mut *payload));
             w.u64(iter as u64).u32(rank as u32).u32s(cells).f64s(q);
-            let payload = w.finish();
+            *payload = w.finish();
             let span = op2_trace::begin();
             let mut log = log.lock();
             let outcome = log.wal.append(REC_SLICE, &payload);

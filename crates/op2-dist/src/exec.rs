@@ -58,9 +58,14 @@ pub struct DistReport {
     /// since the last recovery (whole run when clean), combined across
     /// survivors. Bulk and overlapped marches of the same run produce the
     /// same digest iff every intermediate `adt` is bit-identical.
-    pub adt_digest: u64,
+    ///
+    /// A test oracle, computed only when [`DistOptions::trajectory_digests`]
+    /// asks for it (`None` otherwise, and always from the hybrid march):
+    /// it hashes every owned value of every stage, which costs a 512×256
+    /// march about a fifth of its time.
+    pub adt_digest: Option<u64>,
     /// As [`DistReport::adt_digest`], over post-exchange owned-cell `res`.
-    pub res_digest: u64,
+    pub res_digest: Option<u64>,
     /// Iteration the run resumed from (`Some(k)` only for
     /// [`resume_distributed_opts`]: state restored from the durable store's
     /// newest verified consistent boundary `k`, marched from `k + 1`).
@@ -198,6 +203,12 @@ pub struct DistOptions {
     /// back to the *original* numbering before it is returned. Checkpoints
     /// live in the renumbered space; resume with the same flag.
     pub renumber: bool,
+    /// Fill [`DistReport::adt_digest`]/[`DistReport::res_digest`] (and
+    /// `SweDistReport::res_digest`): hash every owned-cell `aux`/`res` value
+    /// after each stage's exchange. The digests only read the march's
+    /// arrays, so results are bit-identical either way; off (the default),
+    /// the march skips the hashing and reports `None`.
+    pub trajectory_digests: bool,
 }
 
 impl Default for DistOptions {
@@ -215,6 +226,7 @@ impl Default for DistOptions {
             halt_after: None,
             die_at: None,
             renumber: false,
+            trajectory_digests: false,
         }
     }
 }
@@ -276,8 +288,8 @@ impl From<MarchOut> for DistReport {
             faults: out.faults,
             recoveries: out.recoveries,
             local_retries: out.local_retries,
-            adt_digest: out.aux_digest,
-            res_digest: out.res_digest,
+            adt_digest: out.digests.map(|d| d.aux),
+            res_digest: out.digests.map(|d| d.res),
             resumed_from: out.resumed_from,
             ckpt: out.ckpt,
         }
@@ -543,8 +555,14 @@ mod tests {
     #[test]
     fn distributed_runs_are_deterministic() {
         let (data, consts, q0) = setup(true);
-        let a = run_strips(&data, &consts, &q0, 4, 4, 2);
-        let b = run_strips(&data, &consts, &q0, 4, 4, 2);
+        let part = Partition::strips(288, 4);
+        let opts = DistOptions { trajectory_digests: true, ..DistOptions::default() };
+        let run = || run_distributed_opts(&data, &consts, &q0, &part, 4, 2, &opts).unwrap();
+        let (a, b) = (run(), run());
+        assert!(
+            a.adt_digest.is_some() && a.res_digest.is_some(),
+            "digests were asked for"
+        );
         assert_eq!(
             a.final_q.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.final_q.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -558,14 +576,18 @@ mod tests {
     fn overlapped_march_matches_bulk_bitwise() {
         let (data, consts, q0) = setup(true);
         let part = Partition::strips(288, 3);
-        let bulk = run_distributed_opts(&data, &consts, &q0, &part, 5, 1, &DistOptions::default())
-            .unwrap();
+        let digests = DistOptions { trajectory_digests: true, ..DistOptions::default() };
+        let bulk = run_distributed_opts(&data, &consts, &q0, &part, 5, 1, &digests).unwrap();
         let opts = DistOptions {
             overlap: true,
             jitter: Some(JitterSpec { seed: 42, max_us: 80 }),
-            ..DistOptions::default()
+            ..digests
         };
         let over = run_distributed_opts(&data, &consts, &q0, &part, 5, 1, &opts).unwrap();
+        assert!(
+            bulk.adt_digest.is_some() && bulk.res_digest.is_some(),
+            "digests were asked for"
+        );
         assert_eq!(
             over.final_q.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             bulk.final_q.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

@@ -31,9 +31,10 @@
 //! [`run_hybrid_opts`] takes the flat march's [`DistOptions`] for message
 //! fault injection, deadline/retry tuning and overlap. What needs the march
 //! engine — kill directives (checkpointed recovery), kernel faults,
-//! checkpoints, the durable store, halting, dying, renumbering and jitter —
-//! is rejected with [`DistError::Config`] naming the field; use
-//! [`crate::exec::run_distributed_opts`] for those.
+//! checkpoints, the durable store, halting, dying, renumbering, jitter and
+//! trajectory digests — is rejected with [`DistError::Config`] naming the
+//! field; use [`crate::exec::run_distributed_opts`] for those. The report's
+//! digests are therefore always `None`.
 
 use std::sync::Arc;
 
@@ -56,8 +57,8 @@ use crate::partition::{build_local, LocalMesh, Partition};
 /// # Errors
 /// See [`DistError`]; a clean network never fails. Options that need the
 /// march engine (a kill directive, kernel faults, checkpoints, the store,
-/// `halt_after`, `die_at`, `renumber`, jitter) are rejected with
-/// [`DistError::Config`] — see the module docs.
+/// `halt_after`, `die_at`, `renumber`, jitter, `trajectory_digests`) are
+/// rejected with [`DistError::Config`] — see the module docs.
 #[allow(clippy::too_many_arguments)]
 pub fn run_hybrid_opts(
     data: &MeshData,
@@ -101,8 +102,8 @@ pub fn run_hybrid_opts(
         faults: run.faults,
         recoveries: Vec::new(),
         local_retries: 0,
-        adt_digest: 0,
-        res_digest: 0,
+        adt_digest: None,
+        res_digest: None,
         resumed_from: None,
         ckpt: Default::default(),
     })
@@ -513,6 +514,7 @@ mod tests {
             ("die_at", DistOptions { die_at: Some(2), ..base() }),
             ("renumber", DistOptions { renumber: true, ..base() }),
             ("jitter", DistOptions { jitter: Some(JitterSpec { seed: 1, max_us: 0 }), ..base() }),
+            ("trajectory_digests", DistOptions { trajectory_digests: true, ..base() }),
         ];
         for (field, opts) in cases {
             let run =
@@ -522,6 +524,19 @@ mod tests {
                 other => panic!("{field}: expected DistError::Config, got {other:?}"),
             }
         }
+    }
+
+    /// The hybrid march computes no trajectory digest (asking for one is
+    /// refused above): its report carries `None`, not zeros that would read
+    /// as digests.
+    #[test]
+    fn hybrid_reports_no_trajectory_digests() {
+        let (data, consts, q0) = setup();
+        let part = Partition::strips(200, 2);
+        let opts = DistOptions::default();
+        let rep = run_hybrid_opts(&data, &consts, &q0, &part, 2, BackendKind::ForkJoin, 2, 2, &opts)
+            .unwrap();
+        assert_eq!((rep.adt_digest, rep.res_digest), (None, None));
     }
 
     /// Kill plans have no recovery path here: rejected up front with a typed

@@ -76,6 +76,19 @@
 //! regenerate their reports. A durable store ([`DistOptions::store_dir`])
 //! adds whole-process restart: `resume` restores the newest verified
 //! consistent boundary and marches on, bit-identical to an uninterrupted run.
+//!
+//! ## Trajectory digests ([`DistOptions::trajectory_digests`])
+//!
+//! The suites that prove two marches equal (bulk = overlap, faulty = clean,
+//! resumed = halted) compare more than the final state: after step 5 of
+//! every stage each rank can fold every owned cell's `aux` and `res` values
+//! into two order-free digests, keyed by global cell, iteration and stage, so
+//! the sum over ranks is independent of partition and schedule. That reads
+//! every owned value once more per stage through six splitmix64 rounds per
+//! Airfoil cell, which cost a 2-rank 512×256 march about a fifth of its
+//! time (`results/dist_pairs.md`), so it is opt-in: off, the loop is
+//! skipped and the reports carry `None`. The hashing only reads, so results
+//! are bit-identical either way (`tests/digests.rs`).
 
 use std::time::{Duration, Instant};
 
@@ -220,6 +233,23 @@ fn jitter_sleep(jitter: Option<JitterSpec>, rank: usize, iter: usize, stage: usi
 /// `(iteration, step scale, sqrt(rms/ncells))` at a report point.
 pub(crate) type Report = (usize, f64, f64);
 
+/// Order-free digests over every owned-cell `aux` / post-exchange `res`
+/// value of every stage since the last recovery (module docs).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Digests {
+    pub aux: u64,
+    pub res: u64,
+}
+
+impl Digests {
+    /// Combine another rank's digests: per-cell terms are
+    /// position-independent hashes, so a wrapping sum is order-free.
+    fn add(&mut self, other: Digests) {
+        self.aux = self.aux.wrapping_add(other.aux);
+        self.res = self.res.wrapping_add(other.res);
+    }
+}
+
 /// What a march hands back to its application wrapper.
 pub(crate) struct MarchOut {
     /// Final global state in global cell order (original numbering).
@@ -230,10 +260,9 @@ pub(crate) struct MarchOut {
     pub recoveries: Vec<Recovery>,
     /// Prologue rollbacks retried locally, summed over survivors.
     pub local_retries: usize,
-    /// Order-free digests over every owned-cell `aux` / post-exchange `res`
-    /// value of every stage since the last recovery, combined over survivors.
-    pub aux_digest: u64,
-    pub res_digest: u64,
+    /// Combined over survivors; `None` unless
+    /// [`DistOptions::trajectory_digests`] asked for them.
+    pub digests: Option<Digests>,
     pub resumed_from: Option<usize>,
     pub ckpt: CkptStats,
 }
@@ -258,7 +287,8 @@ pub(crate) fn validate(
         return reject("resume requires DistOptions::store_dir".to_string());
     }
     // Off the engine (the hybrid march) there is no checkpoint, store,
-    // kernel-fault ladder, jitter or renumbering: refuse what it would drop.
+    // kernel-fault ladder, jitter, renumbering or trajectory digest: refuse
+    // what it would drop.
     let engine_only = [
         ("plan (kill directive)", opts.plan.as_ref().is_some_and(|p| p.kill.is_some())),
         ("kernel_fault", opts.kernel_fault.is_some()),
@@ -269,6 +299,7 @@ pub(crate) fn validate(
         ("die_at", opts.die_at.is_some()),
         ("renumber", opts.renumber),
         ("jitter", opts.jitter.is_some()),
+        ("trajectory_digests", opts.trajectory_digests),
     ];
     if let Some((field, _)) = engine_only.iter().find(|(_, set)| *set && !on_engine) {
         return reject(format!(
@@ -407,11 +438,11 @@ pub(crate) fn march<A: DistApp>(
         faults: run.faults,
         recoveries: Vec::new(),
         local_retries: 0,
-        aux_digest: 0,
-        res_digest: 0,
+        digests: None,
         resumed_from: resume.then_some(start_iter),
         ckpt: CkptStats::default(),
     };
+    let mut digests = Digests::default();
     let mut first_survivor = true;
     let mut died = false;
     gather(
@@ -422,10 +453,7 @@ pub(crate) fn march<A: DistApp>(
             scatter_owned(&mut out.final_state, A::COMP, &rank.owned_g, &rank.owned);
             recycle(rank.owned);
             out.local_retries += rank.local_retries;
-            // Per-cell digest terms are position-independent hashes, so a
-            // wrapping sum combines ranks without ordering concerns.
-            out.aux_digest = out.aux_digest.wrapping_add(rank.aux_digest);
-            out.res_digest = out.res_digest.wrapping_add(rank.res_digest);
+            digests.add(rank.digests);
             if first_survivor {
                 out.history = rank.history;
                 out.recoveries = rank.recoveries;
@@ -440,6 +468,7 @@ pub(crate) fn march<A: DistApp>(
             iter: opts.die_at.expect("died flag implies die_at"),
         });
     }
+    out.digests = opts.trajectory_digests.then_some(digests);
     out.ckpt = store.stats();
     Ok(out)
 }
@@ -459,8 +488,8 @@ struct MarchState<A: DistApp> {
     res: Vec<f64>,
     /// Per halo group: `COMP × nslots` residual scratch (see [`HaloGroup`]).
     scratch: Vec<Vec<f64>>,
-    aux_digest: u64,
-    res_digest: u64,
+    /// Accumulated only when [`DistOptions::trajectory_digests`] is set.
+    digests: Digests,
 }
 
 impl<A: DistApp> MarchState<A> {
@@ -487,8 +516,7 @@ impl<A: DistApp> MarchState<A> {
             aux_snap: spare(A::AUX * nlocal),
             res: zeroed(A::COMP * nlocal),
             scratch,
-            aux_digest: 0,
-            res_digest: 0,
+            digests: Digests::default(),
             local,
             plan,
         }
@@ -560,8 +588,7 @@ struct RankOut {
     history: Vec<Report>,
     recoveries: Vec<Recovery>,
     local_retries: usize,
-    aux_digest: u64,
-    res_digest: u64,
+    digests: Digests,
     /// True if the rank stopped at [`DistOptions::die_at`] (simulated
     /// whole-process death): its in-memory results are void.
     died: bool,
@@ -777,8 +804,7 @@ fn rank_main<A: DistApp>(
         history: cx.reports.done,
         recoveries,
         local_retries: cx.local_retries,
-        aux_digest: st.aux_digest,
-        res_digest: st.res_digest,
+        digests: st.digests,
         died,
     })
 }
@@ -1074,8 +1100,8 @@ impl<A: DistApp> HaloSink for StageRun<'_, A> {
     }
 }
 
-/// Steps 1–5 of one stage in canonical order (see the module docs), up to
-/// and including the digest of the post-exchange residuals.
+/// Steps 1–5 of one stage in canonical order (see the module docs), then,
+/// when asked for, the digest of the post-exchange residuals.
 fn exchange_stage<A: DistApp>(
     app: &A,
     comm: &Comm,
@@ -1171,9 +1197,16 @@ fn exchange_stage<A: DistApp>(
     // 5. Reverse receives.
     reverse_receive(comm, &st.local.exports, A::TAG_REVERSE, A::COMP, &mut st.res)?;
 
-    // Digest the stage's owned aux/res (res before update, which zeroes
-    // it). Keys are position-independent, so the running digest is
-    // schedule- and partition-order-free.
+    if opts.trajectory_digests {
+        digest_stage(st, iter, stage);
+    }
+    Ok(())
+}
+
+/// Fold the stage's owned `aux`/`res` into the running digests (`res`
+/// before `update`, which zeroes it). Keys are position-independent, so the
+/// running digest is schedule- and partition-order-free.
+fn digest_stage<A: DistApp>(st: &mut MarchState<A>, iter: usize, stage: usize) {
     for c in 0..st.local.nowned {
         let g = u64::from(st.local.cell_l2g[c]);
         let key = mix64(g ^ ((iter as u64) << 32) ^ ((stage as u64) << 56));
@@ -1181,14 +1214,13 @@ fn exchange_stage<A: DistApp>(
             let h = st.aux[A::AUX * c..A::AUX * (c + 1)]
                 .iter()
                 .fold(key, |h, v| mix64(h ^ v.to_bits()));
-            st.aux_digest = st.aux_digest.wrapping_add(h);
+            st.digests.aux = st.digests.aux.wrapping_add(h);
         }
         let h = st.res[A::COMP * c..A::COMP * (c + 1)]
             .iter()
             .fold(key, |h, v| mix64(h ^ v.to_bits()));
-        st.res_digest = st.res_digest.wrapping_add(h);
+        st.digests.res = st.digests.res.wrapping_add(h);
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -44,8 +44,9 @@ pub struct SweDistReport {
     /// Order-free digest over every owned-cell post-exchange `res` of every
     /// step since the last recovery, combined across survivors — bulk and
     /// overlapped marches agree iff every intermediate residual is
-    /// bit-identical.
-    pub res_digest: u64,
+    /// bit-identical. A test oracle: `Some` only when
+    /// [`DistOptions::trajectory_digests`] asks for it.
+    pub res_digest: Option<u64>,
     /// Step the run resumed from (`Some(k)` only for
     /// [`resume_swe_distributed_opts`]).
     pub resumed_from: Option<usize>,
@@ -62,7 +63,7 @@ impl From<MarchOut> for SweDistReport {
             faults: out.faults,
             recoveries: out.recoveries,
             local_retries: out.local_retries,
-            res_digest: out.res_digest,
+            res_digest: out.digests.map(|d| d.res),
             resumed_from: out.resumed_from,
             ckpt: out.ckpt,
         }
@@ -364,14 +365,14 @@ mod tests {
         let (w0, _, _) = serial_oracle(imax, jmax, steps, 1);
         let data = walled_data(imax, jmax);
         let part = Partition::strips(imax * jmax, 3);
-        let bulk = run_swe_distributed_opts(
-            &data, 9.81, 0.4, &w0, &part, steps, 1, &DistOptions::default(),
-        )
-        .unwrap();
+        let digests = DistOptions { trajectory_digests: true, ..DistOptions::default() };
+        let bulk = run_swe_distributed_opts(&data, 9.81, 0.4, &w0, &part, steps, 1, &digests)
+            .unwrap();
+        assert!(bulk.res_digest.is_some(), "digests were asked for");
         let opts = DistOptions {
             overlap: true,
             jitter: Some(JitterSpec { seed: 7, max_us: 80 }),
-            ..DistOptions::default()
+            ..digests
         };
         let over = run_swe_distributed_opts(&data, 9.81, 0.4, &w0, &part, steps, 1, &opts).unwrap();
         assert_eq!(
@@ -393,15 +394,15 @@ mod tests {
         let (w0, _, _) = serial_oracle(imax, jmax, steps, 1);
         let data = walled_data(imax, jmax);
         let part = Partition::strips(imax * jmax, 4);
-        let clean = run_swe_distributed_opts(
-            &data, 9.81, 0.4, &w0, &part, steps, 1, &DistOptions::default(),
-        )
-        .unwrap();
+        let digests = DistOptions { trajectory_digests: true, ..DistOptions::default() };
+        let clean = run_swe_distributed_opts(&data, 9.81, 0.4, &w0, &part, steps, 1, &digests)
+            .unwrap();
+        assert!(clean.res_digest.is_some(), "digests were asked for");
         for overlap in [false, true] {
             let opts = DistOptions {
                 plan: Some(FaultPlan::drop_first(3)),
                 overlap,
-                ..DistOptions::default()
+                ..digests.clone()
             };
             let faulty =
                 run_swe_distributed_opts(&data, 9.81, 0.4, &w0, &part, steps, 1, &opts).unwrap();

@@ -413,23 +413,20 @@ fn overlapped_march_masks_seeded_faults_bitwise() {
     let nranks = 4;
     let niter = 3;
     let part = Partition::strips(16 * 8, nranks);
-    let clean = run_distributed_opts(
-        &data,
-        &consts,
-        &q0,
-        &part,
-        niter,
-        1,
-        &DistOptions::default(),
-    )
-    .expect("clean bulk run");
+    let digests = DistOptions { trajectory_digests: true, ..DistOptions::default() };
+    let clean = run_distributed_opts(&data, &consts, &q0, &part, niter, 1, &digests)
+        .expect("clean bulk run");
+    assert!(
+        clean.adt_digest.is_some() && clean.res_digest.is_some(),
+        "digests were asked for"
+    );
 
     for seed in seeds_to_run() {
         let hint = replay_hint(seed);
         let opts = DistOptions {
             overlap: true,
             plan: Some(FaultPlan::seeded(seed)),
-            ..DistOptions::default()
+            ..digests.clone()
         };
         let a = run_distributed_opts(&data, &consts, &q0, &part, niter, 1, &opts)
             .unwrap_or_else(|e| panic!("overlapped faulty run failed: {e}\n{hint}"));

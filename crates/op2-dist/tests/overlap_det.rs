@@ -45,6 +45,7 @@ fn replay_hint(seed: u64) -> String {
 /// matrix). All of it is masked by the transport, so results must not move.
 fn perturbed_opts(seed: u64) -> DistOptions {
     DistOptions {
+        trajectory_digests: true,
         overlap: true,
         jitter: Some(JitterSpec { seed, max_us: 40 }),
         plan: Some(FaultPlan {
@@ -58,6 +59,11 @@ fn perturbed_opts(seed: u64) -> DistOptions {
         }),
         ..DistOptions::default()
     }
+}
+
+/// The unperturbed bulk-synchronous reference, with its trajectory digests.
+fn bulk_opts() -> DistOptions {
+    DistOptions { trajectory_digests: true, ..DistOptions::default() }
 }
 
 fn bits(q: &[f64]) -> Vec<u64> {
@@ -86,9 +92,10 @@ fn airfoil_overlap_bitwise_across_seeds_and_ranks() {
             &part,
             niter,
             1,
-            &DistOptions::default(),
+            &bulk_opts(),
         )
         .expect("bulk reference run");
+        assert!(bulk.res_digest.is_some(), "digests were asked for");
 
         for seed in seeds_to_run() {
             let hint = replay_hint(seed);
@@ -153,9 +160,10 @@ fn swe_overlap_bitwise_across_seeds_and_ranks() {
             &part,
             steps,
             1,
-            &DistOptions::default(),
+            &bulk_opts(),
         )
         .expect("bulk reference run");
+        assert!(bulk.res_digest.is_some(), "digests were asked for");
 
         for seed in seeds_to_run() {
             let hint = replay_hint(seed);

@@ -128,7 +128,10 @@ fn airfoil_killed_march_restarts_bit_identical() {
         &part,
         niter,
         1,
-        &durable_opts(&dir_a, every, None, None, None),
+        &DistOptions {
+            trajectory_digests: true,
+            ..durable_opts(&dir_a, every, None, None, None)
+        },
     )
     .expect("resume after kill");
     assert_eq!(resumed.resumed_from, Some(4), "newest consistent boundary");
@@ -168,9 +171,16 @@ fn airfoil_killed_march_restarts_bit_identical() {
         &part,
         niter,
         1,
-        &durable_opts(&dir_b, every, None, None, None),
+        &DistOptions {
+            trajectory_digests: true,
+            ..durable_opts(&dir_b, every, None, None, None)
+        },
     )
     .expect("resume after halt");
+    assert!(
+        ref_leg.adt_digest.is_some() && ref_leg.res_digest.is_some(),
+        "digests were asked for"
+    );
     assert_eq!(ref_leg.resumed_from, Some(4));
     assert_eq!(bits(&ref_leg.final_q), bits(&resumed.final_q));
     assert_eq!(resumed.adt_digest, ref_leg.adt_digest, "adt digest window");

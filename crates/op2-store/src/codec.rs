@@ -50,6 +50,14 @@ impl ByteWriter {
         ByteWriter { buf: Vec::new() }
     }
 
+    /// An empty writer over `buf`'s allocation: a caller that serializes
+    /// one record after another hands the previous [`ByteWriter::finish`]
+    /// back here, so a payload of the same size needs no new memory.
+    pub fn reuse(mut buf: Vec<u8>) -> ByteWriter {
+        buf.clear();
+        ByteWriter { buf }
+    }
+
     /// The accumulated payload.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -82,17 +90,26 @@ impl ByteWriter {
     /// Append a `u32`-count-prefixed slice of `u32`s.
     pub fn u32s(&mut self, vs: &[u32]) -> &mut Self {
         self.u32(vs.len() as u32);
-        for &v in vs {
-            self.u32(v);
-        }
-        self
+        self.words(vs, |v| v.to_le_bytes())
     }
 
     /// Append a `u32`-count-prefixed slice of `f64` bit patterns.
     pub fn f64s(&mut self, vs: &[f64]) -> &mut Self {
         self.u32(vs.len() as u32);
-        for &v in vs {
-            self.f64(v);
+        self.words(vs, |v| v.to_bits().to_le_bytes())
+    }
+
+    /// Append `vs` as `N`-byte words: the buffer grows once, then every word
+    /// is stored into its slot.
+    fn words<T: Copy, const N: usize>(
+        &mut self,
+        vs: &[T],
+        le: impl Fn(T) -> [u8; N],
+    ) -> &mut Self {
+        let at = self.buf.len();
+        self.buf.resize(at + N * vs.len(), 0);
+        for (out, &v) in self.buf[at..].chunks_exact_mut(N).zip(vs) {
+            out.copy_from_slice(&le(v));
         }
         self
     }
@@ -149,22 +166,34 @@ impl<'a> ByteReader<'a> {
 
     /// Read a count-prefixed slice of `u32`s.
     pub fn u32s(&mut self) -> Result<Vec<u32>, CodecError> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(self.buf.len() / 4));
-        for _ in 0..n {
-            out.push(self.u32()?);
-        }
-        Ok(out)
+        let words = self.words::<4>()?;
+        Ok(words
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect())
     }
 
     /// Read a count-prefixed slice of `f64` bit patterns.
     pub fn f64s(&mut self) -> Result<Vec<f64>, CodecError> {
+        let words = self.words::<8>()?;
+        Ok(words
+            .chunks_exact(8)
+            .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().unwrap())))
+            .collect())
+    }
+
+    /// The bytes of a count-prefixed run of `N`-byte words, checked once. A
+    /// run cut short fails with the error a word-by-word read would have
+    /// stopped at: the first word that does not fit.
+    fn words<const N: usize>(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(self.buf.len() / 8));
-        for _ in 0..n {
-            out.push(self.f64()?);
+        match n.checked_mul(N) {
+            Some(len) if len <= self.buf.len() => self.take(len),
+            _ => Err(CodecError::ShortPayload {
+                needed: N,
+                remaining: self.buf.len() % N,
+            }),
         }
-        Ok(out)
     }
 
     /// Assert the payload is fully consumed.
@@ -221,6 +250,81 @@ mod tests {
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
         assert!(r.u32s().is_err());
+    }
+
+    /// The reader's runs word by word, as it decoded them before it read
+    /// them in bulk: the reference for results and errors alike.
+    fn u32s_one_by_one(r: &mut ByteReader) -> Result<Vec<u32>, CodecError> {
+        let n = r.u32()? as usize;
+        (0..n).map(|_| r.u32()).collect()
+    }
+
+    fn f64s_one_by_one(r: &mut ByteReader) -> Result<Vec<f64>, CodecError> {
+        let n = r.u32()? as usize;
+        (0..n).map(|_| r.f64()).collect()
+    }
+
+    /// Every truncation of a run, and every count prefix from 0 past the
+    /// bytes present up to `u32::MAX`: bulk decoding returns what word-by-word
+    /// decoding returned, the same `CodecError` included.
+    #[test]
+    fn bulk_runs_decode_like_word_by_word() {
+        let fs = [1.5, -0.0, f64::NAN, 1e-310, 7.0];
+        let mut w = ByteWriter::new();
+        w.f64s(&fs);
+        let floats = w.finish();
+        let mut w = ByteWriter::new();
+        w.u32s(&[9, 8, 7, 6, 5, u32::MAX]);
+        let ints = w.finish();
+        let bits = |v: Result<Vec<f64>, CodecError>| {
+            v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        for cut in 0..=floats.len() {
+            let bytes = &floats[..cut];
+            assert_eq!(
+                bits(ByteReader::new(bytes).f64s()),
+                bits(f64s_one_by_one(&mut ByteReader::new(bytes))),
+                "f64s cut at {cut}"
+            );
+        }
+        for cut in 0..=ints.len() {
+            let bytes = &ints[..cut];
+            assert_eq!(
+                ByteReader::new(bytes).u32s(),
+                u32s_one_by_one(&mut ByteReader::new(bytes)),
+                "u32s cut at {cut}"
+            );
+        }
+        for n in (0..12).chain([u32::MAX / 8, u32::MAX / 4, u32::MAX]) {
+            let mut forged = floats.clone();
+            forged[..4].copy_from_slice(&n.to_le_bytes());
+            assert_eq!(
+                bits(ByteReader::new(&forged).f64s()),
+                bits(f64s_one_by_one(&mut ByteReader::new(&forged))),
+                "f64s count {n}"
+            );
+            let mut forged = ints.clone();
+            forged[..4].copy_from_slice(&n.to_le_bytes());
+            assert_eq!(
+                ByteReader::new(&forged).u32s(),
+                u32s_one_by_one(&mut ByteReader::new(&forged)),
+                "u32s count {n}"
+            );
+        }
+    }
+
+    /// A reused writer starts empty and keeps its allocation.
+    #[test]
+    fn reused_writer_starts_empty() {
+        let mut w = ByteWriter::new();
+        w.f64s(&[1.0; 64]);
+        let first = w.finish();
+        let cap = first.capacity();
+        let mut w = ByteWriter::reuse(first);
+        w.u32(3);
+        let second = w.finish();
+        assert_eq!(second, 3u32.to_le_bytes());
+        assert_eq!(second.capacity(), cap);
     }
 
     #[test]

@@ -37,63 +37,123 @@ fn read_u32(b: &[u8]) -> u32 {
 
 /// XXH64 of `data` under `seed`.
 pub fn xxhash64(data: &[u8], seed: u64) -> u64 {
-    let len = data.len();
-    let mut h: u64;
-    let mut rest = data;
+    Xxh64::new(seed).update(data).finish()
+}
 
-    if len >= 32 {
-        let mut v1 = seed.wrapping_add(PRIME1).wrapping_add(PRIME2);
-        let mut v2 = seed.wrapping_add(PRIME2);
-        let mut v3 = seed;
-        let mut v4 = seed.wrapping_sub(PRIME1);
-        while rest.len() >= 32 {
-            v1 = round(v1, read_u64(&rest[0..]));
-            v2 = round(v2, read_u64(&rest[8..]));
-            v3 = round(v3, read_u64(&rest[16..]));
-            v4 = round(v4, read_u64(&rest[24..]));
-            rest = &rest[32..];
+/// XXH64 fed in pieces: [`Xxh64::finish`] equals [`xxhash64`] over the
+/// concatenation of every [`Xxh64::update`], wherever the pieces split. The
+/// WAL checksums a record's header fields and payload this way, without
+/// first copying them into one buffer.
+#[derive(Debug, Clone)]
+pub struct Xxh64 {
+    seed: u64,
+    /// The four lane accumulators.
+    acc: [u64; 4],
+    /// Bytes not yet folded into a full 32-byte stripe.
+    pending: [u8; 32],
+    npending: usize,
+    total: u64,
+}
+
+impl Xxh64 {
+    /// A hasher that has seen no bytes.
+    pub fn new(seed: u64) -> Xxh64 {
+        Xxh64 {
+            seed,
+            acc: [
+                seed.wrapping_add(PRIME1).wrapping_add(PRIME2),
+                seed.wrapping_add(PRIME2),
+                seed,
+                seed.wrapping_sub(PRIME1),
+            ],
+            pending: [0; 32],
+            npending: 0,
+            total: 0,
         }
-        h = v1
-            .rotate_left(1)
-            .wrapping_add(v2.rotate_left(7))
-            .wrapping_add(v3.rotate_left(12))
-            .wrapping_add(v4.rotate_left(18));
-        h = merge_round(h, v1);
-        h = merge_round(h, v2);
-        h = merge_round(h, v3);
-        h = merge_round(h, v4);
-    } else {
-        h = seed.wrapping_add(PRIME5);
     }
 
-    h = h.wrapping_add(len as u64);
+    /// Feed the next bytes.
+    pub fn update(&mut self, mut data: &[u8]) -> &mut Self {
+        self.total += data.len() as u64;
+        if self.npending > 0 {
+            let take = (32 - self.npending).min(data.len());
+            self.pending[self.npending..self.npending + take].copy_from_slice(&data[..take]);
+            self.npending += take;
+            data = &data[take..];
+            if self.npending < 32 {
+                return self;
+            }
+            let stripe = self.pending;
+            self.stripes(&stripe);
+            self.npending = 0;
+        }
+        let whole = data.len() - data.len() % 32;
+        self.stripes(&data[..whole]);
+        let rest = &data[whole..];
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.npending = rest.len();
+        self
+    }
 
-    while rest.len() >= 8 {
-        h = (h ^ round(0, read_u64(rest)))
-            .rotate_left(27)
-            .wrapping_mul(PRIME1)
-            .wrapping_add(PRIME4);
-        rest = &rest[8..];
-    }
-    if rest.len() >= 4 {
-        h = (h ^ u64::from(read_u32(rest)).wrapping_mul(PRIME1))
-            .rotate_left(23)
-            .wrapping_mul(PRIME2)
-            .wrapping_add(PRIME3);
-        rest = &rest[4..];
-    }
-    for &byte in rest {
-        h = (h ^ u64::from(byte).wrapping_mul(PRIME5))
-            .rotate_left(11)
-            .wrapping_mul(PRIME1);
+    /// Fold whole 32-byte stripes into the lanes.
+    fn stripes(&mut self, data: &[u8]) {
+        let [mut v1, mut v2, mut v3, mut v4] = self.acc;
+        for s in data.chunks_exact(32) {
+            v1 = round(v1, read_u64(&s[0..]));
+            v2 = round(v2, read_u64(&s[8..]));
+            v3 = round(v3, read_u64(&s[16..]));
+            v4 = round(v4, read_u64(&s[24..]));
+        }
+        self.acc = [v1, v2, v3, v4];
     }
 
-    h ^= h >> 33;
-    h = h.wrapping_mul(PRIME2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(PRIME3);
-    h ^= h >> 32;
-    h
+    /// The hash of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        let mut h = if self.total >= 32 {
+            let [v1, v2, v3, v4] = self.acc;
+            let mut h = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            for v in self.acc {
+                h = merge_round(h, v);
+            }
+            h
+        } else {
+            self.seed.wrapping_add(PRIME5)
+        };
+
+        h = h.wrapping_add(self.total);
+
+        let mut rest = &self.pending[..self.npending];
+        while rest.len() >= 8 {
+            h = (h ^ round(0, read_u64(rest)))
+                .rotate_left(27)
+                .wrapping_mul(PRIME1)
+                .wrapping_add(PRIME4);
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            h = (h ^ u64::from(read_u32(rest)).wrapping_mul(PRIME1))
+                .rotate_left(23)
+                .wrapping_mul(PRIME2)
+                .wrapping_add(PRIME3);
+            rest = &rest[4..];
+        }
+        for &byte in rest {
+            h = (h ^ u64::from(byte).wrapping_mul(PRIME5))
+                .rotate_left(11)
+                .wrapping_mul(PRIME1);
+        }
+
+        h ^= h >> 33;
+        h = h.wrapping_mul(PRIME2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(PRIME3);
+        h ^= h >> 32;
+        h
+    }
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ pub mod wal;
 pub use atomic::{read_sealed, seal, unseal, write_sealed};
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use fault::{FaultKind, StoreFaultPlan, StoreFaultReport};
-pub use hash::xxhash64;
+pub use hash::{xxhash64, Xxh64};
 pub use wal::{Record, ReplaySummary, Wal, WalOptions};
 
 use std::io;

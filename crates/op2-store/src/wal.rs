@@ -24,11 +24,11 @@
 //! guarantees restart lands on a state that really was committed.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{self, IoSlice, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fault::{self, FaultKind, StoreFaultPlan};
-use crate::hash::xxhash64;
+use crate::hash::Xxh64;
 use crate::StoreError;
 
 const MAGIC: [u8; 8] = *b"OP2WAL\0\0";
@@ -144,12 +144,30 @@ fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
-fn frame_checksum(offset: u64, kind: u16, payload: &[u8]) -> u64 {
-    let mut hashed = Vec::with_capacity(6 + payload.len());
-    hashed.extend_from_slice(&kind.to_le_bytes());
-    hashed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    hashed.extend_from_slice(payload);
-    xxhash64(&hashed, offset)
+/// The checksum of a record of `kind` carrying `payload` at byte `offset`
+/// of its segment: [`crate::xxhash64`] of `kind ‖ len ‖ payload` (little
+/// endian, `len` as `u32`) seeded by `offset`, streamed so the payload is
+/// never copied to be hashed.
+pub fn frame_checksum(offset: u64, kind: u16, payload: &[u8]) -> u64 {
+    let mut fields = [0u8; 6];
+    fields[..2].copy_from_slice(&kind.to_le_bytes());
+    fields[2..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    Xxh64::new(offset).update(&fields).update(payload).finish()
+}
+
+/// `write_all` over several buffers with vectored writes: the frame header
+/// and the payload reach the file in one call where the OS allows, and
+/// neither is copied into a joint buffer first.
+fn write_all_vectored(file: &mut File, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match file.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Result of scanning one segment.
@@ -312,30 +330,45 @@ impl Wal {
         if self.opts.segment_bytes > 0 && self.seg_len >= self.opts.segment_bytes {
             self.rotate()?;
         }
-        let offset = self.seg_len;
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&kind.to_le_bytes());
-        frame.extend_from_slice(&0u16.to_le_bytes());
-        frame.extend_from_slice(&frame_checksum(offset, kind, payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let mut header = [0u8; FRAME_HEADER];
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..6].copy_from_slice(&kind.to_le_bytes());
+        header[8..].copy_from_slice(&frame_checksum(self.seg_len, kind, payload).to_le_bytes());
+        let frame_len = FRAME_HEADER + payload.len();
 
-        let written: Vec<u8> = match &self.opts.faults {
+        // An injected fault damages a joint copy of the frame; a clean append
+        // writes the header and the caller's payload as they are.
+        let damaged = match &self.opts.faults {
             Some(plan) => {
-                let decision = plan.decide(frame.len());
-                if decision.kind == FaultKind::Enospc {
-                    return Err(StoreError::NoSpace);
+                let decision = plan.decide(frame_len);
+                match decision.kind {
+                    FaultKind::None => None,
+                    FaultKind::Enospc => return Err(StoreError::NoSpace),
+                    _ => {
+                        let frame = [&header[..], payload].concat();
+                        fault::mangle(decision, FRAME_HEADER, &frame)
+                    }
                 }
-                fault::mangle(decision, FRAME_HEADER, &frame).expect("non-ENOSPC mangle")
             }
-            None => frame,
+            None => None,
         };
-
-        self.file.write_all(&written)?;
+        let written = match &damaged {
+            Some(bytes) => {
+                self.file.write_all(bytes)?;
+                bytes.len()
+            }
+            None => {
+                write_all_vectored(
+                    &mut self.file,
+                    &mut [IoSlice::new(&header), IoSlice::new(payload)],
+                )?;
+                frame_len
+            }
+        };
         if self.opts.fsync {
             self.file.sync_data()?;
         }
-        self.seg_len += written.len() as u64;
+        self.seg_len += written as u64;
         Ok(())
     }
 

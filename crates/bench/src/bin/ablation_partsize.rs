@@ -12,13 +12,14 @@ fn main() {
     println!("{:>10} {:>10} {:>12} {:>12}", "part", "blocks", "omp(ms)", "dataflow(ms)");
     for part in [32usize, 64, 128, 256, 512, 1024, 4096] {
         let spec = airfoil_workload(imax, jmax, part);
+        let res_calc = &spec.program[2];
         let run = |meth| {
             simulate(&build_graph(meth, &spec, FIGURE_ITERS, 32, &m), 32, &m).makespan_ns as f64
                 / 1e6
         };
         println!(
             "{part:>10} {:>10} {:>12.3} {:>12.3}",
-            spec.res.nblocks(),
+            res_calc.nblocks(),
             run(SimMethod::OmpForkJoin),
             run(SimMethod::Dataflow)
         );

@@ -137,13 +137,11 @@ impl LoopDecl {
         v
     }
 
-    /// Do two loops conflict (any write-read, read-write, or write-write
-    /// overlap)? Conflicting loops must be ordered in the async target.
+    /// Must the two loops keep their program order ([`op2_core::deps::conflict`])?
+    /// A pairwise check for tests; the emitters order loops with
+    /// [`op2_core::deps::Deps`].
     pub fn conflicts_with(&self, other: &LoopDecl) -> bool {
-        let overlap = |a: &[&str], b: &[&str]| a.iter().any(|x| b.contains(x));
-        overlap(&self.writes(), &other.reads())
-            || overlap(&self.reads(), &other.writes())
-            || overlap(&self.writes(), &other.writes())
+        op2_core::deps::conflict((&self.reads(), &self.writes()), (&other.reads(), &other.writes()))
     }
 }
 

@@ -2,10 +2,12 @@
 //! tree representing the algorithmic data dependencies" the paper's dataflow
 //! model builds implicitly (its Fig. 14 narrative), made visible.
 //!
-//! Nodes are loop *invocations* (program order); edges are the
-//! read-after-write / write-after-read / write-after-write dependencies
-//! derived from the declared access modes, labelled with the dats that
-//! induce them. Transitively implied edges are pruned for readability.
+//! Nodes are loop *invocations* (program order); edges are exactly the
+//! [`op2_core::deps`] rule's edges — the read-after-write, write-after-write
+//! and write-after-read dependencies the dataflow executor waits on —
+//! labelled with the dats that induce them.
+
+use op2_core::deps::{by_producer, Deps};
 
 use crate::ast::App;
 
@@ -14,60 +16,20 @@ use super::flat_program;
 /// Render the dependency DAG of `app`'s program as a DOT digraph.
 pub fn emit_dot(app: &App) -> String {
     let program = flat_program(app);
-    let n = program.len();
-
-    // Direct dependency edges with their inducing dats.
-    let mut edges: Vec<Vec<(usize, Vec<String>)>> = vec![Vec::new(); n]; // edges[to] = [(from, dats)]
-    for (j, name_j) in program.iter().enumerate() {
-        let lj = app.loop_by_name(name_j).expect("validated");
-        // The *latest* conflicting access per dat wins (older ones are
-        // transitively covered through it or a later reader).
-        let mut blocked: Vec<(usize, Vec<String>)> = Vec::new();
-        for i in (0..j).rev() {
-            let li = app.loop_by_name(&program[i]).expect("validated");
-            let mut dats: Vec<String> = Vec::new();
-            for d in li.writes() {
-                if (lj.reads().contains(&d) || lj.writes().contains(&d))
-                    && !already_covered(&blocked, d)
-                {
-                    dats.push(d.to_owned());
-                }
-            }
-            for d in li.reads() {
-                if lj.writes().contains(&d)
-                    && !li.writes().contains(&d)
-                    && !already_covered(&blocked, d)
-                {
-                    dats.push(d.to_owned());
-                }
-            }
-            dats.sort();
-            dats.dedup();
-            if !dats.is_empty() {
-                blocked.push((i, dats));
-            }
-        }
-        edges[j] = blocked;
-    }
-
     let mut out = String::from("digraph dependencies {\n  rankdir=TB;\n  node [shape=box, fontname=\"Helvetica\"];\n");
     for (i, name) in program.iter().enumerate() {
         out.push_str(&format!("  n{i} [label=\"{i}: {name}\"];\n"));
     }
-    for (j, deps) in edges.iter().enumerate() {
-        for (i, dats) in deps {
-            out.push_str(&format!(
-                "  n{i} -> n{j} [label=\"{}\"];\n",
-                dats.join(", ")
-            ));
+    let mut deps = Deps::default();
+    for (j, name) in program.iter().enumerate() {
+        let decl = app.loop_by_name(name).expect("validated");
+        for e in by_producer(deps.record(&decl.reads(), &decl.writes(), j)) {
+            let dats: Vec<&str> = e.iter().map(|e| e.dat).collect();
+            out.push_str(&format!("  n{} -> n{j} [label=\"{}\"];\n", e[0].producer, dats.join(", ")));
         }
     }
     out.push_str("}\n");
     out
-}
-
-fn already_covered(blocked: &[(usize, Vec<String>)], dat: &str) -> bool {
-    blocked.iter().any(|(_, dats)| dats.iter().any(|d| d == dat))
 }
 
 #[cfg(test)]
@@ -108,6 +70,26 @@ program { produce; consume; finish; }
         .unwrap();
         let dot = emit_dot(&app);
         assert!(!dot.contains("->"), "{dot}");
+    }
+
+    /// Every reader since the last write orders the next writer, not only
+    /// the newest one.
+    #[test]
+    fn every_reader_orders_the_next_writer() {
+        let app = parse(
+            "app a; set s; dat x on s dim 1 type f64; dat a on s dim 1 type f64;\
+             dat b on s dim 1 type f64;\
+             loop produce over s { arg x direct write; }\
+             loop read1 over s { arg x direct read; arg a direct write; }\
+             loop read2 over s { arg x direct read; arg b direct write; }\
+             loop clobber over s { arg x direct write; }\
+             program { produce; read1; read2; clobber; }",
+        )
+        .unwrap();
+        let dot = emit_dot(&app);
+        for edge in ["n0 -> n1", "n0 -> n2", "n1 -> n3", "n2 -> n3"] {
+            assert!(dot.contains(&format!("{edge} [label=\"x\"]")), "{edge} missing:\n{dot}");
+        }
     }
 
     #[test]

@@ -8,24 +8,19 @@
 //! `data[t]`/`data[t-1]` chains), interleaving direct and indirect loops at
 //! runtime with no global barriers and no manual `get()` placement.
 //!
-//! Implementation: the executor keeps a **dependency table** mapping each dat
-//! id to its *last-writer* future and the *readers since that write*. A new
-//! loop depends on:
-//!
-//! * the last writer of every dat it reads (read-after-write),
-//! * the last writer of every dat it writes (write-after-write), and
-//! * all readers-since-write of every dat it writes (write-after-read).
-//!
-//! The loop body is scheduled with `dataflow` semantics
-//! ([`hpx_rt::when_all_shared_unit`] + a continuation) and its completion
-//! future — the one future a loop has, resolving to its reduction or its
-//! typed [`LoopError`] — replaces / extends the table entries. `execute`
-//! never blocks.
+//! Implementation: the executor keeps an [`op2_core::deps`] table whose
+//! producers are the loops' completion futures. Each loop waits on the edges
+//! the table returns — read-after-write, write-after-write and
+//! write-after-read, one future per producer — and the loop body is
+//! scheduled with `dataflow` semantics ([`hpx_rt::when_all_shared_unit`] + a
+//! continuation). Its completion future — the one future a loop has,
+//! resolving to its reduction or its typed [`LoopError`] — is what the table
+//! records for it. `execute` never blocks.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use hpx_rt::{when_all_shared_unit, ChunkSize, Promise};
+use op2_core::deps::{by_producer, Deps};
 use op2_core::ParLoop;
 use parking_lot::Mutex;
 
@@ -35,18 +30,13 @@ use crate::recover::{run_transaction, FailureKind, FenceReport, LoopError};
 use crate::runtime::Op2Runtime;
 use crate::{tracehooks, Executor};
 
-/// Readers-since-write lists longer than this are merged into one future.
+/// A dat's readers since its last write are merged into one future past
+/// this many.
 const READER_COMPACT_THRESHOLD: usize = 64;
 
 /// A dependency source: the producing loop's completion future plus its
 /// trace loop-instance id (0 for compacted reader bundles).
 type Dep = (LoopFuture, u64);
-
-#[derive(Default)]
-struct DatDeps {
-    last_writer: Option<Dep>,
-    readers_since_write: Vec<Dep>,
-}
 
 /// The first (in dependency order) failure among completed `deps`.
 fn first_failure(deps: &[LoopFuture]) -> Option<LoopError> {
@@ -57,7 +47,7 @@ fn first_failure(deps: &[LoopFuture]) -> Option<LoopError> {
 /// access modes (the paper's modified OP2 API).
 pub struct DataflowExecutor {
     rt: Arc<Op2Runtime>,
-    table: Mutex<HashMap<u64, DatDeps>>,
+    table: Mutex<Deps<u64, Dep>>,
     /// Every loop not yet known to have succeeded — failed nodes *and* the
     /// descendants they poisoned stay here, even once the table has moved on
     /// to later writers, until [`Executor::try_fence`] reports them.
@@ -70,14 +60,14 @@ impl DataflowExecutor {
     pub fn new(rt: Arc<Op2Runtime>) -> Self {
         DataflowExecutor {
             rt,
-            table: Mutex::new(HashMap::new()),
+            table: Mutex::new(Deps::default()),
             outstanding: Outstanding::default(),
         }
     }
 
     /// Number of dats currently tracked in the dependency table.
     pub fn tracked_dats(&self) -> usize {
-        self.table.lock().len()
+        self.table.lock().dats()
     }
 }
 
@@ -93,36 +83,38 @@ impl Executor for DataflowExecutor {
         let reads = loop_.dat_reads();
         let writes = loop_.dat_writes();
 
-        // Gather dependency futures. Loops are issued in program order from
-        // one thread; the table lock makes the read-modify-write atomic.
+        // Gather dependency futures and record the loop. Loops are issued in
+        // program order from one thread; the table lock makes the
+        // read-modify-write atomic.
+        let (promise, done) = Promise::with_pool(&pool);
+        let done = done.share();
         let mut table = self.table.lock();
         let instance = tracehooks::next_instance();
-        let mut deps: Vec<LoopFuture> = Vec::new();
-        let mut push_dep = |(fut, from): &Dep| {
-            deps.push(fut.clone());
-            tracehooks::edge(*from, instance);
-        };
+        let edges = table.record(&reads, &writes, (done.clone(), instance));
+        let deps: Vec<LoopFuture> = by_producer(edges)
+            .map(|e| {
+                let (fut, from) = &e[0].producer;
+                tracehooks::edge(*from, instance);
+                fut.clone()
+            })
+            .collect();
+        // A dat that is read every iteration but (almost) never written —
+        // e.g. mesh coordinates — would accumulate one reader per loop
+        // forever. Compact its readers into a single future once they pile
+        // up: the first failure among them, else an empty success.
         for id in &reads {
-            if let Some(d) = table.get(id) {
-                if let Some(w) = &d.last_writer {
-                    push_dep(w); // read-after-write
-                }
-            }
-        }
-        for id in &writes {
-            if let Some(d) = table.get(id) {
-                if let Some(w) = &d.last_writer {
-                    push_dep(w); // write-after-write
-                }
-                for r in &d.readers_since_write {
-                    push_dep(r); // write-after-read
-                }
-            }
+            table.merge_readers(id, READER_COMPACT_THRESHOLD, |readers| {
+                let readers: Vec<LoopFuture> = readers.into_iter().map(|(f, _)| f).collect();
+                let merged = when_all_shared_unit(&pool, &readers)
+                    .then(&pool, move |()| first_failure(&readers).map_or(Ok(Vec::new()), Err))
+                    .share();
+                (merged, 0)
+            });
         }
 
         // Register with the dataflow-ordering checker inside the same
-        // critical section that builds the dependency edges, so the mirror
-        // table sees loops in exactly the executor's program order.
+        // critical section that builds the dependency edges, so the checker's
+        // own table sees loops in exactly the executor's program order.
         #[cfg(feature = "det")]
         let df_token = op2_core::det::dataflow_register(loop_.name(), &reads, &writes);
 
@@ -132,7 +124,6 @@ impl Executor for DataflowExecutor {
         // untouched, and its own future resolves to `Poisoned`, poisoning
         // exactly the RAW/WAW/WAR descendants while independent loops
         // proceed.
-        let (promise, done) = Promise::with_pool(&pool);
         let body_loop = loop_.clone();
         let body_pool = Arc::clone(&pool);
         let spawn_pool = Arc::clone(&pool);
@@ -184,32 +175,6 @@ impl Executor for DataflowExecutor {
                 promise.set_value(result);
             }));
         });
-        let done = done.share();
-
-        for id in &writes {
-            let entry = table.entry(*id).or_default();
-            entry.last_writer = Some((done.clone(), instance));
-            entry.readers_since_write.clear();
-        }
-        for id in &reads {
-            if !writes.contains(id) {
-                let entry = table.entry(*id).or_default();
-                entry.readers_since_write.push((done.clone(), instance));
-                // A dat that is read every iteration but (almost) never
-                // written — e.g. mesh coordinates — would accumulate one
-                // reader per loop forever. Compact the list by merging it
-                // into a single future once it grows: the first failure
-                // among the readers, else an empty success.
-                if entry.readers_since_write.len() > READER_COMPACT_THRESHOLD {
-                    let readers: Vec<LoopFuture> =
-                        entry.readers_since_write.drain(..).map(|(f, _)| f).collect();
-                    let merged = when_all_shared_unit(&pool, &readers)
-                        .then(&pool, move |()| first_failure(&readers).map_or(Ok(Vec::new()), Err))
-                        .share();
-                    entry.readers_since_write.push((merged, 0));
-                }
-            }
-        }
         drop(table);
 
         self.outstanding.push(done.clone());

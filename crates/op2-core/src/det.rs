@@ -18,9 +18,10 @@
 //! 2. **Plan coloring** — [`check_plan`] re-validates
 //!    [`crate::Plan::validate`]'s coloring invariant at execution time.
 //! 3. **Dataflow ordering** — [`dataflow_register`] /
-//!    [`dataflow_begin`] / [`dataflow_complete`] mirror the dataflow
-//!    executor's dependency table and verify that no loop body starts before
-//!    every loop it depends on (RAW, WAW, WAR) has completed.
+//!    [`dataflow_begin`] / [`dataflow_complete`] keep their own
+//!    [`crate::deps`] table of runtime tokens, fed in the executor's program
+//!    order, and verify that no loop body starts before every loop it depends
+//!    on (RAW, WAW, WAR) has completed.
 //!
 //! Violations are *collected*, not thrown: [`disable`] returns the list of
 //! [`RaceReport`]s so a test can assert emptiness (or, for deliberately
@@ -37,6 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::access::Access;
 use crate::arg::ArgSpec;
+use crate::deps::{by_producer, Deps};
 use crate::plan::Plan;
 
 /// Which invariant a [`RaceReport`] describes.
@@ -81,10 +83,9 @@ struct Detector {
     accesses: u64,
     reports: Vec<RaceReport>,
 
-    // Dataflow-ordering mirror of the executor's dependency table.
+    // Dataflow ordering: the dependency rule over runtime tokens.
     df_next_token: u64,
-    df_last_writer: HashMap<u64, u64>,
-    df_readers: HashMap<u64, Vec<u64>>,
+    df_deps: Deps<u64, u64>,
     /// token -> (loop name, tokens that must complete before it begins).
     df_pending: HashMap<u64, (String, Vec<u64>)>,
     df_completed: HashSet<u64>,
@@ -263,9 +264,10 @@ pub fn check_plan(plan: &Plan, args: &[ArgSpec], loop_name: &str) {
     });
 }
 
-/// Register a loop with the dataflow-ordering checker, mirroring the
-/// executor's dependency table. Must be called in **program order** (the
-/// dataflow executor calls it inside its table-lock critical section).
+/// Register a loop with the dataflow-ordering checker, which derives its
+/// dependencies by the executor's rule ([`crate::deps`]). Must be called in
+/// **program order** (the dataflow executor calls it inside its table-lock
+/// critical section).
 /// Returns a token to pass to [`dataflow_begin`] / [`dataflow_complete`].
 pub fn dataflow_register(loop_name: &str, reads: &[u64], writes: &[u64]) -> u64 {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
@@ -276,32 +278,8 @@ pub fn dataflow_register(loop_name: &str, reads: &[u64], writes: &[u64]) -> u64 
         let Some(det) = d.as_mut() else { return 0 };
         det.df_next_token += 1;
         let token = det.df_next_token;
-        let mut need: Vec<u64> = Vec::new();
-        // RAW: a read must wait for the last writer.
-        for r in reads {
-            if let Some(&w) = det.df_last_writer.get(r) {
-                need.push(w);
-            }
-        }
-        // WAW + WAR: a write must wait for the last writer and every reader
-        // since that write.
-        for w in writes {
-            if let Some(&lw) = det.df_last_writer.get(w) {
-                need.push(lw);
-            }
-            if let Some(rs) = det.df_readers.get(w) {
-                need.extend_from_slice(rs);
-            }
-        }
-        need.sort_unstable();
-        need.dedup();
-        for r in reads {
-            det.df_readers.entry(*r).or_default().push(token);
-        }
-        for w in writes {
-            det.df_last_writer.insert(*w, token);
-            det.df_readers.insert(*w, Vec::new());
-        }
+        let edges = det.df_deps.record(reads, writes, token);
+        let need: Vec<u64> = by_producer(edges).map(|e| e[0].producer).collect();
         det.df_pending
             .insert(token, (loop_name.to_owned(), need));
         token

@@ -20,7 +20,10 @@
 //! * a **serial reference executor** ([`serial`]) defining the semantics every
 //!   parallel backend (crate `op2-hpx`) must reproduce bit-for-bit,
 //! * deterministic **global reductions** ([`reduction`]) with block-ordered
-//!   combining.
+//!   combining,
+//! * the **dependency rule** ([`deps`]) that orders loops by their declared
+//!   access modes, which every executor, checker and model of the loop DAG
+//!   derives its order from.
 //!
 //! Direct loops (no mapping, e.g. Airfoil's `save_soln`/`update`) parallelize
 //! trivially; indirect loops (data accessed through a map, e.g. `res_calc`
@@ -32,6 +35,7 @@
 pub mod access;
 pub mod arg;
 pub mod dat;
+pub mod deps;
 #[cfg(feature = "det")]
 pub mod det;
 pub mod ids;

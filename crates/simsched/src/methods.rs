@@ -1,17 +1,21 @@
 //! Task-graph builders for the four execution strategies.
 //!
-//! All builders emit the *same work* (the block costs of the real plans);
-//! they differ only in what the paper varies:
+//! All builders emit the *same work* (the block costs of the real plans) and
+//! take loop order from the loops' declared dat reads and writes through
+//! [`op2_core::deps`], so they model any `ParLoop` sequence. They differ only
+//! in what the paper varies:
 //!
 //! | method | chunking | placement | per-color sync | inter-loop sync |
 //! |---|---|---|---|---|
 //! | `OmpForkJoin` | one chunk per thread (Fig. 5 static schedule) | pinned | fork + barrier | blocking driver |
 //! | `ForEachAuto` | auto-partitioner (1% serial probe, then fine chunks) | stealing | latch | blocking driver |
 //! | `ForEachStatic` | user static chunk ≈ one per thread (Fig. 7) | stealing | latch | blocking driver |
-//! | `AsyncFutures` | per-thread chunks (Fig. 8 computes start/finish from the thread count) | stealing | latch | futures + driver `get()` per data dependency (Fig. 10) |
+//! | `AsyncFutures` | per-thread chunks (Fig. 8 computes start/finish from the thread count) | stealing | latch | futures + driver `get()` per producer, at its first consumer (Fig. 10) |
 //! | `Dataflow` | per-block tasks (Fig. 13 iterates `blockIdx`) | stealing | continuation | automatic DAG, no driver waits |
 
 use serde::{Deserialize, Serialize};
+
+use op2_core::deps::{by_producer, Deps};
 
 use crate::graph::{TaskGraph, TaskId, TaskKind};
 use crate::machine::MachineParams;
@@ -177,7 +181,14 @@ fn emit_loop(
     last
 }
 
-/// Build the task graph of `niter` Airfoil iterations under `method`.
+/// Build the task graph of `niter` iterations of `spec` under `method`.
+///
+/// Loop order comes from the loops' declared reads and writes through
+/// [`op2_core::deps`]. Blocking methods chain the program. Dataflow gives
+/// each loop the rule's edges. Async routes each edge through a driver `get`
+/// of the producer, made the first time a later loop needs it (newest
+/// producer first, the order of Fig. 10's hand placement), and ends with a
+/// fence that gets every loop no later loop needed.
 pub fn build_graph(
     method: SimMethod,
     spec: &IterationSpec,
@@ -186,72 +197,37 @@ pub fn build_graph(
     m: &MachineParams,
 ) -> TaskGraph {
     let mut g = TaskGraph::new();
-    match method {
-        SimMethod::OmpForkJoin | SimMethod::ForEachAuto | SimMethod::ForEachStatic => {
-            // Blocking driver: strict program order.
-            let mut prev: Vec<TaskId> = Vec::new();
-            for _ in 0..niter {
-                let order = [
-                    &spec.save, &spec.adt, &spec.res, &spec.bres, &spec.update, &spec.adt,
-                    &spec.res, &spec.bres, &spec.update,
-                ];
-                for l in order {
-                    let done = emit_loop(&mut g, l, &prev, threads, m, method);
-                    prev = vec![done];
-                }
+    let mut deps = Deps::default();
+    // Per program position: its completion node and (async) its driver get.
+    let mut done: Vec<TaskId> = Vec::new();
+    let mut got: Vec<Option<TaskId>> = Vec::new();
+    let get = |g: &mut TaskGraph, dep: TaskId| g.add_kind(m.get_latency_ns, TaskKind::Driver, None, &[dep]);
+    for (i, l) in (0..niter).flat_map(|_| &spec.program).enumerate() {
+        let before: Vec<TaskId> = match method {
+            SimMethod::OmpForkJoin | SimMethod::ForEachAuto | SimMethod::ForEachStatic => {
+                done.last().copied().into_iter().collect()
             }
-        }
-        SimMethod::AsyncFutures | SimMethod::Dataflow => {
-            // Data-dependency edges (identical for both — Fig. 10's manual
-            // placement encodes exactly the dat dependencies the dataflow
-            // table derives). Async additionally pays a driver get() at each
-            // wait point.
-            let get = if method == SimMethod::AsyncFutures {
-                m.get_latency_ns
-            } else {
-                0
-            };
-            let wait = |g: &mut TaskGraph, dep: TaskId| -> TaskId {
-                if get > 0 {
-                    g.add_kind(get, TaskKind::Driver, None, &[dep])
+            SimMethod::AsyncFutures | SimMethod::Dataflow => {
+                let edges = deps.record(&l.reads, &l.writes, i);
+                let producers: Vec<usize> = by_producer(edges).map(|e| e[0].producer).collect();
+                if method == SimMethod::Dataflow {
+                    producers.iter().map(|&p| done[p]).collect()
                 } else {
-                    dep
-                }
-            };
-            let mut prev_update: Option<TaskId> = None;
-            for _ in 0..niter {
-                let start: Vec<TaskId> = prev_update.iter().copied().collect();
-                // save_soln overlaps the first stage (Fig. 10).
-                let save = emit_loop(&mut g, &spec.save, &start, threads, m, method);
-                let mut upd = None;
-                for stage in 0..2 {
-                    let adt_dep: Vec<TaskId> = match (stage, upd, prev_update) {
-                        (0, _, Some(p)) => vec![p],
-                        (0, _, None) => vec![],
-                        (1, Some(u), _) => vec![u],
-                        _ => vec![],
-                    };
-                    let adt = emit_loop(&mut g, &spec.adt, &adt_dep, threads, m, method);
-                    let adt_w = wait(&mut g, adt);
-                    let res = emit_loop(&mut g, &spec.res, &[adt_w], threads, m, method);
-                    let res_w = wait(&mut g, res);
-                    let bres = emit_loop(&mut g, &spec.bres, &[res_w], threads, m, method);
-                    let bres_w = wait(&mut g, bres);
-                    let mut update_deps = vec![bres_w];
-                    if stage == 0 {
-                        update_deps.push(wait(&mut g, save));
+                    for &p in producers.iter().rev() {
+                        if got[p].is_none() {
+                            got[p] = Some(get(&mut g, done[p]));
+                        }
                     }
-                    let u = emit_loop(&mut g, &spec.update, &update_deps, threads, m, method);
-                    // Async: the driver gets the update future before the
-                    // next stage issues adt (q dependency); dataflow defers.
-                    upd = Some(if method == SimMethod::AsyncFutures {
-                        wait(&mut g, u)
-                    } else {
-                        u
-                    });
+                    producers.iter().filter_map(|&p| got[p]).collect()
                 }
-                prev_update = upd;
             }
+        };
+        done.push(emit_loop(&mut g, l, &before, threads, m, method));
+        got.push(None);
+    }
+    if method == SimMethod::AsyncFutures {
+        for p in (0..done.len()).filter(|&p| got[p].is_none()) {
+            get(&mut g, done[p]);
         }
     }
     g
@@ -261,7 +237,141 @@ pub fn build_graph(
 mod tests {
     use super::*;
     use crate::sim::simulate;
-    use crate::workload::airfoil_workload;
+    use crate::workload::{airfoil_workload, LoopSpec};
+
+    /// Airfoil's graph as it was placed by hand before [`build_graph`]
+    /// derived it: Fig. 10's `get()`s, and the same edges for dataflow.
+    fn hand_graph(
+        method: SimMethod,
+        spec: &IterationSpec,
+        niter: usize,
+        threads: usize,
+        m: &MachineParams,
+    ) -> TaskGraph {
+        let [save, adt, res, bres, update] = &spec.program[..5] else { unreachable!() };
+        let mut g = TaskGraph::new();
+        match method {
+            SimMethod::OmpForkJoin | SimMethod::ForEachAuto | SimMethod::ForEachStatic => {
+                let mut prev: Vec<TaskId> = Vec::new();
+                for _ in 0..niter {
+                    for l in [save, adt, res, bres, update, adt, res, bres, update] {
+                        prev = vec![emit_loop(&mut g, l, &prev, threads, m, method)];
+                    }
+                }
+            }
+            SimMethod::AsyncFutures | SimMethod::Dataflow => {
+                let get = if method == SimMethod::AsyncFutures { m.get_latency_ns } else { 0 };
+                let wait = |g: &mut TaskGraph, dep: TaskId| -> TaskId {
+                    if get > 0 {
+                        g.add_kind(get, TaskKind::Driver, None, &[dep])
+                    } else {
+                        dep
+                    }
+                };
+                let mut prev_update: Option<TaskId> = None;
+                for _ in 0..niter {
+                    let start: Vec<TaskId> = prev_update.iter().copied().collect();
+                    let save = emit_loop(&mut g, save, &start, threads, m, method);
+                    let mut upd = None;
+                    for stage in 0..2 {
+                        let adt_dep: Vec<TaskId> = match (stage, upd, prev_update) {
+                            (0, _, Some(p)) => vec![p],
+                            (1, Some(u), _) => vec![u],
+                            _ => vec![],
+                        };
+                        let adt = emit_loop(&mut g, adt, &adt_dep, threads, m, method);
+                        let adt_w = wait(&mut g, adt);
+                        let res = emit_loop(&mut g, res, &[adt_w], threads, m, method);
+                        let res_w = wait(&mut g, res);
+                        let bres = emit_loop(&mut g, bres, &[res_w], threads, m, method);
+                        let mut update_deps = vec![wait(&mut g, bres)];
+                        if stage == 0 {
+                            update_deps.push(wait(&mut g, save));
+                        }
+                        let u = emit_loop(&mut g, update, &update_deps, threads, m, method);
+                        upd = Some(if method == SimMethod::AsyncFutures { wait(&mut g, u) } else { u });
+                    }
+                    prev_update = upd;
+                }
+            }
+        }
+        g
+    }
+
+    /// `reach[t]`: the tasks reachable from task `t`, as a bitset.
+    fn reachability(g: &TaskGraph) -> Vec<Vec<u64>> {
+        let words = g.len().div_ceil(64);
+        let mut reach = vec![vec![0u64; words]; g.len()];
+        for t in (0..g.len()).rev() {
+            for &s in g.successors_of(t) {
+                let below = std::mem::take(&mut reach[s]);
+                for (w, b) in reach[t].iter_mut().zip(&below) {
+                    *w |= b;
+                }
+                reach[t][s / 64] |= 1 << (s % 64);
+                reach[s] = below;
+            }
+        }
+        reach
+    }
+
+    /// The derived graph is the hand-placed one: the same tasks, in the same
+    /// order, the same reachability, and the same simulation.
+    #[test]
+    fn derived_graph_equals_hand_placement() {
+        let s = airfoil_workload(24, 12, 32);
+        let m = MachineParams::default();
+        for method in SimMethod::all() {
+            for t in [1, 2, 32] {
+                let (derived, hand) = (build_graph(method, &s, 2, t, &m), hand_graph(method, &s, 2, t, &m));
+                let label = format!("{} at {t}", method.label());
+                assert_eq!(derived.len(), hand.len(), "{label}");
+                for id in 0..hand.len() {
+                    let (d, h) = (derived.task(id), hand.task(id));
+                    assert_eq!((d.duration_ns, d.pinned, d.kind), (h.duration_ns, h.pinned, h.kind), "{label}: task {id}");
+                }
+                assert!(reachability(&derived) == reachability(&hand), "{label}: reachability");
+                let (d, h) = (simulate(&derived, t, &m), simulate(&hand, t, &m));
+                assert_eq!((d.makespan_ns, d.busy_ns), (h.makespan_ns, h.busy_ns), "{label}");
+            }
+        }
+    }
+
+    /// Any app's loops give its graph: shallow water's, with no code of its
+    /// own. `swe_flux` only reads what `swe_dt` reads, so it does not wait
+    /// on it; `swe_update` overwrites `w`, which `swe_dt` read.
+    #[test]
+    fn shallow_water_graph_from_its_loops() {
+        let app = op2_swe::SweApp::new(op2_swe::SweConfig { imax: 16, jmax: 8, ..Default::default() });
+        let costs = [(&app.save, 25), (&app.dt_calc, 40), (&app.flux, 120), (&app.bflux, 90), (&app.update, 50)];
+        let spec = IterationSpec {
+            program: costs.iter().map(|&(l, ns)| LoopSpec::of(l, 16, ns)).collect(),
+            ncells: app.mesh.ncells(),
+        };
+        let m = MachineParams::default();
+        let g = build_graph(SimMethod::Dataflow, &spec, 1, 4, &m);
+        // Dataflow adds no task between loops: each loop's completion task
+        // is the last of the tasks it emits on its own.
+        let ends: Vec<TaskId> = spec
+            .program
+            .iter()
+            .scan(0, |next, l| {
+                *next += emit_loop(&mut TaskGraph::new(), l, &[], 4, &m, SimMethod::Dataflow) + 1;
+                Some(*next - 1)
+            })
+            .collect();
+        assert_eq!(ends.last(), Some(&(g.len() - 1)));
+        let reach = reachability(&g);
+        let follows = |a: usize, b: usize| reach[a][b / 64] >> (b % 64) & 1 == 1;
+        let [save, dt, flux, _bflux, update] = ends[..] else { unreachable!() };
+        assert!(!follows(dt, flux), "swe_flux must not wait on swe_dt");
+        assert!(follows(dt, update), "swe_update overwrites w, which swe_dt read");
+        assert!(follows(save, update));
+        for method in SimMethod::all() {
+            let g = build_graph(method, &spec, 2, 4, &m);
+            assert!(simulate(&g, 4, &m).makespan_ns > 0, "{}", method.label());
+        }
+    }
 
     fn spec() -> IterationSpec {
         airfoil_workload(80, 40, 64)

@@ -1,10 +1,12 @@
-//! Airfoil workload extraction: per-block task costs from the real mesh,
-//! plans, and coloring.
+//! Workload extraction: per-block task costs from the real mesh, plans, and
+//! coloring — Airfoil's in [`airfoil_workload`], any app's through
+//! [`LoopSpec::of`].
 //!
 //! The simulator's *structure* is not synthetic: block counts, block sizes,
 //! and the color partition come from [`op2_core::Plan`] built against the
-//! actual generated mesh — the same plans the real backends execute. Only
-//! the per-element kernel costs are model constants (calibrated relative
+//! actual generated mesh — the same plans the real backends execute — and
+//! loop order from the loops' declared dat reads and writes. Only the
+//! per-element kernel costs are model constants (calibrated relative
 //! weights of the five kernels).
 
 use op2_airfoil::{AirfoilLoops, FlowConstants, MeshBuilder};
@@ -25,35 +27,36 @@ pub mod kernel_cost {
     pub const UPDATE_NS: u64 = 55;
 }
 
-/// One loop's schedulable structure: block costs grouped by plan color.
+/// One loop's schedulable structure: block costs grouped by plan color, and
+/// the dats whose versions order it against other loops.
 #[derive(Debug, Clone)]
 pub struct LoopSpec {
     /// Loop name (diagnostics).
-    pub name: &'static str,
+    pub name: String,
     /// `colors[c]` lists the cost (ns) of every block of color `c`.
     pub colors: Vec<Vec<u64>>,
     /// Total nominal work, ns.
     pub total_ns: u64,
+    /// Ids of the dats the loop reads ([`ParLoop::dat_reads`]).
+    pub reads: Vec<u64>,
+    /// Ids of the dats the loop writes ([`ParLoop::dat_writes`]).
+    pub writes: Vec<u64>,
 }
 
 impl LoopSpec {
-    fn from_plan(name: &'static str, loop_: &ParLoop, part: usize, per_elem_ns: u64) -> LoopSpec {
+    /// `loop_` under plans of mini-partition size `part`, every element
+    /// costing `per_elem_ns`.
+    pub fn of(loop_: &ParLoop, part: usize, per_elem_ns: u64) -> LoopSpec {
         let plan = Plan::build(loop_.set(), loop_.args(), part);
-        let colors: Vec<Vec<u64>> = plan
-            .color_blocks
-            .iter()
-            .map(|blocks| {
-                blocks
-                    .iter()
-                    .map(|&b| plan.blocks[b as usize].len() as u64 * per_elem_ns)
-                    .collect()
-            })
-            .collect();
+        let cost = |b: &u32| plan.blocks[*b as usize].len() as u64 * per_elem_ns;
+        let colors: Vec<Vec<u64>> = plan.color_blocks.iter().map(|c| c.iter().map(cost).collect()).collect();
         let total_ns = colors.iter().flatten().sum();
         LoopSpec {
-            name,
+            name: loop_.name().to_owned(),
             colors,
             total_ns,
+            reads: loop_.dat_reads(),
+            writes: loop_.dat_writes(),
         }
     }
 
@@ -63,47 +66,38 @@ impl LoopSpec {
     }
 }
 
-/// The five-loop Airfoil iteration, ready for graph building.
+/// One iteration of an application, ready for graph building.
 #[derive(Debug, Clone)]
 pub struct IterationSpec {
-    /// `save_soln`.
-    pub save: LoopSpec,
-    /// `adt_calc`.
-    pub adt: LoopSpec,
-    /// `res_calc`.
-    pub res: LoopSpec,
-    /// `bres_calc`.
-    pub bres: LoopSpec,
-    /// `update`.
-    pub update: LoopSpec,
+    /// The iteration's loop invocations, in program order.
+    pub program: Vec<LoopSpec>,
     /// Cell count of the underlying mesh.
     pub ncells: usize,
 }
 
 impl IterationSpec {
-    /// Total nominal work of one iteration (save + 2 × the four stage
-    /// loops), ns.
+    /// Total nominal work of one iteration, ns.
     pub fn iteration_work_ns(&self) -> u64 {
-        self.save.total_ns
-            + 2 * (self.adt.total_ns + self.res.total_ns + self.bres.total_ns
-                + self.update.total_ns)
+        self.program.iter().map(|l| l.total_ns).sum()
     }
 }
 
 /// Build the Airfoil workload for an `imax × jmax` channel mesh with
-/// mini-partition size `part`.
+/// mini-partition size `part`: `save_soln`, then two stages of `adt_calc`,
+/// `res_calc`, `bres_calc`, `update`.
 pub fn airfoil_workload(imax: usize, jmax: usize, part: usize) -> IterationSpec {
     let consts = FlowConstants::default();
     let mesh = MeshBuilder::channel(imax, jmax).build(&consts);
     let loops = AirfoilLoops::new(&mesh, &consts);
-    IterationSpec {
-        save: LoopSpec::from_plan("save_soln", &loops.save_soln, part, kernel_cost::SAVE_NS),
-        adt: LoopSpec::from_plan("adt_calc", &loops.adt_calc, part, kernel_cost::ADT_NS),
-        res: LoopSpec::from_plan("res_calc", &loops.res_calc, part, kernel_cost::RES_NS),
-        bres: LoopSpec::from_plan("bres_calc", &loops.bres_calc, part, kernel_cost::BRES_NS),
-        update: LoopSpec::from_plan("update", &loops.update, part, kernel_cost::UPDATE_NS),
-        ncells: mesh.ncells(),
-    }
+    let save = LoopSpec::of(&loops.save_soln, part, kernel_cost::SAVE_NS);
+    let stage = [
+        LoopSpec::of(&loops.adt_calc, part, kernel_cost::ADT_NS),
+        LoopSpec::of(&loops.res_calc, part, kernel_cost::RES_NS),
+        LoopSpec::of(&loops.bres_calc, part, kernel_cost::BRES_NS),
+        LoopSpec::of(&loops.update, part, kernel_cost::UPDATE_NS),
+    ];
+    let program = std::iter::once(save).chain(stage.clone()).chain(stage).collect();
+    IterationSpec { program, ncells: mesh.ncells() }
 }
 
 #[cfg(test)]
@@ -114,14 +108,18 @@ mod tests {
     fn workload_structure_matches_mesh() {
         let spec = airfoil_workload(40, 20, 64);
         assert_eq!(spec.ncells, 800);
+        let names: Vec<&str> = spec.program.iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(names[..5], ["save_soln", "adt_calc", "res_calc", "bres_calc", "update"]);
+        assert_eq!(names[1..5], names[5..]);
+        let [save, adt, res, _, update] = &spec.program[..5] else { unreachable!() };
         // Direct loops: one color.
-        assert_eq!(spec.save.colors.len(), 1);
-        assert_eq!(spec.update.colors.len(), 1);
-        assert_eq!(spec.adt.colors.len(), 1, "adt only reads indirectly");
+        assert_eq!(save.colors.len(), 1);
+        assert_eq!(update.colors.len(), 1);
+        assert_eq!(adt.colors.len(), 1, "adt only reads indirectly");
         // res_calc needs multiple colors (shared cells between edge blocks).
-        assert!(spec.res.colors.len() > 1);
+        assert!(res.colors.len() > 1);
         // Work is positive and res dominates (most elements × highest cost).
-        assert!(spec.res.total_ns > spec.save.total_ns);
+        assert!(res.total_ns > save.total_ns);
         assert!(spec.iteration_work_ns() > 0);
     }
 
@@ -129,10 +127,10 @@ mod tests {
     fn block_costs_sum_to_set_size_times_cost() {
         let spec = airfoil_workload(32, 16, 50);
         assert_eq!(
-            spec.save.total_ns,
+            spec.program[0].total_ns,
             (32 * 16) as u64 * kernel_cost::SAVE_NS
         );
         let nedges = (31 * 16 + 32 * 15) as u64;
-        assert_eq!(spec.res.total_ns, nedges * kernel_cost::RES_NS);
+        assert_eq!(spec.program[2].total_ns, nedges * kernel_cost::RES_NS);
     }
 }

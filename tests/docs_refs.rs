@@ -10,11 +10,12 @@
 //! under each `### crates/<dir>` heading, every backticked `<name>.rs` has to
 //! be a file of `crates/<dir>/src/`.
 //!
-//! And three rules about the sources themselves, checked the same way: op2-hpx
+//! And four rules about the sources themselves, checked the same way: op2-hpx
 //! snapshots a write-set in exactly one place, and it consults the tuner in
 //! exactly one place — the code that waits on every loop builds no executor
-//! to do it; and the apps' kernels never touch a map or branch on the data
-//! layout, and the apps hold no `unsafe` and no raw view.
+//! to do it; the apps' kernels never touch a map or branch on the data
+//! layout, and the apps hold no `unsafe` and no raw view; and loop order is
+//! derived by one dependency rule, `op2_core::deps`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -330,4 +331,55 @@ fn the_distributed_layer_declares_no_loops() {
         }
     }
     assert!(found.is_empty(), "loops declared in op2-dist: {found:#?}");
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{dir:?}: {e}")) {
+        let path = entry.expect("source entry").path();
+        if path.is_dir() {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// One dependency rule. What orders two loops — a dat's last writer and the
+/// readers since that write — is kept by `op2_core::deps` alone: the dataflow
+/// executor, the race detector, the translator and the machine model call it
+/// and keep no table of their own. So no non-test line elsewhere names that
+/// bookkeeping, nor the pairwise `conflicts_with` — save the one line that
+/// defines codegen's `LoopDecl::conflicts_with`, which hands the rule to the
+/// translator tests' pairwise oracle.
+#[test]
+fn loop_order_has_one_dependency_rule() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["src", "examples", "benchmark/src"] {
+        rs_files(&root.join(dir), &mut files);
+    }
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let src = entry.expect("crates/ entry").path().join("src");
+        if src.is_dir() {
+            rs_files(&src, &mut files);
+        }
+    }
+    let home = root.join("crates/op2-core/src/deps.rs");
+    let oracle = root.join("crates/codegen/src/ast.rs");
+    let words = ["last_writer", "readers_since_write", "df_last_writer", "df_readers", "conflicts_with"];
+    let mut found = Vec::new();
+    for file in files.iter().filter(|f| **f != home) {
+        for (n, line) in code(file) {
+            if *file == oracle && line.starts_with("pub fn conflicts_with(") {
+                continue;
+            }
+            if words.iter().any(|w| names(&line, w)) {
+                found.push(format!("{}:{n}: {line}", file.strip_prefix(root).unwrap_or(file).display()));
+            }
+        }
+    }
+    assert!(files.len() > 100, "scanned only {} files", files.len());
+    assert!(found.is_empty(), "dependency bookkeeping outside op2_core::deps: {found:#?}");
+    assert!(files.contains(&home), "the rule's home is gone");
 }

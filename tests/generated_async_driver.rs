@@ -1,15 +1,36 @@
 //! Runtime validation of the *async-target* translator output: the derived
 //! `.wait()` placement must be sufficient for correctness on the real
 //! `AsyncExecutor` — the generated program's results must match the
-//! blocking fork-join execution bitwise.
+//! blocking fork-join execution bitwise. And the checked-in translator
+//! outputs — the async and dataflow drivers and the dependency graph — must
+//! be what the translator prints today.
 
 use std::sync::Arc;
 
 use op2_airfoil::{kernels, FlowConstants, MeshBuilder, Simulation, SyncStrategy};
+use op2_codegen::{emit_dot, parse, translate, Target};
 use op2_hpx::{make_executor, BackendKind, Op2Runtime};
 
 #[path = "../examples/generated/airfoil_async.rs"]
 mod generated;
+
+const AIRFOIL_OP2RS: &str = include_str!("../crates/codegen/tests/data/airfoil.op2rs");
+
+/// `examples/generated/airfoil_{async,dataflow}.rs` and
+/// `results/airfoil_deps.dot` equal a fresh translator run byte for byte.
+#[test]
+fn committed_generated_files_are_current() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dot = emit_dot(&parse(AIRFOIL_OP2RS).unwrap());
+    for (path, fresh) in [
+        ("examples/generated/airfoil_async.rs", translate(AIRFOIL_OP2RS, Target::Async).unwrap()),
+        ("examples/generated/airfoil_dataflow.rs", translate(AIRFOIL_OP2RS, Target::Dataflow).unwrap()),
+        ("results/airfoil_deps.dot", dot),
+    ] {
+        let committed = std::fs::read_to_string(root.join(path)).unwrap();
+        assert_eq!(fresh, committed, "{path} is stale; regenerate with op2rs-gen");
+    }
+}
 
 #[test]
 fn generated_async_driver_matches_blocking_bitwise() {

@@ -212,3 +212,30 @@ fn chrome_export_parses_as_trace_json() {
         }
     }
 }
+
+/// The dataflow executor waits on each producer once: over Airfoil's
+/// nine-loop iteration every `(from, to)` pair appears exactly once among the
+/// dependency edges, though `bres_calc` reaches `res_calc` through both a
+/// read and a write of `p_res` and `update` reaches `save_soln` through
+/// `p_qold` and `p_q`.
+#[test]
+fn dataflow_records_each_dependency_once() {
+    use op2_airfoil::{FlowConstants, MeshBuilder, Simulation, SyncStrategy};
+
+    let _g = locked();
+    let consts = FlowConstants::default();
+    let mesh = MeshBuilder::channel(12, 6).build(&consts);
+    let pool = Arc::new(DetPool::new(seed()));
+    let rt = Arc::new(Op2Runtime::from_pool(pool as Arc<dyn Pool>, PART_SIZE));
+    let sim = Simulation::new(mesh, &consts, make_executor(BackendKind::Dataflow, rt), SyncStrategy::Dataflow);
+    let c = Collector::start();
+    sim.run(1, 1);
+    let t = c.stop();
+    let loops = t.of_kind(EventKind::LoopBegin).count();
+    assert_eq!(loops, 9, "one Airfoil iteration is nine loops");
+    let mut edges: Vec<(u64, u64)> = t.of_kind(EventKind::DepEdge).map(|e| (e.a, e.b)).collect();
+    assert!(!edges.is_empty());
+    edges.sort_unstable();
+    let twice: Vec<_> = edges.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]).collect();
+    assert!(twice.is_empty(), "edges recorded more than once: {twice:?}");
+}

@@ -14,6 +14,9 @@
 //! * [`run_colored_task`] — non-blocking: colors are chained with future
 //!   continuations and the whole loop completes a future
 //!   (what `for_each(par(task))` enables).
+//!
+//! Both trust the plan's coloring, so both are crate-private: every caller
+//! passes a plan `Op2Runtime::prepare` has validated.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -84,7 +87,7 @@ pub(crate) fn run_plan_order_tracked(
 /// `chunk`s. Every run records the kernel's busy time for the next one to
 /// predict from, so a loop's first run is parallel throughout, and a pool
 /// whose floor is zero never inlines.
-pub fn run_colored<P: Pool + ?Sized>(
+pub(crate) fn run_colored<P: Pool + ?Sized>(
     pool: &P,
     loop_: &ParLoop,
     plan: &Plan,
@@ -94,8 +97,6 @@ pub fn run_colored<P: Pool + ?Sized>(
     let kernel = loop_.kernel();
     let name = loop_.name();
     let acc = GlobalAcc::with_op(loop_.gbl_dim(), plan.nblocks(), loop_.gbl_op());
-    #[cfg(feature = "det")]
-    op2_core::det::check_plan(plan, loop_.args(), loop_.name());
     let floor_ns = pool.handoff_floor().as_nanos() as f64;
     let work_ns = loop_.work_per_element();
     let busy_ns = AtomicU64::new(0);
@@ -105,21 +106,13 @@ pub fn run_colored<P: Pool + ?Sized>(
         if let Some(reason) = cancel.and_then(CancelToken::check) {
             resume_unwind(Box::new(Cancelled(reason)));
         }
-        // One exclusivity epoch per color: blocks of the same color are the
-        // concurrently-scheduled unit the detector checks against.
-        #[cfg(feature = "det")]
-        let epoch = op2_core::det::begin_epoch();
         let run = |blocks: Range<usize>| {
             let start = Instant::now();
             for b in &color[blocks] {
                 let b = *b as usize;
-                #[cfg(feature = "det")]
-                op2_core::det::enter_block(epoch, b as u32);
                 let mut scratch = acc.scratch();
                 run_block(name, kernel, plan.blocks[b].clone(), &mut scratch);
                 acc.store(b, scratch);
-                #[cfg(feature = "det")]
-                op2_core::det::exit_block();
             }
             busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         };
@@ -145,7 +138,7 @@ pub fn run_colored<P: Pool + ?Sized>(
 /// fulfilled with the global reduction after the last color — or fails with
 /// the first color's [`TaskFailure`] (kernel panic with its element, or the
 /// cancel reason).
-pub fn run_colored_task(
+pub(crate) fn run_colored_task(
     pool: &Arc<dyn Pool>,
     loop_: &ParLoop,
     plan: &Arc<Plan>,
@@ -153,8 +146,6 @@ pub fn run_colored_task(
     cancel: Option<CancelToken>,
 ) -> hpx_rt::Future<Vec<f64>> {
     let (promise, future) = Promise::<Vec<f64>>::with_pool(pool);
-    #[cfg(feature = "det")]
-    op2_core::det::check_plan(plan, loop_.args(), loop_.name());
     let ctx = Arc::new(ChainCtx {
         pool: Arc::clone(pool),
         plan: Arc::clone(plan),
@@ -188,11 +179,6 @@ fn launch_color(ctx: Arc<ChainCtx>, color_idx: usize, promise: Promise<Vec<f64>>
         promise.set_failure(TaskFailure::Cancelled(reason));
         return;
     }
-    // A fresh epoch as each color launches: the previous color's continuation
-    // has already run by then, so blocks of different colors never share an
-    // epoch even though no thread ever blocks.
-    #[cfg(feature = "det")]
-    let epoch = op2_core::det::begin_epoch();
     let nblocks = ctx.plan.color_blocks[color_idx].len();
     let body_ctx = Arc::clone(&ctx);
     let fut = for_each_index_task_cancel(
@@ -202,8 +188,6 @@ fn launch_color(ctx: Arc<ChainCtx>, color_idx: usize, promise: Promise<Vec<f64>>
         ctx.cancel.as_ref(),
         move |i| {
             let b = body_ctx.plan.color_blocks[color_idx][i] as usize;
-            #[cfg(feature = "det")]
-            op2_core::det::enter_block(epoch, b as u32);
             let mut scratch = body_ctx.acc.scratch();
             run_block(
                 &body_ctx.name,
@@ -212,8 +196,6 @@ fn launch_color(ctx: Arc<ChainCtx>, color_idx: usize, promise: Promise<Vec<f64>>
                 &mut scratch,
             );
             body_ctx.acc.store(b, scratch);
-            #[cfg(feature = "det")]
-            op2_core::det::exit_block();
         },
     );
     fut.finally(move |res| match res {

@@ -24,20 +24,17 @@
 //! future for it.
 //!
 //! ```
-//! use op2_core::{Access, Dat, ParLoop, Set, arg_direct};
+//! use op2_core::{Dat, ParLoop, Set};
 //! use op2_hpx::{Op2Runtime, Executor, DataflowExecutor};
 //! use std::sync::Arc;
 //!
 //! let rt = Arc::new(Op2Runtime::new(4, 64));
 //! let cells = Set::new("cells", 1000);
 //! let q = Dat::filled("q", &cells, 1, 2.0f64);
-//! let qv = q.view();
+//! // One declaration: `q` is read and written, one value per cell.
 //! let square = ParLoop::build("square", &cells)
-//!     .arg(arg_direct(&q, Access::ReadWrite))
-//!     .kernel(move |e, _| unsafe {
-//!         let [v] = qv.load(e);
-//!         qv.store(e, [v * v]);
-//!     });
+//!     .args(q.rw::<1>())
+//!     .kernel(|[v], _| *v *= *v);
 //!
 //! let exec = DataflowExecutor::new(Arc::clone(&rt));
 //! let _handle = exec.execute(&square);  // returns immediately
@@ -49,7 +46,7 @@
 
 pub mod async_fe;
 pub mod blocking;
-pub mod colored;
+mod colored;
 pub mod dataflow;
 pub mod factory;
 pub mod handle;

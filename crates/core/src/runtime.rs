@@ -133,8 +133,8 @@ impl Op2Runtime {
     /// Runtime on a deterministic single-threaded scheduler
     /// ([`hpx_rt::DetPool`]) whose task interleaving is a pure function of
     /// `seed` — every backend then executes reproducibly, which is what the
-    /// schedule-exploration tests (`tests/det_schedules.rs`) and the race
-    /// detector (`op2_core::det`, `det` feature) build on.
+    /// schedule-exploration tests (`tests/det_schedules.rs`) and the
+    /// dataflow-order checker (`op2_core::det`, `det` feature) build on.
     pub fn deterministic(seed: u64, part_size: usize) -> Self {
         Self::from_pool(Arc::new(DetPool::new(seed)), part_size)
     }

@@ -398,8 +398,6 @@ impl<T: Copy + Send + Sync + 'static> Dat<T> {
             n: self.inner.set.size(),
             dim: self.inner.dim,
             layout: self.inner.layout,
-            #[cfg(feature = "det")]
-            id: self.inner.id,
         }
     }
 
@@ -457,10 +455,6 @@ pub struct DatView<T> {
     n: usize,
     dim: usize,
     layout: Layout,
-    /// Identity of the owning dat, carried only when the race detector is
-    /// compiled in (`det` feature) so accesses can be attributed.
-    #[cfg(feature = "det")]
-    id: u64,
 }
 
 impl<T> Clone for DatView<T> {
@@ -502,8 +496,6 @@ impl<T: Copy> DatView<T> {
     pub unsafe fn get(&self, e: usize, j: usize) -> T {
         debug_assert!(j < self.dim);
         debug_assert!(self.idx(e, j) < self.len);
-        #[cfg(feature = "det")]
-        crate::det::record_access(self.id, e, crate::access::Access::Read);
         *self.ptr.add(self.idx(e, j))
     }
 
@@ -516,8 +508,6 @@ impl<T: Copy> DatView<T> {
     pub unsafe fn set(&self, e: usize, j: usize, v: T) {
         debug_assert!(j < self.dim);
         debug_assert!(self.idx(e, j) < self.len);
-        #[cfg(feature = "det")]
-        crate::det::record_access(self.id, e, crate::access::Access::Write);
         *self.ptr.add(self.idx(e, j)) = v;
     }
 
@@ -529,8 +519,6 @@ impl<T: Copy> DatView<T> {
     #[inline]
     pub unsafe fn load<const D: usize>(&self, e: usize) -> [T; D] {
         debug_assert!(D == self.dim && e < self.n);
-        #[cfg(feature = "det")]
-        crate::det::record_access(self.id, e, crate::access::Access::Read);
         // SAFETY: with `D == dim` and `e < n`, each `idx_d(e, j)`, `j < D`, is
         // inside the `n * dim` storage, and AoS element `e` is the `D` values
         // from `idx_d(e, 0)`; `[T; D]` has `T`'s alignment.
@@ -547,8 +535,6 @@ impl<T: Copy> DatView<T> {
     #[inline]
     pub unsafe fn store<const D: usize>(&self, e: usize, vals: [T; D]) {
         debug_assert!(D == self.dim && e < self.n);
-        #[cfg(feature = "det")]
-        crate::det::record_access(self.id, e, crate::access::Access::Write);
         // SAFETY: `load`'s bounds; the caller holds element `e` exclusively.
         match self.layout {
             Layout::Aos => self.ptr.add(self.idx_d::<D>(e, 0)).cast::<[T; D]>().write(vals),
@@ -571,8 +557,6 @@ impl<T: Copy + std::ops::AddAssign> DatView<T> {
     pub unsafe fn add(&self, e: usize, j: usize, v: T) {
         debug_assert!(j < self.dim);
         debug_assert!(self.idx(e, j) < self.len);
-        #[cfg(feature = "det")]
-        crate::det::record_access(self.id, e, crate::access::Access::Inc);
         *self.ptr.add(self.idx(e, j)) += v;
     }
 
@@ -584,8 +568,6 @@ impl<T: Copy + std::ops::AddAssign> DatView<T> {
     #[inline]
     pub unsafe fn add_vec<const D: usize>(&self, e: usize, vals: [T; D]) {
         debug_assert!(D == self.dim && e < self.n);
-        #[cfg(feature = "det")]
-        crate::det::record_access(self.id, e, crate::access::Access::Inc);
         // SAFETY: `load`'s bounds; the coloring gives the caller element `e`.
         match self.layout {
             Layout::Aos => {
@@ -753,43 +735,6 @@ mod tests {
         check::<2>();
         check::<3>();
         check::<4>();
-    }
-
-    /// The race detector does not go blind on the const-width path: an AoS
-    /// `load`, `store` or `add_vec` records exactly one access, for its own
-    /// element, so a second block touching that element in the same color
-    /// is reported and one touching another element is not.
-    #[cfg(feature = "det")]
-    #[test]
-    fn det_sees_one_access_per_element_on_the_fast_path() {
-        use crate::det;
-        let cells = Set::new("cells", 5);
-        let d = Dat::new("q", &cells, 4, vec![1.0f64; 20]);
-        let v = d.view();
-        det::enable_with(false);
-        let epoch = det::begin_epoch();
-        det::enter_block(epoch, 0);
-        unsafe {
-            let q: [f64; 4] = v.load(1);
-            assert_eq!(det::accesses(), 1);
-            v.store(2, q);
-            assert_eq!(det::accesses(), 2);
-            v.add_vec(3, q);
-            assert_eq!(det::accesses(), 3);
-        }
-        det::exit_block();
-        det::enter_block(epoch, 1);
-        unsafe {
-            v.load::<4>(2); // written by block 0
-            v.add_vec(1, [0.0; 4]); // read by block 0
-            v.load::<4>(4); // untouched
-        }
-        det::exit_block();
-        assert_eq!(det::accesses(), 6);
-        let reports = det::disable();
-        assert_eq!(reports.len(), 2, "{reports:?}");
-        assert!(reports[0].detail.contains("element 2"), "{reports:?}");
-        assert!(reports[1].detail.contains("element 1"), "{reports:?}");
     }
 
     /// `Dat::get_at`/`set_at` and `Map::at` refuse every index that the raw

@@ -7,10 +7,10 @@
 //! sum its bits.
 //!
 //! [`Deps`] holds that state as a value: [`Deps::record`] takes one loop's
-//! reads and writes and returns its edges. The dataflow executor, the race
-//! detector, the translator's async waits and DOT graph and the machine
-//! model's task graphs all take loop order from it. [`conflict`] is the rule
-//! for one pair of loops.
+//! reads and writes and returns its edges. The dataflow executor, `det`'s
+//! dataflow-order checker, the translator's async waits and DOT graph and
+//! the machine model's task graphs all take loop order from it.
+//! [`conflict`] is the rule for one pair of loops.
 
 use std::collections::HashMap;
 use std::hash::Hash;

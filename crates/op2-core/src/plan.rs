@@ -192,8 +192,8 @@ impl Plan {
             }
         }
 
-        // Test-only hook: deliberately break the coloring so the race
-        // detector's end-to-end tests have a real bug to catch.
+        // Test-only hook: deliberately break the coloring so the plan
+        // validator's end-to-end tests have a real bug to refuse.
         #[cfg(feature = "det")]
         crate::det::maybe_break_coloring(&mut block_colors, &mut ncolors);
 

@@ -5,28 +5,32 @@
 //! randomly generated mesh, executed on a [`hpx_rt::DetPool`]: a seeded,
 //! single-threaded virtual scheduler whose task interleaving is a pure
 //! function of the seed. The sweep drives ≥64 seeds per backend, alternating
-//! random-walk and PCT-style priority schedules, with the dynamic race
-//! detector (`op2_core::det`) armed, and asserts
+//! random-walk and PCT-style priority schedules, with the dataflow-order
+//! checker (`op2_core::det`) armed, and asserts
 //!
-//! * no detector reports (element conflicts, plan-invariant violations,
-//!   dataflow reorderings), and
+//! * no checker reports (no dataflow body began before a dependency
+//!   completed), and
 //! * results bitwise identical to the serial plan-order oracle.
 //!
 //! On failure the panic message carries a `(seed, schedule)` replay pair:
 //! re-run just that case with `DET_SEED=<seed> cargo test det_schedules`.
 //!
-//! Two further tests prove the harness can actually catch bugs: a test-only
-//! hook (`op2_core::det::inject_coloring_bug`) merges two plan colors, and
-//! both the element-level detector and the plan validator must flag it.
+//! A further test proves a broken coloring never runs: a test-only hook
+//! (`op2_core::det::inject_coloring_bug`) merges two plan colors, and every
+//! executor entry must refuse the plan before the loop's first block.
 
 #![cfg(feature = "det")]
 
 use std::sync::Arc;
 
 use hpx_rt::{DetPool, Pool, SchedulePolicy};
-use op2_core::det::{self, RaceKind};
-use op2_core::{arg_direct, arg_indirect, Access, Dat, Map, ParLoop, Set};
-use op2_hpx::{make_executor, BackendKind, BlockingExecutor, Executor, Op2Runtime};
+use op2_core::det;
+use op2_core::{arg_direct, Access, Dat, Map, ParLoop, Set};
+use op2_hpx::{
+    make_executor, BackendKind, BlockingExecutor, Executor, FailureKind, Op2Runtime, RetryPolicy,
+    Supervisor, TunedExecutor,
+};
+use op2_tune::Tuner;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -132,10 +136,8 @@ fn run_program(exec: &dyn Executor, mesh: &Mesh, auto_deps: bool) -> ProgramOut 
         .arg(arg_direct(&w, Access::Write))
         .kernel(move |c, _| unsafe { wv.set(c, 0, 0.5 * c as f64 + 1.0) });
 
-    // The indirect loop is declared as a typed tuple, as the apps' loops are,
-    // so the injected-coloring tests below catch races on that path: the
-    // framework reaches the dats through the const-width accessors the
-    // element detector hooks.
+    // The indirect loop is declared as a typed tuple, as the apps' loops are:
+    // the framework reaches the dats through the const-width accessors.
     let gather = ParLoop::build("gather", &edges)
         .gbl_inc(1)
         .args((w.read::<1>().via::<2>(&m), res.inc::<1>().via::<2>(&m)))
@@ -186,13 +188,12 @@ fn serial_oracle(mesh: &Mesh) -> ProgramOut {
     run_program(&exec, mesh, false)
 }
 
-/// One deterministic run of `kind` on `mesh` with the detector armed.
-/// Returns the output, any detector reports, and the schedule trace.
+/// One deterministic run of `kind` on `mesh` with the checker armed.
+/// Returns the output, any checker reports, and the schedule trace.
 fn det_run(
     kind: BackendKind,
     seed: u64,
     mesh: &Mesh,
-    check_plans: bool,
 ) -> (ProgramOut, Vec<det::RaceReport>, String) {
     let pool = Arc::new(DetPool::with_policy(seed, policy_for(seed)));
     let rt = Arc::new(Op2Runtime::from_pool(
@@ -200,7 +201,7 @@ fn det_run(
         PART_SIZE,
     ));
     let exec = make_executor(kind, rt);
-    det::enable_with(check_plans);
+    det::enable();
     let out = run_program(exec.as_ref(), mesh, matches!(kind, BackendKind::Dataflow));
     let reports = det::disable();
     (out, reports, pool.schedule_string())
@@ -223,11 +224,11 @@ fn seeded_schedules_match_serial_oracle() {
         let mesh = random_mesh(seed);
         let oracle = serial_oracle(&mesh);
         for kind in parallel_backends() {
-            let (got, reports, schedule) = det_run(kind, seed, &mesh, true);
+            let (got, reports, schedule) = det_run(kind, seed, &mesh);
             let hint = replay_hint(kind, seed, &schedule);
             assert!(
                 reports.is_empty(),
-                "race detector fired: {reports:?}\n{hint}"
+                "dataflow-order checker fired: {reports:?}\n{hint}"
             );
             assert_eq!(got, oracle, "diverged from serial oracle\n{hint}");
         }
@@ -241,8 +242,8 @@ fn same_seed_replays_same_schedule() {
     let seed = 7;
     let mesh = random_mesh(seed);
     for kind in parallel_backends() {
-        let (out_a, _, sched_a) = det_run(kind, seed, &mesh, true);
-        let (out_b, _, sched_b) = det_run(kind, seed, &mesh, true);
+        let (out_a, _, sched_a) = det_run(kind, seed, &mesh);
+        let (out_b, _, sched_b) = det_run(kind, seed, &mesh);
         assert_eq!(sched_a, sched_b, "schedule not replayable: backend={kind}");
         assert_eq!(out_a, out_b, "results not replayable: backend={kind}");
     }
@@ -255,7 +256,7 @@ fn different_seeds_explore_different_schedules() {
     let mesh = chain_mesh(24);
     let mut schedules = std::collections::HashSet::new();
     for seed in 0..8 {
-        let (_, _, sched) = det_run(BackendKind::Dataflow, seed, &mesh, true);
+        let (_, _, sched) = det_run(BackendKind::Dataflow, seed, &mesh);
         schedules.insert(sched);
     }
     assert!(
@@ -264,45 +265,12 @@ fn different_seeds_explore_different_schedules() {
     );
 }
 
-/// A deliberately broken coloring (test-only hook merges two plan colors)
-/// must be caught by the *dynamic element-level* detector: two blocks that
-/// now share a color both increment their shared boundary cell. Plan
-/// checking is disabled so only the per-access instrumentation can fire.
-/// The executors refuse to run an invalid plan (see the test below), so the
-/// loop body runs through `run_colored` directly, as a backend would.
-#[test]
-fn injected_coloring_bug_caught_by_element_detector() {
-    let mesh = chain_mesh(32);
-    let edges = Set::new("edges", mesh.nedges);
-    let cells = Set::new("cells", mesh.ncells);
-    let m = Map::new("pecell", &edges, &cells, 2, mesh.table.clone());
-    let res = Dat::filled("res", &cells, 1, 0.0f64);
-    let rv = res.view();
-    let mv = m.clone();
-    let gather = ParLoop::build("gather", &edges)
-        .arg(arg_indirect(&res, 0, &m, Access::Inc))
-        .arg(arg_indirect(&res, 1, &m, Access::Inc))
-        .kernel(move |e, _| unsafe {
-            rv.add(mv.at(e, 0), 0, 1.0);
-            rv.add(mv.at(e, 1), 0, 1.0);
-        });
-    det::inject_coloring_bug(true);
-    let plan = op2_core::Plan::build(gather.set(), gather.args(), PART_SIZE);
-    det::inject_coloring_bug(false);
-    assert!(plan.validate(gather.args()).is_err(), "injection had no effect");
-    let pool = DetPool::with_policy(1, policy_for(1));
-    det::enable_with(false);
-    op2_hpx::colored::run_colored(&pool, &gather, &plan, hpx_rt::ChunkSize::Default, None);
-    let reports = det::disable();
-    assert!(
-        reports.iter().any(|r| r.kind == RaceKind::ElementConflict),
-        "merged coloring not detected; reports: {reports:?}"
-    );
-}
-
-/// The same injected bug must be rejected by the runtime plan validator
-/// before the loop runs: every executor validates the (cached) plan in
-/// `try_execute` and reports a typed `FailureKind::Plan` error — the
+/// A deliberately broken coloring (test-only hook merges two plan colors,
+/// so two blocks that both increment a shared boundary cell share a color)
+/// must be refused before the loop runs by every executor entry — each
+/// backend through `make_executor`, a `Supervisor` and a `TunedExecutor` —
+/// on both pool kinds. Each validates the (cached) plan in
+/// `Op2Runtime::prepare` and returns a typed `FailureKind::Plan` error: the
 /// write-set is never touched, so there is nothing to roll back.
 #[test]
 fn injected_coloring_bug_caught_by_plan_validator() {
@@ -311,38 +279,62 @@ fn injected_coloring_bug_caught_by_plan_validator() {
     let cells = Set::new("cells", mesh.ncells);
     let m = Map::new("pecell", &edges, &cells, 2, mesh.table.clone());
     let res = Dat::filled("res", &cells, 1, 0.0f64);
-    let rv = res.view();
-    let mv = m.clone();
     let gather = ParLoop::build("gather", &edges)
-        .arg(arg_indirect(&res, 0, &m, Access::Inc))
-        .arg(arg_indirect(&res, 1, &m, Access::Inc))
-        .kernel(move |e, _| unsafe {
-            rv.add(mv.at(e, 0), 0, 1.0);
-            rv.add(mv.at(e, 1), 0, 1.0);
+        .args(res.inc::<1>().via::<2>(&m))
+        .kernel(|[[r1], [r2]], _| {
+            *r1 = 1.0;
+            *r2 = 1.0;
         });
-    let rt = Arc::new(Op2Runtime::deterministic(2, PART_SIZE));
-    let exec = make_executor(BackendKind::Dataflow, rt);
-    det::inject_coloring_bug(true);
-    let err = match exec.try_execute(&gather) {
-        Err(e) => e,
-        Ok(_) => panic!("invalid plan was accepted"),
-    };
-    det::inject_coloring_bug(false);
-    assert!(
-        matches!(err.kind, op2_hpx::FailureKind::Plan(_)),
-        "expected a plan-validation failure, got: {err}"
-    );
-    assert!(!err.rolled_back, "nothing ran, so nothing was rolled back");
-    assert!(res.to_vec().iter().all(|&v| v == 0.0), "write-set touched");
+    for pool in ["DetPool", "ThreadPool"] {
+        let runtime = || match pool {
+            "DetPool" => Op2Runtime::deterministic(2, PART_SIZE),
+            _ => Op2Runtime::new(2, PART_SIZE),
+        };
+        let mut entries: Vec<(String, Box<dyn Executor>)> = BackendKind::all()
+            .into_iter()
+            .map(|kind| (kind.to_string(), make_executor(kind, Arc::new(runtime()))))
+            .collect();
+        let sup = Supervisor::new(
+            Arc::new(runtime()),
+            BackendKind::Dataflow,
+            RetryPolicy::default(),
+        );
+        entries.push(("supervisor".into(), Box::new(sup)));
+        let tuned = runtime().with_tuner(Arc::new(Tuner::with_seed(5)));
+        entries.push((
+            "tuned".into(),
+            Box::new(TunedExecutor::new(Arc::new(tuned))),
+        ));
+        for (entry, exec) in entries {
+            det::inject_coloring_bug(true);
+            let result = exec.try_execute(&gather);
+            det::inject_coloring_bug(false);
+            let Err(err) = result else {
+                panic!("{pool}/{entry}: invalid plan was accepted");
+            };
+            assert!(
+                matches!(err.kind, FailureKind::Plan(_)),
+                "{pool}/{entry}: expected a plan-validation failure, got: {err}"
+            );
+            assert!(
+                !err.rolled_back,
+                "{pool}/{entry}: nothing ran, so nothing was rolled back"
+            );
+            assert!(
+                res.to_vec().iter().all(|&v| v == 0.0),
+                "{pool}/{entry}: write-set touched"
+            );
+        }
+    }
 }
 
-/// Without the injection hook the detector stays quiet on the same mesh —
-/// the two tests above are not false positives of the harness itself.
+/// Without the injection hook the checker stays quiet on the same mesh — the
+/// test above is not a false positive of the harness itself.
 #[test]
 fn clean_chain_mesh_has_no_reports() {
     let mesh = chain_mesh(32);
     for kind in parallel_backends() {
-        let (_, reports, schedule) = det_run(kind, 3, &mesh, true);
+        let (_, reports, schedule) = det_run(kind, 3, &mesh);
         assert!(
             reports.is_empty(),
             "spurious reports on a correct program: {reports:?}\n{}",

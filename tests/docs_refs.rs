@@ -4,18 +4,21 @@
 //! `EXPERIMENTS.md`, `DESIGN.md` and `.github/workflows/ci.yml` spell out
 //! has to resolve to a source file of the package the same line selects
 //! with `-p`, or of any workspace package when it selects none (wrapped
-//! commands, table cells that abbreviate to `--bin fig16`).
+//! commands, table cells that abbreviate to `--bin fig16`). A `--bin` resolves
+//! to the `path` of a `[[bin]]` of that name in the package's `Cargo.toml`,
+//! or else to `src/bin/X.rs`.
 //!
 //! Nor may DESIGN.md's workspace layout name a source file that is gone:
 //! under each `### crates/<dir>` heading, every backticked `<name>.rs` has to
 //! be a file of `crates/<dir>/src/`.
 //!
-//! And four rules about the sources themselves, checked the same way: op2-hpx
+//! And rules about the sources themselves, checked the same way: op2-hpx
 //! snapshots a write-set in exactly one place, and it consults the tuner in
 //! exactly one place — the code that waits on every loop builds no executor
 //! to do it; the apps' kernels never touch a map or branch on the data
-//! layout, and the apps hold no `unsafe` and no raw view; and loop order is
-//! derived by one dependency rule, `op2_core::deps`.
+//! layout, and the apps hold no `unsafe` and no raw view; loop order is
+//! derived by one dependency rule, `op2_core::deps`; and the `det` layer
+//! keeps off the accessors and the colored body.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -42,6 +45,24 @@ fn packages(root: &Path) -> BTreeMap<String, PathBuf> {
         out.insert(name.to_string(), dir);
     }
     out
+}
+
+/// The source file of `--bin name` in the package at `dir`: the `path` of a
+/// `[[bin]]` of that name in its `Cargo.toml`, else `src/bin/<name>.rs`.
+fn bin_source(dir: &Path, name: &str) -> PathBuf {
+    let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+    let declared = manifest.split("\n[").find_map(|section| {
+        let keys = section.strip_prefix("[bin]]")?;
+        let value = |key: &str| {
+            keys.lines().find_map(|l| {
+                let v = l.strip_prefix(key)?.trim_start().strip_prefix('=')?.trim();
+                v.strip_prefix('"')?.strip_suffix('"')
+            })
+        };
+        let path = value("path")?;
+        (value("name")? == name).then(|| dir.join(path))
+    });
+    declared.unwrap_or_else(|| dir.join(format!("src/bin/{name}.rs")))
 }
 
 /// The word after each occurrence of `flag` in `line`, cut at the first
@@ -78,14 +99,17 @@ fn every_named_cargo_target_exists() {
                 selected
             };
             for (flag, sub) in [
-                ("--bin", "src/bin"),
+                ("--bin", ""),
                 ("--example", "examples"),
                 ("--test", "tests"),
             ] {
                 for target in words_after(line, flag) {
                     checked += 1;
-                    let file = format!("{sub}/{target}.rs");
-                    if !dirs.iter().any(|d| d.join(&file).is_file()) {
+                    let file_of = |dir: &Path| match sub {
+                        "" => bin_source(dir, target),
+                        _ => dir.join(format!("{sub}/{target}.rs")),
+                    };
+                    if !dirs.iter().any(|d| file_of(d).is_file()) {
                         missing.push(format!("{source}:{}: {flag} {target}", n + 1));
                     }
                 }
@@ -347,7 +371,7 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// One dependency rule. What orders two loops — a dat's last writer and the
 /// readers since that write — is kept by `op2_core::deps` alone: the dataflow
-/// executor, the race detector, the translator and the machine model call it
+/// executor, `det`'s ordering checker, the translator and the machine model call it
 /// and keep no table of their own. So no non-test line elsewhere names that
 /// bookkeeping, nor the pairwise `conflicts_with` — save the one line that
 /// defines codegen's `LoopDecl::conflicts_with`, which hands the rule to the
@@ -382,4 +406,50 @@ fn loop_order_has_one_dependency_rule() {
     assert!(files.len() > 100, "scanned only {} files", files.len());
     assert!(found.is_empty(), "dependency bookkeeping outside op2_core::deps: {found:#?}");
     assert!(files.contains(&home), "the rule's home is gone");
+}
+
+/// Races are refused from the declaration: `Op2Runtime::prepare` validates
+/// every plan's coloring before a loop's first block, in every build. So the
+/// accessors every kernel runs and the colored body every parallel backend
+/// runs carry no `det` hook — a `det` build runs the measured build's kernel
+/// code — and nothing records element accesses.
+#[test]
+fn the_det_layer_keeps_off_the_accessors_and_the_colored_body() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let lines = |path: &Path| -> Vec<(usize, String)> {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        text.lines()
+            .enumerate()
+            .map(|(n, l)| (n + 1, l.trim().to_string()))
+            .collect()
+    };
+    let mut found = Vec::new();
+    for file in ["crates/op2-core/src/dat.rs", "crates/core/src/colored.rs"] {
+        let mut in_view = false;
+        for (n, line) in lines(&root.join(file)) {
+            in_view = (in_view || line.starts_with("pub struct DatView")) && line != "}";
+            if line.contains("feature = \"det\"") || (in_view && line.starts_with("id:")) {
+                found.push(format!("{file}:{n}: {line}"));
+            }
+        }
+    }
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let src = entry.expect("crates/ entry").path().join("src");
+        if src.is_dir() {
+            rs_files(&src, &mut files);
+        }
+    }
+    for file in &files {
+        for (n, line) in lines(file) {
+            if names(&line, "record_access") {
+                found.push(format!(
+                    "{}:{n}: {line}",
+                    file.strip_prefix(root).unwrap_or(file).display()
+                ));
+            }
+        }
+    }
+    assert!(files.len() > 100, "scanned only {} files", files.len());
+    assert!(found.is_empty(), "per-element det hooks: {found:#?}");
 }

@@ -226,7 +226,7 @@ fn injected_kernel_panic_on_a_bare_executor_is_typed_and_not_rolled_back() {
 #[test]
 fn waited_on_loops_match_serial_and_spawn_only_their_chunks() {
     use op2_core::{arg_direct, Access, Dat, ParLoop, Set};
-    use op2_hpx::{Executor, RetryPolicy, Supervisor, TunedExecutor};
+    use op2_hpx::{BlockingExecutor, Executor, RetryPolicy, Supervisor, TunedExecutor};
 
     let build = |exec: Box<dyn Executor>| {
         let consts = FlowConstants::default();
@@ -273,9 +273,11 @@ fn waited_on_loops_match_serial_and_spawn_only_their_chunks() {
         before.delta(&metrics.snapshot())
     };
     let (direct, supervised_loop) = (double(), double());
-    let plan = rt.plan_for(&direct);
+    // A blocking executor of a futurized kind runs the colored `for_each`
+    // with `ChunkSize::Default` and nothing else.
+    let blocking = BlockingExecutor::new(Arc::clone(&rt), BackendKind::Dataflow);
     let for_each = counted(&|| {
-        op2_hpx::colored::run_colored(rt.pool(), &direct, &plan, hpx_rt::ChunkSize::Default, None);
+        blocking.execute(&direct).wait();
     });
     let sup = Supervisor::new(Arc::clone(&rt), BackendKind::Dataflow, RetryPolicy::default());
     let supervised = counted(&|| {
@@ -293,8 +295,7 @@ fn waited_on_loops_match_serial_and_spawn_only_their_chunks() {
 /// on the serial oracle's bits. Once warm, every color of this small mesh is
 /// predicted under the pool's hand-off floor, runs on the caller, and spawns
 /// nothing; the same march on a `DetPool`, whose floor is zero, still spawns
-/// every chunk for the schedule explorer and the race detector (`det`) to
-/// see, and lands on the same bits.
+/// every chunk for the schedule explorer to see, and lands on the same bits.
 #[test]
 fn forkjoin_forks_every_color_and_runs_warm_colors_under_the_floor_inline() {
     use hpx_rt::{DetPool, Pool};
@@ -585,7 +586,7 @@ fn dataflow_siblings_readied_together_spawn_all_but_one() {
 }
 
 /// On a `DetPool` every node stays a pool task, so schedule exploration and
-/// the race detector see each one: the chain spawns all its nodes.
+/// the dataflow-order checker see each one: the chain spawns all its nodes.
 #[test]
 fn dataflow_chain_on_a_det_pool_spawns_every_node() {
     use hpx_rt::{DetPool, Pool};

@@ -1,54 +1,29 @@
 //! The Airfoil time-march driver.
 //!
-//! Reproduces `airfoil.cpp`: each iteration saves the state and performs two
-//! explicit stages of `adt_calc → res_calc → bres_calc → update`, reporting
-//! `sqrt(rms / ncells)` every `report_every` iterations.
+//! Reproduces `airfoil.cpp`: each iteration runs [`AirfoilLoops::step`] —
+//! `save_soln`, then two explicit stages of `adt_calc → res_calc → bres_calc
+//! → update` — and reports `sqrt(rms / ncells)` every `report_every`
+//! iterations.
 //!
-//! Three synchronization strategies mirror the paper's three drivers:
-//!
-//! * [`SyncStrategy::Blocking`] — the unchanged OP2 program: every
-//!   `op_par_loop` completes before the next is issued (OpenMP / `for_each`
-//!   backends behave this way inherently).
-//! * [`SyncStrategy::Fig10`] — the §III-A2 program: loops return futures and
-//!   the driver places waits manually by data dependency, letting
-//!   `save_soln` overlap the first stage (the paper's Fig. 10; we keep
-//!   `res_calc`/`bres_calc` ordered so results stay bitwise-deterministic).
-//! * [`SyncStrategy::Dataflow`] — the §III-B program: no waits at all; the
-//!   dependency DAG orders everything and the driver only synchronizes when
-//!   it *reads* the RMS at report points.
+//! The iteration is interpreted by [`op2_hpx::run_step`] under one of the
+//! paper's three synchronization strategies ([`SyncStrategy`]): `Blocking`
+//! waits on every loop (the unchanged OP2 program), `Fig10` waits on the
+//! producers the dependency rule names (§III-A2, Fig. 10's `.get()`s,
+//! derived instead of placed by hand), and `Dataflow` waits on nothing and
+//! synchronizes only when it *reads* the RMS at report points (§III-B).
 
-use op2_hpx::{BackendKind, Executor, LoopError, LoopHandle, Supervisor};
+use op2_core::Step;
+use op2_hpx::{run_step, Executor, LoopError, LoopHandle, Supervisor};
+pub use op2_hpx::SyncStrategy;
 
 use crate::constants::FlowConstants;
 use crate::loops::AirfoilLoops;
 use crate::mesh::Mesh;
 
-/// How the driver synchronizes between loops (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncStrategy {
-    /// Wait for each loop before issuing the next.
-    Blocking,
-    /// Manual future placement per Fig. 10 (async backend).
-    Fig10,
-    /// No manual waits (dataflow backend).
-    Dataflow,
-}
-
-impl SyncStrategy {
-    /// The strategy the paper pairs with each backend.
-    pub fn for_backend(kind: BackendKind) -> SyncStrategy {
-        match kind {
-            BackendKind::Async => SyncStrategy::Fig10,
-            BackendKind::Dataflow => SyncStrategy::Dataflow,
-            _ => SyncStrategy::Blocking,
-        }
-    }
-}
-
-/// A configured Airfoil simulation: mesh + loops + executor + strategy.
+/// A configured Airfoil simulation: mesh + iteration + executor + strategy.
 pub struct Simulation {
     mesh: Mesh,
-    loops: AirfoilLoops,
+    step: Step,
     exec: Box<dyn Executor>,
     strategy: SyncStrategy,
 }
@@ -62,10 +37,10 @@ impl Simulation {
         exec: Box<dyn Executor>,
         strategy: SyncStrategy,
     ) -> Simulation {
-        let loops = AirfoilLoops::new(&mesh, consts);
+        let step = AirfoilLoops::new(&mesh, consts).step();
         Simulation {
             mesh,
-            loops,
+            step,
             exec,
             strategy,
         }
@@ -85,13 +60,8 @@ impl Simulation {
     /// reports every `report_every` iterations (and always for the final
     /// iteration).
     pub fn run(&self, niter: usize, report_every: usize) -> Vec<(usize, f64)> {
-        let exec = self.exec.as_ref();
         let reports = self
-            .march(niter, report_every, || match self.strategy {
-                SyncStrategy::Blocking => self.iteration(exec, true),
-                SyncStrategy::Fig10 => Ok(self.iteration_fig10()),
-                SyncStrategy::Dataflow => self.iteration(exec, false),
-            })
+            .march(self.exec.as_ref(), self.strategy, niter, report_every)
             .unwrap_or_else(|e| e.rethrow());
         self.exec.fence();
         reports
@@ -110,25 +80,31 @@ impl Simulation {
         niter: usize,
         report_every: usize,
     ) -> Result<Vec<(usize, f64)>, LoopError> {
-        self.march(niter, report_every, || self.iteration(sup, true))
+        self.march(sup, SyncStrategy::Blocking, niter, report_every)
     }
 
-    /// The time march around one `iterate` call per iteration, which returns
-    /// the two stages' `update` handles.
+    /// The time march: one [`run_step`] per iteration, whose results are the
+    /// two stages' `update` handles. A failure to issue is returned; a late
+    /// failure of an asynchronous executor panics at the report's `get` (a
+    /// supervisor's handles are always complete).
     fn march(
         &self,
+        exec: &dyn Executor,
+        mode: SyncStrategy,
         niter: usize,
         report_every: usize,
-        iterate: impl Fn() -> Result<(LoopHandle, LoopHandle), LoopError>,
     ) -> Result<Vec<(usize, f64)>, LoopError> {
         let ncells = self.mesh.ncells() as f64;
         let mut reports = Vec::new();
         // Per-iteration update handles awaiting RMS resolution (dataflow
         // defers these to report points).
         let mut pending: Vec<(usize, LoopHandle, LoopHandle)> = Vec::new();
+        let mut results = Vec::with_capacity(2);
 
         for iter in 1..=niter {
-            let (h1, h2) = iterate()?;
+            run_step(exec, &self.step, mode, &mut results)?;
+            let h2 = results.pop().expect("the second stage's RMS");
+            let h1 = results.pop().expect("the first stage's RMS");
             pending.push((iter, h1, h2));
 
             let report_now = iter % report_every.max(1) == 0 || iter == niter;
@@ -143,68 +119,13 @@ impl Simulation {
         }
         Ok(reports)
     }
-
-    /// One iteration, `save → 2 × (adt, res, bres, update)`, issued on
-    /// `exec`. With `wait_each` every loop completes before the next is
-    /// issued (the unchanged OP2 program); without it nothing waits and the
-    /// executor orders the loops from their declared access modes (paper
-    /// §III-B, dataflow only). A failure to issue is returned; a late
-    /// failure of an asynchronous executor panics at the wait or at the
-    /// report's `get` (a supervisor's handles are always complete).
-    fn iteration(
-        &self,
-        exec: &dyn Executor,
-        wait_each: bool,
-    ) -> Result<(LoopHandle, LoopHandle), LoopError> {
-        let l = &self.loops;
-        let issue = |loop_| -> Result<LoopHandle, LoopError> {
-            let h = exec.try_execute(loop_)?;
-            if wait_each {
-                h.wait();
-            }
-            Ok(h)
-        };
-        issue(&l.save_soln)?;
-        let stage = || {
-            issue(&l.adt_calc)?;
-            issue(&l.res_calc)?;
-            issue(&l.bres_calc)?;
-            issue(&l.update)
-        };
-        Ok((stage()?, stage()?))
-    }
-
-    /// One iteration with manual future placement (paper Fig. 10):
-    /// `save_soln` overlaps the first stage's `adt/res/bres`.
-    fn iteration_fig10(&self) -> (LoopHandle, LoopHandle) {
-        let l = &self.loops;
-        let h_save = self.exec.execute(&l.save_soln);
-        let mut handles = Vec::with_capacity(2);
-        for k in 0..2 {
-            let h_adt = self.exec.execute(&l.adt_calc);
-            h_adt.wait(); // res/bres read p_adt
-            let h_res = self.exec.execute(&l.res_calc);
-            h_res.wait(); // bres increments the same p_res (keep bitwise order)
-            let h_bres = self.exec.execute(&l.bres_calc);
-            h_bres.wait(); // update rewrites p_res
-            if k == 0 {
-                h_save.wait(); // update reads p_qold
-            }
-            let h_up = self.exec.execute(&l.update);
-            h_up.wait(); // next adt_calc reads p_q
-            handles.push(h_up);
-        }
-        let h2 = handles.pop().expect("two stages");
-        let h1 = handles.pop().expect("two stages");
-        (h1, h2)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mesh::MeshBuilder;
-    use op2_hpx::{make_executor, Op2Runtime};
+    use op2_hpx::{make_executor, BackendKind, Op2Runtime};
     use std::sync::Arc;
 
     fn simulation(kind: BackendKind, pulse: bool) -> Simulation {

@@ -8,7 +8,7 @@
 //! what it declared, so the same wiring serves AoS and SoA meshes with
 //! bitwise identical results.
 
-use op2_core::ParLoop;
+use op2_core::{ParLoop, Step};
 
 use crate::constants::FlowConstants;
 use crate::kernels;
@@ -92,6 +92,16 @@ impl AirfoilLoops {
             bres_calc,
             update,
         }
+    }
+
+    /// One Airfoil iteration, as `airfoil.cpp` calls its loops: `save_soln`,
+    /// then two stages of `adt_calc → res_calc → bres_calc → update`. Its
+    /// results are the two stages' RMS reductions.
+    pub fn step(&self) -> Step {
+        let stage = |s: Step| {
+            s.then(&self.adt_calc).then(&self.res_calc).then(&self.bres_calc).then(&self.update)
+        };
+        stage(stage(Step::default().then(&self.save_soln)))
     }
 }
 

@@ -66,6 +66,20 @@ impl Executor for BlockingExecutor {
     }
 }
 
+/// Every loop on the caller in ascending element order, no plan
+/// ([`op2_core::serial::execute_natural`]): a one-rank march's bitwise oracle.
+pub struct NaturalExecutor;
+
+impl Executor for NaturalExecutor {
+    fn name(&self) -> &'static str {
+        "natural"
+    }
+
+    fn try_execute(&self, loop_: &ParLoop) -> Result<LoopHandle, LoopError> {
+        Ok(LoopHandle::ready(op2_core::serial::execute_natural(loop_)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

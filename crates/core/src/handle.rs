@@ -98,14 +98,6 @@ impl LoopHandle {
             HandleInner::Pending(f) => await_loop(&f, self.instance),
         }
     }
-
-    /// The completion future, if this handle is asynchronous.
-    pub fn future(&self) -> Option<&SharedFuture<Result<Vec<f64>, LoopError>>> {
-        match &self.inner {
-            HandleInner::Ready(_) => None,
-            HandleInner::Pending(f) => Some(f),
-        }
-    }
 }
 
 /// The wait every accessor goes through: a dependency-wait span tagged with
@@ -187,7 +179,6 @@ mod tests {
     fn pending_handle() {
         let h = LoopHandle::pending(SharedFuture::ready(Ok(vec![2.0])));
         assert!(h.is_ready());
-        assert!(h.future().is_some());
         assert_eq!(h.get(), vec![2.0]);
     }
 }

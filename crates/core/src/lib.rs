@@ -52,17 +52,19 @@ pub mod factory;
 pub mod handle;
 pub mod recover;
 pub mod runtime;
+pub mod step;
 pub mod tracehooks;
 pub mod tune;
 pub mod tuned;
 
 pub use async_fe::AsyncExecutor;
-pub use blocking::BlockingExecutor;
+pub use blocking::{BlockingExecutor, NaturalExecutor};
 pub use dataflow::DataflowExecutor;
 pub use factory::{make_executor, BackendKind, FactoryError};
 pub use handle::LoopHandle;
 pub use recover::{FailureKind, FenceReport, LoopError, RetryPolicy, Supervisor, WriteSet};
 pub use runtime::Op2Runtime;
+pub use step::{async_waits, run_step, SyncStrategy};
 pub use tune::{choice_to_kind, kind_to_choice, key_for, plan_order_invariant};
 pub use tuned::{TunedExecutor, TUNABLE_BACKENDS};
 

@@ -60,10 +60,12 @@ use crate::tracehooks;
 use crate::tune::kind_to_choice;
 use crate::Executor;
 
-/// Why a loop failed, with as much provenance as the failure path preserves.
+/// Why a loop failed, with provenance, and its class: a [`Supervisor`] retries
+/// *transient*, returns *deterministic* after one attempt, stops at *terminal*.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FailureKind {
-    /// The kernel panicked.
+    /// The kernel panicked. Transient: the fault need not recur on the
+    /// restored data.
     KernelPanic {
         /// Rendering of the kernel's panic payload.
         message: String,
@@ -72,7 +74,8 @@ pub enum FailureKind {
         element: Option<usize>,
     },
     /// The loop ran to completion but the [`ParLoop::guard_finite`] scan
-    /// found a NaN/Inf in a written dat.
+    /// found a NaN/Inf in a written dat. Transient, like a panic: a fault
+    /// outside the declared inputs need not recur.
     NonFinite {
         /// Name of the offending dat.
         dat: String,
@@ -82,17 +85,20 @@ pub enum FailureKind {
         component: usize,
     },
     /// The execution plan failed validation for this loop's arguments.
+    /// Deterministic: the plan and its validation are cached.
     Plan(PlanError),
     /// The loop was abandoned cooperatively (supervisor cancel or deadline).
+    /// Transient for an attempt's deadline, terminal for the job's.
     Cancelled(CancelReason),
     /// A dataflow node never ran because an upstream dependency failed.
+    /// Transient (never seen by a supervisor, which runs loops blocking).
     Poisoned {
         /// Failure message of the upstream node that failed — the root of
         /// the chain, when the node's dependency was itself poisoned.
         origin: String,
     },
     /// The supervisor's circuit breaker is open: its failure quota was
-    /// already exhausted, so no further execution was attempted.
+    /// already exhausted, so no further execution was attempted. Terminal.
     CircuitOpen,
 }
 
@@ -476,8 +482,9 @@ impl Supervisor {
     }
 
     /// Execute `loop_` under the recovery ladder; returns the global
-    /// reduction of the first successful attempt, or the last failure once
-    /// retries, degradation, and quota are exhausted.
+    /// reduction of the first successful attempt, the first deterministic
+    /// failure ([`FailureKind::Plan`]), or the last failure once retries,
+    /// degradation, and quota are exhausted.
     pub fn run(&self, loop_: &ParLoop) -> Result<Vec<f64>, LoopError> {
         let mut last: Option<LoopError> = None;
         let token = self.rt.cancel_token().clone();
@@ -523,6 +530,9 @@ impl Supervisor {
                     Ok(gbl) => return Ok(gbl),
                     Err(e) => {
                         let _ = self.spend_quota();
+                        if matches!(e.kind, FailureKind::Plan(_)) {
+                            return Err(e);
+                        }
                         last = Some(e);
                         // Retrying past the *job's* cancel/deadline is
                         // pointless: surface the abandonment now.

@@ -30,7 +30,7 @@ impl Access {
         !matches!(self, Access::Read)
     }
 
-    /// Short OP2-style name (diagnostics, codegen).
+    /// Short OP2-style name (diagnostics, plan keys).
     pub fn op2_name(self) -> &'static str {
         match self {
             Access::Read => "OP_READ",

@@ -8,9 +8,8 @@
 //!
 //! [`Deps`] holds that state as a value: [`Deps::record`] takes one loop's
 //! reads and writes and returns its edges. The dataflow executor, `det`'s
-//! dataflow-order checker, the translator's async waits and DOT graph and
-//! the machine model's task graphs all take loop order from it.
-//! [`conflict`] is the rule for one pair of loops.
+//! dataflow-order checker, the step interpreter's async waits, the DOT
+//! graph and the machine model's task graphs all take loop order from it.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -103,13 +102,6 @@ impl<K: Clone + Eq + Hash + Ord, P: Clone> Deps<K, P> {
 /// [`Deps::record`]'s edges grouped by producer, one slice each, oldest first.
 pub fn by_producer<K, P>(edges: &[Edge<K, P>]) -> impl Iterator<Item = &[Edge<K, P>]> {
     edges.chunk_by(|a, b| a.version == b.version)
-}
-
-/// The rule for one pair: loops `a` and `b`, each given as (reads, writes),
-/// must keep their program order when one writes a dat the other touches.
-pub fn conflict<K: PartialEq>(a: (&[K], &[K]), b: (&[K], &[K])) -> bool {
-    let meets = |x: &[K], y: &[K]| x.iter().any(|d| y.contains(d));
-    meets(a.1, b.0) || meets(a.0, b.1) || meets(a.1, b.1)
 }
 
 #[cfg(test)]
@@ -233,15 +225,5 @@ mod tests {
         let edges = table.record(&[], &[0], vec![5]).to_vec();
         let producers: Vec<Vec<i32>> = by_producer(&edges).map(|g| g[0].producer.clone()).collect();
         assert_eq!(producers, [vec![0], vec![1, 2, 3, 4]]);
-    }
-
-    #[test]
-    fn pairwise_rule() {
-        let (r, w, none): (&[u8], &[u8], &[u8]) = (&[1], &[1], &[]);
-        assert!(conflict((none, w), (r, none)), "read after write");
-        assert!(conflict((r, none), (none, w)), "write after read");
-        assert!(conflict((none, w), (none, w)), "write after write");
-        assert!(!conflict((r, none), (r, none)), "readers never conflict");
-        assert!(!conflict((none, w), (&[2], &[2])), "disjoint dats");
     }
 }

@@ -23,7 +23,8 @@
 //!   combining,
 //! * the **dependency rule** ([`deps`]) that orders loops by their declared
 //!   access modes, which every executor, checker and model of the loop DAG
-//!   derives its order from.
+//!   derives its order from,
+//! * the **time step** ([`Step`]): one iteration, declared once.
 //!
 //! Direct loops (no mapping, e.g. Airfoil's `save_soln`/`update`) parallelize
 //! trivially; indirect loops (data accessed through a map, e.g. `res_calc`
@@ -47,6 +48,7 @@ pub mod renumber;
 pub mod serial;
 pub mod set;
 pub mod snapshot;
+pub mod step;
 pub mod typed;
 
 pub use access::Access;
@@ -59,4 +61,5 @@ pub use renumber::MeshPermutation;
 pub use snapshot::{DatSnapshot, Footprint, RawDat, WriteFootprint};
 pub use reduction::{GblOp, GlobalAcc};
 pub use set::Set;
+pub use step::{Global, Step};
 pub use typed::{Args, TypedLoopBuilder};

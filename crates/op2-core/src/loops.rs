@@ -4,7 +4,7 @@
 //! ([`ParLoopBuilder::args`], see [`crate::typed`]) that is both its
 //! [`ArgSpec`]s and its kernel's values. The framework owns the one span loop
 //! every kernel runs in. [`ParLoopBuilder::kernel`] takes a raw per-element
-//! closure instead, for tests, fault injection and generated code, which
+//! closure instead, for tests and fault injection, which
 //! reach their dats through captured [`crate::DatView`]s as OP2's generated
 //! code does through raw pointers.
 
@@ -19,6 +19,7 @@ use crate::arg::{ArgSpec, MapRef};
 use crate::reduction::GblOp;
 use crate::set::Set;
 use crate::snapshot::{write_footprint, WriteFootprint};
+use crate::step::Global;
 
 /// The kernel body: called once per contiguous element span, which it visits
 /// in ascending order — so dynamic dispatch is paid per span, never per
@@ -42,6 +43,7 @@ pub struct ParLoop {
     name: String,
     set: Set,
     args: Vec<ArgSpec>,
+    pub(crate) globals: Vec<Global>,
     gbl_dim: usize,
     gbl_op: GblOp,
     guard_finite: bool,
@@ -55,7 +57,7 @@ pub struct ParLoop {
 
 /// Builder for [`ParLoop`]: the loop without its kernel. Validates
 /// argument/set consistency.
-pub struct ParLoopBuilder(ParLoop);
+pub struct ParLoopBuilder(pub(crate) ParLoop);
 
 impl ParLoop {
     /// Start building a loop named `name` over `set`.
@@ -64,6 +66,7 @@ impl ParLoop {
             name: name.into(),
             set: set.clone(),
             args: Vec::new(),
+            globals: Vec::new(),
             gbl_dim: 0,
             gbl_op: GblOp::Sum,
             guard_finite: false,
@@ -86,6 +89,11 @@ impl ParLoop {
     /// The declared arguments.
     pub fn args(&self) -> &[ArgSpec] {
         &self.args
+    }
+
+    /// The globals the loop reads.
+    pub fn globals(&self) -> &[Global] {
+        &self.globals
     }
 
     /// Dimension of the global reduction (0 = none).

@@ -16,12 +16,14 @@
 
 use std::marker::PhantomData;
 use std::ops::AddAssign;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::access::Access;
 use crate::arg::{arg_direct, arg_indirect, ArgSpec};
 use crate::dat::{Dat, DatView};
 use crate::loops::{ParLoop, ParLoopBuilder};
 use crate::map::{Map, MapView};
+use crate::step::Global;
 
 /// A value a typed argument carries: WRITE and INC start at `T::default()`.
 pub trait Value: Copy + Default + AddAssign + Send + Sync + 'static {}
@@ -120,15 +122,16 @@ mod sealed {
 }
 
 /// A typed argument, or a tuple of up to eight: what [`ParLoopBuilder::args`]
-/// takes. Sealed: [`Direct`], [`Via`] and tuples of them are all there is,
+/// takes. Sealed: [`Direct`], [`Via`], [`Global`] and tuples of them are all there is,
 /// which lets [`TypedLoopBuilder::kernel`] argue its one `unsafe` once.
 pub trait Args: sealed::Sealed + Send + Sync + 'static {
     /// What the kernel receives for one element.
     type Vals;
     /// The raw access the span loop copies into locals.
     type Views: Copy + Send + Sync + 'static;
-    /// Append this declaration's `ArgSpec`s in order and return its views.
-    fn split(self, specs: &mut Vec<ArgSpec>) -> Self::Views;
+    /// Append this declaration's `ArgSpec`s in order, and the globals it
+    /// reads, and return its views.
+    fn split(self, specs: &mut Vec<ArgSpec>, globals: &mut Vec<Global>) -> Self::Views;
     /// The kernel's values for element `e`.
     ///
     /// # Safety
@@ -146,7 +149,7 @@ impl<T: Value, const D: usize, A: Mode> Args for Direct<T, D, A> {
     type Vals = [T; D];
     type Views = DatView<T>;
 
-    fn split(self, specs: &mut Vec<ArgSpec>) -> DatView<T> {
+    fn split(self, specs: &mut Vec<ArgSpec>, _: &mut Vec<Global>) -> DatView<T> {
         specs.push(arg_direct(&self.dat, A::ACCESS));
         self.dat.view()
     }
@@ -174,7 +177,7 @@ impl<T: Value, const D: usize, const M: usize, A: Mode> Args for Via<T, D, M, A>
     type Vals = [[T; D]; M];
     type Views = ViaView<T, M>;
 
-    fn split(self, specs: &mut Vec<ArgSpec>) -> ViaView<T, M> {
+    fn split(self, specs: &mut Vec<ArgSpec>, _: &mut Vec<Global>) -> ViaView<T, M> {
         let dat = &self.arg.dat;
         specs.extend((0..M).map(|slot| arg_indirect(dat, slot, &self.map, A::ACCESS)));
         ViaView(dat.view(), self.map.view())
@@ -196,6 +199,44 @@ impl<T: Value, const D: usize, const M: usize, A: Mode> Args for Via<T, D, M, A>
     }
 }
 
+impl Global {
+    /// This global as a loop's argument, OP2's `op_arg_gbl(…, OP_READ)`: the
+    /// kernel receives `[f64; 1]`, and the loop lists the global as a read.
+    pub fn read(&self) -> Global {
+        self.clone()
+    }
+}
+
+/// A global's cell as the span loop reads it: raw and `Copy`, like a dat's view.
+#[derive(Clone, Copy)]
+pub struct GlobalView(*const AtomicU64);
+
+// SAFETY: the one field points at an `AtomicU64`, which is `Sync`, and is
+// only read, atomically; the loop holding the view holds the global too.
+unsafe impl Send for GlobalView {}
+unsafe impl Sync for GlobalView {}
+
+impl sealed::Sealed for Global {}
+impl Args for Global {
+    type Vals = [f64; 1];
+    type Views = GlobalView;
+
+    fn split(self, _: &mut Vec<ArgSpec>, globals: &mut Vec<Global>) -> GlobalView {
+        globals.push(self.clone());
+        GlobalView(self.cell())
+    }
+
+    #[inline(always)]
+    unsafe fn load(view: &GlobalView, _: usize) -> [f64; 1] {
+        // SAFETY: `split` put the global among its loop's reads, so the cell
+        // lives as long as any kernel that reads it.
+        [f64::from_bits((*view.0).load(Ordering::Relaxed))]
+    }
+
+    #[inline(always)]
+    unsafe fn commit(_: &GlobalView, _: usize, _: [f64; 1]) {}
+}
+
 macro_rules! tuples {
     ($(($($a:ident $i:tt),+))*) => {$(
         impl<$($a),+> sealed::Sealed for ($($a,)+) {}
@@ -203,8 +244,8 @@ macro_rules! tuples {
             type Vals = ($($a::Vals,)+);
             type Views = ($($a::Views,)+);
 
-            fn split(self, specs: &mut Vec<ArgSpec>) -> Self::Views {
-                ($(self.$i.split(specs),)+)
+            fn split(self, specs: &mut Vec<ArgSpec>, globals: &mut Vec<Global>) -> Self::Views {
+                ($(self.$i.split(specs, globals),)+)
             }
 
             #[inline(always)]
@@ -237,9 +278,10 @@ impl ParLoopBuilder {
     /// in the same order, and panics as they do. Declare any global reduction
     /// and [`ParLoopBuilder::guard_finite`] first.
     pub fn args<A: Args>(self, args: A) -> TypedLoopBuilder<A> {
-        let mut specs = Vec::new();
-        let views = args.split(&mut specs);
-        let builder = specs.into_iter().fold(self, ParLoopBuilder::arg);
+        let (mut specs, mut globals) = (Vec::new(), Vec::new());
+        let views = args.split(&mut specs, &mut globals);
+        let mut builder = specs.into_iter().fold(self, ParLoopBuilder::arg);
+        builder.0.globals = globals;
         TypedLoopBuilder { builder, views }
     }
 }

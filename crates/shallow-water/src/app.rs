@@ -1,13 +1,10 @@
 //! The shallow-water application: declarations, loops, and the adaptive
 //! time-march driver.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use op2_airfoil::mesh::{Mesh, MeshOptions};
 use op2_airfoil::{FlowConstants, MeshBuilder};
-use op2_core::{Dat, Layout, ParLoop};
-use op2_hpx::Executor;
+use op2_core::{Dat, Global, Layout, ParLoop, Step};
+use op2_hpx::{run_step, Executor, LoopError, NaturalExecutor, Supervisor, SyncStrategy};
 
 use crate::kernels;
 
@@ -67,12 +64,12 @@ pub struct SweApp {
     pub bflux: ParLoop,
     /// Explicit update + RMS.
     pub update: ParLoop,
-    /// Current `dt` (f64 bits), read by the update kernel.
-    dt_bits: Arc<AtomicU64>,
-    /// Shortest cell length scale, for the CFL formula.
-    min_len: f64,
+    /// The adaptive time step: set from `dt_calc`'s reduction, read by
+    /// `update`.
+    dt: Global,
+    /// See [`SweApp::step`].
+    step: Step,
     g: f64,
-    cfl: f64,
 }
 
 impl SweApp {
@@ -163,17 +160,28 @@ impl SweApp {
                 kernels::bflux(x1, x2, w1, r1, *bound, g);
             });
 
-        let dt_bits = Arc::new(AtomicU64::new(0));
-        let dt = Arc::clone(&dt_bits);
+        let dt = Global::new("dt", 0.0);
         let update = ParLoop::build("swe_update", &m.cells)
             .gbl_inc(1)
-            .args((wold.read::<3>(), w.write::<3>(), res.rw::<3>(), inv_area.read::<1>()))
-            .kernel(move |(wold, w, res, [inv_area]), gbl| {
-                // Relaxed is enough: the march stores `dt` before it issues
-                // this loop, and issuing a task happens-before it runs.
-                let dt = f64::from_bits(dt.load(Ordering::Relaxed));
-                kernels::update(wold, w, res, dt * *inv_area, &mut gbl[0]);
+            .args((
+                wold.read::<3>(),
+                w.write::<3>(),
+                res.rw::<3>(),
+                inv_area.read::<1>(),
+                dt.read(),
+            ))
+            .kernel(move |(wold, w, res, [inv_area], [dt]), gbl| {
+                kernels::update(wold, w, res, *dt * *inv_area, &mut gbl[0]);
             });
+
+        let cfl = cfg.cfl;
+        let step = Step::default()
+            .then(&save)
+            .then(&dt_calc)
+            .set(&dt, move |smax| cfl * min_len / smax[0].max(1e-12))
+            .then(&flux)
+            .then(&bflux)
+            .then(&update);
 
         SweApp {
             mesh,
@@ -186,10 +194,9 @@ impl SweApp {
             flux,
             bflux,
             update,
-            dt_bits,
-            min_len,
+            dt,
+            step,
             g: cfg.g,
-            cfl: cfg.cfl,
         }
     }
 
@@ -235,10 +242,10 @@ impl SweApp {
     /// March `steps` adaptive steps on `exec`; returns
     /// `(step, dt, sqrt(rms/ncells))` reports.
     ///
-    /// The adaptive `dt` flows from the `dt_calc` max-reduction to the
-    /// `update` kernel through a driver-level value, so the driver must
-    /// resolve `dt_calc` before issuing `update` — a data dependency the dat
-    /// system cannot see (documented; all other ordering is per backend).
+    /// The adaptive `dt` is a declared global: host code sets it from the
+    /// `dt_calc` max-reduction, and `update` reads it as an argument, so the
+    /// dependency rule orders `update` after `dt_calc` like any dat. Every
+    /// loop is waited on, whatever the backend.
     pub fn run(&self, exec: &dyn Executor, steps: usize, report_every: usize) -> Vec<(usize, f64, f64)> {
         let reports = self
             .march(exec, steps, report_every)
@@ -248,69 +255,52 @@ impl SweApp {
     }
 
     /// [`SweApp::run`] as a *submittable job*: every loop executes through
-    /// the recovery [`op2_hpx::Supervisor`] ladder, and the first
-    /// unrecovered failure — including a job-level cancellation or deadline
-    /// armed on the supervisor's runtime token — surfaces as a typed
-    /// [`op2_hpx::LoopError`] instead of a panic. Reports are bit-identical
-    /// to [`SweApp::run`] on any backend.
+    /// the recovery [`Supervisor`] ladder, and the first unrecovered failure
+    /// — including a job-level cancellation or deadline armed on the
+    /// supervisor's runtime token — surfaces as a typed [`LoopError`]
+    /// instead of a panic. Reports are bit-identical to [`SweApp::run`] on
+    /// any backend.
     pub fn run_supervised(
         &self,
-        sup: &op2_hpx::Supervisor,
+        sup: &Supervisor,
         steps: usize,
         report_every: usize,
-    ) -> Result<Vec<(usize, f64, f64)>, op2_hpx::LoopError> {
+    ) -> Result<Vec<(usize, f64, f64)>, LoopError> {
         self.march(sup, steps, report_every)
     }
 
-    /// The adaptive march on `exec`, every loop waited on before the next.
-    /// A failure to issue is returned; a late failure of an asynchronous
-    /// executor panics at the wait (a supervisor's handles are always
-    /// complete).
+    /// [`SweApp::run`] in single-threaded *natural* iteration order
+    /// ([`NaturalExecutor`]): every loop visits its set in ascending index
+    /// order, no coloring. This is the order the 1-rank distributed march
+    /// uses, so it serves as the bitwise oracle for `op2-dist`'s
+    /// shallow-water driver.
+    pub fn run_natural(&self, steps: usize, report_every: usize) -> Vec<(usize, f64, f64)> {
+        self.run(&NaturalExecutor, steps, report_every)
+    }
+
+    /// The adaptive march on `exec`: one blocking [`run_step`] per step,
+    /// whose one result is `update`'s RMS.
     fn march(
         &self,
         exec: &dyn Executor,
         steps: usize,
         report_every: usize,
-    ) -> Result<Vec<(usize, f64, f64)>, op2_hpx::LoopError> {
+    ) -> Result<Vec<(usize, f64, f64)>, LoopError> {
         let ncells = self.mesh.ncells() as f64;
-        let mut reports = Vec::new();
+        let (mut reports, mut results) = (Vec::new(), Vec::with_capacity(1));
         for step in 1..=steps {
-            exec.try_execute(&self.save)?.wait();
-            let smax = exec.try_execute(&self.dt_calc)?.get()[0];
-            let dt = self.cfl * self.min_len / smax.max(1e-12);
-            self.dt_bits.store(dt.to_bits(), Ordering::Release);
-            exec.try_execute(&self.flux)?.wait();
-            exec.try_execute(&self.bflux)?.wait();
-            let rms = exec.try_execute(&self.update)?.get()[0];
+            run_step(exec, &self.step, SyncStrategy::Blocking, &mut results)?;
+            let rms = results.pop().expect("update's RMS").try_get()?[0];
             if step % report_every.max(1) == 0 || step == steps {
-                reports.push((step, dt, (rms / ncells).sqrt()));
+                reports.push((step, self.dt.get(), (rms / ncells).sqrt()));
             }
         }
         Ok(reports)
     }
 
-    /// [`SweApp::run`] in single-threaded *natural* iteration order
-    /// (`op2_core::serial::execute_natural`): every loop visits its set in
-    /// ascending index order, no coloring. This is the order the 1-rank
-    /// distributed march uses, so it serves as the bitwise oracle for
-    /// `op2-dist`'s shallow-water driver.
-    pub fn run_natural(&self, steps: usize, report_every: usize) -> Vec<(usize, f64, f64)> {
-        use op2_core::serial::execute_natural;
-        let ncells = self.mesh.ncells() as f64;
-        let mut reports = Vec::new();
-        for step in 1..=steps {
-            execute_natural(&self.save);
-            let smax = execute_natural(&self.dt_calc)[0];
-            let dt = self.cfl * self.min_len / smax.max(1e-12);
-            self.dt_bits.store(dt.to_bits(), Ordering::Release);
-            execute_natural(&self.flux);
-            execute_natural(&self.bflux);
-            let rms = execute_natural(&self.update)[0];
-            if step % report_every.max(1) == 0 || step == steps {
-                reports.push((step, dt, (rms / ncells).sqrt()));
-            }
-        }
-        reports
+    /// One step: the five loops and the host code that sets `dt`.
+    pub fn step(&self) -> &Step {
+        &self.step
     }
 
     /// Gravity in use.
@@ -323,6 +313,7 @@ impl SweApp {
 mod tests {
     use super::*;
     use op2_hpx::{make_executor, BackendKind, Op2Runtime};
+    use std::sync::Arc;
 
     fn exec(kind: BackendKind) -> Box<dyn Executor> {
         make_executor(kind, Arc::new(Op2Runtime::new(2, 32)))
@@ -437,7 +428,7 @@ mod tests {
                 ..SweConfig::default()
             });
             a.dam_break(2.0, 2.0, 1.0);
-            a.dt_bits.store(1e-3f64.to_bits(), Ordering::Release);
+            a.dt.set(1e-3);
             let digests = [&a.save, &a.dt_calc, &a.flux, &a.bflux, &a.update].map(|l| {
                 let n = l.set().size();
                 let mut gbl = vec![l.gbl_op().identity(); l.gbl_dim()];

@@ -10,8 +10,9 @@
 //!   (`save`, `dt_calc`, `flux` + `bflux`, `update`);
 //! * a **max**-reduction in anger: the adaptive time step is
 //!   `dt = CFL · min(dx) / max_cells(|u| + √(gh))`, computed with
-//!   [`op2_core::GblOp::Max`] and fed back to the kernels through an atomic
-//!   cell (`gbl_max` exercised end-to-end);
+//!   [`op2_core::GblOp::Max`] and fed back as a declared global
+//!   ([`op2_core::Global`]) that the update loop reads as an argument
+//!   (`gbl_max` exercised end-to-end);
 //! * strong conservation oracles — with reflective walls everywhere, total
 //!   mass is conserved to rounding, and a *lake at rest* stays exactly at
 //!   rest (the well-balancedness analogue of Airfoil's free-stream test).

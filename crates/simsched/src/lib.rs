@@ -18,7 +18,7 @@
 //!   differing *only* in synchronization structure, chunking, and pinning —
 //!   exactly the paper's independent variable — with loop order derived
 //!   from the loops' declared accesses ([`op2_core::deps`]), so any app's
-//!   loops ([`LoopSpec::of`]) give its graph;
+//!   step ([`IterationSpec::of`]) gives its graph;
 //! * [`sim`] — deterministic discrete-event simulation (greedy list
 //!   scheduling with work stealing for unpinned tasks, static assignment for
 //!   pinned ones);

@@ -237,7 +237,7 @@ pub fn build_graph(
 mod tests {
     use super::*;
     use crate::sim::simulate;
-    use crate::workload::{airfoil_workload, LoopSpec};
+    use crate::workload::airfoil_workload;
 
     /// Airfoil's graph as it was placed by hand before [`build_graph`]
     /// derived it: Fig. 10's `get()`s, and the same edges for dataflow.
@@ -337,17 +337,21 @@ mod tests {
         }
     }
 
-    /// Any app's loops give its graph: shallow water's, with no code of its
+    /// Any app's step gives its graph: shallow water's, with no code of its
     /// own. `swe_flux` only reads what `swe_dt` reads, so it does not wait
-    /// on it; `swe_update` overwrites `w`, which `swe_dt` read.
+    /// on it; `swe_update` reads `dt`, which `swe_dt`'s reduction sets, and
+    /// overwrites `w`, which `swe_dt` read.
     #[test]
     fn shallow_water_graph_from_its_loops() {
         let app = op2_swe::SweApp::new(op2_swe::SweConfig { imax: 16, jmax: 8, ..Default::default() });
-        let costs = [(&app.save, 25), (&app.dt_calc, 40), (&app.flux, 120), (&app.bflux, 90), (&app.update, 50)];
-        let spec = IterationSpec {
-            program: costs.iter().map(|&(l, ns)| LoopSpec::of(l, 16, ns)).collect(),
-            ncells: app.mesh.ncells(),
-        };
+        let costs =
+            [("swe_save", 25), ("swe_dt", 40), ("swe_flux", 120), ("swe_bflux", 90), ("swe_update", 50)];
+        let cost = |name: &str| costs.iter().find(|c| c.0 == name).expect("an SWE loop").1;
+        let spec = IterationSpec::of(app.step(), app.mesh.ncells(), 16, cost);
+        let (global, _) = app.step().host(1).expect("swe_dt's reduction sets a global");
+        assert_eq!(global.name(), "dt");
+        assert_eq!(spec.program[1].writes, [global.id()], "swe_dt writes dt alone");
+        assert!(spec.program[4].reads.contains(&global.id()), "swe_update reads dt");
         let m = MachineParams::default();
         let g = build_graph(SimMethod::Dataflow, &spec, 1, 4, &m);
         // Dataflow adds no task between loops: each loop's completion task
@@ -365,7 +369,7 @@ mod tests {
         let follows = |a: usize, b: usize| reach[a][b / 64] >> (b % 64) & 1 == 1;
         let [save, dt, flux, _bflux, update] = ends[..] else { unreachable!() };
         assert!(!follows(dt, flux), "swe_flux must not wait on swe_dt");
-        assert!(follows(dt, update), "swe_update overwrites w, which swe_dt read");
+        assert!(follows(dt, update), "swe_update reads dt, which swe_dt sets");
         assert!(follows(save, update));
         for method in SimMethod::all() {
             let g = build_graph(method, &spec, 2, 4, &m);

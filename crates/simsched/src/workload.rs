@@ -1,16 +1,16 @@
 //! Workload extraction: per-block task costs from the real mesh, plans, and
-//! coloring — Airfoil's in [`airfoil_workload`], any app's through
-//! [`LoopSpec::of`].
+//! coloring — Airfoil's in [`airfoil_workload`], any app's from its
+//! [`Step`] through [`IterationSpec::of`].
 //!
 //! The simulator's *structure* is not synthetic: block counts, block sizes,
 //! and the color partition come from [`op2_core::Plan`] built against the
 //! actual generated mesh — the same plans the real backends execute — and
-//! loop order from the loops' declared dat reads and writes. Only the
+//! loop order from the step's declared reads and writes. Only the
 //! per-element kernel costs are model constants (calibrated relative
 //! weights of the five kernels).
 
 use op2_airfoil::{AirfoilLoops, FlowConstants, MeshBuilder};
-use op2_core::{ParLoop, Plan};
+use op2_core::{Plan, Step};
 
 /// Modeled per-element cost of each kernel, ns (relative weights matter more
 /// than absolute values; they roughly track the kernels' flop counts).
@@ -37,16 +37,18 @@ pub struct LoopSpec {
     pub colors: Vec<Vec<u64>>,
     /// Total nominal work, ns.
     pub total_ns: u64,
-    /// Ids of the dats the loop reads ([`ParLoop::dat_reads`]).
+    /// Ids of the dats and globals the loop reads ([`Step::keys`]).
     pub reads: Vec<u64>,
-    /// Ids of the dats the loop writes ([`ParLoop::dat_writes`]).
+    /// Ids of the dats and globals the loop writes ([`Step::keys`]).
     pub writes: Vec<u64>,
 }
 
 impl LoopSpec {
-    /// `loop_` under plans of mini-partition size `part`, every element
-    /// costing `per_elem_ns`.
-    pub fn of(loop_: &ParLoop, part: usize, per_elem_ns: u64) -> LoopSpec {
+    /// Loop `i` of `step` under plans of mini-partition size `part`, every
+    /// element costing `per_elem_ns`.
+    pub fn of(step: &Step, i: usize, part: usize, per_elem_ns: u64) -> LoopSpec {
+        let loop_ = &step.loops()[i];
+        let (reads, writes) = step.keys(i);
         let plan = Plan::build(loop_.set(), loop_.args(), part);
         let cost = |b: &u32| plan.blocks[*b as usize].len() as u64 * per_elem_ns;
         let colors: Vec<Vec<u64>> = plan.color_blocks.iter().map(|c| c.iter().map(cost).collect()).collect();
@@ -55,8 +57,8 @@ impl LoopSpec {
             name: loop_.name().to_owned(),
             colors,
             total_ns,
-            reads: loop_.dat_reads(),
-            writes: loop_.dat_writes(),
+            reads,
+            writes,
         }
     }
 
@@ -76,6 +78,15 @@ pub struct IterationSpec {
 }
 
 impl IterationSpec {
+    /// One `step` of an app whose mesh has `ncells` cells, under plans of
+    /// mini-partition size `part`, a loop named `name` costing `cost(name)`
+    /// per element.
+    pub fn of(step: &Step, ncells: usize, part: usize, cost: impl Fn(&str) -> u64) -> Self {
+        let loops = step.loops().iter().enumerate();
+        let program = loops.map(|(i, l)| LoopSpec::of(step, i, part, cost(l.name()))).collect();
+        IterationSpec { program, ncells }
+    }
+
     /// Total nominal work of one iteration, ns.
     pub fn iteration_work_ns(&self) -> u64 {
         self.program.iter().map(|l| l.total_ns).sum()
@@ -83,21 +94,19 @@ impl IterationSpec {
 }
 
 /// Build the Airfoil workload for an `imax × jmax` channel mesh with
-/// mini-partition size `part`: `save_soln`, then two stages of `adt_calc`,
-/// `res_calc`, `bres_calc`, `update`.
+/// mini-partition size `part`: Airfoil's step ([`AirfoilLoops::step`]).
 pub fn airfoil_workload(imax: usize, jmax: usize, part: usize) -> IterationSpec {
     let consts = FlowConstants::default();
     let mesh = MeshBuilder::channel(imax, jmax).build(&consts);
-    let loops = AirfoilLoops::new(&mesh, &consts);
-    let save = LoopSpec::of(&loops.save_soln, part, kernel_cost::SAVE_NS);
-    let stage = [
-        LoopSpec::of(&loops.adt_calc, part, kernel_cost::ADT_NS),
-        LoopSpec::of(&loops.res_calc, part, kernel_cost::RES_NS),
-        LoopSpec::of(&loops.bres_calc, part, kernel_cost::BRES_NS),
-        LoopSpec::of(&loops.update, part, kernel_cost::UPDATE_NS),
-    ];
-    let program = std::iter::once(save).chain(stage.clone()).chain(stage).collect();
-    IterationSpec { program, ncells: mesh.ncells() }
+    let step = AirfoilLoops::new(&mesh, &consts).step();
+    IterationSpec::of(&step, mesh.ncells(), part, |name| match name {
+        "save_soln" => kernel_cost::SAVE_NS,
+        "adt_calc" => kernel_cost::ADT_NS,
+        "res_calc" => kernel_cost::RES_NS,
+        "bres_calc" => kernel_cost::BRES_NS,
+        "update" => kernel_cost::UPDATE_NS,
+        other => unreachable!("Airfoil has no loop {other}"),
+    })
 }
 
 #[cfg(test)]

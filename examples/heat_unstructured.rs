@@ -9,11 +9,14 @@
 //! endpoints (`flux` loop, `OP_INC`), then an explicit update applies the
 //! accumulated flux (`apply` loop, direct). With a connected graph the
 //! temperature field converges to the mean — which the example verifies.
+//!
+//! The app is its kernels and declarations: one [`Step`] states the loop
+//! order, and `run_step` derives every wait the backend's driver needs.
 
 use std::sync::Arc;
 
-use op2_core::{Dat, Map, ParLoop, Set};
-use op2_hpx::{make_executor, BackendKind, Op2Runtime};
+use op2_core::{Dat, Map, ParLoop, Set, Step};
+use op2_hpx::{make_executor, run_step, BackendKind, Op2Runtime, SyncStrategy};
 
 /// Deterministic pseudo-random graph: a ring (keeps it connected) plus
 /// skip links, `extra` per node.
@@ -100,23 +103,15 @@ fn main() {
         256,
     ));
     let exec = make_executor(backend, rt);
+    let mode = SyncStrategy::for_backend(backend);
     println!("heat: backend={backend} nodes={N} links={nedges} steps={steps}");
 
-    // The async backend returns futures without ordering conflicting loops —
-    // the driver must wait between them (§III-A2); dataflow needs no waits.
-    let manual_waits = matches!(backend, BackendKind::Async);
-    let mut last_change = f64::INFINITY;
+    let heat = Step::default().then(&conduct).then(&apply);
+    let (mut last_change, mut results) = (f64::INFINITY, Vec::with_capacity(1));
     for step in 1..=steps {
-        let hc = exec.execute(&conduct);
-        if manual_waits {
-            hc.wait(); // `apply` rewrites the flux `conduct` increments
-        }
-        let h = exec.execute(&apply);
-        if manual_waits {
-            h.wait(); // next `conduct` reads the updated temperature
-        }
+        run_step(exec.as_ref(), &heat, mode, &mut results).unwrap_or_else(|e| e.rethrow());
         if step % (steps / 8).max(1) == 0 || step == steps {
-            last_change = h.get()[0].sqrt();
+            last_change = results.pop().expect("apply's reduction").get()[0].sqrt();
             println!("  step {step:>6}  |ΔT| = {last_change:.6e}");
         }
     }

@@ -328,6 +328,47 @@ fn injected_coloring_bug_caught_by_plan_validator() {
     }
 }
 
+/// A refused plan is deterministic — the plan and its validation are cached —
+/// so a `Supervisor` returns it after one attempt and spends one unit of
+/// quota, where it once retried and degraded through the whole ladder. A
+/// kernel panic is transient and still retried, and recovers.
+#[test]
+fn supervisor_fails_fast_on_a_refused_plan_and_retries_a_panic() {
+    let mesh = chain_mesh(32);
+    let edges = Set::new("edges", mesh.nedges);
+    let cells = Set::new("cells", mesh.ncells);
+    let m = Map::new("pecell", &edges, &cells, 2, mesh.table.clone());
+    let res = Dat::filled("res", &cells, 1, 0.0f64);
+    let gather = ParLoop::build("gather", &edges)
+        .args(res.inc::<1>().via::<2>(&m))
+        .kernel(|[[r1], [r2]], _| {
+            *r1 = 1.0;
+            *r2 = 1.0;
+        });
+    let rt = Arc::new(Op2Runtime::new(2, PART_SIZE));
+    let sup = Supervisor::new(rt, BackendKind::Dataflow, RetryPolicy::default());
+    let quota = sup.quota_remaining();
+    det::inject_coloring_bug(true);
+    let refused = sup.try_execute(&gather).map(drop);
+    det::inject_coloring_bug(false);
+    let err = refused.expect_err("the broken plan is refused");
+    assert!(matches!(err.kind, FailureKind::Plan(_)), "{err}");
+    assert_eq!(sup.quota_remaining(), quota - 1, "one refusal, one attempt");
+
+    let panicked = std::sync::atomic::AtomicBool::new(false);
+    let panicked = Arc::new(panicked);
+    let once = Arc::clone(&panicked);
+    let flaky = ParLoop::build("flaky", &cells)
+        .args(res.rw::<1>())
+        .kernel(move |[r], _| {
+            assert!(once.swap(true, std::sync::atomic::Ordering::Relaxed), "injected fault");
+            *r += 1.0;
+        });
+    sup.try_execute(&flaky).expect("a panic is retried and recovers");
+    assert_eq!(sup.quota_remaining(), quota - 2, "the panic cost one attempt");
+    assert!(res.to_vec().iter().all(|&v| v == 1.0), "the retry ran from restored data");
+}
+
 /// Without the injection hook the checker stays quiet on the same mesh — the
 /// test above is not a false positive of the harness itself.
 #[test]

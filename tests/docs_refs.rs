@@ -17,8 +17,9 @@
 //! exactly one place — the code that waits on every loop builds no executor
 //! to do it; the apps' kernels never touch a map or branch on the data
 //! layout, and the apps hold no `unsafe` and no raw view; loop order is
-//! derived by one dependency rule, `op2_core::deps`; and the `det` layer
-//! keeps off the accessors and the colored body.
+//! derived by one dependency rule, `op2_core::deps`; the apps, the machine
+//! model and the service issue no loop but through `op2_hpx::run_step`; and
+//! the `det` layer keeps off the accessors and the colored body.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -371,11 +372,10 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// One dependency rule. What orders two loops — a dat's last writer and the
 /// readers since that write — is kept by `op2_core::deps` alone: the dataflow
-/// executor, `det`'s ordering checker, the translator and the machine model call it
-/// and keep no table of their own. So no non-test line elsewhere names that
-/// bookkeeping, nor the pairwise `conflicts_with` — save the one line that
-/// defines codegen's `LoopDecl::conflicts_with`, which hands the rule to the
-/// translator tests' pairwise oracle.
+/// executor, `det`'s ordering checker, the step interpreter's waits, the DOT
+/// dump and the machine model call it and keep no table of their own. So no
+/// non-test line elsewhere names that bookkeeping, nor a pairwise
+/// `conflicts_with`.
 #[test]
 fn loop_order_has_one_dependency_rule() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -390,14 +390,10 @@ fn loop_order_has_one_dependency_rule() {
         }
     }
     let home = root.join("crates/op2-core/src/deps.rs");
-    let oracle = root.join("crates/codegen/src/ast.rs");
     let words = ["last_writer", "readers_since_write", "df_last_writer", "df_readers", "conflicts_with"];
     let mut found = Vec::new();
     for file in files.iter().filter(|f| **f != home) {
         for (n, line) in code(file) {
-            if *file == oracle && line.starts_with("pub fn conflicts_with(") {
-                continue;
-            }
             if words.iter().any(|w| names(&line, w)) {
                 found.push(format!("{}:{n}: {line}", file.strip_prefix(root).unwrap_or(file).display()));
             }
@@ -406,6 +402,26 @@ fn loop_order_has_one_dependency_rule() {
     assert!(files.len() > 100, "scanned only {} files", files.len());
     assert!(found.is_empty(), "dependency bookkeeping outside op2_core::deps: {found:#?}");
     assert!(files.contains(&home), "the rule's home is gone");
+}
+
+/// One time step, declared once. An app states its iteration as an
+/// `op2_core::Step` and `op2_hpx::run_step` is the one place that issues its
+/// loops, so no non-test line of the app crates, the machine model or the
+/// service issues a loop itself.
+#[test]
+fn run_step_is_the_only_place_that_issues_loops() {
+    let mut found = Vec::new();
+    let apps = ["crates/airfoil/src", "crates/shallow-water/src", "crates/simsched/src", "crates/op2-serve/src"];
+    for dir in apps {
+        for (file, lines) in src_code(dir) {
+            for (n, line) in &lines {
+                if ["try_execute", "execute(", "execute_natural"].iter().any(|w| line.contains(w)) {
+                    found.push(format!("{dir}/{file}:{n}: {line}"));
+                }
+            }
+        }
+    }
+    assert!(found.is_empty(), "loops issued outside run_step: {found:#?}");
 }
 
 /// Races are refused from the declaration: `Op2Runtime::prepare` validates

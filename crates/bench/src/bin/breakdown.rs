@@ -4,7 +4,7 @@
 //! Usage: `breakdown [--real]` — the default breaks down the deterministic
 //! machine-model simulation; `--real` measures the actual runtime with the
 //! op2-trace recorder and attributes barrier-wait vs dependency-wait time
-//! per loop (requires the `trace` feature, on by default here).
+//! per loop.
 use op2_bench::realtrace::run_real;
 use op2_bench::*;
 use op2_hpx::BackendKind;
@@ -46,10 +46,6 @@ fn main() {
 /// Measured (not simulated) breakdown: one Airfoil iteration per backend on
 /// host threads, recorded by op2-trace.
 fn real_breakdown() {
-    if !op2_trace::COMPILED {
-        eprintln!("breakdown --real requires the `trace` feature (op2-trace/record)");
-        std::process::exit(1);
-    }
     let threads = 2;
     println!("# Measured breakdown @ {threads} host thread(s) (60x30, 1 iteration), µs");
     println!(

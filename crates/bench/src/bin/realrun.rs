@@ -6,8 +6,7 @@
 //! Usage: realrun [--trace] [THREADS ...]   (default: 1 thread)
 //!
 //! `--trace` additionally records each run with the op2-trace collector and
-//! prints the per-loop wall/barrier/dep-wait report (requires the `trace`
-//! feature, on by default for this crate).
+//! prints the per-loop wall/barrier/dep-wait report.
 use op2_bench::realtrace::run_real;
 use op2_hpx::BackendKind;
 
@@ -23,9 +22,6 @@ fn main() {
     }
     if threads.is_empty() {
         threads.push(1);
-    }
-    if trace && !op2_trace::COMPILED {
-        eprintln!("warning: --trace requested but the `trace` feature is off; reports will be empty");
     }
     let iters = 20;
 

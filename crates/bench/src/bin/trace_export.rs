@@ -55,10 +55,6 @@ fn export_simulated(out_dir: &str) {
 }
 
 fn export_real(out_dir: &str) {
-    if !op2_trace::COMPILED {
-        eprintln!("trace_export --real requires the `trace` feature (op2-trace/record)");
-        std::process::exit(1);
-    }
     let threads = 2;
     let kinds = [
         BackendKind::ForkJoin,

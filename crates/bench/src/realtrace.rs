@@ -7,9 +7,6 @@
 //! side by side in Perfetto. Exports follow the `trace_real_<method>.json`
 //! naming convention, `<method>` being [`BackendKind::label`] (see
 //! EXPERIMENTS.md).
-//!
-//! Without the `trace` feature (`op2-trace/record`), collectors return empty
-//! timelines; callers should check [`op2_trace::COMPILED`].
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -115,7 +115,6 @@ impl Executor for DataflowExecutor {
         // Register with the dataflow-ordering checker inside the same
         // critical section that builds the dependency edges, so the checker's
         // own table sees loops in exactly the executor's program order.
-        #[cfg(feature = "det")]
         let df_token = op2_core::det::dataflow_register(loop_.name(), &reads, &writes);
 
         // Fig. 13: dataflow(unwrapped([&]{ for_each(par, …); return out; }),
@@ -151,7 +150,6 @@ impl Executor for DataflowExecutor {
                     promise.set_value(Err(LoopError::new(body_loop.name(), "dataflow", kind, false)));
                     return;
                 }
-                #[cfg(feature = "det")]
                 op2_core::det::dataflow_begin(df_token);
                 // The loop span covers the body only — from the last
                 // dependency resolving to completion — so there is never a
@@ -165,7 +163,6 @@ impl Executor for DataflowExecutor {
                 // Completion is recorded before the loop's future resolves,
                 // so any dependent that begins afterwards observes it as
                 // done.
-                #[cfg(feature = "det")]
                 op2_core::det::dataflow_complete(df_token);
                 // Credit the body only, not the dependency wait the DAG
                 // imposed before it could start.

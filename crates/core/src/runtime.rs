@@ -134,7 +134,7 @@ impl Op2Runtime {
     /// ([`hpx_rt::DetPool`]) whose task interleaving is a pure function of
     /// `seed` — every backend then executes reproducibly, which is what the
     /// schedule-exploration tests (`tests/det_schedules.rs`) and the
-    /// dataflow-order checker (`op2_core::det`, `det` feature) build on.
+    /// dataflow-order checker (`op2_core::det`) build on.
     pub fn deterministic(seed: u64, part_size: usize) -> Self {
         Self::from_pool(Arc::new(DetPool::new(seed)), part_size)
     }

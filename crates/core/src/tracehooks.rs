@@ -20,8 +20,8 @@
 //!   dependency table.
 //!
 //! Instance ids are allocated unconditionally (one relaxed `fetch_add` per
-//! loop — negligible next to plan lookup); everything else compiles to
-//! nothing when `op2-trace`'s `record` feature is off.
+//! loop — negligible next to plan lookup); everything else is one relaxed
+//! load while no `op2_trace::Collector` is recording.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn synced_list_roundtrip() {
-        // With `record` off (or no active collector) the list stays empty.
+        // With no active collector the list stays empty.
         synced_push(3);
         let drained = synced_drain();
         if op2_trace::enabled() {

@@ -22,8 +22,8 @@ pub struct PoolMetrics {
     pub parks: AtomicU64,
     /// Times a thread actually blocked at a barrier (latch wait that found
     /// the latch still up, or an executor's implicit end-of-loop barrier).
-    /// Kept even without the `trace` feature: it is one relaxed increment on
-    /// a path that is already blocking.
+    /// Counted whether or not a trace session is running: it is one relaxed
+    /// increment on a path that is already blocking.
     pub barrier_waits: AtomicU64,
     /// Times a thread actually blocked on an unready future / dataflow
     /// dependency (`Future::get`, `SharedFuture::get`, handle waits).

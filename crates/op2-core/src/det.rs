@@ -1,8 +1,11 @@
 //! Dataflow-order checking and coloring-bug injection for deterministic
-//! schedule exploration (`det` feature).
+//! schedule exploration.
 //!
-//! Compiled only with `--features det`, this module holds the two halves of
-//! the `det` layer that live in `op2-core`:
+//! Always compiled and off until [`enable`] (checking) or
+//! [`inject_coloring_bug`] (injection) arms it on a thread: off, the
+//! dataflow hooks cost one relaxed load per loop issued and a plan build one
+//! thread-local read. This module holds the two halves of the `det` layer
+//! that live in `op2-core`:
 //!
 //! 1. **Dataflow ordering** — [`dataflow_register`] / [`dataflow_begin`] /
 //!    [`dataflow_complete`] keep a thread-local [`crate::deps`] table of

@@ -37,7 +37,6 @@ pub mod access;
 pub mod arg;
 pub mod dat;
 pub mod deps;
-#[cfg(feature = "det")]
 pub mod det;
 pub mod ids;
 pub mod loops;

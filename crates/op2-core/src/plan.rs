@@ -192,9 +192,9 @@ impl Plan {
             }
         }
 
-        // Test-only hook: deliberately break the coloring so the plan
-        // validator's end-to-end tests have a real bug to refuse.
-        #[cfg(feature = "det")]
+        // Test hook, off unless armed on this thread: deliberately break the
+        // coloring so the plan validator's end-to-end tests have a real bug
+        // to refuse.
         crate::det::maybe_break_coloring(&mut block_colors, &mut ncolors);
 
         let mut color_blocks: Vec<Vec<u32>> = vec![Vec::new(); ncolors as usize];

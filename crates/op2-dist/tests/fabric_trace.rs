@@ -1,9 +1,5 @@
 //! Fabric instrumentation: send/recv/try_recv/barrier/allreduce record
-//! epoch- and seq-tagged spans into the op2-trace rings (only meaningful
-//! with the `trace` feature; without it the collector returns an empty
-//! timeline and the hooks are no-ops).
-
-#![cfg(feature = "trace")]
+//! epoch- and seq-tagged spans into the op2-trace rings.
 
 use std::time::Duration;
 

@@ -12,8 +12,6 @@
 //! exist only under overlap, results stay bitwise equal) are exact. Kept to
 //! a single `#[test]` so the global trace collector is never shared.
 
-#![cfg(feature = "trace")]
-
 use op2_airfoil::{FlowConstants, MeshBuilder};
 use op2_dist::exec::{run_distributed_opts, DistOptions, DistReport, JitterSpec};
 use op2_dist::Partition;

@@ -3,8 +3,8 @@
 //! Each dispatched job is one [`op2_trace::EventKind::Job`] span (name =
 //! job name, `a` = job id, `b` = interned tenant); each admission shed is
 //! one [`op2_trace::EventKind::Shed`] instant (name = tenant, `a` =
-//! rejection code, `b` = queue depth). With `op2-trace`'s `record` feature
-//! off everything here compiles to nothing.
+//! rejection code, `b` = queue depth). While no `op2_trace::Collector` is
+//! recording, each hook is one relaxed load.
 
 use op2_trace::EventKind;
 

@@ -5,9 +5,6 @@ use crate::event::{Event, EventKind, NO_NAME};
 /// Everything a [`crate::Collector`] gathered between `start` and `stop`:
 /// events sorted by start time, the process string table, and how many
 /// events were lost to ring overwrite.
-///
-/// Always compiled — a `record`-off build produces [`Timeline::empty`], so
-/// downstream consumers (exporters, reports, benches) never need a `cfg`.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     /// Events sorted by `(start_ns, end_ns, tid)`; per-thread order is
@@ -20,13 +17,7 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// A timeline with nothing in it.
-    pub fn empty() -> Timeline {
-        Timeline::default()
-    }
-
-    /// True when no events were recorded (always true when
-    /// [`crate::COMPILED`] is false).
+    /// True when no events were recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }

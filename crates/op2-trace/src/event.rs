@@ -118,7 +118,6 @@ impl EventKind {
     }
 
     /// Decode from the ring-buffer representation.
-    #[cfg_attr(not(feature = "record"), allow(dead_code))]
     pub(crate) fn from_u8(v: u8) -> Option<EventKind> {
         Some(match v {
             0 => EventKind::TaskSpawn,

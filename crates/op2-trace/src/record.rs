@@ -1,317 +1,219 @@
-//! The recording half: per-thread lock-free event rings behind the `record`
-//! feature, with a signature-identical no-op twin when the feature is off.
+//! The recording half: per-thread lock-free event rings, always compiled and
+//! idle until a [`Collector`] starts a session.
 //!
-//! Hot-path contract (`record` **off**): every function here is an empty
-//! `#[inline(always)]` body, [`SpanToken`] is a zero-sized type, and no
-//! atomics or statics are referenced — instrumented call sites compile away
-//! entirely (asserted by `tests/noop_guard.rs`).
-//!
-//! Hot-path contract (`record` **on**): one relaxed atomic load (the global
-//! enabled flag) when tracing is idle; when active, an event costs five
-//! relaxed stores into a thread-owned ring plus one release store of the
-//! ring's write counter. Rings are single-writer (the owning thread), fixed
-//! capacity, and overwrite oldest entries — the collector reports how many
-//! events were dropped that way. A concurrent writer that raced past
-//! `Collector::stop` can at worst garble the *values* of one in-flight slot
-//! (every word is an atomic, so there is no UB); it cannot corrupt the ring.
+//! Hot-path contract: one relaxed atomic load (the global enabled flag) when
+//! tracing is idle; when active, an event costs five relaxed stores into a
+//! thread-owned ring plus one release store of the ring's write counter.
+//! Rings are single-writer (the owning thread), fixed capacity, and
+//! overwrite oldest entries — the collector reports how many events were
+//! dropped that way. A concurrent writer that raced past `Collector::stop`
+//! can at worst garble the *values* of one in-flight slot (every word is an
+//! atomic, so there is no UB); it cannot corrupt the ring.
 
-use crate::event::{EventKind, NO_NAME};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
+
+use crate::event::{Event, EventKind, NO_NAME};
 use crate::Timeline;
 
-/// Whether this build actually records events (`record` feature).
-#[cfg(feature = "record")]
-pub const COMPILED: bool = true;
-/// Whether this build actually records events (`record` feature).
-#[cfg(not(feature = "record"))]
-pub const COMPILED: bool = false;
+/// Events retained per thread; older entries are overwritten (and
+/// counted as dropped). 1<<16 slots × 40 B = 2.5 MiB per recording
+/// thread, enough for several Airfoil iterations on a small mesh.
+const RING_CAP: usize = 1 << 16;
 
-// ---------------------------------------------------------------------------
-// record = on
-// ---------------------------------------------------------------------------
+/// One event: `[meta, a, b, start_ns, end_ns]` where
+/// `meta = kind | name << 32`.
+type Slot = [AtomicU64; 5];
 
-#[cfg(feature = "record")]
-mod imp {
-    use super::*;
-    use crate::event::Event;
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-    use std::time::Instant;
-
-    /// Events retained per thread; older entries are overwritten (and
-    /// counted as dropped). 1<<16 slots × 40 B = 2.5 MiB per recording
-    /// thread, enough for several Airfoil iterations on a small mesh.
-    const RING_CAP: usize = 1 << 16;
-
-    /// One event: `[meta, a, b, start_ns, end_ns]` where
-    /// `meta = kind | name << 32`.
-    type Slot = [AtomicU64; 5];
-
-    struct Ring {
-        tid: u32,
-        /// Monotonic write counter; slot `i` lives at `i % RING_CAP`.
-        /// Stored with `Release` after the slot words so a collector
-        /// reading it with `Acquire` sees fully written slots.
-        count: AtomicU64,
-        slots: Box<[Slot]>,
-    }
-
-    impl Ring {
-        fn new(tid: u32) -> Ring {
-            let slots = (0..RING_CAP)
-                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                .collect::<Vec<Slot>>()
-                .into_boxed_slice();
-            Ring { tid, count: AtomicU64::new(0), slots }
-        }
-
-        fn push(&self, kind: EventKind, name: u32, a: u64, b: u64, start_ns: u64, end_ns: u64) {
-            let n = self.count.load(Ordering::Relaxed);
-            let slot = &self.slots[(n as usize) % RING_CAP];
-            let meta = kind as u64 | (name as u64) << 32;
-            slot[0].store(meta, Ordering::Relaxed);
-            slot[1].store(a, Ordering::Relaxed);
-            slot[2].store(b, Ordering::Relaxed);
-            slot[3].store(start_ns, Ordering::Relaxed);
-            slot[4].store(end_ns, Ordering::Relaxed);
-            self.count.store(n + 1, Ordering::Release);
-        }
-    }
-
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static NEXT_TID: AtomicU32 = AtomicU32::new(0);
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-    fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
-        static REGISTRY: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    fn strings() -> &'static Mutex<(Vec<String>, HashMap<String, u32>)> {
-        static STRINGS: OnceLock<Mutex<(Vec<String>, HashMap<String, u32>)>> = OnceLock::new();
-        STRINGS.get_or_init(|| Mutex::new((Vec::new(), HashMap::new())))
-    }
-
-    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    thread_local! {
-        static RING: Arc<Ring> = {
-            let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            let ring = Arc::new(Ring::new(tid));
-            lock(registry()).push(ring.clone());
-            ring
-        };
-    }
-
-    pub(super) fn now_ns() -> u64 {
-        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
-
-    pub(super) fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    pub(super) fn intern(s: &str) -> u32 {
-        let mut g = lock(strings());
-        if let Some(&id) = g.1.get(s) {
-            return id;
-        }
-        let id = g.0.len() as u32;
-        assert!(id < NO_NAME, "trace string table overflow");
-        g.0.push(s.to_string());
-        g.1.insert(s.to_string(), id);
-        id
-    }
-
-    pub(super) fn record(kind: EventKind, name: u32, a: u64, b: u64, start_ns: u64, end_ns: u64) {
-        RING.with(|r| r.push(kind, name, a, b, start_ns, end_ns));
-    }
-
-    /// An in-flight recording session. Holding the guard serializes sessions
-    /// process-wide (concurrent collectors would attribute each other's
-    /// events).
-    pub struct Collector {
-        _guard: MutexGuard<'static, ()>,
-        /// `(tid, count)` per ring at start; rings registered later start at 0.
-        start_counts: Vec<(u32, u64)>,
-    }
-
-    fn session_lock() -> &'static Mutex<()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-    }
-
-    impl Collector {
-        /// Begin recording. Events emitted before `start` are excluded from
-        /// the resulting [`Timeline`].
-        pub fn start() -> Collector {
-            let guard = lock(session_lock());
-            let start_counts = lock(registry())
-                .iter()
-                .map(|r| (r.tid, r.count.load(Ordering::Acquire)))
-                .collect();
-            ENABLED.store(true, Ordering::Relaxed);
-            Collector { _guard: guard, start_counts }
-        }
-
-        /// Stop recording and assemble everything recorded since `start`.
-        pub fn stop(self) -> Timeline {
-            ENABLED.store(false, Ordering::Relaxed);
-            let mut events = Vec::new();
-            let mut dropped: u64 = 0;
-            for ring in lock(registry()).iter() {
-                let start = self
-                    .start_counts
-                    .iter()
-                    .find(|&&(tid, _)| tid == ring.tid)
-                    .map(|&(_, c)| c)
-                    .unwrap_or(0);
-                let end = ring.count.load(Ordering::Acquire);
-                let first = start.max(end.saturating_sub(RING_CAP as u64));
-                dropped += first - start;
-                for i in first..end {
-                    let slot = &ring.slots[(i as usize) % RING_CAP];
-                    let meta = slot[0].load(Ordering::Relaxed);
-                    let Some(kind) = EventKind::from_u8((meta & 0xff) as u8) else {
-                        continue;
-                    };
-                    events.push(Event {
-                        kind,
-                        tid: ring.tid,
-                        name: (meta >> 32) as u32,
-                        a: slot[1].load(Ordering::Relaxed),
-                        b: slot[2].load(Ordering::Relaxed),
-                        start_ns: slot[3].load(Ordering::Relaxed),
-                        end_ns: slot[4].load(Ordering::Relaxed),
-                    });
-                }
-            }
-            events.sort_by_key(|e| (e.start_ns, e.end_ns, e.tid));
-            let strings = lock(strings()).0.clone();
-            Timeline { events, strings, dropped }
-        }
-    }
-
-    /// Open span marker; see [`super::begin`].
-    #[derive(Debug)]
-    pub struct SpanToken {
-        /// `u64::MAX` means "tracing was disabled at begin — drop at end".
-        pub(super) start_ns: u64,
-    }
-
-    pub(super) const DISARMED: u64 = u64::MAX;
+struct Ring {
+    tid: u32,
+    /// Monotonic write counter; slot `i` lives at `i % RING_CAP`.
+    /// Stored with `Release` after the slot words so a collector
+    /// reading it with `Acquire` sees fully written slots.
+    count: AtomicU64,
+    slots: Box<[Slot]>,
 }
 
-#[cfg(feature = "record")]
-pub use imp::{Collector, SpanToken};
+impl Ring {
+    fn new(tid: u32) -> Ring {
+        let slots = (0..RING_CAP)
+            .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
+            .collect::<Vec<Slot>>()
+            .into_boxed_slice();
+        Ring { tid, count: AtomicU64::new(0), slots }
+    }
 
-/// Begin a span. Cheap when tracing is idle (one relaxed load); the returned
-/// token must be passed to [`end`].
-#[cfg(feature = "record")]
-#[inline]
-pub fn begin() -> SpanToken {
-    if imp::enabled() {
-        SpanToken { start_ns: imp::now_ns() }
-    } else {
-        SpanToken { start_ns: imp::DISARMED }
+    fn push(&self, kind: EventKind, name: u32, a: u64, b: u64, start_ns: u64, end_ns: u64) {
+        let n = self.count.load(Ordering::Relaxed);
+        let slot = &self.slots[(n as usize) % RING_CAP];
+        let meta = kind as u64 | (name as u64) << 32;
+        slot[0].store(meta, Ordering::Relaxed);
+        slot[1].store(a, Ordering::Relaxed);
+        slot[2].store(b, Ordering::Relaxed);
+        slot[3].store(start_ns, Ordering::Relaxed);
+        slot[4].store(end_ns, Ordering::Relaxed);
+        self.count.store(n + 1, Ordering::Release);
     }
 }
 
-/// Close a span opened by [`begin`], recording it if tracing was active at
-/// both ends.
-#[cfg(feature = "record")]
-#[inline]
-pub fn end(token: SpanToken, kind: EventKind, name: u32, a: u64, b: u64) {
-    if token.start_ns != imp::DISARMED && imp::enabled() {
-        let end_ns = imp::now_ns();
-        imp::record(kind, name, a, b, token.start_ns, end_ns);
-    }
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static NEXT_TID: AtomicU32 = AtomicU32::new(0);
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+
+fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
+    static REGISTRY: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Record a zero-duration event.
-#[cfg(feature = "record")]
+fn strings() -> &'static Mutex<(Vec<String>, HashMap<String, u32>)> {
+    static STRINGS: OnceLock<Mutex<(Vec<String>, HashMap<String, u32>)>> = OnceLock::new();
+    STRINGS.get_or_init(|| Mutex::new((Vec::new(), HashMap::new())))
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+thread_local! {
+    static RING: Arc<Ring> = {
+        let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+        let ring = Arc::new(Ring::new(tid));
+        lock(registry()).push(ring.clone());
+        ring
+    };
+}
+
+fn now_ns() -> u64 {
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// Whether a collector is currently recording.
 #[inline]
-pub fn instant(kind: EventKind, name: u32, a: u64, b: u64) {
-    if imp::enabled() {
-        let t = imp::now_ns();
-        imp::record(kind, name, a, b, t, t);
-    }
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Intern `s`, returning a stable id valid for the whole process (ids are
 /// shared across recording sessions). Call once per loop/executor at setup,
 /// not per event.
-#[cfg(feature = "record")]
-#[inline]
 pub fn intern(s: &str) -> u32 {
-    imp::intern(s)
+    let mut g = lock(strings());
+    if let Some(&id) = g.1.get(s) {
+        return id;
+    }
+    let id = g.0.len() as u32;
+    assert!(id < NO_NAME, "trace string table overflow");
+    g.0.push(s.to_string());
+    g.1.insert(s.to_string(), id);
+    id
 }
 
-/// Whether a collector is currently recording.
-#[cfg(feature = "record")]
-#[inline]
-pub fn enabled() -> bool {
-    imp::enabled()
+fn record(kind: EventKind, name: u32, a: u64, b: u64, start_ns: u64, end_ns: u64) {
+    RING.with(|r| r.push(kind, name, a, b, start_ns, end_ns));
 }
 
-// ---------------------------------------------------------------------------
-// record = off: the no-op twin. Same public surface, zero cost.
-// ---------------------------------------------------------------------------
+/// An in-flight recording session. Holding the guard serializes sessions
+/// process-wide (concurrent collectors would attribute each other's
+/// events).
+pub struct Collector {
+    _guard: MutexGuard<'static, ()>,
+    /// `(tid, count)` per ring at start; rings registered later start at 0.
+    start_counts: Vec<(u32, u64)>,
+}
 
-/// Open span marker (zero-sized in this build).
-#[cfg(not(feature = "record"))]
-#[derive(Debug)]
-pub struct SpanToken;
+fn session_lock() -> &'static Mutex<()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+}
 
-/// Recording session handle (inert in this build: `stop` returns an empty
-/// [`Timeline`]).
-#[cfg(not(feature = "record"))]
-pub struct Collector;
-
-#[cfg(not(feature = "record"))]
 impl Collector {
-    /// Begin recording (no-op build: records nothing).
-    #[inline(always)]
+    /// Begin recording. Events emitted before `start` are excluded from
+    /// the resulting [`Timeline`].
     pub fn start() -> Collector {
-        Collector
+        let guard = lock(session_lock());
+        let start_counts = lock(registry())
+            .iter()
+            .map(|r| (r.tid, r.count.load(Ordering::Acquire)))
+            .collect();
+        ENABLED.store(true, Ordering::Relaxed);
+        Collector { _guard: guard, start_counts }
     }
 
-    /// Stop recording (no-op build: always an empty timeline).
-    #[inline(always)]
+    /// Stop recording and assemble everything recorded since `start`.
     pub fn stop(self) -> Timeline {
-        Timeline::empty()
+        ENABLED.store(false, Ordering::Relaxed);
+        let mut events = Vec::new();
+        let mut dropped: u64 = 0;
+        for ring in lock(registry()).iter() {
+            let start = self
+                .start_counts
+                .iter()
+                .find(|&&(tid, _)| tid == ring.tid)
+                .map(|&(_, c)| c)
+                .unwrap_or(0);
+            let end = ring.count.load(Ordering::Acquire);
+            let first = start.max(end.saturating_sub(RING_CAP as u64));
+            dropped += first - start;
+            for i in first..end {
+                let slot = &ring.slots[(i as usize) % RING_CAP];
+                let meta = slot[0].load(Ordering::Relaxed);
+                let Some(kind) = EventKind::from_u8((meta & 0xff) as u8) else {
+                    continue;
+                };
+                events.push(Event {
+                    kind,
+                    tid: ring.tid,
+                    name: (meta >> 32) as u32,
+                    a: slot[1].load(Ordering::Relaxed),
+                    b: slot[2].load(Ordering::Relaxed),
+                    start_ns: slot[3].load(Ordering::Relaxed),
+                    end_ns: slot[4].load(Ordering::Relaxed),
+                });
+            }
+        }
+        events.sort_by_key(|e| (e.start_ns, e.end_ns, e.tid));
+        let strings = lock(strings()).0.clone();
+        Timeline { events, strings, dropped }
     }
 }
 
-/// Begin a span (no-op build: zero-sized token, no work).
-#[cfg(not(feature = "record"))]
-#[inline(always)]
+/// Open span marker; see [`begin`].
+#[derive(Debug)]
+pub struct SpanToken {
+    /// `u64::MAX` means "tracing was disabled at begin — drop at end".
+    start_ns: u64,
+}
+
+const DISARMED: u64 = u64::MAX;
+
+/// Begin a span. Cheap when tracing is idle (one relaxed load); the returned
+/// token must be passed to [`end`].
+#[inline]
 pub fn begin() -> SpanToken {
-    SpanToken
+    if enabled() {
+        SpanToken { start_ns: now_ns() }
+    } else {
+        SpanToken { start_ns: DISARMED }
+    }
 }
 
-/// Close a span (no-op build).
-#[cfg(not(feature = "record"))]
-#[inline(always)]
-pub fn end(_token: SpanToken, _kind: EventKind, _name: u32, _a: u64, _b: u64) {}
-
-/// Record a zero-duration event (no-op build).
-#[cfg(not(feature = "record"))]
-#[inline(always)]
-pub fn instant(_kind: EventKind, _name: u32, _a: u64, _b: u64) {}
-
-/// Intern a string (no-op build: always [`NO_NAME`]).
-#[cfg(not(feature = "record"))]
-#[inline(always)]
-pub fn intern(_s: &str) -> u32 {
-    NO_NAME
+/// Close a span opened by [`begin`], recording it if tracing was active at
+/// both ends.
+#[inline]
+pub fn end(token: SpanToken, kind: EventKind, name: u32, a: u64, b: u64) {
+    if token.start_ns != DISARMED && enabled() {
+        let end_ns = now_ns();
+        record(kind, name, a, b, token.start_ns, end_ns);
+    }
 }
 
-/// Whether a collector is currently recording (no-op build: never).
-#[cfg(not(feature = "record"))]
-#[inline(always)]
-pub fn enabled() -> bool {
-    false
+/// Record a zero-duration event.
+#[inline]
+pub fn instant(kind: EventKind, name: u32, a: u64, b: u64) {
+    if enabled() {
+        let t = now_ns();
+        record(kind, name, a, b, t, t);
+    }
 }

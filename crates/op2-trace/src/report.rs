@@ -388,7 +388,7 @@ impl RunReport {
         let mut out = String::new();
         out.push_str("== op2-trace run report ==\n");
         if self.wall_ns == 0 && self.loops.is_empty() {
-            out.push_str("(no events recorded — build without the `trace` feature?)\n");
+            out.push_str("(no events recorded — was a Collector started around the work?)\n");
             return out;
         }
         out.push_str(&format!(

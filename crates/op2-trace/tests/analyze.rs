@@ -1,6 +1,6 @@
-//! Assembler/report/export unit tests over hand-built timelines. These are
-//! feature-independent: `Timeline` fields are public, so the analysis and
-//! export halves are exercised identically whether or not `record` is on.
+//! Assembler/report/export unit tests over hand-built timelines: `Timeline`
+//! fields are public, so the analysis and export halves are exercised
+//! without a recording session.
 
 use op2_trace::report::analyze;
 use op2_trace::{chrome, Event, EventKind, Timeline};

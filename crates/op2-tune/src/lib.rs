@@ -216,7 +216,7 @@ pub struct TuneDecision {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Observation {
     /// End-to-end wall time of the loop, ns (the primary signal; always
-    /// available, even with tracing compiled out).
+    /// available, even with no trace session running).
     pub wall_ns: u64,
 }
 

@@ -347,7 +347,7 @@ mod tests {
         let costs =
             [("swe_save", 25), ("swe_dt", 40), ("swe_flux", 120), ("swe_bflux", 90), ("swe_update", 50)];
         let cost = |name: &str| costs.iter().find(|c| c.0 == name).expect("an SWE loop").1;
-        let spec = IterationSpec::of(app.step(), app.mesh.ncells(), 16, cost);
+        let spec = IterationSpec::of(app.step(), app.mesh.ncells(), &op2_core::PlanCache::new(), 16, cost);
         let (global, _) = app.step().host(1).expect("swe_dt's reduction sets a global");
         assert_eq!(global.name(), "dt");
         assert_eq!(spec.program[1].writes, [global.id()], "swe_dt writes dt alone");

@@ -10,7 +10,7 @@
 //! weights of the five kernels).
 
 use op2_airfoil::{AirfoilLoops, FlowConstants, MeshBuilder};
-use op2_core::{Plan, Step};
+use op2_core::{PlanCache, Step};
 
 /// Modeled per-element cost of each kernel, ns (relative weights matter more
 /// than absolute values; they roughly track the kernels' flop counts).
@@ -44,12 +44,12 @@ pub struct LoopSpec {
 }
 
 impl LoopSpec {
-    /// Loop `i` of `step` under plans of mini-partition size `part`, every
-    /// element costing `per_elem_ns`.
-    pub fn of(step: &Step, i: usize, part: usize, per_elem_ns: u64) -> LoopSpec {
+    /// Loop `i` of `step` under its plan of mini-partition size `part` from
+    /// `plans`, every element costing `per_elem_ns`.
+    pub fn of(step: &Step, i: usize, plans: &PlanCache, part: usize, per_elem_ns: u64) -> LoopSpec {
         let loop_ = &step.loops()[i];
         let (reads, writes) = step.keys(i);
-        let plan = Plan::build(loop_.set(), loop_.args(), part);
+        let plan = plans.get(loop_.set(), loop_.args(), part);
         let cost = |b: &u32| plan.blocks[*b as usize].len() as u64 * per_elem_ns;
         let colors: Vec<Vec<u64>> = plan.color_blocks.iter().map(|c| c.iter().map(cost).collect()).collect();
         let total_ns = colors.iter().flatten().sum();
@@ -79,11 +79,18 @@ pub struct IterationSpec {
 
 impl IterationSpec {
     /// One `step` of an app whose mesh has `ncells` cells, under plans of
-    /// mini-partition size `part`, a loop named `name` costing `cost(name)`
-    /// per element.
-    pub fn of(step: &Step, ncells: usize, part: usize, cost: impl Fn(&str) -> u64) -> Self {
+    /// mini-partition size `part` taken from `plans` (a loop the step runs
+    /// twice is colored once), a loop named `name` costing `cost(name)` per
+    /// element.
+    pub fn of(
+        step: &Step,
+        ncells: usize,
+        plans: &PlanCache,
+        part: usize,
+        cost: impl Fn(&str) -> u64,
+    ) -> Self {
         let loops = step.loops().iter().enumerate();
-        let program = loops.map(|(i, l)| LoopSpec::of(step, i, part, cost(l.name()))).collect();
+        let program = loops.map(|(i, l)| LoopSpec::of(step, i, plans, part, cost(l.name()))).collect();
         IterationSpec { program, ncells }
     }
 
@@ -96,10 +103,14 @@ impl IterationSpec {
 /// Build the Airfoil workload for an `imax × jmax` channel mesh with
 /// mini-partition size `part`: Airfoil's step ([`AirfoilLoops::step`]).
 pub fn airfoil_workload(imax: usize, jmax: usize, part: usize) -> IterationSpec {
+    airfoil_with(&PlanCache::new(), imax, jmax, part)
+}
+
+fn airfoil_with(plans: &PlanCache, imax: usize, jmax: usize, part: usize) -> IterationSpec {
     let consts = FlowConstants::default();
     let mesh = MeshBuilder::channel(imax, jmax).build(&consts);
     let step = AirfoilLoops::new(&mesh, &consts).step();
-    IterationSpec::of(&step, mesh.ncells(), part, |name| match name {
+    IterationSpec::of(&step, mesh.ncells(), plans, part, |name| match name {
         "save_soln" => kernel_cost::SAVE_NS,
         "adt_calc" => kernel_cost::ADT_NS,
         "res_calc" => kernel_cost::RES_NS,
@@ -130,6 +141,16 @@ mod tests {
         // Work is positive and res dominates (most elements × highest cost).
         assert!(res.total_ns > save.total_ns);
         assert!(spec.iteration_work_ns() > 0);
+    }
+
+    /// Airfoil's step runs 9 loops, 5 of them distinct: each is colored
+    /// once.
+    #[test]
+    fn each_distinct_loop_is_colored_once() {
+        let plans = PlanCache::new();
+        let spec = airfoil_with(&plans, 40, 20, 64);
+        assert_eq!(spec.program.len(), 9);
+        assert_eq!(plans.builds(), 5);
     }
 
     #[test]

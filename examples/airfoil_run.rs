@@ -11,9 +11,8 @@
 //! Prints `sqrt(rms/ncells)` every 10% of the march, like the original
 //! `airfoil.cpp` prints every 100 iterations.
 //!
-//! `--trace` records the march with the op2-trace collector (requires the
-//! `trace` feature, on by default), prints the per-loop wall/barrier/dep-wait
-//! report, and writes a Chrome-trace JSON to
+//! `--trace` records the march with the op2-trace collector, prints the
+//! per-loop wall/barrier/dep-wait report, and writes a Chrome-trace JSON to
 //! `results/trace_real_<method>.json` (or PATH if given), named by the
 //! backend's method label like `trace_export --real`'s files (`forkjoin`,
 //! `foreach-static`, `async`, `dataflow`, …).
@@ -69,9 +68,6 @@ fn main() {
     let exec = make_executor(backend, rt);
     let sim = Simulation::new(mesh, &consts, exec, SyncStrategy::for_backend(backend));
 
-    if trace_out.is_some() && !op2_trace::COMPILED {
-        eprintln!("warning: --trace requested but the `trace` feature is off; report will be empty");
-    }
     let collector = trace_out.as_ref().map(|_| op2_trace::Collector::start());
     let start = Instant::now();
     let reports = sim.run(iters, (iters / 10).max(1));

@@ -19,8 +19,6 @@
 //! (`op2_core::det::inject_coloring_bug`) merges two plan colors, and every
 //! executor entry must refuse the plan before the loop's first block.
 
-#![cfg(feature = "det")]
-
 use std::sync::Arc;
 
 use hpx_rt::{DetPool, Pool, SchedulePolicy};
@@ -210,7 +208,7 @@ fn det_run(
 fn replay_hint(kind: BackendKind, seed: u64, schedule: &str) -> String {
     format!(
         "backend={kind} seed={seed} policy={:?}\n\
-         replay: DET_SEED={seed} cargo test --features det det_schedules\n\
+         replay: DET_SEED={seed} cargo test --test det_schedules\n\
          schedule: {schedule}",
         policy_for(seed)
     )
@@ -328,44 +326,130 @@ fn injected_coloring_bug_caught_by_plan_validator() {
     }
 }
 
-/// A refused plan is deterministic — the plan and its validation are cached —
-/// so a `Supervisor` returns it after one attempt and spends one unit of
-/// quota, where it once retried and degraded through the whole ladder. A
-/// kernel panic is transient and still retried, and recovers.
-#[test]
-fn supervisor_fails_fast_on_a_refused_plan_and_retries_a_panic() {
-    let mesh = chain_mesh(32);
+/// How the table below makes a supervised loop fail.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// The kernel panics on every attempt.
+    KernelPanic,
+    /// The kernel writes a NaN on every attempt, under `guard_finite`.
+    NonFinite,
+    /// `det::inject_coloring_bug` breaks the plan, so no attempt starts.
+    Plan,
+    /// The quota was spent by earlier failures, so nothing is attempted.
+    CircuitOpen,
+}
+
+/// The chain mesh's gather, failing as `fault` says at edge 0. Returns the
+/// loop and a count of the times edge 0 ran — one per attempt that got as
+/// far as the kernel.
+fn failing_gather(
+    fault: Fault,
+    mesh: &Mesh,
+    res: &Dat<f64>,
+) -> (ParLoop, Arc<std::sync::atomic::AtomicUsize>) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     let edges = Set::new("edges", mesh.nedges);
-    let cells = Set::new("cells", mesh.ncells);
-    let m = Map::new("pecell", &edges, &cells, 2, mesh.table.clone());
-    let res = Dat::filled("res", &cells, 1, 0.0f64);
-    let gather = ParLoop::build("gather", &edges)
-        .args(res.inc::<1>().via::<2>(&m))
-        .kernel(|[[r1], [r2]], _| {
+    let cells = res.set();
+    let m = Map::new("pecell", &edges, cells, 2, mesh.table.clone());
+    let ids: Vec<f64> = (0..mesh.nedges).map(|e| e as f64).collect();
+    let id = Dat::new("edge_id", &edges, 1, ids);
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&runs);
+    let gather = ParLoop::build("failing_gather", &edges)
+        .guard_finite()
+        .args((id.read::<1>(), res.inc::<1>().via::<2>(&m)))
+        .kernel(move |([id], [[r1], [r2]]), _| {
             *r1 = 1.0;
             *r2 = 1.0;
+            if *id != 0.0 {
+                return;
+            }
+            counted.fetch_add(1, Ordering::Relaxed);
+            match fault {
+                Fault::KernelPanic => panic!("injected fault"),
+                Fault::NonFinite => *r1 = f64::NAN,
+                Fault::Plan | Fault::CircuitOpen => {}
+            }
         });
+    (gather, runs)
+}
+
+/// The four `FailureKind`s a supervisor returns for a loop that keeps
+/// failing with no deadline or cancel armed, under every policy in
+/// `max_retries` ∈ {0, 1, 2} × `quota` ∈ {1, 8}: the attempts it runs, the
+/// quota it spends and the kind it returns. A kernel panic and a non-finite write are transient: retried
+/// on each of the ladder's three rungs until the quota runs out, then the
+/// last failure is returned. A refused plan is deterministic — the plan and
+/// its validation are cached — so it is returned after one attempt that
+/// reaches no kernel, for one unit of quota. A spent quota opens the
+/// circuit: nothing runs and nothing is spent. In every cell the write-set
+/// is bitwise untouched. A kernel that panics once is retried and recovers.
+#[test]
+fn supervisor_fails_fast_on_a_refused_plan_and_retries_a_panic() {
+    use std::sync::atomic::Ordering;
+    let mesh = chain_mesh(32);
+    let faults = [Fault::KernelPanic, Fault::NonFinite, Fault::Plan, Fault::CircuitOpen];
+    for fault in faults {
+        for max_retries in [0, 1, 2] {
+            for quota in [1, 8] {
+                let cell = format!("{fault:?} max_retries={max_retries} quota={quota}");
+                let cells = Set::new("cells", mesh.ncells);
+                let init: Vec<f64> = (0..mesh.ncells).map(|c| 0.25 + c as f64).collect();
+                let res = Dat::new("res", &cells, 1, init);
+                let before: Vec<u64> = res.to_vec().iter().map(|v| v.to_bits()).collect();
+                let rt = Arc::new(Op2Runtime::deterministic(11, PART_SIZE));
+                let policy = RetryPolicy { max_retries, quota, ..RetryPolicy::default() };
+                let sup = Supervisor::new(rt, BackendKind::Dataflow, policy);
+                assert_eq!(sup.ladder().len(), 3, "{cell}");
+                if let Fault::CircuitOpen = fault {
+                    let (panics, _) = failing_gather(Fault::KernelPanic, &mesh, &res);
+                    while sup.quota_remaining() > 0 {
+                        sup.try_execute(&panics).map(drop).expect_err("always panics");
+                    }
+                }
+                let (gather, runs) = failing_gather(fault, &mesh, &res);
+                let quota_before = sup.quota_remaining();
+                det::inject_coloring_bug(matches!(fault, Fault::Plan));
+                let result = sup.try_execute(&gather).map(drop);
+                det::inject_coloring_bug(false);
+                let err = result.expect_err(&cell);
+
+                let transient = (3 * (1 + max_retries)).min(quota);
+                let (attempts, spent) = match fault {
+                    Fault::KernelPanic | Fault::NonFinite => (transient, transient),
+                    Fault::Plan => (0, 1),
+                    Fault::CircuitOpen => (0, 0),
+                };
+                assert_eq!(runs.load(Ordering::Relaxed), attempts, "{cell}: attempts run");
+                assert_eq!(quota_before - sup.quota_remaining(), spent, "{cell}: quota spent");
+                let kind_ok = match fault {
+                    Fault::KernelPanic => matches!(err.kind, FailureKind::KernelPanic { .. }),
+                    Fault::NonFinite => matches!(err.kind, FailureKind::NonFinite { .. }),
+                    Fault::Plan => matches!(err.kind, FailureKind::Plan(_)),
+                    Fault::CircuitOpen => matches!(err.kind, FailureKind::CircuitOpen),
+                };
+                assert!(kind_ok, "{cell}: returned {err}");
+                let after: Vec<u64> = res.to_vec().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(after, before, "{cell}: write-set touched");
+            }
+        }
+    }
+
+    let cells = Set::new("cells", mesh.ncells);
+    let res = Dat::filled("res", &cells, 1, 0.0f64);
     let rt = Arc::new(Op2Runtime::new(2, PART_SIZE));
     let sup = Supervisor::new(rt, BackendKind::Dataflow, RetryPolicy::default());
     let quota = sup.quota_remaining();
-    det::inject_coloring_bug(true);
-    let refused = sup.try_execute(&gather).map(drop);
-    det::inject_coloring_bug(false);
-    let err = refused.expect_err("the broken plan is refused");
-    assert!(matches!(err.kind, FailureKind::Plan(_)), "{err}");
-    assert_eq!(sup.quota_remaining(), quota - 1, "one refusal, one attempt");
-
-    let panicked = std::sync::atomic::AtomicBool::new(false);
-    let panicked = Arc::new(panicked);
+    let panicked = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let once = Arc::clone(&panicked);
     let flaky = ParLoop::build("flaky", &cells)
         .args(res.rw::<1>())
         .kernel(move |[r], _| {
-            assert!(once.swap(true, std::sync::atomic::Ordering::Relaxed), "injected fault");
+            assert!(once.swap(true, Ordering::Relaxed), "injected fault");
             *r += 1.0;
         });
     sup.try_execute(&flaky).expect("a panic is retried and recovers");
-    assert_eq!(sup.quota_remaining(), quota - 2, "the panic cost one attempt");
+    assert_eq!(sup.quota_remaining(), quota - 1, "the panic cost one attempt");
     assert!(res.to_vec().iter().all(|&v| v == 1.0), "the retry ran from restored data");
 }
 

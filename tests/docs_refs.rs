@@ -18,8 +18,9 @@
 //! to do it; the apps' kernels never touch a map or branch on the data
 //! layout, and the apps hold no `unsafe` and no raw view; loop order is
 //! derived by one dependency rule, `op2_core::deps`; the apps, the machine
-//! model and the service issue no loop but through `op2_hpx::run_step`; and
-//! the `det` layer keeps off the accessors and the colored body.
+//! model and the service issue no loop but through `op2_hpx::run_step`; the
+//! `det` layer keeps off the accessors and the colored body; and there is
+//! one build — no source gates code on a cargo feature.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -425,10 +426,10 @@ fn run_step_is_the_only_place_that_issues_loops() {
 }
 
 /// Races are refused from the declaration: `Op2Runtime::prepare` validates
-/// every plan's coloring before a loop's first block, in every build. So the
-/// accessors every kernel runs and the colored body every parallel backend
-/// runs carry no `det` hook — a `det` build runs the measured build's kernel
-/// code — and nothing records element accesses.
+/// every plan's coloring before a loop's first block. So the accessors every
+/// kernel runs and the colored body every parallel backend runs name no
+/// `det` hook — a run with the checker armed runs the same kernel code as
+/// one without — and nothing records element accesses.
 #[test]
 fn the_det_layer_keeps_off_the_accessors_and_the_colored_body() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -444,7 +445,7 @@ fn the_det_layer_keeps_off_the_accessors_and_the_colored_body() {
         let mut in_view = false;
         for (n, line) in lines(&root.join(file)) {
             in_view = (in_view || line.starts_with("pub struct DatView")) && line != "}";
-            if line.contains("feature = \"det\"") || (in_view && line.starts_with("id:")) {
+            if names(&line, "det") || (in_view && line.starts_with("id:")) {
                 found.push(format!("{file}:{n}: {line}"));
             }
         }
@@ -468,4 +469,98 @@ fn the_det_layer_keeps_off_the_accessors_and_the_colored_body() {
     }
     assert!(files.len() > 100, "scanned only {} files", files.len());
     assert!(found.is_empty(), "per-element det hooks: {found:#?}");
+}
+
+/// The `cfg` predicate of every `cfg(…)`, `cfg!(…)` and `cfg_attr(…)` in
+/// `text`, outside line comments.
+fn cfg_predicates(text: &str) -> Vec<String> {
+    let code: String = text
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let mut out = Vec::new();
+    for (at, _) in code.match_indices("cfg") {
+        let before = code[..at].chars().next_back();
+        if before.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
+            continue;
+        }
+        let rest = &code[at + 3..];
+        let rest = rest.strip_prefix('!').or_else(|| rest.strip_prefix("_attr")).unwrap_or(rest);
+        let Some(rest) = rest.strip_prefix('(') else { continue };
+        let mut depth = 1;
+        let end = rest
+            .char_indices()
+            .find(|&(_, c)| {
+                depth += match c {
+                    '(' => 1,
+                    ')' => -1,
+                    _ => 0,
+                };
+                depth == 0
+            })
+            .map_or(rest.len(), |(i, _)| i);
+        out.push(rest[..end].to_string());
+    }
+    out
+}
+
+/// One build: the trace recorder and the `det` checker are ordinary code,
+/// always compiled and idle until started, so the build `cargo test` runs is
+/// the build the benchmark measures. No source gates code on a cargo
+/// feature, and the only features left are the empty names that
+/// `benchmark/Cargo.toml` still forwards to.
+#[test]
+fn the_workspace_has_one_build() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = Vec::new();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rs_files(&root.join(dir), &mut files);
+    }
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
+        for predicate in cfg_predicates(&text) {
+            if names(&predicate, "feature") {
+                let file = file.strip_prefix(root).unwrap_or(file).display();
+                found.push(format!("{file}: cfg({predicate})"));
+            }
+        }
+    }
+    assert!(files.len() > 100, "scanned only {} files", files.len());
+
+    let bench = std::fs::read_to_string(root.join("benchmark/Cargo.toml"))
+        .expect("benchmark/Cargo.toml is readable");
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let manifest = entry.expect("crates/ entry").path().join("Cargo.toml");
+        if manifest.is_file() {
+            manifests.push(manifest);
+        }
+    }
+    for manifest in &manifests {
+        let text = std::fs::read_to_string(manifest).unwrap_or_else(|e| panic!("{manifest:?}: {e}"));
+        let text = format!("\n{text}");
+        let package = text
+            .split("\n[")
+            .find_map(|section| section.strip_prefix("package]"))
+            .and_then(|keys| keys.lines().find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"')))
+            .unwrap_or_else(|| panic!("{manifest:?}: no package name"));
+        let Some(features) = text.split("\n[").find_map(|section| section.strip_prefix("features]")) else {
+            continue;
+        };
+        for line in features.lines().map(str::trim) {
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let (name, value) = line.split_once('=').unwrap_or((line, ""));
+            let (name, value) = (name.trim(), value.trim());
+            let forwarded = bench.contains(&format!("\"{package}/{name}\""));
+            if value != "[]" || !forwarded {
+                let manifest = manifest.strip_prefix(root).unwrap_or(manifest).display();
+                found.push(format!("{manifest}: [features] {line}"));
+            }
+        }
+    }
+    assert!(found.is_empty(), "a second build: {found:#?}");
 }

@@ -1,5 +1,4 @@
-//! Trace determinism and structural attribution checks (needs `det` +
-//! `trace`, both on by default).
+//! Trace determinism and structural attribution checks.
 //!
 //! * Under a [`hpx_rt::DetPool`] the recorded loop-structure event sequence
 //!   (loop begin/end, dependency edges) is a pure function of `DET_SEED`:
@@ -14,8 +13,6 @@
 //!
 //! `ForEachAuto` is deliberately absent: its auto-partitioner probes
 //! wall-clock time, so its chunking is not a pure function of the seed.
-
-#![cfg(all(feature = "det", feature = "trace"))]
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

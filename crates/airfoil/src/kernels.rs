@@ -7,6 +7,8 @@
 //!
 //! State vector per cell: `q = (ρ, ρu, ρv, ρE)`.
 
+use op2_core::Real;
+
 use crate::constants::FlowConstants;
 
 /// `save_soln`: copy the state into the old-state buffer (direct loop).
@@ -19,31 +21,37 @@ pub fn save_soln(q: &[f64], qold: &mut [f64]) {
 /// node coordinates and its state (indirect reads via `pcell`).
 ///
 /// `adt = Σ_faces (|u·n| + c·|n|) / CFL` over the cell's four faces.
-#[inline]
-pub fn adt_calc(
-    x1: &[f64],
-    x2: &[f64],
-    x3: &[f64],
-    x4: &[f64],
-    q: &[f64],
-    adt: &mut [f64],
+///
+/// Generic over [`Real`], so the same body runs one cell at `f64` or four on
+/// lanes, bit for bit (see `op2_core::typed`).
+#[inline(always)]
+pub fn adt_calc<R: Real>(
+    x1: &[R],
+    x2: &[R],
+    x3: &[R],
+    x4: &[R],
+    q: &[R],
+    adt: &mut [R],
     c: &FlowConstants,
 ) {
-    let ri = 1.0 / q[0];
+    let ri = R::splat(1.0) / q[0];
     let u = ri * q[1];
     let v = ri * q[2];
-    let sound = (c.gam * c.gm1 * (ri * q[3] - 0.5 * (u * u + v * v))).sqrt();
+    let sound = (R::splat(c.gam * c.gm1) * (ri * q[3] - R::splat(0.5) * (u * u + v * v))).sqrt();
 
-    let face = |xa: &[f64], xb: &[f64]| -> f64 {
-        let dx = xb[0] - xa[0];
-        let dy = xb[1] - xa[1];
-        (u * dy - v * dx).abs() + sound * (dx * dx + dy * dy).sqrt()
-    };
-    let mut a = face(x1, x2);
-    a += face(x2, x3);
-    a += face(x3, x4);
-    a += face(x4, x1);
-    adt[0] = a / c.cfl;
+    let mut a = face(u, v, sound, x1, x2);
+    a += face(u, v, sound, x2, x3);
+    a += face(u, v, sound, x3, x4);
+    a += face(u, v, sound, x4, x1);
+    adt[0] = a / R::splat(c.cfl);
+}
+
+/// One face of [`adt_calc`]: `|u·n| + c·|n|` for the face from `xa` to `xb`.
+#[inline(always)]
+fn face<R: Real>(u: R, v: R, sound: R, xa: &[R], xb: &[R]) -> R {
+    let dx = xb[0] - xa[0];
+    let dy = xb[1] - xa[1];
+    (u * dy - v * dx).abs() + sound * (dx * dx + dy * dy).sqrt()
 }
 
 /// `res_calc`: interior-edge flux with scalar dissipation; increments the
@@ -52,43 +60,44 @@ pub fn adt_calc(
 ///
 /// Orientation convention: with `dx = x1.x − x2.x`, `dy = x1.y − x2.y`, the
 /// vector `(dy, −dx)` is the edge normal pointing **out of cell 1 into
-/// cell 2** (scaled by edge length).
-#[inline]
+/// cell 2** (scaled by edge length). Generic over [`Real`], as [`adt_calc`].
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub fn res_calc(
-    x1: &[f64],
-    x2: &[f64],
-    q1: &[f64],
-    q2: &[f64],
-    adt1: f64,
-    adt2: f64,
-    res1: &mut [f64],
-    res2: &mut [f64],
+pub fn res_calc<R: Real>(
+    x1: &[R],
+    x2: &[R],
+    q1: &[R],
+    q2: &[R],
+    adt1: R,
+    adt2: R,
+    res1: &mut [R],
+    res2: &mut [R],
     c: &FlowConstants,
 ) {
+    let (half, gm1) = (R::splat(0.5), R::splat(c.gm1));
     let dx = x1[0] - x2[0];
     let dy = x1[1] - x2[1];
 
-    let mut ri = 1.0 / q1[0];
-    let p1 = c.gm1 * (q1[3] - 0.5 * ri * (q1[1] * q1[1] + q1[2] * q1[2]));
+    let mut ri = R::splat(1.0) / q1[0];
+    let p1 = gm1 * (q1[3] - half * ri * (q1[1] * q1[1] + q1[2] * q1[2]));
     let vol1 = ri * (q1[1] * dy - q1[2] * dx);
 
-    ri = 1.0 / q2[0];
-    let p2 = c.gm1 * (q2[3] - 0.5 * ri * (q2[1] * q2[1] + q2[2] * q2[2]));
+    ri = R::splat(1.0) / q2[0];
+    let p2 = gm1 * (q2[3] - half * ri * (q2[1] * q2[1] + q2[2] * q2[2]));
     let vol2 = ri * (q2[1] * dy - q2[2] * dx);
 
-    let mu = 0.5 * (adt1 + adt2) * c.eps;
+    let mu = half * (adt1 + adt2) * R::splat(c.eps);
 
-    let mut f = 0.5 * (vol1 * q1[0] + vol2 * q2[0]) + mu * (q1[0] - q2[0]);
+    let mut f = half * (vol1 * q1[0] + vol2 * q2[0]) + mu * (q1[0] - q2[0]);
     res1[0] += f;
     res2[0] -= f;
-    f = 0.5 * (vol1 * q1[1] + p1 * dy + vol2 * q2[1] + p2 * dy) + mu * (q1[1] - q2[1]);
+    f = half * (vol1 * q1[1] + p1 * dy + vol2 * q2[1] + p2 * dy) + mu * (q1[1] - q2[1]);
     res1[1] += f;
     res2[1] -= f;
-    f = 0.5 * (vol1 * q1[2] - p1 * dx + vol2 * q2[2] - p2 * dx) + mu * (q1[2] - q2[2]);
+    f = half * (vol1 * q1[2] - p1 * dx + vol2 * q2[2] - p2 * dx) + mu * (q1[2] - q2[2]);
     res1[2] += f;
     res2[2] -= f;
-    f = 0.5 * (vol1 * (q1[3] + p1) + vol2 * (q2[3] + p2)) + mu * (q1[3] - q2[3]);
+    f = half * (vol1 * (q1[3] + p1) + vol2 * (q2[3] + p2)) + mu * (q1[3] - q2[3]);
     res1[3] += f;
     res2[3] -= f;
 }

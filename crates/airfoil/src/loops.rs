@@ -6,9 +6,11 @@
 //! The kernels are safe and never see the layout or a map: the framework
 //! gathers each element's values, calls the kernel and stores or increments
 //! what it declared, so the same wiring serves AoS and SoA meshes with
-//! bitwise identical results.
+//! bitwise identical results. `adt_calc` and `res_calc` are [`WideKernel`]s;
+//! `update` reduces and `bres_calc` branches per edge, so they stay `f64`.
 
-use op2_core::{ParLoop, Step};
+use op2_core::typed::{At, Direct, Inc, Read, Via, Write};
+use op2_core::{ParLoop, Real, Step, WideKernel};
 
 use crate::constants::FlowConstants;
 use crate::kernels;
@@ -44,9 +46,7 @@ impl AirfoilLoops {
             // silently corrupt the whole march, so fail the loop instead.
             .guard_finite()
             .args((m.p_x.read::<2>().via::<4>(&m.pcell), m.p_q.read::<4>(), m.p_adt.write::<1>()))
-            .kernel(move |([x1, x2, x3, x4], q, adt), _| {
-                kernels::adt_calc(x1, x2, x3, x4, q, adt, &c);
-            });
+            .wide_kernel(AdtCalc(c));
 
         // Each residual component receives exactly one `±f` onto the zeroed
         // INC value, so the increment is `0.0 + f` — bit-identical to adding
@@ -58,9 +58,7 @@ impl AirfoilLoops {
                 m.p_adt.read::<1>().via::<2>(&m.pecell),
                 m.p_res.inc::<4>().via::<2>(&m.pecell),
             ))
-            .kernel(move |([x1, x2], [q1, q2], [[adt1], [adt2]], [r1, r2]), _| {
-                kernels::res_calc(x1, x2, q1, q2, *adt1, *adt2, r1, r2, &c);
-            });
+            .wide_kernel(ResCalc(c));
 
         let bres_calc = ParLoop::build("bres_calc", &m.bedges)
             .args((
@@ -102,6 +100,31 @@ impl AirfoilLoops {
             s.then(&self.adt_calc).then(&self.res_calc).then(&self.bres_calc).then(&self.update)
         };
         stage(stage(Step::default().then(&self.save_soln)))
+    }
+}
+
+/// `adt_calc`'s body: node coordinates through `pcell`, `q`, `adt`.
+struct AdtCalc(FlowConstants);
+
+impl WideKernel for AdtCalc {
+    type Args = (Via<f64, 2, 4, Read>, Direct<f64, 4, Read>, Direct<f64, 1, Write>);
+
+    #[inline(always)]
+    fn run<R: Real>(&self, ([x1, x2, x3, x4], q, adt): &mut At<Self::Args, R>) {
+        kernels::adt_calc(x1, x2, x3, x4, q, adt, &self.0);
+    }
+}
+
+/// `res_calc`'s body: node coordinates through `pedge`; `q`, `adt` and the
+/// `res` increments through `pecell`.
+struct ResCalc(FlowConstants);
+
+impl WideKernel for ResCalc {
+    type Args = (Via<f64, 2, 2, Read>, Via<f64, 4, 2, Read>, Via<f64, 1, 2, Read>, Via<f64, 4, 2, Inc>);
+
+    #[inline(always)]
+    fn run<R: Real>(&self, ([x1, x2], [q1, q2], [[adt1], [adt2]], [r1, r2]): &mut At<Self::Args, R>) {
+        kernels::res_calc(x1, x2, q1, q2, *adt1, *adt2, r1, r2, &self.0);
     }
 }
 

@@ -64,7 +64,8 @@ pub use factory::{make_executor, BackendKind, FactoryError};
 pub use handle::LoopHandle;
 pub use recover::{FailureKind, FenceReport, LoopError, RetryPolicy, Supervisor, WriteSet};
 pub use runtime::Op2Runtime;
-pub use step::{async_waits, run_step, SyncStrategy};
+pub use op2_core::step::async_waits;
+pub use step::{run_step, SyncStrategy};
 pub use tune::{choice_to_kind, kind_to_choice, key_for, plan_order_invariant};
 pub use tuned::{TunedExecutor, TUNABLE_BACKENDS};
 

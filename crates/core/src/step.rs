@@ -3,9 +3,6 @@
 //! under dataflow, so no running loop sees its global change), and waits as
 //! [`SyncStrategy`] says.
 
-use std::hash::Hash;
-
-use op2_core::deps::{by_producer, Deps};
 use op2_core::Step;
 
 use crate::factory::BackendKind;
@@ -18,7 +15,8 @@ use crate::Executor;
 pub enum SyncStrategy {
     /// Wait for each loop before issuing the next (the unchanged OP2 program).
     Blocking,
-    /// Wait on the producers the dependency rule names (§III-A2, Fig. 10).
+    /// Wait on the producers the dependency rule names (§III-A2, Fig. 10):
+    /// [`Step::async_waits`].
     Fig10,
     /// No waits: the dataflow executor orders the loops (§III-B).
     Dataflow,
@@ -35,27 +33,6 @@ impl SyncStrategy {
     }
 }
 
-/// Where [`SyncStrategy::Fig10`] waits in a step of `loops` (reads, writes):
-/// entry `i < n` before loop `i`, entry `n` at the end. Before each loop, every
-/// producer `deps` names not yet waited on, oldest first; the rule also runs
-/// over the next step, whose producers here still un-waited are waited last.
-pub fn async_waits<K: Clone + Eq + Hash + Ord>(loops: &[(Vec<K>, Vec<K>)]) -> Vec<Vec<usize>> {
-    let n = loops.len();
-    let mut deps = Deps::default();
-    let mut waited = vec![false; n];
-    let mut waits = vec![Vec::new(); n + 1];
-    for at in 0..2 * n {
-        let (reads, writes) = &loops[at % n];
-        for edge in by_producer(deps.record(reads, writes, at)) {
-            let j = edge[0].producer;
-            if j < n && !std::mem::replace(&mut waited[j], true) {
-                waits[at.min(n)].push(j);
-            }
-        }
-    }
-    waits
-}
-
 /// Issue one `step` on `exec` under `mode`; the first failure seen is returned.
 /// `results` is cleared, then holds the step's result handles ([`Step::is_result`]).
 pub fn run_step(
@@ -66,8 +43,7 @@ pub fn run_step(
 ) -> Result<(), LoopError> {
     results.clear();
     let n = step.loops().len();
-    let keys = || (0..n).map(|i| step.keys(i)).collect::<Vec<_>>();
-    let waits = (mode == SyncStrategy::Fig10).then(|| async_waits(&keys()));
+    let waits = (mode == SyncStrategy::Fig10).then(|| step.async_waits());
     let wait = |issued: &[LoopHandle], i: usize| match &waits {
         Some(waits) => waits[i].iter().try_for_each(|&j| issued[j].try_wait()),
         None => Ok(()),

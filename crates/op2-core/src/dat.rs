@@ -13,6 +13,8 @@ use std::sync::Arc;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::ids::next_id;
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::{F64x4, Real};
 use crate::set::Set;
 
 /// Memory layout of a dat's per-element components.
@@ -542,6 +544,34 @@ impl<T: Copy> DatView<T> {
                 for (j, v) in vals.into_iter().enumerate() {
                     *self.ptr.add(self.idx_d::<D>(e, j)) = v;
                 }
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl DatView<f64> {
+    /// Elements `es`' `D` components as lanes: lane `l` of component `j` is
+    /// `get(es[l], j)`. AoS rows load whole and transpose.
+    ///
+    /// # Safety
+    /// As [`DatView::load`] for each of the four elements, and AVX2 is
+    /// present.
+    #[inline(always)]
+    pub(crate) unsafe fn load_x4<const D: usize>(&self, es: [usize; 4]) -> [F64x4; D] {
+        debug_assert!(D == self.dim && es.iter().all(|&e| e < self.n));
+        let ptr = self.ptr.cast_const();
+        let [e0, e1, e2, e3] = es;
+        // SAFETY: `load`'s bounds for each element.
+        match self.layout {
+            Layout::Aos => F64x4::transpose::<D>([ptr.add(e0 * D), ptr.add(e1 * D), ptr.add(e2 * D), ptr.add(e3 * D)]),
+            Layout::Soa => {
+                let mut out = [F64x4::splat(0.0); D];
+                for (j, col) in out.iter_mut().enumerate() {
+                    let c = ptr.add(j * self.n);
+                    *col = F64x4::gather([c.add(e0), c.add(e1), c.add(e2), c.add(e3)]);
+                }
+                out
             }
         }
     }

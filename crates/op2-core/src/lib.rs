@@ -39,6 +39,7 @@ pub mod dat;
 pub mod deps;
 pub mod det;
 pub mod ids;
+mod lanes;
 pub mod loops;
 pub mod map;
 pub mod plan;
@@ -53,6 +54,7 @@ pub mod typed;
 pub use access::Access;
 pub use arg::{arg_direct, arg_indirect, ArgSpec, MapRef};
 pub use dat::{Dat, DatError, DatView, Layout};
+pub use lanes::{width as lane_width, Real};
 pub use loops::{KernelFn, ParLoop, ParLoopBuilder};
 pub use map::{Map, MapError};
 pub use plan::{Plan, PlanCache, PlanError, PlanKey};
@@ -61,4 +63,4 @@ pub use snapshot::{DatSnapshot, Footprint, RawDat, WriteFootprint};
 pub use reduction::{GblOp, GlobalAcc};
 pub use set::Set;
 pub use step::{Global, Step};
-pub use typed::{Args, TypedLoopBuilder};
+pub use typed::{Args, TypedLoopBuilder, WideArgs, WideKernel};

@@ -48,6 +48,7 @@ pub struct ParLoop {
     gbl_op: GblOp,
     guard_finite: bool,
     kernel: KernelFn,
+    lanes: usize,
     /// [`ParLoop::write_footprint`], classified on first use; clones share it.
     footprint: Arc<OnceLock<Vec<WriteFootprint>>>,
     /// [`ParLoop::work_per_element`] as `f64` bits (0 = never measured);
@@ -71,6 +72,7 @@ impl ParLoop {
             gbl_op: GblOp::Sum,
             guard_finite: false,
             kernel: Arc::new(|_: Range<usize>, _: &mut [f64], _: &Cell<usize>| {}),
+            lanes: 1,
             footprint: Arc::default(),
             work: Arc::default(),
         })
@@ -111,6 +113,11 @@ impl ParLoop {
     /// [`ParLoop::run_span`].
     pub fn kernel(&self) -> &KernelFn {
         &self.kernel
+    }
+
+    /// Elements per kernel instruction: 4 on lanes ([`crate::WideKernel`]), else 1.
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 
     /// Run the kernel over a contiguous span of elements in ascending order —
@@ -232,9 +239,9 @@ impl fmt::Debug for ParLoop {
 
 /// The span loop's counter, which tells the executor's cell where the loop
 /// was when a panic unwound out of it (or, harmlessly, that it finished).
-struct Provenance<'a> {
-    cell: &'a Cell<usize>,
-    e: usize,
+pub(crate) struct Provenance<'a> {
+    pub(crate) cell: &'a Cell<usize>,
+    pub(crate) e: usize,
 }
 
 impl Drop for Provenance<'_> {
@@ -335,7 +342,12 @@ impl ParLoopBuilder {
                 }
             },
         );
-        ParLoop { kernel, ..self.0 }
+        self.finish(1, kernel)
+    }
+
+    /// Finish with `kernel`, which runs `lanes` elements per instruction.
+    pub(crate) fn finish(self, lanes: usize, kernel: KernelFn) -> ParLoop {
+        ParLoop { kernel, lanes, ..self.0 }
     }
 }
 

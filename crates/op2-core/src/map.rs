@@ -256,7 +256,13 @@ impl<const D: usize> MapView<D> {
         debug_assert!(e * D + D <= self.len);
         // SAFETY: `D == dim` (`Map::view`), so row `e` is the `D` entries from
         // `e * D` of the `from.size() * dim` table; `[u32; D]` is `u32`-aligned.
-        self.table.add(e * D).cast::<[u32; D]>().read().map(|t| t as usize)
+        let row = self.table.add(e * D).cast::<[u32; D]>().read();
+        // Not `array::map`: its closure can stay out of line (`crate::lanes`).
+        let mut out = [0; D];
+        for (o, t) in out.iter_mut().zip(row) {
+            *o = t as usize;
+        }
+        out
     }
 }
 

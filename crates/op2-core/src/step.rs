@@ -4,8 +4,9 @@
 //! ([`Global::read`]). [`crate::deps`] keys a global beside the dats.
 //! `op2_hpx::run_step` interprets a step.
 
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::access::Access;
 use crate::deps::{by_producer, Deps};
@@ -54,12 +55,36 @@ impl Global {
 /// Host code after a loop: its global's new value, from the loop's reduction.
 pub type HostFn = Arc<dyn Fn(&[f64]) -> f64 + Send + Sync>;
 
+/// Where a step that waits only on the producers the dependency rule names
+/// (the paper's Fig. 10) waits, for a step of `loops` (reads, writes): entry
+/// `i < n` before loop `i`, entry `n` at the end. Before each loop, every
+/// producer `deps` names not yet waited on, oldest first; the rule also runs
+/// over the next step, whose producers here still un-waited are waited last.
+pub fn async_waits<K: Clone + Eq + Hash + Ord>(loops: &[(Vec<K>, Vec<K>)]) -> Vec<Vec<usize>> {
+    let n = loops.len();
+    let mut deps = Deps::default();
+    let mut waited = vec![false; n];
+    let mut waits = vec![Vec::new(); n + 1];
+    for at in 0..2 * n {
+        let (reads, writes) = &loops[at % n];
+        for edge in by_producer(deps.record(reads, writes, at)) {
+            let j = edge[0].producer;
+            if j < n && !std::mem::replace(&mut waited[j], true) {
+                waits[at.min(n)].push(j);
+            }
+        }
+    }
+    waits
+}
+
 /// The loops of one time step in program order, each with the host code
 /// that follows it, if any.
 #[derive(Clone, Default)]
 pub struct Step {
     loops: Vec<ParLoop>,
     hosts: Vec<Option<(Global, HostFn)>>,
+    /// [`Step::async_waits`], derived on first use.
+    waits: OnceLock<Vec<Vec<usize>>>,
 }
 
 impl Step {
@@ -67,6 +92,7 @@ impl Step {
     pub fn then(mut self, loop_: &ParLoop) -> Step {
         self.loops.push(loop_.clone());
         self.hosts.push(None);
+        self.waits = OnceLock::new();
         self
     }
 
@@ -76,7 +102,17 @@ impl Step {
         let reduces = self.loops.last().is_some_and(|l| l.gbl_dim() > 0);
         let host = self.hosts.last_mut().filter(|h| h.is_none() && reduces);
         *host.expect("step: a global set after no reduction, or twice") = Some((global.clone(), Arc::new(f)));
+        self.waits = OnceLock::new();
         self
+    }
+
+    /// [`async_waits`] of this step's [`Step::keys`]: derived on the first
+    /// call and kept with the step, which they depend on alone.
+    pub fn async_waits(&self) -> &[Vec<usize>] {
+        self.waits.get_or_init(|| {
+            let keys: Vec<_> = (0..self.loops.len()).map(|i| self.keys(i)).collect();
+            async_waits(&keys)
+        })
     }
 
     /// The loops, in program order.
@@ -162,6 +198,21 @@ mod tests {
         assert_eq!(dt.get(), 0.5);
         crate::serial::execute_natural(&step.loops()[1]);
         assert!(u.to_vec().iter().all(|&v| v == 1.0));
+    }
+
+    /// The waits are derived once per step: repeated calls return the one
+    /// table, and appending a loop derives them afresh.
+    #[test]
+    fn async_waits_are_derived_once_per_step() {
+        let cells = Set::new("cells", 4);
+        let u = Dat::filled("u", &cells, 1, 0.0f64);
+        let l = ParLoop::build("l", &cells).args(u.rw::<1>()).kernel(|_, _| {});
+        let step = Step::default().then(&l).then(&l);
+        let first = step.async_waits();
+        assert!(std::ptr::eq(first, step.async_waits()), "the waits were derived twice");
+        assert_eq!(first, [vec![], vec![0], vec![1]]);
+        let step = step.then(&l);
+        assert_eq!(step.async_waits(), [vec![], vec![0], vec![1], vec![2]]);
     }
 
     #[test]

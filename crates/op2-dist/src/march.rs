@@ -1127,9 +1127,15 @@ fn exchange_stage<A: DistApp>(
     //    *locally* — snapshot, restore bit-identically, retry — without
     //    involving the fabric; only when the local budget is exhausted does
     //    the rank escalate to fabric-level checkpoint recovery.
+    //    Only a rank `opts.kernel_fault` names takes the snapshot: the
+    //    prologue is deterministic, so on any other rank a retry would fail
+    //    the same way, and the rank escalates at once.
+    let armed = cx.fault_iter.is_some();
     let mut attempt = 0;
     loop {
-        st.aux_snap.clone_from(&st.aux);
+        if armed {
+            st.aux_snap.clone_from(&st.aux);
+        }
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if cx.faults_left > 0 && cx.fault_iter == Some(iter) {
                 cx.faults_left -= 1;
@@ -1140,8 +1146,10 @@ fn exchange_stage<A: DistApp>(
         if run.is_ok() {
             break;
         }
-        st.aux.copy_from_slice(&st.aux_snap);
-        if attempt >= opts.kernel_retries {
+        if armed {
+            st.aux.copy_from_slice(&st.aux_snap);
+        }
+        if !armed || attempt >= opts.kernel_retries {
             // Peers detect the death and restore the newest checkpoint.
             return Err(comm.kill_self());
         }

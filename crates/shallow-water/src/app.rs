@@ -3,7 +3,8 @@
 
 use op2_airfoil::mesh::{Mesh, MeshOptions};
 use op2_airfoil::{FlowConstants, MeshBuilder};
-use op2_core::{Dat, Global, Layout, ParLoop, Step};
+use op2_core::typed::{At, Inc, Read, Via};
+use op2_core::{Dat, Global, Layout, ParLoop, Real, Step, WideKernel};
 use op2_hpx::{run_step, Executor, LoopError, NaturalExecutor, Supervisor, SyncStrategy};
 
 use crate::kernels;
@@ -145,9 +146,7 @@ impl SweApp {
                 w.read::<3>().via::<2>(&m.pecell),
                 res.inc::<3>().via::<2>(&m.pecell),
             ))
-            .kernel(move |([x1, x2], [w1, w2], [r1, r2]), _| {
-                kernels::flux(x1, x2, w1, w2, r1, r2, g);
-            });
+            .wide_kernel(Flux(g));
 
         let bflux = ParLoop::build("swe_bflux", &m.bedges)
             .args((
@@ -306,6 +305,19 @@ impl SweApp {
     /// Gravity in use.
     pub fn gravity(&self) -> f64 {
         self.g
+    }
+}
+
+/// `swe_flux`'s body, written once over [`Real`]. The other loops reduce
+/// (`swe_dt`, `swe_update`) or branch per edge (`swe_bflux`): `f64` bodies.
+struct Flux(f64);
+
+impl WideKernel for Flux {
+    type Args = (Via<f64, 2, 2, Read>, Via<f64, 3, 2, Read>, Via<f64, 3, 2, Inc>);
+
+    #[inline(always)]
+    fn run<R: Real>(&self, ([x1, x2], [w1, w2], [r1, r2]): &mut At<Self::Args, R>) {
+        kernels::flux(x1, x2, w1, w2, r1, r2, self.0);
     }
 }
 

@@ -7,13 +7,15 @@
 //! length-scaled normal pointing out of cell 1 (into cell 2, or out of the
 //! domain for boundary edges).
 
+use op2_core::Real;
+
 /// Physical flux of the shallow-water equations through a scaled normal `n`.
-#[inline]
-fn physical_flux(w: &[f64], nx: f64, ny: f64, g: f64) -> [f64; 3] {
+#[inline(always)]
+fn physical_flux<R: Real>(w: &[R], nx: R, ny: R, g: f64) -> [R; 3] {
     let h = w[0];
     let (u, v) = (w[1] / h, w[2] / h);
     let un = u * nx + v * ny; // volume flux per unit depth (length-scaled)
-    let p = 0.5 * g * h * h;
+    let p = R::splat(0.5 * g) * h * h;
     [
         h * un,
         w[1] * un + p * nx,
@@ -22,26 +24,30 @@ fn physical_flux(w: &[f64], nx: f64, ny: f64, g: f64) -> [f64; 3] {
 }
 
 /// Fastest signal speed of state `w` across a unit normal, scaled by `len`.
-#[inline]
-fn signal_speed(w: &[f64], nx: f64, ny: f64, len: f64, g: f64) -> f64 {
+#[inline(always)]
+fn signal_speed<R: Real>(w: &[R], nx: R, ny: R, len: R, g: f64) -> R {
     let h = w[0];
     let (u, v) = (w[1] / h, w[2] / h);
     // |u·n̂| + c, then rescaled by the edge length (n is length-scaled).
-    ((u * nx + v * ny) / len).abs() + (g * h).sqrt()
+    ((u * nx + v * ny) / len).abs() + (R::splat(g) * h).sqrt()
 }
 
 /// Interior Rusanov flux: antisymmetric increments to the two cells.
-#[inline]
+///
+/// Generic over [`Real`], so the same body runs one edge at `f64` or four on
+/// lanes, bit for bit (see `op2_core::typed`).
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub fn flux(
-    x1: &[f64],
-    x2: &[f64],
-    w1: &[f64],
-    w2: &[f64],
-    res1: &mut [f64],
-    res2: &mut [f64],
+pub fn flux<R: Real>(
+    x1: &[R],
+    x2: &[R],
+    w1: &[R],
+    w2: &[R],
+    res1: &mut [R],
+    res2: &mut [R],
     g: f64,
 ) {
+    let half = R::splat(0.5);
     let dx = x1[0] - x2[0];
     let dy = x1[1] - x2[1];
     let (nx, ny) = (dy, -dx);
@@ -51,7 +57,7 @@ pub fn flux(
     let f2 = physical_flux(w2, nx, ny, g);
     let smax = signal_speed(w1, nx, ny, len, g).max(signal_speed(w2, nx, ny, len, g));
     for k in 0..3 {
-        let f = 0.5 * (f1[k] + f2[k]) + 0.5 * smax * len * (w1[k] - w2[k]);
+        let f = half * (f1[k] + f2[k]) + half * smax * len * (w1[k] - w2[k]);
         res1[k] += f;
         res2[k] -= f;
     }

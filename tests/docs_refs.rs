@@ -257,25 +257,30 @@ fn the_tuner_has_one_consult_site_and_waiting_layers_build_no_executor() {
 }
 
 /// The code lines of every kernel region in Airfoil's and shallow-water's loop
-/// wiring — each `.kernel(` call, up to the parenthesis that closes it — as
-/// `file:line: code`. Fails unless it finds all ten regions.
+/// wiring — each `.kernel(` call, up to the parenthesis that closes it, and
+/// each wide kernel's `fn run<R: Real>(`, up to the brace that closes its
+/// body — as `file:line: code`. Fails unless it finds all ten regions.
 fn app_kernel_lines() -> Vec<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut regions = 0;
     let mut lines = Vec::new();
     for file in ["crates/airfoil/src/loops.rs", "crates/shallow-water/src/app.rs"] {
-        let mut depth: Option<i64> = None;
+        // The open region's nesting depth and the bracket pair it counts.
+        let mut depth: Option<(i64, [char; 2])> = None;
         for (n, line) in code(&root.join(file)) {
             let mut from = 0;
             if depth.is_none() {
-                let Some(at) = line.find(".kernel(") else { continue };
+                let starts = [(".kernel(", ['(', ')']), ("fn run<R: Real>(", ['{', '}'])];
+                let Some((at, pair)) = starts.iter().find_map(|(k, p)| Some((line.find(k)?, *p))) else {
+                    continue;
+                };
                 regions += 1;
-                (depth, from) = (Some(0), at);
+                (depth, from) = (Some((0, pair)), at);
             }
-            let Some(d) = depth.as_mut() else { continue };
+            let Some((d, [open, close])) = depth.as_mut() else { continue };
             let region = &line[from..];
-            *d += region.matches('(').count() as i64 - region.matches(')').count() as i64;
-            if *d <= 0 {
+            *d += region.matches(*open).count() as i64 - region.matches(*close).count() as i64;
+            if *d <= 0 && region.contains(*close) {
                 depth = None;
             }
             lines.push(format!("{file}:{n}: {line}"));
@@ -326,6 +331,39 @@ fn app_crates_hold_no_unsafe_and_no_raw_views() {
         }
     }
     assert!(found.is_empty(), "raw access in the apps: {found:#?}");
+}
+
+/// One place names the instruction set. Kernels are written once over
+/// `op2_core::Real`, and op2-core's lane module alone names `std::arch` or
+/// `target_feature`: it holds the four-lane type and the one function that
+/// enables AVX2, chosen at run time. So no other source line of the
+/// workspace, the examples or the benchmark names either.
+#[test]
+fn only_the_lane_module_names_the_instruction_set() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["src", "examples", "benchmark/src"] {
+        rs_files(&root.join(dir), &mut files);
+    }
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let src = entry.expect("crates/ entry").path().join("src");
+        if src.is_dir() {
+            rs_files(&src, &mut files);
+        }
+    }
+    let home = root.join("crates/op2-core/src/lanes.rs");
+    let mut found = Vec::new();
+    for file in files.iter().filter(|f| **f != home) {
+        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
+        for (n, line) in text.lines().enumerate() {
+            if line.contains("std::arch") || line.contains("target_feature") {
+                found.push(format!("{}:{}: {}", file.strip_prefix(root).unwrap_or(file).display(), n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(files.len() > 100, "scanned only {} files", files.len());
+    assert!(found.is_empty(), "the instruction set named outside the lane module: {found:#?}");
+    assert!(files.contains(&home), "the lane module is gone");
 }
 
 /// OP2 writes a kernel once, per element, and leaves the layout to the

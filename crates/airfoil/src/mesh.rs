@@ -49,7 +49,7 @@ pub struct MeshRenumbering {
 
 /// Raw mesh tables — the serializable on-disk form (the `new_grid.dat`
 /// analogue).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
 pub struct MeshData {
     /// Cells in x.
     pub imax: usize,
@@ -389,54 +389,71 @@ impl Mesh {
             (data, None)
         };
 
-        let nnodes = data.nnodes();
-        let nedges = data.nedges();
-        let nbedges = data.nbedges();
-        let ncells = data.ncells();
-
-        let nodes = Set::new("nodes", nnodes);
-        let edges = Set::new("edges", nedges);
-        let bedges = Set::new("bedges", nbedges);
-        let cells = Set::new("cells", ncells);
-
-        let pedge = Map::new("pedge", &edges, &nodes, 2, data.edge_nodes.clone());
-        let pecell = Map::new("pecell", &edges, &cells, 2, data.edge_cells.clone());
-        let pbedge = Map::new("pbedge", &bedges, &nodes, 2, data.bedge_nodes.clone());
-        let pbecell = Map::new("pbecell", &bedges, &cells, 1, data.bedge_cells.clone());
-        let pcell = Map::new("pcell", &cells, &nodes, 4, data.cell_nodes.clone());
-
+        let tables = MeshData {
+            imax: data.imax,
+            jmax: data.jmax,
+            coords: Vec::new(),
+            edge_nodes: data.edge_nodes.clone(),
+            edge_cells: data.edge_cells.clone(),
+            bedge_nodes: data.bedge_nodes.clone(),
+            bedge_cells: data.bedge_cells.clone(),
+            bound: data.bound.clone(),
+            cell_nodes: data.cell_nodes.clone(),
+        };
         let layout = opts.layout;
+        let nodes = Set::new("nodes", data.nnodes());
+        let cells = Set::new("cells", data.ncells());
         let p_x = Dat::with_layout("p_x", &nodes, 2, layout, data.coords.clone());
-        let p_bound = Dat::new("p_bound", &bedges, 1, data.bound.clone());
+        let q0 = consts.qinf.repeat(data.ncells());
+        let state = [
+            Dat::with_layout("p_q", &cells, 4, layout, q0),
+            Dat::filled_with_layout("p_qold", &cells, 4, layout, 0.0),
+            Dat::filled_with_layout("p_adt", &cells, 1, layout, 0.0),
+            Dat::filled_with_layout("p_res", &cells, 4, layout, 0.0),
+        ];
+        Mesh { data, renumbering, ..Mesh::over(&p_x, tables, state) }
+    }
 
-        let mut q0 = Vec::with_capacity(ncells * 4);
-        for _ in 0..ncells {
-            q0.extend_from_slice(&consts.qinf);
+    /// Declare a mesh over tables it takes, without copying them or any
+    /// state: the nodes are `p_x`'s (shared; `tables.coords` is not read),
+    /// the connectivity tables move into the maps, and `state` are the dats
+    /// `[p_q, p_qold, p_adt, p_res]`, over one cell set and in `p_x`'s
+    /// layout. What a rank of a distributed run declares over its slice. The
+    /// result's `data` keeps `tables`' `imax` and `jmax` only.
+    ///
+    /// # Panics
+    /// Panics unless the state dats share a cell set, are 4, 4, 1 and 4
+    /// wide and in `p_x`'s layout, and every table fits its sets.
+    pub fn over(p_x: &Dat<f64>, tables: MeshData, state: [Dat<f64>; 4]) -> Mesh {
+        let [p_q, p_qold, p_adt, p_res] = state;
+        let (nodes, cells, layout) = (p_x.set().clone(), p_q.set().clone(), p_x.layout());
+        for (d, dim) in [(&p_q, 4), (&p_qold, 4), (&p_adt, 1), (&p_res, 4)] {
+            let fits = d.set().same(&cells) && d.dim() == dim && d.layout() == layout;
+            assert!(fits, "state dat {}: not {dim} wide, {layout}, over {}", d.name(), cells.name());
         }
-        let p_q = Dat::with_layout("p_q", &cells, 4, layout, q0);
-        let p_qold = Dat::filled_with_layout("p_qold", &cells, 4, layout, 0.0);
-        let p_adt = Dat::filled_with_layout("p_adt", &cells, 1, layout, 0.0);
-        let p_res = Dat::filled_with_layout("p_res", &cells, 4, layout, 0.0);
-
+        let edges = Set::new("edges", tables.nedges());
+        let bedges = Set::new("bedges", tables.nbedges());
+        let MeshData { imax, jmax, edge_nodes, edge_cells, bedge_nodes, bedge_cells, bound, cell_nodes, .. } =
+            tables;
         Mesh {
-            data,
-            nodes,
-            edges,
-            bedges,
-            cells,
-            pedge,
-            pecell,
-            pbedge,
-            pbecell,
-            pcell,
-            p_x,
-            p_bound,
+            data: MeshData { imax, jmax, ..MeshData::default() },
+            pedge: Map::new("pedge", &edges, &nodes, 2, edge_nodes),
+            pecell: Map::new("pecell", &edges, &cells, 2, edge_cells),
+            pbedge: Map::new("pbedge", &bedges, &nodes, 2, bedge_nodes),
+            pbecell: Map::new("pbecell", &bedges, &cells, 1, bedge_cells),
+            pcell: Map::new("pcell", &cells, &nodes, 4, cell_nodes),
+            p_x: p_x.clone(),
+            p_bound: Dat::new("p_bound", &bedges, 1, bound),
             p_q,
             p_qold,
             p_adt,
             p_res,
+            nodes,
+            edges,
+            bedges,
+            cells,
             layout,
-            renumbering,
+            renumbering: None,
         }
     }
 

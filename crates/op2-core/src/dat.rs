@@ -278,6 +278,14 @@ impl<T: Copy + Send + Sync + 'static> Dat<T> {
         self.data().to_vec()
     }
 
+    /// The raw storage (layout order) of a dat no other handle shares — no
+    /// clone of it and no loop declared over it is left — else `None`. A
+    /// caller that lends a dat its buffer takes the buffer back this way.
+    pub fn into_storage(self) -> Option<Vec<T>> {
+        let inner = Arc::try_unwrap(self.inner).ok()?;
+        Some(inner.data.into_inner().into_vec())
+    }
+
     /// Snapshot the contents in canonical element-major (AoS) order,
     /// independent of the storage layout. Use this for digests and
     /// cross-layout comparisons.
@@ -575,6 +583,31 @@ impl DatView<f64> {
             }
         }
     }
+
+    /// [`DatView::load_x4`] of the consecutive elements `e..e + 4`. Where
+    /// their values lie in a row — every SoA component, an AoS dat of width
+    /// 1 — each component is one four-value load.
+    ///
+    /// # Safety
+    /// As [`DatView::load_x4`] for `[e, e + 1, e + 2, e + 3]`.
+    #[inline(always)]
+    pub(crate) unsafe fn load_run4<const D: usize>(&self, e: usize) -> [F64x4; D] {
+        debug_assert!(D == self.dim && e + 4 <= self.n);
+        let ptr = self.ptr.cast_const();
+        // SAFETY: `load`'s bounds for each of the four elements, whose `j`th
+        // components sit at `idx_d(e, j)` and the three slots after it. A
+        // loop, not `array::from_fn`, whose closure can stay out of line.
+        match (self.layout, D) {
+            (Layout::Soa, _) | (Layout::Aos, 1) => {
+                let mut out = [F64x4::splat(0.0); D];
+                for (j, col) in out.iter_mut().enumerate() {
+                    *col = F64x4::load(ptr.add(self.idx_d::<D>(e, j)));
+                }
+                out
+            }
+            (Layout::Aos, _) => self.load_x4([e, e + 1, e + 2, e + 3]),
+        }
+    }
 }
 
 impl<T: Copy + std::ops::AddAssign> DatView<T> {
@@ -626,6 +659,19 @@ mod tests {
         assert_eq!(d.to_vec(), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         d.data_mut()[4] = 50.0;
         assert_eq!(d.data()[4], 50.0);
+    }
+
+    /// The storage comes back only from the last handle: a clone or a loop
+    /// declared over the dat keeps it.
+    #[test]
+    fn storage_comes_back_from_the_last_handle_only() {
+        let cells = Set::new("cells", 3);
+        let d = Dat::new("q", &cells, 1, vec![1.0f64, 2.0, 3.0]);
+        let l = crate::ParLoop::build("l", &cells).args(d.read::<1>()).kernel(|_, _| {});
+        let keep = d.clone();
+        assert_eq!(d.into_storage(), None, "a clone and a loop still hold it");
+        drop(l);
+        assert_eq!(keep.into_storage(), Some(vec![1.0, 2.0, 3.0]));
     }
 
     #[test]

@@ -329,7 +329,7 @@ impl<const D: usize, A: Mode> WideArgs for Direct<f64, D, A> {
     #[inline(always)]
     unsafe fn load4(dat: &DatView<f64>, e: usize) -> [F64x4; D] {
         match A::ACCESS {
-            Access::Read | Access::ReadWrite => dat.load_x4([e, e + 1, e + 2, e + 3]),
+            Access::Read | Access::ReadWrite => dat.load_run4(e),
             Access::Write | Access::Inc => [F64x4::splat(0.0); D],
         }
     }
@@ -626,5 +626,42 @@ mod tests {
         let (edges, cells) = (Set::new("edges", 1), Set::new("cells", 2));
         let m = Map::new("pecell", &edges, &cells, 2, vec![0, 1]);
         let _ = Dat::filled("res", &cells, 4, 0.0f64).inc::<4>().via::<4>(&m);
+    }
+
+    /// A direct argument's four consecutive elements, loaded into lanes,
+    /// hold what four one-element loads return, bit for bit (`-0.0`, a NaN
+    /// payload and a subnormal included), at every width, on both layouts
+    /// and from every offset.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn load4_is_four_loads() {
+        use super::{Args, Direct, Read, WideArgs};
+        use crate::lanes::F64x4;
+        if crate::lane_width() != 4 {
+            return println!("no AVX2 on this host: nothing to compare");
+        }
+        fn check<const D: usize>(layout: Layout) {
+            let n = 11;
+            let odd = [-0.0, f64::from_bits(0x7ff8_0000_dead_beef), 1e-310];
+            let aos = (0..n * D).map(|i| if i % 5 < 3 { odd[i % 5] } else { i as f64 * 0.25 - 2.0 });
+            let dat = Dat::with_layout("d", &Set::new("cells", n), D, layout, aos.collect());
+            let view = dat.read::<D>().split(&mut Vec::new(), &mut Vec::new());
+            for e in 0..=n - 4 {
+                // SAFETY: elements `e..e + 4` are the dat's, and AVX2 is present.
+                let lanes = unsafe { <Direct<f64, D, Read> as WideArgs>::load4(&view, e) };
+                for l in 0..4 {
+                    // SAFETY: as above.
+                    let one: [f64; D] = unsafe { <Direct<f64, D, Read> as Args>::load(&view, e + l) };
+                    let row = F64x4::row(&lanes, l);
+                    assert_eq!(row.map(f64::to_bits), one.map(f64::to_bits), "{layout:?} D={D} e={e} lane {l}");
+                }
+            }
+        }
+        for layout in LAYOUTS {
+            check::<1>(layout);
+            check::<2>(layout);
+            check::<3>(layout);
+            check::<4>(layout);
+        }
     }
 }

@@ -1,32 +1,39 @@
 //! The distributed Airfoil march: the public option/report/error types every
-//! distributed march shares, and Airfoil's kernel glue for the march engine.
+//! distributed march shares, and Airfoil on the march engine.
 //!
 //! The protocol — halo exchange, overlap, reductions, checkpoints, recovery —
-//! is described once, in the engine's module docs (`march.rs`). Airfoil
-//! supplies only its hooks:
+//! is described once, in the engine's module docs (`march.rs`). Each rank
+//! declares Airfoil once per slice, as a single-node run does: its tables
+//! move into a `Mesh` over the shared coordinates and the engine's arrays
+//! (`Mesh::over`), and `AirfoilLoops` over that. The hooks run those loops
+//! over windows of the slice (`ParLoop::run_span`), four elements per
+//! instruction where the host has AVX2:
 //!
 //! * 4 state components (`q`), one engine-owned auxiliary component (`adt`),
-//!   two exchange stages per iteration, tags 100/200, no derived data;
+//!   two exchange stages per iteration, tags 100/200;
 //! * `begin_iter` — `save_soln` over owned cells, no max-reduction;
 //! * `prologue` — `adt_calc` over owned cells (owned `adt` must exist before
 //!   any halo group can fire: group edges read both endpoints' `adt`);
-//! * `interior` / `boundary` — `res_calc` / `bres_calc` into `res`;
-//! * `group` — redundant `adt_calc` over the freshly installed halo cells,
-//!   then `res_calc` over the group's edges into its scratch;
+//! * `interior` / `boundary` — `res_calc` over a window of the interior
+//!   edges, `bres_calc` over the boundary edges, into `res`;
+//! * `group` — `adt_calc` over the freshly installed halo cells, then
+//!   `res_calc` over the group's edges into its scratch: the one kernel the
+//!   march calls itself, since the scratch slots are no dat;
 //! * `update` — `update` over owned cells, returning the RMS partial.
 
+use std::ops::Range;
 use std::path::PathBuf;
 
-use op2_airfoil::kernels;
 use op2_airfoil::mesh::MeshData;
-use op2_airfoil::FlowConstants;
+use op2_airfoil::{AirfoilLoops, FlowConstants, Mesh};
+use op2_core::Dat;
 use op2_store::StoreFaultPlan;
 
 use crate::checkpoint::{CheckpointError, CkptStats};
 use crate::fabric::{CommConfig, CommError, FabricError};
 use crate::fault::{FaultPlan, FaultReport};
-use crate::march::{march, DistApp, MarchOut};
-use crate::partition::{LocalMesh, Partition};
+use crate::march::{march, Arrays, DistApp, MarchOut};
+use crate::partition::{HaloGroup, LocalMesh, Partition};
 
 /// One fabric re-formation performed during a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -299,52 +306,27 @@ impl From<MarchOut> for DistReport {
 /// Airfoil on the march engine (hooks listed in the module docs).
 struct Airfoil<'a>(&'a FlowConstants);
 
-impl Airfoil<'_> {
-    /// `adt_calc` for local cell `c`.
-    #[inline]
-    fn adt_cell(&self, coords: &[f64], local: &LocalMesh, c: usize, q: &[f64], adt: &mut [f64]) {
-        let n = &local.cell_nodes[4 * c..4 * c + 4];
-        kernels::adt_calc(
-            xs(coords, n[0]),
-            xs(coords, n[1]),
-            xs(coords, n[2]),
-            xs(coords, n[3]),
-            &q[4 * c..4 * c + 4],
-            &mut adt[c..c + 1],
-            self.0,
-        );
-    }
+/// One rank's Airfoil: the app's mesh and loops over the rank's slice.
+struct AirfoilRank {
+    mesh: Mesh,
+    loops: AirfoilLoops,
+    nowned: usize,
+}
 
-    /// `res_calc` for local edge `e`, accumulating its two cells' residuals
-    /// into cells `s1`/`s2` of `into` (`res` itself, or a group's scratch).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn res_edge(
-        &self,
-        coords: &[f64],
-        local: &LocalMesh,
-        e: u32,
-        q: &[f64],
-        adt: &[f64],
-        into: &mut [f64],
-        (s1, s2): (u32, u32),
-    ) {
-        let (c1, c2) = local.edge_cells[e as usize];
-        let (c1, c2) = (c1 as usize, c2 as usize);
-        let (n1, n2) = local.edge_nodes[e as usize];
-        let (r1, r2) = two_cells_mut::<4>(into, s1 as usize, s2 as usize);
-        kernels::res_calc(
-            xs(coords, n1),
-            xs(coords, n2),
-            &q[4 * c1..4 * c1 + 4],
-            &q[4 * c2..4 * c2 + 4],
-            adt[c1],
-            adt[c2],
-            r1,
-            r2,
-            self.0,
-        );
-    }
+/// Airfoil declared over a rank's slice as every distributed march declares
+/// it: `tables` move into a [`Mesh`] over the shared coordinates and the
+/// rank's arrays (`adt` is `aux`), and the app's loops over that.
+pub(crate) fn declare_airfoil(
+    tables: MeshData,
+    coords: &Dat<f64>,
+    arrays: &Arrays,
+    consts: &FlowConstants,
+) -> (Mesh, AirfoilLoops) {
+    let adt = arrays.aux.clone().expect("Airfoil's arrays carry adt");
+    let state = [arrays.state.clone(), arrays.old.clone(), adt, arrays.res.clone()];
+    let mesh = Mesh::over(coords, tables, state);
+    let loops = AirfoilLoops::new(&mesh, consts);
+    (mesh, loops)
 }
 
 impl DistApp for Airfoil<'_> {
@@ -353,92 +335,67 @@ impl DistApp for Airfoil<'_> {
     const STAGES: usize = 2;
     const TAG_FORWARD: u64 = 100;
     const TAG_REVERSE: u64 = 200;
-    type Derived = ();
+    type Rank = AirfoilRank;
 
-    fn derive(&self, _data: &MeshData, _local: &LocalMesh) {}
+    fn declare(
+        &self,
+        _data: &MeshData,
+        local: &LocalMesh,
+        tables: MeshData,
+        coords: &Dat<f64>,
+        arrays: &Arrays,
+    ) -> AirfoilRank {
+        let (mesh, loops) = declare_airfoil(tables, coords, arrays, self.0);
+        AirfoilRank { mesh, loops, nowned: local.nowned }
+    }
 
-    fn begin_iter(&self, local: &LocalMesh, q: &[f64], qold: &mut [f64]) -> Option<f64> {
-        for c in 0..local.nowned {
-            kernels::save_soln(&q[4 * c..4 * c + 4], &mut qold[4 * c..4 * c + 4]);
-        }
+    fn begin_iter(&self, r: &AirfoilRank) -> Option<f64> {
+        r.loops.save_soln.run_span(0..r.nowned, &mut []);
         None
     }
 
-    fn prologue(&self, coords: &[f64], local: &LocalMesh, q: &[f64], adt: &mut [f64]) {
-        for c in 0..local.nowned {
-            self.adt_cell(coords, local, c, q, adt);
-        }
+    fn prologue(&self, r: &AirfoilRank) {
+        r.loops.adt_calc.run_span(0..r.nowned, &mut []);
     }
 
-    fn interior(
-        &self,
-        coords: &[f64],
-        local: &LocalMesh,
-        edges: &[u32],
-        q: &[f64],
-        adt: &[f64],
-        res: &mut [f64],
-    ) {
-        for &e in edges {
-            self.res_edge(coords, local, e, q, adt, res, local.edge_cells[e as usize]);
-        }
+    fn interior(&self, r: &AirfoilRank, edges: Range<usize>) {
+        r.loops.res_calc.run_span(edges, &mut []);
     }
 
-    fn boundary(&self, coords: &[f64], local: &LocalMesh, q: &[f64], adt: &[f64], res: &mut [f64]) {
-        for &(n1, n2, c1, bound) in &local.bedges {
-            let c1 = c1 as usize;
-            kernels::bres_calc(
-                xs(coords, n1),
-                xs(coords, n2),
+    fn boundary(&self, r: &AirfoilRank) {
+        r.loops.bres_calc.run_span(0..r.mesh.bedges.size(), &mut []);
+    }
+
+    /// `adt_calc` over the group's halo cells, then `res_calc` over its
+    /// edges into the scratch slots: the one place the march calls a kernel
+    /// itself, since the slots are no dat's.
+    fn group(&self, r: &AirfoilRank, group: &HaloGroup, scratch: &mut [f64]) {
+        r.loops.adt_calc.run_span(group.halos.clone(), &mut []);
+        let m = &r.mesh;
+        let (x, q, adt) = (m.p_x.data(), m.p_q.data(), m.p_adt.data());
+        let (nodes, cells) = (m.pedge.table(), m.pecell.table());
+        for (&e, &(s1, s2)) in group.edges.iter().zip(&group.slots) {
+            let e = e as usize;
+            let (c1, c2) = (cells[2 * e] as usize, cells[2 * e + 1] as usize);
+            let (r1, r2) = two_cells_mut::<4>(scratch, s1 as usize, s2 as usize);
+            op2_airfoil::kernels::res_calc(
+                xs(&x, nodes[2 * e]),
+                xs(&x, nodes[2 * e + 1]),
                 &q[4 * c1..4 * c1 + 4],
+                &q[4 * c2..4 * c2 + 4],
                 adt[c1],
-                &mut res[4 * c1..4 * c1 + 4],
-                bound,
+                adt[c2],
+                r1,
+                r2,
                 self.0,
             );
         }
     }
 
-    fn group(
-        &self,
-        coords: &[f64],
-        local: &LocalMesh,
-        halos: &[u32],
-        edges: &[u32],
-        slots: &[(u32, u32)],
-        q: &[f64],
-        adt: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        for &l in halos {
-            self.adt_cell(coords, local, l as usize, q, adt);
-        }
-        for (&e, &at) in edges.iter().zip(slots) {
-            self.res_edge(coords, local, e, q, adt, scratch, at);
-        }
-    }
-
-    fn update(
-        &self,
-        _derived: &(),
-        local: &LocalMesh,
-        qold: &[f64],
-        q: &mut [f64],
-        res: &mut [f64],
-        adt: &[f64],
-        _scale: f64,
-    ) -> f64 {
-        let mut rms = 0.0;
-        for c in 0..local.nowned {
-            kernels::update(
-                &qold[4 * c..4 * c + 4],
-                &mut q[4 * c..4 * c + 4],
-                &mut res[4 * c..4 * c + 4],
-                adt[c],
-                &mut rms,
-            );
-        }
-        rms
+    fn update(&self, r: &AirfoilRank, _scale: f64) -> f64 {
+        let mut rms = [0.0];
+        r.loops.update.run_span(0..r.nowned, &mut rms);
+        rms[0]
     }
 }
 
@@ -708,6 +665,41 @@ mod tests {
         }
     }
 
+    /// A rank runs the app's own `adt_calc` and `res_calc`, wide loops: on
+    /// an AVX2 host four elements per instruction. Also prints what
+    /// declaring rank 0 of 2 at 512×256 costs: its arrays, then its mesh and
+    /// loops over them, three times over (the spare arrays warm after the
+    /// first).
+    #[test]
+    fn a_ranks_loops_run_on_lanes() {
+        use crate::march::{local_rows, shared_coords};
+        use crate::partition::build_local;
+        let consts = FlowConstants::default();
+        let data = MeshBuilder::channel(512, 256).data();
+        let part = Partition::strips(data.ncells(), 2);
+        let q0 = consts.qinf.repeat(data.ncells());
+        let coords = shared_coords(&data);
+        for _ in 0..3 {
+            let mut local = build_local(&data, &part, 0);
+            let tables = std::mem::take(&mut local.tables);
+            let t = std::time::Instant::now();
+            let arrays = Arrays::new(4, 1, local_rows(&q0, 4, &local));
+            let filled = t.elapsed();
+            let rank = Airfoil(&consts).declare(&data, &local, tables, &coords, &arrays);
+            let declared = t.elapsed() - filled;
+            let (adt, res) = (rank.loops.adt_calc.lanes(), rank.loops.res_calc.lanes());
+            println!(
+                "rank 0 of 2 at 512x256: adt_calc ran {adt} lanes, res_calc {res}; arrays {:.3} ms, \
+                 mesh and loops {:.3} ms",
+                filled.as_secs_f64() * 1e3,
+                declared.as_secs_f64() * 1e3
+            );
+            assert_eq!((adt, res), (op2_core::lane_width(), op2_core::lane_width()));
+            drop(rank);
+            arrays.recycle();
+        }
+    }
+
     #[test]
     fn two_cells_mut_is_disjoint_and_ordered() {
         let mut v: Vec<f64> = (0..16).map(|i| i as f64).collect();
@@ -843,7 +835,7 @@ mod omesh_tests {
         // at least one exchange and every edge is assigned exactly once.
         assert!(locals.iter().all(|l| !l.imports.is_empty()));
         let nedges = data.edge_cells.len() / 2;
-        let assigned: usize = locals.iter().map(|l| l.edge_cells.len()).sum();
+        let assigned: usize = locals.iter().map(|l| l.tables.nedges()).sum();
         assert_eq!(assigned, nedges);
     }
 }

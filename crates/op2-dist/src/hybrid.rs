@@ -2,11 +2,12 @@
 //! *within* each rank — the configuration the paper positions HPX for
 //! (replacing OpenMP inside each MPI process).
 //!
-//! Each rank declares Airfoil the way a single-node run does: [`Mesh::from_data`]
-//! over its local slice ([`LocalMesh::mesh_data`]: owned cells first, then
-//! halo copies, the node set replicated) and the app's own [`AirfoilLoops`]
-//! over that mesh, executed with any [`op2_hpx`] backend (fork-join, async,
-//! dataflow, …) on the rank's own thread pool. Between loops, the forward and
+//! Each rank declares Airfoil as the flat march's ranks do: its slice's
+//! tables ([`LocalMesh::tables`]: owned cells first, then halo copies) move
+//! into a [`Mesh`] over the coordinates all ranks share ([`Mesh::over`]),
+//! and the app's own [`op2_airfoil::AirfoilLoops`] over that mesh run with
+//! any [`op2_hpx`] backend (fork-join, async, dataflow, …) on the rank's own
+//! thread pool. Between loops, the forward and
 //! reverse halo exchanges run on the dats' storage, through the march
 //! engine's exchange helpers (same packing, same ascending-peer receive
 //! order; tags 300/400).
@@ -39,14 +40,16 @@
 use std::sync::Arc;
 
 use op2_airfoil::mesh::MeshData;
-use op2_airfoil::{AirfoilLoops, FlowConstants, Mesh};
+use op2_airfoil::{FlowConstants, Mesh};
+use op2_core::Dat;
 use op2_hpx::{make_executor, BackendKind, Op2Runtime};
 
-use crate::exec::{DistError, DistOptions, DistReport};
+use crate::exec::{declare_airfoil, DistError, DistOptions, DistReport};
 use crate::fabric::{Comm, CommError};
 use crate::march::{
-    forward_send, gather, install_halo, launch, poll_halos, recv_halos, reverse_receive,
-    scatter_owned, validate, HaloSink, Report, Reports,
+    forward_send, gather, install_halo, launch, local_rows, poll_halos, recv_halos,
+    recycle_dat, reverse_receive, scatter_owned, shared_coords, validate, Arrays, HaloSink,
+    Report, Reports,
 };
 use crate::partition::{build_local, LocalMesh, Partition};
 
@@ -73,10 +76,12 @@ pub fn run_hybrid_opts(
 ) -> Result<DistReport, DistError> {
     let ncells = data.cell_nodes.len() / 4;
     validate(q0.len(), ncells, 4, opts, false, false)?;
+    let coords = shared_coords(data);
     let run = launch(part.nranks, opts, |comm| {
         rank_main(
             comm,
             data,
+            &coords,
             consts,
             q0,
             part,
@@ -87,6 +92,7 @@ pub fn run_hybrid_opts(
             opts,
         )
     })?;
+    recycle_dat(coords);
 
     let mut final_q = vec![0.0; 4 * ncells];
     let mut rms = Vec::new();
@@ -109,27 +115,11 @@ pub fn run_hybrid_opts(
     })
 }
 
-/// Rank `rank`'s Airfoil mesh: [`Mesh::from_data`] over its local slice,
-/// with `q` taken from the global state `q0` (halo copies included).
-fn rank_mesh(
-    data: &MeshData,
-    consts: &FlowConstants,
-    q0: &[f64],
-    part: &Partition,
-    rank: usize,
-) -> (LocalMesh, Mesh) {
-    let local = build_local(data, part, rank);
-    let mesh = Mesh::from_data(local.mesh_data(data), consts);
-    let q: Vec<f64> =
-        local.cell_l2g.iter().flat_map(|&g| q0[4 * g as usize..][..4].iter().copied()).collect();
-    mesh.p_q.write_aos(&q);
-    (local, mesh)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn rank_main(
     comm: Comm,
     data: &MeshData,
+    coords: &Dat<f64>,
     consts: &FlowConstants,
     q0: &[f64],
     part: &Partition,
@@ -139,8 +129,10 @@ fn rank_main(
     report_every: usize,
     opts: &DistOptions,
 ) -> Result<(Vec<f64>, Vec<Report>), CommError> {
-    let (local, mesh) = rank_mesh(data, consts, q0, part, comm.rank());
-    let loops = AirfoilLoops::new(&mesh, consts);
+    // Declared as the march engine's ranks declare Airfoil.
+    let mut local = build_local(data, part, comm.rank());
+    let arrays = Arrays::new(4, 1, local_rows(q0, 4, &local));
+    let (mesh, loops) = declare_airfoil(std::mem::take(&mut local.tables), coords, &arrays, consts);
     let (nowned, nlocal) = (local.nowned, local.ncells_local());
     let save_soln = loops.save_soln.window(0..nowned);
     let update = loops.update.window(0..nowned);
@@ -195,6 +187,9 @@ fn rank_main(
     exec.fence();
 
     let owned_q = q.data()[..4 * nowned].to_vec();
+    // What holds the arrays goes first, so that they can be handed back.
+    drop((exec, save_soln, update, adt_owned, adt_halo, loops, mesh));
+    arrays.recycle();
     Ok((owned_q, reports.done))
 }
 
@@ -447,12 +442,14 @@ mod tests {
 
     /// The pulse setup on 3 ranks, 6 iterations, reporting every 2nd: one
     /// pinned digest for ForkJoin and Dataflow, bulk and overlapped. The
-    /// value was taken from the march whose ranks hand-declared Airfoil's
-    /// loops, so a rank running the app's own loops (plans, block order and
-    /// per-element arithmetic unchanged) must reproduce it exactly.
+    /// value was taken when `build_local` began to number a rank's edges
+    /// interior first, which regroups `res_calc`'s plan blocks and so the
+    /// order of a cell's increments; with the edges in assignment order the
+    /// same declaration reproduced the digest of the hand-declared loops
+    /// before it, `0xed4c_7d69_6f57_497f`.
     #[test]
     fn hybrid_results_are_pinned_bit_for_bit() {
-        const PINNED: u64 = 0xed4c_7d69_6f57_497f;
+        const PINNED: u64 = 0xc8b8_be1a_9f12_b806;
         let (data, consts, q0) = setup();
         let part = Partition::strips(200, 3);
         for backend in [BackendKind::ForkJoin, BackendKind::Dataflow] {
@@ -559,7 +556,7 @@ mod tests {
     /// error, not hang (the flat-fabric twin lives in `fabric::tests`).
     #[test]
     fn hybrid_exchange_times_out_without_matching_send() {
-        let (data, consts, q0) = setup();
+        let (data, _, q0) = setup();
         let part = Partition::strips(200, 2);
         let cfg = CommConfig {
             recv_deadline: Duration::from_millis(120),
@@ -569,10 +566,10 @@ mod tests {
             .config(cfg)
             .launch(|comm| {
                 if comm.rank() == 0 {
-                    let (local, mesh) = rank_mesh(&data, &consts, &q0, &part, 0);
+                    let local = build_local(&data, &part, 0);
                     // The peer never participates in the exchange, so the
                     // import-side recv must hit its deadline.
-                    forward_send(&comm, &local.exports, TAG_HYB_FORWARD, 4, &mesh.p_q.data())?;
+                    forward_send(&comm, &local.exports, TAG_HYB_FORWARD, 4, &local_rows(&q0, 4, &local))?;
                     recv_halos(&comm, &local.imports, TAG_HYB_FORWARD).map(|_| ())
                 } else {
                     std::thread::sleep(Duration::from_millis(200));

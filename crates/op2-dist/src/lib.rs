@@ -28,17 +28,21 @@
 //!   contributions route through per-group scratch merged in canonical order
 //!   either way. The engine also owns checkpoint commits, rank-kill
 //!   recovery, kernel-fault retry and durable restart.
-//! * [`exec`] and [`swe`] — the two applications on the engine, each nothing
-//!   but kernel glue over index lists: Airfoil (4-component state, two
-//!   stages, redundant halo `adt`) and shallow-water (3-component state,
-//!   adaptive `dt` via a pipelined max-reduction). The halo machinery is
-//!   app-agnostic, so both inherit every schedule and the whole recovery
-//!   ladder. [`exec`] also defines the option/report/error types they share.
+//! * [`exec`] and [`swe`] — the two applications on the engine, each a
+//!   declaration over a rank's slice and the hooks that run it: Airfoil
+//!   (4-component state, two stages, redundant halo `adt`) runs the app's
+//!   own `AirfoilLoops` over windows of the slice, on lanes where the host
+//!   has AVX2, and calls a kernel itself only for the halo groups' scratch;
+//!   shallow-water (3-component state, adaptive `dt` via a pipelined
+//!   max-reduction) is still kernel glue over index lists. The halo
+//!   machinery is app-agnostic, so both inherit every schedule and the whole
+//!   recovery ladder. [`exec`] also defines the option/report/error types
+//!   they share.
 //! * [`hybrid`] — Airfoil with an OP2-HPX backend *inside* each rank: each
-//!   rank runs the app's own `AirfoilLoops` over its local slice
-//!   ([`partition::LocalMesh::mesh_data`]), owned-only work and the
-//!   overlapped `adt_calc` split as `ParLoop::window`s, on the engine's
-//!   exchange, poll and gather helpers.
+//!   rank declares the app as the flat march's ranks do
+//!   ([`partition::LocalMesh::tables`]), owned-only work and the overlapped
+//!   `adt_calc` split as `ParLoop::window`s, on the engine's exchange, poll
+//!   and gather helpers.
 //!
 //! Determinism: a given `(mesh, nranks)` always produces bit-identical
 //! results; with `nranks = 1` the execution order equals the single-node

@@ -1,10 +1,12 @@
 //! The one distributed march engine — app-agnostic, bulk-synchronous or
 //! comm/compute-overlapped, bit-identical either way.
 //!
-//! An application is a [`DistApp`]: pure kernel glue over index lists. The
-//! engine owns everything else — the fabric, tags, halo-group scratch, the
-//! checkpoint store, [`DistOptions`], jitter, trace spans and recovery —
-//! and is monomorphized per app, so the inner loops are the app's own.
+//! An application is a [`DistApp`]: a declaration over each rank's slice and
+//! hooks that run it (Airfoil its own loops over windows of the slice). The
+//! engine owns everything else — the per-cell [`Arrays`] the app is declared
+//! over, the fabric, tags, halo-group scratch, the checkpoint store,
+//! [`DistOptions`], jitter, trace spans and recovery — and is monomorphized
+//! per app.
 //!
 //! ## One iteration
 //!
@@ -19,8 +21,9 @@
 //! 2. the stage **prologue** over owned cells (fault-injection point,
 //!    locally retryable: it writes only the engine-owned `aux` array, which
 //!    is snapshotted and restored bit-identically on a panic);
-//! 3. `interior` edge chunks and the `boundary` pass accumulating straight
-//!    into local residuals, plus one gated **halo group** per import peer:
+//! 3. `interior` edge windows (the slice numbers its interior edges first)
+//!    and the `boundary` pass accumulating straight into local residuals,
+//!    plus one gated **halo group** per import peer:
 //!    install the peer's payload into the halo slots, run the app's `group`
 //!    hook over the group's edges into a per-group *scratch* buffer, and
 //!    **reverse-send** the halo-side scratch back to the owner;
@@ -90,11 +93,13 @@
 //! skipped and the reports carry `None`. The hashing only reads, so results
 //! are bit-identical either way (`tests/digests.rs`).
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use op2_airfoil::mesh::MeshData;
+use op2_core::{Dat, Set};
 use op2_trace::{pack2, EventKind, NO_NAME};
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, CkptStats};
@@ -103,12 +108,13 @@ use crate::fabric::{Comm, CommError, Fabric, FabricRun, PendingReduce};
 use crate::fault::FaultReport;
 use crate::partition::{build_local, HaloGroup, HaloPlan, LocalMesh, Partition};
 
-/// One application on the march engine: kernel glue over index lists.
+/// One application on the march engine: its declaration over a rank's slice
+/// and the hooks the engine calls between exchanges.
 ///
 /// No hook sees the fabric, a tag, [`DistOptions`] or the checkpoint store.
-/// Arrays are cell-major: `state`/`res` hold [`DistApp::COMP`] values per
-/// local cell (owned first, then halo copies), `old` the same per owned
-/// cell, `aux` [`DistApp::AUX`] values per local cell.
+/// The per-cell storage is the engine's [`Arrays`]; the app declares itself
+/// over them once per slice ([`DistApp::declare`]), and its hooks reach them
+/// only through that declaration.
 pub(crate) trait DistApp: Sync {
     /// State components per cell.
     const COMP: usize;
@@ -121,69 +127,49 @@ pub(crate) trait DistApp: Sync {
     const TAG_FORWARD: u64;
     /// Tag of the reverse (halo residual) exchange.
     const TAG_REVERSE: u64;
-    /// Per-rank data derived from the mesh slice, rebuilt on re-partition.
-    type Derived: Send;
+    /// The app declared over one rank's slice, rebuilt on re-partition.
+    type Rank: Send;
 
-    /// Build the per-rank derived data.
-    fn derive(&self, data: &MeshData, local: &LocalMesh) -> Self::Derived;
+    /// Declare the app over `local`'s slice: its `tables` (moved out of
+    /// [`LocalMesh::tables`]), the node coordinates every rank shares, and
+    /// the rank's `arrays`. `data` is the global mesh.
+    fn declare(
+        &self,
+        data: &MeshData,
+        local: &LocalMesh,
+        tables: MeshData,
+        coords: &Dat<f64>,
+        arrays: &Arrays,
+    ) -> Self::Rank;
 
     /// Start an iteration: save owned `state` into `old`; return a local
     /// maximum if the step needs a global max-reduction.
-    fn begin_iter(&self, local: &LocalMesh, state: &[f64], old: &mut [f64]) -> Option<f64>;
+    fn begin_iter(&self, rank: &Self::Rank) -> Option<f64>;
 
     /// Turn the step's reduced maximum into the scalar `update` consumes and
     /// reports carry (shallow-water: `dt`). Only called when `begin_iter`
     /// returned a maximum.
-    fn step_scale(&self, _derived: &Self::Derived, _global_max: f64) -> f64 {
+    fn step_scale(&self, _rank: &Self::Rank, _global_max: f64) -> f64 {
         0.0
     }
 
     /// Owned-cell compute that must precede every edge of the stage.
-    fn prologue(&self, _coords: &[f64], _local: &LocalMesh, _state: &[f64], _aux: &mut [f64]) {}
+    fn prologue(&self, _rank: &Self::Rank) {}
 
-    /// Flux `edges` (indices into [`LocalMesh::edge_cells`], all endpoints
-    /// owned) straight into `res`.
-    fn interior(
-        &self,
-        coords: &[f64],
-        local: &LocalMesh,
-        edges: &[u32],
-        state: &[f64],
-        aux: &[f64],
-        res: &mut [f64],
-    );
+    /// Flux the local `edges`, a window of [`HaloPlan::interior`] (all
+    /// endpoints owned), straight into `res`.
+    fn interior(&self, rank: &Self::Rank, edges: Range<usize>);
 
-    /// The boundary-edge pass ([`LocalMesh::bedges`]) into `res`.
-    fn boundary(&self, coords: &[f64], local: &LocalMesh, state: &[f64], aux: &[f64], res: &mut [f64]);
+    /// The boundary-edge pass into `res`.
+    fn boundary(&self, rank: &Self::Rank);
 
-    /// One halo group whose `halos` cells were just installed: any redundant
-    /// per-halo-cell compute, then flux `edges` into `scratch` at `slots`
-    /// (parallel to `edges`).
-    #[allow(clippy::too_many_arguments)]
-    fn group(
-        &self,
-        coords: &[f64],
-        local: &LocalMesh,
-        halos: &[u32],
-        edges: &[u32],
-        slots: &[(u32, u32)],
-        state: &[f64],
-        aux: &mut [f64],
-        scratch: &mut [f64],
-    );
+    /// One halo group whose halo cells were just installed: any redundant
+    /// per-halo-cell compute, then flux the group's edges into `scratch` at
+    /// their slots.
+    fn group(&self, rank: &Self::Rank, group: &HaloGroup, scratch: &mut [f64]);
 
     /// Update owned cells from `res` (zeroing it); returns the RMS partial.
-    #[allow(clippy::too_many_arguments)]
-    fn update(
-        &self,
-        derived: &Self::Derived,
-        local: &LocalMesh,
-        old: &[f64],
-        state: &mut [f64],
-        res: &mut [f64],
-        aux: &[f64],
-        scale: f64,
-    ) -> f64;
+    fn update(&self, rank: &Self::Rank, scale: f64) -> f64;
 }
 
 /// Interior edges per chunk — the granularity at which the overlapped
@@ -424,9 +410,11 @@ pub(crate) fn march<A: DistApp>(
         store.truncate_after(start_iter);
     }
 
+    let coords = shared_coords(data);
     let run = launch(part.nranks, opts, |comm| {
-        rank_main(app, comm, data, init, part, niter, report_every, &store, opts, start_iter)
+        rank_main(app, comm, data, &coords, init, part, niter, report_every, &store, opts, start_iter)
     })?;
+    recycle_dat(coords);
 
     // Scatter each surviving rank's owned state back to global cell order
     // (post-recovery ownership covers every cell); the report history and
@@ -473,19 +461,67 @@ pub(crate) fn march<A: DistApp>(
     Ok(out)
 }
 
+/// A rank's per-cell arrays, as dats over its local cells (owned first, then
+/// halo copies), cell-major: `state`, `old` and `res` hold
+/// [`DistApp::COMP`] values per cell, `aux` [`DistApp::AUX`] (none when 0).
+/// The engine exchanges, merges, checkpoints and digests them between hook
+/// calls; the app declares itself over them. Their buffers come from
+/// [`SPARE`] and go back to it.
+pub(crate) struct Arrays {
+    pub state: Dat<f64>,
+    pub old: Dat<f64>,
+    pub aux: Option<Dat<f64>>,
+    pub res: Dat<f64>,
+}
+
+impl Arrays {
+    /// `state` (from [`local_rows`]) and zeroed `old`, `aux` and `res`, over
+    /// a new set of `comp`-wide cells.
+    pub(crate) fn new(comp: usize, aux: usize, state: Vec<f64>) -> Arrays {
+        let cells = Set::new("cells", state.len() / comp);
+        let zeros = |name: &str, dim: usize| Dat::new(name, &cells, dim, zeroed(dim * cells.size()));
+        Arrays {
+            old: zeros("old", comp),
+            aux: (aux > 0).then(|| zeros("aux", aux)),
+            res: zeros("res", comp),
+            state: Dat::new("state", &cells, comp, state),
+        }
+    }
+
+    /// Hand the buffers no declaration still holds back to [`SPARE`].
+    pub(crate) fn recycle(self) {
+        for dat in [self.state, self.old, self.res].into_iter().chain(self.aux) {
+            recycle_dat(dat);
+        }
+    }
+}
+
+/// The node coordinates as one dat every rank shares: they are read-only
+/// for the whole march.
+pub(crate) fn shared_coords(data: &MeshData) -> Dat<f64> {
+    Dat::new("p_x", &Set::new("nodes", data.nnodes()), 2, copied(&data.coords))
+}
+
+/// `global`'s rows (`comp` values per cell) of `local`'s cells, owned then
+/// halo, in a [`spare`] array.
+pub(crate) fn local_rows(global: &[f64], comp: usize, local: &LocalMesh) -> Vec<f64> {
+    let mut rows = spare(comp * local.ncells_local());
+    for &g in &local.cell_l2g {
+        rows.extend_from_slice(&global[comp * g as usize..][..comp]);
+    }
+    rows
+}
+
 /// One rank's march state: its mesh slice, the interior/boundary schedule,
-/// per-group scratch, and the working arrays — rebuilt wholesale (digests
-/// included) when a recovery re-partitions the mesh.
+/// the app declared over the slice, the arrays, per-group scratch — rebuilt
+/// wholesale (digests included) when a recovery re-partitions the mesh.
 struct MarchState<A: DistApp> {
     local: LocalMesh,
     plan: HaloPlan,
-    derived: A::Derived,
-    state: Vec<f64>,
-    old: Vec<f64>,
-    aux: Vec<f64>,
+    rank: A::Rank,
+    arrays: Arrays,
     /// `aux` as it was before the current stage prologue (local rollback).
     aux_snap: Vec<f64>,
-    res: Vec<f64>,
     /// Per halo group: `COMP × nslots` residual scratch (see [`HaloGroup`]).
     scratch: Vec<Vec<f64>>,
     /// Accumulated only when [`DistOptions::trajectory_digests`] is set.
@@ -493,28 +529,27 @@ struct MarchState<A: DistApp> {
 }
 
 impl<A: DistApp> MarchState<A> {
-    fn new(app: &A, data: &MeshData, part: &Partition, rank: usize, global: &[f64]) -> Self {
-        let local = build_local(data, part, rank);
+    fn new(
+        app: &A,
+        data: &MeshData,
+        coords: &Dat<f64>,
+        part: &Partition,
+        rank: usize,
+        global: &[f64],
+    ) -> Self {
+        let mut local = build_local(data, part, rank);
         let plan = HaloPlan::build(&local);
         let scratch = plan
             .groups
             .iter()
             .map(|g| vec![0.0f64; A::COMP * g.nslots])
             .collect();
-        let nlocal = local.ncells_local();
-        let mut state = zeroed(A::COMP * nlocal);
-        for (l, &g) in local.cell_l2g.iter().enumerate() {
-            let g = g as usize;
-            state[A::COMP * l..A::COMP * (l + 1)]
-                .copy_from_slice(&global[A::COMP * g..A::COMP * (g + 1)]);
-        }
+        let arrays = Arrays::new(A::COMP, A::AUX, local_rows(global, A::COMP, &local));
+        let tables = std::mem::take(&mut local.tables);
         MarchState {
-            derived: app.derive(data, &local),
-            state,
-            old: zeroed(A::COMP * local.nowned),
-            aux: zeroed(A::AUX * nlocal),
-            aux_snap: spare(A::AUX * nlocal),
-            res: zeroed(A::COMP * nlocal),
+            rank: app.declare(data, &local, tables, coords, &arrays),
+            aux_snap: spare(A::AUX * local.ncells_local()),
+            arrays,
             scratch,
             digests: Digests::default(),
             local,
@@ -526,18 +561,28 @@ impl<A: DistApp> MarchState<A> {
         &self.local.cell_l2g[..self.local.nowned]
     }
 
-    fn owned_state(&self) -> &[f64] {
-        &self.state[..A::COMP * self.local.nowned]
+    /// `f` of the owned cells' state.
+    fn with_owned_state<T>(&self, f: impl FnOnce(&[f64]) -> T) -> T {
+        f(&self.arrays.state.data()[..A::COMP * self.local.nowned])
+    }
+
+    /// Hand the arrays back for a later march: the declaration goes first,
+    /// so that nothing else holds them.
+    fn recycle(self) {
+        let MarchState { rank, arrays, aux_snap, .. } = self;
+        drop(rank);
+        arrays.recycle();
+        recycle(aux_snap);
     }
 }
 
 /// Per-rank arrays (`state`, `old`, `aux`, its snapshot, `res`, the owned
-/// copy a rank returns) that finished marches hand back for the next march
-/// to reuse, at most [`SPARE_ARRAYS`] of them. A 512×256 Airfoil march
-/// holds ≈ 9 MB of them per rank; handed back to glibc's allocator instead,
-/// they are trimmed on release and page-faulted in again by the next call,
-/// ≈ 4 ms a call on two ranks — more than the march's localisation
-/// (`results/setup_pairs.md`).
+/// copy a rank returns, the shared coordinates) that finished marches hand
+/// back for the next march to reuse, at most [`SPARE_ARRAYS`] of them. A
+/// 512×256 Airfoil march holds ≈ 9 MB of them per rank; handed back to
+/// glibc's allocator instead, they are trimmed on release and page-faulted
+/// in again by the next call, ≈ 4 ms a call on two ranks — more than the
+/// march's localisation (`results/setup_pairs.md`).
 static SPARE: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
 const SPARE_ARRAYS: usize = 32;
 
@@ -564,6 +609,13 @@ fn zeroed(len: usize) -> Vec<f64> {
     v
 }
 
+/// `values` in a [`spare`] array.
+fn copied(values: &[f64]) -> Vec<f64> {
+    let mut v = spare(values.len());
+    v.extend_from_slice(values);
+    v
+}
+
 /// Hand `v` back for a later [`spare`].
 fn recycle(v: Vec<f64>) {
     let mut spare = SPARE.lock();
@@ -572,11 +624,10 @@ fn recycle(v: Vec<f64>) {
     }
 }
 
-impl<A: DistApp> Drop for MarchState<A> {
-    fn drop(&mut self) {
-        for v in [&mut self.state, &mut self.old, &mut self.aux, &mut self.aux_snap, &mut self.res] {
-            recycle(std::mem::take(v));
-        }
+/// [`recycle`] `dat`'s buffer, unless another handle still holds it.
+pub(crate) fn recycle_dat(dat: Dat<f64>) {
+    if let Some(v) = dat.into_storage() {
+        recycle(v);
     }
 }
 
@@ -680,6 +731,7 @@ fn rank_main<A: DistApp>(
     app: &A,
     comm: Comm,
     data: &MeshData,
+    coords: &Dat<f64>,
     init: &[f64],
     part: &Partition,
     niter: usize,
@@ -711,10 +763,9 @@ fn rank_main<A: DistApp>(
     let mut died = false;
 
     let mut part_cur = part.clone();
-    let mut st = MarchState::new(app, data, &part_cur, me, init);
+    let mut st = MarchState::new(app, data, coords, &part_cur, me, init);
     let commit = |st: &MarchState<A>, iter: usize| {
-        store
-            .commit(iter, me, st.owned_cells(), st.owned_state())
+        st.with_owned_state(|owned| store.commit(iter, me, st.owned_cells(), owned))
             .map_err(|e: CheckpointError| CommError::Checkpoint {
                 rank: me,
                 detail: e.to_string(),
@@ -756,7 +807,7 @@ fn rank_main<A: DistApp>(
             // re-formation without touching the fabric first.
             Err(CommError::RankFailed { rank: me, failed: me })
         } else {
-            march_one_iter(app, &comm, &data.coords, &mut st, iter, &mut cx).and_then(|()| {
+            march_one_iter(app, &comm, &mut st, iter, &mut cx).and_then(|()| {
                 if opts.checkpoint_every > 0 && iter % opts.checkpoint_every == 0 {
                     boundary(&mut cx, &st, iter)?;
                 }
@@ -779,6 +830,7 @@ fn rank_main<A: DistApp>(
                     app,
                     &comm,
                     data,
+                    coords,
                     store,
                     &mut part_cur,
                     &mut st,
@@ -794,19 +846,17 @@ fn rank_main<A: DistApp>(
         cx.reports.harvest(&comm)?;
     }
 
-    Ok(RankOut {
+    let out = RankOut {
         owned_g: st.owned_cells().to_vec(),
-        owned: {
-            let mut owned = spare(st.owned_state().len());
-            owned.extend_from_slice(st.owned_state());
-            owned
-        },
+        owned: st.with_owned_state(copied),
         history: cx.reports.done,
         recoveries,
         local_retries: cx.local_retries,
         digests: st.digests,
         died,
-    })
+    };
+    st.recycle();
+    Ok(out)
 }
 
 /// Re-form the fabric with the survivors, re-partition the mesh over them,
@@ -817,6 +867,7 @@ fn recover_and_restore<A: DistApp>(
     app: &A,
     comm: &Comm,
     data: &MeshData,
+    coords: &Dat<f64>,
     store: &CheckpointStore,
     part_cur: &mut Partition,
     st: &mut MarchState<A>,
@@ -836,7 +887,8 @@ fn recover_and_restore<A: DistApp>(
     // point; drop them so they cannot shadow post-recovery checkpoints.
     store.truncate_after(restored_iter);
     *part_cur = Partition::strips_over(store.ncells(), &survivors, comm.nranks());
-    *st = MarchState::new(app, data, part_cur, comm.rank(), &global);
+    let fresh = MarchState::new(app, data, coords, part_cur, comm.rank(), &global);
+    std::mem::replace(st, fresh).recycle();
     reports.rewind_to(restored_iter);
     recoveries.push(Recovery {
         failed,
@@ -852,7 +904,6 @@ fn recover_and_restore<A: DistApp>(
 fn march_one_iter<A: DistApp>(
     app: &A,
     comm: &Comm,
-    coords: &[f64],
     st: &mut MarchState<A>,
     iter: usize,
     cx: &mut RankCtx,
@@ -860,35 +911,27 @@ fn march_one_iter<A: DistApp>(
     let overlap = cx.opts.overlap;
     let mut scale = 0.0;
     let mut pending_max = None;
-    if let Some(local_max) = app.begin_iter(&st.local, &st.state, &mut st.old) {
+    if let Some(local_max) = app.begin_iter(&st.rank) {
         if overlap {
             pending_max = Some(comm.iallreduce_max(&[local_max])?);
         } else {
-            scale = app.step_scale(&st.derived, comm.allreduce_max(&[local_max])?[0]);
+            scale = app.step_scale(&st.rank, comm.allreduce_max(&[local_max])?[0]);
         }
     }
 
     let mut rms_local = 0.0;
     for stage in 0..A::STAGES {
-        exchange_stage(app, comm, coords, st, iter, stage, cx)?;
+        exchange_stage(app, comm, st, iter, stage, cx)?;
         if let Some(p) = pending_max.take() {
             // Collective FIFO: harvest the previous report's sum before
             // completing this step's max.
             cx.reports.harvest(comm)?;
-            scale = app.step_scale(&st.derived, comm.complete_reduce(p)?[0]);
+            scale = app.step_scale(&st.rank, comm.complete_reduce(p)?[0]);
         }
         // Per-stage partial, added to the iteration total afterwards — the
         // same association order as the per-loop reductions of the
         // single-node driver, keeping 1-rank runs bitwise identical.
-        rms_local += app.update(
-            &st.derived,
-            &st.local,
-            &st.old,
-            &mut st.state,
-            &mut st.res,
-            &st.aux,
-            scale,
-        );
+        rms_local += app.update(&st.rank, scale);
     }
 
     if iter % cx.report_every.max(1) == 0 || iter == cx.niter {
@@ -1032,17 +1075,15 @@ pub(crate) fn poll_halos(
     Ok(())
 }
 
-/// Step 3 of a stage as the engine runs it: the borrowed working arrays of
-/// one rank, driven either in the bulk order or by [`poll_halos`].
+/// Step 3 of a stage as the engine runs it: one rank's declaration and
+/// state, driven either in the bulk order or by [`poll_halos`].
 struct StageRun<'a, A: DistApp> {
     app: &'a A,
     comm: &'a Comm,
-    coords: &'a [f64],
+    rank: &'a A::Rank,
     local: &'a LocalMesh,
     plan: &'a HaloPlan,
-    state: &'a mut [f64],
-    aux: &'a mut [f64],
-    res: &'a mut [f64],
+    state: &'a Dat<f64>,
     scratch: &'a mut [Vec<f64>],
     jitter: Option<JitterSpec>,
     iter: usize,
@@ -1056,20 +1097,10 @@ impl<A: DistApp> HaloSink for StageRun<'_, A> {
     /// payload, in the peer's import order).
     fn arrived(&mut self, gi: usize, payload: Vec<f64>) -> Result<(), CommError> {
         let group: &HaloGroup = &self.plan.groups[gi];
-        let halos = &self.local.imports[gi].1;
         let scratch = &mut self.scratch[gi];
-        install_halo(self.state, A::COMP, halos, &payload);
+        install_halo(&mut self.state.data_mut(), A::COMP, &self.local.imports[gi].1, &payload);
         scratch.fill(0.0);
-        self.app.group(
-            self.coords,
-            self.local,
-            halos,
-            &group.edges,
-            &group.slots,
-            self.state,
-            self.aux,
-            scratch,
-        );
+        self.app.group(self.rank, group, scratch);
         let mut rev = Vec::with_capacity(group.send_slots.len() * A::COMP);
         for &s in &group.send_slots {
             rev.extend_from_slice(&scratch[A::COMP * s as usize..A::COMP * (s as usize + 1)]);
@@ -1077,25 +1108,17 @@ impl<A: DistApp> HaloSink for StageRun<'_, A> {
         self.comm.send(group.peer, A::TAG_REVERSE, rev)
     }
 
-    /// One unit of remote-independent compute: an interior-edge chunk, or —
-    /// as the last unit — the boundary-edge pass. Writes owned `res` only.
+    /// One unit of remote-independent compute: a window of the interior
+    /// edges, or — as the last unit — the boundary-edge pass. Writes owned
+    /// `res` only.
     fn work(&mut self, unit: usize) {
         jitter_sleep(self.jitter, self.comm.rank(), self.iter, self.stage, unit);
         let interior = &self.plan.interior;
-        let lo = unit * INTERIOR_CHUNK;
-        if lo < interior.len() {
-            let hi = (lo + INTERIOR_CHUNK).min(interior.len());
-            self.app.interior(
-                self.coords,
-                self.local,
-                &interior[lo..hi],
-                self.state,
-                self.aux,
-                self.res,
-            );
+        let lo = interior.start + unit * INTERIOR_CHUNK;
+        if lo < interior.end {
+            self.app.interior(self.rank, lo..(lo + INTERIOR_CHUNK).min(interior.end));
         } else {
-            self.app
-                .boundary(self.coords, self.local, self.state, self.aux, self.res);
+            self.app.boundary(self.rank);
         }
     }
 }
@@ -1105,7 +1128,6 @@ impl<A: DistApp> HaloSink for StageRun<'_, A> {
 fn exchange_stage<A: DistApp>(
     app: &A,
     comm: &Comm,
-    coords: &[f64],
     st: &mut MarchState<A>,
     iter: usize,
     stage: usize,
@@ -1120,7 +1142,7 @@ fn exchange_stage<A: DistApp>(
     //    peer's compute — the scenario the overlapped schedule exists to
     //    hide. Identical in both schedules.
     jitter_sleep(opts.jitter, rank, iter, stage, SEND_JITTER_CHUNK);
-    forward_send(comm, &st.local.exports, A::TAG_FORWARD, A::COMP, &st.state)?;
+    forward_send(comm, &st.local.exports, A::TAG_FORWARD, A::COMP, &st.arrays.state.data())?;
 
     // 2. Stage prologue: fault injection + the app's owned-cell compute. It
     //    is pure compute writing only `aux`, so a panic is rolled back
@@ -1131,23 +1153,25 @@ fn exchange_stage<A: DistApp>(
     //    prologue is deterministic, so on any other rank a retry would fail
     //    the same way, and the rank escalates at once.
     let armed = cx.fault_iter.is_some();
+    let rollback = st.arrays.aux.as_ref().filter(|_| armed);
     let mut attempt = 0;
     loop {
-        if armed {
-            st.aux_snap.clone_from(&st.aux);
+        if let Some(aux) = rollback {
+            st.aux_snap.clear();
+            st.aux_snap.extend_from_slice(&aux.data());
         }
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if cx.faults_left > 0 && cx.fault_iter == Some(iter) {
                 cx.faults_left -= 1;
                 panic!("injected kernel fault at iter {iter}");
             }
-            app.prologue(coords, &st.local, &st.state, &mut st.aux);
+            app.prologue(&st.rank);
         }));
         if run.is_ok() {
             break;
         }
-        if armed {
-            st.aux.copy_from_slice(&st.aux_snap);
+        if let Some(aux) = rollback {
+            aux.data_mut().copy_from_slice(&st.aux_snap);
         }
         if !armed || attempt >= opts.kernel_retries {
             // Peers detect the death and restore the newest checkpoint.
@@ -1165,12 +1189,10 @@ fn exchange_stage<A: DistApp>(
     let mut run = StageRun {
         app,
         comm,
-        coords,
+        rank: &st.rank,
         local: &st.local,
         plan: &st.plan,
-        state: &mut st.state,
-        aux: &mut st.aux,
-        res: &mut st.res,
+        state: &st.arrays.state,
         scratch: &mut st.scratch,
         jitter: opts.jitter,
         iter,
@@ -1193,17 +1215,19 @@ fn exchange_stage<A: DistApp>(
 
     // 4. Merge: group scratch into owned residuals, ascending group then
     //    first-touch order — canonical regardless of arrival order.
+    let mut res = st.arrays.res.data_mut();
     for (group, sc) in st.plan.groups.iter().zip(&st.scratch) {
         for &(slot, c) in &group.merge {
             let (c, s) = (A::COMP * c as usize, A::COMP * slot as usize);
             for k in 0..A::COMP {
-                st.res[c + k] += sc[s + k];
+                res[c + k] += sc[s + k];
             }
         }
     }
 
     // 5. Reverse receives.
-    reverse_receive(comm, &st.local.exports, A::TAG_REVERSE, A::COMP, &mut st.res)?;
+    reverse_receive(comm, &st.local.exports, A::TAG_REVERSE, A::COMP, &mut res)?;
+    drop(res);
 
     if opts.trajectory_digests {
         digest_stage(st, iter, stage);
@@ -1215,16 +1239,18 @@ fn exchange_stage<A: DistApp>(
 /// before `update`, which zeroes it). Keys are position-independent, so the
 /// running digest is schedule- and partition-order-free.
 fn digest_stage<A: DistApp>(st: &mut MarchState<A>, iter: usize, stage: usize) {
+    let aux = st.arrays.aux.as_ref().map(|aux| aux.data());
+    let res = st.arrays.res.data();
     for c in 0..st.local.nowned {
         let g = u64::from(st.local.cell_l2g[c]);
         let key = mix64(g ^ ((iter as u64) << 32) ^ ((stage as u64) << 56));
-        if A::AUX > 0 {
-            let h = st.aux[A::AUX * c..A::AUX * (c + 1)]
+        if let Some(aux) = &aux {
+            let h = aux[A::AUX * c..A::AUX * (c + 1)]
                 .iter()
                 .fold(key, |h, v| mix64(h ^ v.to_bits()));
             st.digests.aux = st.digests.aux.wrapping_add(h);
         }
-        let h = st.res[A::COMP * c..A::COMP * (c + 1)]
+        let h = res[A::COMP * c..A::COMP * (c + 1)]
             .iter()
             .fold(key, |h, v| mix64(h ^ v.to_bits()));
         st.digests.res = st.digests.res.wrapping_add(h);

@@ -13,10 +13,11 @@
 //! matching export list is derived from the same global information, so the
 //! two sides of every exchange agree on order without negotiation.
 //!
-//! Node coordinates are read-only for the whole march and are replicated on
-//! every rank (a documented simplification of OP2's distributed sets).
+//! Node coordinates are read-only for the whole march; the ranks share one
+//! copy of them (a documented simplification of OP2's distributed sets).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use op2_airfoil::mesh::MeshData;
 
@@ -187,21 +188,22 @@ pub struct LocalMesh {
     /// This rank.
     pub rank: usize,
     /// Number of *owned* local cells; local ids `0..nowned` are owned (in
-    /// ascending global order), ids `nowned..` are halo copies.
+    /// ascending global order), ids `nowned..` are halo copies, grouped by
+    /// the peer that owns them (ascending peer, then ascending global id).
     pub nowned: usize,
     /// Local → global cell id.
     pub cell_l2g: Vec<u32>,
-    /// Corner nodes (4 per local cell, global node ids — coordinates are
-    /// replicated).
-    pub cell_nodes: Vec<u32>,
-    /// Assigned interior edges: global node pair per edge.
-    pub edge_nodes: Vec<(u32, u32)>,
-    /// Assigned interior edges: *local* cell pair per edge.
-    pub edge_cells: Vec<(u32, u32)>,
-    /// Assigned boundary edges: (global n1, global n2, local cell, bound).
-    pub bedges: Vec<(u32, u32, u32, i32)>,
+    /// The slice as flat mesh tables, the form an app declares itself over:
+    /// the local cells' corner nodes; the assigned interior edges, those
+    /// whose cells are both owned first, each class in assignment (global)
+    /// order; the assigned boundary edges. Node ids are global, and `coords`
+    /// is empty: the node coordinates are shared, not copied per rank.
+    /// Cell ids are local; `imax`/`jmax` are the global mesh's. A march
+    /// moves these tables into its app's declaration.
+    pub tables: MeshData,
     /// For each peer rank (ascending, self excluded): local *halo* ids this
-    /// rank imports from that peer, in ascending global order.
+    /// rank imports from that peer, in ascending global order — one
+    /// contiguous run of local ids per peer.
     pub imports: Vec<(usize, Vec<u32>)>,
     /// For each peer rank (ascending): local *owned* ids this rank must send
     /// to that peer, in the exact order of the peer's import list.
@@ -213,99 +215,79 @@ impl LocalMesh {
     pub fn ncells_local(&self) -> usize {
         self.cell_l2g.len()
     }
-
-    /// This slice as mesh tables an app declares itself over: the local
-    /// cells (owned, then halo), the assigned edges and boundary edges, and
-    /// `global`'s node set, replicated (`imax`/`jmax` are `global`'s too).
-    pub fn mesh_data(&self, global: &MeshData) -> MeshData {
-        MeshData {
-            imax: global.imax,
-            jmax: global.jmax,
-            coords: global.coords.clone(),
-            edge_nodes: self.edge_nodes.iter().flat_map(|&(a, b)| [a, b]).collect(),
-            edge_cells: self.edge_cells.iter().flat_map(|&(a, b)| [a, b]).collect(),
-            bedge_nodes: self.bedges.iter().flat_map(|&(a, b, _, _)| [a, b]).collect(),
-            bedge_cells: self.bedges.iter().map(|b| b.2).collect(),
-            bound: self.bedges.iter().map(|b| b.3).collect(),
-            cell_nodes: self.cell_nodes.clone(),
-        }
-    }
 }
 
 /// Build rank `rank`'s local mesh.
 pub fn build_local(data: &MeshData, part: &Partition, rank: usize) -> LocalMesh {
-    let ncells = data.cell_nodes.len() / 4;
     let owned = part.owned_cells(rank);
     let is_owned = |c: u32| part.owner(c as usize) == rank;
 
     // One pass over the interior edges. An edge is assigned to the owner of
-    // its first endpoint: here, or a peer — whose halo then holds every
-    // endpoint owned here, i.e. exactly what this rank exports to it.
-    let nedges = data.edge_cells.len() / 2;
-    let mut my_edges: Vec<usize> = Vec::new();
+    // its first endpoint: here — interior when its second endpoint is owned
+    // too, else a halo edge — or a peer, whose halo then holds every endpoint
+    // owned here, i.e. exactly what this rank exports to it.
+    let mut interior: Vec<usize> = Vec::new();
+    let mut halo_edges: Vec<usize> = Vec::new();
     let mut exported: Vec<Vec<u32>> = vec![Vec::new(); part.nranks];
-    for e in 0..nedges {
+    for e in 0..data.nedges() {
         let ends = [data.edge_cells[2 * e], data.edge_cells[2 * e + 1]];
         let assignee = part.owner(ends[0] as usize);
-        if assignee == rank {
-            my_edges.push(e);
-        } else {
+        if assignee != rank {
             exported[assignee].extend(ends.into_iter().filter(|&c| is_owned(c)));
+        } else if is_owned(ends[1]) {
+            interior.push(e);
+        } else {
+            halo_edges.push(e);
         }
     }
-    // Assigned boundary edges.
-    let nbedges = data.bedge_cells.len();
-    let my_bedges: Vec<usize> = (0..nbedges)
-        .filter(|&be| part.owner(data.bedge_cells[be] as usize) == rank)
-        .collect();
-
-    // Halo cells: referenced, not owned, ascending global order.
-    let mut halo: Vec<u32> = my_edges
-        .iter()
-        .flat_map(|&e| [data.edge_cells[2 * e], data.edge_cells[2 * e + 1]])
-        .filter(|&c| !is_owned(c))
-        .collect();
-    halo.sort_unstable();
+    // Halo cells: the second endpoints of the halo edges, by owner
+    // (ascending), each owner's in ascending global order — so that every
+    // peer's import list is one run, however ownership interleaves ids.
+    let mut halo: Vec<u32> = halo_edges.iter().map(|&e| data.edge_cells[2 * e + 1]).collect();
+    halo.sort_unstable_by_key(|&c| (part.owner(c as usize), c));
     halo.dedup();
+    let nedges = interior.len() + halo_edges.len();
+    let my_bedges: Vec<usize> = (0..data.nbedges())
+        .filter(|&be| is_owned(data.bedge_cells[be]))
+        .collect();
 
-    // Local numbering: owned (ascending global), then halo (ascending);
-    // `g2l` is dense over the global cells (`u32::MAX` = not local).
+    // Local numbering: owned (ascending global), then halo; `g2l` is dense
+    // over the global cells (`u32::MAX` = not local).
     let mut cell_l2g: Vec<u32> = owned.to_vec();
     cell_l2g.extend_from_slice(&halo);
-    let mut g2l = vec![u32::MAX; ncells];
+    let mut g2l = vec![u32::MAX; data.ncells()];
     for (l, &g) in cell_l2g.iter().enumerate() {
         g2l[g as usize] = l as u32;
     }
     let g2l = |g: u32| g2l[g as usize];
 
-    let mut cell_nodes: Vec<u32> = Vec::with_capacity(4 * cell_l2g.len());
+    let mut tables = MeshData {
+        imax: data.imax,
+        jmax: data.jmax,
+        coords: Vec::new(),
+        edge_nodes: Vec::with_capacity(2 * nedges),
+        edge_cells: Vec::with_capacity(2 * nedges),
+        bedge_nodes: Vec::with_capacity(2 * my_bedges.len()),
+        bedge_cells: Vec::with_capacity(my_bedges.len()),
+        bound: Vec::with_capacity(my_bedges.len()),
+        cell_nodes: Vec::with_capacity(4 * cell_l2g.len()),
+    };
     for &g in &cell_l2g {
-        let g = g as usize;
-        cell_nodes.extend_from_slice(&data.cell_nodes[4 * g..4 * g + 4]);
+        tables.cell_nodes.extend_from_slice(&data.cell_nodes[4 * g as usize..][..4]);
+    }
+    // Interior edges first, each class in assignment order: the
+    // `HaloPlan::interior` prefix, which the march runs in windows.
+    for &e in interior.iter().chain(&halo_edges) {
+        tables.edge_nodes.extend_from_slice(&data.edge_nodes[2 * e..2 * e + 2]);
+        tables.edge_cells.extend(data.edge_cells[2 * e..2 * e + 2].iter().map(|&c| g2l(c)));
+    }
+    for &be in &my_bedges {
+        tables.bedge_nodes.extend_from_slice(&data.bedge_nodes[2 * be..2 * be + 2]);
+        tables.bedge_cells.push(g2l(data.bedge_cells[be]));
+        tables.bound.push(data.bound[be]);
     }
 
-    let edge_nodes: Vec<(u32, u32)> = my_edges
-        .iter()
-        .map(|&e| (data.edge_nodes[2 * e], data.edge_nodes[2 * e + 1]))
-        .collect();
-    let edge_cells: Vec<(u32, u32)> = my_edges
-        .iter()
-        .map(|&e| (g2l(data.edge_cells[2 * e]), g2l(data.edge_cells[2 * e + 1])))
-        .collect();
-    let bedges: Vec<(u32, u32, u32, i32)> = my_bedges
-        .iter()
-        .map(|&be| {
-            (
-                data.bedge_nodes[2 * be],
-                data.bedge_nodes[2 * be + 1],
-                g2l(data.bedge_cells[be]),
-                data.bound[be],
-            )
-        })
-        .collect();
-
-    // Import lists grouped by owner rank (ascending) — halo is sorted by
-    // global id, so per-peer sublists are too.
+    // Import lists, one per owner in `halo`'s order.
     let mut imports: Vec<(usize, Vec<u32>)> = Vec::new();
     for &g in &halo {
         let peer = part.owner(g as usize);
@@ -332,10 +314,7 @@ pub fn build_local(data: &MeshData, part: &Partition, rank: usize) -> LocalMesh 
         rank,
         nowned: owned.len(),
         cell_l2g,
-        cell_nodes,
-        edge_nodes,
-        edge_cells,
-        bedges,
+        tables,
         imports,
         exports,
     }
@@ -356,7 +335,10 @@ pub fn build_local(data: &MeshData, part: &Partition, rank: usize) -> LocalMesh 
 pub struct HaloGroup {
     /// The peer whose forward message gates this block.
     pub peer: usize,
-    /// Indices into [`LocalMesh::edge_cells`], original (assignment) order.
+    /// Local ids of the halo cells the peer's message fills: its import
+    /// list, which is a contiguous run.
+    pub halos: Range<usize>,
+    /// Local edge ids, in assignment order.
     pub edges: Vec<u32>,
     /// Per edge (parallel to `edges`): scratch slots of its two cells.
     pub slots: Vec<(u32, u32)>,
@@ -374,10 +356,11 @@ pub struct HaloGroup {
 /// of the comm/compute-overlapped march (see [`crate::exec`]).
 #[derive(Debug)]
 pub struct HaloPlan {
-    /// Edges touching only owned cells (indices into
-    /// [`LocalMesh::edge_cells`], original order): runnable with no remote
-    /// dependency, i.e. while halo receives are still outstanding.
-    pub interior: Vec<u32>,
+    /// Local edges touching only owned cells, runnable with no remote
+    /// dependency (i.e. while halo receives are still outstanding): the
+    /// prefix `0..n` of [`LocalMesh::tables`]' edges, as [`build_local`]
+    /// orders them.
+    pub interior: Range<usize>,
     /// One gated block per import peer, ascending peer order (parallel to
     /// [`LocalMesh::imports`]).
     pub groups: Vec<HaloGroup>,
@@ -387,8 +370,15 @@ impl HaloPlan {
     /// Classify `local`'s edges. Every assigned edge has an owned first
     /// endpoint, so an edge depends on at most one peer (via its second
     /// endpoint) and lands in exactly one group — or in `interior`.
+    ///
+    /// # Panics
+    /// Panics unless the edges come interior first, as [`build_local`]
+    /// orders them.
     pub fn build(local: &LocalMesh) -> HaloPlan {
         let nowned = local.nowned as u32;
+        let ends = |e: usize| (local.tables.edge_cells[2 * e], local.tables.edge_cells[2 * e + 1]);
+        let nedges = local.tables.nedges();
+        let ninterior = (0..nedges).take_while(|&e| ends(e).1 < nowned).count();
         // Halo local id − `nowned` → index of the group (= import entry) it
         // belongs to.
         let mut group_of = vec![usize::MAX; local.ncells_local() - local.nowned];
@@ -397,15 +387,13 @@ impl HaloPlan {
                 group_of[(h - nowned) as usize] = gi;
             }
         }
-        let mut interior: Vec<u32> = Vec::new();
         let mut group_edges: Vec<Vec<u32>> = vec![Vec::new(); local.imports.len()];
-        for (e, &(c1, c2)) in local.edge_cells.iter().enumerate() {
+        for e in 0..nedges {
+            let (c1, c2) = ends(e);
             assert!(c1 < nowned, "assigned edge with non-owned first endpoint");
-            if c2 < nowned {
-                interior.push(e as u32);
-            } else {
-                let gi = group_of[(c2 - nowned) as usize];
-                group_edges[gi].push(e as u32);
+            if e >= ninterior {
+                assert!(c2 >= nowned, "local edges are not interior-first");
+                group_edges[group_of[(c2 - nowned) as usize]].push(e as u32);
             }
         }
         let groups = local
@@ -413,6 +401,8 @@ impl HaloPlan {
             .iter()
             .zip(group_edges)
             .map(|((peer, halos), edges)| {
+                let (first, last) = (halos[0] as usize, halos[halos.len() - 1] as usize);
+                assert_eq!(last + 1 - first, halos.len(), "halo cells of peer {peer} are not contiguous");
                 let mut slot_of: HashMap<u32, u32> = HashMap::new();
                 let mut merge: Vec<(u32, u32)> = Vec::new();
                 let mut slots: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
@@ -428,7 +418,7 @@ impl HaloPlan {
                     })
                 };
                 for &e in &edges {
-                    let (c1, c2) = local.edge_cells[e as usize];
+                    let (c1, c2) = ends(e as usize);
                     slots.push((slot(c1), slot(c2)));
                 }
                 let send_slots: Vec<u32> = halos
@@ -441,6 +431,7 @@ impl HaloPlan {
                     .collect();
                 HaloGroup {
                     peer: *peer,
+                    halos: first..last + 1,
                     edges,
                     slots,
                     nslots: next as usize,
@@ -449,7 +440,7 @@ impl HaloPlan {
                 }
             })
             .collect();
-        HaloPlan { interior, groups }
+        HaloPlan { interior: 0..ninterior, groups }
     }
 }
 
@@ -460,6 +451,11 @@ mod tests {
 
     fn mesh_data() -> MeshData {
         MeshBuilder::channel(12, 6).data()
+    }
+
+    /// Local edge `e`'s two local cells.
+    fn edge(l: &LocalMesh, e: usize) -> (u32, u32) {
+        (l.tables.edge_cells[2 * e], l.tables.edge_cells[2 * e + 1])
     }
 
     #[test]
@@ -509,9 +505,9 @@ mod tests {
         let nedges = data.edge_cells.len() / 2;
         let p = Partition::strips(72, 3);
         let locals: Vec<LocalMesh> = (0..3).map(|r| build_local(&data, &p, r)).collect();
-        let total: usize = locals.iter().map(|l| l.edge_cells.len()).sum();
+        let total: usize = locals.iter().map(|l| l.tables.nedges()).sum();
         assert_eq!(total, nedges);
-        let btotal: usize = locals.iter().map(|l| l.bedges.len()).sum();
+        let btotal: usize = locals.iter().map(|l| l.tables.nbedges()).sum();
         assert_eq!(btotal, data.bedge_cells.len());
     }
 
@@ -588,15 +584,15 @@ mod tests {
                 let l = build_local(&data, &p, r);
                 let plan = HaloPlan::build(&l);
                 // Every assigned edge is in exactly one bucket, order kept.
-                let mut all: Vec<u32> = plan.interior.clone();
+                let mut all: Vec<u32> = plan.interior.clone().map(|e| e as u32).collect();
                 for g in &plan.groups {
                     all.extend_from_slice(&g.edges);
                 }
                 all.sort_unstable();
-                assert_eq!(all, (0..l.edge_cells.len() as u32).collect::<Vec<_>>());
+                assert_eq!(all, (0..l.tables.nedges() as u32).collect::<Vec<_>>());
                 // Interior edges touch no halo cell.
-                for &e in &plan.interior {
-                    let (c1, c2) = l.edge_cells[e as usize];
+                for e in plan.interior.clone() {
+                    let (c1, c2) = edge(&l, e);
                     assert!((c1 as usize) < l.nowned && (c2 as usize) < l.nowned);
                 }
                 // Groups parallel the import lists and cover every halo cell.
@@ -605,7 +601,7 @@ mod tests {
                     assert_eq!(g.peer, *peer);
                     assert_eq!(g.send_slots.len(), halos.len());
                     for &e in &g.edges {
-                        let c2 = l.edge_cells[e as usize].1;
+                        let c2 = edge(&l, e as usize).1;
                         assert!(halos.contains(&c2), "group edge crosses peers");
                     }
                 }
@@ -624,7 +620,7 @@ mod tests {
                 // Slot per touched cell, stable across the group.
                 let mut cell_of_slot: Vec<Option<u32>> = vec![None; g.nslots];
                 for (&e, &(s1, s2)) in g.edges.iter().zip(&g.slots) {
-                    let (c1, c2) = l.edge_cells[e as usize];
+                    let (c1, c2) = edge(&l, e as usize);
                     for (s, c) in [(s1, c1), (s2, c2)] {
                         match cell_of_slot[s as usize] {
                             None => cell_of_slot[s as usize] = Some(c),

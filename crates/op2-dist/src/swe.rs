@@ -8,7 +8,9 @@
 //! * 3 state components (`w`), no auxiliary array, one exchange stage per
 //!   adaptive step, tags 500/600 (distinct from Airfoil's so one process
 //!   could run both marches);
-//! * derived per rank: owned inverse cell areas and the global `min_len`;
+//! * declared per rank: the slice's tables and the engine's arrays, which
+//!   its kernel glue reads and writes (not yet the app's own loops), owned
+//!   inverse cell areas and the global `min_len`;
 //! * `begin_iter` — save owned `w` and fold the local CFL maximum
 //!   (`wave_speed`); the engine max-reduces it and `step_scale` turns the
 //!   global maximum into `dt = CFL · min_len / smax` (max is order-free, so
@@ -17,14 +19,17 @@
 //!   or the group's scratch (no redundant per-cell halo compute);
 //! * `update` — `update` over owned cells with `dt / area`.
 
+use std::ops::Range;
+
 use op2_airfoil::mesh::MeshData;
+use op2_core::Dat;
 use op2_swe::kernels;
 
 use crate::checkpoint::CkptStats;
 use crate::exec::{two_cells_mut, xs, DistError, DistOptions, Recovery};
 use crate::fault::FaultReport;
-use crate::march::{march, DistApp, MarchOut};
-use crate::partition::{LocalMesh, Partition};
+use crate::march::{march, Arrays, DistApp, MarchOut};
+use crate::partition::{HaloGroup, LocalMesh, Partition};
 
 /// Outcome of a distributed shallow-water run.
 #[derive(Debug, Clone)]
@@ -120,8 +125,15 @@ struct Swe {
     cfl: f64,
 }
 
-/// Per-rank mesh geometry.
-struct SweDerived {
+/// One rank's shallow-water: its slice's tables, the shared coordinates,
+/// the arrays it reads and writes, and its geometry.
+struct SweRank {
+    tables: MeshData,
+    coords: Dat<f64>,
+    w: Dat<f64>,
+    wold: Dat<f64>,
+    res: Dat<f64>,
+    nowned: usize,
     /// `1 / area` of each owned cell.
     inv_area: Vec<f64>,
     /// Square root of the smallest cell area of the *global* mesh — every
@@ -144,22 +156,13 @@ impl Swe {
     /// Rusanov `flux` for local edge `e`, accumulating its two cells'
     /// residuals into cells `s1`/`s2` of `into` (`res`, or a group's scratch).
     #[inline]
-    fn flux_edge(
-        &self,
-        coords: &[f64],
-        local: &LocalMesh,
-        e: u32,
-        w: &[f64],
-        into: &mut [f64],
-        (s1, s2): (u32, u32),
-    ) {
-        let (c1, c2) = local.edge_cells[e as usize];
-        let (c1, c2) = (c1 as usize, c2 as usize);
-        let (n1, n2) = local.edge_nodes[e as usize];
+    fn flux_edge(&self, r: &SweRank, x: &[f64], w: &[f64], e: usize, into: &mut [f64], (s1, s2): (u32, u32)) {
+        let t = &r.tables;
+        let (c1, c2) = (t.edge_cells[2 * e] as usize, t.edge_cells[2 * e + 1] as usize);
         let (r1, r2) = two_cells_mut::<3>(into, s1 as usize, s2 as usize);
         kernels::flux(
-            xs(coords, n1),
-            xs(coords, n2),
+            xs(x, t.edge_nodes[2 * e]),
+            xs(x, t.edge_nodes[2 * e + 1]),
             &w[3 * c1..3 * c1 + 3],
             &w[3 * c2..3 * c2 + 3],
             r1,
@@ -174,54 +177,63 @@ impl DistApp for Swe {
     const STAGES: usize = 1;
     const TAG_FORWARD: u64 = 500;
     const TAG_REVERSE: u64 = 600;
-    type Derived = SweDerived;
+    type Rank = SweRank;
 
-    fn derive(&self, data: &MeshData, local: &LocalMesh) -> SweDerived {
-        let ncells = data.cell_nodes.len() / 4;
-        let min_area = (0..ncells).fold(f64::INFINITY, |m, c| m.min(cell_area(data, c)));
+    fn declare(
+        &self,
+        data: &MeshData,
+        local: &LocalMesh,
+        tables: MeshData,
+        coords: &Dat<f64>,
+        arrays: &Arrays,
+    ) -> SweRank {
+        let min_area = (0..data.ncells()).fold(f64::INFINITY, |m, c| m.min(cell_area(data, c)));
         let inv_area = local.cell_l2g[..local.nowned]
             .iter()
             .map(|&c| 1.0 / cell_area(data, c as usize))
             .collect();
-        SweDerived {
+        SweRank {
+            tables,
+            coords: coords.clone(),
+            w: arrays.state.clone(),
+            wold: arrays.old.clone(),
+            res: arrays.res.clone(),
+            nowned: local.nowned,
             inv_area,
             min_len: min_area.sqrt(),
         }
     }
 
-    fn begin_iter(&self, local: &LocalMesh, w: &[f64], wold: &mut [f64]) -> Option<f64> {
+    fn begin_iter(&self, r: &SweRank) -> Option<f64> {
+        let (w, mut wold) = (r.w.data(), r.wold.data_mut());
         let mut smax = f64::NEG_INFINITY;
-        for c in 0..local.nowned {
+        for c in 0..r.nowned {
             wold[3 * c..3 * c + 3].copy_from_slice(&w[3 * c..3 * c + 3]);
             smax = smax.max(kernels::wave_speed(&w[3 * c..3 * c + 3], self.g));
         }
         Some(smax)
     }
 
-    fn step_scale(&self, derived: &SweDerived, smax: f64) -> f64 {
-        self.cfl * derived.min_len / smax.max(1e-12)
+    fn step_scale(&self, r: &SweRank, smax: f64) -> f64 {
+        self.cfl * r.min_len / smax.max(1e-12)
     }
 
-    fn interior(
-        &self,
-        coords: &[f64],
-        local: &LocalMesh,
-        edges: &[u32],
-        w: &[f64],
-        _aux: &[f64],
-        res: &mut [f64],
-    ) {
-        for &e in edges {
-            self.flux_edge(coords, local, e, w, res, local.edge_cells[e as usize]);
+    fn interior(&self, r: &SweRank, edges: Range<usize>) {
+        let (x, w, mut res) = (r.coords.data(), r.w.data(), r.res.data_mut());
+        let cells = &r.tables.edge_cells;
+        for e in edges {
+            self.flux_edge(r, &x, &w, e, &mut res, (cells[2 * e], cells[2 * e + 1]));
         }
     }
 
-    fn boundary(&self, coords: &[f64], local: &LocalMesh, w: &[f64], _aux: &[f64], res: &mut [f64]) {
-        for &(n1, n2, c1, bound) in &local.bedges {
-            let c1 = c1 as usize;
+    fn boundary(&self, r: &SweRank) {
+        let (x, w, mut res) = (r.coords.data(), r.w.data(), r.res.data_mut());
+        let t = &r.tables;
+        for (be, &bound) in t.bound.iter().enumerate() {
+            let c1 = t.bedge_cells[be] as usize;
             kernels::bflux(
-                xs(coords, n1),
-                xs(coords, n2),
+                xs(&x, t.bedge_nodes[2 * be]),
+                xs(&x, t.bedge_nodes[2 * be + 1]),
                 &w[3 * c1..3 * c1 + 3],
                 &mut res[3 * c1..3 * c1 + 3],
                 bound,
@@ -230,39 +242,22 @@ impl DistApp for Swe {
         }
     }
 
-    fn group(
-        &self,
-        coords: &[f64],
-        local: &LocalMesh,
-        _halos: &[u32],
-        edges: &[u32],
-        slots: &[(u32, u32)],
-        w: &[f64],
-        _aux: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        for (&e, &at) in edges.iter().zip(slots) {
-            self.flux_edge(coords, local, e, w, scratch, at);
+    fn group(&self, r: &SweRank, group: &HaloGroup, scratch: &mut [f64]) {
+        let (x, w) = (r.coords.data(), r.w.data());
+        for (&e, &at) in group.edges.iter().zip(&group.slots) {
+            self.flux_edge(r, &x, &w, e as usize, scratch, at);
         }
     }
 
-    fn update(
-        &self,
-        derived: &SweDerived,
-        local: &LocalMesh,
-        wold: &[f64],
-        w: &mut [f64],
-        res: &mut [f64],
-        _aux: &[f64],
-        dt: f64,
-    ) -> f64 {
+    fn update(&self, r: &SweRank, dt: f64) -> f64 {
+        let (wold, mut w, mut res) = (r.wold.data(), r.w.data_mut(), r.res.data_mut());
         let mut rms = 0.0;
-        for c in 0..local.nowned {
+        for c in 0..r.nowned {
             kernels::update(
                 &wold[3 * c..3 * c + 3],
                 &mut w[3 * c..3 * c + 3],
                 &mut res[3 * c..3 * c + 3],
-                dt * derived.inv_area[c],
+                dt * r.inv_area[c],
                 &mut rms,
             );
         }

@@ -19,6 +19,7 @@
 //! layout, and the apps hold no `unsafe` and no raw view; loop order is
 //! derived by one dependency rule, `op2_core::deps`; the apps, the machine
 //! model and the service issue no loop but through `op2_hpx::run_step`; the
+//! distributed layer calls an Airfoil kernel only in its halo-group path; the
 //! `det` layer keeps off the accessors and the colored body; and there is
 //! one build — no source gates code on a cargo feature.
 
@@ -381,9 +382,10 @@ fn app_kernels_never_see_the_layout() {
 }
 
 /// OP2 declares an application once. The distributed layer runs the apps'
-/// own loops (a hybrid rank builds `AirfoilLoops` over its slice and splits
-/// them with `ParLoop::window`) or the march engine's kernel glue over index
-/// lists; it declares no `ParLoop` of its own.
+/// own loops (every rank builds `AirfoilLoops` over its slice; the flat
+/// march runs them over windows of it, the hybrid on an executor) or
+/// shallow-water's kernel glue over index lists; it declares no `ParLoop` of
+/// its own.
 #[test]
 fn the_distributed_layer_declares_no_loops() {
     let mut found = Vec::new();
@@ -395,6 +397,36 @@ fn the_distributed_layer_declares_no_loops() {
         }
     }
     assert!(found.is_empty(), "loops declared in op2-dist: {found:#?}");
+}
+
+/// Every rank runs Airfoil's declared loops over its windows. The one place
+/// the distributed layer calls an Airfoil kernel itself is the halo-group
+/// hook, `res_calc` into a group's scratch slots, which no dat holds; so
+/// outside shallow-water's hooks (`swe.rs`) no non-test line of op2-dist
+/// names `kernels` but in `exec.rs`'s `fn group(`, and owned-window glue
+/// cannot creep back.
+#[test]
+fn the_distributed_layer_calls_airfoil_kernels_only_in_the_halo_group_path() {
+    let (mut found, mut in_group) = (Vec::new(), 0);
+    for (file, lines) in src_code("crates/op2-dist/src") {
+        let mut in_fn = "";
+        for (n, line) in &lines {
+            if line.contains("fn ") {
+                in_fn = line;
+            }
+            let airfoil = line.contains("op2_airfoil::kernels") || (file != "swe.rs" && names(line, "kernels"));
+            if !airfoil {
+                continue;
+            }
+            if file == "exec.rs" && in_fn.contains("fn group(") {
+                in_group += 1;
+            } else {
+                found.push(format!("{file}:{n}: {line}"));
+            }
+        }
+    }
+    assert!(found.is_empty(), "Airfoil kernels called outside the halo-group path: {found:#?}");
+    assert!(in_group > 0, "the halo-group path calls no Airfoil kernel: the guard lost its anchor");
 }
 
 /// Every `.rs` file under `dir`, recursively.

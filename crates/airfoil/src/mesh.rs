@@ -13,7 +13,7 @@
 //! `(y1−y2, −(x1−x2))` is the outward normal of `pecell[0]`; for a boundary
 //! edge it points out of the domain.
 
-use op2_core::renumber::adjacency_from_pairs;
+use op2_core::renumber::{adjacency_from_pairs, order_by_key, CsrGraph};
 use op2_core::{Dat, Layout, Map, MeshPermutation, Set};
 use serde::{Deserialize, Serialize};
 
@@ -92,27 +92,27 @@ impl MeshData {
         self.bedge_nodes.len() / 2
     }
 
-    /// Cell-adjacency lists induced by the interior edges (two cells are
-    /// adjacent iff an edge connects them); sorted, deduplicated.
-    pub fn cell_adjacency(&self) -> Vec<Vec<u32>> {
+    /// Cell-adjacency graph induced by the interior edges (two cells are
+    /// adjacent iff an edge connects them); rows sorted, deduplicated.
+    pub fn cell_adjacency(&self) -> CsrGraph {
         adjacency_from_pairs(self.ncells(), &self.edge_cells)
     }
 
     /// Apply an explicit per-set renumbering: rows of every table move to
     /// their set's new order and every stored id is relabelled into the
-    /// target set's new ids. The mesh this returns is topologically
-    /// identical — only names changed.
+    /// target set's new ids, one pass per table. The mesh this returns is
+    /// topologically identical — only names changed.
     pub fn permuted(&self, ren: &MeshRenumbering) -> MeshData {
         MeshData {
             imax: self.imax,
             jmax: self.jmax,
             coords: ren.nodes.permute_rows(&self.coords, 2),
-            edge_nodes: ren.nodes.relabel(&ren.edges.permute_rows(&self.edge_nodes, 2)),
-            edge_cells: ren.cells.relabel(&ren.edges.permute_rows(&self.edge_cells, 2)),
-            bedge_nodes: ren.nodes.relabel(&ren.bedges.permute_rows(&self.bedge_nodes, 2)),
-            bedge_cells: ren.cells.relabel(&ren.bedges.permute_rows(&self.bedge_cells, 1)),
+            edge_nodes: ren.edges.permute_relabel(&self.edge_nodes, 2, &ren.nodes),
+            edge_cells: ren.edges.permute_relabel(&self.edge_cells, 2, &ren.cells),
+            bedge_nodes: ren.bedges.permute_relabel(&self.bedge_nodes, 2, &ren.nodes),
+            bedge_cells: ren.bedges.permute_relabel(&self.bedge_cells, 1, &ren.cells),
             bound: ren.bedges.permute_rows(&self.bound, 1),
-            cell_nodes: ren.nodes.relabel(&ren.cells.permute_rows(&self.cell_nodes, 4)),
+            cell_nodes: ren.cells.permute_relabel(&self.cell_nodes, 4, &ren.nodes),
         }
     }
 
@@ -149,10 +149,13 @@ impl MeshData {
         let nodes = MeshPermutation::from_perm(node_perm);
 
         // Edges follow their lowest-ranked adjacent cell; bedges their cell.
-        let edges = sorted_by_cell(self.edge_cells.chunks_exact(2).map(|pair| {
-            cells.new_of(pair[0] as usize).min(cells.new_of(pair[1] as usize))
-        }));
-        let bedges = sorted_by_cell(self.bedge_cells.iter().map(|&c| cells.new_of(c as usize)));
+        let new_cell = cells.inverse();
+        let edges = sorted_by_cell(
+            self.edge_cells
+                .chunks_exact(2)
+                .map(|pair| new_cell[pair[0] as usize].min(new_cell[pair[1] as usize])),
+        );
+        let bedges = sorted_by_cell(self.bedge_cells.iter().map(|&c| new_cell[c as usize]));
 
         let ren = MeshRenumbering {
             cells,
@@ -189,13 +192,10 @@ impl MeshData {
     }
 }
 
-/// The permutation that orders elements by `cell[id]`, then by id: one
-/// packed `cell << 32 | id` key per element, computed once and sorted
-/// (unique keys, so an unstable sort is the same order).
-fn sorted_by_cell(cell: impl Iterator<Item = usize>) -> MeshPermutation {
-    let mut keys: Vec<u64> = cell.enumerate().map(|(id, c)| ((c as u64) << 32) | id as u64).collect();
-    keys.sort_unstable();
-    MeshPermutation::from_perm(keys.into_iter().map(|k| k as u32).collect())
+/// The permutation that orders elements by `cell[id]`, then by id: a
+/// stable counting sort by cell (see [`order_by_key`]).
+fn sorted_by_cell(cell: impl Iterator<Item = u32>) -> MeshPermutation {
+    MeshPermutation::from_perm(order_by_key(&cell.collect::<Vec<u32>>()))
 }
 
 /// Generator for channel meshes.

@@ -7,7 +7,9 @@
 //! first cell restores it.
 
 use op2_airfoil::MeshBuilder;
-use op2_core::renumber::{adjacency_from_pair_map, bandwidth, invert_permutation, rcm_order};
+use op2_core::renumber::{
+    adjacency_from_pair_map, bandwidth, invert_permutation, order_by_key, rcm_order,
+};
 use op2_core::{arg_indirect, Access, Dat, Map, ParLoop, Plan, Set};
 
 fn plan_stats(edge_cells: &[u32], ncells: usize, part: usize) -> (u32, usize) {
@@ -48,7 +50,8 @@ fn main() {
         .collect();
     let (colors_shuffled, _) = plan_stats(&shuffled, ncells, part);
 
-    // RCM-based recovery: order edges by the RCM rank of their first cell.
+    // RCM-based recovery: order edges by the RCM rank of their first cell
+    // (a stable counting sort, so ties keep the shuffled order).
     let edges_set = Set::new("edges", nedges);
     let cells_set = Set::new("cells", ncells);
     let m = Map::new("pecell", &edges_set, &cells_set, 2, shuffled.clone());
@@ -58,11 +61,13 @@ fn main() {
     let identity: Vec<u32> = (0..ncells as u32).collect();
     let bw_before = bandwidth(&adj, &identity);
     let bw_after = bandwidth(&adj, &perm);
-    let mut edge_ids: Vec<usize> = (0..nedges).collect();
-    edge_ids.sort_by_key(|&e| rank_of_cell[shuffled[2 * e] as usize]);
-    let recovered: Vec<u32> = edge_ids
+    let first_rank: Vec<u32> = shuffled
+        .chunks_exact(2)
+        .map(|pair| rank_of_cell[pair[0] as usize])
+        .collect();
+    let recovered: Vec<u32> = order_by_key(&first_rank)
         .iter()
-        .flat_map(|&e| [shuffled[2 * e], shuffled[2 * e + 1]])
+        .flat_map(|&e| [shuffled[2 * e as usize], shuffled[2 * e as usize + 1]])
         .collect();
     let (colors_rcm, _) = plan_stats(&recovered, ncells, part);
 

@@ -137,17 +137,24 @@ impl Map {
                 dim,
             });
         }
+        // One branch-free pass (an or-reduction, which vectorizes) decides;
+        // only a bad table is scanned again, to name its first bad entry.
         let to_size = to.size();
-        for (i, &t) in table.iter().enumerate() {
-            if (t as usize) >= to_size {
-                return Err(MapError::TargetOutOfRange {
-                    name,
-                    entry: i,
-                    value: t,
-                    to: to.name().to_string(),
-                    to_size,
-                });
-            }
+        let out_of_range = |t: u32| t as usize >= to_size;
+        if table.iter().fold(false, |bad, &t| bad | out_of_range(t)) {
+            let (entry, value) = table
+                .iter()
+                .copied()
+                .enumerate()
+                .find(|&(_, t)| out_of_range(t))
+                .expect("a bad entry");
+            return Err(MapError::TargetOutOfRange {
+                name,
+                entry,
+                value,
+                to: to.name().to_string(),
+                to_size,
+            });
         }
         Ok(Map {
             inner: Arc::new(MapInner {
@@ -343,5 +350,33 @@ mod tests {
             }
             other => panic!("expected TargetOutOfRange, got {other:?}"),
         }
+    }
+
+    /// The one-pass range check names the first bad entry wherever it is,
+    /// with the same `entry` and `value` as an entry-by-entry scan.
+    #[test]
+    fn map_try_new_names_the_first_bad_entry() {
+        let from = Set::new("from", 1000);
+        let to = Set::new("to", 50);
+        let table = |bad: &[(usize, u32)]| {
+            let mut t: Vec<u32> = (0..1000).map(|i| i % 50).collect();
+            for &(i, v) in bad {
+                t[i] = v;
+            }
+            t
+        };
+        for (bad, first) in [
+            (vec![(0, 50)], (0, 50)),
+            (vec![(517, 99), (800, 50)], (517, 99)),
+            (vec![(999, u32::MAX)], (999, u32::MAX)),
+        ] {
+            match Map::try_new("bad", &from, &to, 1, table(&bad)) {
+                Err(MapError::TargetOutOfRange { entry, value, to_size, .. }) => {
+                    assert_eq!((entry, value, to_size), (first.0, first.1, 50));
+                }
+                other => panic!("expected TargetOutOfRange, got {other:?}"),
+            }
+        }
+        assert!(Map::try_new("good", &from, &to, 1, table(&[])).is_ok());
     }
 }

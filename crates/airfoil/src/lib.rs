@@ -40,5 +40,5 @@ pub mod omesh;
 pub use constants::FlowConstants;
 pub use driver::{Simulation, SyncStrategy};
 pub use loops::AirfoilLoops;
-pub use mesh::{Mesh, MeshBuilder};
+pub use mesh::{Mesh, MeshBuilder, Topology};
 pub use omesh::OMeshBuilder;

@@ -10,11 +10,11 @@
 //! `update` reduces and `bres_calc` branches per edge, so they stay `f64`.
 
 use op2_core::typed::{At, Direct, Inc, Read, Via, Write};
-use op2_core::{ParLoop, Real, Step, WideKernel};
+use op2_core::{Dat, Map, ParLoop, Real, Step, WideKernel};
 
 use crate::constants::FlowConstants;
 use crate::kernels;
-use crate::mesh::Mesh;
+use crate::mesh::{Mesh, Topology};
 
 /// The five loops of one Airfoil stage, ready to hand to any executor.
 pub struct AirfoilLoops {
@@ -48,17 +48,7 @@ impl AirfoilLoops {
             .args((m.p_x.read::<2>().via::<4>(&m.pcell), m.p_q.read::<4>(), m.p_adt.write::<1>()))
             .wide_kernel(AdtCalc(c));
 
-        // Each residual component receives exactly one `±f` onto the zeroed
-        // INC value, so the increment is `0.0 + f` — bit-identical to adding
-        // into the live residual, which never holds `-0.0`.
-        let res_calc = ParLoop::build("res_calc", &m.edges)
-            .args((
-                m.p_x.read::<2>().via::<2>(&m.pedge),
-                m.p_q.read::<4>().via::<2>(&m.pecell),
-                m.p_adt.read::<1>().via::<2>(&m.pecell),
-                m.p_res.inc::<4>().via::<2>(&m.pecell),
-            ))
-            .wide_kernel(ResCalc(c));
+        let res_calc = AirfoilLoops::res_calc_into(m, [&m.p_q, &m.p_adt], (&m.p_res, &m.pecell), consts);
 
         let bres_calc = ParLoop::build("bres_calc", &m.bedges)
             .args((
@@ -90,6 +80,23 @@ impl AirfoilLoops {
             bres_calc,
             update,
         }
+    }
+
+    /// `res_calc` over `t`'s edges with INC into `inc`'s dat through its
+    /// map: `(p_res, pecell)` in [`AirfoilLoops::new`], a halo group's
+    /// scratch and slot map on a distributed rank. Each residual component
+    /// receives exactly one `±f` onto the zeroed INC value, so the increment
+    /// is `0.0 + f`: bit-identical to adding into a value never `-0.0`.
+    pub fn res_calc_into(t: &Topology, [q, adt]: [&Dat<f64>; 2], inc: (&Dat<f64>, &Map), c: &FlowConstants) -> ParLoop {
+        let (res, to) = inc;
+        ParLoop::build("res_calc", &t.edges)
+            .args((
+                t.p_x.read::<2>().via::<2>(&t.pedge),
+                q.read::<4>().via::<2>(&t.pecell),
+                adt.read::<1>().via::<2>(&t.pecell),
+                res.inc::<4>().via::<2>(to),
+            ))
+            .wide_kernel(ResCalc(*c))
     }
 
     /// One Airfoil iteration, as `airfoil.cpp` calls its loops: `save_soln`,

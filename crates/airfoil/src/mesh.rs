@@ -327,10 +327,10 @@ impl MeshBuilder {
     }
 }
 
-/// The Airfoil mesh as OP2 sets/maps/dats, with the flow state dats.
-pub struct Mesh {
-    /// Raw tables (kept for I/O round-trips and diagnostics).
-    pub data: MeshData,
+/// A mesh's sets, maps, node coordinates and boundary codes: what every
+/// solver on it declares its loops over, without any solver's state.
+#[derive(Clone)]
+pub struct Topology {
     /// Node set.
     pub nodes: Set,
     /// Interior edge set.
@@ -353,6 +353,43 @@ pub struct Mesh {
     pub p_x: Dat<f64>,
     /// Boundary condition code per bedge (dim 1).
     pub p_bound: Dat<i32>,
+}
+
+impl Topology {
+    /// Declare a topology over tables it takes, without copying them: the
+    /// nodes are `p_x`'s (shared; `tables.coords` is not read), the cells
+    /// `cells`, and the connectivity tables move into the maps.
+    ///
+    /// # Panics
+    /// Panics unless every table fits its sets.
+    pub fn over(p_x: &Dat<f64>, cells: &Set, tables: MeshData) -> Topology {
+        let nodes = p_x.set().clone();
+        let edges = Set::new("edges", tables.nedges());
+        let bedges = Set::new("bedges", tables.nbedges());
+        let MeshData { edge_nodes, edge_cells, bedge_nodes, bedge_cells, bound, cell_nodes, .. } = tables;
+        Topology {
+            pedge: Map::new("pedge", &edges, &nodes, 2, edge_nodes),
+            pecell: Map::new("pecell", &edges, cells, 2, edge_cells),
+            pbedge: Map::new("pbedge", &bedges, &nodes, 2, bedge_nodes),
+            pbecell: Map::new("pbecell", &bedges, cells, 1, bedge_cells),
+            pcell: Map::new("pcell", cells, &nodes, 4, cell_nodes),
+            p_x: p_x.clone(),
+            p_bound: Dat::new("p_bound", &bedges, 1, bound),
+            nodes,
+            edges,
+            bedges,
+            cells: cells.clone(),
+        }
+    }
+}
+
+/// The Airfoil mesh as OP2 sets/maps/dats, with the flow state dats. It
+/// derefs to its [`Topology`]: `mesh.pecell` is `mesh.topology.pecell`.
+pub struct Mesh {
+    /// Raw tables (kept for I/O round-trips and diagnostics).
+    pub data: MeshData,
+    /// Sets, maps, coordinates and boundary codes.
+    pub topology: Topology,
     /// Cell state `(ρ, ρu, ρv, ρE)` (dim 4).
     pub p_q: Dat<f64>,
     /// Old cell state (dim 4).
@@ -361,11 +398,17 @@ pub struct Mesh {
     pub p_adt: Dat<f64>,
     /// Cell residual (dim 4).
     pub p_res: Dat<f64>,
-    /// Data layout all `f64` dats were declared with.
-    pub layout: Layout,
     /// Permutations applied by the RCM preprocessing pass, when enabled.
     /// `None` means the mesh keeps its original numbering.
     pub renumbering: Option<MeshRenumbering>,
+}
+
+impl std::ops::Deref for Mesh {
+    type Target = Topology;
+
+    fn deref(&self) -> &Topology {
+        &self.topology
+    }
 }
 
 impl Mesh {
@@ -414,45 +457,28 @@ impl Mesh {
         Mesh { data, renumbering, ..Mesh::over(&p_x, tables, state) }
     }
 
-    /// Declare a mesh over tables it takes, without copying them or any
-    /// state: the nodes are `p_x`'s (shared; `tables.coords` is not read),
-    /// the connectivity tables move into the maps, and `state` are the dats
-    /// `[p_q, p_qold, p_adt, p_res]`, over one cell set and in `p_x`'s
-    /// layout. What a rank of a distributed run declares over its slice. The
-    /// result's `data` keeps `tables`' `imax` and `jmax` only.
+    /// The [`Topology::over`] `p_x` and `state`'s cells, with `state` the
+    /// dats `[p_q, p_qold, p_adt, p_res]`: what a rank of a distributed
+    /// Airfoil run declares over its slice, copying no table and no state.
+    /// The result's `data` keeps `tables`' `imax` and `jmax` only.
     ///
     /// # Panics
     /// Panics unless the state dats share a cell set, are 4, 4, 1 and 4
     /// wide and in `p_x`'s layout, and every table fits its sets.
     pub fn over(p_x: &Dat<f64>, tables: MeshData, state: [Dat<f64>; 4]) -> Mesh {
         let [p_q, p_qold, p_adt, p_res] = state;
-        let (nodes, cells, layout) = (p_x.set().clone(), p_q.set().clone(), p_x.layout());
+        let (cells, layout) = (p_q.set(), p_x.layout());
         for (d, dim) in [(&p_q, 4), (&p_qold, 4), (&p_adt, 1), (&p_res, 4)] {
-            let fits = d.set().same(&cells) && d.dim() == dim && d.layout() == layout;
+            let fits = d.set().same(cells) && d.dim() == dim && d.layout() == layout;
             assert!(fits, "state dat {}: not {dim} wide, {layout}, over {}", d.name(), cells.name());
         }
-        let edges = Set::new("edges", tables.nedges());
-        let bedges = Set::new("bedges", tables.nbedges());
-        let MeshData { imax, jmax, edge_nodes, edge_cells, bedge_nodes, bedge_cells, bound, cell_nodes, .. } =
-            tables;
         Mesh {
-            data: MeshData { imax, jmax, ..MeshData::default() },
-            pedge: Map::new("pedge", &edges, &nodes, 2, edge_nodes),
-            pecell: Map::new("pecell", &edges, &cells, 2, edge_cells),
-            pbedge: Map::new("pbedge", &bedges, &nodes, 2, bedge_nodes),
-            pbecell: Map::new("pbecell", &bedges, &cells, 1, bedge_cells),
-            pcell: Map::new("pcell", &cells, &nodes, 4, cell_nodes),
-            p_x: p_x.clone(),
-            p_bound: Dat::new("p_bound", &bedges, 1, bound),
+            data: MeshData { imax: tables.imax, jmax: tables.jmax, ..MeshData::default() },
+            topology: Topology::over(p_x, cells, tables),
             p_q,
             p_qold,
             p_adt,
             p_res,
-            nodes,
-            edges,
-            bedges,
-            cells,
-            layout,
             renumbering: None,
         }
     }
@@ -467,7 +493,7 @@ impl Mesh {
     /// so the march actually does work.
     pub fn add_pulse(&self, cx: f64, cy: f64, r: f64, amp: f64, consts: &FlowConstants) {
         // Work in canonical AoS order regardless of the declared layout so
-        // the produced state is bitwise independent of `self.layout`.
+        // the produced state is bitwise independent of the declared layout.
         let mut q = self.p_q.to_aos_vec();
         let coords = self.p_x.to_aos_vec();
         for c in 0..self.ncells() {

@@ -16,9 +16,10 @@
 //!   any halo group can fire: group edges read both endpoints' `adt`);
 //! * `interior` / `boundary` — `res_calc` over a window of the interior
 //!   edges, `bres_calc` over the boundary edges, into `res`;
-//! * `group` — `adt_calc` over the freshly installed halo cells, then
-//!   `res_calc` over the group's edges into its scratch: the one kernel the
-//!   march calls itself, since the scratch slots are no dat;
+//! * `group` — `adt_calc` over the freshly installed halo cells, then the
+//!   group's own `res_calc`: the app's declaration
+//!   (`AirfoilLoops::res_calc_into`) over the group's edges, with INC into
+//!   the group's scratch dat through its slot map;
 //! * `update` — `update` over owned cells, returning the RMS partial.
 
 use std::ops::Range;
@@ -32,8 +33,8 @@ use op2_store::StoreFaultPlan;
 use crate::checkpoint::{CheckpointError, CkptStats};
 use crate::fabric::{CommConfig, CommError, FabricError};
 use crate::fault::{FaultPlan, FaultReport};
-use crate::march::{march, Arrays, DistApp, MarchOut};
-use crate::partition::{HaloGroup, LocalMesh, Partition};
+use crate::march::{group_targets, march, Arrays, DistApp, MarchOut, Rank};
+use crate::partition::{HaloGroup, HaloPlan, LocalMesh, Partition};
 
 /// One fabric re-formation performed during a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -306,13 +307,6 @@ impl From<MarchOut> for DistReport {
 /// Airfoil on the march engine (hooks listed in the module docs).
 struct Airfoil<'a>(&'a FlowConstants);
 
-/// One rank's Airfoil: the app's mesh and loops over the rank's slice.
-struct AirfoilRank {
-    mesh: Mesh,
-    loops: AirfoilLoops,
-    nowned: usize,
-}
-
 /// Airfoil declared over a rank's slice as every distributed march declares
 /// it: `tables` move into a [`Mesh`] over the shared coordinates and the
 /// rank's arrays (`adt` is `aux`), and the app's loops over that.
@@ -335,89 +329,52 @@ impl DistApp for Airfoil<'_> {
     const STAGES: usize = 2;
     const TAG_FORWARD: u64 = 100;
     const TAG_REVERSE: u64 = 200;
-    type Rank = AirfoilRank;
+    type Loops = AirfoilLoops;
 
     fn declare(
         &self,
-        _data: &MeshData,
         local: &LocalMesh,
         tables: MeshData,
         coords: &Dat<f64>,
         arrays: &Arrays,
-    ) -> AirfoilRank {
+        plan: &HaloPlan,
+        scratch: &[Dat<f64>],
+    ) -> Rank<AirfoilLoops> {
         let (mesh, loops) = declare_airfoil(tables, coords, arrays, self.0);
-        AirfoilRank { mesh, loops, nowned: local.nowned }
+        let groups = group_targets(&mesh, plan, scratch)
+            .map(|(edges, (sc, slots))| {
+                AirfoilLoops::res_calc_into(&edges, [&mesh.p_q, &mesh.p_adt], (sc, &slots), self.0)
+            })
+            .collect();
+        Rank { loops, groups, nowned: local.nowned }
     }
 
-    fn begin_iter(&self, r: &AirfoilRank) -> Option<f64> {
+    fn begin_iter(&self, r: &Rank<AirfoilLoops>) -> Option<f64> {
         r.loops.save_soln.run_span(0..r.nowned, &mut []);
         None
     }
 
-    fn prologue(&self, r: &AirfoilRank) {
+    fn prologue(&self, r: &Rank<AirfoilLoops>) {
         r.loops.adt_calc.run_span(0..r.nowned, &mut []);
     }
 
-    fn interior(&self, r: &AirfoilRank, edges: Range<usize>) {
+    fn interior(&self, r: &Rank<AirfoilLoops>, edges: Range<usize>) {
         r.loops.res_calc.run_span(edges, &mut []);
     }
 
-    fn boundary(&self, r: &AirfoilRank) {
-        r.loops.bres_calc.run_span(0..r.mesh.bedges.size(), &mut []);
+    fn boundary(&self, r: &Rank<AirfoilLoops>) {
+        r.loops.bres_calc.run_span(0..r.loops.bres_calc.set().size(), &mut []);
     }
 
-    /// `adt_calc` over the group's halo cells, then `res_calc` over its
-    /// edges into the scratch slots: the one place the march calls a kernel
-    /// itself, since the slots are no dat's.
-    fn group(&self, r: &AirfoilRank, group: &HaloGroup, scratch: &mut [f64]) {
+    fn group(&self, r: &Rank<AirfoilLoops>, gi: usize, group: &HaloGroup) {
         r.loops.adt_calc.run_span(group.halos.clone(), &mut []);
-        let m = &r.mesh;
-        let (x, q, adt) = (m.p_x.data(), m.p_q.data(), m.p_adt.data());
-        let (nodes, cells) = (m.pedge.table(), m.pecell.table());
-        for (&e, &(s1, s2)) in group.edges.iter().zip(&group.slots) {
-            let e = e as usize;
-            let (c1, c2) = (cells[2 * e] as usize, cells[2 * e + 1] as usize);
-            let (r1, r2) = two_cells_mut::<4>(scratch, s1 as usize, s2 as usize);
-            op2_airfoil::kernels::res_calc(
-                xs(&x, nodes[2 * e]),
-                xs(&x, nodes[2 * e + 1]),
-                &q[4 * c1..4 * c1 + 4],
-                &q[4 * c2..4 * c2 + 4],
-                adt[c1],
-                adt[c2],
-                r1,
-                r2,
-                self.0,
-            );
-        }
+        r.groups[gi].run_span(0..group.edges.len(), &mut []);
     }
 
-    fn update(&self, r: &AirfoilRank, _scale: f64) -> f64 {
+    fn update(&self, r: &Rank<AirfoilLoops>, _scale: f64) -> f64 {
         let mut rms = [0.0];
         r.loops.update.run_span(0..r.nowned, &mut rms);
         rms[0]
-    }
-}
-
-/// Node coordinate pair.
-#[inline]
-pub(crate) fn xs(coords: &[f64], n: u32) -> &[f64] {
-    &coords[2 * n as usize..2 * n as usize + 2]
-}
-
-/// Two disjoint `C`-wide mutable cell slices out of one cell-major array.
-pub(crate) fn two_cells_mut<const C: usize>(
-    v: &mut [f64],
-    a: usize,
-    b: usize,
-) -> (&mut [f64], &mut [f64]) {
-    assert_ne!(a, b, "edge endpoints must be distinct");
-    if a < b {
-        let (lo, hi) = v.split_at_mut(C * b);
-        (&mut lo[C * a..C * a + C], &mut hi[..C])
-    } else {
-        let (lo, hi) = v.split_at_mut(C * a);
-        (&mut hi[..C], &mut lo[C * b..C * b + C])
     }
 }
 
@@ -665,51 +622,68 @@ mod tests {
         }
     }
 
-    /// A rank runs the app's own `adt_calc` and `res_calc`, wide loops: on
-    /// an AVX2 host four elements per instruction. Also prints what
-    /// declaring rank 0 of 2 at 512×256 costs: its arrays, then its mesh and
+    /// Rank 0 of 2 strips of `data`, declared by `app` as the engine
+    /// declares it and handed to `probe`; with the time its arrays took, and
+    /// then its declaration.
+    fn rank0<A: DistApp, T>(
+        app: &A,
+        data: &MeshData,
+        probe: impl FnOnce(&Rank<A::Loops>) -> T,
+    ) -> (T, std::time::Duration, std::time::Duration) {
+        use crate::march::{local_rows, scratch_dats, shared_coords};
+        use crate::partition::build_local;
+        let coords = shared_coords(data);
+        let mut local = build_local(data, &Partition::strips(data.ncells(), 2), 0);
+        let plan = HaloPlan::build(&local);
+        let scratch = scratch_dats(A::COMP, &plan);
+        let tables = std::mem::take(&mut local.tables);
+        let global = vec![1.0; A::COMP * data.ncells()];
+        let t = std::time::Instant::now();
+        let arrays = Arrays::new(A::COMP, A::AUX, local_rows(&global, A::COMP, &local));
+        let filled = t.elapsed();
+        let rank = app.declare(&local, tables, &coords, &arrays, &plan, &scratch);
+        let declared = t.elapsed() - filled;
+        let probed = probe(&rank);
+        drop(rank);
+        arrays.recycle();
+        (probed, filled, declared)
+    }
+
+    /// A rank runs the app's own loops, the wide ones on an AVX2 host four
+    /// elements per instruction: Airfoil's `adt_calc` and `res_calc`,
+    /// shallow water's `swe_flux`, and each app's flux loop over its halo
+    /// group, whose 512 edges fill lanes. Also prints what declaring
+    /// Airfoil's rank 0 of 2 at 512×256 costs: its arrays, then its mesh and
     /// loops over them, three times over (the spare arrays warm after the
     /// first).
     #[test]
     fn a_ranks_loops_run_on_lanes() {
-        use crate::march::{local_rows, shared_coords};
-        use crate::partition::build_local;
         let consts = FlowConstants::default();
         let data = MeshBuilder::channel(512, 256).data();
-        let part = Partition::strips(data.ncells(), 2);
-        let q0 = consts.qinf.repeat(data.ncells());
-        let coords = shared_coords(&data);
+        let lanes = op2_core::lane_width();
         for _ in 0..3 {
-            let mut local = build_local(&data, &part, 0);
-            let tables = std::mem::take(&mut local.tables);
-            let t = std::time::Instant::now();
-            let arrays = Arrays::new(4, 1, local_rows(&q0, 4, &local));
-            let filled = t.elapsed();
-            let rank = Airfoil(&consts).declare(&data, &local, tables, &coords, &arrays);
-            let declared = t.elapsed() - filled;
-            let (adt, res) = (rank.loops.adt_calc.lanes(), rank.loops.res_calc.lanes());
+            let (ran, filled, declared) = rank0(&Airfoil(&consts), &data, |r| {
+                assert_eq!(r.groups.len(), 1);
+                [r.loops.adt_calc.lanes(), r.loops.res_calc.lanes(), r.groups[0].lanes()]
+            });
             println!(
-                "rank 0 of 2 at 512x256: adt_calc ran {adt} lanes, res_calc {res}; arrays {:.3} ms, \
-                 mesh and loops {:.3} ms",
+                "rank 0 of 2 at 512x256: adt_calc ran {} lanes, res_calc {}, its group's res_calc {}; \
+                 arrays {:.3} ms, mesh and loops {:.3} ms",
+                ran[0],
+                ran[1],
+                ran[2],
                 filled.as_secs_f64() * 1e3,
                 declared.as_secs_f64() * 1e3
             );
-            assert_eq!((adt, res), (op2_core::lane_width(), op2_core::lane_width()));
-            drop(rank);
-            arrays.recycle();
+            assert_eq!(ran, [lanes; 3], "Airfoil: adt_calc, res_calc, the group's res_calc");
         }
-    }
-
-    #[test]
-    fn two_cells_mut_is_disjoint_and_ordered() {
-        let mut v: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        let (a, b) = two_cells_mut::<4>(&mut v, 3, 1);
-        assert_eq!(a, &[12.0, 13.0, 14.0, 15.0]);
-        assert_eq!(b, &[4.0, 5.0, 6.0, 7.0]);
-        a[0] = -1.0;
-        b[0] = -2.0;
-        assert_eq!(v[12], -1.0);
-        assert_eq!(v[4], -2.0);
+        let swe = crate::swe::Swe::new(&data, 9.81, 0.4);
+        let (ran, ..) = rank0(&swe, &data, |r| {
+            assert_eq!(r.groups.len(), 1);
+            [r.loops.flux.lanes(), r.groups[0].lanes()]
+        });
+        println!("shallow-water rank 0 of 2: swe_flux ran {} lanes, its group's swe_flux {}", ran[0], ran[1]);
+        assert_eq!(ran, [lanes; 2], "shallow water: swe_flux, the group's swe_flux");
     }
 }
 

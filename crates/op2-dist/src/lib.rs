@@ -30,14 +30,15 @@
 //!   recovery, kernel-fault retry and durable restart.
 //! * [`exec`] and [`swe`] — the two applications on the engine, each a
 //!   declaration over a rank's slice and the hooks that run it: Airfoil
-//!   (4-component state, two stages, redundant halo `adt`) runs the app's
-//!   own `AirfoilLoops` over windows of the slice, on lanes where the host
-//!   has AVX2, and calls a kernel itself only for the halo groups' scratch;
-//!   shallow-water (3-component state, adaptive `dt` via a pipelined
-//!   max-reduction) is still kernel glue over index lists. The halo
-//!   machinery is app-agnostic, so both inherit every schedule and the whole
-//!   recovery ladder. [`exec`] also defines the option/report/error types
-//!   they share.
+//!   (4-component state, two stages, redundant halo `adt`) declares its own
+//!   `AirfoilLoops`, shallow-water (3-component state, adaptive `dt` via a
+//!   pipelined max-reduction) its own `SweLoops`, and each its flux loop
+//!   once per halo group, with INC into the group's scratch. The hooks run
+//!   those loops over windows of the slice, on lanes where the host has
+//!   AVX2; no rank calls a kernel itself. The halo machinery is
+//!   app-agnostic, so both inherit every schedule and the whole recovery
+//!   ladder. [`exec`] also defines the option/report/error types they
+//!   share.
 //! * [`hybrid`] — Airfoil with an OP2-HPX backend *inside* each rank: each
 //!   rank declares the app as the flat march's ranks do
 //!   ([`partition::LocalMesh::tables`]), owned-only work and the overlapped

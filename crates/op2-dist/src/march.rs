@@ -2,9 +2,9 @@
 //! comm/compute-overlapped, bit-identical either way.
 //!
 //! An application is a [`DistApp`]: a declaration over each rank's slice and
-//! hooks that run it (Airfoil its own loops over windows of the slice). The
-//! engine owns everything else — the per-cell [`Arrays`] the app is declared
-//! over, the fabric, tags, halo-group scratch, the checkpoint store,
+//! hooks that run its loops over windows of the slice. The engine owns
+//! everything else — the per-cell [`Arrays`] and halo-group scratch dats the
+//! app is declared over, the fabric, tags, the checkpoint store,
 //! [`DistOptions`], jitter, trace spans and recovery — and is monomorphized
 //! per app.
 //!
@@ -25,7 +25,8 @@
 //!    and the `boundary` pass accumulating straight into local residuals,
 //!    plus one gated **halo group** per import peer:
 //!    install the peer's payload into the halo slots, run the app's `group`
-//!    hook over the group's edges into a per-group *scratch* buffer, and
+//!    hook, its flux loop over the group's edges into a per-group *scratch*
+//!    dat, and
 //!    **reverse-send** the halo-side scratch back to the owner;
 //! 4. **merge** — group scratch is added into `res` in ascending-group,
 //!    first-touch order (canonical regardless of arrival order);
@@ -99,7 +100,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use op2_airfoil::mesh::MeshData;
-use op2_core::{Dat, Set};
+use op2_airfoil::Topology;
+use op2_core::{Dat, Map, ParLoop, Set};
 use op2_trace::{pack2, EventKind, NO_NAME};
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, CkptStats};
@@ -112,9 +114,10 @@ use crate::partition::{build_local, HaloGroup, HaloPlan, LocalMesh, Partition};
 /// and the hooks the engine calls between exchanges.
 ///
 /// No hook sees the fabric, a tag, [`DistOptions`] or the checkpoint store.
-/// The per-cell storage is the engine's [`Arrays`]; the app declares itself
-/// over them once per slice ([`DistApp::declare`]), and its hooks reach them
-/// only through that declaration.
+/// The per-cell storage is the engine's [`Arrays`] and the per-group scratch
+/// dats; the app declares its loops over them once per slice
+/// ([`DistApp::declare`], [`group_targets`]), and its hooks only run those
+/// loops.
 pub(crate) trait DistApp: Sync {
     /// State components per cell.
     const COMP: usize;
@@ -127,49 +130,53 @@ pub(crate) trait DistApp: Sync {
     const TAG_FORWARD: u64;
     /// Tag of the reverse (halo residual) exchange.
     const TAG_REVERSE: u64;
-    /// The app declared over one rank's slice, rebuilt on re-partition.
-    type Rank: Send;
+    /// The app's loops over one rank's slice, rebuilt on re-partition.
+    type Loops: Send;
 
     /// Declare the app over `local`'s slice: its `tables` (moved out of
-    /// [`LocalMesh::tables`]), the node coordinates every rank shares, and
-    /// the rank's `arrays`. `data` is the global mesh.
+    /// [`LocalMesh::tables`]), the node coordinates every rank shares, the
+    /// rank's `arrays`, and per halo group of `plan` its flux loop with INC
+    /// into the group's `scratch` ([`group_targets`]).
     fn declare(
         &self,
-        data: &MeshData,
         local: &LocalMesh,
         tables: MeshData,
         coords: &Dat<f64>,
         arrays: &Arrays,
-    ) -> Self::Rank;
+        plan: &HaloPlan,
+        scratch: &[Dat<f64>],
+    ) -> Rank<Self::Loops>;
 
     /// Start an iteration: save owned `state` into `old`; return a local
     /// maximum if the step needs a global max-reduction.
-    fn begin_iter(&self, rank: &Self::Rank) -> Option<f64>;
+    fn begin_iter(&self, rank: &Rank<Self::Loops>) -> Option<f64>;
 
     /// Turn the step's reduced maximum into the scalar `update` consumes and
     /// reports carry (shallow-water: `dt`). Only called when `begin_iter`
     /// returned a maximum.
-    fn step_scale(&self, _rank: &Self::Rank, _global_max: f64) -> f64 {
+    fn step_scale(&self, _global_max: f64) -> f64 {
         0.0
     }
 
     /// Owned-cell compute that must precede every edge of the stage.
-    fn prologue(&self, _rank: &Self::Rank) {}
+    fn prologue(&self, _rank: &Rank<Self::Loops>) {}
 
     /// Flux the local `edges`, a window of [`HaloPlan::interior`] (all
     /// endpoints owned), straight into `res`.
-    fn interior(&self, rank: &Self::Rank, edges: Range<usize>);
+    fn interior(&self, rank: &Rank<Self::Loops>, edges: Range<usize>);
 
     /// The boundary-edge pass into `res`.
-    fn boundary(&self, rank: &Self::Rank);
+    fn boundary(&self, rank: &Rank<Self::Loops>);
 
-    /// One halo group whose halo cells were just installed: any redundant
-    /// per-halo-cell compute, then flux the group's edges into `scratch` at
-    /// their slots.
-    fn group(&self, rank: &Self::Rank, group: &HaloGroup, scratch: &mut [f64]);
+    /// Halo group `gi`, whose halo cells were just installed: any redundant
+    /// per-halo-cell compute, then the group's flux loop into its zeroed
+    /// scratch.
+    fn group(&self, rank: &Rank<Self::Loops>, gi: usize, group: &HaloGroup) {
+        rank.groups[gi].run_span(0..group.edges.len(), &mut []);
+    }
 
     /// Update owned cells from `res` (zeroing it); returns the RMS partial.
-    fn update(&self, rank: &Self::Rank, scale: f64) -> f64;
+    fn update(&self, rank: &Rank<Self::Loops>, scale: f64) -> f64;
 }
 
 /// Interior edges per chunk — the granularity at which the overlapped
@@ -496,6 +503,47 @@ impl Arrays {
     }
 }
 
+/// One rank's declaration: the app's loops over its slice, the app's flux
+/// loop once per halo group (parallel to [`HaloPlan::groups`]), and the
+/// slice's owned cell count.
+pub(crate) struct Rank<L> {
+    pub loops: L,
+    pub groups: Vec<ParLoop>,
+    pub nowned: usize,
+}
+
+/// Each halo group's edges of `t` as a topology of their own (the group's
+/// edge set, in its order, with its rows of `pedge` and `pecell`), and the
+/// group's INC target: its `scratch` dat through the map of its edges to
+/// their [`HaloGroup::slots`]. What a rank declares its flux loop over, once
+/// per group.
+pub(crate) fn group_targets<'a>(
+    t: &'a Topology,
+    plan: &'a HaloPlan,
+    scratch: &'a [Dat<f64>],
+) -> impl Iterator<Item = (Topology, (&'a Dat<f64>, Map))> + 'a {
+    plan.groups.iter().zip(scratch).map(|(g, scratch)| {
+        let edges = Set::new("group_edges", g.edges.len());
+        let rows = |m: &Map| g.edges.iter().flat_map(|&e| m.table()[2 * e as usize..][..2].iter().copied()).collect();
+        let slots = g.slots.iter().flat_map(|&(s1, s2)| [s1, s2]).collect();
+        let inc = (scratch, Map::new("slots", &edges, scratch.set(), 2, slots));
+        let group = Topology {
+            pedge: Map::new("pedge", &edges, &t.nodes, 2, rows(&t.pedge)),
+            pecell: Map::new("pecell", &edges, &t.cells, 2, rows(&t.pecell)),
+            edges,
+            ..t.clone()
+        };
+        (group, inc)
+    })
+}
+
+/// Per halo group of `plan`: its residual scratch, `comp` values per slot,
+/// zeroed.
+pub(crate) fn scratch_dats(comp: usize, plan: &HaloPlan) -> Vec<Dat<f64>> {
+    let dat = |g: &HaloGroup| Dat::new("scratch", &Set::new("slots", g.nslots), comp, vec![0.0; comp * g.nslots]);
+    plan.groups.iter().map(dat).collect()
+}
+
 /// The node coordinates as one dat every rank shares: they are read-only
 /// for the whole march.
 pub(crate) fn shared_coords(data: &MeshData) -> Dat<f64> {
@@ -518,12 +566,12 @@ pub(crate) fn local_rows(global: &[f64], comp: usize, local: &LocalMesh) -> Vec<
 struct MarchState<A: DistApp> {
     local: LocalMesh,
     plan: HaloPlan,
-    rank: A::Rank,
+    rank: Rank<A::Loops>,
     arrays: Arrays,
     /// `aux` as it was before the current stage prologue (local rollback).
     aux_snap: Vec<f64>,
     /// Per halo group: `COMP × nslots` residual scratch (see [`HaloGroup`]).
-    scratch: Vec<Vec<f64>>,
+    scratch: Vec<Dat<f64>>,
     /// Accumulated only when [`DistOptions::trajectory_digests`] is set.
     digests: Digests,
 }
@@ -539,15 +587,11 @@ impl<A: DistApp> MarchState<A> {
     ) -> Self {
         let mut local = build_local(data, part, rank);
         let plan = HaloPlan::build(&local);
-        let scratch = plan
-            .groups
-            .iter()
-            .map(|g| vec![0.0f64; A::COMP * g.nslots])
-            .collect();
+        let scratch = scratch_dats(A::COMP, &plan);
         let arrays = Arrays::new(A::COMP, A::AUX, local_rows(global, A::COMP, &local));
         let tables = std::mem::take(&mut local.tables);
         MarchState {
-            rank: app.declare(data, &local, tables, coords, &arrays),
+            rank: app.declare(&local, tables, coords, &arrays, &plan, &scratch),
             aux_snap: spare(A::AUX * local.ncells_local()),
             arrays,
             scratch,
@@ -915,7 +959,7 @@ fn march_one_iter<A: DistApp>(
         if overlap {
             pending_max = Some(comm.iallreduce_max(&[local_max])?);
         } else {
-            scale = app.step_scale(&st.rank, comm.allreduce_max(&[local_max])?[0]);
+            scale = app.step_scale(comm.allreduce_max(&[local_max])?[0]);
         }
     }
 
@@ -926,7 +970,7 @@ fn march_one_iter<A: DistApp>(
             // Collective FIFO: harvest the previous report's sum before
             // completing this step's max.
             cx.reports.harvest(comm)?;
-            scale = app.step_scale(&st.rank, comm.complete_reduce(p)?[0]);
+            scale = app.step_scale(comm.complete_reduce(p)?[0]);
         }
         // Per-stage partial, added to the iteration total afterwards — the
         // same association order as the per-loop reductions of the
@@ -1080,11 +1124,11 @@ pub(crate) fn poll_halos(
 struct StageRun<'a, A: DistApp> {
     app: &'a A,
     comm: &'a Comm,
-    rank: &'a A::Rank,
+    rank: &'a Rank<A::Loops>,
     local: &'a LocalMesh,
     plan: &'a HaloPlan,
     state: &'a Dat<f64>,
-    scratch: &'a mut [Vec<f64>],
+    scratch: &'a [Dat<f64>],
     jitter: Option<JitterSpec>,
     iter: usize,
     stage: usize,
@@ -1092,15 +1136,15 @@ struct StageRun<'a, A: DistApp> {
 
 impl<A: DistApp> HaloSink for StageRun<'_, A> {
     /// Fire one halo group: install the peer's forward payload into the
-    /// halo slots, run the app's group hook into the group's scratch, and
-    /// send the halo-side scratch back to the owner (the reverse exchange
-    /// payload, in the peer's import order).
+    /// halo slots, zero the group's scratch and run the app's group hook into
+    /// it, and send the halo-side scratch back to the owner (the reverse
+    /// exchange payload, in the peer's import order).
     fn arrived(&mut self, gi: usize, payload: Vec<f64>) -> Result<(), CommError> {
         let group: &HaloGroup = &self.plan.groups[gi];
-        let scratch = &mut self.scratch[gi];
         install_halo(&mut self.state.data_mut(), A::COMP, &self.local.imports[gi].1, &payload);
-        scratch.fill(0.0);
-        self.app.group(self.rank, group, scratch);
+        self.scratch[gi].data_mut().fill(0.0);
+        self.app.group(self.rank, gi, group);
+        let scratch = self.scratch[gi].data();
         let mut rev = Vec::with_capacity(group.send_slots.len() * A::COMP);
         for &s in &group.send_slots {
             rev.extend_from_slice(&scratch[A::COMP * s as usize..A::COMP * (s as usize + 1)]);
@@ -1193,7 +1237,7 @@ fn exchange_stage<A: DistApp>(
         local: &st.local,
         plan: &st.plan,
         state: &st.arrays.state,
-        scratch: &mut st.scratch,
+        scratch: &st.scratch,
         jitter: opts.jitter,
         iter,
         stage,
@@ -1217,6 +1261,7 @@ fn exchange_stage<A: DistApp>(
     //    first-touch order — canonical regardless of arrival order.
     let mut res = st.arrays.res.data_mut();
     for (group, sc) in st.plan.groups.iter().zip(&st.scratch) {
+        let sc = sc.data();
         for &(slot, c) in &group.merge {
             let (c, s) = (A::COMP * c as usize, A::COMP * slot as usize);
             for k in 0..A::COMP {

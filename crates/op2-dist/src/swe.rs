@@ -3,33 +3,41 @@
 //!
 //! The protocol — everything that touches the fabric, the store or
 //! [`DistOptions`] — is the engine's and is described once, in its module
-//! docs (`march.rs`). Shallow-water supplies only its hooks:
+//! docs (`march.rs`). Each rank declares shallow water once per slice, as
+//! [`op2_swe::SweApp::new`] does: [`SweLoops::new`] over the slice's
+//! [`Topology`] (its tables over the shared coordinates, no Airfoil state)
+//! and the engine's arrays, and [`SweLoops::flux_into`] once per halo group.
+//! The hooks run those loops over windows of the slice
+//! ([`op2_core::ParLoop::run_span`]), `swe_flux` four edges per instruction
+//! where the host has AVX2:
 //!
 //! * 3 state components (`w`), no auxiliary array, one exchange stage per
 //!   adaptive step, tags 500/600 (distinct from Airfoil's so one process
 //!   could run both marches);
-//! * declared per rank: the slice's tables and the engine's arrays, which
-//!   its kernel glue reads and writes (not yet the app's own loops), owned
-//!   inverse cell areas and the global `min_len`;
-//! * `begin_iter` — save owned `w` and fold the local CFL maximum
-//!   (`wave_speed`); the engine max-reduces it and `step_scale` turns the
-//!   global maximum into `dt = CFL · min_len / smax` (max is order-free, so
-//!   `dt` is bitwise the single-node value on any rank count);
-//! * `interior` / `boundary` / `group` — Rusanov `flux` / `bflux` into `res`
-//!   or the group's scratch (no redundant per-cell halo compute);
-//! * `update` — `update` over owned cells with `dt / area`.
+//! * `begin_iter` — `swe_save` over owned cells, then `swe_dt`'s local
+//!   maximum wave speed; the engine max-reduces it and `step_scale` turns
+//!   the global maximum into `dt = CFL · min_len / smax`, with `min_len`
+//!   taken once per call from the global mesh (max and min are order-free,
+//!   so `dt` is bitwise the single-node value on any rank count);
+//! * `interior` / `boundary` — `swe_flux` over a window of the interior
+//!   edges, `swe_bflux` over the boundary edges, into `res`;
+//! * `group` — the group's own `swe_flux` into its scratch (no redundant
+//!   per-cell halo compute);
+//! * `update` — `swe_update` over owned cells, reading `dt` from its
+//!   declared global.
 
 use std::ops::Range;
 
 use op2_airfoil::mesh::MeshData;
+use op2_airfoil::Topology;
 use op2_core::Dat;
-use op2_swe::kernels;
+use op2_swe::{cell_area, SweLoops};
 
 use crate::checkpoint::CkptStats;
-use crate::exec::{two_cells_mut, xs, DistError, DistOptions, Recovery};
+use crate::exec::{DistError, DistOptions, Recovery};
 use crate::fault::FaultReport;
-use crate::march::{march, Arrays, DistApp, MarchOut};
-use crate::partition::{HaloGroup, LocalMesh, Partition};
+use crate::march::{group_targets, march, Arrays, DistApp, MarchOut, Rank};
+use crate::partition::{HaloPlan, LocalMesh, Partition};
 
 /// Outcome of a distributed shallow-water run.
 #[derive(Debug, Clone)]
@@ -95,7 +103,7 @@ pub fn run_swe_distributed_opts(
     report_every: usize,
     opts: &DistOptions,
 ) -> Result<SweDistReport, DistError> {
-    march(&Swe { g, cfl }, data, w0, part, steps, report_every, opts, false).map(SweDistReport::from)
+    march(&Swe::new(data, g, cfl), data, w0, part, steps, report_every, opts, false).map(SweDistReport::from)
 }
 
 /// Restart a shallow-water march whose process died: reopen the durable
@@ -116,59 +124,22 @@ pub fn resume_swe_distributed_opts(
     report_every: usize,
     opts: &DistOptions,
 ) -> Result<SweDistReport, DistError> {
-    march(&Swe { g, cfl }, data, w0, part, steps, report_every, opts, true).map(SweDistReport::from)
+    march(&Swe::new(data, g, cfl), data, w0, part, steps, report_every, opts, true).map(SweDistReport::from)
 }
 
 /// Shallow-water on the march engine (hooks listed in the module docs).
-struct Swe {
+pub(crate) struct Swe {
     g: f64,
     cfl: f64,
-}
-
-/// One rank's shallow-water: its slice's tables, the shared coordinates,
-/// the arrays it reads and writes, and its geometry.
-struct SweRank {
-    tables: MeshData,
-    coords: Dat<f64>,
-    w: Dat<f64>,
-    wold: Dat<f64>,
-    res: Dat<f64>,
-    nowned: usize,
-    /// `1 / area` of each owned cell.
-    inv_area: Vec<f64>,
-    /// Square root of the smallest cell area of the *global* mesh — every
-    /// rank derives it identically (min is order-free).
+    /// Square root of the smallest cell area of the global mesh.
     min_len: f64,
 }
 
-/// Shoelace area of global cell `c`.
-fn cell_area(data: &MeshData, c: usize) -> f64 {
-    let mut a = 0.0;
-    for k in 0..4 {
-        let i = data.cell_nodes[4 * c + k] as usize;
-        let j = data.cell_nodes[4 * c + (k + 1) % 4] as usize;
-        a += data.coords[2 * i] * data.coords[2 * j + 1] - data.coords[2 * j] * data.coords[2 * i + 1];
-    }
-    a / 2.0
-}
-
 impl Swe {
-    /// Rusanov `flux` for local edge `e`, accumulating its two cells'
-    /// residuals into cells `s1`/`s2` of `into` (`res`, or a group's scratch).
-    #[inline]
-    fn flux_edge(&self, r: &SweRank, x: &[f64], w: &[f64], e: usize, into: &mut [f64], (s1, s2): (u32, u32)) {
-        let t = &r.tables;
-        let (c1, c2) = (t.edge_cells[2 * e] as usize, t.edge_cells[2 * e + 1] as usize);
-        let (r1, r2) = two_cells_mut::<3>(into, s1 as usize, s2 as usize);
-        kernels::flux(
-            xs(x, t.edge_nodes[2 * e]),
-            xs(x, t.edge_nodes[2 * e + 1]),
-            &w[3 * c1..3 * c1 + 3],
-            &w[3 * c2..3 * c2 + 3],
-            r1,
-            r2,
-            self.g,
-        );
+    pub(crate) fn new(data: &MeshData, g: f64, cfl: f64) -> Swe {
+        let areas = data.cell_nodes.chunks(4).map(|c| cell_area(&data.coords, c));
+        let min_len = areas.fold(f64::INFINITY, f64::min).sqrt();
+        Swe { g, cfl, min_len }
     }
 }
 
@@ -177,91 +148,55 @@ impl DistApp for Swe {
     const STAGES: usize = 1;
     const TAG_FORWARD: u64 = 500;
     const TAG_REVERSE: u64 = 600;
-    type Rank = SweRank;
+    type Loops = SweLoops;
 
     fn declare(
         &self,
-        data: &MeshData,
         local: &LocalMesh,
         tables: MeshData,
         coords: &Dat<f64>,
         arrays: &Arrays,
-    ) -> SweRank {
-        let min_area = (0..data.ncells()).fold(f64::INFINITY, |m, c| m.min(cell_area(data, c)));
-        let inv_area = local.cell_l2g[..local.nowned]
-            .iter()
-            .map(|&c| 1.0 / cell_area(data, c as usize))
+        plan: &HaloPlan,
+        scratch: &[Dat<f64>],
+    ) -> Rank<SweLoops> {
+        let t = Topology::over(coords, arrays.state.set(), tables);
+        let inv_area: Vec<f64> = {
+            let x = coords.data();
+            t.pcell.table().chunks(4).map(|c| 1.0 / cell_area(&x, c)).collect()
+        };
+        let inv_area = Dat::new("inv_area", &t.cells, 1, inv_area);
+        let (w, res) = (&arrays.state, &arrays.res);
+        let loops = SweLoops::new(&t, [w, &arrays.old, res, &inv_area], self.g);
+        let groups = group_targets(&t, plan, scratch)
+            .map(|(edges, (sc, slots))| SweLoops::flux_into(&edges, w, (sc, &slots), self.g))
             .collect();
-        SweRank {
-            tables,
-            coords: coords.clone(),
-            w: arrays.state.clone(),
-            wold: arrays.old.clone(),
-            res: arrays.res.clone(),
-            nowned: local.nowned,
-            inv_area,
-            min_len: min_area.sqrt(),
-        }
+        Rank { loops, groups, nowned: local.nowned }
     }
 
-    fn begin_iter(&self, r: &SweRank) -> Option<f64> {
-        let (w, mut wold) = (r.w.data(), r.wold.data_mut());
-        let mut smax = f64::NEG_INFINITY;
-        for c in 0..r.nowned {
-            wold[3 * c..3 * c + 3].copy_from_slice(&w[3 * c..3 * c + 3]);
-            smax = smax.max(kernels::wave_speed(&w[3 * c..3 * c + 3], self.g));
-        }
-        Some(smax)
+    fn begin_iter(&self, r: &Rank<SweLoops>) -> Option<f64> {
+        r.loops.save.run_span(0..r.nowned, &mut []);
+        let mut smax = [f64::NEG_INFINITY];
+        r.loops.dt_calc.run_span(0..r.nowned, &mut smax);
+        Some(smax[0])
     }
 
-    fn step_scale(&self, r: &SweRank, smax: f64) -> f64 {
-        self.cfl * r.min_len / smax.max(1e-12)
+    fn step_scale(&self, smax: f64) -> f64 {
+        self.cfl * self.min_len / smax.max(1e-12)
     }
 
-    fn interior(&self, r: &SweRank, edges: Range<usize>) {
-        let (x, w, mut res) = (r.coords.data(), r.w.data(), r.res.data_mut());
-        let cells = &r.tables.edge_cells;
-        for e in edges {
-            self.flux_edge(r, &x, &w, e, &mut res, (cells[2 * e], cells[2 * e + 1]));
-        }
+    fn interior(&self, r: &Rank<SweLoops>, edges: Range<usize>) {
+        r.loops.flux.run_span(edges, &mut []);
     }
 
-    fn boundary(&self, r: &SweRank) {
-        let (x, w, mut res) = (r.coords.data(), r.w.data(), r.res.data_mut());
-        let t = &r.tables;
-        for (be, &bound) in t.bound.iter().enumerate() {
-            let c1 = t.bedge_cells[be] as usize;
-            kernels::bflux(
-                xs(&x, t.bedge_nodes[2 * be]),
-                xs(&x, t.bedge_nodes[2 * be + 1]),
-                &w[3 * c1..3 * c1 + 3],
-                &mut res[3 * c1..3 * c1 + 3],
-                bound,
-                self.g,
-            );
-        }
+    fn boundary(&self, r: &Rank<SweLoops>) {
+        r.loops.bflux.run_span(0..r.loops.bflux.set().size(), &mut []);
     }
 
-    fn group(&self, r: &SweRank, group: &HaloGroup, scratch: &mut [f64]) {
-        let (x, w) = (r.coords.data(), r.w.data());
-        for (&e, &at) in group.edges.iter().zip(&group.slots) {
-            self.flux_edge(r, &x, &w, e as usize, scratch, at);
-        }
-    }
-
-    fn update(&self, r: &SweRank, dt: f64) -> f64 {
-        let (wold, mut w, mut res) = (r.wold.data(), r.w.data_mut(), r.res.data_mut());
-        let mut rms = 0.0;
-        for c in 0..r.nowned {
-            kernels::update(
-                &wold[3 * c..3 * c + 3],
-                &mut w[3 * c..3 * c + 3],
-                &mut res[3 * c..3 * c + 3],
-                dt * r.inv_area[c],
-                &mut rms,
-            );
-        }
-        rms
+    fn update(&self, r: &Rank<SweLoops>, dt: f64) -> f64 {
+        r.loops.dt.set(dt);
+        let mut rms = [0.0];
+        r.loops.update.run_span(0..r.nowned, &mut rms);
+        rms[0]
     }
 }
 
@@ -271,7 +206,7 @@ mod tests {
     use crate::exec::JitterSpec;
     use crate::fault::FaultPlan;
     use op2_airfoil::MeshBuilder;
-    use op2_swe::{SweApp, SweConfig};
+    use op2_swe::{kernels, SweApp, SweConfig};
 
     /// Channel mesh data with every boundary reflective (closed basin).
     fn walled_data(imax: usize, jmax: usize) -> MeshData {
@@ -416,21 +351,9 @@ mod tests {
         let (imax, jmax, steps) = (24, 12, 10);
         let (w0, _, _) = serial_oracle(imax, jmax, steps, 1);
         let data = walled_data(imax, jmax);
-        // Mass = Σ h·area; areas from the shoelace formula as the driver.
-        let mass = |w: &[f64]| -> f64 {
-            let mut total = 0.0;
-            for c in 0..imax * jmax {
-                let mut a = 0.0;
-                for k in 0..4 {
-                    let i = data.cell_nodes[4 * c + k] as usize;
-                    let j = data.cell_nodes[4 * c + (k + 1) % 4] as usize;
-                    a += data.coords[2 * i] * data.coords[2 * j + 1]
-                        - data.coords[2 * j] * data.coords[2 * i + 1];
-                }
-                total += w[3 * c] * (a / 2.0);
-            }
-            total
-        };
+        // Mass = Σ h·area, with the app's shoelace areas.
+        let areas: Vec<f64> = data.cell_nodes.chunks(4).map(|c| cell_area(&data.coords, c)).collect();
+        let mass = |w: &[f64]| -> f64 { areas.iter().enumerate().map(|(c, a)| w[3 * c] * a).sum() };
         let mass0 = mass(&w0);
         let opts = DistOptions { overlap: true, ..DistOptions::default() };
         let part = Partition::strips(imax * jmax, 4);

@@ -13,17 +13,28 @@
 //! were folded into one engine. To regenerate after an *intended* arithmetic
 //! change, run the test: on mismatch it prints the full actual table in
 //! source form.
+//!
+//! The 24×12 strips give every halo group exactly 24 edges. A second matrix
+//! (`*_SHORT_GOLDEN`: a 25×13 mesh on 3 ranks, strips and RCB, × overlap ×
+//! renumber) pins groups the first cannot: some under 16 edges, which run
+//! element by element, and some whose length is not a multiple of 4, which
+//! leave a lane remainder. Its constants were taken while every rank still
+//! called the flux kernels itself, before the group loops were declared.
 
+use op2_airfoil::mesh::MeshData;
 use op2_airfoil::{FlowConstants, MeshBuilder};
 use op2_dist::exec::{run_distributed_opts, DistOptions};
+use op2_dist::partition::build_local;
 use op2_dist::swe::run_swe_distributed_opts;
-use op2_dist::Partition;
+use op2_dist::{cell_centroids, HaloPlan, Partition};
 use op2_swe::{SweApp, SweConfig};
 
 const NX: usize = 24;
 const NY: usize = 12;
 const NITER: usize = 6;
 const REPORT_EVERY: usize = 2;
+const SHORT_NX: usize = 25;
+const SHORT_NY: usize = 13;
 
 /// FNV-1a over the little-endian bytes of a word stream.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -99,17 +110,61 @@ fn table<const N: usize>(name: &str, rows: &[[u64; N]]) -> String {
     s + "];"
 }
 
-#[test]
-fn airfoil_matrix_matches_golden_digests() {
+/// The 24×12 matrix: index strips on 1, 2 and 4 ranks.
+fn strips_cases() -> Vec<(Partition, bool, bool)> {
+    let strips = |(nranks, overlap, renumber)| (Partition::strips(NX * NY, nranks), overlap, renumber);
+    cases().into_iter().map(strips).collect()
+}
+
+/// The 25×13 matrix: strips then RCB on 3 ranks, each × overlap × renumber.
+fn short_cases(data: &MeshData) -> Vec<(Partition, bool, bool)> {
+    let parts = [Partition::strips(data.ncells(), 3), Partition::rcb(&cell_centroids(data), 3)];
+    let mut v = Vec::new();
+    for part in parts {
+        for overlap in [false, true] {
+            for renumber in [false, true] {
+                v.push((part.clone(), overlap, renumber));
+            }
+        }
+    }
+    v
+}
+
+/// Per case: `[fnv(final_q), fnv(rms history), adt_digest, res_digest]`.
+const AIRFOIL_SHORT_GOLDEN: [[u64; 4]; 8] = [
+    [0xa611de20412c0013, 0x203252d7547e452f, 0xb63d4215ed500630, 0xadbe1ef1a056ddf4],
+    [0x704f4005bb86696e, 0x379b5402578eeb56, 0xab81093e086ff214, 0x0a451a45be99031b],
+    [0xa611de20412c0013, 0x203252d7547e452f, 0xb63d4215ed500630, 0xadbe1ef1a056ddf4],
+    [0x704f4005bb86696e, 0x379b5402578eeb56, 0xab81093e086ff214, 0x0a451a45be99031b],
+    [0xeca3e1d96c1fec0a, 0xc15816d79d456dee, 0x17cdf3053cbf8279, 0x3ac7dac918963914],
+    [0xeacda9c62e07317a, 0x8de51a1c2169c91e, 0x2797d33e9b4351d6, 0x00783731b2836c19],
+    [0xeca3e1d96c1fec0a, 0xc15816d79d456dee, 0x17cdf3053cbf8279, 0x3ac7dac918963914],
+    [0xeacda9c62e07317a, 0x8de51a1c2169c91e, 0x2797d33e9b4351d6, 0x00783731b2836c19],
+];
+
+/// Per case: `[fnv(final_w), fnv(report history), res_digest]`.
+const SWE_SHORT_GOLDEN: [[u64; 3]; 8] = [
+    [0xa7e24a708d37f343, 0xd87d96ccc7adb5b6, 0xed3224981a6790da],
+    [0xd04cf521fd42cf5d, 0xbe741e961ed159bb, 0x4262210eb6b8457f],
+    [0xa7e24a708d37f343, 0xd87d96ccc7adb5b6, 0xed3224981a6790da],
+    [0xd04cf521fd42cf5d, 0xbe741e961ed159bb, 0x4262210eb6b8457f],
+    [0x69ca398e7d917912, 0x78d80caf7022f960, 0xb297f61dc6e6251a],
+    [0xe3a24f82a9faa4cf, 0xb658fba7c7fa9cc4, 0x4db12e54e6d0f6d3],
+    [0x69ca398e7d917912, 0x78d80caf7022f960, 0xb297f61dc6e6251a],
+    [0xe3a24f82a9faa4cf, 0xb658fba7c7fa9cc4, 0x4db12e54e6d0f6d3],
+];
+
+/// Airfoil's rows over an `nx`×`ny` channel with a pressure pulse.
+fn airfoil_rows(nx: usize, ny: usize, cases: impl Fn(&MeshData) -> Vec<(Partition, bool, bool)>) -> Vec<[u64; 4]> {
     let consts = FlowConstants::default();
-    let builder = MeshBuilder::channel(NX, NY);
+    let builder = MeshBuilder::channel(nx, ny);
     let mesh = builder.build(&consts);
     mesh.add_pulse(1.0, 0.5, 0.25, 0.2, &consts);
     let (data, q0) = (builder.data(), mesh.p_q.to_vec());
 
     let mut actual = Vec::new();
-    for (nranks, overlap, renumber) in cases() {
-        let part = Partition::strips(NX * NY, nranks);
+    for (part, overlap, renumber) in cases(&data) {
+        let nranks = part.nranks;
         let rep = run_distributed_opts(
             &data,
             &consts,
@@ -128,30 +183,26 @@ fn airfoil_matrix_matches_golden_digests() {
             rep.res_digest.expect("res digest asked for"),
         ]);
     }
-    assert!(
-        actual == AIRFOIL_GOLDEN,
-        "airfoil distributed results moved; actual table:\n{}",
-        table("AIRFOIL_GOLDEN", &actual)
-    );
+    actual
 }
 
-#[test]
-fn swe_matrix_matches_golden_digests() {
+/// Shallow-water's rows: a walled `nx`×`ny` basin after a dam break.
+fn swe_rows(nx: usize, ny: usize, cases: impl Fn(&MeshData) -> Vec<(Partition, bool, bool)>) -> Vec<[u64; 3]> {
     let app = SweApp::new(SweConfig {
-        imax: NX,
-        jmax: NY,
+        imax: nx,
+        jmax: ny,
         ..SweConfig::default()
     });
     app.dam_break(2.0, 2.0, 1.0);
     let w0 = app.w.to_vec();
-    let mut data = MeshBuilder::channel(NX, NY).data();
+    let mut data = MeshBuilder::channel(nx, ny).data();
     data.bound
         .iter_mut()
         .for_each(|b| *b = op2_swe::kernels::SWE_WALL);
 
     let mut actual = Vec::new();
-    for (nranks, overlap, renumber) in cases() {
-        let part = Partition::strips(NX * NY, nranks);
+    for (part, overlap, renumber) in cases(&data) {
+        let nranks = part.nranks;
         let rep = run_swe_distributed_opts(
             &data,
             9.81,
@@ -174,9 +225,63 @@ fn swe_matrix_matches_golden_digests() {
             rep.res_digest.expect("res digest asked for"),
         ]);
     }
+    actual
+}
+
+#[test]
+fn airfoil_matrix_matches_golden_digests() {
+    let actual = airfoil_rows(NX, NY, |_| strips_cases());
+    assert!(
+        actual == AIRFOIL_GOLDEN,
+        "airfoil distributed results moved; actual table:\n{}",
+        table("AIRFOIL_GOLDEN", &actual)
+    );
+}
+
+#[test]
+fn swe_matrix_matches_golden_digests() {
+    let actual = swe_rows(NX, NY, |_| strips_cases());
     assert!(
         actual == SWE_GOLDEN,
         "shallow-water distributed results moved; actual table:\n{}",
         table("SWE_GOLDEN", &actual)
+    );
+}
+
+/// The short matrix's partitions give some rank a halo group of under 16
+/// edges and one whose length leaves a lane remainder (and, so that both
+/// paths run, one of 16 or more).
+#[test]
+fn short_matrix_has_short_and_ragged_groups() {
+    let data = MeshBuilder::channel(SHORT_NX, SHORT_NY).data();
+    let mut lens = Vec::new();
+    for (part, _, _) in short_cases(&data) {
+        for rank in 0..part.nranks {
+            let plan = HaloPlan::build(&build_local(&data, &part, rank));
+            lens.extend(plan.groups.iter().map(|g| g.edges.len()));
+        }
+    }
+    assert!(lens.iter().any(|&n| n < 16), "no group under 16 edges: {lens:?}");
+    assert!(lens.iter().any(|&n| n >= 16), "no group of 16 edges or more: {lens:?}");
+    assert!(lens.iter().any(|&n| n % 4 != 0), "every group a multiple of 4: {lens:?}");
+}
+
+#[test]
+fn airfoil_short_matrix_matches_golden_digests() {
+    let actual = airfoil_rows(SHORT_NX, SHORT_NY, short_cases);
+    assert!(
+        actual == AIRFOIL_SHORT_GOLDEN,
+        "airfoil distributed results moved on short groups; actual table:\n{}",
+        table("AIRFOIL_SHORT_GOLDEN", &actual)
+    );
+}
+
+#[test]
+fn swe_short_matrix_matches_golden_digests() {
+    let actual = swe_rows(SHORT_NX, SHORT_NY, short_cases);
+    assert!(
+        actual == SWE_SHORT_GOLDEN,
+        "shallow-water distributed results moved on short groups; actual table:\n{}",
+        table("SWE_SHORT_GOLDEN", &actual)
     );
 }

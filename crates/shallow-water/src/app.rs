@@ -1,10 +1,10 @@
 //! The shallow-water application: declarations, loops, and the adaptive
 //! time-march driver.
 
-use op2_airfoil::mesh::{Mesh, MeshOptions};
+use op2_airfoil::mesh::{Mesh, MeshOptions, Topology};
 use op2_airfoil::{FlowConstants, MeshBuilder};
 use op2_core::typed::{At, Inc, Read, Via};
-use op2_core::{Dat, Global, Layout, ParLoop, Real, Step, WideKernel};
+use op2_core::{Dat, Global, Layout, Map, ParLoop, Real, Step, WideKernel};
 use op2_hpx::{run_step, Executor, LoopError, NaturalExecutor, Supervisor, SyncStrategy};
 
 use crate::kernels;
@@ -90,24 +90,11 @@ impl SweApp {
         }
 
         let ncells = mesh.ncells();
-        // Per-cell areas via the shoelace formula (works for any quad mesh);
-        // canonical AoS order keeps this independent of the declared layout.
+        // Canonical AoS order keeps the areas independent of the layout.
         let coords = mesh.p_x.to_aos_vec();
-        let mut areas = Vec::with_capacity(ncells);
-        for c in 0..ncells {
-            let mut a = 0.0;
-            for k in 0..4 {
-                let i = mesh.pcell.at(c, k);
-                let j = mesh.pcell.at(c, (k + 1) % 4);
-                a += coords[2 * i] * coords[2 * j + 1] - coords[2 * j] * coords[2 * i + 1];
-            }
-            areas.push(a / 2.0);
-        }
+        let areas: Vec<f64> = mesh.pcell.table().chunks(4).map(|c| cell_area(&coords, c)).collect();
         drop(coords);
-        let min_len = areas
-            .iter()
-            .fold(f64::INFINITY, |m, &a| m.min(a))
-            .sqrt();
+        let min_len = areas.iter().fold(f64::INFINITY, |m, &a| m.min(a)).sqrt();
 
         let w = Dat::with_layout(
             "w",
@@ -125,53 +112,8 @@ impl SweApp {
             cfg.layout,
             areas.iter().map(|a| 1.0 / a).collect(),
         );
-
-        let g = cfg.g;
-        let m = &mesh;
-
-        let save = ParLoop::build("swe_save", &m.cells)
-            .args((w.read::<3>(), wold.write::<3>()))
-            .kernel(|(w, wold), _| *wold = *w);
-
-        let dt_calc = ParLoop::build("swe_dt", &m.cells)
-            .gbl_max(1)
-            .args(w.read::<3>())
-            .kernel(move |w, gbl| gbl[0] = gbl[0].max(kernels::wave_speed(w, g)));
-
-        // Same `0.0 + f` argument as Airfoil's `res_calc`: each residual
-        // component receives exactly one `±f` onto the zeroed INC value.
-        let flux = ParLoop::build("swe_flux", &m.edges)
-            .args((
-                m.p_x.read::<2>().via::<2>(&m.pedge),
-                w.read::<3>().via::<2>(&m.pecell),
-                res.inc::<3>().via::<2>(&m.pecell),
-            ))
-            .wide_kernel(Flux(g));
-
-        let bflux = ParLoop::build("swe_bflux", &m.bedges)
-            .args((
-                m.p_x.read::<2>().via::<2>(&m.pbedge),
-                w.read::<3>().via::<1>(&m.pbecell),
-                res.inc::<3>().via::<1>(&m.pbecell),
-                m.p_bound.read::<1>(),
-            ))
-            .kernel(move |([x1, x2], [w1], [r1], [bound]), _| {
-                kernels::bflux(x1, x2, w1, r1, *bound, g);
-            });
-
-        let dt = Global::new("dt", 0.0);
-        let update = ParLoop::build("swe_update", &m.cells)
-            .gbl_inc(1)
-            .args((
-                wold.read::<3>(),
-                w.write::<3>(),
-                res.rw::<3>(),
-                inv_area.read::<1>(),
-                dt.read(),
-            ))
-            .kernel(move |(wold, w, res, [inv_area], [dt]), gbl| {
-                kernels::update(wold, w, res, *dt * *inv_area, &mut gbl[0]);
-            });
+        let SweLoops { save, dt_calc, flux, bflux, update, dt } =
+            SweLoops::new(&mesh, [&w, &wold, &res, &inv_area], cfg.g);
 
         let cfl = cfg.cfl;
         let step = Step::default()
@@ -306,6 +248,87 @@ impl SweApp {
     pub fn gravity(&self) -> f64 {
         self.g
     }
+}
+
+/// The five shallow-water loops, declared once over a mesh topology and the
+/// state: by [`SweApp::new`], and by every rank of a distributed run over its
+/// slice.
+pub struct SweLoops {
+    /// `wold ← w`.
+    pub save: ParLoop,
+    /// Global max wave speed (CFL).
+    pub dt_calc: ParLoop,
+    /// Interior Rusanov fluxes.
+    pub flux: ParLoop,
+    /// Boundary fluxes.
+    pub bflux: ParLoop,
+    /// Explicit update + RMS.
+    pub update: ParLoop,
+    /// The adaptive time step `update` reads.
+    pub dt: Global,
+}
+
+impl SweLoops {
+    /// The loops over `t` and the dats `[w, wold, res, inv_area]` (3, 3, 3
+    /// and 1 wide, over `t.cells`), with gravity `g`.
+    pub fn new(t: &Topology, [w, wold, res, inv_area]: [&Dat<f64>; 4], g: f64) -> SweLoops {
+        let save = ParLoop::build("swe_save", &t.cells)
+            .args((w.read::<3>(), wold.write::<3>()))
+            .kernel(|(w, wold), _| *wold = *w);
+
+        let dt_calc = ParLoop::build("swe_dt", &t.cells)
+            .gbl_max(1)
+            .args(w.read::<3>())
+            .kernel(move |w, gbl| gbl[0] = gbl[0].max(kernels::wave_speed(w, g)));
+
+        let flux = SweLoops::flux_into(t, w, (res, &t.pecell), g);
+
+        let bflux = ParLoop::build("swe_bflux", &t.bedges)
+            .args((
+                t.p_x.read::<2>().via::<2>(&t.pbedge),
+                w.read::<3>().via::<1>(&t.pbecell),
+                res.inc::<3>().via::<1>(&t.pbecell),
+                t.p_bound.read::<1>(),
+            ))
+            .kernel(move |([x1, x2], [w1], [r1], [bound]), _| {
+                kernels::bflux(x1, x2, w1, r1, *bound, g);
+            });
+
+        let dt = Global::new("dt", 0.0);
+        let update = ParLoop::build("swe_update", &t.cells)
+            .gbl_inc(1)
+            .args((wold.read::<3>(), w.write::<3>(), res.rw::<3>(), inv_area.read::<1>(), dt.read()))
+            .kernel(move |(wold, w, res, [inv_area], [dt]), gbl| {
+                kernels::update(wold, w, res, *dt * *inv_area, &mut gbl[0]);
+            });
+
+        SweLoops { save, dt_calc, flux, bflux, update, dt }
+    }
+
+    /// `swe_flux` over `t`'s edges with INC into `inc`'s dat through its
+    /// map: `(res, pecell)` in [`SweLoops::new`], a halo group's scratch and
+    /// slot map on a distributed rank. Same `0.0 + f` argument as Airfoil's
+    /// `res_calc`.
+    pub fn flux_into(t: &Topology, w: &Dat<f64>, (res, to): (&Dat<f64>, &Map), g: f64) -> ParLoop {
+        ParLoop::build("swe_flux", &t.edges)
+            .args((
+                t.p_x.read::<2>().via::<2>(&t.pedge),
+                w.read::<3>().via::<2>(&t.pecell),
+                res.inc::<3>().via::<2>(to),
+            ))
+            .wide_kernel(Flux(g))
+    }
+}
+
+/// Shoelace area of the quad whose four corner nodes are `corners`, with
+/// node coordinates `coords` (two per node, AoS).
+pub fn cell_area(coords: &[f64], corners: &[u32]) -> f64 {
+    let mut a = 0.0;
+    for k in 0..4 {
+        let (i, j) = (corners[k] as usize, corners[(k + 1) % 4] as usize);
+        a += coords[2 * i] * coords[2 * j + 1] - coords[2 * j] * coords[2 * i + 1];
+    }
+    a / 2.0
 }
 
 /// `swe_flux`'s body, written once over [`Real`]. The other loops reduce

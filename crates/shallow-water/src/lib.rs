@@ -25,4 +25,4 @@
 pub mod app;
 pub mod kernels;
 
-pub use app::{SweApp, SweConfig};
+pub use app::{cell_area, SweApp, SweConfig, SweLoops};
